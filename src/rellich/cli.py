@@ -44,8 +44,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-_DEFAULT_GRID = 10_000
-_DEFAULT_QUAD_TOL = 1e-10
 _DEFAULT_TESTS = 50
 _DEFAULT_SEED = 42
 
@@ -76,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="value for the DSL parameter r")
         sp.add_argument("--c", type=float, default=None,
                         help="override the potential constant c")
-        sp.add_argument("--grid", type=int, default=_DEFAULT_GRID)
-        sp.add_argument("--quad-tol", type=float, default=_DEFAULT_QUAD_TOL)
+        sp.add_argument("--grid", type=int, default=pr.DEFAULT_GRID)
+        sp.add_argument("--quad-tol", type=float, default=vf.DEFAULT_QUAD_TOL)
         sp.add_argument("--tol", type=float, default=pr.DEFAULT_RESIDUAL_TOL)
         sp.add_argument("--output", "-o", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "csv"), default="json")

@@ -15,9 +15,11 @@ identity).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -69,13 +71,72 @@ class DomainError(EvaluationError):
 
 
 # ---------------------------------------------------------------------------
-# numeric backends
+# numeric backends: one primitive table per number type
 
 
-def _coth_float(x):
-    if x == 0.0:
-        raise DomainError("coth", x)
-    return 1.0 / math.tanh(x)
+def _primitives(any_, reject, log, sqrt, exp, sinh, cosh, tanh, coth, hyp_ct,
+                power, isnan) -> dict:
+    """The checked primitive table of one backend, built from its raw functions.
+
+    The domain rules live here, once for every backend: log, ct and
+    non-integer ^ reject x <= 0, sqrt rejects x < 0, coth and / reject 0
+    (NaN passes).  ``any_`` reduces a predicate to a bool and ``reject``
+    raises the DomainError for the first offending argument.  A scalar
+    predicate is already a plain bool, so ``bad is not False`` spares the
+    scalar paths the reduction call.
+    """
+
+    def log_(x):
+        bad = x <= 0
+        if bad is not False and any_(bad):
+            reject("log", x, bad)
+        return log(x)
+
+    def sqrt_(x):
+        bad = x < 0
+        if bad is not False and any_(bad):
+            reject("sqrt", x, bad)
+        return sqrt(x)
+
+    def coth_(x):
+        bad = x == 0
+        if bad is not False and any_(bad):
+            reject("coth", x, bad)
+        return coth(x)
+
+    def ct_(x, kappa):
+        bad = x <= 0
+        if bad is not False and any_(bad):
+            reject("ct", x, bad)
+        if kappa == 0:
+            return 1.0 / x
+        return hyp_ct(x, kappa)
+
+    def truediv(x, y):
+        bad = y == 0
+        if bad is not False and any_(bad):
+            reject("/", y, bad)
+        return x / y
+
+    def real_pow(x, y):
+        if isinstance(y, (int, float)) and float(y).is_integer():
+            return _ipow(x, int(y))
+        bad = x <= 0
+        if bad is not False and any_(bad):
+            reject("^", x, bad)
+        return power(x, y)
+
+    return {"log": log_, "sqrt": sqrt_, "exp": exp, "sinh": sinh, "cosh": cosh,
+            "tanh": tanh, "coth": coth_, "ct": ct_, "/": truediv, "^": real_pow,
+            "isnan": isnan}
+
+
+def _reject_scalar(primitive, x, bad):
+    raise DomainError(primitive, x)
+
+
+def _reject_array(primitive, x, bad):
+    raise DomainError(primitive, float(np.asarray(x)[np.asarray(bad)].flat[0]))
 
 
 def _sinh_float(x):
@@ -99,105 +160,43 @@ def _exp_float(x):
         return math.inf
 
 
-class _FloatBackend:
-    name = "float"
-
-    @staticmethod
-    def log(x):
-        if x <= 0:
-            raise DomainError("log", x)
-        return math.log(x)
-
-    @staticmethod
-    def sqrt(x):
-        if x < 0:
-            raise DomainError("sqrt", x)
-        return math.sqrt(x)
-
-    exp = staticmethod(_exp_float)
-    sinh = staticmethod(_sinh_float)
-    cosh = staticmethod(_cosh_float)
-    tanh = staticmethod(math.tanh)
-    coth = staticmethod(_coth_float)
-
-    @staticmethod
-    def isnan(x):
-        return isinstance(x, float) and math.isnan(x)
+def _pow_float(x, y):
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
 
 
-class _NumpyBackend:
-    name = "numpy"
+# the float table stays on math: numpy's exp/sinh/cosh/tanh differ from libm
+# in the last bit on some inputs, and scalar paths must match earlier reports
+_FLOAT = _primitives(
+    bool, _reject_scalar, math.log, math.sqrt, _exp_float, _sinh_float, _cosh_float,
+    math.tanh, lambda x: 1.0 / math.tanh(x), lambda x, kappa: kappa / math.tanh(kappa * x),
+    _pow_float, lambda x: isinstance(x, float) and math.isnan(x))
 
-    @staticmethod
-    def _check(mask, primitive, x):
-        if np.any(mask):
-            bad = np.asarray(x)[np.asarray(mask)].flat[0]
-            raise DomainError(primitive, float(bad))
-
-    @classmethod
-    def log(cls, x):
-        cls._check(np.asarray(x) <= 0, "log", x)
-        return np.log(x)
-
-    @classmethod
-    def sqrt(cls, x):
-        cls._check(np.asarray(x) < 0, "sqrt", x)
-        return np.sqrt(x)
-
-    @staticmethod
-    def exp(x):
-        with np.errstate(over="ignore"):
-            return np.exp(x)
-
-    @staticmethod
-    def sinh(x):
-        with np.errstate(over="ignore"):
-            return np.sinh(x)
-
-    @staticmethod
-    def cosh(x):
-        with np.errstate(over="ignore"):
-            return np.cosh(x)
-
-    tanh = staticmethod(np.tanh)
-
-    @classmethod
-    def coth(cls, x):
-        cls._check(np.asarray(x) == 0, "coth", x)
-        return 1.0 / np.tanh(x)
-
-    @staticmethod
-    def isnan(x):
-        return bool(np.any(np.isnan(x)))
+# overflow is silenced by the errstate in Expr.evaluate
+_NUMPY = _primitives(
+    np.any, _reject_array, np.log, np.sqrt, np.exp, np.sinh, np.cosh, np.tanh,
+    lambda x: 1.0 / np.tanh(x), lambda x, kappa: kappa / np.tanh(kappa * x),
+    np.power, lambda x: bool(np.any(np.isnan(x))))
 
 
-class _MpmathBackend:
-    name = "mpmath"
+@functools.cache
+def _mpmath_primitives() -> dict:
+    import mpmath  # imported on first use: most runs never need it
 
-    def __getattr__(self, fname):
-        import mpmath
-
-        if fname == "coth":
-            return mpmath.coth
-        return getattr(mpmath, fname)
-
-    @staticmethod
-    def isnan(x):
-        import mpmath
-
-        return mpmath.isnan(x)
+    return _primitives(
+        bool, _reject_scalar, mpmath.log, mpmath.sqrt, mpmath.exp, mpmath.sinh,
+        mpmath.cosh, mpmath.tanh, mpmath.coth,
+        lambda x, kappa: kappa * mpmath.coth(kappa * x), operator.pow, mpmath.isnan)
 
 
-_MPMATH_BACKEND = _MpmathBackend()
-
-
-def _pick_backend(t_value):
+def _backend(t_value) -> dict:
     if isinstance(t_value, np.ndarray):
-        return _NumpyBackend
-    tname = type(t_value).__module__
-    if tname.startswith("mpmath") or tname.startswith("sympy.mpmath"):
-        return _MPMATH_BACKEND
-    return _FloatBackend
+        return _NUMPY
+    if type(t_value).__module__.startswith("mpmath"):
+        return _mpmath_primitives()
+    return _FLOAT
 
 
 def _ipow(x, k: int):
@@ -226,14 +225,14 @@ class Expr:
     precedence = 4
 
     def evaluate(self, bindings: Bindings):
-        backend = _pick_backend(bindings.get("t"))
-        if backend is _NumpyBackend:
+        be = _backend(bindings.get("t"))
+        if be is _NUMPY:
             # overflow saturates to inf by design; NaN is still rejected below
             with np.errstate(all="ignore"):
-                result = self._ev(bindings, backend)
+                result = self._ev(bindings, be)
         else:
-            result = self._ev(bindings, backend)
-        if backend.isnan(result):
+            result = self._ev(bindings, be)
+        if be["isnan"](result):
             raise DomainError("expression", "NaN produced")
         return result
 
@@ -365,8 +364,12 @@ class Unary(Expr):
         if op == "neg":
             return -x
         if op == "ct":
-            return _eval_ct(x, b, be)
-        return getattr(be, op)(x)
+            try:
+                kappa = b["kappa"]
+            except KeyError:
+                raise UnboundParameterError("kappa") from None
+            return be["ct"](x, kappa)
+        return be[op](x)
 
     def _diff(self, var):
         u = self.child
@@ -402,29 +405,6 @@ class Unary(Expr):
         return f"{self.op}({self.child})"
 
 
-def _eval_ct(x, bindings, backend):
-    try:
-        kappa = bindings["kappa"]
-    except KeyError:
-        raise UnboundParameterError("kappa") from None
-    if backend is _NumpyBackend:
-        _NumpyBackend._check(np.asarray(x) <= 0, "ct", x)
-        if kappa == 0:
-            return 1.0 / x
-        return kappa / np.tanh(kappa * x)
-    if backend is _FloatBackend:
-        if x <= 0:
-            raise DomainError("ct", x)
-        if kappa == 0:
-            return 1.0 / x
-        return kappa / math.tanh(kappa * x)
-    if x <= 0:
-        raise DomainError("ct", x)
-    if kappa == 0:
-        return 1 / x
-    return kappa * _MPMATH_BACKEND.coth(kappa * x)
-
-
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
@@ -448,7 +428,10 @@ class Binary(Expr):
         op = self.op
         x = self.left._ev(b, be)
         if op == "^":
-            return _eval_pow(x, self.right, b, be)
+            e = self.right
+            if isinstance(e, Const) and e.value.is_integer():
+                return _ipow(x, int(e.value))
+            return be["^"](x, e._ev(b, be))
         y = self.right._ev(b, be)
         if op == "+":
             return x + y
@@ -456,13 +439,7 @@ class Binary(Expr):
             return x - y
         if op == "*":
             return x * y
-        # division
-        if be is _NumpyBackend:
-            _NumpyBackend._check(np.asarray(y) == 0, "/", y)
-            return x / y
-        if y == 0:
-            raise DomainError("/", y)
-        return x / y
+        return be["/"](x, y)
 
     def _diff(self, var):
         a, b_ = self.left, self.right
@@ -491,28 +468,6 @@ class Binary(Expr):
         return f"{ls}{self.op}{rs}"
 
 
-def _eval_pow(base, exponent: Expr, bindings, backend):
-    if isinstance(exponent, Const) and float(exponent.value).is_integer():
-        return _ipow(base, int(exponent.value))
-    y = exponent._ev(bindings, backend)
-    is_int = not isinstance(y, np.ndarray) and float(y).is_integer() \
-        and not type(y).__module__.startswith("mpmath")
-    if is_int:
-        return _ipow(base, int(y))
-    if backend is _NumpyBackend:
-        _NumpyBackend._check(np.asarray(base) <= 0, "^", base)
-        with np.errstate(over="ignore"):
-            return np.power(base, y)
-    if base <= 0:
-        raise DomainError("^", base)
-    if backend is _FloatBackend:
-        try:
-            return math.pow(base, y)
-        except OverflowError:
-            return math.inf
-    return base ** y
-
-
 class Iter(Expr):
     """Iterated apply: logk(i, x) / expk(i, x); depth 0 is the identity."""
 
@@ -532,7 +487,7 @@ class Iter(Expr):
 
     def _ev(self, b, be):
         x = self.child._ev(b, be)
-        f = be.log if self.func == "logk" else be.exp
+        f = be["log"] if self.func == "logk" else be["exp"]
         for _ in range(self.depth):
             x = f(x)
         return x
@@ -784,18 +739,3 @@ def fd_check(e: Expr, bindings: Bindings, h: float = 1e-6) -> float:
     central = (e.evaluate(hi) - e.evaluate(lo)) / (2.0 * h)
     symbolic = e.diff("t").evaluate(dict(bindings, t=t))
     return abs(symbolic - central)
-
-
-ExprLike = Union[Expr, Callable[[float], float]]
-
-
-def as_callable(f: ExprLike, bindings: Bindings | None = None) -> Callable:
-    """Adapt an Expression (with fixed parameter bindings) or a callable to t -> value."""
-    if isinstance(f, Expr):
-        fixed = dict(bindings or {})
-
-        def _call(t):
-            return f.evaluate({**fixed, "t": t})
-
-        return _call
-    return f

@@ -100,7 +100,6 @@ def radial_laplacian(sf: SpaceForm, u: "RadialTestFunction", t):
 
 def separated_laplacian(sf: SpaceForm, u: "RadialTestFunction", t):
     """phi'' + L_kappa phi' - mu_l phi / s_kappa^2 for u = phi(rho) Y_l(theta)."""
-    _check_positive_radius(t)
     mu = angular_eigenvalue(sf.n, getattr(u, "l", 0))
     out = u.d2value(t) + big_l(sf, t) * u.dvalue(t)
     if mu:
@@ -124,12 +123,6 @@ def _smoothstep_d1(x):
 
 def _smoothstep_d2(x):
     return 60.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
-
-
-def _ramp(t, lo, width, sign):
-    """Smoothstep ramp with value in [0,1]; sign=+1 rises on [lo, lo+width]."""
-    x = (t - lo) / width if sign > 0 else (lo - t) / width
-    return np.clip(x, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,10 +33,11 @@ __all__ = [
     "from_bessel_potential", "from_bessel_pair", "bessel_pairs_from_potential",
     "disconjugacy_check", "scan_positivity", "positivity_polynomial_roots",
     "polynomial_criterion_holds", "residual_expr", "residual_report",
-    "DEFAULT_RESIDUAL_TOL", "log_grid",
+    "DEFAULT_RESIDUAL_TOL", "DEFAULT_GRID", "log_grid",
 ]
 
 DEFAULT_RESIDUAL_TOL = 1e-9
+DEFAULT_GRID = 10_000             # log-grid size of the positivity and residual scans
 
 _ROLES = {
     "primal": ("G", "w", "W"),
@@ -254,23 +255,13 @@ def _check_verified(p: PairSpec, n: Optional[int] = None, tol: float = 1e-6,
     R = float(p.params.get("R", 1.0))
     lo = t_range[0] * R
     hi = (t_range[1] or 0.999) * R
-    grid = log_grid(lo, hi, 32)
-    b = p.bindings(None, grid)
+    b = p.bindings(None)
     if n is not None:
         b["n"] = float(n)
-    res = residual_expr(p).evaluate(b)
-    scale = _magnitude(p, b)
-    worst = float(np.max(np.abs(res) / scale))
-    if worst > tol:
+    worst = relative_report(residual_terms(p), b, grid=32, t_lo=lo, t_hi=hi).max_abs_relative
+    if not worst <= tol:   # a NaN (from infinite terms) is not verified either
         raise ValueError(
             f"input {p.kind} is not verified: relative residual {worst:.3e} > {tol:.0e}")
-
-
-def _magnitude(p: PairSpec, bindings: dict):
-    acc = 1.0
-    for term in residual_terms(p):
-        acc = acc + np.abs(term.evaluate(bindings))
-    return acc
 
 
 def from_bessel_potential(p: PairSpec, variant: str, n: int) -> PairSpec:
@@ -438,8 +429,9 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
                                      rtol, max_steps, use_mp=False)
         except ex.EvaluationError:
             pass
-    return _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi,
-                             rtol, max_steps, use_mp=True)
+    with mpmath.workdps(25):   # the caller's precision is left as it was
+        return _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi,
+                                 rtol, max_steps, use_mp=True)
 
 
 def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, rtol, max_steps,
@@ -447,7 +439,6 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, rtol, max_steps,
     import mpmath
 
     if use_mp:
-        mpmath.mp.dps = 25
         mpf = mpmath.mpf
         exp_fn = mpmath.exp
     else:
@@ -559,12 +550,12 @@ class PositivityReport:
     tol: float
 
 
-def _richardson_limit(f: Callable[[float], float], points: Sequence[float]):
+def _richardson_limit(f: Expr, bindings: dict, points: Sequence[float]):
     """Extrapolate f along a geometrically converging sequence of points."""
     vals = []
     for t in points:
         try:
-            vals.append(float(f(t)))
+            vals.append(float(f.evaluate({**bindings, "t": t})))
         except ex.EvaluationError:
             return None
     if any(math.isnan(v) or math.isinf(v) for v in vals):
@@ -580,7 +571,7 @@ def _richardson_limit(f: Callable[[float], float], points: Sequence[float]):
     return table[0]
 
 
-def scan_positivity(f, sf: SpaceForm, grid: int = 10_000, refine: int = 60,
+def scan_positivity(f: Expr, sf: SpaceForm, grid: int = DEFAULT_GRID, refine: int = 60,
                     t_lo: Optional[float] = None, t_hi: Optional[float] = None,
                     bindings: Optional[dict] = None,
                     tol: float = 1e-11) -> PositivityReport:
@@ -597,14 +588,9 @@ def scan_positivity(f, sf: SpaceForm, grid: int = 10_000, refine: int = 60,
     b = dict(bindings or {})
     b.setdefault("n", float(sf.n))
     b.setdefault("kappa", float(sf.kappa))
-    fn = ex.as_callable(f, b)
 
     ts = log_grid(lo, hi, grid)
-    if isinstance(f, Expr):
-        vals = np.broadcast_to(
-            np.asarray(f.evaluate({**b, "t": ts}), dtype=float), ts.shape)
-    else:
-        vals = np.asarray([float(fn(t)) for t in ts])
+    vals = np.broadcast_to(np.asarray(f.evaluate({**b, "t": ts}), dtype=float), ts.shape)
     i_min = int(np.nanargmin(vals))
     min_value, argmin = float(vals[i_min]), float(ts[i_min])
     # violation tolerance is local: a sample counts as negative only when it
@@ -618,7 +604,7 @@ def scan_positivity(f, sf: SpaceForm, grid: int = 10_000, refine: int = 60,
         fa = float(vals[i])
         for _ in range(refine):
             m = 0.5 * (a_ + b_)
-            fm = float(fn(m))
+            fm = float(f.evaluate({**b, "t": m}))
             if fm == 0.0:
                 break  # keep the last strict bracket
             if fa * fm < 0:
@@ -630,9 +616,9 @@ def scan_positivity(f, sf: SpaceForm, grid: int = 10_000, refine: int = 60,
     limit_R = None
     if math.isfinite(sf.R):
         pts = [sf.R * (1.0 - 2.0 ** (-j)) for j in range(6, 14)]
-        limit_R = _richardson_limit(fn, pts)
+        limit_R = _richardson_limit(f, b, pts)
     pts0 = [lo * 2.0 ** (-j) for j in range(0, 8)]
-    limit_0 = _richardson_limit(fn, pts0)
+    limit_0 = _richardson_limit(f, b, pts0)
 
     if violated:
         verdict = "violated"
@@ -662,7 +648,7 @@ class ResidualReport:
 
 
 def relative_report(terms: Sequence[Expr], bindings: dict, kind: str = "terms",
-                    grid: int = 10_000, t_lo: float = 1e-6, t_hi: float = 1e3,
+                    grid: int = DEFAULT_GRID, t_lo: float = 1e-6, t_hi: float = 1e3,
                     tol: float = DEFAULT_RESIDUAL_TOL) -> ResidualReport:
     """Evaluate sum(terms) on a log grid relative to the local magnitude
     max(1, sum |term_i|); exact cancellations then register as zero instead
@@ -693,7 +679,7 @@ def relative_report(terms: Sequence[Expr], bindings: dict, kind: str = "terms",
 
 
 def residual_report(p: PairSpec, sf: Optional[SpaceForm] = None,
-                    grid: int = 10_000, t_lo: float = 1e-6, t_hi: float = 1e3,
+                    grid: int = DEFAULT_GRID, t_lo: float = 1e-6, t_hi: float = 1e3,
                     n: Optional[int] = None,
                     tol: float = DEFAULT_RESIDUAL_TOL) -> ResidualReport:
     """Evaluate the defining residual on a log grid, relative to the local

@@ -26,7 +26,7 @@ from . import pairs as pr
 from .catalog import ChainDescriptor
 from .expr import Expr
 from .geometry import (RadialTestFunction, SpaceForm, angular_eigenvalue,
-                       make_bump, s_kappa, volume_weight)
+                       make_bump, s_kappa, separated_laplacian, volume_weight)
 from .pairs import PairSpec, PositivityReport
 
 __all__ = [
@@ -167,14 +167,10 @@ def lhs_delta_sq(sf: SpaceForm, v: Expr, u: RadialTestFunction,
                  bindings: Optional[dict] = None,
                  tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """integral of v(rho) |Delta u|^2 dx over the support of u."""
-    b = _with_sf(bindings, sf)
-    mu = angular_eigenvalue(sf.n, u.l)
-    vf = _expr_fn(v, b)
+    vf = _expr_fn(v, _with_sf(bindings, sf))
 
     def density(t):
-        lap = u.d2value(t) + (sf.n - 1) * _ct_arr(sf, t) * u.dvalue(t)
-        if mu:
-            lap = lap - mu * u.value(t) / s_kappa(sf, t) ** 2
+        lap = separated_laplacian(sf, u, t)
         return vf(t) * lap * lap
 
     lo, hi = u.support
@@ -203,12 +199,6 @@ def rhs_weighted(sf: SpaceForm, weightpotential: Expr, u: RadialTestFunction,
 
     lo, hi = u.support
     return integrate(sf, density, lo, hi, tol)
-
-
-def _ct_arr(sf: SpaceForm, t):
-    if sf.kappa == 0:
-        return 1.0 / t
-    return sf.kappa / np.tanh(sf.kappa * t)
 
 
 def _with_sf(bindings: Optional[dict], sf: SpaceForm) -> dict:
@@ -393,7 +383,7 @@ def _gating(scans: Sequence[ScanSummary]) -> bool:
 
 
 def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
-                grid: int = 10_000) -> VerificationReport:
+                grid: int = pr.DEFAULT_GRID) -> VerificationReport:
     """Run the side-condition scans, then check the inequality on the batch.
 
     Verdict: "fail" if any margin < -budget; otherwise "pass" when every
@@ -479,7 +469,7 @@ def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm,
 
 
 def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
-                 quad_tol: float = DEFAULT_QUAD_TOL, grid: int = 10_000,
+                 quad_tol: float = DEFAULT_QUAD_TOL, grid: int = pr.DEFAULT_GRID,
                  case_id: str = "chain") -> VerificationReport:
     """Verify every link and the end-to-end inequality
     integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2 per test."""

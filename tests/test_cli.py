@@ -131,6 +131,18 @@ class TestSolveBessel:
         assert code == EXIT_PASS
         assert rep["config"]["positive_solution"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["--Z", "sqrt(0.5-t)", "--t0", "0.1", "--t1", "0.9"],
+        ["--Z", "log(t-0.5)"],
+    ])
+    def test_potential_outside_its_domain_is_inconclusive(self, tmp_path, argv):
+        # Z is undefined on part of the interval, so the mpmath pass stops
+        # with a domain error instead of going complex
+        code, rep = _run(tmp_path, "solve-bessel", "--z", "t", "--R", "1", *argv)
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["verdict"] == "inconclusive"
+        assert rep["config"]["status"] == "inconclusive"
+
 
 class TestEstimate:
     def test_hardy_estimate(self, tmp_path):

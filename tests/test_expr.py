@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -81,6 +82,11 @@ class TestParse:
             parse("1+2)")
 
 
+def _backends(x):
+    """t = x on each backend: a float, a one-element numpy array, an mpf."""
+    return (x, np.array([x]), mpmath.mpf(x))
+
+
 class TestEvaluate:
     def test_arithmetic(self):
         assert evaluate(parse("n/(2*t)"), {"n": 6.0, "t": 3.0}) == 1.0
@@ -108,24 +114,46 @@ class TestEvaluate:
         with pytest.raises(UnboundParameterError):
             evaluate(parse("n*t"), {"t": 1.0})
 
+    # the domain rules hold on every backend (mpmath's log and sqrt would
+    # otherwise go complex, and its coth(0) raise ZeroDivisionError)
+
     def test_log_domain(self):
-        with pytest.raises(DomainError):
-            evaluate(parse("log(t)"), {"t": -1.0})
+        for x in (-1.0, 0.0):
+            for t in _backends(x):
+                with pytest.raises(DomainError, match="'log'"):
+                    evaluate(parse("log(t)"), {"t": t})
 
     def test_sqrt_domain(self):
-        with pytest.raises(DomainError):
-            evaluate(parse("sqrt(t-2)"), {"t": 1.0})
+        for t in _backends(1.0):
+            with pytest.raises(DomainError, match="'sqrt'"):
+                evaluate(parse("sqrt(t-2)"), {"t": t})
+        for t in _backends(2.0):
+            assert evaluate(parse("sqrt(t-2)"), {"t": t}) == 0.0
 
     def test_division_by_zero(self):
-        with pytest.raises(DomainError):
-            evaluate(parse("1/(t-1)"), {"t": 1.0})
+        for t in _backends(1.0):
+            with pytest.raises(DomainError, match="'/'"):
+                evaluate(parse("1/(t-1)"), {"t": t})
 
     def test_noninteger_power_needs_positive_base(self):
-        with pytest.raises(DomainError):
-            evaluate(parse("(t-2)^0.5"), {"t": 1.0})
+        for t in _backends(0.5):
+            with pytest.raises(DomainError, match=r"'\^'"):
+                evaluate(parse("(t-2)^0.5"), {"t": t})
+            with pytest.raises(DomainError, match=r"'\^'"):
+                evaluate(parse("(t-2)^t"), {"t": t})
 
     def test_integer_power_of_negative_base(self):
-        assert evaluate(parse("(t-2)^3"), {"t": 1.0}) == -1.0
+        for t in _backends(1.0):
+            assert evaluate(parse("(t-2)^3"), {"t": t}) == -1.0
+            # an integer exponent only known at evaluation time
+            assert evaluate(parse("(t-2)^k"), {"t": t, "k": 3.0}) == -1.0
+
+    def test_ct_domain(self):
+        for kappa in (0.0, 1.0):
+            for x in (-1.0, 0.0):
+                for t in _backends(x):
+                    with pytest.raises(DomainError, match="'ct'"):
+                        evaluate(parse("ct(t)"), {"t": t, "kappa": kappa})
 
     def test_integer_power_accuracy(self):
         # repeated multiplication: exact for small integer powers
@@ -133,8 +161,9 @@ class TestEvaluate:
         assert evaluate(parse("t^-2"), {"t": 4.0}) == pytest.approx(0.0625, rel=1e-16)
 
     def test_coth_domain(self):
-        with pytest.raises(DomainError):
-            evaluate(parse("coth(t-1)"), {"t": 1.0})
+        for t in _backends(1.0):
+            with pytest.raises(DomainError, match="'coth'"):
+                evaluate(parse("coth(t-1)"), {"t": t})
 
     def test_vectorized_matches_scalar(self):
         e = parse("sinh(t)/t + ct(t)^2")
@@ -154,11 +183,9 @@ class TestEvaluate:
         assert got == 0.0
 
     def test_mpmath_backend_deep_range(self):
-        import mpmath
-
-        mpmath.mp.dps = 25
-        t = mpmath.exp(mpmath.mpf(-2000))
-        got = evaluate(parse("t^2*(1/(t^2*log(r/t)^2))"), {"t": t, "r": math.e})
+        with mpmath.workdps(25):
+            t = mpmath.exp(mpmath.mpf(-2000))
+            got = evaluate(parse("t^2*(1/(t^2*log(r/t)^2))"), {"t": t, "r": math.e})
         assert float(got) == pytest.approx(1.0 / 2001.0 ** 2, rel=1e-12)
 
 

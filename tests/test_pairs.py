@@ -388,6 +388,14 @@ class TestDisconjugacy:
         rep = pr.disconjugacy_check(second, n=6)
         assert rep.positive_solution is True
 
+    def test_caller_precision_is_kept(self, potential):
+        import mpmath
+
+        with mpmath.workdps(50):
+            rep = pr.disconjugacy_check(potential)   # the deep start runs on mpmath
+            assert mpmath.mp.dps == 50
+        assert rep.positive_solution is True
+
     def test_step_budget_exhaustion_is_inconclusive(self, potential):
         rep = pr.disconjugacy_check(potential, max_steps=3)
         assert rep.status == "inconclusive"
