@@ -6,6 +6,13 @@ parameters ``n, kappa, lambda, r, R, c, k``.  They support evaluation
 ``t`` binding), closed-form differentiation, printing back to the DSL,
 and a finite-difference self check.
 
+Evaluation is compiled once per root: the first ``evaluate`` lowers the
+tree to a straight-line program with one step per distinct subtree (the
+trees ``diff`` builds repeat subtrees many times over), schedules it so
+few values are live at once, and keeps it on the root.  Every step calls
+the same primitive on the same operands as the tree node it stands for,
+so the values are those of a tree walk, bit for bit.
+
 Supported primitives: + - * / ^ (real power), negation, log, exp, sqrt,
 sinh, cosh, tanh, coth, the curvature-aware ``ct`` (1/t when kappa = 0,
 kappa*coth(kappa*t) when kappa > 0), and the iterated forms
@@ -75,15 +82,16 @@ class DomainError(EvaluationError):
 
 
 def _primitives(any_, reject, log, sqrt, exp, sinh, cosh, tanh, coth, hyp_ct,
-                power, isnan) -> dict:
+                power, notint, isnan) -> dict:
     """The checked primitive table of one backend, built from its raw functions.
 
-    The domain rules live here, once for every backend: log, ct and
-    non-integer ^ reject x <= 0, sqrt rejects x < 0, coth and / reject 0
-    (NaN passes).  ``any_`` reduces a predicate to a bool and ``reject``
-    raises the DomainError for the first offending argument.  A scalar
-    predicate is already a plain bool, so ``bad is not False`` spares the
-    scalar paths the reduction call.
+    The domain rules live here, once for every backend: log and ct reject
+    x <= 0, sqrt rejects x < 0, coth and / reject 0, and so does a negative
+    integer power (it is 1/x^k); x^y rejects x <= 0 where y is not an
+    integer and x = 0 where y < 0 (NaN passes).  ``any_`` reduces a
+    predicate to a bool and ``reject`` raises the DomainError for the first
+    offending argument.  A scalar predicate is already a plain bool, so
+    ``bad is not False`` spares the scalar paths the reduction call.
     """
 
     def log_(x):
@@ -118,17 +126,23 @@ def _primitives(any_, reject, log, sqrt, exp, sinh, cosh, tanh, coth, hyp_ct,
             reject("/", y, bad)
         return x / y
 
+    def int_pow(x, k):
+        if k < 0:
+            return truediv(1.0, _ipow(x, -k))
+        return _ipow(x, k)
+
     def real_pow(x, y):
-        if isinstance(y, (int, float)) and float(y).is_integer():
-            return _ipow(x, int(y))
-        bad = x <= 0
+        bad = ((x <= 0) & notint(y)) | ((x == 0) & (y < 0))
         if bad is not False and any_(bad):
             reject("^", x, bad)
+        if isinstance(y, (int, float)) and float(y).is_integer():
+            return int_pow(x, int(y))
         return power(x, y)
 
-    return {"log": log_, "sqrt": sqrt_, "exp": exp, "sinh": sinh, "cosh": cosh,
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg,
+            "log": log_, "sqrt": sqrt_, "exp": exp, "sinh": sinh, "cosh": cosh,
             "tanh": tanh, "coth": coth_, "ct": ct_, "/": truediv, "^": real_pow,
-            "isnan": isnan}
+            "ipow": int_pow, "isnan": isnan}
 
 
 def _reject_scalar(primitive, x, bad):
@@ -172,13 +186,14 @@ def _pow_float(x, y):
 _FLOAT = _primitives(
     bool, _reject_scalar, math.log, math.sqrt, _exp_float, _sinh_float, _cosh_float,
     math.tanh, lambda x: 1.0 / math.tanh(x), lambda x, kappa: kappa / math.tanh(kappa * x),
-    _pow_float, lambda x: isinstance(x, float) and math.isnan(x))
+    _pow_float, lambda y: not float(y).is_integer(),
+    lambda x: isinstance(x, float) and math.isnan(x))
 
 # overflow is silenced by the errstate in Expr.evaluate
 _NUMPY = _primitives(
     np.any, _reject_array, np.log, np.sqrt, np.exp, np.sinh, np.cosh, np.tanh,
     lambda x: 1.0 / np.tanh(x), lambda x, kappa: kappa / np.tanh(kappa * x),
-    np.power, lambda x: bool(np.any(np.isnan(x))))
+    np.power, lambda y: np.mod(y, 1.0) != 0, lambda x: bool(np.any(np.isnan(x))))
 
 
 @functools.cache
@@ -188,7 +203,8 @@ def _mpmath_primitives() -> dict:
     return _primitives(
         bool, _reject_scalar, mpmath.log, mpmath.sqrt, mpmath.exp, mpmath.sinh,
         mpmath.cosh, mpmath.tanh, mpmath.coth,
-        lambda x, kappa: kappa * mpmath.coth(kappa * x), operator.pow, mpmath.isnan)
+        lambda x, kappa: kappa * mpmath.coth(kappa * x), operator.pow,
+        lambda y: not mpmath.isint(y), mpmath.isnan)
 
 
 def _backend(t_value) -> dict:
@@ -200,9 +216,7 @@ def _backend(t_value) -> dict:
 
 
 def _ipow(x, k: int):
-    """x**k for integer k by binary exponentiation (accurate, sign-safe)."""
-    if k < 0:
-        return 1.0 / _ipow(x, -k)
+    """x**k for integer k >= 0 by binary exponentiation (accurate, sign-safe)."""
     result = None
     base = x
     while k:
@@ -218,28 +232,37 @@ def _ipow(x, k: int):
 
 
 class Expr:
-    """Immutable expression tree node; evaluation is deterministic."""
+    """Immutable expression tree node; evaluation is deterministic.
 
-    __slots__ = ()
+    A node evaluated as a root compiles itself once and keeps the program
+    in its ``_program`` slot, so the program dies with the tree.
+    """
+
+    __slots__ = ("_program",)
 
     precedence = 4
 
     def evaluate(self, bindings: Bindings):
+        try:
+            program = self._program
+        except AttributeError:
+            program = _Program(self)
+            object.__setattr__(self, "_program", program)
         be = _backend(bindings.get("t"))
         if be is _NUMPY:
             # overflow saturates to inf by design; NaN is still rejected below
             with np.errstate(all="ignore"):
-                result = self._ev(bindings, be)
+                result = program.run(bindings, be)
         else:
-            result = self._ev(bindings, be)
+            result = program.run(bindings, be)
         if be["isnan"](result):
             raise DomainError("expression", "NaN produced")
         return result
 
     def diff(self, var: str = "t") -> "Expr":
-        return self._diff(var)
+        return _diff(self, var, {})
 
-    # subclasses implement _ev / _diff / __str__
+    # subclasses implement _diff / __str__
 
     def _paren(self, child: "Expr", tight: bool = False) -> str:
         if child.precedence < self.precedence or (tight and child.precedence == self.precedence):
@@ -292,10 +315,7 @@ class Const(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def _ev(self, b, be):
-        return self.value
-
-    def _diff(self, var):
+    def _diff(self, var, memo):
         return Const(0.0)
 
     def __str__(self):
@@ -307,13 +327,7 @@ class Var(Expr):
 
     __slots__ = ()
 
-    def _ev(self, b, be):
-        try:
-            return b["t"]
-        except KeyError:
-            raise UnboundParameterError("t") from None
-
-    def _diff(self, var):
+    def _diff(self, var, memo):
         return Const(1.0 if var == "t" else 0.0)
 
     def __str__(self):
@@ -331,13 +345,7 @@ class Param(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def _ev(self, b, be):
-        try:
-            return b[self.name]
-        except KeyError:
-            raise UnboundParameterError(self.name) from None
-
-    def _diff(self, var):
+    def _diff(self, var, memo):
         return Const(1.0 if var == self.name else 0.0)
 
     def __str__(self):
@@ -358,22 +366,9 @@ class Unary(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def _ev(self, b, be):
-        x = self.child._ev(b, be)
-        op = self.op
-        if op == "neg":
-            return -x
-        if op == "ct":
-            try:
-                kappa = b["kappa"]
-            except KeyError:
-                raise UnboundParameterError("kappa") from None
-            return be["ct"](x, kappa)
-        return be[op](x)
-
-    def _diff(self, var):
+    def _diff(self, var, memo):
         u = self.child
-        du = u._diff(var)
+        du = _diff(u, var, memo)
         op = self.op
         if op == "neg":
             return neg(du)
@@ -424,26 +419,9 @@ class Binary(Expr):
     def precedence(self):
         return self._PRECEDENCE[self.op]
 
-    def _ev(self, b, be):
-        op = self.op
-        x = self.left._ev(b, be)
-        if op == "^":
-            e = self.right
-            if isinstance(e, Const) and e.value.is_integer():
-                return _ipow(x, int(e.value))
-            return be["^"](x, e._ev(b, be))
-        y = self.right._ev(b, be)
-        if op == "+":
-            return x + y
-        if op == "-":
-            return x - y
-        if op == "*":
-            return x * y
-        return be["/"](x, y)
-
-    def _diff(self, var):
+    def _diff(self, var, memo):
         a, b_ = self.left, self.right
-        da, db = a._diff(var), b_._diff(var)
+        da, db = _diff(a, var, memo), _diff(b_, var, memo)
         op = self.op
         if op == "+":
             return add(da, db)
@@ -485,15 +463,8 @@ class Iter(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def _ev(self, b, be):
-        x = self.child._ev(b, be)
-        f = be["log"] if self.func == "logk" else be["exp"]
-        for _ in range(self.depth):
-            x = f(x)
-        return x
-
-    def _diff(self, var):
-        du = self.child._diff(var)
+    def _diff(self, var, memo):
+        du = _diff(self.child, var, memo)
         if self.depth == 0:
             return du
         if self.func == "logk":
@@ -509,6 +480,201 @@ class Iter(Expr):
 
     def __str__(self):
         return f"{self.func}({self.depth}, {self.child})"
+
+
+def _diff(e: Expr, var: str, memo: dict) -> Expr:
+    """de/dvar, differentiating each node object once per ``diff`` call."""
+    hit = memo.get(id(e))
+    if hit is None:
+        hit = memo[id(e)] = (e, e._diff(var, memo))  # e is kept so its id stays unique
+    return hit[1]
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation: one straight-line program per root
+#
+# A step is (kind, op, a, b).  Kinds: _LOAD (a names the binding), _CONST (a is
+# the value), _UNARY (a is a step), _BINARY (a, b are steps) and _IMMEDIATE
+# (a is a step, b the integer exponent of "ipow").  Steps are interned by op
+# and operands, so each distinct subtree is one step; a constant is keyed by
+# its bit pattern so 0.0 and -0.0 stay apart.  Every step applies the same
+# primitive to the same operands as the tree node it stands for, so compiled
+# values are the values of a tree walk, bit for bit.
+
+# ordered so that kind >= _UNARY means the step reads operand a
+_LOAD, _CONST, _UNARY, _IMMEDIATE, _BINARY = range(5)
+
+
+def _lower(root: Expr):
+    """The distinct subtrees of root as steps, in the order a left-to-right
+    post-order walk first reaches them (operands first, root last), with
+    each step's Sethi-Ullman need and the number of steps that use it."""
+    steps: list = []
+    need: list = []
+    uses: list = []
+    index: dict = {}
+    done: dict = {}   # id(node) -> step
+
+    def step(kind, op, a, b=None):
+        key = (op, a.hex() if kind == _CONST else a, b)
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(steps)
+            steps.append((kind, op, a, b))
+            uses.append(0)
+            if kind == _BINARY:
+                na, nb = need[a], need[b]
+                need.append(na + 1 if na == nb else max(na, nb))
+                uses[a] += 1
+                uses[b] += 1
+            elif kind >= _UNARY:
+                need.append(need[a])
+                uses[a] += 1
+            else:
+                need.append(1)
+        return i
+
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        cls = type(node)
+        if cls is Binary:
+            right = node.right
+            a = done.get(id(node.left))
+            if node.op == "^" and type(right) is Const and right.value.is_integer():
+                if a is None:
+                    stack.append(node.left)
+                    continue
+                i = step(_IMMEDIATE, "ipow", a, int(right.value))
+            else:
+                b = done.get(id(right))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(right)
+                    if a is None:
+                        stack.append(node.left)   # walked before the right operand
+                    continue
+                i = step(_BINARY, node.op, a, b)
+        elif cls is Const:
+            i = step(_CONST, "const", node.value)
+        elif cls is Var:
+            i = step(_LOAD, "load", "t")
+        elif cls is Param:
+            i = step(_LOAD, "load", node.name)
+        else:
+            i = done.get(id(node.child))
+            if i is None:
+                stack.append(node.child)
+                continue
+            if cls is Iter:
+                op = "log" if node.func == "logk" else "exp"
+                for _ in range(node.depth):
+                    i = step(_UNARY, op, i)
+            elif node.op == "ct":
+                i = step(_BINARY, "ct", i, step(_LOAD, "load", "kappa"))
+            else:
+                i = step(_UNARY, node.op, i)
+        done[id(node)] = i
+        stack.pop()
+    return steps, need, uses
+
+
+def _sethi_ullman(steps: list, need: list) -> list:
+    """An evaluation order that computes the operand needing more live
+    values first (Sethi-Ullman), so few values are live at once."""
+    order = []
+    placed = bytearray(len(steps))
+    stack = [len(steps) - 1]   # i: expand step i; ~i: place it
+    while stack:
+        i = stack.pop()
+        if i < 0:
+            order.append(~i)
+            placed[~i] = 1
+            continue
+        if placed[i]:
+            continue
+        stack.append(~i)
+        kind, _, a, b = steps[i]
+        if kind == _BINARY:
+            first, second = (b, a) if need[b] > need[a] else (a, b)
+            if not placed[second]:
+                stack.append(second)
+            if not placed[first]:
+                stack.append(first)
+        elif kind >= _UNARY and not placed[a]:
+            stack.append(a)
+    return order
+
+
+def _emit(steps: list, uses: list, order) -> tuple:
+    """Code for the steps run in the given order, on registers: a register
+    is reused after the last use of its value, so the register count is the
+    most values live at once."""
+    left = list(uses)
+    reg = [0] * len(steps)
+    free: list = []
+    code = []
+    width = 0
+    for i in order:
+        kind, op, a, b = steps[i]
+        if kind >= _UNARY:
+            ra = reg[a]
+            left[a] -= 1
+            if not left[a]:
+                free.append(ra)
+            if kind == _BINARY:
+                rb = reg[b]
+                left[b] -= 1
+                if not left[b]:
+                    free.append(rb)
+                b = rb
+            a = ra
+        if free:
+            r = free.pop()
+        else:
+            r = width
+            width += 1
+        reg[i] = r
+        code.append((kind, op, r, a, b))
+    return code, width, r
+
+
+def _run(code: list, width: int, out: int, bindings: Bindings, be: dict):
+    regs = [None] * width
+    for kind, op, dst, a, b in code:
+        if kind == _BINARY:
+            regs[dst] = be[op](regs[a], regs[b])
+        elif kind == _UNARY:
+            regs[dst] = be[op](regs[a])
+        elif kind == _CONST:
+            regs[dst] = a
+        elif kind == _LOAD:
+            try:
+                regs[dst] = bindings[a]
+            except KeyError:
+                raise UnboundParameterError(a) from None
+        else:
+            regs[dst] = be[op](regs[a], b)
+    return regs[out]
+
+
+class _Program:
+    """A root compiled once: its distinct subtrees as straight-line code."""
+
+    __slots__ = ("steps", "uses", "code", "width", "out")
+
+    def __init__(self, root: Expr):
+        self.steps, need, self.uses = _lower(root)
+        self.code, self.width, self.out = _emit(self.steps, self.uses,
+                                                _sethi_ullman(self.steps, need))
+
+    def run(self, bindings: Bindings, be: dict):
+        try:
+            return _run(self.code, self.width, self.out, bindings, be)
+        except EvaluationError:
+            pass
+        # report the error a left-to-right tree walk meets first: replay in that order
+        return _run(*_emit(self.steps, self.uses, range(len(self.steps))), bindings, be)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +710,14 @@ def _fold(op: str, a: Expr, b: Expr):
             return Const(x * y)
         if op == "/" and y != 0:
             return Const(x / y)
-        if op == "^" and (x > 0 or float(y).is_integer()):
-            return Const(_ipow(x, int(y)) if float(y).is_integer() else x ** y)
+        if op == "^" and float(y).is_integer():
+            p = _ipow(x, abs(int(y)))
+            if y >= 0:
+                return Const(p)
+            if p != 0:   # 0^-k is left to evaluation, which rejects it
+                return Const(1.0 / p)
+        elif op == "^" and x > 0:
+            return Const(x ** y)
     return None
 
 

@@ -658,12 +658,15 @@ def relative_report(terms: Sequence[Expr], bindings: dict, kind: str = "terms",
     total = None
     handle = None
     scale = np.ones_like(ts)
-    for term in terms:
-        v = np.broadcast_to(np.asarray(term.evaluate(b), dtype=float), ts.shape)
-        total = v if total is None else total + v
-        handle = term if handle is None else handle + term
-        scale = scale + np.abs(v)
-    rel = total / scale
+    # infinite terms make inf - inf and inf/inf: NaN, which the callers
+    # treat as not verified, so numpy's warnings about it are noise
+    with np.errstate(all="ignore"):
+        for term in terms:
+            v = np.broadcast_to(np.asarray(term.evaluate(b), dtype=float), ts.shape)
+            total = v if total is None else total + v
+            handle = term if handle is None else handle + term
+            scale = scale + np.abs(v)
+        rel = total / scale
     i = int(np.argmin(rel))
     return ResidualReport(
         kind=kind,

@@ -396,18 +396,20 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
                             quad_tol=quad_tol, grid=grid, case_id=case.case_id)
     scans, notes = _side_condition_scans(case, grid)
     tests = []
-    spec = case.dual if case.shape.startswith("delta") else case.primal
+    delta = case.shape in ("delta-vs-gradrad", "delta-vs-grad")
+    spec = case.dual if delta else case.primal
     bindings = spec.bindings(case.sf)
+    # the weights are built once, so each compiles once for the whole batch
+    weight = spec.expr("v" if delta else "w")
+    product = weight * spec.expr("V" if delta else "W")
     for i, u in enumerate(generate_batch(case.sf, case.batch)):
-        if case.shape in ("delta-vs-gradrad", "delta-vs-grad"):
-            v, V = case.dual.expr("v"), case.dual.expr("V")
-            lhs = lhs_delta_sq(case.sf, v, u, bindings, quad_tol)
+        if delta:
+            lhs = lhs_delta_sq(case.sf, weight, u, bindings, quad_tol)
             side = "gradrad" if case.shape == "delta-vs-gradrad" else "grad"
-            rhs = rhs_weighted(case.sf, v * V, u, side, bindings, quad_tol)
+            rhs = rhs_weighted(case.sf, product, u, side, bindings, quad_tol)
         else:
-            w, W = case.primal.expr("w"), case.primal.expr("W")
-            lhs = rhs_weighted(case.sf, w, u, "gradrad", bindings, quad_tol)
-            rhs = rhs_weighted(case.sf, w * W, u, "usq", bindings, quad_tol)
+            lhs = rhs_weighted(case.sf, weight, u, "gradrad", bindings, quad_tol)
+            rhs = rhs_weighted(case.sf, product, u, "usq", bindings, quad_tol)
         budget = lhs.error_estimate + rhs.error_estimate
         tests.append(TestRecord(
             id=f"t{i:03d}", params=_u_params(u),
@@ -497,21 +499,22 @@ def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
                                      0.0 if rep.positive_solution else -1.0,
                                      rep.first_zero or 0.0, None))
     tests: list[TestRecord] = []
+    # densities are built once, so each compiles once for the whole batch
+    rhs_density = chain.dual_rhs_density_expr()
+    link_sides = [(link, _with_sf(link.spec.params, sf),
+                   link.weight_expr * link.potential_expr) for link in chain.links]
     for i, u in enumerate(generate_batch(sf, batch)):
         lhs = lhs_delta_sq(sf, dual.expr("v"), u, db, quad_tol)
-        rhs_dual = rhs_weighted(sf, chain.dual_rhs_density_expr(), u, "gradrad",
-                                db, quad_tol)
+        rhs_dual = rhs_weighted(sf, rhs_density, u, "gradrad", db, quad_tol)
         tests.append(TestRecord(
             id=f"t{i:03d}:dual", params=_u_params(u),
             lhs=lhs.value, rhs=rhs_dual.value,
             margin=lhs.value - rhs_dual.value,
             budget=lhs.error_estimate + rhs_dual.error_estimate))
         end_rhs, end_err = 0.0, 0.0
-        for link in chain.links:
-            lb = _with_sf(link.spec.params, sf)
+        for link, lb, low_density in link_sides:
             mid = rhs_weighted(sf, link.weight_expr, u, "gradrad", lb, quad_tol)
-            low = rhs_weighted(sf, link.weight_expr * link.potential_expr, u,
-                               "usq", lb, quad_tol)
+            low = rhs_weighted(sf, low_density, u, "usq", lb, quad_tol)
             tests.append(TestRecord(
                 id=f"t{i:03d}:{link.label}", params=_u_params(u),
                 lhs=mid.value, rhs=low.value, margin=mid.value - low.value,

@@ -55,6 +55,16 @@ class TestScan:
         assert scan["boundary_limit_R"] < 0
         assert rep["config"]["sign_changes"]
 
+    def test_negative_power_of_zero_is_a_division(self, tmp_path, capsys):
+        # bisection lands on t = 0.5 exactly; (t-0.5)^-1 is 1/(t-0.5) there
+        outcomes = []
+        for V in ("(t-0.5)^-1", "1/(t-0.5)"):
+            code, _ = _run(tmp_path, "scan", "--n", "5", "--R", "1", "--H", "n/(2*t)",
+                           "--v", "1", "--V", V, "--target", "V")
+            outcomes.append((code, re.findall(r"'(.+?)'", capsys.readouterr().err)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == ["/"]
+
     def test_classical_e1_nonnegative(self, tmp_path):
         code, rep = _run(tmp_path, "scan", "--catalog", "classical-rellich",
                          "--n", "5", "--target", "E1")

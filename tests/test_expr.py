@@ -7,9 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from rellich import catalog as cat
+from rellich import expr as ex
+from rellich import pairs as pr
 from rellich.expr import (Binary, Const, DomainError, Iter, Param, ParseError,
                           Unary, UnboundParameterError, Var, differentiate,
                           evaluate, fd_check, parse)
+from rellich.geometry import SpaceForm
 
 
 class TestParse:
@@ -155,6 +159,24 @@ class TestEvaluate:
                     with pytest.raises(DomainError, match="'ct'"):
                         evaluate(parse("ct(t)"), {"t": t, "kappa": kappa})
 
+    def test_negative_integer_power_of_zero(self):
+        # x^-k is 1/x^k, so an exact zero falls under the '/' rule
+        for t in _backends(0.5):
+            for src in ("(t-0.5)^-1", "(t-0.5)^-2"):
+                with pytest.raises(DomainError, match="'/'"):
+                    evaluate(parse(src), {"t": t})
+
+    def test_computed_integer_exponent(self):
+        # one rule on every backend: x <= 0 needs an integer exponent, x = 0 a
+        # nonnegative one, whether or not the exponent is a constant
+        for t in _backends(1.0):
+            assert evaluate(parse("(t-1)^t"), {"t": t}) == 0.0
+            assert evaluate(parse("(t-2)^(t+1)"), {"t": t}) == 1.0
+            with pytest.raises(DomainError, match=r"'\^'"):
+                evaluate(parse("(t-1)^(t+0.5)"), {"t": t})
+            with pytest.raises(DomainError, match=r"'\^'"):
+                evaluate(parse("(t-1)^(t-3)"), {"t": t})
+
     def test_integer_power_accuracy(self):
         # repeated multiplication: exact for small integer powers
         assert evaluate(parse("t^4"), {"t": 3.0}) == 81.0
@@ -189,11 +211,116 @@ class TestEvaluate:
         assert float(got) == pytest.approx(1.0 / 2001.0 ** 2, rel=1e-12)
 
 
+def _walk(e, b, be):
+    """Reference tree walk over the same primitive table: every node is
+    evaluated at every one of its uses, as the evaluator did before it was
+    compiled."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return b["t"]
+    if isinstance(e, Param):
+        return b[e.name]
+    if isinstance(e, Iter):
+        x = _walk(e.child, b, be)
+        for _ in range(e.depth):
+            x = be["log" if e.func == "logk" else "exp"](x)
+        return x
+    if isinstance(e, Unary):
+        x = _walk(e.child, b, be)
+        return be["ct"](x, b["kappa"]) if e.op == "ct" else be[e.op](x)
+    x = _walk(e.left, b, be)
+    if e.op == "^" and isinstance(e.right, Const) and e.right.value.is_integer():
+        return be["ipow"](x, int(e.right.value))
+    return be[e.op](x, _walk(e.right, b, be))
+
+
+def _bits(x):
+    """The exact bits of a value: sign of zero and NaN payloads included."""
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    if isinstance(x, mpmath.mpf):
+        return x._mpf_
+    return float(x).hex()
+
+
+def _reference(e, b):
+    be = ex._backend(b["t"])
+    with np.errstate(all="ignore"):
+        return _walk(e, b, be)
+
+
+def _ell_e1(k, which="E1"):
+    dual = pr.from_bessel_potential(cat.ell_potential(k, 1.0).specs["potential"], "iii", 5)
+    e = pr.e1_expr(dual) if which == "E1" else pr.e2_expr(dual)
+    return e, dual.bindings(SpaceForm(5, 0.0, 1.0))
+
+
+def _iterlog_e1(k):
+    dual = pr.from_bessel_potential(
+        cat.iterated_log_potential(k, 1.0).specs["potential"], "iii", 5)
+    return pr.e1_expr(dual), dual.bindings(SpaceForm(5, 0.0, 1.0))
+
+
+class TestCompiledEvaluator:
+    @pytest.mark.parametrize("tree", ["ell6-E1", "ell6-E2", "iterlog3-E1"])
+    def test_bit_identical_to_tree_walk(self, tree):
+        e, b = {"ell6-E1": lambda: _ell_e1(6), "ell6-E2": lambda: _ell_e1(6, "E2"),
+                "iterlog3-E1": lambda: _iterlog_e1(3)}[tree]()
+        points = [pr.log_grid(1e-5, 1.0, 2000)]
+        points += [float(t) for t in pr.log_grid(1e-5, 0.999, 20)]
+        points += [mpmath.mpf(float(t)) for t in pr.log_grid(1e-4, 0.99, 5)]
+        for t in points:
+            bt = {**b, "t": t}
+            assert _bits(e.evaluate(bt)) == _bits(_reference(e, bt))
+
+    def test_signed_zero_constants_stay_apart(self):
+        # merged, 0.0 and -0.0 would give +0.0 here; kept apart, -0.0
+        e = Binary("*", Binary("*", Var(), Const(0.0)), Binary("*", Var(), Const(-0.0)))
+        for t in (2.0, np.array([2.0, 3.0])):
+            got = e.evaluate({"t": t})
+            assert _bits(got) == _bits(_reference(e, {"t": t}))
+            assert np.all(np.signbit(got))
+
+    @pytest.mark.parametrize("table, t", [("_FLOAT", 2.0), ("_NUMPY", np.array([2.0, 3.0]))])
+    def test_equal_subtrees_evaluate_once(self, monkeypatch, table, t):
+        calls = []
+        counted = dict(getattr(ex, table))
+        counted["log"] = lambda x, log=counted["log"]: calls.append(1) or log(x)
+        monkeypatch.setattr(ex, table, counted)
+        e = parse("log(t)") * parse("log(t)")
+        for _ in range(3):
+            e.evaluate({"t": t})
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_program_size_and_live_values(self):
+        e, _ = _ell_e1(6)
+        program = ex._Program(e)
+        assert len(program.code) <= 300
+        assert program.width <= 20
+
+    def test_error_is_the_first_in_left_to_right_order(self):
+        # the right operand needs more live values, so it is computed first;
+        # the error must still be the one a left-to-right walk meets first
+        e = parse("log(t-5) + sqrt((t-10)*(t-11) - 200)")
+        for t in _backends(0.0):
+            with pytest.raises(DomainError, match="'log'"):
+                evaluate(e, {"t": t})
+        with pytest.raises(UnboundParameterError, match="'n'"):
+            evaluate(parse("n + k*(t-1)*(t-2)"), {"t": 1.0})
+
+
 class TestDifferentiate:
     def test_power_rule(self):
         d = differentiate(parse("n/(2*t)"))
         got = d.evaluate({"n": 6.0, "t": 2.0})
         assert got == pytest.approx(-6.0 / (2 * 4.0), rel=1e-15)
+
+    def test_shared_subtree_differentiated_once(self):
+        u = parse("log(t)")
+        d = (u * u).diff()          # u' u + u u'
+        assert d.left.left is d.right.right
 
     def test_ct_derivative_value(self):
         d = differentiate(parse("ct(t)"))

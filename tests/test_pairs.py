@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,16 @@ class TestPotentialConstructions:
                          constant=0.25, params={"R": 1.0})
         with pytest.raises(ValueError, match="not verified"):
             pr.from_bessel_potential(bogus, "iii", 5)
+
+    def test_infinite_terms_rejected_without_warnings(self):
+        # z = exp(1/t^2) overflows on the check grid: inf - inf in the sum
+        bogus = PairSpec(kind="bessel-potential",
+                         exprs={"z": parse("exp(1/t^2)"), "Z": parse("1/t^2")},
+                         constant=0.25, params={"R": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not verified"):
+                pr.from_bessel_potential(bogus, "iii", 5)
 
     def test_bad_variant(self, potential):
         with pytest.raises(ValueError):
