@@ -6,12 +6,10 @@ from .expr import (Bindings, Expr, differentiate, evaluate, fd_check,  # noqa: F
 from .geometry import (RadialTestFunction, SpaceForm, big_l, ct,  # noqa: F401
                        make_bump, make_powerlaw, radial_laplacian,
                        separated_laplacian, volume_weight)
-from .pairs import (PairSpec, PositivityReport, ResidualReport,  # noqa: F401
-                    bessel_pair_residual, bessel_potential_residual,
-                    positivity_polynomial_roots, disconjugacy_check,
-                    dual_riccati_residual, dual_to_primal, e1, e2,
+from .pairs import (PairSpec, Scan, positivity_polynomial_roots,  # noqa: F401
+                    disconjugacy_check, dual_to_primal, e1_expr, e2_expr,
                     from_bessel_pair, from_bessel_potential, primal_to_dual,
-                    bessel_pairs_from_potential, riccati_residual, scan_positivity)
+                    bessel_pairs_from_potential, residual_expr, scan_positivity)
 from .catalog import (build_entry, classical_euclidean, ell_potential,  # noqa: F401
                       final_combined, hyperbolic_interpolation,
                       hyperbolic_lower, iterated_log_potential,

@@ -44,9 +44,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-_DEFAULT_TESTS = 50
-_DEFAULT_SEED = 42
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -83,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{role}", dest=f"expr_{role}", metavar="DSL",
                             help=f"inline expression for {role}")
         if batch:
-            sp.add_argument("--tests", type=int, default=_DEFAULT_TESTS)
-            sp.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+            sp.add_argument("--tests", type=int, default=vf.BatchSpec.count)
+            sp.add_argument("--seed", type=int, default=vf.BatchSpec.seed)
             sp.add_argument("--modes", default="0",
                             help="comma-separated angular modes to cycle, e.g. 0,1,2")
 
@@ -108,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shape", choices=("delta-vs-gradrad", "gradrad-vs-usq", "chain"),
                     default="delta-vs-gradrad")
     sp.add_argument("--budget", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, default=vf.BatchSpec.seed)
     sp = sub.add_parser("catalog", help="list or show catalog entries")
     sp.add_argument("action", choices=("list", "show"))
     sp.add_argument("id", nargs="?")
@@ -186,20 +183,24 @@ def _entry_specs(entry, spec):
     return entry.specs
 
 
+def _of_kind(specs: dict, *kinds: str) -> Optional[PairSpec]:
+    """The first spec of one of the given kinds.  Catalog entries and inline
+    sources name their specs differently ("potential" against
+    "bessel-potential"), so the kind is what identifies a spec."""
+    return next((p for p in specs.values() if p.kind in kinds), None)
+
+
 def _dual_of(entry, spec, sf) -> PairSpec:
     """A dual spec for E1/E2 work: direct, via the primal change, or via the
     potential-to-dual construction."""
     specs = _entry_specs(entry, spec)
     if "dual" in specs:
         return specs["dual"]
-    if spec is not None and spec.kind == "dual":
-        return spec
-    if spec is not None and spec.kind == "primal":
-        return pr.primal_to_dual(spec, sf)
     if "primal" in specs:
         return pr.primal_to_dual(specs["primal"], sf)
-    if "potential" in specs:
-        return pr.from_bessel_potential(specs["potential"], "iii", sf.n)
+    potential = _of_kind(specs, "bessel-potential")
+    if potential is not None:
+        return pr.from_bessel_potential(potential, "iii", sf.n)
     raise ValueError("no dual pair derivable from this source")
 
 
@@ -211,7 +212,7 @@ def _sf_dict(sf: SpaceForm) -> dict:
     return {"n": sf.n, "kappa": sf.kappa, "R": sf.R}
 
 
-def _scan_row(s: vf.ScanSummary) -> dict:
+def _scan_row(s: pr.Scan) -> dict:
     return {"target": s.target, "verdict": s.verdict, "min": s.min,
             "argmin": s.argmin, "boundary_limit_R": s.boundary_limit_R}
 
@@ -227,8 +228,8 @@ def _report(command: str, config: dict, sf: SpaceForm, scans, tests,
         "command": command,
         "config": config,
         "space_form": _sf_dict(sf),
-        "scans": [s if isinstance(s, dict) else _scan_row(s) for s in scans],
-        "tests": [t if isinstance(t, dict) else _test_row(t) for t in tests],
+        "scans": [_scan_row(s) for s in scans],
+        "tests": [_test_row(t) for t in tests],
         "verdict": verdict,
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -295,21 +296,17 @@ def _jsonable(v) -> bool:
 
 def _cmd_check_pair(args):
     entry, spec, sf = _resolve(args)
-    r_hi = min(sf.R, 1e3)
-    scans, equality = [], {}
+    lo, hi = pr.scan_range(sf)
+    scans, results = [], {}
     for name, p in sorted(_entry_specs(entry, spec).items()):
-        rep = pr.residual_report(p, sf, grid=args.grid, t_lo=1e-6 * r_hi,
-                                 t_hi=r_hi, n=sf.n, tol=args.tol)
-        equality[name] = {"equality": rep.equality,
-                          "max_abs_relative": rep.max_abs_relative}
-        scans.append({"target": f"residual({name})",
-                      "verdict": "nonnegative" if rep.nonnegative else "violated",
-                      "min": rep.grid_min, "argmin": rep.grid_min_at,
-                      "boundary_limit_R": None})
-    verdict = "pass" if all(s["verdict"] == "nonnegative" for s in scans) else "fail"
-    config = _config_dict(args, {"results": equality})
+        s = pr.residual_report(p, sf, grid=args.grid, t_lo=lo, t_hi=hi, tol=args.tol,
+                               target=f"residual({name})")
+        results[name] = {"equality": s.equality, "max_abs_relative": s.max_abs_relative}
+        scans.append(s)
+    verdict = "pass" if all(s.verdict == "nonnegative" for s in scans) else "fail"
+    config = _config_dict(args, {"results": results})
     return verdict, _report("check-pair", config, sf, scans, [], verdict,
-                            _DEFAULT_SEED)
+                            vf.BatchSpec.seed)
 
 
 def _scan_target_expr(args, entry, spec, sf):
@@ -330,16 +327,11 @@ def _scan_target_expr(args, entry, spec, sf):
 def _cmd_scan(args):
     entry, spec, sf = _resolve(args)
     e, bindings = _scan_target_expr(args, entry, spec, sf)
-    r_hi = min(sf.R, 1e3)
-    rep = pr.scan_positivity(e, sf, grid=args.grid, t_lo=1e-6 * r_hi, t_hi=r_hi,
-                             bindings=bindings)
-    scan = {"target": args.target, "verdict": rep.verdict, "min": rep.min_value,
-            "argmin": rep.argmin, "boundary_limit_R": rep.boundary_limit_R}
+    s = pr.scan_positivity(e, sf, grid=args.grid, bindings=bindings, target=args.target)
     config = _config_dict(args, {
-        "sign_changes": [list(bracket) for bracket in rep.sign_changes],
-        "boundary_limit_0": rep.boundary_limit_0})
-    return rep.verdict, _report("scan", config, sf, [scan], [], rep.verdict,
-                                _DEFAULT_SEED)
+        "sign_changes": [list(bracket) for bracket in s.sign_changes],
+        "boundary_limit_0": s.boundary_limit_0})
+    return s.verdict, _report("scan", config, sf, [s], [], s.verdict, vf.BatchSpec.seed)
 
 
 def _batch(args) -> vf.BatchSpec:
@@ -360,13 +352,10 @@ def _cmd_verify(args):
     dual = primal = None
     if shape in ("delta-vs-gradrad", "delta-vs-grad"):
         dual = _dual_of(entry, spec, sf)
+    elif "primal" in specs:
+        primal = specs["primal"]
     else:
-        if spec is not None and spec.kind == "primal":
-            primal = spec
-        elif "primal" in specs:
-            primal = specs["primal"]
-        else:
-            primal = pr.dual_to_primal(_dual_of(entry, spec, sf), sf)
+        primal = pr.dual_to_primal(_dual_of(entry, spec, sf), sf)
     case = vf.InequalityCase(shape=shape, sf=sf, batch=_batch(args), dual=dual,
                              primal=primal,
                              case_id=args.catalog or "inline")
@@ -395,31 +384,20 @@ def _cmd_chain(args):
 
 def _cmd_solve_bessel(args):
     entry, spec, sf = _resolve(args)
-    specs = _entry_specs(entry, spec)
-    p = specs.get("potential") or spec
-    if p is None or p.kind not in ("bessel-potential", "bessel-pair"):
+    p = _of_kind(_entry_specs(entry, spec), "bessel-potential", "bessel-pair")
+    if p is None:
         raise ValueError("solve-bessel needs a Bessel potential or pair")
     interval = (args.t0, args.t1) if args.t0 is not None and args.t1 is not None else None
     rep = pr.disconjugacy_check(p, interval=interval, n=sf.n)
-    if rep.positive_solution:
-        verdict = "pass"
-    elif rep.first_zero is not None:
-        verdict = "fail"
-    else:
-        verdict = "inconclusive"
-    scan = {"target": "disconjugacy",
-            "verdict": {"pass": "nonnegative", "fail": "violated",
-                        "inconclusive": "inconclusive-near-boundary"}[verdict],
-            "min": 0.0 if rep.positive_solution else -1.0,
-            "argmin": rep.first_zero if rep.first_zero is not None else 0.0,
-            "boundary_limit_R": None}
+    scan = rep.scan("disconjugacy")
+    verdict = {"nonnegative": "pass", "violated": "fail"}.get(scan.verdict, "inconclusive")
     config = _config_dict(args, {
         "positive_solution": rep.positive_solution,
         "first_zero": rep.first_zero,
         "log_t_first_zero": rep.log_t_first_zero,
         "status": rep.status, "steps": rep.steps})
     return verdict, _report("solve-bessel", config, sf, [scan], [], verdict,
-                            _DEFAULT_SEED)
+                            vf.BatchSpec.seed)
 
 
 def _cmd_estimate(args):

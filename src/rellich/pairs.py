@@ -7,10 +7,11 @@ A PairSpec bundles the defining expressions of one of four object kinds:
   bessel-potential  (z, Z; c):   z'' + z'/t + c Z z = 0
   bessel-pair       (y?, X, Y; C): y'' + ((n-1)/t + X'/X) y' + C Y/X y = 0
 
-with L(t) = (n-1) ct_kappa(t).  Residual evaluators, the primal<->dual
-change of functions, the potential-to-pair constructions, an ODE
-disconjugacy certificate for "a positive solution exists", and a grid
-positivity scanner live here.
+with L(t) = (n-1) ct_kappa(t).  The residual, E1 and E2 builders, the
+primal<->dual change of functions, the potential-to-pair constructions, an
+ODE disconjugacy certificate for "a positive solution exists", and the grid
+scanners live here.  Every scan returns one Scan record, whose first five
+fields are the report row.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from .expr import Const, Expr, Param, Unary, Var
 from .geometry import SpaceForm
 
 __all__ = [
-    "PairSpec", "PositivityReport", "ResidualReport", "DisconjugacyReport",
-    "riccati_residual", "dual_riccati_residual", "e1", "e2",
+    "PairSpec", "Scan", "DisconjugacyReport",
+    "residual_terms", "residual_expr", "e1_expr", "e2_expr", "e1_terms", "e2_terms",
     "primal_to_dual", "dual_to_primal",
-    "bessel_potential_residual", "bessel_pair_residual",
     "from_bessel_potential", "from_bessel_pair", "bessel_pairs_from_potential",
-    "disconjugacy_check", "scan_positivity", "positivity_polynomial_roots",
-    "polynomial_criterion_holds", "residual_expr", "residual_report",
+    "disconjugacy_check", "scan_positivity", "relative_report", "residual_report",
+    "scan_range", "positivity_polynomial_roots", "polynomial_criterion_holds",
     "DEFAULT_RESIDUAL_TOL", "DEFAULT_GRID", "log_grid",
 ]
 
@@ -79,11 +79,16 @@ class PairSpec:
     def expr(self, role: str) -> Expr:
         return self.exprs[role]
 
-    def bindings(self, sf: Optional[SpaceForm] = None, t=None) -> dict:
+    def bindings(self, sf: Optional[SpaceForm] = None, t=None,
+                 n: Optional[int] = None) -> dict:
+        """The spec's parameters plus, where given, n and kappa from sf, n on
+        its own (a Bessel pair has no space form) and t."""
         b = dict(self.params)
         if sf is not None:
             b["n"] = float(sf.n)
             b["kappa"] = float(sf.kappa)
+        if n is not None:
+            b["n"] = float(n)
         if t is not None:
             b["t"] = t
         return b
@@ -105,7 +110,7 @@ def log_grid(lo: float, hi: float, size: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# residual expressions and pointwise evaluation
+# residual, E1 and E2 expressions
 
 
 def _logd(p: PairSpec, role: str) -> Expr:
@@ -147,32 +152,6 @@ def residual_expr(p: PairSpec) -> Expr:
     return acc
 
 
-def riccati_residual(sf: SpaceForm, p: PairSpec, t):
-    """G' + (L + w'/w) G - G^2 - W; the pair is admissible iff >= 0 on (0, R)."""
-    p.require("primal")
-    return residual_expr(p).evaluate(p.bindings(sf, t))
-
-
-def dual_riccati_residual(sf: SpaceForm, p: PairSpec, t):
-    """-H' + (L - v'/v) H - H^2 - V."""
-    p.require("dual")
-    return residual_expr(p).evaluate(p.bindings(sf, t))
-
-
-def bessel_potential_residual(p: PairSpec, t):
-    """z'' + z'/t + c Z z; the potential is verified iff identically 0."""
-    p.require("bessel-potential")
-    return residual_expr(p).evaluate(p.bindings(None, t))
-
-
-def bessel_pair_residual(p: PairSpec, n: int, t):
-    """y'' + ((n-1)/t + X'/X) y' + C Y/X y for a pair carrying an explicit y."""
-    p.require("bessel-pair")
-    b = p.bindings(None, t)
-    b["n"] = float(n)
-    return residual_expr(p).evaluate(b)
-
-
 def _vH_prime(p: PairSpec) -> Expr:
     H, v = p.expr("H"), p.expr("v")
     if "v" in p.logd:
@@ -200,16 +179,6 @@ def e1_terms(p: PairSpec) -> list[Expr]:
 def e2_terms(p: PairSpec) -> list[Expr]:
     H, v = p.expr("H"), p.expr("v")
     return [Const(2.0) * _vH_prime(p), v * H * H, Const(-2.0) * v * H * _ct_expr()]
-
-
-def e1(sf: SpaceForm, p: PairSpec, t):
-    p.require("dual")
-    return e1_expr(p).evaluate(p.bindings(sf, t))
-
-
-def e2(sf: SpaceForm, p: PairSpec, t):
-    p.require("dual")
-    return e2_expr(p).evaluate(p.bindings(sf, t))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +224,8 @@ def _check_verified(p: PairSpec, n: Optional[int] = None, tol: float = 1e-6,
     R = float(p.params.get("R", 1.0))
     lo = t_range[0] * R
     hi = (t_range[1] or 0.999) * R
-    b = p.bindings(None)
-    if n is not None:
-        b["n"] = float(n)
-    worst = relative_report(residual_terms(p), b, grid=32, t_lo=lo, t_hi=hi).max_abs_relative
+    worst = relative_report(residual_terms(p), p.bindings(n=n), grid=32,
+                            t_lo=lo, t_hi=hi).max_abs_relative
     if not worst <= tol:   # a NaN (from infinite terms) is not verified either
         raise ValueError(
             f"input {p.kind} is not verified: relative residual {worst:.3e} > {tol:.0e}")
@@ -352,6 +319,37 @@ def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int) -> tuple[PairSp
 
 
 # ---------------------------------------------------------------------------
+# scan records
+
+
+@dataclass(frozen=True)
+class Scan:
+    """One side-condition scan.  The first five fields are its report row."""
+
+    target: str
+    verdict: str      # "nonnegative" | "violated" | "inconclusive-near-boundary" | "inconclusive"
+    min: float
+    argmin: float
+    boundary_limit_R: Optional[float] = None
+    boundary_limit_0: Optional[float] = None
+    sign_changes: tuple = ()       # refined brackets (t1, t2) with f(t1) f(t2) < 0
+    max_abs_relative: Optional[float] = None   # relative scans only
+    grid_size: int = 0
+    tol: float = 0.0
+
+    @property
+    def equality(self) -> bool:
+        """max relative |residual| <= tol over the grid (relative scans)."""
+        return self.max_abs_relative is not None and self.max_abs_relative <= self.tol
+
+
+def scan_range(sf: SpaceForm) -> tuple[float, float]:
+    """(1e-6 R~, R~) with R~ = min(R, 1e3): the t range every scan covers."""
+    r_tilde = min(sf.R, 1e3)
+    return 1e-6 * r_tilde, r_tilde
+
+
+# ---------------------------------------------------------------------------
 # disconjugacy certificate
 
 
@@ -364,6 +362,15 @@ class DisconjugacyReport:
     t_end: float
     log_t_first_zero: Optional[float] = None
     steps: int = 0
+
+    def scan(self, target: str) -> Scan:
+        """The report row: nonnegative with a positive solution, violated at
+        a first zero, inconclusive otherwise."""
+        if self.positive_solution:
+            return Scan(target, "nonnegative", 0.0, 0.0)
+        if self.first_zero is not None:
+            return Scan(target, "violated", -1.0, self.first_zero)
+        return Scan(target, "inconclusive", -1.0, 0.0)
 
 
 def _sspace_coefficients(p: PairSpec, n: Optional[int]):
@@ -417,9 +424,7 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         depth = _DEEP_LOG_DEPTH if p.kind == "bessel-potential" else _PAIR_LOG_DEPTH
         s_hi = math.log(R) + math.log1p(-1e-9)
         s_lo = math.log(R) - depth
-    base = dict(p.params)
-    if n is not None:
-        base["n"] = float(n)
+    base = p.bindings(n=n)
 
     # float arithmetic when the start is shallow enough for float-range
     # expression trees; deep starts (and float failures) use mpmath
@@ -538,18 +543,6 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, rtol, max_steps,
 # positivity scanning
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    min_value: float
-    argmin: float
-    sign_changes: tuple            # refined brackets (t1, t2) with f(t1) f(t2) < 0
-    boundary_limit_0: Optional[float]
-    boundary_limit_R: Optional[float]
-    verdict: str                   # "nonnegative" | "violated" | "inconclusive-near-boundary"
-    grid_size: int
-    tol: float
-
-
 def _richardson_limit(f: Expr, bindings: dict, points: Sequence[float]):
     """Extrapolate f along a geometrically converging sequence of points."""
     vals = []
@@ -574,17 +567,18 @@ def _richardson_limit(f: Expr, bindings: dict, points: Sequence[float]):
 def scan_positivity(f: Expr, sf: SpaceForm, grid: int = DEFAULT_GRID, refine: int = 60,
                     t_lo: Optional[float] = None, t_hi: Optional[float] = None,
                     bindings: Optional[dict] = None,
-                    tol: float = 1e-11) -> PositivityReport:
-    """Scan f >= 0 on a log-spaced grid over (0, R), refine sign changes by
-    bisection, and extrapolate the boundary limits.
+                    tol: float = 1e-11, target: str = "f") -> Scan:
+    """Scan f >= 0 on a log-spaced grid over scan_range(sf) unless t_lo/t_hi
+    are given, refine sign changes by bisection, and extrapolate the
+    boundary limits.
 
     The verdict is sound, not complete: "violated" always exhibits a strictly
     negative sample; "nonnegative" means no sample fell below -tol*scale and
     the t -> R limit does not look negative.
     """
-    r_tilde = min(sf.R, 1e3)
-    lo = t_lo if t_lo is not None else 1e-6 * r_tilde
-    hi = t_hi if t_hi is not None else r_tilde
+    default_lo, default_hi = scan_range(sf)
+    lo = t_lo if t_lo is not None else default_lo
+    hi = t_hi if t_hi is not None else default_hi
     b = dict(bindings or {})
     b.setdefault("n", float(sf.n))
     b.setdefault("kappa", float(sf.kappa))
@@ -626,37 +620,24 @@ def scan_positivity(f: Expr, sf: SpaceForm, grid: int = DEFAULT_GRID, refine: in
         verdict = "inconclusive-near-boundary"
     else:
         verdict = "nonnegative"
-    return PositivityReport(min_value, argmin, tuple(brackets), limit_0, limit_R,
-                            verdict, grid, tol)
+    return Scan(target, verdict, min_value, argmin, limit_R, limit_0, tuple(brackets),
+                grid_size=grid, tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # residual reports
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    kind: str
-    grid_min: float
-    grid_min_at: float
-    max_abs_relative: float
-    equality: bool                 # max relative |residual| <= tol over the grid
-    nonnegative: bool              # min relative residual >= -tol
-    grid_size: int
-    tol: float
-    residual: Optional[Expr] = None  # the evaluated residual expression
-
-
-def relative_report(terms: Sequence[Expr], bindings: dict, kind: str = "terms",
+def relative_report(terms: Sequence[Expr], bindings: dict, target: str = "terms",
                     grid: int = DEFAULT_GRID, t_lo: float = 1e-6, t_hi: float = 1e3,
-                    tol: float = DEFAULT_RESIDUAL_TOL) -> ResidualReport:
+                    tol: float = DEFAULT_RESIDUAL_TOL) -> Scan:
     """Evaluate sum(terms) on a log grid relative to the local magnitude
     max(1, sum |term_i|); exact cancellations then register as zero instead
-    of as rounding noise."""
+    of as rounding noise.  The scan is nonnegative when the least relative
+    value is >= -tol; its min and argmin are those of the plain sum."""
     ts = log_grid(t_lo, t_hi, grid)
     b = dict(bindings, t=ts)
     total = None
-    handle = None
     scale = np.ones_like(ts)
     # infinite terms make inf - inf and inf/inf: NaN, which the callers
     # treat as not verified, so numpy's warnings about it are noise
@@ -664,34 +645,22 @@ def relative_report(terms: Sequence[Expr], bindings: dict, kind: str = "terms",
         for term in terms:
             v = np.broadcast_to(np.asarray(term.evaluate(b), dtype=float), ts.shape)
             total = v if total is None else total + v
-            handle = term if handle is None else handle + term
             scale = scale + np.abs(v)
         rel = total / scale
     i = int(np.argmin(rel))
-    return ResidualReport(
-        kind=kind,
-        grid_min=float(total[i]),
-        grid_min_at=float(ts[i]),
-        max_abs_relative=float(np.max(np.abs(rel))),
-        equality=bool(np.max(np.abs(rel)) <= tol),
-        nonnegative=bool(np.min(rel) >= -tol),
-        grid_size=grid,
-        tol=tol,
-        residual=handle,
-    )
+    verdict = "nonnegative" if np.min(rel) >= -tol else "violated"
+    return Scan(target, verdict, float(total[i]), float(ts[i]),
+                max_abs_relative=float(np.max(np.abs(rel))), grid_size=grid, tol=tol)
 
 
 def residual_report(p: PairSpec, sf: Optional[SpaceForm] = None,
                     grid: int = DEFAULT_GRID, t_lo: float = 1e-6, t_hi: float = 1e3,
-                    n: Optional[int] = None,
-                    tol: float = DEFAULT_RESIDUAL_TOL) -> ResidualReport:
+                    n: Optional[int] = None, tol: float = DEFAULT_RESIDUAL_TOL,
+                    target: str = "residual") -> Scan:
     """Evaluate the defining residual on a log grid, relative to the local
     magnitude max(1, sum |terms|)."""
-    b = p.bindings(sf)
-    if n is not None:
-        b["n"] = float(n)
-    return relative_report(residual_terms(p), b, kind=p.kind, grid=grid,
-                           t_lo=t_lo, t_hi=t_hi, tol=tol)
+    return relative_report(residual_terms(p), p.bindings(sf, n=n), target=target,
+                           grid=grid, t_lo=t_lo, t_hi=t_hi, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SHAPE_KIND = {"delta-vs-gradrad": "dual", "gradrad-vs-usq": "primal"}
 
 
 class DegenerateTestFunctionError(ValueError):
@@ -139,6 +140,12 @@ def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] 
     never worsen the estimate).  ``seed`` is recorded for reproducibility but
     the search itself is derandomized.
     """
+    # checked once here: the probes below turn every ValueError into an
+    # infinite quotient, so a pair of the wrong kind would read as estimate inf
+    if shape == "chain" and not isinstance(pair, ChainDescriptor):
+        raise ValueError("shape chain needs a chain descriptor")
+    if shape in _SHAPE_KIND:
+        pair.require(_SHAPE_KIND[shape])
     box = _family_box(sf)
     lo, hi = batch_domain(sf)
     d_hi = hi / 0.98

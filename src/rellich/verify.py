@@ -27,13 +27,13 @@ from .catalog import ChainDescriptor
 from .expr import Expr
 from .geometry import (RadialTestFunction, SpaceForm, angular_eigenvalue,
                        make_bump, s_kappa, separated_laplacian, volume_weight)
-from .pairs import PairSpec, PositivityReport
+from .pairs import PairSpec, Scan
 
 __all__ = [
-    "QuadratureResult", "InequalityCase", "BatchSpec", "ScanSummary",
-    "TestRecord", "VerificationReport", "ChainMismatchError",
+    "QuadratureResult", "InequalityCase", "BatchSpec",
+    "TestRecord", "VerificationReport", "ChainMismatchError", "NonconvergenceError",
     "integrate", "lhs_delta_sq", "rhs_weighted", "verify_case",
-    "verify_chain", "generate_batch", "batch_domain",
+    "verify_chain", "check_chain_composition", "generate_batch", "batch_domain",
     "SHAPES", "DEFAULT_QUAD_TOL",
 ]
 
@@ -166,8 +166,9 @@ def _expr_fn(e: Expr, bindings: dict) -> Callable[[np.ndarray], np.ndarray]:
 def lhs_delta_sq(sf: SpaceForm, v: Expr, u: RadialTestFunction,
                  bindings: Optional[dict] = None,
                  tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
-    """integral of v(rho) |Delta u|^2 dx over the support of u."""
-    vf = _expr_fn(v, _with_sf(bindings, sf))
+    """integral of v(rho) |Delta u|^2 dx over the support of u; bindings
+    holds v's parameters, n and kappa (PairSpec.bindings(sf))."""
+    vf = _expr_fn(v, bindings or {})
 
     def density(t):
         lap = separated_laplacian(sf, u, t)
@@ -181,11 +182,11 @@ def rhs_weighted(sf: SpaceForm, weightpotential: Expr, u: RadialTestFunction,
                  which: str, bindings: Optional[dict] = None,
                  tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """integral of weightpotential(rho) * q(u) dx with q = |grad_rad u|^2,
-    |grad u|^2 (radial plus angular part), or u^2."""
+    |grad u|^2 (radial plus angular part), or u^2; bindings as for
+    lhs_delta_sq."""
     if which not in ("gradrad", "grad", "usq"):
         raise ValueError(f"unknown side {which!r}")
-    b = _with_sf(bindings, sf)
-    wf = _expr_fn(weightpotential, b)
+    wf = _expr_fn(weightpotential, bindings or {})
     mu = angular_eigenvalue(sf.n, u.l)
 
     def density(t):
@@ -199,13 +200,6 @@ def rhs_weighted(sf: SpaceForm, weightpotential: Expr, u: RadialTestFunction,
 
     lo, hi = u.support
     return integrate(sf, density, lo, hi, tol)
-
-
-def _with_sf(bindings: Optional[dict], sf: SpaceForm) -> dict:
-    b = dict(bindings or {})
-    b["n"] = float(sf.n)
-    b["kappa"] = float(sf.kappa)
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +237,6 @@ class InequalityCase:
             raise ValueError("shape chain requires a chain descriptor")
         if self.shape == "delta-vs-grad" and not any(l >= 1 for l in self.batch.modes):
             raise ValueError("delta-vs-grad batches must include l >= 1 modes")
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    target: str
-    verdict: str
-    min: float
-    argmin: float
-    boundary_limit_R: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -317,67 +302,37 @@ def generate_batch(sf: SpaceForm, batch: BatchSpec) -> list[RadialTestFunction]:
     return out
 
 
-def _scan_range(sf: SpaceForm) -> tuple[float, float]:
-    r_tilde = min(sf.R, 1e3)
-    return 1e-6 * r_tilde, r_tilde
-
-
-def _scan(target: str, e: Expr, sf: SpaceForm, bindings: dict,
-          grid: int) -> tuple[ScanSummary, PositivityReport]:
-    lo, hi = _scan_range(sf)
-    rep = pr.scan_positivity(e, sf, grid=grid, t_lo=lo, t_hi=hi, bindings=bindings)
-    return ScanSummary(target, rep.verdict, rep.min_value, rep.argmin,
-                       rep.boundary_limit_R), rep
-
-
-def _residual_scan(p: PairSpec, sf: SpaceForm, grid: int,
-                   target: str = "residual") -> ScanSummary:
-    """Residual positivity relative to the local term magnitude (an equality
-    pair cancels terms of order 1/t^4 near 0; the raw difference is noise)."""
-    lo, hi = _scan_range(sf)
-    rep = pr.residual_report(p, sf, grid=grid, t_lo=lo, t_hi=hi)
-    verdict = "nonnegative" if rep.nonnegative else "violated"
-    return ScanSummary(target, verdict, rep.grid_min, rep.grid_min_at, None)
-
-
-def _terms_scan(target: str, terms, bindings: dict, sf: SpaceForm,
-                grid: int) -> ScanSummary:
-    """Positivity of a term sum relative to local magnitude; boundary cases
-    like an identically vanishing E2 then gate correctly."""
-    lo, hi = _scan_range(sf)
-    rep = pr.relative_report(terms, bindings, kind=target, grid=grid,
-                             t_lo=lo, t_hi=hi)
-    verdict = "nonnegative" if rep.nonnegative else "violated"
-    return ScanSummary(target, verdict, rep.grid_min, rep.grid_min_at, None)
+def _dual_scans(p: PairSpec, sf: SpaceForm, grid: int, side: str) -> list[Scan]:
+    """v, V, the residual and E1 or E2 of a dual pair.  The residual and the
+    side condition are relative to the local term magnitude: an equality pair
+    cancels terms of order 1/t^4 near 0, and an identically vanishing E2
+    must still gate, so the raw difference would be noise."""
+    b = p.bindings(sf)
+    lo, hi = pr.scan_range(sf)
+    terms = pr.e1_terms(p) if side == "E1" else pr.e2_terms(p)
+    return [pr.scan_positivity(p.expr("v"), sf, grid=grid, bindings=b, target="v"),
+            pr.scan_positivity(p.expr("V"), sf, grid=grid, bindings=b, target="V"),
+            pr.residual_report(p, sf, grid=grid, t_lo=lo, t_hi=hi),
+            pr.relative_report(terms, b, target=side, grid=grid, t_lo=lo, t_hi=hi)]
 
 
 def _side_condition_scans(case: InequalityCase, grid: int):
-    scans: list[ScanSummary] = []
-    notes: list[str] = []
     if case.shape in ("delta-vs-gradrad", "delta-vs-grad"):
-        p = case.dual.require("dual")
-        b = p.bindings(case.sf)
-        scans.append(_scan("v", p.expr("v"), case.sf, b, grid)[0])
-        scans.append(_scan("V", p.expr("V"), case.sf, b, grid)[0])
-        scans.append(_residual_scan(p, case.sf, grid))
         side = "E1" if case.shape == "delta-vs-gradrad" else "E2"
-        terms = pr.e1_terms(p) if side == "E1" else pr.e2_terms(p)
-        scans.append(_terms_scan(side, terms, b, case.sf, grid))
-    elif case.shape == "gradrad-vs-usq":
-        p = case.primal.require("primal")
-        b = p.bindings(case.sf)
-        scans.append(_scan("w", p.expr("w"), case.sf, b, grid)[0])
-        w_scan = _scan("W", p.expr("W"), case.sf, b, grid)[0]
-        if p.allow_signed_W:
-            w_scan = ScanSummary("W(signed-override)", w_scan.verdict, w_scan.min,
-                                 w_scan.argmin, w_scan.boundary_limit_R)
-            notes.append("signed-W override engaged: W positivity not gating")
-        scans.append(w_scan)
-        scans.append(_residual_scan(p, case.sf, grid))
+        return _dual_scans(case.dual.require("dual"), case.sf, grid, side), []
+    p = case.primal.require("primal")
+    b = p.bindings(case.sf)
+    lo, hi = pr.scan_range(case.sf)
+    w_target = "W(signed-override)" if p.allow_signed_W else "W"
+    scans = [pr.scan_positivity(p.expr("w"), case.sf, grid=grid, bindings=b, target="w"),
+             pr.scan_positivity(p.expr("W"), case.sf, grid=grid, bindings=b,
+                                target=w_target),
+             pr.residual_report(p, case.sf, grid=grid, t_lo=lo, t_hi=hi)]
+    notes = ["signed-W override engaged: W positivity not gating"] if p.allow_signed_W else []
     return scans, notes
 
 
-def _gating(scans: Sequence[ScanSummary]) -> bool:
+def _gating(scans: Sequence[Scan]) -> bool:
     return all(s.verdict == "nonnegative" for s in scans
                if not s.target.endswith("(signed-override)"))
 
@@ -440,7 +395,7 @@ def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm,
                             tol: float = 1e-9) -> None:
     """Verify v V = sum_i alpha_i w_i pointwise; raise naming the offending
     link when dropping a single link explains the mismatch."""
-    lo, hi = _scan_range(sf)
+    lo, hi = pr.scan_range(sf)
     ts = pr.log_grid(lo, hi, 64)
     b = chain.dual.bindings(sf, ts)
     target = np.asarray(chain.dual_rhs_density_expr().evaluate(b), dtype=float)
@@ -476,32 +431,24 @@ def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
     """Verify every link and the end-to-end inequality
     integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2 per test."""
     check_chain_composition(chain, sf)
-    scans: list[ScanSummary] = []
-    notes: list[str] = []
     dual = chain.dual
     db = dual.bindings(sf)
-    scans.append(_scan("v", dual.expr("v"), sf, db, grid)[0])
-    scans.append(_scan("V", dual.expr("V"), sf, db, grid)[0])
-    scans.append(_residual_scan(dual, sf, grid))
-    scans.append(_terms_scan("E1", pr.e1_terms(dual), db, sf, grid))
+    scans = _dual_scans(dual, sf, grid, "E1")
+    notes: list[str] = []
+    lo, hi = pr.scan_range(sf)
     for link in chain.links:
         if link.spec.kind == "primal":
-            lb = link.spec.bindings(sf)
-            scans.append(_residual_scan(link.spec, sf, grid,
-                                        target=f"{link.label}-residual"))
+            scans.append(pr.residual_report(link.spec, sf, grid=grid, t_lo=lo, t_hi=hi,
+                                            target=f"{link.label}-residual"))
             if link.spec.allow_signed_W:
                 notes.append(f"{link.label}: signed-W override engaged")
         else:
             rep = pr.disconjugacy_check(link.spec, n=sf.n)
-            verdict = ("nonnegative" if rep.positive_solution
-                       else "violated" if rep.first_zero is not None else "inconclusive")
-            scans.append(ScanSummary(f"{link.label}-disconjugacy", verdict,
-                                     0.0 if rep.positive_solution else -1.0,
-                                     rep.first_zero or 0.0, None))
+            scans.append(rep.scan(f"{link.label}-disconjugacy"))
     tests: list[TestRecord] = []
     # densities are built once, so each compiles once for the whole batch
     rhs_density = chain.dual_rhs_density_expr()
-    link_sides = [(link, _with_sf(link.spec.params, sf),
+    link_sides = [(link, link.spec.bindings(sf),
                    link.weight_expr * link.potential_expr) for link in chain.links]
     for i, u in enumerate(generate_batch(sf, batch)):
         lhs = lhs_delta_sq(sf, dual.expr("v"), u, db, quad_tol)

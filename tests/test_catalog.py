@@ -85,8 +85,9 @@ class TestIterlog:
     def test_residual_contract_k3(self):
         entry = cat.iterated_log_potential(3, 1.0)
         p = entry.specs["potential"]
+        r = pr.residual_expr(p)
         for tv in pr.log_grid(1e-6, 0.999, 20):
-            got = pr.bessel_potential_residual(p, float(tv))
+            got = r.evaluate(p.bindings(t=float(tv)))
             assert abs(got) <= 1e-9 * (1.0 + 1.0 / tv ** 2)
 
     def test_k_range(self):
@@ -108,8 +109,9 @@ class TestEllFamily:
         for k in (1, 3, 6):
             entry = cat.ell_potential(k, 1.0)
             p = entry.specs["potential"]
+            r = pr.residual_expr(p)
             for tv in pr.log_grid(1e-5, 0.999, 30):
-                got = pr.bessel_potential_residual(p, float(tv))
+                got = r.evaluate(p.bindings(t=float(tv)))
                 assert abs(got) <= 1e-9 * (1.0 + 1.0 / tv ** 2)
 
     def test_boundary_failure_for_deep_iteration(self):
@@ -160,13 +162,14 @@ class TestHyperbolicInterpolation:
         h = entry.params["h"]
         sf = SpaceForm(n, kappa)
         d = entry.specs["dual"]
+        e1 = pr.e1_expr(d)
         for tv in (0.2, 1.0, 4.0, 20.0):
             ctv = kappa / math.tanh(kappa * tv)
             want = (kappa ** 2 * (n / 2.0 - h)
                     + h * ((n - 3) * tv * ctv - 1.0) / tv ** 2
                     + kappa ** 2 * (n - 4) * (n / 2.0 - h)
                     * (1.0 / math.tanh(kappa * tv)) ** 2)
-            got = pr.e1(sf, d, tv)
+            got = e1.evaluate(d.bindings(sf, tv))
             assert got == pytest.approx(want, rel=1e-11)
 
     def test_equality_and_e1_positive(self):
@@ -175,14 +178,16 @@ class TestHyperbolicInterpolation:
         assert entry.params["gamma"] == pytest.approx(math.sqrt(12.0))
         assert entry.params["h"] == pytest.approx((math.sqrt(12.0) + 1) / 2.0)
         sf = SpaceForm(n, kappa)
+        d = entry.specs["dual"]
+        r = pr.residual_expr(d)
         for tv in (0.1, 1.0, 10.0):
-            got = pr.dual_riccati_residual(sf, entry.specs["dual"], tv)
+            got = r.evaluate(d.bindings(sf, tv))
             assert abs(got) <= 1e-9 * (1.0 + 1.0 / tv ** 2)
         rep = pr.scan_positivity(pr.e1_expr(entry.specs["dual"]), sf, grid=2000,
                                  t_lo=1e-4, t_hi=100.0,
                                  bindings=entry.specs["dual"].bindings(sf))
         assert rep.verdict == "nonnegative"
-        assert rep.min_value > 0
+        assert rep.min > 0
 
     def test_flat_limit(self):
         # kappa -> 0+: V converges pointwise to the flat n^2/(4 t^2)

@@ -96,6 +96,22 @@ class TestVerify:
         assert code == EXIT_INCONCLUSIVE
         assert rep["verdict"] == "inconclusive"
 
+    def test_inline_potential_matches_catalog(self, tmp_path):
+        # an inline potential is keyed by its kind, a catalog one by role
+        inline = ["--n", "6", "--z", "sqrt(logk(1,r/t))", "--Z", "1/(t^2*logk(1,r/t)^2)",
+                  "--r", "2.718281828459045", "--R", "1"]
+        code, rep = _run(tmp_path, "verify", *inline, "--tests", "5")
+        code_cat, rep_cat = _run(tmp_path, "verify", "--catalog", "iterlog", "--k", "1",
+                                 "--n", "6", "--R", "1", "--tests", "5")
+        assert code == code_cat == EXIT_PASS
+        assert rep["verdict"] == rep_cat["verdict"] == "pass"
+        assert rep["scans"] == rep_cat["scans"]
+        assert [s["target"] for s in rep["scans"]] == ["v", "V", "residual", "E1"]
+        assert rep["scans"][3]["min"] == pytest.approx(4.5)
+        code, rep = _run(tmp_path, "scan", *inline, "--target", "E1")
+        assert code == EXIT_PASS
+        assert rep["scans"][0]["min"] == pytest.approx(4.5)
+
     def test_empty_batch_valid_document(self, tmp_path):
         code, rep = _run(tmp_path, "verify", "--catalog", "classical-rellich",
                          "--n", "5", "--tests", "0")
@@ -152,6 +168,7 @@ class TestSolveBessel:
         assert code == EXIT_INCONCLUSIVE
         assert rep["verdict"] == "inconclusive"
         assert rep["config"]["status"] == "inconclusive"
+        assert rep["scans"][0]["verdict"] == "inconclusive"
 
 
 class TestEstimate:
@@ -162,6 +179,14 @@ class TestEstimate:
         assert code == EXIT_PASS
         assert rep["config"]["claimed"] == pytest.approx(2.25)
         assert rep["config"]["estimate"] >= 2.25 - 1e-6
+
+    @pytest.mark.parametrize("shape", ["gradrad-vs-usq", "chain"])
+    def test_pair_of_the_wrong_kind_is_a_usage_error(self, tmp_path, shape):
+        # a dual pair has no gradrad-vs-usq quotient and no chain
+        code, rep = _run(tmp_path, "estimate", "--n", "6", "--H", "n/(2*t)", "--v", "1",
+                         "--V", "n^2/(4*t^2)", "--shape", shape, "--budget", "20")
+        assert code == EXIT_USAGE
+        assert rep is None
 
 
 class TestCatalogCommand:

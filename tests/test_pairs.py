@@ -32,15 +32,17 @@ class TestRiccatiResidual:
                 "G": Const((n - 2) / 2.0) / t, "w": Const(1.0),
                 "W": Const((n - 2) ** 2 / 4.0) / (t * t)})
             sf = SpaceForm(n, 0.0)
+            r = pr.residual_expr(p)
             for tv in (0.2, 1.0, 5.0, 40.0):
-                assert pr.riccati_residual(sf, p, tv) == pytest.approx(0.0, abs=1e-12)
+                assert r.evaluate(p.bindings(sf, tv)) == pytest.approx(0.0, abs=1e-12)
 
     def test_chained_primal_equality(self):
         # expansion oracle: -(n-4)/(2t^2) + (n-3)(n-4)/(2t^2) - (n-4)^2/(4t^2) = W
         n, tv = 6, 1.0
         p = cat.classical_euclidean(n).specs["primal"]
         sf = SpaceForm(n, 0.0)
-        assert pr.riccati_residual(sf, p, tv) == pytest.approx(0.0, abs=1e-12)
+        assert pr.residual_expr(p).evaluate(p.bindings(sf, tv)) == pytest.approx(
+            0.0, abs=1e-12)
         expansion = (-(n - 4) / (2 * tv ** 2) + (n - 3) * (n - 4) / (2 * tv ** 2)
                      - (n - 4) ** 2 / (4 * tv ** 2))
         assert expansion == pytest.approx((n - 4) ** 2 / (4 * tv ** 2))
@@ -48,30 +50,29 @@ class TestRiccatiResidual:
     def test_zero_case(self):
         p = PairSpec(kind="primal", exprs={"G": Const(0.0), "w": Const(1.0),
                                            "W": Const(0.0)})
-        assert pr.riccati_residual(SpaceForm(4, 0.0), p, 2.0) == 0.0
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            pr.riccati_residual(SpaceForm(5, 0.0), _classical_dual(5), 1.0)
+        assert pr.residual_expr(p).evaluate(p.bindings(SpaceForm(4, 0.0), 2.0)) == 0.0
 
 
 class TestDualResidual:
     def test_classical_equality(self):
         sf = SpaceForm(7, 0.0)
         p = _classical_dual(7)
+        r = pr.residual_expr(p)
         for tv in (0.1, 2.0, 20.0):
-            assert pr.dual_riccati_residual(sf, p, tv) == pytest.approx(0.0, abs=1e-12)
+            assert r.evaluate(p.bindings(sf, tv)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_case(self):
         p = PairSpec(kind="dual", exprs={"H": Const(0.0), "v": Const(1.0),
                                          "V": Const(0.0)})
-        assert pr.dual_riccati_residual(SpaceForm(5, 0.0), p, 1.0) == 0.0
+        assert pr.residual_expr(p).evaluate(p.bindings(SpaceForm(5, 0.0), 1.0)) == 0.0
 
     def test_interpolation_family_equality(self):
         entry = cat.hyperbolic_interpolation(5, 1.0, 1.0)
         sf = SpaceForm(5, 1.0)
+        d = entry.specs["dual"]
+        r = pr.residual_expr(d)
         for tv in (0.1, 1.0, 10.0):
-            got = pr.dual_riccati_residual(sf, entry.specs["dual"], tv)
+            got = r.evaluate(d.bindings(sf, tv))
             assert abs(got) <= 1e-9 * (1.0 + 1.0 / tv ** 2)
 
 
@@ -81,10 +82,12 @@ class TestSideConditions:
         for n in (5, 8, 12):
             sf = SpaceForm(n, 0.0)
             p = _classical_dual(n)
+            e1 = pr.e1_expr(p)
             for tv in (0.3, 1.0, 4.0):
-                assert pr.e1(sf, p, tv) == pytest.approx(
+                assert e1.evaluate(p.bindings(sf, tv)) == pytest.approx(
                     n * (n - 4) / (2 * tv ** 2), rel=1e-12)
-        assert pr.e1(SpaceForm(5, 0.0), _classical_dual(5), 1.0) == pytest.approx(2.5)
+        p = _classical_dual(5)
+        assert pr.e1_expr(p).evaluate(p.bindings(SpaceForm(5, 0.0), 1.0)) == pytest.approx(2.5)
 
     def test_e1_degenerate_dimension(self):
         # n = 4 kills the factor; build the n = 4 analog directly
@@ -92,24 +95,27 @@ class TestSideConditions:
         p = PairSpec(kind="dual", exprs={"H": Const(2.0) / t, "v": Const(1.0),
                                          "V": Const(4.0) / (t * t)})
         sf = SpaceForm(4, 0.0)
+        e1 = pr.e1_expr(p)
         for tv in (0.5, 1.0, 3.0):
-            assert pr.e1(sf, p, tv) == pytest.approx(0.0, abs=1e-13)
+            assert e1.evaluate(p.bindings(sf, tv)) == pytest.approx(0.0, abs=1e-13)
 
     def test_e2_classical_closed_form(self):
         # E2 = n(n-8)/(4t^2); zero at n = 8, negative below
-        sf8 = SpaceForm(8, 0.0)
+        def e2(n, tv):
+            p = _classical_dual(n)
+            return pr.e2_expr(p).evaluate(p.bindings(SpaceForm(n, 0.0), tv))
+
         for tv in (0.4, 1.0, 7.0):
-            assert pr.e2(sf8, _classical_dual(8), tv) == pytest.approx(0.0, abs=1e-12)
-        assert pr.e2(SpaceForm(9, 0.0), _classical_dual(9), 2.0) == pytest.approx(
-            0.5625, rel=1e-12)
-        assert pr.e2(SpaceForm(5, 0.0), _classical_dual(5), 1.0) == pytest.approx(
-            -3.75, rel=1e-12)
+            assert e2(8, tv) == pytest.approx(0.0, abs=1e-12)
+        assert e2(9, 2.0) == pytest.approx(0.5625, rel=1e-12)
+        assert e2(5, 1.0) == pytest.approx(-3.75, rel=1e-12)
 
     def test_e1_interpolation_value(self):
         # lambda = 0: E1 = (n/2)((n-3) t ct(t) - 1)/t^2
         entry = cat.hyperbolic_interpolation(5, 1.0, 0.0)
         sf = SpaceForm(5, 1.0)
-        got = pr.e1(sf, entry.specs["dual"], 1.0)
+        d = entry.specs["dual"]
+        got = pr.e1_expr(d).evaluate(d.bindings(sf, 1.0))
         want = 2.5 * (2.0 * math.cosh(1.0) / math.sinh(1.0) - 1.0)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(4.065, abs=5e-4)
@@ -120,6 +126,7 @@ class TestSideConditions:
         H = Const(3.0) / t + t / Const(5.0) + Unary("tanh", t)
         p = PairSpec(kind="dual", exprs={"H": H, "v": Const(1.0), "V": Const(0.0)})
         dH = H.diff()
+        e1, e2 = pr.e1_expr(p), pr.e2_expr(p)
         rng = np.random.default_rng(3)
         for n in (5, 7, 11):
             sf = SpaceForm(n, 0.0)
@@ -129,8 +136,10 @@ class TestSideConditions:
                 hv, dhv = H.evaluate(b), dH.evaluate(b)
                 want1 = dhv + hv * (n - 3) / tv
                 want2 = 2 * dhv + hv * (hv - 2.0 / tv)
-                assert pr.e1(sf, p, tv) == pytest.approx(want1, rel=1e-12, abs=1e-12)
-                assert pr.e2(sf, p, tv) == pytest.approx(want2, rel=1e-12, abs=1e-12)
+                assert e1.evaluate(p.bindings(sf, tv)) == pytest.approx(
+                    want1, rel=1e-12, abs=1e-12)
+                assert e2.evaluate(p.bindings(sf, tv)) == pytest.approx(
+                    want2, rel=1e-12, abs=1e-12)
 
 
 def _random_primal(rng):
@@ -177,10 +186,11 @@ class TestTransforms:
             sf = SpaceForm(n, kappa)
             p = _random_primal(rng)
             d = pr.primal_to_dual(p, sf)
+            rp, rd = pr.residual_expr(p), pr.residual_expr(d)
             for _ in range(50):
                 tv = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-                a = pr.riccati_residual(sf, p, tv)
-                b = pr.dual_riccati_residual(sf, d, tv)
+                a = rp.evaluate(p.bindings(sf, tv))
+                b = rd.evaluate(d.bindings(sf, tv))
                 assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
     def test_g_equals_l_gives_h_zero(self):
@@ -190,10 +200,11 @@ class TestTransforms:
         p = PairSpec(kind="primal", exprs={"G": G, "w": Const(1.0), "W": Const(0.0)},
                      allow_signed_W=True)
         d = pr.primal_to_dual(p, sf)
+        rp, rd = pr.residual_expr(p), pr.residual_expr(d)
         for tv in (0.5, 2.0):
             assert d.expr("H").evaluate(d.bindings(sf, tv)) == pytest.approx(0.0, abs=1e-13)
-            assert pr.dual_riccati_residual(sf, d, tv) == pytest.approx(
-                pr.riccati_residual(sf, p, tv), rel=1e-12)
+            assert rd.evaluate(d.bindings(sf, tv)) == pytest.approx(
+                rp.evaluate(p.bindings(sf, tv)), rel=1e-12)
 
 
 class TestBesselPotential:
@@ -204,17 +215,19 @@ class TestBesselPotential:
             exprs={"z": parse("sqrt(logk(1, r/t))"),
                    "Z": parse("1/(t^2*logk(1, r/t)^2)")},
             constant=0.25, params={"r": math.e, "R": 1.0})
-        assert pr.bessel_potential_residual(p, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert pr.residual_expr(p).evaluate(p.bindings(t=0.5)) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_trivial_potential(self):
         p = PairSpec(kind="bessel-potential",
                      exprs={"z": Const(1.0), "Z": Const(0.0)}, constant=3.0)
-        assert pr.bessel_potential_residual(p, 1.7) == 0.0
+        assert pr.residual_expr(p).evaluate(p.bindings(t=1.7)) == 0.0
 
     def test_catalog_iterated_depth2(self):
         p = cat.iterated_log_potential(2, 1.0).specs["potential"]
+        r = pr.residual_expr(p)
         for tv in pr.log_grid(1e-4, 0.99, 10):
-            got = pr.bessel_potential_residual(p, float(tv))
+            got = r.evaluate(p.bindings(t=float(tv)))
             assert abs(got) <= 1e-9 * (1.0 + 1.0 / tv ** 2)
 
 
@@ -224,28 +237,30 @@ class TestBesselPair:
         n = 6
         pot = cat.iterated_log_potential(1, 1.0).specs["potential"]
         pair = pr.from_bessel_potential(pot, "i", n)
+        r = pr.residual_expr(pair)
         for tv in (0.05, 0.3, 0.9):
-            assert pr.bessel_pair_residual(pair, n, tv) == pytest.approx(
+            assert r.evaluate(pair.bindings(t=tv, n=n)) == pytest.approx(
                 0.0, abs=1e-10 * (1 + 1 / tv ** 2))
 
     def test_trivial_pair(self):
         p = PairSpec(kind="bessel-pair",
                      exprs={"y": Const(1.0), "X": Const(2.0), "Y": Const(0.0)})
-        assert pr.bessel_pair_residual(p, 5, 0.7) == 0.0
+        assert pr.residual_expr(p).evaluate(p.bindings(t=0.7, n=5)) == 0.0
 
     def test_derived_first_pair_residual(self):
         n = 5
         pot = cat.iterated_log_potential(1, 1.0).specs["potential"]
         first, _ = pr.bessel_pairs_from_potential(pot, 2.0, n)
+        r = pr.residual_expr(first)
         for tv in pr.log_grid(1e-3, 0.99, 20):
             scale = 1.0 + 1.0 / tv ** 4
-            assert abs(pr.bessel_pair_residual(first, n, float(tv))) <= 1e-10 * scale
+            assert abs(r.evaluate(first.bindings(t=float(tv), n=n))) <= 1e-10 * scale
 
     def test_pair_without_y_rejects_residual(self):
         pot = cat.iterated_log_potential(1, 1.0).specs["potential"]
         _, second = pr.bessel_pairs_from_potential(pot, 2.0, 6)
         with pytest.raises(ValueError, match="disconjugacy"):
-            pr.bessel_pair_residual(second, 6, 0.5)
+            pr.residual_expr(second)
 
 
 class TestPotentialConstructions:
@@ -270,16 +285,18 @@ class TestPotentialConstructions:
         n = 5
         d = pr.from_bessel_potential(potential, "iii", n)
         sf = SpaceForm(n, 0.0, 1.0)
+        r = pr.residual_expr(d)
         for tv in pr.log_grid(1e-3, 0.99, 25):
-            got = pr.dual_riccati_residual(sf, d, float(tv))
+            got = r.evaluate(d.bindings(sf, float(tv)))
             assert abs(got) <= 1e-10 * (1.0 + 1.0 / tv ** 2)
 
     def test_variant_ii_primal_residual(self, potential):
         n = 5
         p = pr.from_bessel_potential(potential, "ii", n)
         sf = SpaceForm(n, 0.0, 1.0)
+        r = pr.residual_expr(p)
         for tv in pr.log_grid(1e-3, 0.99, 25):
-            got = pr.riccati_residual(sf, p, float(tv))
+            got = r.evaluate(p.bindings(sf, float(tv)))
             assert abs(got) <= 1e-10 * (1.0 + 1.0 / tv ** 2)
 
     def test_closure_ii_then_dualize_is_iii(self, potential):
@@ -299,8 +316,9 @@ class TestPotentialConstructions:
         pair = pr.from_bessel_potential(potential, "i", n)
         primal = pr.from_bessel_pair(pair, n)
         sf = SpaceForm(n, 0.0, 1.0)
+        r = pr.residual_expr(primal)
         for tv in pr.log_grid(1e-3, 0.99, 20):
-            got = pr.riccati_residual(sf, primal, float(tv))
+            got = r.evaluate(primal.bindings(sf, float(tv)))
             assert abs(got) <= 1e-9 * (1.0 + 1.0 / tv ** 2)
 
     def test_unverified_input_rejected(self):
@@ -421,13 +439,13 @@ class TestScanPositivity:
         rep = pr.scan_positivity(pr.e1_expr(_classical_dual(n)), sf,
                                  grid=2000, t_lo=1e-5, t_hi=10.0)
         assert rep.verdict == "nonnegative"
-        assert rep.min_value > 0
+        assert rep.min > 0
         assert rep.argmin == pytest.approx(10.0, rel=1e-6)  # decreasing in t
 
     def test_zero_function(self):
         rep = pr.scan_positivity(Const(0.0), SpaceForm(5, 0.0, 1.0), grid=100)
         assert rep.verdict == "nonnegative"
-        assert rep.min_value == 0.0
+        assert rep.min == 0.0
 
     def test_ell_family_failure_mode(self):
         # n = 5, k = 6: E1 goes negative near t = R with a genuine sign change
@@ -440,7 +458,8 @@ class TestScanPositivity:
         assert rep.verdict == "violated"
         assert len(rep.sign_changes) >= 1
         t1, t2 = rep.sign_changes[0]
-        fn = lambda tv: pr.e1(sf, dual, tv)
+        e1 = pr.e1_expr(dual)
+        fn = lambda tv: e1.evaluate(dual.bindings(sf, tv))
         assert fn(t1) * fn(t2) < 0
 
         # boundary limit: algebraic oracle via the potential equation,
@@ -469,7 +488,7 @@ class TestScanPositivity:
         rep = pr.scan_positivity(f, SpaceForm(3, 0.0, 4.0), grid=3000,
                                  t_lo=0.5, t_hi=4.0)
         assert rep.verdict == "violated"
-        assert rep.min_value < 0
+        assert rep.min < 0
         assert len(rep.sign_changes) == 2
 
     def test_divergent_boundary_reported_infinite(self):
@@ -508,16 +527,8 @@ class TestResidualReport:
     def test_equality_flags(self):
         e = cat.classical_euclidean(6)
         rep = pr.residual_report(e.specs["dual"], SpaceForm(6, 0.0))
-        assert rep.equality and rep.nonnegative
+        assert rep.equality and rep.verdict == "nonnegative"
         assert rep.max_abs_relative <= 1e-9
-
-    def test_residual_handle_evaluates(self):
-        e = cat.classical_euclidean(6)
-        sf = SpaceForm(6, 0.0)
-        rep = pr.residual_report(e.specs["dual"], sf)
-        got = rep.residual.evaluate(e.specs["dual"].bindings(sf, 1.3))
-        assert got == pytest.approx(pr.dual_riccati_residual(sf, e.specs["dual"], 1.3),
-                                    abs=1e-15)
 
     def test_signed_w_spec_carries_flag(self):
         p = cat.hyperbolic_lower(5, 1.0, 2).specs["primal"]
