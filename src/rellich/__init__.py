@@ -8,8 +8,9 @@ from .geometry import (RadialTestFunction, SpaceForm, big_l, ct,  # noqa: F401
                        separated_laplacian, volume_weight)
 from .pairs import (PairSpec, Scan, positivity_polynomial_roots,  # noqa: F401
                     disconjugacy_check, dual_to_primal, e1_expr, e2_expr,
-                    from_bessel_pair, from_bessel_potential, primal_to_dual,
-                    bessel_pairs_from_potential, residual_expr, scan_positivity)
+                    e1_terms, e2_terms, from_bessel_pair, from_bessel_potential,
+                    primal_to_dual, bessel_pairs_from_potential, residual_expr,
+                    residual_terms, scan_positivity)
 from .catalog import (build_entry, classical_euclidean, ell_potential,  # noqa: F401
                       final_combined, hyperbolic_interpolation,
                       hyperbolic_lower, iterated_log_potential,

@@ -174,8 +174,9 @@ def iterated_log_potential(k: int, R: float) -> CatalogEntry:
     """Potential Z(t) = sum_{j<=k} t^-2 (prod_{i<=j} log_[i](r/t))^-2 with
     solution z = (prod_{i<=k} log_[i](r/t))^(1/2), best constant 1/4, and
     r = R exp_[k-1](e) so every iterated log stays >= 1 on (0, R)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
+    if not 1 <= k <= 3:
+        raise ValueError(f"need 1 <= k <= 3, got k={k}: "
+                         "r = R exp_[k-1](e) overflows a float for k >= 4")
     if not R > 0:
         raise ValueError("need R > 0")
     r = R * _exp_iter(k - 1, math.e)

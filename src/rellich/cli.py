@@ -296,38 +296,41 @@ def _jsonable(v) -> bool:
 
 def _cmd_check_pair(args):
     entry, spec, sf = _resolve(args)
-    lo, hi = pr.scan_range(sf)
     scans, results = [], {}
     for name, p in sorted(_entry_specs(entry, spec).items()):
-        s = pr.residual_report(p, sf, grid=args.grid, t_lo=lo, t_hi=hi, tol=args.tol,
+        s = pr.scan_positivity(pr.residual_terms(p), sf, grid=args.grid,
+                               bindings=p.bindings(sf), tol=args.tol,
                                target=f"residual({name})")
         results[name] = {"equality": s.equality, "max_abs_relative": s.max_abs_relative}
         scans.append(s)
-    verdict = "pass" if all(s.verdict == "nonnegative" for s in scans) else "fail"
+    verdicts = {s.verdict for s in scans}
+    verdict = ("fail" if "violated" in verdicts else
+               "pass" if verdicts == {"nonnegative"} else "inconclusive")
     config = _config_dict(args, {"results": results})
     return verdict, _report("check-pair", config, sf, scans, [], verdict,
                             vf.BatchSpec.seed)
 
 
-def _scan_target_expr(args, entry, spec, sf):
+def _scan_target_terms(args, entry, spec, sf):
     specs = _entry_specs(entry, spec)
     if args.target in ("E1", "E2"):
         dual = _dual_of(entry, spec, sf)
-        e = pr.e1_expr(dual) if args.target == "E1" else pr.e2_expr(dual)
-        return e, dual.bindings(sf)
+        terms = pr.e1_terms(dual) if args.target == "E1" else pr.e2_terms(dual)
+        return terms, dual.bindings(sf)
     if args.target == "residual":
         p = next(iter(specs.values()))
-        return pr.residual_expr(p), p.bindings(sf)
+        return pr.residual_terms(p), p.bindings(sf)
     for p in specs.values():
         if args.target in p.exprs:
-            return p.expr(args.target), p.bindings(sf)
+            return [p.expr(args.target)], p.bindings(sf)
     raise ValueError(f"no scan target {args.target!r} on this source")
 
 
 def _cmd_scan(args):
     entry, spec, sf = _resolve(args)
-    e, bindings = _scan_target_expr(args, entry, spec, sf)
-    s = pr.scan_positivity(e, sf, grid=args.grid, bindings=bindings, target=args.target)
+    terms, bindings = _scan_target_terms(args, entry, spec, sf)
+    s = pr.scan_positivity(terms, sf, grid=args.grid, bindings=bindings, tol=args.tol,
+                           target=args.target)
     config = _config_dict(args, {
         "sign_changes": [list(bracket) for bracket in s.sign_changes],
         "boundary_limit_0": s.boundary_limit_0})
@@ -359,7 +362,7 @@ def _cmd_verify(args):
     case = vf.InequalityCase(shape=shape, sf=sf, batch=_batch(args), dual=dual,
                              primal=primal,
                              case_id=args.catalog or "inline")
-    rep = vf.verify_case(case, quad_tol=args.quad_tol, grid=args.grid)
+    rep = vf.verify_case(case, quad_tol=args.quad_tol, grid=args.grid, tol=args.tol)
     config = _config_dict(args, {"notes": list(rep.notes), **rep.config})
     return rep.verdict, _report("verify", config, sf, rep.scans, rep.tests,
                                 rep.verdict, rep.seed)
@@ -376,7 +379,7 @@ def _cmd_chain(args):
     else:
         raise ValueError(f"entry {entry.id!r} has no chain")
     rep = vf.verify_chain(chain, sf, _batch(args), quad_tol=args.quad_tol,
-                          grid=args.grid, case_id=chain.label)
+                          grid=args.grid, tol=args.tol, case_id=chain.label)
     config = _config_dict(args, {"notes": list(rep.notes), **rep.config})
     return rep.verdict, _report("chain", config, sf, rep.scans, rep.tests,
                                 rep.verdict, rep.seed)

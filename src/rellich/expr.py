@@ -9,9 +9,11 @@ and a finite-difference self check.
 Evaluation is compiled once per root: the first ``evaluate`` lowers the
 tree to a straight-line program with one step per distinct subtree (the
 trees ``diff`` builds repeat subtrees many times over), schedules it so
-few values are live at once, and keeps it on the root.  Every step calls
-the same primitive on the same operands as the tree node it stands for,
-so the values are those of a tree walk, bit for bit.
+few values are live at once, and keeps it on the root.  ``Program``
+compiles several roots into one such program, which computes each subtree
+they share once.  Every step calls the same primitive on the same operands
+as the tree node it stands for, so the values are those of a tree walk,
+bit for bit.
 
 Supported primitives: + - * / ^ (real power), negation, log, exp, sqrt,
 sinh, cosh, tanh, coth, the curvature-aware ``ct`` (1/t when kappa = 0,
@@ -31,7 +33,7 @@ from typing import Mapping, Union
 import numpy as np
 
 __all__ = [
-    "Expr", "Const", "Var", "Param", "Unary", "Binary", "Iter",
+    "Expr", "Const", "Var", "Param", "Unary", "Binary", "Iter", "Program",
     "Bindings", "parse", "evaluate", "differentiate", "fd_check",
     "ExprError", "ParseError", "EvaluationError", "UnboundParameterError",
     "DomainError", "const", "var_t", "param",
@@ -246,18 +248,9 @@ class Expr:
         try:
             program = self._program
         except AttributeError:
-            program = _Program(self)
+            program = Program((self,))
             object.__setattr__(self, "_program", program)
-        be = _backend(bindings.get("t"))
-        if be is _NUMPY:
-            # overflow saturates to inf by design; NaN is still rejected below
-            with np.errstate(all="ignore"):
-                result = program.run(bindings, be)
-        else:
-            result = program.run(bindings, be)
-        if be["isnan"](result):
-            raise DomainError("expression", "NaN produced")
-        return result
+        return program.evaluate(bindings)[0]
 
     def diff(self, var: str = "t") -> "Expr":
         return _diff(self, var, {})
@@ -491,24 +484,25 @@ def _diff(e: Expr, var: str, memo: dict) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: one straight-line program per root
+# compiled evaluation: one straight-line program per tuple of roots
 #
 # A step is (kind, op, a, b).  Kinds: _LOAD (a names the binding), _CONST (a is
 # the value), _UNARY (a is a step), _BINARY (a, b are steps) and _IMMEDIATE
 # (a is a step, b the integer exponent of "ipow").  Steps are interned by op
-# and operands, so each distinct subtree is one step; a constant is keyed by
-# its bit pattern so 0.0 and -0.0 stay apart.  Every step applies the same
-# primitive to the same operands as the tree node it stands for, so compiled
-# values are the values of a tree walk, bit for bit.
+# and operands, so each distinct subtree is one step, also across roots; a
+# constant is keyed by its bit pattern so 0.0 and -0.0 stay apart.  Every
+# step applies the same primitive to the same operands as the tree node it
+# stands for, so compiled values are the values of a tree walk, bit for bit.
 
 # ordered so that kind >= _UNARY means the step reads operand a
 _LOAD, _CONST, _UNARY, _IMMEDIATE, _BINARY = range(5)
 
 
-def _lower(root: Expr):
-    """The distinct subtrees of root as steps, in the order a left-to-right
-    post-order walk first reaches them (operands first, root last), with
-    each step's Sethi-Ullman need and the number of steps that use it."""
+def _lower(roots: tuple):
+    """The distinct subtrees of the roots as steps, in the order a
+    left-to-right post-order walk of each root in turn first reaches them
+    (operands first), with each step's Sethi-Ullman need, the number of
+    steps that use it, and the step of each root."""
     steps: list = []
     need: list = []
     uses: list = []
@@ -534,7 +528,7 @@ def _lower(root: Expr):
                 need.append(1)
         return i
 
-    stack = [root]
+    stack = list(reversed(roots))
     while stack:
         node = stack[-1]
         cls = type(node)
@@ -576,15 +570,15 @@ def _lower(root: Expr):
                 i = step(_UNARY, node.op, i)
         done[id(node)] = i
         stack.pop()
-    return steps, need, uses
+    return steps, need, uses, [done[id(root)] for root in roots]
 
 
-def _sethi_ullman(steps: list, need: list) -> list:
-    """An evaluation order that computes the operand needing more live
-    values first (Sethi-Ullman), so few values are live at once."""
+def _sethi_ullman(steps: list, need: list, outs: list) -> list:
+    """An evaluation order, root by root, that computes the operand needing
+    more live values first (Sethi-Ullman), so few values are live at once."""
     order = []
     placed = bytearray(len(steps))
-    stack = [len(steps) - 1]   # i: expand step i; ~i: place it
+    stack = list(reversed(outs))   # i: expand step i; ~i: place it
     while stack:
         i = stack.pop()
         if i < 0:
@@ -606,11 +600,14 @@ def _sethi_ullman(steps: list, need: list) -> list:
     return order
 
 
-def _emit(steps: list, uses: list, order) -> tuple:
+def _emit(steps: list, uses: list, order, outs: list) -> tuple:
     """Code for the steps run in the given order, on registers: a register
-    is reused after the last use of its value, so the register count is the
-    most values live at once."""
+    is reused after the last use of its value, except that the roots' values
+    stay live to the end, so the register count is the most values live at
+    once.  Returns the code, the register count and the roots' registers."""
     left = list(uses)
+    for i in outs:
+        left[i] += 1
     reg = [0] * len(steps)
     free: list = []
     code = []
@@ -636,10 +633,10 @@ def _emit(steps: list, uses: list, order) -> tuple:
             width += 1
         reg[i] = r
         code.append((kind, op, r, a, b))
-    return code, width, r
+    return code, width, [reg[i] for i in outs]
 
 
-def _run(code: list, width: int, out: int, bindings: Bindings, be: dict):
+def _run(code: list, width: int, outs: list, bindings: Bindings, be: dict) -> list:
     regs = [None] * width
     for kind, op, dst, a, b in code:
         if kind == _BINARY:
@@ -655,26 +652,45 @@ def _run(code: list, width: int, out: int, bindings: Bindings, be: dict):
                 raise UnboundParameterError(a) from None
         else:
             regs[dst] = be[op](regs[a], b)
-    return regs[out]
+    return [regs[r] for r in outs]
 
 
-class _Program:
-    """A root compiled once: its distinct subtrees as straight-line code."""
+class Program:
+    """A tuple of roots compiled once into one straight-line program: each
+    subtree the roots share is computed once per run.  ``Expr.evaluate`` is
+    the one-root case."""
 
-    __slots__ = ("steps", "uses", "code", "width", "out")
+    __slots__ = ("steps", "uses", "outs", "code", "width", "regs")
 
-    def __init__(self, root: Expr):
-        self.steps, need, self.uses = _lower(root)
-        self.code, self.width, self.out = _emit(self.steps, self.uses,
-                                                _sethi_ullman(self.steps, need))
+    def __init__(self, roots: tuple):
+        self.steps, need, self.uses, self.outs = _lower(roots)
+        self.code, self.width, self.regs = _emit(
+            self.steps, self.uses, _sethi_ullman(self.steps, need, self.outs), self.outs)
 
-    def run(self, bindings: Bindings, be: dict):
+    def evaluate(self, bindings: Bindings) -> list:
+        """The value of every root, in order, on the backend picked from the
+        type of the ``t`` binding; a NaN value raises DomainError."""
+        be = _backend(bindings.get("t"))
+        if be is _NUMPY:
+            # overflow saturates to inf by design; NaN is still rejected below
+            with np.errstate(all="ignore"):
+                values = self.run(bindings, be)
+        else:
+            values = self.run(bindings, be)
+        for value in values:
+            if be["isnan"](value):
+                raise DomainError("expression", "NaN produced")
+        return values
+
+    def run(self, bindings: Bindings, be: dict) -> list:
         try:
-            return _run(self.code, self.width, self.out, bindings, be)
+            return _run(self.code, self.width, self.regs, bindings, be)
         except EvaluationError:
             pass
-        # report the error a left-to-right tree walk meets first: replay in that order
-        return _run(*_emit(self.steps, self.uses, range(len(self.steps))), bindings, be)
+        # report the error a left-to-right walk of each root in turn meets
+        # first: replay in that order
+        return _run(*_emit(self.steps, self.uses, range(len(self.steps)), self.outs),
+                    bindings, be)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,18 @@ A PairSpec bundles the defining expressions of one of four object kinds:
 with L(t) = (n-1) ct_kappa(t).  The residual, E1 and E2 builders, the
 primal<->dual change of functions, the potential-to-pair constructions, an
 ODE disconjugacy certificate for "a positive solution exists", and the grid
-scanners live here.  Every scan returns one Scan record, whose first five
-fields are the report row.
+scanner live here.  Each side condition is written once, as a list of
+terms (the *_expr builders are their sums), and the one scanner,
+scan_positivity, judges the sum of a list of terms relative to 1 + sum |term|
+under one tolerance; a raw function is a single term.  Every scan returns
+one Scan record, whose first five fields are the report row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -31,13 +36,13 @@ __all__ = [
     "residual_terms", "residual_expr", "e1_expr", "e2_expr", "e1_terms", "e2_terms",
     "primal_to_dual", "dual_to_primal",
     "from_bessel_potential", "from_bessel_pair", "bessel_pairs_from_potential",
-    "disconjugacy_check", "scan_positivity", "relative_report", "residual_report",
-    "scan_range", "positivity_polynomial_roots", "polynomial_criterion_holds",
+    "disconjugacy_check", "scan_positivity", "scan_range",
+    "positivity_polynomial_roots", "polynomial_criterion_holds",
     "DEFAULT_RESIDUAL_TOL", "DEFAULT_GRID", "log_grid",
 ]
 
-DEFAULT_RESIDUAL_TOL = 1e-9
-DEFAULT_GRID = 10_000             # log-grid size of the positivity and residual scans
+DEFAULT_RESIDUAL_TOL = 1e-9       # the scans' relative tolerance
+DEFAULT_GRID = 10_000             # the scans' log-grid size
 
 _ROLES = {
     "primal": ("G", "w", "W"),
@@ -144,12 +149,13 @@ def residual_terms(p: PairSpec) -> list[Expr]:
     ]
 
 
+def _sum(terms):
+    """The left-to-right sum of terms, or of their values."""
+    return functools.reduce(operator.add, terms)
+
+
 def residual_expr(p: PairSpec) -> Expr:
-    terms = residual_terms(p)
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = acc + term
-    return acc
+    return _sum(residual_terms(p))
 
 
 def _vH_prime(p: PairSpec) -> Expr:
@@ -159,26 +165,24 @@ def _vH_prime(p: PairSpec) -> Expr:
     return (v * H).diff()
 
 
-def e1_expr(p: PairSpec) -> Expr:
-    """(vH)' + vH (L - 2 ct): the side condition gating the radial-gradient bound."""
-    H, v = p.expr("H"), p.expr("v")
-    return _vH_prime(p) + v * H * (_big_l_expr() - 2.0 * _ct_expr())
-
-
-def e2_expr(p: PairSpec) -> Expr:
-    """2 (vH)' + vH (H - 2 ct): the side condition gating the full-gradient bound."""
-    H, v = p.expr("H"), p.expr("v")
-    return 2.0 * _vH_prime(p) + v * H * (H - 2.0 * _ct_expr())
-
-
 def e1_terms(p: PairSpec) -> list[Expr]:
+    """(vH)' + vH (L - 2 ct): the side condition gating the radial-gradient bound."""
     H, v = p.expr("H"), p.expr("v")
     return [_vH_prime(p), v * H * _big_l_expr(), Const(-2.0) * v * H * _ct_expr()]
 
 
 def e2_terms(p: PairSpec) -> list[Expr]:
+    """2 (vH)' + vH (H - 2 ct): the side condition gating the full-gradient bound."""
     H, v = p.expr("H"), p.expr("v")
     return [Const(2.0) * _vH_prime(p), v * H * H, Const(-2.0) * v * H * _ct_expr()]
+
+
+def e1_expr(p: PairSpec) -> Expr:
+    return _sum(e1_terms(p))
+
+
+def e2_expr(p: PairSpec) -> Expr:
+    return _sum(e2_terms(p))
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +223,14 @@ def dual_to_primal(p: PairSpec, sf: SpaceForm) -> PairSpec:
 # Bessel constructions
 
 
-def _check_verified(p: PairSpec, n: Optional[int] = None, tol: float = 1e-6,
-                    t_range: tuple[float, float] = (1e-3, None)) -> None:
+def _check_verified(p: PairSpec, n: int, tol: float = 1e-6) -> None:
     R = float(p.params.get("R", 1.0))
-    lo = t_range[0] * R
-    hi = (t_range[1] or 0.999) * R
-    worst = relative_report(residual_terms(p), p.bindings(n=n), grid=32,
-                            t_lo=lo, t_hi=hi).max_abs_relative
-    if not worst <= tol:   # a NaN (from infinite terms) is not verified either
-        raise ValueError(
-            f"input {p.kind} is not verified: relative residual {worst:.3e} > {tol:.0e}")
+    sf = SpaceForm(n, 0.0, R)
+    scan = scan_positivity(residual_terms(p), sf, grid=32, t_lo=1e-3 * R, t_hi=0.999 * R,
+                           bindings=p.bindings(sf), tol=tol)
+    if not scan.equality:   # a NaN (inf - inf between terms) is not verified either
+        raise ValueError(f"input {p.kind} is not verified: relative residual "
+                         f"{scan.max_abs_relative:.3e} > {tol:.0e}")
 
 
 def from_bessel_potential(p: PairSpec, variant: str, n: int) -> PairSpec:
@@ -241,7 +243,7 @@ def from_bessel_potential(p: PairSpec, variant: str, n: int) -> PairSpec:
     All three satisfy their defining relation with equality.
     """
     p.require("bessel-potential")
-    _check_verified(p)
+    _check_verified(p, n)
     t = Var()
     z, Z, c = p.expr("z"), p.expr("Z"), p.constant
     params = dict(p.params)
@@ -269,7 +271,7 @@ def from_bessel_pair(p: PairSpec, n: int) -> PairSpec:
     p.require("bessel-pair")
     if "y" not in p.exprs:
         raise ValueError("bessel-pair spec carries no explicit y")
-    _check_verified(p, n=n)
+    _check_verified(p, n)
     y, X, Y = p.expr("y"), p.expr("X"), p.expr("Y")
     G = -(y.diff() / y)
     W = Const(p.constant) * Y / X
@@ -289,7 +291,7 @@ def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int) -> tuple[PairSp
     p.require("bessel-potential")
     if lam >= n - 2:
         raise ValueError(f"need lambda < n-2, got lambda={lam}, n={n}")
-    _check_verified(p)
+    _check_verified(p, n)
     t = Var()
     z, Z, c = p.expr("z"), p.expr("Z"), p.constant
     # spot check f = Z'/Z + lam/t >= 0 (the decay of t f is the caller's assertion)
@@ -333,13 +335,13 @@ class Scan:
     boundary_limit_R: Optional[float] = None
     boundary_limit_0: Optional[float] = None
     sign_changes: tuple = ()       # refined brackets (t1, t2) with f(t1) f(t2) < 0
-    max_abs_relative: Optional[float] = None   # relative scans only
+    max_abs_relative: Optional[float] = None   # grid scans only
     grid_size: int = 0
     tol: float = 0.0
 
     @property
     def equality(self) -> bool:
-        """max relative |residual| <= tol over the grid (relative scans)."""
+        """max |sum| / (1 + sum |term|) <= tol over the grid (grid scans)."""
         return self.max_abs_relative is not None and self.max_abs_relative <= self.tol
 
 
@@ -543,12 +545,13 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, rtol, max_steps,
 # positivity scanning
 
 
-def _richardson_limit(f: Expr, bindings: dict, points: Sequence[float]):
-    """Extrapolate f along a geometrically converging sequence of points."""
+def _richardson_limit(program: ex.Program, bindings: dict, points: Sequence[float]):
+    """Extrapolate the sum of the terms along a geometrically converging
+    sequence of points."""
     vals = []
     for t in points:
         try:
-            vals.append(float(f.evaluate({**bindings, "t": t})))
+            vals.append(float(_sum(program.evaluate({**bindings, "t": t}))))
         except ex.EvaluationError:
             return None
     if any(math.isnan(v) or math.isinf(v) for v in vals):
@@ -564,41 +567,55 @@ def _richardson_limit(f: Expr, bindings: dict, points: Sequence[float]):
     return table[0]
 
 
-def scan_positivity(f: Expr, sf: SpaceForm, grid: int = DEFAULT_GRID, refine: int = 60,
-                    t_lo: Optional[float] = None, t_hi: Optional[float] = None,
-                    bindings: Optional[dict] = None,
-                    tol: float = 1e-11, target: str = "f") -> Scan:
-    """Scan f >= 0 on a log-spaced grid over scan_range(sf) unless t_lo/t_hi
-    are given, refine sign changes by bisection, and extrapolate the
-    boundary limits.
+def scan_positivity(terms: Sequence[Expr], sf: SpaceForm, grid: int = DEFAULT_GRID,
+                    refine: int = 60, t_lo: Optional[float] = None,
+                    t_hi: Optional[float] = None, bindings: Optional[dict] = None,
+                    tol: float = DEFAULT_RESIDUAL_TOL, target: str = "f") -> Scan:
+    """Scan sum(terms) >= 0 on a log-spaced grid over scan_range(sf) unless
+    t_lo/t_hi are given, refine sign changes by bisection, and extrapolate
+    both boundary limits.  A raw function is a single term.
 
-    The verdict is sound, not complete: "violated" always exhibits a strictly
-    negative sample; "nonnegative" means no sample fell below -tol*scale and
-    the t -> R limit does not look negative.
+    The terms are compiled into one program.  Each sample is judged relative
+    to its local magnitude 1 + sum |term|, so exact cancellations register as
+    zero instead of as rounding noise: it is negative when the sum is below
+    -tol times that magnitude or is -inf, and undecided when the sum is NaN
+    (inf - inf between terms).  The verdict is sound, not complete:
+    "violated" always exhibits a negative sample; "inconclusive" means some
+    sample was undecided; "nonnegative" means no sample was negative and the
+    t -> R limit does not look negative.  min and argmin are the sum at the
+    least relative value.
     """
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2, got {grid}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     default_lo, default_hi = scan_range(sf)
     lo = t_lo if t_lo is not None else default_lo
     hi = t_hi if t_hi is not None else default_hi
     b = dict(bindings or {})
     b.setdefault("n", float(sf.n))
     b.setdefault("kappa", float(sf.kappa))
+    program = ex.Program(tuple(terms))
 
     ts = log_grid(lo, hi, grid)
-    vals = np.broadcast_to(np.asarray(f.evaluate({**b, "t": ts}), dtype=float), ts.shape)
-    i_min = int(np.nanargmin(vals))
-    min_value, argmin = float(vals[i_min]), float(ts[i_min])
-    # violation tolerance is local: a sample counts as negative only when it
-    # clears tol relative to its own magnitude (cancellation noise does not)
-    violated = bool(np.any(vals < -tol * (1.0 + np.abs(vals))))
+    vals = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+            for v in program.evaluate({**b, "t": ts})]
+    with np.errstate(all="ignore"):   # inf - inf and inf/inf are handled below
+        total = _sum(vals)
+        rel = np.where(np.isinf(total), np.sign(total),
+                       total / sum((np.abs(v) for v in vals), 1.0))
+    undecided = np.isnan(rel)
+    i_min = int(np.argmin(np.where(undecided, np.inf, rel)))
+    sign = np.where(rel > tol, 1, np.where(rel < -tol, -1, 0))
 
     brackets = []
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     for i in flips[:16]:
         a_, b_ = float(ts[i]), float(ts[i + 1])
-        fa = float(vals[i])
+        fa = float(total[i])
         for _ in range(refine):
             m = 0.5 * (a_ + b_)
-            fm = float(f.evaluate({**b, "t": m}))
+            fm = float(_sum(program.evaluate({**b, "t": m})))
             if fm == 0.0:
                 break  # keep the last strict bracket
             if fa * fm < 0:
@@ -609,58 +626,20 @@ def scan_positivity(f: Expr, sf: SpaceForm, grid: int = DEFAULT_GRID, refine: in
 
     limit_R = None
     if math.isfinite(sf.R):
-        pts = [sf.R * (1.0 - 2.0 ** (-j)) for j in range(6, 14)]
-        limit_R = _richardson_limit(f, b, pts)
-    pts0 = [lo * 2.0 ** (-j) for j in range(0, 8)]
-    limit_0 = _richardson_limit(f, b, pts0)
+        limit_R = _richardson_limit(program, b, [sf.R * (1.0 - 2.0 ** (-j))
+                                                 for j in range(6, 14)])
+    limit_0 = _richardson_limit(program, b, [lo * 2.0 ** (-j) for j in range(0, 8)])
 
-    if violated:
+    if undecided.any():
+        verdict = "inconclusive"
+    elif (sign < 0).any():
         verdict = "violated"
     elif limit_R is not None and limit_R < -1e-6 * (1.0 + abs(limit_R)):
         verdict = "inconclusive-near-boundary"
     else:
         verdict = "nonnegative"
-    return Scan(target, verdict, min_value, argmin, limit_R, limit_0, tuple(brackets),
-                grid_size=grid, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# residual reports
-
-
-def relative_report(terms: Sequence[Expr], bindings: dict, target: str = "terms",
-                    grid: int = DEFAULT_GRID, t_lo: float = 1e-6, t_hi: float = 1e3,
-                    tol: float = DEFAULT_RESIDUAL_TOL) -> Scan:
-    """Evaluate sum(terms) on a log grid relative to the local magnitude
-    max(1, sum |term_i|); exact cancellations then register as zero instead
-    of as rounding noise.  The scan is nonnegative when the least relative
-    value is >= -tol; its min and argmin are those of the plain sum."""
-    ts = log_grid(t_lo, t_hi, grid)
-    b = dict(bindings, t=ts)
-    total = None
-    scale = np.ones_like(ts)
-    # infinite terms make inf - inf and inf/inf: NaN, which the callers
-    # treat as not verified, so numpy's warnings about it are noise
-    with np.errstate(all="ignore"):
-        for term in terms:
-            v = np.broadcast_to(np.asarray(term.evaluate(b), dtype=float), ts.shape)
-            total = v if total is None else total + v
-            scale = scale + np.abs(v)
-        rel = total / scale
-    i = int(np.argmin(rel))
-    verdict = "nonnegative" if np.min(rel) >= -tol else "violated"
-    return Scan(target, verdict, float(total[i]), float(ts[i]),
-                max_abs_relative=float(np.max(np.abs(rel))), grid_size=grid, tol=tol)
-
-
-def residual_report(p: PairSpec, sf: Optional[SpaceForm] = None,
-                    grid: int = DEFAULT_GRID, t_lo: float = 1e-6, t_hi: float = 1e3,
-                    n: Optional[int] = None, tol: float = DEFAULT_RESIDUAL_TOL,
-                    target: str = "residual") -> Scan:
-    """Evaluate the defining residual on a log grid, relative to the local
-    magnitude max(1, sum |terms|)."""
-    return relative_report(residual_terms(p), p.bindings(sf, n=n), target=target,
-                           grid=grid, t_lo=t_lo, t_hi=t_hi, tol=tol)
+    return Scan(target, verdict, float(total[i_min]), float(ts[i_min]), limit_R, limit_0,
+                tuple(brackets), float(np.max(np.abs(rel))), grid, tol)
 
 
 # ---------------------------------------------------------------------------

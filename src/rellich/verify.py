@@ -302,32 +302,29 @@ def generate_batch(sf: SpaceForm, batch: BatchSpec) -> list[RadialTestFunction]:
     return out
 
 
-def _dual_scans(p: PairSpec, sf: SpaceForm, grid: int, side: str) -> list[Scan]:
-    """v, V, the residual and E1 or E2 of a dual pair.  The residual and the
-    side condition are relative to the local term magnitude: an equality pair
-    cancels terms of order 1/t^4 near 0, and an identically vanishing E2
-    must still gate, so the raw difference would be noise."""
+def _scans(p: PairSpec, sf: SpaceForm, grid: int, tol: float, rows) -> list[Scan]:
+    """One scan of p per (target, terms) row, all over scan_range(sf)."""
     b = p.bindings(sf)
-    lo, hi = pr.scan_range(sf)
-    terms = pr.e1_terms(p) if side == "E1" else pr.e2_terms(p)
-    return [pr.scan_positivity(p.expr("v"), sf, grid=grid, bindings=b, target="v"),
-            pr.scan_positivity(p.expr("V"), sf, grid=grid, bindings=b, target="V"),
-            pr.residual_report(p, sf, grid=grid, t_lo=lo, t_hi=hi),
-            pr.relative_report(terms, b, target=side, grid=grid, t_lo=lo, t_hi=hi)]
+    return [pr.scan_positivity(terms, sf, grid=grid, bindings=b, tol=tol, target=target)
+            for target, terms in rows]
 
 
-def _side_condition_scans(case: InequalityCase, grid: int):
+def _dual_scans(p: PairSpec, sf: SpaceForm, grid: int, tol: float, side: str) -> list[Scan]:
+    """v, V, the residual and E1 or E2 of a dual pair."""
+    side_terms = pr.e1_terms(p) if side == "E1" else pr.e2_terms(p)
+    return _scans(p, sf, grid, tol, [("v", [p.expr("v")]), ("V", [p.expr("V")]),
+                                     ("residual", pr.residual_terms(p)),
+                                     (side, side_terms)])
+
+
+def _side_condition_scans(case: InequalityCase, grid: int, tol: float):
     if case.shape in ("delta-vs-gradrad", "delta-vs-grad"):
         side = "E1" if case.shape == "delta-vs-gradrad" else "E2"
-        return _dual_scans(case.dual.require("dual"), case.sf, grid, side), []
+        return _dual_scans(case.dual.require("dual"), case.sf, grid, tol, side), []
     p = case.primal.require("primal")
-    b = p.bindings(case.sf)
-    lo, hi = pr.scan_range(case.sf)
     w_target = "W(signed-override)" if p.allow_signed_W else "W"
-    scans = [pr.scan_positivity(p.expr("w"), case.sf, grid=grid, bindings=b, target="w"),
-             pr.scan_positivity(p.expr("W"), case.sf, grid=grid, bindings=b,
-                                target=w_target),
-             pr.residual_report(p, case.sf, grid=grid, t_lo=lo, t_hi=hi)]
+    scans = _scans(p, case.sf, grid, tol, [("w", [p.expr("w")]), (w_target, [p.expr("W")]),
+                                           ("residual", pr.residual_terms(p))])
     notes = ["signed-W override engaged: W positivity not gating"] if p.allow_signed_W else []
     return scans, notes
 
@@ -338,7 +335,8 @@ def _gating(scans: Sequence[Scan]) -> bool:
 
 
 def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
-                grid: int = pr.DEFAULT_GRID) -> VerificationReport:
+                grid: int = pr.DEFAULT_GRID,
+                tol: float = pr.DEFAULT_RESIDUAL_TOL) -> VerificationReport:
     """Run the side-condition scans, then check the inequality on the batch.
 
     Verdict: "fail" if any margin < -budget; otherwise "pass" when every
@@ -347,9 +345,9 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
     inequality is false).
     """
     if case.shape == "chain":
-        return verify_chain(case.chain, case.sf, case.batch,
-                            quad_tol=quad_tol, grid=grid, case_id=case.case_id)
-    scans, notes = _side_condition_scans(case, grid)
+        return verify_chain(case.chain, case.sf, case.batch, quad_tol=quad_tol,
+                            grid=grid, tol=tol, case_id=case.case_id)
+    scans, notes = _side_condition_scans(case, grid, tol)
     tests = []
     delta = case.shape in ("delta-vs-gradrad", "delta-vs-grad")
     spec = case.dual if delta else case.primal
@@ -427,19 +425,19 @@ def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm,
 
 def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
                  quad_tol: float = DEFAULT_QUAD_TOL, grid: int = pr.DEFAULT_GRID,
+                 tol: float = pr.DEFAULT_RESIDUAL_TOL,
                  case_id: str = "chain") -> VerificationReport:
     """Verify every link and the end-to-end inequality
     integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2 per test."""
     check_chain_composition(chain, sf)
     dual = chain.dual
     db = dual.bindings(sf)
-    scans = _dual_scans(dual, sf, grid, "E1")
+    scans = _dual_scans(dual, sf, grid, tol, "E1")
     notes: list[str] = []
-    lo, hi = pr.scan_range(sf)
     for link in chain.links:
         if link.spec.kind == "primal":
-            scans.append(pr.residual_report(link.spec, sf, grid=grid, t_lo=lo, t_hi=hi,
-                                            target=f"{link.label}-residual"))
+            scans += _scans(link.spec, sf, grid, tol,
+                            [(f"{link.label}-residual", pr.residual_terms(link.spec))])
             if link.spec.allow_signed_W:
                 notes.append(f"{link.label}: signed-W override engaged")
         else:

@@ -43,6 +43,11 @@ def _finish(criterion: str, ok: bool, detail: str):
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def _residual_scan(spec, sf, **kwargs):
+    return pr.scan_positivity(pr.residual_terms(spec), sf, bindings=spec.bindings(sf),
+                              **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # 1. equality identities
 
@@ -50,7 +55,7 @@ def _finish(criterion: str, ok: bool, detail: str):
 class TestCriterion1:
     def _check(self, spec, sf, label, budget_s=1.0):
         t0 = time.perf_counter()
-        rep = pr.residual_report(spec, sf, grid=10_000, t_lo=1e-6, t_hi=1e3)
+        rep = _residual_scan(spec, sf, grid=10_000, t_lo=1e-6, t_hi=1e3)
         elapsed = time.perf_counter() - t0
         ok = rep.max_abs_relative <= 1e-9 and elapsed < budget_s
         return ok, rep.max_abs_relative, elapsed
@@ -179,8 +184,8 @@ class TestCriterion4:
         worst_pot = 0.0
         for k in (1, 2, 3):
             entry = cat.iterated_log_potential(k, 1.0)
-            rep = pr.residual_report(entry.specs["potential"], grid=4000,
-                                     t_lo=1e-6, t_hi=0.9999)
+            rep = _residual_scan(entry.specs["potential"], SpaceForm(5, 0.0, 1.0),
+                                 grid=4000, t_lo=1e-6, t_hi=0.9999)
             worst_pot = max(worst_pot, rep.max_abs_relative)
         ok = worst_pot <= 1e-9
 
@@ -189,18 +194,19 @@ class TestCriterion4:
         worst_41 = 0.0
         for variant in ("i", "ii", "iii"):
             spec = pr.from_bessel_potential(pot, variant, n)
-            rep = pr.residual_report(spec, SpaceForm(n, 0.0, 1.0), grid=4000,
-                                     t_lo=1e-6, t_hi=0.9999, n=n)
+            rep = _residual_scan(spec, SpaceForm(n, 0.0, 1.0), grid=4000,
+                                 t_lo=1e-6, t_hi=0.9999)
             worst_41 = max(worst_41, rep.max_abs_relative)
         pair_i = pr.from_bessel_potential(pot, "i", n)
         primal_iv = pr.from_bessel_pair(pair_i, n)
-        rep = pr.residual_report(primal_iv, SpaceForm(n, 0.0, 1.0), grid=4000,
-                                 t_lo=1e-6, t_hi=0.9999, n=n)
+        rep = _residual_scan(primal_iv, SpaceForm(n, 0.0, 1.0), grid=4000,
+                             t_lo=1e-6, t_hi=0.9999)
         worst_41 = max(worst_41, rep.max_abs_relative)
         ok = ok and worst_41 <= 1e-9
 
         first, _second = pr.bessel_pairs_from_potential(pot, 2.0, n)
-        rep42 = pr.residual_report(first, grid=4000, t_lo=1e-6, t_hi=0.9999, n=n)
+        rep42 = _residual_scan(first, SpaceForm(n, 0.0, 1.0), grid=4000,
+                               t_lo=1e-6, t_hi=0.9999)
         ok = ok and rep42.max_abs_relative <= 1e-10
 
         t_ode = time.perf_counter()
@@ -240,7 +246,7 @@ def _ell_e1_scan(n, k, t_lo=1e-5):
     entry = cat.ell_potential(k, 1.0)
     dual = pr.from_bessel_potential(entry.specs["potential"], "iii", n)
     sf = SpaceForm(n, 0.0, 1.0)
-    return pr.scan_positivity(pr.e1_expr(dual), sf, grid=4000, t_lo=t_lo,
+    return pr.scan_positivity(pr.e1_terms(dual), sf, grid=4000, t_lo=t_lo,
                               t_hi=1.0, bindings=dual.bindings(sf))
 
 

@@ -10,6 +10,11 @@ from rellich import pairs as pr
 from rellich.geometry import SpaceForm
 
 
+def _residual_scan(spec, sf, **kwargs):
+    return pr.scan_positivity(pr.residual_terms(spec), sf, bindings=spec.bindings(sf),
+                              **kwargs)
+
+
 class TestClassical:
     def test_chain_constants(self):
         e6 = cat.classical_euclidean(6)
@@ -26,7 +31,7 @@ class TestClassical:
             entry = cat.classical_euclidean(n)
             sf = SpaceForm(n, 0.0)
             for name in ("dual", "primal", "hardy"):
-                rep = pr.residual_report(entry.specs[name], sf, grid=100)
+                rep = _residual_scan(entry.specs[name], sf, grid=100)
                 assert rep.equality, name
 
 
@@ -119,7 +124,7 @@ class TestEllFamily:
         entry = cat.ell_potential(6, 1.0)
         dual = pr.from_bessel_potential(entry.specs["potential"], "iii", 5)
         sf = SpaceForm(5, 0.0, 1.0)
-        rep = pr.scan_positivity(pr.e1_expr(dual), sf, grid=3000,
+        rep = pr.scan_positivity(pr.e1_terms(dual), sf, grid=3000,
                                  t_lo=1e-5, t_hi=1.0, bindings=dual.bindings(sf))
         assert rep.verdict == "violated"
 
@@ -183,7 +188,7 @@ class TestHyperbolicInterpolation:
         for tv in (0.1, 1.0, 10.0):
             got = r.evaluate(d.bindings(sf, tv))
             assert abs(got) <= 1e-9 * (1.0 + 1.0 / tv ** 2)
-        rep = pr.scan_positivity(pr.e1_expr(entry.specs["dual"]), sf, grid=2000,
+        rep = pr.scan_positivity(pr.e1_terms(entry.specs["dual"]), sf, grid=2000,
                                  t_lo=1e-4, t_hi=100.0,
                                  bindings=entry.specs["dual"].bindings(sf))
         assert rep.verdict == "nonnegative"
@@ -214,7 +219,7 @@ class TestHyperbolicLower:
         sf = SpaceForm(5, 1.0)
         for which in (1, 3):
             entry = cat.hyperbolic_lower(5, 1.0, which)
-            rep = pr.residual_report(entry.specs["primal"], sf, grid=200)
+            rep = _residual_scan(entry.specs["primal"], sf, grid=200)
             assert rep.equality, which
 
     def test_third_coefficients(self):

@@ -19,6 +19,55 @@ def _run(tmp_path, *argv):
     return code, report
 
 
+# the catalog pairs whose defining residual holds with equality
+_EQUALITY_CASES = (
+    [f"--catalog classical-rellich --n {n}" for n in (5, 6, 7, 8)]
+    + [f"--catalog iterlog --k {k} --n {n} --R 1" for k in (1, 2, 3) for n in (5, 6)]
+    + [f"--catalog ell-family --k {k} --n {n} --R 1" for k in range(1, 7) for n in (5, 6)]
+    + [f"--catalog {entry} --n 5 --kappa 1" for entry in
+       ("hyp-interp", "hyp-lower-1", "hyp-lower-2", "hyp-lower-3", "hyp-final")])
+
+
+class TestOneScanner:
+    @pytest.mark.parametrize("source", _EQUALITY_CASES)
+    def test_residual_scan_agrees_with_check_pair(self, tmp_path, source):
+        scan, _ = _run(tmp_path, "scan", *source.split(), "--target", "residual")
+        check, _ = _run(tmp_path, "check-pair", *source.split())
+        assert scan == check == EXIT_PASS
+
+    @pytest.mark.parametrize("source", ["--catalog classical-rellich --n 6",
+                                        "--catalog hyp-interp --n 5 --kappa 1"])
+    def test_e1_row_is_the_verify_row(self, tmp_path, source):
+        _, scanned = _run(tmp_path, "scan", *source.split(), "--target", "E1")
+        _, verified = _run(tmp_path, "verify", *source.split(),
+                           "--shape", "delta-vs-gradrad", "--tests", "1")
+        row = next(s for s in verified["scans"] if s["target"] == "E1")
+        assert scanned["scans"] == [row]
+
+    def test_overflowed_negative_sample_is_a_violation(self, tmp_path):
+        code, rep = _run(tmp_path, "scan", "--n", "5", "--R", "1", "--H", "n/(2*t)",
+                         "--v", "1", "--V=-exp(1000/t)", "--target", "V")
+        assert code == EXIT_FAIL
+        assert rep["scans"][0]["verdict"] == "violated"
+
+    @pytest.mark.parametrize("knob", ["--grid 0", "--grid 1", "--tol -1", "--tol nan",
+                                      "--tol inf"])
+    def test_bad_scan_knob_is_a_usage_error(self, tmp_path, capsys, knob):
+        name, value = knob.split()
+        code, _ = _run(tmp_path, "check-pair", "--catalog", "classical-rellich",
+                       "--n", "6", name, value)
+        assert code == EXIT_USAGE
+        assert name[2:] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check-pair", "scan --target residual",
+                                         "solve-bessel"])
+    def test_iterlog_depth_beyond_float_range(self, tmp_path, capsys, command):
+        code, _ = _run(tmp_path, *command.split(), "--catalog", "iterlog", "--k", "4",
+                       "--R", "1")
+        assert code == EXIT_USAGE
+        assert "k <= 3" in capsys.readouterr().err
+
+
 class TestCheckPair:
     def test_classical_passes_with_equality(self, tmp_path):
         code, rep = _run(tmp_path, "check-pair", "--catalog", "classical-rellich",

@@ -296,9 +296,28 @@ class TestCompiledEvaluator:
 
     def test_program_size_and_live_values(self):
         e, _ = _ell_e1(6)
-        program = ex._Program(e)
+        program = ex.Program((e,))
         assert len(program.code) <= 300
         assert program.width <= 20
+
+    def test_program_gives_each_root_its_own_value(self):
+        dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
+                                        "iii", 5)
+        terms = pr.e1_terms(dual)
+        # a repeated root, a root inside another root, and a constant root
+        roots = (*terms, pr.e1_expr(dual), terms[0], dual.expr("H"), Const(2.0))
+        program = ex.Program(roots)
+        b = dual.bindings(SpaceForm(5, 0.0, 1.0))
+        for t in (0.3, pr.log_grid(1e-5, 0.999, 500), mpmath.mpf("0.3")):
+            bt = {**b, "t": t}
+            assert [_bits(v) for v in program.evaluate(bt)] == [
+                _bits(root.evaluate(bt)) for root in roots]
+
+    def test_side_condition_program_is_no_larger_than_its_sum(self):
+        dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
+                                        "iii", 5)
+        summed = ex.Program((pr.e1_expr(dual),))
+        assert len(ex.Program(tuple(pr.e1_terms(dual))).code) <= len(summed.code) == 292
 
     def test_error_is_the_first_in_left_to_right_order(self):
         # the right operand needs more live values, so it is computed first;

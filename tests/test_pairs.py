@@ -436,14 +436,14 @@ class TestScanPositivity:
     def test_classical_e1_nonnegative(self):
         n = 5
         sf = SpaceForm(n, 0.0, 10.0)
-        rep = pr.scan_positivity(pr.e1_expr(_classical_dual(n)), sf,
+        rep = pr.scan_positivity(pr.e1_terms(_classical_dual(n)), sf,
                                  grid=2000, t_lo=1e-5, t_hi=10.0)
         assert rep.verdict == "nonnegative"
         assert rep.min > 0
         assert rep.argmin == pytest.approx(10.0, rel=1e-6)  # decreasing in t
 
     def test_zero_function(self):
-        rep = pr.scan_positivity(Const(0.0), SpaceForm(5, 0.0, 1.0), grid=100)
+        rep = pr.scan_positivity([Const(0.0)], SpaceForm(5, 0.0, 1.0), grid=100)
         assert rep.verdict == "nonnegative"
         assert rep.min == 0.0
 
@@ -453,7 +453,7 @@ class TestScanPositivity:
         entry = cat.ell_potential(k, 1.0)
         dual = pr.from_bessel_potential(entry.specs["potential"], "iii", n)
         sf = SpaceForm(n, 0.0, 1.0)
-        rep = pr.scan_positivity(pr.e1_expr(dual), sf, grid=4000,
+        rep = pr.scan_positivity(pr.e1_terms(dual), sf, grid=4000,
                                  t_lo=1e-5, t_hi=1.0, bindings=dual.bindings(sf))
         assert rep.verdict == "violated"
         assert len(rep.sign_changes) >= 1
@@ -476,7 +476,7 @@ class TestScanPositivity:
         entry = cat.ell_potential(k, 1.0)
         dual = pr.from_bessel_potential(entry.specs["potential"], "iii", n)
         sf = SpaceForm(n, 0.0, 1.0)
-        rep = pr.scan_positivity(pr.e1_expr(dual), sf, grid=4000,
+        rep = pr.scan_positivity(pr.e1_terms(dual), sf, grid=4000,
                                  t_lo=0.5, t_hi=1.0, bindings=dual.bindings(sf))
         assert rep.verdict == "nonnegative"
         oracle = (-0.25 - (n - 4) / 2.0 + n * (n - 4) / 2.0 - 0.25)
@@ -485,14 +485,22 @@ class TestScanPositivity:
     def test_violated_requires_negative_sample(self):
         # a function dipping just below zero inside the range
         f = parse("(t-2)^2 - 0.01")
-        rep = pr.scan_positivity(f, SpaceForm(3, 0.0, 4.0), grid=3000,
+        rep = pr.scan_positivity([f], SpaceForm(3, 0.0, 4.0), grid=3000,
                                  t_lo=0.5, t_hi=4.0)
         assert rep.verdict == "violated"
         assert rep.min < 0
         assert len(rep.sign_changes) == 2
 
+    def test_inf_minus_inf_is_undecided(self):
+        # both terms overflow for t < 1000/709.78, where their sum is NaN
+        big = parse("exp(1000/t)")
+        rep = pr.scan_positivity([big, -big], SpaceForm(3, 0.0, 4.0), grid=100,
+                                 t_lo=1.0, t_hi=4.0)
+        assert rep.verdict == "inconclusive"
+        assert not rep.equality
+
     def test_divergent_boundary_reported_infinite(self):
-        rep = pr.scan_positivity(parse("1/t^2"), SpaceForm(3, 0.0, 2.0),
+        rep = pr.scan_positivity([parse("1/t^2")], SpaceForm(3, 0.0, 2.0),
                                  grid=500, t_lo=1e-4, t_hi=1.9)
         assert rep.boundary_limit_0 == math.inf
 
@@ -526,7 +534,8 @@ class TestPolynomialRoots:
 class TestResidualReport:
     def test_equality_flags(self):
         e = cat.classical_euclidean(6)
-        rep = pr.residual_report(e.specs["dual"], SpaceForm(6, 0.0))
+        dual, sf = e.specs["dual"], SpaceForm(6, 0.0)
+        rep = pr.scan_positivity(pr.residual_terms(dual), sf, bindings=dual.bindings(sf))
         assert rep.equality and rep.verdict == "nonnegative"
         assert rep.max_abs_relative <= 1e-9
 
