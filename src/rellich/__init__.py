@@ -14,10 +14,10 @@ from .pairs import (PairSpec, Scan, positivity_polynomial_roots,  # noqa: F401
 from .catalog import (build_entry, classical_euclidean, ell_potential,  # noqa: F401
                       final_combined, hyperbolic_interpolation,
                       hyperbolic_lower, iterated_log_potential,
-                      chain_from_potential)
+                      chain_from_potential, entry_chain)
 from .verify import (BatchSpec, InequalityCase, QuadratureResult,  # noqa: F401
-                     VerificationReport, integrate, lhs_delta_sq,
-                     rhs_weighted, verify_case, verify_chain)
+                     Sides, VerificationReport, integrate, shape_sides, side,
+                     verify_case, verify_chain)
 from .sharpness import (SharpnessEstimate, estimate_constant,  # noqa: F401
                         rayleigh_quotient)
 

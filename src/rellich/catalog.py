@@ -23,7 +23,7 @@ __all__ = [
     "CatalogEntry", "ChainLink", "ChainDescriptor",
     "classical_euclidean", "iterated_log_potential", "ell_potential",
     "hyperbolic_interpolation", "hyperbolic_lower", "final_combined",
-    "chain_from_potential", "iterlog_q_expr", "iterlog_product_bounds",
+    "chain_from_potential", "entry_chain", "iterlog_q_expr", "iterlog_product_bounds",
     "CATALOG_IDS", "build_entry",
 ]
 
@@ -487,6 +487,15 @@ def chain_from_potential(entry: CatalogEntry, n: int) -> ChainDescriptor:
             "c": c,
         },
     )
+
+
+def entry_chain(entry: CatalogEntry, n: int) -> ChainDescriptor:
+    """The entry's own chain, or the one its Bessel potential generates."""
+    if entry.chain is not None:
+        return entry.chain
+    if "potential" in entry.specs:
+        return chain_from_potential(entry, n)
+    raise ValueError(f"entry {entry.id!r} has no chain")
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
 
+# every role of every pair kind, plus the optional solution y of a Bessel pair
+_INLINE_ROLES = tuple(r for roles in pr.ROLES.values() for r in roles) + ("y",)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -76,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=pr.DEFAULT_RESIDUAL_TOL)
         sp.add_argument("--output", "-o", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        for role in ("G", "w", "W", "H", "v", "V", "z", "Z", "y", "X", "Y"):
+        for role in _INLINE_ROLES:
             sp.add_argument(f"--{role}", dest=f"expr_{role}", metavar="DSL",
                             help=f"inline expression for {role}")
         if batch:
@@ -121,21 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
 # pair sources
 
 
-_INLINE_KINDS = (
-    ("primal", ("G", "w", "W")),
-    ("dual", ("H", "v", "V")),
-    ("bessel-potential", ("z", "Z")),
-    ("bessel-pair", ("X", "Y")),
-)
-
-
 def _inline_pair(args) -> Optional[PairSpec]:
-    provided = {role: getattr(args, f"expr_{role}", None)
-                for role in ("G", "w", "W", "H", "v", "V", "z", "Z", "y", "X", "Y")}
+    provided = {role: getattr(args, f"expr_{role}", None) for role in _INLINE_ROLES}
     provided = {k: v for k, v in provided.items() if v is not None}
     if not provided:
         return None
-    for kind, roles in _INLINE_KINDS:
+    for kind, roles in pr.ROLES.items():
         if all(r in provided for r in roles):
             exprs = {r: parse(provided[r]) for r in roles}
             if kind == "bessel-pair" and "y" in provided:
@@ -150,7 +144,7 @@ def _inline_pair(args) -> Optional[PairSpec]:
             return PairSpec(kind=kind, exprs=exprs, constant=constant, params=params)
     raise ValueError(
         "inline expressions do not form a complete pair "
-        "(need G,w,W | H,v,V | z,Z | X,Y)")
+        f"(need {' | '.join(','.join(roles) for roles in pr.ROLES.values())})")
 
 
 def _resolve(args):
@@ -338,7 +332,8 @@ def _cmd_scan(args):
 
 
 def _batch(args) -> vf.BatchSpec:
-    modes = tuple(int(m) for m in str(args.modes).split(","))
+    # anything but a plain integer stays text, for BatchSpec to reject
+    modes = tuple(int(m) if m.strip().isdecimal() else m for m in args.modes.split(","))
     return vf.BatchSpec(count=args.tests, seed=args.seed, modes=modes)
 
 
@@ -347,13 +342,13 @@ def _cmd_verify(args):
     shape = args.shape or (entry.default_shape if entry else None)
     specs = _entry_specs(entry, spec)
     if shape is None:
-        shape = {"dual": "delta-vs-gradrad", "primal": "gradrad-vs-usq",
-                 "bessel-potential": "delta-vs-gradrad"}.get(
-            next(iter(specs.values())).kind, "delta-vs-gradrad")
+        kind = next(iter(specs.values())).kind
+        shape = next((s for s, row in vf.SHAPES.items() if row.kind == kind),
+                     "delta-vs-gradrad")
     if shape == "chain":
         return _cmd_chain(args)
     dual = primal = None
-    if shape in ("delta-vs-gradrad", "delta-vs-grad"):
+    if vf.SHAPES[shape].kind == "dual":
         dual = _dual_of(entry, spec, sf)
     elif "primal" in specs:
         primal = specs["primal"]
@@ -372,12 +367,7 @@ def _cmd_chain(args):
     entry, spec, sf = _resolve(args)
     if entry is None:
         raise ValueError("chain verification needs a catalog entry")
-    if entry.chain is not None:
-        chain = entry.chain
-    elif "potential" in entry.specs:
-        chain = cat.chain_from_potential(entry, sf.n)
-    else:
-        raise ValueError(f"entry {entry.id!r} has no chain")
+    chain = cat.entry_chain(entry, sf.n)
     rep = vf.verify_chain(chain, sf, _batch(args), quad_tol=args.quad_tol,
                           grid=args.grid, tol=args.tol, case_id=chain.label)
     config = _config_dict(args, {"notes": list(rep.notes), **rep.config})
@@ -413,7 +403,9 @@ def _cmd_estimate(args):
                                budget=args.budget, seed=args.seed,
                                tol=args.quad_tol)
     verdict = "pass"
-    if claimed is not None and est.estimate < claimed - 1e-6:
+    if not math.isfinite(est.estimate):
+        verdict = "inconclusive"  # no probe gave a finite quotient
+    elif claimed is not None and est.estimate < claimed - 1e-6:
         verdict = "fail"  # an estimate below a certified constant flags a bug
     config = _config_dict(args, {
         "estimate": est.estimate, "claimed": est.claimed,
@@ -476,6 +468,9 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         verdict, report = _HANDLERS[args.command](args)
+    except vf.NonconvergenceError as exc:
+        sys.stderr.write(f"rellich: inconclusive at --quad-tol {args.quad_tol:g}: {exc}\n")
+        return EXIT_INCONCLUSIVE
     except (ValueError, ExprError) as exc:
         sys.stderr.write(f"rellich: {exc}\n")
         return EXIT_USAGE

@@ -32,7 +32,7 @@ from .expr import Const, Expr, Param, Unary, Var
 from .geometry import SpaceForm
 
 __all__ = [
-    "PairSpec", "Scan", "DisconjugacyReport",
+    "PairSpec", "Scan", "DisconjugacyReport", "ROLES",
     "residual_terms", "residual_expr", "e1_expr", "e2_expr", "e1_terms", "e2_terms",
     "primal_to_dual", "dual_to_primal",
     "from_bessel_potential", "from_bessel_pair", "bessel_pairs_from_potential",
@@ -44,7 +44,7 @@ __all__ = [
 DEFAULT_RESIDUAL_TOL = 1e-9       # the scans' relative tolerance
 DEFAULT_GRID = 10_000             # the scans' log-grid size
 
-_ROLES = {
+ROLES = {
     "primal": ("G", "w", "W"),
     "dual": ("H", "v", "V"),
     "bessel-potential": ("z", "Z"),
@@ -67,9 +67,9 @@ class PairSpec:
     logd: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _ROLES:
+        if self.kind not in ROLES:
             raise ValueError(f"unknown pair kind {self.kind!r}")
-        missing = [r for r in _ROLES[self.kind] if r not in self.exprs]
+        missing = [r for r in ROLES[self.kind] if r not in self.exprs]
         if missing:
             raise ValueError(f"{self.kind} spec is missing roles {missing}")
         for role, e in self.exprs.items():

@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .catalog import CatalogEntry, ChainDescriptor, chain_from_potential
-from .expr import Const, Expr
+from .catalog import CatalogEntry, entry_chain
 from .geometry import SpaceForm, make_powerlaw
-from .pairs import PairSpec
-from .verify import (DEFAULT_QUAD_TOL, NonconvergenceError, batch_domain,
-                     lhs_delta_sq, rhs_weighted)
+from .verify import (DEFAULT_QUAD_TOL, SHAPES, NonconvergenceError, Sides,
+                     batch_domain, shape_sides)
 
 __all__ = [
     "SharpnessEstimate", "DegenerateTestFunctionError",
@@ -26,7 +24,6 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SHAPE_KIND = {"delta-vs-gradrad": "dual", "gradrad-vs-usq": "primal"}
 
 
 class DegenerateTestFunctionError(ValueError):
@@ -43,33 +40,11 @@ class SharpnessEstimate:
     label: str = "upper-bound estimate of the best constant; not a proof"
 
 
-def rayleigh_quotient(sf: SpaceForm, shape: str, pair, u,
-                      claimed: float = 1.0,
+def rayleigh_quotient(sf: SpaceForm, sides: Sides, u,
                       tol: float = DEFAULT_QUAD_TOL) -> float:
-    """LHS/RHS with the claimed constant factored out of the RHS density.
-
-    shape "delta-vs-gradrad": integral v |Delta u|^2 over integral (vV/claimed) |grad_rad u|^2
-    shape "gradrad-vs-usq":   integral w |grad_rad u|^2 over integral (wW/claimed) u^2
-    shape "chain":            integral v |Delta u|^2 over integral (end density/claimed) u^2
-    """
-    inv = Const(1.0 / claimed)
-    if shape == "delta-vs-gradrad":
-        p: PairSpec = pair.require("dual")
-        b = p.bindings(sf)
-        lhs = lhs_delta_sq(sf, p.expr("v"), u, b, tol)
-        rhs = rhs_weighted(sf, inv * p.expr("v") * p.expr("V"), u, "gradrad", b, tol)
-    elif shape == "gradrad-vs-usq":
-        p = pair.require("primal")
-        b = p.bindings(sf)
-        lhs = rhs_weighted(sf, p.expr("w"), u, "gradrad", b, tol)
-        rhs = rhs_weighted(sf, inv * p.expr("w") * p.expr("W"), u, "usq", b, tol)
-    elif shape == "chain":
-        chain: ChainDescriptor = pair
-        b = chain.dual.bindings(sf)
-        lhs = lhs_delta_sq(sf, chain.dual.expr("v"), u, b, tol)
-        rhs = rhs_weighted(sf, inv * chain.rhs_density_expr(), u, "usq", b, tol)
-    else:
-        raise ValueError(f"unknown sharpness shape {shape!r}")
+    """LHS/RHS of u on the sides of an inequality (verify.shape_sides, with the
+    claimed constant factored out of the RHS density)."""
+    lhs, rhs = sides.integrals(sf, u, tol)
     floor = 1e-14 * (abs(lhs.value) + 1.0)
     if rhs.value <= floor:
         raise DegenerateTestFunctionError("RHS integral is zero up to rounding")
@@ -90,20 +65,16 @@ def sharpness_problem(entry: CatalogEntry, shape: str, sf: SpaceForm):
             return entry.specs["hardy"], (n - 2) ** 2 / 4.0
         if shape == "chain":
             return entry.chain, n * n * (n - 4) ** 2 / 16.0
-    if shape == "chain" and entry.chain is not None:
-        return entry.chain, None
-    if shape == "chain" and "potential" in entry.specs:
-        return chain_from_potential(entry, n), None
-    if shape == "delta-vs-gradrad" and "dual" in entry.specs:
-        return entry.specs["dual"], None
-    if shape == "gradrad-vs-usq" and "primal" in entry.specs:
-        return entry.specs["primal"], None
+    if shape == "chain":
+        return entry_chain(entry, n), None
+    kind = SHAPES[shape].kind if shape in SHAPES else None
+    if kind in entry.specs:
+        return entry.specs[kind], None
     raise ValueError(f"no sharpness problem for entry {entry.id!r} / shape {shape!r}")
 
 
 def _family_box(sf: SpaceForm) -> dict:
-    lo, hi = batch_domain(sf)
-    d_hi = hi / 0.98
+    d_hi = batch_domain(sf)[1] / 0.98
     a_min = max(1e-6 * d_hi, 1e-8)
     return {
         "alpha": (-(sf.n - 1.0), 1.0),
@@ -140,16 +111,11 @@ def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] 
     never worsen the estimate).  ``seed`` is recorded for reproducibility but
     the search itself is derandomized.
     """
-    # checked once here: the probes below turn every ValueError into an
-    # infinite quotient, so a pair of the wrong kind would read as estimate inf
-    if shape == "chain" and not isinstance(pair, ChainDescriptor):
-        raise ValueError("shape chain needs a chain descriptor")
-    if shape in _SHAPE_KIND:
-        pair.require(_SHAPE_KIND[shape])
+    # built once here, outside the probes, which turn every ValueError into
+    # an infinite quotient: a pair of the wrong kind is rejected, not inf
+    sides = shape_sides(shape, pair, sf, claimed=claimed or 1.0)
     box = _family_box(sf)
-    lo, hi = batch_domain(sf)
-    d_hi = hi / 0.98
-    factored = claimed if claimed else 1.0
+    d_hi = batch_domain(sf)[1] / 0.98
     x = {
         "alpha": 0.5 * (box["alpha"][0] + box["alpha"][1]) / 2.0,
         "ln_a": 0.5 * (box["ln_a"][0] + box["ln_a"][1]),
@@ -167,7 +133,7 @@ def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] 
         if u is None:
             return math.inf
         try:
-            return rayleigh_quotient(sf, shape, pair, u, claimed=factored, tol=tol)
+            return rayleigh_quotient(sf, sides, u, tol=tol)
         except (DegenerateTestFunctionError, NonconvergenceError, ValueError,
                 OverflowError):
             return math.inf

@@ -15,16 +15,18 @@ certified-on-batch, not the universal statement.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import pairs as pr
 from .catalog import ChainDescriptor
-from .expr import Expr
+from .expr import Const, Expr
 from .geometry import (RadialTestFunction, SpaceForm, angular_eigenvalue,
                        make_bump, s_kappa, separated_laplacian, volume_weight)
 from .pairs import PairSpec, Scan
@@ -32,13 +34,12 @@ from .pairs import PairSpec, Scan
 __all__ = [
     "QuadratureResult", "InequalityCase", "BatchSpec",
     "TestRecord", "VerificationReport", "ChainMismatchError", "NonconvergenceError",
-    "integrate", "lhs_delta_sq", "rhs_weighted", "verify_case",
+    "Shape", "Sides", "integrate", "side", "shape_sides", "verify_case",
     "verify_chain", "check_chain_composition", "generate_batch", "batch_domain",
     "SHAPES", "DEFAULT_QUAD_TOL",
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
-SHAPES = ("delta-vs-gradrad", "delta-vs-grad", "gradrad-vs-usq", "chain")
 
 # Gauss-Kronrod 7-15 nodes and weights (symmetric half listed).
 _XGK = np.array([
@@ -86,7 +87,7 @@ def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         pts = mid[:, None] + half[:, None] * _NODES[None, :]
         vals = np.asarray(f(pts.ravel()), dtype=float).reshape(len(aa), 15)
         if np.any(~np.isfinite(vals)):
-            raise NonconvergenceError("non-finite integrand value")
+            raise NonconvergenceError("quadrature met a non-finite integrand value")
         k15 = (vals * _KW).sum(axis=1) * half
         g7 = (vals * _GW).sum(axis=1) * half
         return k15, np.abs(k15 - g7)
@@ -156,50 +157,90 @@ def integrate(sf: SpaceForm, density: Callable, a: float, b: float,
 # inequality sides
 
 
-def _expr_fn(e: Expr, bindings: dict) -> Callable[[np.ndarray], np.ndarray]:
-    def f(t):
-        return np.asarray(e.evaluate({**bindings, "t": t}), dtype=float)
+class Shape(NamedTuple):
+    """The pair kind a shape is stated for ("chain": a chain descriptor), the
+    roles of its weight and potential (the RHS density is their product, a
+    chain's is its end density) and the forms of u on its two sides."""
 
-    return f
-
-
-def lhs_delta_sq(sf: SpaceForm, v: Expr, u: RadialTestFunction,
-                 bindings: Optional[dict] = None,
-                 tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
-    """integral of v(rho) |Delta u|^2 dx over the support of u; bindings
-    holds v's parameters, n and kappa (PairSpec.bindings(sf))."""
-    vf = _expr_fn(v, bindings or {})
-
-    def density(t):
-        lap = separated_laplacian(sf, u, t)
-        return vf(t) * lap * lap
-
-    lo, hi = u.support
-    return integrate(sf, density, lo, hi, tol)
+    kind: str
+    weight: str
+    potential: Optional[str]
+    lhs: str
+    rhs: str
 
 
-def rhs_weighted(sf: SpaceForm, weightpotential: Expr, u: RadialTestFunction,
-                 which: str, bindings: Optional[dict] = None,
-                 tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
-    """integral of weightpotential(rho) * q(u) dx with q = |grad_rad u|^2,
-    |grad u|^2 (radial plus angular part), or u^2; bindings as for
-    lhs_delta_sq."""
-    if which not in ("gradrad", "grad", "usq"):
-        raise ValueError(f"unknown side {which!r}")
-    wf = _expr_fn(weightpotential, bindings or {})
+SHAPES = {
+    "delta-vs-gradrad": Shape("dual", "v", "V", "delta", "gradrad"),
+    "delta-vs-grad": Shape("dual", "v", "V", "delta", "grad"),
+    "gradrad-vs-usq": Shape("primal", "w", "W", "gradrad", "usq"),
+    "chain": Shape("chain", "v", None, "delta", "usq"),
+}
+
+
+def side(sf: SpaceForm, weight: Expr, u: RadialTestFunction, form: str,
+         bindings: Optional[dict] = None,
+         tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
+    """integral of weight(rho) * q(u) dx over the support of u, with q =
+    |Delta u|^2 (delta), |grad_rad u|^2 (gradrad), |grad u|^2 (grad: radial
+    plus angular part) or u^2 (usq); bindings holds the weight's parameters,
+    n and kappa (PairSpec.bindings(sf))."""
+    if form not in ("delta", "gradrad", "grad", "usq"):
+        raise ValueError(f"unknown side {form!r}")
+    bindings = bindings or {}
     mu = angular_eigenvalue(sf.n, u.l)
 
     def density(t):
-        if which == "usq":
-            q = u.value(t) ** 2
-        else:
-            q = u.dvalue(t) ** 2
-            if which == "grad" and mu:
-                q = q + mu * u.value(t) ** 2 / s_kappa(sf, t) ** 2
-        return wf(t) * q
+        w = np.asarray(weight.evaluate({**bindings, "t": t}), dtype=float)
+        if form == "delta":
+            lap = separated_laplacian(sf, u, t)
+            return w * lap * lap
+        if form == "usq":
+            return w * u.value(t) ** 2
+        q = u.dvalue(t) ** 2
+        if form == "grad" and mu:
+            q = q + mu * u.value(t) ** 2 / s_kappa(sf, t) ** 2
+        return w * q
 
     lo, hi = u.support
     return integrate(sf, density, lo, hi, tol)
+
+
+@dataclass(frozen=True)
+class Sides:
+    """The two sides of one inequality, integral of weight * lhs(u) against
+    integral of density * rhs(u), with their bindings.  Built once per batch
+    or estimate, so each expression compiles once."""
+
+    weight: Expr
+    lhs: str
+    density: Expr
+    rhs: str
+    bindings: dict
+
+    def integrals(self, sf: SpaceForm, u: RadialTestFunction,
+                  tol: float = DEFAULT_QUAD_TOL) -> tuple[QuadratureResult, QuadratureResult]:
+        return (side(sf, self.weight, u, self.lhs, self.bindings, tol),
+                side(sf, self.density, u, self.rhs, self.bindings, tol))
+
+
+def shape_sides(shape: str, pair, sf: SpaceForm,
+                claimed: Optional[float] = None) -> Sides:
+    """The sides of shape for pair, a PairSpec of the shape's kind or a chain
+    descriptor; with claimed, the right side is divided by it."""
+    if shape not in SHAPES:
+        raise ValueError(f"unknown shape {shape!r}")
+    row = SHAPES[shape]
+    if row.kind == "chain":
+        if not isinstance(pair, ChainDescriptor):
+            raise ValueError("shape chain needs a chain descriptor")
+        spec, factors = pair.dual, (pair.rhs_density_expr(),)
+    else:
+        spec = pair.require(row.kind)
+        factors = (spec.expr(row.weight), spec.expr(row.potential))
+    if claimed is not None:
+        factors = (Const(1.0 / claimed),) + factors
+    return Sides(spec.expr(row.weight), row.lhs, functools.reduce(operator.mul, factors),
+                 row.rhs, spec.bindings(sf))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +253,13 @@ class BatchSpec:
     seed: int = 42
     family: str = "bump"
     modes: tuple = (0,)
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"--tests must be a count >= 0, got {self.count}")
+        if not self.modes or not all(isinstance(l, int) and l >= 0 for l in self.modes):
+            raise ValueError("--modes must be comma-separated angular modes l >= 0, "
+                             f"got {','.join(map(str, self.modes)) or 'none'!r}")
 
 
 @dataclass(frozen=True)
@@ -229,12 +277,10 @@ class InequalityCase:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
-        if self.shape in ("delta-vs-gradrad", "delta-vs-grad") and self.dual is None:
-            raise ValueError(f"shape {self.shape} requires a dual spec")
-        if self.shape == "gradrad-vs-usq" and self.primal is None:
-            raise ValueError("shape gradrad-vs-usq requires a primal spec")
-        if self.shape == "chain" and self.chain is None:
-            raise ValueError("shape chain requires a chain descriptor")
+        kind = SHAPES[self.shape].kind
+        if getattr(self, kind) is None:
+            what = "descriptor" if kind == "chain" else "spec"
+            raise ValueError(f"shape {self.shape} requires a {kind} {what}")
         if self.shape == "delta-vs-grad" and not any(l >= 1 for l in self.batch.modes):
             raise ValueError("delta-vs-grad batches must include l >= 1 modes")
 
@@ -309,18 +355,18 @@ def _scans(p: PairSpec, sf: SpaceForm, grid: int, tol: float, rows) -> list[Scan
             for target, terms in rows]
 
 
-def _dual_scans(p: PairSpec, sf: SpaceForm, grid: int, tol: float, side: str) -> list[Scan]:
+def _dual_scans(p: PairSpec, sf: SpaceForm, grid: int, tol: float, e: str) -> list[Scan]:
     """v, V, the residual and E1 or E2 of a dual pair."""
-    side_terms = pr.e1_terms(p) if side == "E1" else pr.e2_terms(p)
+    e_terms = pr.e1_terms(p) if e == "E1" else pr.e2_terms(p)
     return _scans(p, sf, grid, tol, [("v", [p.expr("v")]), ("V", [p.expr("V")]),
-                                     ("residual", pr.residual_terms(p)),
-                                     (side, side_terms)])
+                                     ("residual", pr.residual_terms(p)), (e, e_terms)])
 
 
 def _side_condition_scans(case: InequalityCase, grid: int, tol: float):
-    if case.shape in ("delta-vs-gradrad", "delta-vs-grad"):
-        side = "E1" if case.shape == "delta-vs-gradrad" else "E2"
-        return _dual_scans(case.dual.require("dual"), case.sf, grid, tol, side), []
+    row = SHAPES[case.shape]
+    if row.kind == "dual":
+        e = "E1" if row.rhs == "gradrad" else "E2"
+        return _dual_scans(case.dual.require("dual"), case.sf, grid, tol, e), []
     p = case.primal.require("primal")
     w_target = "W(signed-override)" if p.allow_signed_W else "W"
     scans = _scans(p, case.sf, grid, tol, [("w", [p.expr("w")]), (w_target, [p.expr("W")]),
@@ -348,45 +394,31 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
         return verify_chain(case.chain, case.sf, case.batch, quad_tol=quad_tol,
                             grid=grid, tol=tol, case_id=case.case_id)
     scans, notes = _side_condition_scans(case, grid, tol)
-    tests = []
-    delta = case.shape in ("delta-vs-gradrad", "delta-vs-grad")
-    spec = case.dual if delta else case.primal
-    bindings = spec.bindings(case.sf)
-    # the weights are built once, so each compiles once for the whole batch
-    weight = spec.expr("v" if delta else "w")
-    product = weight * spec.expr("V" if delta else "W")
-    for i, u in enumerate(generate_batch(case.sf, case.batch)):
-        if delta:
-            lhs = lhs_delta_sq(case.sf, weight, u, bindings, quad_tol)
-            side = "gradrad" if case.shape == "delta-vs-gradrad" else "grad"
-            rhs = rhs_weighted(case.sf, product, u, side, bindings, quad_tol)
-        else:
-            lhs = rhs_weighted(case.sf, weight, u, "gradrad", bindings, quad_tol)
-            rhs = rhs_weighted(case.sf, product, u, "usq", bindings, quad_tol)
-        budget = lhs.error_estimate + rhs.error_estimate
-        tests.append(TestRecord(
-            id=f"t{i:03d}", params=_u_params(u),
-            lhs=lhs.value, rhs=rhs.value,
-            margin=lhs.value - rhs.value, budget=budget))
-    verdict = _verdict(tests, scans)
+    sides = shape_sides(case.shape, getattr(case, SHAPES[case.shape].kind), case.sf)
+    tests = [_record(f"t{i:03d}", u, *sides.integrals(case.sf, u, quad_tol))
+             for i, u in enumerate(generate_batch(case.sf, case.batch))]
+    return _report(case.case_id, case.sf, case.batch, scans, tests, notes,
+                   {"shape": case.shape, "quad_tol": quad_tol, "scan_grid": grid})
+
+
+def _report(case_id: str, sf: SpaceForm, batch: BatchSpec, scans, tests, notes,
+            config: dict) -> VerificationReport:
+    verdict = ("fail" if any(t.margin < -t.budget for t in tests) else
+               "pass" if _gating(scans) else "inconclusive")
     return VerificationReport(
-        case_id=case.case_id, sf=case.sf, seed=case.batch.seed,
-        scans=tuple(scans), tests=tuple(tests), verdict=verdict,
-        config={"shape": case.shape, "quad_tol": quad_tol, "scan_grid": grid,
-                "count": case.batch.count, "modes": list(case.batch.modes),
-                "family": case.batch.family},
-        notes=tuple(notes) + (_DOMAIN_NOTE,))
+        case_id=case_id, sf=sf, seed=batch.seed, scans=tuple(scans), tests=tuple(tests),
+        verdict=verdict, notes=tuple(notes) + (_DOMAIN_NOTE,),
+        config={**config, "count": batch.count, "modes": list(batch.modes),
+                "family": batch.family})
 
 
-def _verdict(tests, scans) -> str:
-    if any(t.margin < -t.budget for t in tests):
-        return "fail"
-    return "pass" if _gating(scans) else "inconclusive"
-
-
-def _u_params(u: RadialTestFunction) -> dict:
-    return {"family": u.kind, "support_lo": u.support_lo,
-            "support_hi": u.support_hi, "alpha": u.alpha, "l": u.l}
+def _record(test_id: str, u: RadialTestFunction, lhs: QuadratureResult,
+            rhs: QuadratureResult) -> TestRecord:
+    return TestRecord(
+        id=test_id, lhs=lhs.value, rhs=rhs.value, margin=lhs.value - rhs.value,
+        budget=lhs.error_estimate + rhs.error_estimate,
+        params={"family": u.kind, "support_lo": u.support_lo,
+                "support_hi": u.support_hi, "alpha": u.alpha, "l": u.l})
 
 
 def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm,
@@ -409,13 +441,9 @@ def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm,
     for bad in chain.links:
         partial = target * 0.0
         for link in chain.links:
-            if link is bad:
-                continue
-            lb = dict(b)
-            lb.update(link.spec.params)
-            lb["t"] = ts
-            partial = partial + link.alpha * np.asarray(
-                link.weight_expr.evaluate(lb), dtype=float)
+            if link is not bad:
+                partial = partial + link.alpha * np.asarray(link.weight_expr.evaluate(
+                    {**b, **link.spec.params, "t": ts}), dtype=float)
         if float(np.max(np.abs(partial - target) / scale)) <= tol:
             raise ChainMismatchError(
                 f"chain weights do not compose (mismatch {worst:.3e}); "
@@ -431,7 +459,6 @@ def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
     integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2 per test."""
     check_chain_composition(chain, sf)
     dual = chain.dual
-    db = dual.bindings(sf)
     scans = _dual_scans(dual, sf, grid, tol, "E1")
     notes: list[str] = []
     for link in chain.links:
@@ -444,38 +471,22 @@ def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
             rep = pr.disconjugacy_check(link.spec, n=sf.n)
             scans.append(rep.scan(f"{link.label}-disconjugacy"))
     tests: list[TestRecord] = []
-    # densities are built once, so each compiles once for the whole batch
-    rhs_density = chain.dual_rhs_density_expr()
-    link_sides = [(link, link.spec.bindings(sf),
-                   link.weight_expr * link.potential_expr) for link in chain.links]
+    dual_sides = shape_sides("delta-vs-gradrad", dual, sf)
+    # each link is the gradrad-vs-usq step of its own weight and potential
+    row = SHAPES["gradrad-vs-usq"]
+    link_sides = [Sides(link.weight_expr, row.lhs, link.weight_expr * link.potential_expr,
+                        row.rhs, link.spec.bindings(sf)) for link in chain.links]
     for i, u in enumerate(generate_batch(sf, batch)):
-        lhs = lhs_delta_sq(sf, dual.expr("v"), u, db, quad_tol)
-        rhs_dual = rhs_weighted(sf, rhs_density, u, "gradrad", db, quad_tol)
-        tests.append(TestRecord(
-            id=f"t{i:03d}:dual", params=_u_params(u),
-            lhs=lhs.value, rhs=rhs_dual.value,
-            margin=lhs.value - rhs_dual.value,
-            budget=lhs.error_estimate + rhs_dual.error_estimate))
+        lhs, rhs_dual = dual_sides.integrals(sf, u, quad_tol)
+        tests.append(_record(f"t{i:03d}:dual", u, lhs, rhs_dual))
         end_rhs, end_err = 0.0, 0.0
-        for link, lb, low_density in link_sides:
-            mid = rhs_weighted(sf, link.weight_expr, u, "gradrad", lb, quad_tol)
-            low = rhs_weighted(sf, low_density, u, "usq", lb, quad_tol)
-            tests.append(TestRecord(
-                id=f"t{i:03d}:{link.label}", params=_u_params(u),
-                lhs=mid.value, rhs=low.value, margin=mid.value - low.value,
-                budget=mid.error_estimate + low.error_estimate))
+        for link, sides in zip(chain.links, link_sides):
+            mid, low = sides.integrals(sf, u, quad_tol)
+            tests.append(_record(f"t{i:03d}:{link.label}", u, mid, low))
             end_rhs += link.alpha * low.value
             end_err += link.alpha * low.error_estimate
-        tests.append(TestRecord(
-            id=f"t{i:03d}:end", params=_u_params(u),
-            lhs=lhs.value, rhs=end_rhs, margin=lhs.value - end_rhs,
-            budget=lhs.error_estimate + end_err))
-    verdict = _verdict(tests, scans)
-    return VerificationReport(
-        case_id=case_id, sf=sf, seed=batch.seed, scans=tuple(scans),
-        tests=tuple(tests), verdict=verdict,
-        config={"shape": "chain", "quad_tol": quad_tol, "scan_grid": grid,
-                "count": batch.count, "modes": list(batch.modes),
-                "family": batch.family, "links": [l.label for l in chain.links],
-                "meta": dict(chain.meta)},
-        notes=tuple(notes) + (_DOMAIN_NOTE,))
+        tests.append(_record(f"t{i:03d}:end", u, lhs,
+                             QuadratureResult(end_rhs, end_err, 0)))
+    return _report(case_id, sf, batch, scans, tests, notes,
+                   {"shape": "chain", "quad_tol": quad_tol, "scan_grid": grid,
+                    "links": [l.label for l in chain.links], "meta": dict(chain.meta)})

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import re
 
@@ -229,6 +230,14 @@ class TestEstimate:
         assert rep["config"]["claimed"] == pytest.approx(2.25)
         assert rep["config"]["estimate"] >= 2.25 - 1e-6
 
+    def test_no_finite_quotient_is_inconclusive(self, tmp_path):
+        # every probe's quadrature fails at this tolerance, so nothing is estimated
+        code, rep = _run(tmp_path, "estimate", "--catalog", "classical-rellich", "--n", "6",
+                         "--budget", "20", "--quad-tol", "1e-30")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["verdict"] == "inconclusive"
+        assert rep["config"]["estimate"] == float("inf")
+
     @pytest.mark.parametrize("shape", ["gradrad-vs-usq", "chain"])
     def test_pair_of_the_wrong_kind_is_a_usage_error(self, tmp_path, shape):
         # a dual pair has no gradrad-vs-usq quotient and no chain
@@ -279,6 +288,26 @@ class TestUsageAndIO:
                        "--V", "1/t^2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["verify", "chain"])
+    def test_quadrature_nonconvergence_is_inconclusive(self, tmp_path, capsys, command):
+        code, rep = _run(tmp_path, command, "--catalog", "classical-rellich", "--n", "6",
+                         "--tests", "2", "--quad-tol", "1e-30")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "quadrature" in err and "--quad-tol" in err
+
+    @pytest.mark.parametrize("command", ["verify", "chain"])
+    @pytest.mark.parametrize("knob", ["--tests=-3", "--modes=,", "--modes=", "--modes=0,a",
+                                      "--modes=1,-1"])
+    def test_bad_batch_knob_is_a_usage_error(self, tmp_path, capsys, command, knob):
+        code, rep = _run(tmp_path, command, "--catalog", "classical-rellich", "--n", "6",
+                         knob)
+        assert code == EXIT_USAGE
+        assert rep is None
+        assert knob.split("=")[0] in capsys.readouterr().err
+
     def test_io_failure(self):
         code = main(["check-pair", "--catalog", "classical-rellich", "--n", "5",
                      "-o", "/nonexistent-dir/report.json"])
@@ -315,3 +344,41 @@ class TestFormatting:
         assert cfg["scan_grid"] == 10000
         assert rep["seed"] == 42
         assert re.match(r"\d{4}-\d{2}-\d{2}T", rep["timestamp"])
+
+
+# SHA-256 of each report without its timestamp line: verify in every shape,
+# chain and estimate integrate through verify.Sides, and no change there may
+# move a report byte unnoticed.
+_REPORT_DIGESTS = {
+    "verify --catalog classical-rellich --n 6 --shape delta-vs-gradrad --tests 3 --grid 500":
+        "99632a81f07b30e812d7a4b8379a3b58f2e9a002a4b6e27db98a48a2026de9e6",
+    "verify --catalog hyp-interp --n 5 --kappa 1 --shape delta-vs-grad --modes 0,1 "
+    "--tests 3 --grid 500":
+        "fc8552b9d970ce1c632670a13feb133d0cc39cbcee21cee2fb4698fb608e10f7",
+    "verify --catalog hyp-lower-1 --n 5 --kappa 1 --shape gradrad-vs-usq --tests 3 "
+    "--grid 500":
+        "365b2d8d871ebbc401457a2cd9d3521c908bb127fef3692382e9c098d345c960",
+    "verify --catalog iterlog --k 1 --n 6 --R 1 --shape gradrad-vs-usq --tests 2 --grid 500":
+        "5b572e857977c7c6712bc05add5039f6e72e27f3ecef6a02b1f168781e3353f1",
+    "chain --catalog hyp-final --n 5 --kappa 1 --tests 2 --grid 500":
+        "e41b1e995ed3ea28eb0f4973d1a1db0e0e764a82006188faf675be3abbaade91",
+    "chain --catalog iterlog --k 1 --n 6 --R 1 --tests 2 --grid 500":
+        "7ee957e5b0ccbd64d1981e99d16f47599e9fce3a510c3dcd6f2d07a218d3ea32",
+    "estimate --catalog classical-rellich --n 6 --shape delta-vs-gradrad --budget 25":
+        "2c84199f6bcbc14f7f7c8716d3b285a34e8df5986591b4c35f6752efa8c6286c",
+    "estimate --catalog classical-rellich --n 6 --shape gradrad-vs-usq --budget 25":
+        "fee05c9a572df73d53a2734d68e6d646a1a2e27a2c0598a2f0329fab73fdb70d",
+    "estimate --catalog hyp-final --n 5 --kappa 1 --shape chain --budget 25":
+        "3482ad287f0161204db3fcf9b038189ca26d9e1f058abbc8c8eaccf35c705793",
+    "estimate --catalog iterlog --k 1 --n 6 --R 1 --shape chain --budget 25":
+        "3d8aa2cdb2342ba93ffbf83cbba6a45de8d9b5a4599f302c6d74adba065b408c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_REPORT_DIGESTS))
+def test_report_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "report.json"
+    main(argv.split() + ["-o", str(out)])
+    body = "".join(line for line in out.read_text().splitlines(True)
+                   if not line.startswith('  "timestamp": '))
+    assert hashlib.sha256(body.encode()).hexdigest() == _REPORT_DIGESTS[argv]

@@ -3,10 +3,12 @@
 import pytest
 
 from rellich import catalog as cat
+from rellich import expr as ex
 from rellich import sharpness as sh
 from rellich.geometry import SpaceForm, make_bump, make_powerlaw
 from rellich.sharpness import (DegenerateTestFunctionError, estimate_constant,
                                rayleigh_quotient, sharpness_problem)
+from rellich.verify import shape_sides
 
 
 class _Scaled:
@@ -29,31 +31,32 @@ class TestRayleighQuotient:
         self.sf = SpaceForm(6, 0.0)
         self.entry = cat.classical_euclidean(6)
 
+    def _sides(self, shape, spec, claimed):
+        return shape_sides(shape, self.entry.specs[spec], self.sf, claimed=claimed)
+
     def test_degenerate_rejected(self):
         u = make_bump(1.0, 2.0, self.sf)
         with pytest.raises(DegenerateTestFunctionError):
-            rayleigh_quotient(self.sf, "delta-vs-gradrad", self.entry.specs["dual"],
-                              _Scaled(u, 0.0), claimed=9.0)
+            rayleigh_quotient(self.sf, self._sides("delta-vs-gradrad", "dual", 9.0),
+                              _Scaled(u, 0.0))
 
     def test_scaling_invariance(self):
         u = make_bump(1.0, 5.0, self.sf)
-        q1 = rayleigh_quotient(self.sf, "delta-vs-gradrad", self.entry.specs["dual"],
-                               u, claimed=9.0)
-        q2 = rayleigh_quotient(self.sf, "delta-vs-gradrad", self.entry.specs["dual"],
-                               _Scaled(u, 2.0), claimed=9.0)
+        sides = self._sides("delta-vs-gradrad", "dual", 9.0)
+        q1 = rayleigh_quotient(self.sf, sides, u)
+        q2 = rayleigh_quotient(self.sf, sides, _Scaled(u, 2.0))
         assert q2 == pytest.approx(q1, rel=1e-10)
 
     def test_hardy_style_quotient_above_one(self):
         # claimed (n-4)^2/4 = 1 at n = 6 for the chained primal shape
-        primal = self.entry.specs["primal"]
         u = make_powerlaw(-1.0, 0.5, 200.0, 0.4, 300.0, self.sf)
-        q = rayleigh_quotient(self.sf, "gradrad-vs-usq", primal, u, claimed=1.0)
+        q = rayleigh_quotient(self.sf, self._sides("gradrad-vs-usq", "primal", 1.0), u)
         assert q >= 1.0 - 1e-9
 
     def test_unknown_shape(self):
         u = make_bump(1.0, 2.0, self.sf)
         with pytest.raises(ValueError):
-            rayleigh_quotient(self.sf, "nope", self.entry.specs["dual"], u)
+            rayleigh_quotient(self.sf, self._sides("nope", "dual", 1.0), u)
 
 
 class TestSharpnessProblem:
@@ -125,6 +128,22 @@ class TestEstimateConstant:
                               entry.specs["dual"], claimed=9.0, budget=150)
         assert a.estimate == b.estimate
         assert a.params == b.params
+
+    def test_sides_compile_once_per_estimate(self, monkeypatch):
+        # the claimed-scaled RHS density is built once, not once per probe
+        built = []
+        init = ex.Program.__init__
+
+        def counting_init(program, roots):
+            built.append(roots)
+            init(program, roots)
+
+        monkeypatch.setattr(ex.Program, "__init__", counting_init)
+        entry = cat.classical_euclidean(6)
+        est = estimate_constant(SpaceForm(6, 0.0), "delta-vs-gradrad",
+                                entry.specs["dual"], claimed=9.0, budget=25)
+        assert est.evaluations >= 25
+        assert len(built) <= 3
 
     def test_curved_estimate_reports_no_gap(self):
         entry = cat.hyperbolic_interpolation(5, 1.0, 0.0)

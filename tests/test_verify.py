@@ -11,8 +11,8 @@ from rellich import verify as vf
 from rellich.expr import Const, parse
 from rellich.geometry import SpaceForm, make_bump, sphere_area
 from rellich.verify import (BatchSpec, ChainMismatchError, InequalityCase,
-                            generate_batch, integrate, lhs_delta_sq,
-                            rhs_weighted, verify_case, verify_chain)
+                            generate_batch, integrate, shape_sides, side,
+                            verify_case, verify_chain)
 
 
 def _bump_mass_closed_form(a: float, b: float, n: int) -> float:
@@ -122,36 +122,36 @@ class TestSides:
 
     def test_zero_function(self):
         z = _Scaled(self.u, 0.0)
-        assert lhs_delta_sq(self.sf, Const(1.0), z).value == 0.0
-        assert rhs_weighted(self.sf, Const(1.0), z, "usq").value == 0.0
+        assert side(self.sf, Const(1.0), z, "delta").value == 0.0
+        assert side(self.sf, Const(1.0), z, "usq").value == 0.0
 
     def test_quadratic_scaling(self):
-        base = lhs_delta_sq(self.sf, Const(1.0), self.u)
-        scaled = lhs_delta_sq(self.sf, Const(1.0), _Scaled(self.u, 2.0))
+        base = side(self.sf, Const(1.0), self.u, "delta")
+        scaled = side(self.sf, Const(1.0), _Scaled(self.u, 2.0), "delta")
         assert scaled.value == pytest.approx(4.0 * base.value, rel=1e-12)
 
     def test_stability_under_refinement(self):
-        a = lhs_delta_sq(self.sf, Const(1.0), self.u, tol=1e-8)
-        b = lhs_delta_sq(self.sf, Const(1.0), self.u, tol=1e-12)
+        a = side(self.sf, Const(1.0), self.u, "delta", tol=1e-8)
+        b = side(self.sf, Const(1.0), self.u, "delta", tol=1e-12)
         assert a.value == pytest.approx(b.value, rel=1e-8)
         assert a.value > 0
 
     def test_grad_equals_gradrad_for_radial(self):
         wp = parse("1/t^2")
-        a = rhs_weighted(self.sf, wp, self.u, "gradrad")
-        b = rhs_weighted(self.sf, wp, self.u, "grad")
+        a = side(self.sf, wp, self.u, "gradrad")
+        b = side(self.sf, wp, self.u, "grad")
         assert b.value == pytest.approx(a.value, rel=1e-12)
 
     def test_grad_exceeds_gradrad_for_modes(self):
         u1 = make_bump(0.5, 1.0, self.sf, l=1)
         wp = parse("1/t^2")
-        a = rhs_weighted(self.sf, wp, u1, "gradrad")
-        b = rhs_weighted(self.sf, wp, u1, "grad")
+        a = side(self.sf, wp, u1, "gradrad")
+        b = side(self.sf, wp, u1, "grad")
         assert b.value > a.value > 0
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            rhs_weighted(self.sf, Const(1.0), self.u, "curl")
+            side(self.sf, Const(1.0), self.u, "curl")
 
 
 class TestBatch:
@@ -228,15 +228,12 @@ class TestVerifyCase:
     def test_homogeneity_of_margins(self):
         e = cat.classical_euclidean(5)
         sf = SpaceForm(5, 0.0)
-        d = e.specs["dual"]
-        b = d.bindings(sf)
+        sides = shape_sides("delta-vs-gradrad", e.specs["dual"], sf)
         u = make_bump(2.0, 7.0, sf)
         for s in (0.5, 2.0):
             us = _Scaled(u, s)
-            lhs1 = lhs_delta_sq(sf, d.expr("v"), u, b).value
-            rhs1 = rhs_weighted(sf, d.expr("v") * d.expr("V"), u, "gradrad", b).value
-            lhs2 = lhs_delta_sq(sf, d.expr("v"), us, b).value
-            rhs2 = rhs_weighted(sf, d.expr("v") * d.expr("V"), us, "gradrad", b).value
+            lhs1, rhs1 = (q.value for q in sides.integrals(sf, u))
+            lhs2, rhs2 = (q.value for q in sides.integrals(sf, us))
             assert lhs2 - rhs2 == pytest.approx(s ** 2 * (lhs1 - rhs1), rel=1e-10)
 
     def test_monotone_refinement_keeps_verdict(self):
@@ -287,7 +284,7 @@ class TestVerifyChain:
         # the end RHS really is 9 * integral u^2/t^4 dx
         sf = SpaceForm(6, 0.0)
         u = generate_batch(sf, BatchSpec(count=1, seed=5))[0]
-        direct = rhs_weighted(sf, parse("9/t^4"), u, "usq").value
+        direct = side(sf, parse("9/t^4"), u, "usq").value
         assert ends[0].rhs == pytest.approx(direct, rel=1e-9)
 
     def test_potential_chain(self):
