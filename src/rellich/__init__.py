@@ -14,7 +14,7 @@ from .pairs import (PairSpec, Scan, positivity_polynomial_roots,  # noqa: F401
 from .catalog import (build_entry, classical_euclidean, ell_potential,  # noqa: F401
                       final_combined, hyperbolic_interpolation,
                       hyperbolic_lower, iterated_log_potential,
-                      chain_from_potential, entry_chain)
+                      chain_from_potential, entry_chain, entry_pair)
 from .verify import (BatchSpec, InequalityCase, QuadratureResult,  # noqa: F401
                      Sides, VerificationReport, integrate, shape_sides, side,
                      verify_case, verify_chain)

@@ -23,8 +23,8 @@ __all__ = [
     "CatalogEntry", "ChainLink", "ChainDescriptor",
     "classical_euclidean", "iterated_log_potential", "ell_potential",
     "hyperbolic_interpolation", "hyperbolic_lower", "final_combined",
-    "chain_from_potential", "entry_chain", "iterlog_q_expr", "iterlog_product_bounds",
-    "CATALOG_IDS", "build_entry",
+    "chain_from_potential", "entry_chain", "entry_pair", "iterlog_q_expr",
+    "iterlog_product_bounds", "CATALOG_IDS", "build_entry",
 ]
 
 CATALOG_IDS = (
@@ -496,6 +496,29 @@ def entry_chain(entry: CatalogEntry, n: int) -> ChainDescriptor:
     if "potential" in entry.specs:
         return chain_from_potential(entry, n)
     raise ValueError(f"entry {entry.id!r} has no chain")
+
+
+def entry_pair(entry: CatalogEntry, kind: str, sf: SpaceForm):
+    """The pair of the given kind that a shape stated for it runs on ("chain":
+    the entry's chain).  That is the entry's spec named kind, else one derived
+    from its other specs: a dual by the change of functions from its primal or
+    from its Bessel potential, a primal by the change from that dual."""
+    if kind == "chain":
+        return entry_chain(entry, sf.n)
+    if kind in entry.specs:
+        return entry.specs[kind]
+    if kind == "primal":
+        return pr.dual_to_primal(entry_pair(entry, "dual", sf), sf)
+    if kind == "dual":
+        if "primal" in entry.specs:
+            return pr.primal_to_dual(entry.specs["primal"], sf)
+        # found by kind: a catalog entry names it "potential", an inline
+        # source by its kind
+        potential = next((p for p in entry.specs.values()
+                          if p.kind == "bessel-potential"), None)
+        if potential is not None:
+            return pr.from_bessel_potential(potential, "iii", sf.n)
+    raise ValueError(f"no {kind} pair derivable from entry {entry.id!r}")
 
 
 # ---------------------------------------------------------------------------

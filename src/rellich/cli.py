@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -32,7 +33,7 @@ from . import catalog as cat
 from . import pairs as pr
 from . import sharpness as sh
 from . import verify as vf
-from .expr import ExprError, parse
+from .expr import DomainError, ExprError, parse
 from .geometry import SpaceForm
 from .pairs import PairSpec
 
@@ -99,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shape", choices=vf.SHAPES, default=None)
     sp = sub.add_parser("chain", help="verify a chained inequality end to end")
     common(sp, batch=True)
+    sp.set_defaults(shape="chain")
     sp = sub.add_parser("solve-bessel", help="disconjugacy certificate for a potential/pair")
     common(sp)
     sp.add_argument("--t0", type=float, default=None)
@@ -147,55 +149,31 @@ def _inline_pair(args) -> Optional[PairSpec]:
         f"(need {' | '.join(','.join(roles) for roles in pr.ROLES.values())})")
 
 
+def _catalog_entry(args, entry_id: str) -> cat.CatalogEntry:
+    kappa = args.kappa if args.kappa is not None else (
+        1.0 if entry_id.startswith("hyp") else 0.0)
+    return cat.build_entry(entry_id, n=args.n, kappa=kappa, lam=args.lam,
+                           k=args.k, R=args.R if args.R is not None else 1.0)
+
+
 def _resolve(args):
-    """(entry or None, spec or None, space form) from --catalog / inline flags."""
+    """(entry, space form) from --catalog or the inline flags.  An inline pair
+    is the entry "inline", whose one spec is keyed by its kind."""
     inline = _inline_pair(args)
     if (args.catalog is None) == (inline is None):
         raise ValueError("exactly one pair source required: --catalog or inline expressions")
     if inline is not None:
         kappa = args.kappa if args.kappa is not None else 0.0
         R = args.R if args.R is not None else math.inf
-        return None, inline, SpaceForm(args.n, kappa, R)
-    kappa = args.kappa if args.kappa is not None else (
-        1.0 if args.catalog.startswith("hyp") else 0.0)
-    entry = cat.build_entry(args.catalog, n=args.n, kappa=kappa, lam=args.lam,
-                            k=args.k, R=args.R if args.R is not None else 1.0)
+        sf = SpaceForm(args.n, kappa, R)
+        return cat.CatalogEntry("inline", {}, {inline.kind: inline}, sf), sf
+    entry = _catalog_entry(args, args.catalog)
     R = args.R if args.R is not None else entry.space_form.R
     sf = SpaceForm(args.n, entry.space_form.kappa, R)
     if args.c is not None and "potential" in entry.specs:
-        specs = dict(entry.specs)
-        specs["potential"] = specs["potential"].with_constant(args.c)
-        entry = cat.CatalogEntry(entry.id, entry.params, specs, entry.space_form,
-                                 entry.chain, entry.default_shape, entry.provenance,
-                                 entry.extras)
-    return entry, None, sf
-
-
-def _entry_specs(entry, spec):
-    if spec is not None:
-        return {spec.kind: spec}
-    return entry.specs
-
-
-def _of_kind(specs: dict, *kinds: str) -> Optional[PairSpec]:
-    """The first spec of one of the given kinds.  Catalog entries and inline
-    sources name their specs differently ("potential" against
-    "bessel-potential"), so the kind is what identifies a spec."""
-    return next((p for p in specs.values() if p.kind in kinds), None)
-
-
-def _dual_of(entry, spec, sf) -> PairSpec:
-    """A dual spec for E1/E2 work: direct, via the primal change, or via the
-    potential-to-dual construction."""
-    specs = _entry_specs(entry, spec)
-    if "dual" in specs:
-        return specs["dual"]
-    if "primal" in specs:
-        return pr.primal_to_dual(specs["primal"], sf)
-    potential = _of_kind(specs, "bessel-potential")
-    if potential is not None:
-        return pr.from_bessel_potential(potential, "iii", sf.n)
-    raise ValueError("no dual pair derivable from this source")
+        potential = entry.specs["potential"].with_constant(args.c)
+        entry = replace(entry, specs={**entry.specs, "potential": potential})
+    return entry, sf
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +267,9 @@ def _jsonable(v) -> bool:
 
 
 def _cmd_check_pair(args):
-    entry, spec, sf = _resolve(args)
+    entry, sf = _resolve(args)
     scans, results = [], {}
-    for name, p in sorted(_entry_specs(entry, spec).items()):
+    for name, p in sorted(entry.specs.items()):
         s = pr.scan_positivity(pr.residual_terms(p), sf, grid=args.grid,
                                bindings=p.bindings(sf), tol=args.tol,
                                target=f"residual({name})")
@@ -305,24 +283,23 @@ def _cmd_check_pair(args):
                             vf.BatchSpec.seed)
 
 
-def _scan_target_terms(args, entry, spec, sf):
-    specs = _entry_specs(entry, spec)
+def _scan_target_terms(args, entry, sf):
     if args.target in ("E1", "E2"):
-        dual = _dual_of(entry, spec, sf)
+        dual = cat.entry_pair(entry, "dual", sf)
         terms = pr.e1_terms(dual) if args.target == "E1" else pr.e2_terms(dual)
         return terms, dual.bindings(sf)
     if args.target == "residual":
-        p = next(iter(specs.values()))
+        p = next(iter(entry.specs.values()))
         return pr.residual_terms(p), p.bindings(sf)
-    for p in specs.values():
+    for p in entry.specs.values():
         if args.target in p.exprs:
             return [p.expr(args.target)], p.bindings(sf)
     raise ValueError(f"no scan target {args.target!r} on this source")
 
 
 def _cmd_scan(args):
-    entry, spec, sf = _resolve(args)
-    terms, bindings = _scan_target_terms(args, entry, spec, sf)
+    entry, sf = _resolve(args)
+    terms, bindings = _scan_target_terms(args, entry, sf)
     s = pr.scan_positivity(terms, sf, grid=args.grid, bindings=bindings, tol=args.tol,
                            target=args.target)
     config = _config_dict(args, {
@@ -337,50 +314,41 @@ def _batch(args) -> vf.BatchSpec:
     return vf.BatchSpec(count=args.tests, seed=args.seed, modes=modes)
 
 
+def _quad_tol(args) -> float:
+    if not (args.quad_tol > 0 and math.isfinite(args.quad_tol)):
+        raise ValueError(f"--quad-tol must be a finite tolerance > 0, got {args.quad_tol:g}")
+    return args.quad_tol
+
+
 def _cmd_verify(args):
-    entry, spec, sf = _resolve(args)
-    shape = args.shape or (entry.default_shape if entry else None)
-    specs = _entry_specs(entry, spec)
+    """verify, and chain as verify of the shape chain."""
+    quad_tol = _quad_tol(args)
+    entry, sf = _resolve(args)
+    shape = args.shape or entry.default_shape
     if shape is None:
-        kind = next(iter(specs.values())).kind
+        kind = next(iter(entry.specs.values())).kind
         shape = next((s for s, row in vf.SHAPES.items() if row.kind == kind),
                      "delta-vs-gradrad")
-    if shape == "chain":
-        return _cmd_chain(args)
-    dual = primal = None
-    if vf.SHAPES[shape].kind == "dual":
-        dual = _dual_of(entry, spec, sf)
-    elif "primal" in specs:
-        primal = specs["primal"]
-    else:
-        primal = pr.dual_to_primal(_dual_of(entry, spec, sf), sf)
-    case = vf.InequalityCase(shape=shape, sf=sf, batch=_batch(args), dual=dual,
-                             primal=primal,
-                             case_id=args.catalog or "inline")
-    rep = vf.verify_case(case, quad_tol=args.quad_tol, grid=args.grid, tol=args.tol)
+    case = vf.InequalityCase(shape=shape, sf=sf, batch=_batch(args),
+                             pair=cat.entry_pair(entry, vf.SHAPES[shape].kind, sf),
+                             case_id=entry.id)
+    rep = vf.verify_case(case, quad_tol=quad_tol, grid=args.grid, tol=args.tol)
     config = _config_dict(args, {"notes": list(rep.notes), **rep.config})
-    return rep.verdict, _report("verify", config, sf, rep.scans, rep.tests,
-                                rep.verdict, rep.seed)
-
-
-def _cmd_chain(args):
-    entry, spec, sf = _resolve(args)
-    if entry is None:
-        raise ValueError("chain verification needs a catalog entry")
-    chain = cat.entry_chain(entry, sf.n)
-    rep = vf.verify_chain(chain, sf, _batch(args), quad_tol=args.quad_tol,
-                          grid=args.grid, tol=args.tol, case_id=chain.label)
-    config = _config_dict(args, {"notes": list(rep.notes), **rep.config})
-    return rep.verdict, _report("chain", config, sf, rep.scans, rep.tests,
+    command = "chain" if shape == "chain" else "verify"
+    return rep.verdict, _report(command, config, sf, rep.scans, rep.tests,
                                 rep.verdict, rep.seed)
 
 
 def _cmd_solve_bessel(args):
-    entry, spec, sf = _resolve(args)
-    p = _of_kind(_entry_specs(entry, spec), "bessel-potential", "bessel-pair")
+    if (args.t0 is None) != (args.t1 is None):
+        missing = "--t1" if args.t1 is None else "--t0"
+        raise ValueError(f"an interval needs both --t0 and --t1: {missing} is missing")
+    entry, sf = _resolve(args)
+    p = next((p for p in entry.specs.values()
+              if p.kind in ("bessel-potential", "bessel-pair")), None)
     if p is None:
         raise ValueError("solve-bessel needs a Bessel potential or pair")
-    interval = (args.t0, args.t1) if args.t0 is not None and args.t1 is not None else None
+    interval = None if args.t0 is None else (args.t0, args.t1)
     rep = pr.disconjugacy_check(p, interval=interval, n=sf.n)
     scan = rep.scan("disconjugacy")
     verdict = {"nonnegative": "pass", "violated": "fail"}.get(scan.verdict, "inconclusive")
@@ -394,14 +362,13 @@ def _cmd_solve_bessel(args):
 
 
 def _cmd_estimate(args):
-    entry, spec, sf = _resolve(args)
-    if entry is not None:
-        pair, claimed = sh.sharpness_problem(entry, args.shape, sf)
-    else:
-        pair, claimed = spec, None
+    quad_tol = _quad_tol(args)
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1 quotient evaluation, got {args.budget}")
+    entry, sf = _resolve(args)
+    pair, claimed = sh.sharpness_problem(entry, args.shape, sf)
     est = sh.estimate_constant(sf, args.shape, pair, claimed=claimed,
-                               budget=args.budget, seed=args.seed,
-                               tol=args.quad_tol)
+                               budget=args.budget, seed=args.seed, tol=quad_tol)
     verdict = "pass"
     if not math.isfinite(est.estimate):
         verdict = "inconclusive"  # no probe gave a finite quotient
@@ -422,10 +389,7 @@ def _cmd_catalog(args):
         return EXIT_PASS
     if not args.id:
         raise ValueError("catalog show needs an entry id")
-    kappa = args.kappa if args.kappa is not None else (
-        1.0 if args.id.startswith("hyp") else 0.0)
-    entry = cat.build_entry(args.id, n=args.n, kappa=kappa, lam=args.lam,
-                            k=args.k, R=args.R if args.R is not None else 1.0)
+    entry = _catalog_entry(args, args.id)
     doc = {
         "id": entry.id,
         "params": entry.params,
@@ -451,7 +415,7 @@ _HANDLERS = {
     "check-pair": _cmd_check_pair,
     "scan": _cmd_scan,
     "verify": _cmd_verify,
-    "chain": _cmd_chain,
+    "chain": _cmd_verify,
     "solve-bessel": _cmd_solve_bessel,
     "estimate": _cmd_estimate,
 }
@@ -470,6 +434,9 @@ def main(argv=None) -> int:
         verdict, report = _HANDLERS[args.command](args)
     except vf.NonconvergenceError as exc:
         sys.stderr.write(f"rellich: inconclusive at --quad-tol {args.quad_tol:g}: {exc}\n")
+        return EXIT_INCONCLUSIVE
+    except DomainError as exc:
+        sys.stderr.write(f"rellich: inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
     except (ValueError, ExprError) as exc:
         sys.stderr.write(f"rellich: {exc}\n")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .catalog import CatalogEntry, entry_chain
+from .catalog import CatalogEntry, entry_pair
 from .geometry import SpaceForm, make_powerlaw
 from .verify import (DEFAULT_QUAD_TOL, SHAPES, NonconvergenceError, Sides,
                      batch_domain, shape_sides)
@@ -52,25 +52,19 @@ def rayleigh_quotient(sf: SpaceForm, sides: Sides, u,
 
 
 def sharpness_problem(entry: CatalogEntry, shape: str, sf: SpaceForm):
-    """(pair-or-chain, claimed constant) for a catalog entry and shape.
-
-    Claimed constants exist only where the family asserts one; curved
-    families are estimated with no comparison target.
-    """
-    n = sf.n
+    """(pair-or-chain, claimed constant) for a catalog entry and shape: the
+    pair catalog.entry_pair gives the shape, with no claimed constant, except
+    on the classical family, which asserts one for each shape and is
+    estimated for gradrad-vs-usq on its Hardy pair."""
+    if shape not in SHAPES:
+        raise ValueError(f"unknown shape {shape!r}")
+    n, claimed = sf.n, None
     if entry.id == "classical-rellich":
-        if shape == "delta-vs-gradrad":
-            return entry.specs["dual"], n * n / 4.0
         if shape == "gradrad-vs-usq":
             return entry.specs["hardy"], (n - 2) ** 2 / 4.0
-        if shape == "chain":
-            return entry.chain, n * n * (n - 4) ** 2 / 16.0
-    if shape == "chain":
-        return entry_chain(entry, n), None
-    kind = SHAPES[shape].kind if shape in SHAPES else None
-    if kind in entry.specs:
-        return entry.specs[kind], None
-    raise ValueError(f"no sharpness problem for entry {entry.id!r} / shape {shape!r}")
+        claimed = {"delta-vs-gradrad": n * n / 4.0,
+                   "chain": n * n * (n - 4) ** 2 / 16.0}.get(shape)
+    return entry_pair(entry, SHAPES[shape].kind, sf), claimed
 
 
 def _family_box(sf: SpaceForm) -> dict:

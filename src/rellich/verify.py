@@ -223,20 +223,28 @@ class Sides:
                 side(sf, self.density, u, self.rhs, self.bindings, tol))
 
 
+def _check_pair(shape: str, pair) -> None:
+    """Raise unless pair is of the kind shape is stated for: a PairSpec of
+    that kind, or a chain descriptor for "chain"."""
+    if shape not in SHAPES:
+        raise ValueError(f"unknown shape {shape!r}")
+    kind = SHAPES[shape].kind
+    if kind == "chain" and not isinstance(pair, ChainDescriptor):
+        raise ValueError(f"shape {shape} requires a chain descriptor")
+    if kind != "chain" and not (isinstance(pair, PairSpec) and pair.kind == kind):
+        raise ValueError(f"shape {shape} requires a {kind} spec")
+
+
 def shape_sides(shape: str, pair, sf: SpaceForm,
                 claimed: Optional[float] = None) -> Sides:
     """The sides of shape for pair, a PairSpec of the shape's kind or a chain
     descriptor; with claimed, the right side is divided by it."""
-    if shape not in SHAPES:
-        raise ValueError(f"unknown shape {shape!r}")
+    _check_pair(shape, pair)
     row = SHAPES[shape]
     if row.kind == "chain":
-        if not isinstance(pair, ChainDescriptor):
-            raise ValueError("shape chain needs a chain descriptor")
         spec, factors = pair.dual, (pair.rhs_density_expr(),)
     else:
-        spec = pair.require(row.kind)
-        factors = (spec.expr(row.weight), spec.expr(row.potential))
+        spec, factors = pair, (pair.expr(row.weight), pair.expr(row.potential))
     if claimed is not None:
         factors = (Const(1.0 / claimed),) + factors
     return Sides(spec.expr(row.weight), row.lhs, functools.reduce(operator.mul, factors),
@@ -264,23 +272,17 @@ class BatchSpec:
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """A single inequality shape with its pair(s), space form and batch."""
+    """A single inequality shape with its pair (a PairSpec of the shape's kind,
+    or a chain descriptor), space form and batch."""
 
     shape: str
     sf: SpaceForm
     batch: BatchSpec = BatchSpec()
-    dual: Optional[PairSpec] = None
-    primal: Optional[PairSpec] = None
-    chain: Optional[ChainDescriptor] = None
+    pair: object = None
     case_id: str = "case"
 
     def __post_init__(self):
-        if self.shape not in SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}")
-        kind = SHAPES[self.shape].kind
-        if getattr(self, kind) is None:
-            what = "descriptor" if kind == "chain" else "spec"
-            raise ValueError(f"shape {self.shape} requires a {kind} {what}")
+        _check_pair(self.shape, self.pair)
         if self.shape == "delta-vs-grad" and not any(l >= 1 for l in self.batch.modes):
             raise ValueError("delta-vs-grad batches must include l >= 1 modes")
 
@@ -364,10 +366,10 @@ def _dual_scans(p: PairSpec, sf: SpaceForm, grid: int, tol: float, e: str) -> li
 
 def _side_condition_scans(case: InequalityCase, grid: int, tol: float):
     row = SHAPES[case.shape]
+    p = case.pair
     if row.kind == "dual":
         e = "E1" if row.rhs == "gradrad" else "E2"
-        return _dual_scans(case.dual.require("dual"), case.sf, grid, tol, e), []
-    p = case.primal.require("primal")
+        return _dual_scans(p, case.sf, grid, tol, e), []
     w_target = "W(signed-override)" if p.allow_signed_W else "W"
     scans = _scans(p, case.sf, grid, tol, [("w", [p.expr("w")]), (w_target, [p.expr("W")]),
                                            ("residual", pr.residual_terms(p))])
@@ -391,10 +393,10 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
     inequality is false).
     """
     if case.shape == "chain":
-        return verify_chain(case.chain, case.sf, case.batch, quad_tol=quad_tol,
+        return verify_chain(case.pair, case.sf, case.batch, quad_tol=quad_tol,
                             grid=grid, tol=tol, case_id=case.case_id)
     scans, notes = _side_condition_scans(case, grid, tol)
-    sides = shape_sides(case.shape, getattr(case, SHAPES[case.shape].kind), case.sf)
+    sides = shape_sides(case.shape, case.pair, case.sf)
     tests = [_record(f"t{i:03d}", u, *sides.integrals(case.sf, u, quad_tol))
              for i, u in enumerate(generate_batch(case.sf, case.batch))]
     return _report(case.case_id, case.sf, case.batch, scans, tests, notes,

@@ -308,30 +308,30 @@ def criterion7_reports():
         e = cat.classical_euclidean(n)
         case = vf.InequalityCase(
             shape="delta-vs-gradrad", sf=SpaceForm(n, 0.0),
-            batch=vf.BatchSpec(count=50, seed=42), dual=e.specs["dual"],
+            batch=vf.BatchSpec(count=50, seed=42), pair=e.specs["dual"],
             case_id=f"classical-gradrad-{n}")
         reports[f"classical-{n}"] = vf.verify_case(case)
     e8 = cat.classical_euclidean(8)
     reports["classical-grad-8"] = vf.verify_case(vf.InequalityCase(
         shape="delta-vs-grad", sf=SpaceForm(8, 0.0),
         batch=vf.BatchSpec(count=50, seed=42, modes=(0, 1, 2)),
-        dual=e8.specs["dual"], case_id="classical-grad-8"))
+        pair=e8.specs["dual"], case_id="classical-grad-8"))
     e5 = cat.classical_euclidean(5)
     reports["hardy-5"] = vf.verify_case(vf.InequalityCase(
         shape="gradrad-vs-usq", sf=SpaceForm(5, 0.0),
-        batch=vf.BatchSpec(count=50, seed=42), primal=e5.specs["hardy"],
+        batch=vf.BatchSpec(count=50, seed=42), pair=e5.specs["hardy"],
         case_id="hardy-5"))
     for lam in (0.0, 4.0):
         entry = cat.hyperbolic_interpolation(5, 1.0, lam)
         reports[f"hyp-interp-{lam:g}"] = vf.verify_case(vf.InequalityCase(
             shape="delta-vs-gradrad", sf=SpaceForm(5, 1.0),
-            batch=vf.BatchSpec(count=50, seed=42), dual=entry.specs["dual"],
+            batch=vf.BatchSpec(count=50, seed=42), pair=entry.specs["dual"],
             case_id=f"hyp-interp-{lam:g}"))
     for which in (1, 2, 3):
         entry = cat.hyperbolic_lower(5, 1.0, which)
         reports[f"hyp-lower-{which}"] = vf.verify_case(vf.InequalityCase(
             shape="gradrad-vs-usq", sf=SpaceForm(5, 1.0),
-            batch=vf.BatchSpec(count=50, seed=42), primal=entry.specs["primal"],
+            batch=vf.BatchSpec(count=50, seed=42), pair=entry.specs["primal"],
             case_id=f"hyp-lower-{which}"))
     e6 = cat.classical_euclidean(6)
     reports["chain-classical"] = vf.verify_chain(
@@ -417,12 +417,12 @@ class TestCriterion9:
         again = {
             "classical-6": vf.verify_case(vf.InequalityCase(
                 shape="delta-vs-gradrad", sf=SpaceForm(6, 0.0),
-                batch=vf.BatchSpec(count=50, seed=42), dual=e6.specs["dual"],
+                batch=vf.BatchSpec(count=50, seed=42), pair=e6.specs["dual"],
                 case_id="classical-gradrad-6")),
             "hyp-lower-2": vf.verify_case(vf.InequalityCase(
                 shape="gradrad-vs-usq", sf=SpaceForm(5, 1.0),
                 batch=vf.BatchSpec(count=50, seed=42),
-                primal=cat.hyperbolic_lower(5, 1.0, 2).specs["primal"],
+                pair=cat.hyperbolic_lower(5, 1.0, 2).specs["primal"],
                 case_id="hyp-lower-2")),
             "chain-classical": vf.verify_chain(
                 e6.chain, SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42),

@@ -6,8 +6,11 @@ import re
 
 import pytest
 
+from rellich import catalog as cat
+from rellich.catalog import CATALOG_IDS
 from rellich.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_PASS,
                          EXIT_USAGE, format_report, main)
+from rellich.verify import shape_sides
 
 _SCHEMA_TOP = {"command", "config", "space_form", "scans", "tests", "verdict",
                "seed", "timestamp"}
@@ -193,6 +196,14 @@ class TestSolveBessel:
         assert rep["config"]["positive_solution"] is False
         assert rep["config"]["first_zero"] > 0
 
+    @pytest.mark.parametrize("given,missing", [("--t0", "--t1"), ("--t1", "--t0")])
+    def test_interval_needs_both_ends(self, tmp_path, capsys, given, missing):
+        code, rep = _run(tmp_path, "solve-bessel", "--catalog", "iterlog", "--k", "1",
+                         "--R", "1", given, "0.1")
+        assert code == EXIT_USAGE
+        assert rep is None
+        assert missing in capsys.readouterr().err
+
     def test_inline_potential(self, tmp_path):
         code, rep = _run(tmp_path, "solve-bessel",
                          "--z", "sqrt(logk(1, r/t))",
@@ -240,11 +251,33 @@ class TestEstimate:
 
     @pytest.mark.parametrize("shape", ["gradrad-vs-usq", "chain"])
     def test_pair_of_the_wrong_kind_is_a_usage_error(self, tmp_path, shape):
-        # a dual pair has no gradrad-vs-usq quotient and no chain
-        code, rep = _run(tmp_path, "estimate", "--n", "6", "--H", "n/(2*t)", "--v", "1",
-                         "--V", "n^2/(4*t^2)", "--shape", shape, "--budget", "20")
+        # an inline dual pair has no chain, and a Bessel pair without y yields
+        # no dual, so no primal either
+        source = {"chain": ["--H", "n/(2*t)", "--v", "1", "--V", "n^2/(4*t^2)"],
+                  "gradrad-vs-usq": ["--X", "1", "--Y", "1/t^2"]}[shape]
+        code, rep = _run(tmp_path, "estimate", "--n", "6", *source, "--shape", shape,
+                         "--budget", "20")
         assert code == EXIT_USAGE
         assert rep is None
+
+    @pytest.mark.parametrize("source", [
+        "--catalog hyp-final --n 5 --kappa 1 --shape gradrad-vs-usq",
+        "--catalog hyp-lower-1 --n 5 --kappa 1 --shape delta-vs-gradrad",
+        "--catalog iterlog --k 1 --n 6 --R 1 --shape delta-vs-gradrad",
+    ])
+    def test_derived_pair_is_estimated(self, tmp_path, source):
+        # verify derives these pairs by the change of functions; so does estimate
+        code, rep = _run(tmp_path, "estimate", *source.split(), "--budget", "25")
+        assert code == EXIT_PASS
+        assert rep["config"]["estimate"] > 0 and rep["config"]["claimed"] is None
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):
+        code, rep = _run(tmp_path, "estimate", "--catalog", "classical-rellich", "--n", "6",
+                         f"--budget={budget}")
+        assert code == EXIT_USAGE
+        assert rep is None
+        assert "--budget" in capsys.readouterr().err
 
 
 class TestCatalogCommand:
@@ -297,6 +330,34 @@ class TestUsageAndIO:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "quadrature" in err and "--quad-tol" in err
+
+    @pytest.mark.parametrize("command", ["verify", "chain", "estimate"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_quad_tol_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command,
+                                           value):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr("rellich.verify.integrate", no_quadrature)
+        code, rep = _run(tmp_path, command, "--catalog", "classical-rellich", "--n", "6",
+                         f"--quad-tol={value}")
+        assert code == EXIT_USAGE
+        assert rep is None
+        assert "--quad-tol" in capsys.readouterr().err
+
+    def test_domain_error_while_scanning_is_inconclusive(self, tmp_path, capsys):
+        code, rep = _run(tmp_path, "scan", "--n", "5", "--R", "1", "--H", "n/(2*t)",
+                         "--v", "1", "--V", "log(t-1)", "--target", "V")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'log'" in err
+
+    def test_unbound_parameter_is_a_usage_error(self, tmp_path):
+        code, _ = _run(tmp_path, "scan", "--n", "5", "--R", "1", "--H", "n/(2*t)",
+                       "--v", "1", "--V", "r/t^2", "--target", "V")
+        assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("command", ["verify", "chain"])
     @pytest.mark.parametrize("knob", ["--tests=-3", "--modes=,", "--modes=", "--modes=0,a",
@@ -372,6 +433,13 @@ _REPORT_DIGESTS = {
         "3482ad287f0161204db3fcf9b038189ca26d9e1f058abbc8c8eaccf35c705793",
     "estimate --catalog iterlog --k 1 --n 6 --R 1 --shape chain --budget 25":
         "3d8aa2cdb2342ba93ffbf83cbba6a45de8d9b5a4599f302c6d74adba065b408c",
+    "verify --catalog hyp-final --n 5 --kappa 1 --tests 2 --grid 500":
+        "e41b1e995ed3ea28eb0f4973d1a1db0e0e764a82006188faf675be3abbaade91",
+    "verify --n 6 --H n/(2*t) --v 1 --V n^2/(4*t^2) --shape gradrad-vs-usq --tests 2 "
+    "--grid 500":
+        "a31114aceadd016b596e08eea71d0a6d5b43c258430244776ca44bd421d6cf56",
+    "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
+        "2f4c0693ca63cf627dda6a3f3ea97e5f86d32a9559a9c8733390d417c100bec2",
 }
 
 
@@ -382,3 +450,63 @@ def test_report_bytes_are_pinned(tmp_path, argv):
     body = "".join(line for line in out.read_text().splitlines(True)
                    if not line.startswith('  "timestamp": '))
     assert hashlib.sha256(body.encode()).hexdigest() == _REPORT_DIGESTS[argv]
+
+
+class _Stop(Exception):
+    """Raised by a spy once it has the pair a command would run."""
+
+
+_SOURCES = {
+    "classical-rellich": "--n 6", "iterlog": "--k 1 --n 6 --R 1",
+    "ell-family": "--k 2 --n 5 --R 1", "hyp-interp": "--n 5 --kappa 1",
+    "hyp-lower-1": "--n 5 --kappa 1", "hyp-lower-2": "--n 5 --kappa 1",
+    "hyp-lower-3": "--n 5 --kappa 1", "hyp-final": "--n 5 --kappa 1",
+}
+
+
+def _pair_run(tmp_path, monkeypatch, command, entry, shape):
+    """The (shape, pair, space form) that command hands to verify_case or
+    estimate_constant, or None when it exits 64 first."""
+    seen = []
+
+    def spy_case(case, **kwargs):
+        seen.append((case.shape, case.pair, case.sf))
+        raise _Stop
+
+    def spy_estimate(sf, shape, pair, **kwargs):
+        seen.append((shape, pair, sf))
+        raise _Stop
+
+    monkeypatch.setattr("rellich.verify.verify_case", spy_case)
+    monkeypatch.setattr("rellich.sharpness.estimate_constant", spy_estimate)
+    argv = [command, "--catalog", entry, *_SOURCES[entry].split(), "--shape", shape]
+    try:
+        code, _ = _run(tmp_path, *argv)
+    except _Stop:
+        return seen[0]
+    assert code == EXIT_USAGE
+    return None
+
+
+def _sides_text(run):
+    shape, pair, sf = run
+    s = shape_sides(shape, pair, sf)
+    return str(s.weight), s.lhs, str(s.density), s.rhs, s.bindings
+
+
+@pytest.mark.parametrize("shape", ["delta-vs-gradrad", "gradrad-vs-usq", "chain"])
+@pytest.mark.parametrize("entry", CATALOG_IDS)
+def test_verify_and_estimate_run_the_same_sides(tmp_path, monkeypatch, entry, shape):
+    verified = _pair_run(tmp_path, monkeypatch, "verify", entry, shape)
+    estimated = _pair_run(tmp_path, monkeypatch, "estimate", entry, shape)
+    assert (verified is None) == (estimated is None)
+    if verified is None:
+        return
+    if (entry, shape) == ("classical-rellich", "gradrad-vs-usq"):
+        # the one exception: the classical Hardy constant is estimated on its
+        # own pair, not on the chain's primal link that verify checks
+        hardy = cat.classical_euclidean(6).specs["hardy"]
+        assert _sides_text(estimated) == _sides_text((shape, hardy, estimated[2]))
+        assert _sides_text(verified) != _sides_text(estimated)
+        return
+    assert _sides_text(verified) == _sides_text(estimated)

@@ -145,6 +145,12 @@ class TestEstimateConstant:
         assert est.evaluations >= 25
         assert len(built) <= 3
 
+    @pytest.mark.parametrize("shape", ["gradrad-vs-usq", "chain"])
+    def test_pair_of_the_wrong_kind_is_rejected(self, shape):
+        entry = cat.classical_euclidean(6)
+        with pytest.raises(ValueError, match="requires a"):
+            estimate_constant(SpaceForm(6, 0.0), shape, entry.specs["dual"], budget=25)
+
     def test_curved_estimate_reports_no_gap(self):
         entry = cat.hyperbolic_interpolation(5, 1.0, 0.0)
         est = estimate_constant(SpaceForm(5, 1.0), "delta-vs-gradrad",

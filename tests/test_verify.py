@@ -185,7 +185,7 @@ class TestVerifyCase:
         e = cat.classical_euclidean(5)
         case = InequalityCase(shape="delta-vs-gradrad", sf=SpaceForm(5, 0.0),
                               batch=BatchSpec(count=12, seed=42),
-                              dual=e.specs["dual"], case_id="classical-5")
+                              pair=e.specs["dual"], case_id="classical-5")
         rep = verify_case(case)
         assert rep.verdict == "pass"
         assert all(t.margin >= -t.budget for t in rep.tests)
@@ -195,7 +195,7 @@ class TestVerifyCase:
         e = cat.classical_euclidean(7)
         case = InequalityCase(shape="delta-vs-grad", sf=SpaceForm(7, 0.0),
                               batch=BatchSpec(count=4, seed=1, modes=(0, 1)),
-                              dual=e.specs["dual"])
+                              pair=e.specs["dual"])
         rep = verify_case(case)
         assert rep.verdict == "inconclusive"
         assert any(s.target == "E2" and s.verdict == "violated" for s in rep.scans)
@@ -206,7 +206,7 @@ class TestVerifyCase:
         e = cat.classical_euclidean(5)
         case = InequalityCase(shape="gradrad-vs-usq", sf=SpaceForm(5, 0.0),
                               batch=BatchSpec(count=10, seed=11),
-                              primal=e.specs["hardy"])
+                              pair=e.specs["hardy"])
         rep = verify_case(case)
         assert rep.verdict == "pass"
 
@@ -220,7 +220,7 @@ class TestVerifyCase:
             "H": Const(2.5) / t, "v": Const(1.0),
             "V": Const(6.25e6) / (t * t)})
         case = InequalityCase(shape="delta-vs-gradrad", sf=SpaceForm(5, 0.0),
-                              batch=BatchSpec(count=6, seed=2), dual=bad)
+                              batch=BatchSpec(count=6, seed=2), pair=bad)
         rep = verify_case(case)
         assert rep.verdict == "fail"
         assert any(t.margin < -t.budget for t in rep.tests)
@@ -241,21 +241,21 @@ class TestVerifyCase:
         for tol in (1e-8, 5e-9, 1e-10):
             case = InequalityCase(shape="delta-vs-gradrad", sf=SpaceForm(6, 0.0),
                                   batch=BatchSpec(count=6, seed=42),
-                                  dual=e.specs["dual"])
+                                  pair=e.specs["dual"])
             assert verify_case(case, quad_tol=tol).verdict == "pass"
 
     def test_determinism(self):
         e = cat.classical_euclidean(5)
         case = InequalityCase(shape="delta-vs-gradrad", sf=SpaceForm(5, 0.0),
                               batch=BatchSpec(count=8, seed=42),
-                              dual=e.specs["dual"])
+                              pair=e.specs["dual"])
         assert verify_case(case) == verify_case(case)
 
     def test_empty_batch(self):
         e = cat.classical_euclidean(5)
         case = InequalityCase(shape="delta-vs-gradrad", sf=SpaceForm(5, 0.0),
                               batch=BatchSpec(count=0, seed=42),
-                              dual=e.specs["dual"])
+                              pair=e.specs["dual"])
         rep = verify_case(case)
         assert rep.tests == ()
         assert rep.verdict == "pass"  # scans alone gate
@@ -266,10 +266,12 @@ class TestVerifyCase:
             InequalityCase(shape="delta-vs-gradrad", sf=SpaceForm(5, 0.0))
         with pytest.raises(ValueError):
             InequalityCase(shape="gradrad-vs-usq", sf=SpaceForm(5, 0.0),
-                           dual=e.specs["dual"])
+                           pair=e.specs["dual"])
+        with pytest.raises(ValueError):
+            InequalityCase(shape="delta-vs-gradrad", sf=SpaceForm(5, 0.0), pair=e.chain)
         with pytest.raises(ValueError, match="l >= 1"):
             InequalityCase(shape="delta-vs-grad", sf=SpaceForm(8, 0.0),
-                           dual=cat.classical_euclidean(8).specs["dual"],
+                           pair=cat.classical_euclidean(8).specs["dual"],
                            batch=BatchSpec(count=4, seed=1, modes=(0,)))
 
 
