@@ -74,15 +74,11 @@ class ChainDescriptor:
             acc = term if acc is None else acc + term
         return acc
 
-    def dual_rhs_density_expr(self) -> Expr:
-        return self.dual.expr("v") * self.dual.expr("V")
-
-    def split_density_expr(self) -> Expr:
-        acc = None
-        for link in self.links:
-            term = Const(link.alpha) * link.weight_expr
-            acc = term if acc is None else acc + term
-        return acc
+    def composition_terms(self) -> list[Expr]:
+        """alpha_i w_i for each link, then -v V: the terms whose sum vanishes
+        when the link weights split the dual RHS density."""
+        return ([Const(link.alpha) * link.weight_expr for link in self.links]
+                + [-(self.dual.expr("v") * self.dual.expr("V"))])
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,6 @@ class CatalogEntry:
     default_shape: Optional[str] = None
     provenance: str = ""
     extras: dict = field(default_factory=dict)
-
-
-def _t() -> Var:
-    return Var()
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +107,7 @@ def classical_euclidean(n: int) -> CatalogEntry:
     """
     if n < 5:
         raise ValueError(f"classical chained family needs n >= 5, got {n}")
-    t = _t()
+    t = Var()
     dual = PairSpec(
         kind="dual",
         exprs={"H": Const(n / 2.0) / t, "v": Const(1.0),
@@ -180,7 +172,7 @@ def iterated_log_potential(k: int, R: float) -> CatalogEntry:
     if not R > 0:
         raise ValueError("need R > 0")
     r = R * _exp_iter(k - 1, math.e)
-    t = _t()
+    t = Var()
     rt = Param("r") / t
     prod_full = None
     z_sum = None
@@ -215,7 +207,7 @@ def iterated_log_potential(k: int, R: float) -> CatalogEntry:
 def iterlog_q_expr(k: int) -> Expr:
     """q(t) = t z'(t)/z(t) = -(1/2) sum_j (prod_{i<=j} log_[i](r/t))^-1;
     lies in (-1, 0) on (0, R)."""
-    t = _t()
+    t = Var()
     rt = Param("r") / t
     acc = None
     for j in range(1, k + 1):
@@ -255,7 +247,7 @@ def ell_potential(k: int, R: float) -> CatalogEntry:
         raise ValueError("need k >= 1")
     if not R > 0:
         raise ValueError("need R > 0")
-    t = _t()
+    t = Var()
     arg = t / Param("R")
     z_sum = None
     prod_full = None
@@ -306,7 +298,7 @@ def hyperbolic_interpolation(n: int, kappa: float, lam: float) -> CatalogEntry:
         raise ValueError(f"need 0 <= lambda <= {lam_max}, got {lam}")
     gamma = math.sqrt((n - 1) ** 2 - 4.0 * lam)
     h = (gamma + 1.0) / 2.0
-    t = _t()
+    t = Var()
     ct = Unary("ct", t)
     sinh2 = Unary("sinh", Const(kappa) * t) ** Const(2.0)
     H = Const(n / 2.0 - h) * ct + Const(h) / t
@@ -351,7 +343,7 @@ def hyperbolic_lower(n: int, kappa: float, which: int) -> CatalogEntry:
         raise ValueError("need kappa > 0")
     if which not in (1, 2, 3):
         raise ValueError(f"selector must be 1, 2 or 3, got {which}")
-    t = _t()
+    t = Var()
     ct = Unary("ct", t)
     k2 = kappa ** 2
     sinh2 = Unary("sinh", Const(kappa) * t) ** Const(2.0)
@@ -464,7 +456,7 @@ def chain_from_potential(entry: CatalogEntry, n: int) -> ChainDescriptor:
 
     The first link carries an explicit solution; the second is certified by
     disconjugacy."""
-    potential = entry.specs["potential"]
+    potential = _potential(entry)
     lam = entry.params.get("lambda", 2.0)
     dual = pr.from_bessel_potential(potential, "iii", n)
     first_pair, second_pair = pr.bessel_pairs_from_potential(potential, lam, n)
@@ -489,11 +481,17 @@ def chain_from_potential(entry: CatalogEntry, n: int) -> ChainDescriptor:
     )
 
 
+def _potential(entry: CatalogEntry) -> Optional[PairSpec]:
+    """The entry's Bessel potential, found by kind: a catalog entry names it
+    "potential", an inline source by its kind."""
+    return next((p for p in entry.specs.values() if p.kind == "bessel-potential"), None)
+
+
 def entry_chain(entry: CatalogEntry, n: int) -> ChainDescriptor:
     """The entry's own chain, or the one its Bessel potential generates."""
     if entry.chain is not None:
         return entry.chain
-    if "potential" in entry.specs:
+    if _potential(entry) is not None:
         return chain_from_potential(entry, n)
     raise ValueError(f"entry {entry.id!r} has no chain")
 
@@ -512,10 +510,7 @@ def entry_pair(entry: CatalogEntry, kind: str, sf: SpaceForm):
     if kind == "dual":
         if "primal" in entry.specs:
             return pr.primal_to_dual(entry.specs["primal"], sf)
-        # found by kind: a catalog entry names it "potential", an inline
-        # source by its kind
-        potential = next((p for p in entry.specs.values()
-                          if p.kind == "bessel-potential"), None)
+        potential = _potential(entry)
         if potential is not None:
             return pr.from_bessel_potential(potential, "iii", sf.n)
     raise ValueError(f"no {kind} pair derivable from entry {entry.id!r}")

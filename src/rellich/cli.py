@@ -158,7 +158,8 @@ def _catalog_entry(args, entry_id: str) -> cat.CatalogEntry:
 
 def _resolve(args):
     """(entry, space form) from --catalog or the inline flags.  An inline pair
-    is the entry "inline", whose one spec is keyed by its kind."""
+    is the entry "inline", whose one spec is keyed by its kind and whose
+    lambda is --lambda."""
     inline = _inline_pair(args)
     if (args.catalog is None) == (inline is None):
         raise ValueError("exactly one pair source required: --catalog or inline expressions")
@@ -166,13 +167,15 @@ def _resolve(args):
         kappa = args.kappa if args.kappa is not None else 0.0
         R = args.R if args.R is not None else math.inf
         sf = SpaceForm(args.n, kappa, R)
-        return cat.CatalogEntry("inline", {}, {inline.kind: inline}, sf), sf
+        entry = cat.CatalogEntry("inline", {"lambda": args.lam}, {inline.kind: inline}, sf)
+        return entry, sf
     entry = _catalog_entry(args, args.catalog)
     R = args.R if args.R is not None else entry.space_form.R
     sf = SpaceForm(args.n, entry.space_form.kappa, R)
-    if args.c is not None and "potential" in entry.specs:
-        potential = entry.specs["potential"].with_constant(args.c)
-        entry = replace(entry, specs={**entry.specs, "potential": potential})
+    if args.c is not None:
+        entry = replace(entry, specs={
+            name: p.with_constant(args.c) if p.kind == "bessel-potential" else p
+            for name, p in entry.specs.items()})
     return entry, sf
 
 
@@ -284,17 +287,15 @@ def _cmd_check_pair(args):
 
 
 def _scan_target_terms(args, entry, sf):
+    """The terms and bindings of --target on the pair it names: E1 and E2 on
+    the entry's dual, a role on the first spec that has it, anything else on
+    the first spec."""
     if args.target in ("E1", "E2"):
-        dual = cat.entry_pair(entry, "dual", sf)
-        terms = pr.e1_terms(dual) if args.target == "E1" else pr.e2_terms(dual)
-        return terms, dual.bindings(sf)
-    if args.target == "residual":
-        p = next(iter(entry.specs.values()))
-        return pr.residual_terms(p), p.bindings(sf)
-    for p in entry.specs.values():
-        if args.target in p.exprs:
-            return [p.expr(args.target)], p.bindings(sf)
-    raise ValueError(f"no scan target {args.target!r} on this source")
+        p = cat.entry_pair(entry, "dual", sf)
+    else:
+        specs = list(entry.specs.values())
+        p = next((p for p in specs if args.target in p.exprs), specs[0])
+    return pr.condition_terms(p, args.target), p.bindings(sf)
 
 
 def _cmd_scan(args):
@@ -368,7 +369,7 @@ def _cmd_estimate(args):
     entry, sf = _resolve(args)
     pair, claimed = sh.sharpness_problem(entry, args.shape, sf)
     est = sh.estimate_constant(sf, args.shape, pair, claimed=claimed,
-                               budget=args.budget, seed=args.seed, tol=quad_tol)
+                               budget=args.budget, tol=quad_tol)
     verdict = "pass"
     if not math.isfinite(est.estimate):
         verdict = "inconclusive"  # no probe gave a finite quotient

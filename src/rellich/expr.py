@@ -36,7 +36,7 @@ __all__ = [
     "Expr", "Const", "Var", "Param", "Unary", "Binary", "Iter", "Program",
     "Bindings", "parse", "evaluate", "differentiate", "fd_check",
     "ExprError", "ParseError", "EvaluationError", "UnboundParameterError",
-    "DomainError", "const", "var_t", "param",
+    "DomainError",
 ]
 
 PARAMETER_NAMES = ("n", "kappa", "lambda", "r", "R", "c", "k")
@@ -701,18 +701,6 @@ def _as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     return Const(x)
-
-
-def const(v: Number) -> Const:
-    return Const(v)
-
-
-def var_t() -> Var:
-    return Var()
-
-
-def param(name: str) -> Param:
-    return Param(name)
 
 
 def _fold(op: str, a: Expr, b: Expr):

@@ -11,10 +11,11 @@ with L(t) = (n-1) ct_kappa(t).  The residual, E1 and E2 builders, the
 primal<->dual change of functions, the potential-to-pair constructions, an
 ODE disconjugacy certificate for "a positive solution exists", and the grid
 scanner live here.  Each side condition is written once, as a list of
-terms (the *_expr builders are their sums), and the one scanner,
-scan_positivity, judges the sum of a list of terms relative to 1 + sum |term|
-under one tolerance; a raw function is a single term.  Every scan returns
-one Scan record, whose first five fields are the report row.
+terms (the *_expr builders are their sums), condition_terms is the one map
+from a condition's name to its terms, and the one scanner, scan_positivity,
+judges the sum of a list of terms relative to 1 + sum |term| under one
+tolerance; a raw function is a single term.  Every scan returns one Scan
+record, whose first five fields are the report row.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .geometry import SpaceForm
 __all__ = [
     "PairSpec", "Scan", "DisconjugacyReport", "ROLES",
     "residual_terms", "residual_expr", "e1_expr", "e2_expr", "e1_terms", "e2_terms",
+    "condition_terms",
     "primal_to_dual", "dual_to_primal",
     "from_bessel_potential", "from_bessel_pair", "bessel_pairs_from_potential",
     "disconjugacy_check", "scan_positivity", "scan_range",
@@ -43,6 +45,7 @@ __all__ = [
 
 DEFAULT_RESIDUAL_TOL = 1e-9       # the scans' relative tolerance
 DEFAULT_GRID = 10_000             # the scans' log-grid size
+_BISECTIONS = 60                  # halvings of each sign-change bracket
 
 ROLES = {
     "primal": ("G", "w", "W"),
@@ -185,6 +188,18 @@ def e2_expr(p: PairSpec) -> Expr:
     return _sum(e2_terms(p))
 
 
+def condition_terms(p: PairSpec, name: str) -> list[Expr]:
+    """The terms whose sum is >= 0 under the condition name of p: a role of p
+    (one term), "residual", or "E1"/"E2" of a dual pair."""
+    if name in p.exprs:
+        return [p.expr(name)]
+    if name == "residual":
+        return residual_terms(p)
+    if name in ("E1", "E2") and p.kind == "dual":
+        return e1_terms(p) if name == "E1" else e2_terms(p)
+    raise ValueError(f"no condition {name!r} on a {p.kind} pair")
+
+
 # ---------------------------------------------------------------------------
 # primal <-> dual change of functions
 
@@ -223,14 +238,20 @@ def dual_to_primal(p: PairSpec, sf: SpaceForm) -> PairSpec:
 # Bessel constructions
 
 
-def _check_verified(p: PairSpec, n: int, tol: float = 1e-6) -> None:
+def _spot_scan(p: PairSpec, n: int, terms, grid: int, lo: float, hi: float,
+               tol: float) -> Scan:
+    """scan_positivity of terms on (lo R, hi R), R from p's parameters."""
     R = float(p.params.get("R", 1.0))
     sf = SpaceForm(n, 0.0, R)
-    scan = scan_positivity(residual_terms(p), sf, grid=32, t_lo=1e-3 * R, t_hi=0.999 * R,
+    return scan_positivity(terms, sf, grid=grid, t_lo=lo * R, t_hi=hi * R,
                            bindings=p.bindings(sf), tol=tol)
+
+
+def _check_verified(p: PairSpec, n: int) -> None:
+    scan = _spot_scan(p, n, residual_terms(p), 32, 1e-3, 0.999, 1e-6)
     if not scan.equality:   # a NaN (inf - inf between terms) is not verified either
         raise ValueError(f"input {p.kind} is not verified: relative residual "
-                         f"{scan.max_abs_relative:.3e} > {tol:.0e}")
+                         f"{scan.max_abs_relative:.3e} > {scan.tol:.0e}")
 
 
 def from_bessel_potential(p: PairSpec, variant: str, n: int) -> PairSpec:
@@ -295,11 +316,8 @@ def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int) -> tuple[PairSp
     t = Var()
     z, Z, c = p.expr("z"), p.expr("Z"), p.constant
     # spot check f = Z'/Z + lam/t >= 0 (the decay of t f is the caller's assertion)
-    R = float(p.params.get("R", 1.0))
-    grid = log_grid(1e-4 * R, 0.99 * R, 64)
-    f_expr = Z.diff() / Z + Const(lam) / t
-    f_vals = f_expr.evaluate(p.bindings(None, grid))
-    if np.min(f_vals) < -1e-9 * np.max(1.0 + np.abs(f_vals)):
+    f = _spot_scan(p, n, [Z.diff() / Z, Const(lam) / t], 64, 1e-4, 0.99, 1e-9)
+    if f.verdict != "nonnegative":
         raise ValueError("condition Z'/Z = -lambda/t + f with f >= 0 fails on spot check")
     params = dict(p.params)
     first = PairSpec(
@@ -399,11 +417,11 @@ def _sspace_coefficients(p: PairSpec, n: Optional[int]):
 
 _DEEP_LOG_DEPTH = 2.0e6          # potentials: start at t = R e^{-depth}
 _PAIR_LOG_DEPTH = 110.0
+_ODE_RTOL = 1e-8                 # step-doubling error per step
 
 
 def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = None,
-                       n: Optional[int] = None, rtol: float = 1e-8,
-                       max_steps: int = 20_000) -> DisconjugacyReport:
+                       n: Optional[int] = None, max_steps: int = 20_000) -> DisconjugacyReport:
     """Integrate the defining linear ODE and report whether the solution
     with principal (recessive-at-zero) initial data stays positive.
 
@@ -433,15 +451,15 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     if s_lo > -120.0:
         try:
             return _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi,
-                                     rtol, max_steps, use_mp=False)
+                                     max_steps, use_mp=False)
         except ex.EvaluationError:
             pass
     with mpmath.workdps(25):   # the caller's precision is left as it was
         return _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi,
-                                 rtol, max_steps, use_mp=True)
+                                 max_steps, use_mp=True)
 
 
-def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, rtol, max_steps,
+def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, max_steps,
                       use_mp: bool) -> DisconjugacyReport:
     import mpmath
 
@@ -493,12 +511,12 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, rtol, max_steps,
             break
         norm = max(abs(y2), abs(dy2), mpf(1e-300))
         err = float(max(abs(y2 - y_full), abs(dy2 - dy_full)) / norm)
-        if err > rtol:
+        if err > _ODE_RTOL:
             if float(h) > 1e-12 * max(1.0, abs(float(s))):
-                h = h * max(0.2, 0.9 * (rtol / err) ** 0.2)
+                h = h * max(0.2, 0.9 * (_ODE_RTOL / err) ** 0.2)
                 steps += 1
                 continue
-            if err > 100.0 * rtol:   # step underflow: stiff failure
+            if err > 100.0 * _ODE_RTOL:   # step underflow: stiff failure
                 status = "inconclusive"
                 break
         y_new, dy_new = y2, dy2
@@ -524,7 +542,7 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, rtol, max_steps,
         y, dy, s = y_new, dy_new, s + h
         steps += 1
         if err > 0:
-            h = h * min(5.0, 0.9 * (rtol / err) ** 0.2)
+            h = h * min(5.0, 0.9 * (_ODE_RTOL / err) ** 0.2)
         else:
             h = h * 5.0
         m = max(abs(y), abs(dy))
@@ -568,7 +586,7 @@ def _richardson_limit(program: ex.Program, bindings: dict, points: Sequence[floa
 
 
 def scan_positivity(terms: Sequence[Expr], sf: SpaceForm, grid: int = DEFAULT_GRID,
-                    refine: int = 60, t_lo: Optional[float] = None,
+                    t_lo: Optional[float] = None,
                     t_hi: Optional[float] = None, bindings: Optional[dict] = None,
                     tol: float = DEFAULT_RESIDUAL_TOL, target: str = "f") -> Scan:
     """Scan sum(terms) >= 0 on a log-spaced grid over scan_range(sf) unless
@@ -613,7 +631,7 @@ def scan_positivity(terms: Sequence[Expr], sf: SpaceForm, grid: int = DEFAULT_GR
     for i in flips[:16]:
         a_, b_ = float(ts[i]), float(ts[i + 1])
         fa = float(total[i])
-        for _ in range(refine):
+        for _ in range(_BISECTIONS):
             m = 0.5 * (a_ + b_)
             fm = float(_sum(program.evaluate({**b, "t": m})))
             if fm == 0.0:

@@ -96,14 +96,13 @@ def _build_u(x: dict, sf: SpaceForm, d_hi: float):
 
 
 def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] = None,
-                      budget: int = 500, seed: int = 42,
+                      budget: int = 500,
                       tol: float = DEFAULT_QUAD_TOL) -> SharpnessEstimate:
     """Minimize the quotient over (alpha, log a, log b/a, taper fractions).
 
     Deterministic: a fixed start, coordinate sweeps of golden-section probes,
     updates accepted only on strict improvement (so enlarging the budget can
-    never worsen the estimate).  ``seed`` is recorded for reproducibility but
-    the search itself is derandomized.
+    never worsen the estimate).
     """
     # built once here, outside the probes, which turn every ValueError into
     # an infinite quotient: a pair of the wrong kind is rejected, not inf

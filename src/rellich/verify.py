@@ -160,20 +160,24 @@ def integrate(sf: SpaceForm, density: Callable, a: float, b: float,
 class Shape(NamedTuple):
     """The pair kind a shape is stated for ("chain": a chain descriptor), the
     roles of its weight and potential (the RHS density is their product, a
-    chain's is its end density) and the forms of u on its two sides."""
+    chain's is its end density), the forms of u on its two sides and the
+    conditions of the pair its scans gate on (pairs.condition_terms names; a
+    chain gates on its dual's delta-vs-gradrad conditions and on its links)."""
 
     kind: str
     weight: str
     potential: Optional[str]
     lhs: str
     rhs: str
+    gates: tuple
 
 
 SHAPES = {
-    "delta-vs-gradrad": Shape("dual", "v", "V", "delta", "gradrad"),
-    "delta-vs-grad": Shape("dual", "v", "V", "delta", "grad"),
-    "gradrad-vs-usq": Shape("primal", "w", "W", "gradrad", "usq"),
-    "chain": Shape("chain", "v", None, "delta", "usq"),
+    "delta-vs-gradrad": Shape("dual", "v", "V", "delta", "gradrad",
+                              ("v", "V", "residual", "E1")),
+    "delta-vs-grad": Shape("dual", "v", "V", "delta", "grad", ("v", "V", "residual", "E2")),
+    "gradrad-vs-usq": Shape("primal", "w", "W", "gradrad", "usq", ("w", "W", "residual")),
+    "chain": Shape("chain", "v", None, "delta", "usq", ()),
 }
 
 
@@ -350,36 +354,29 @@ def generate_batch(sf: SpaceForm, batch: BatchSpec) -> list[RadialTestFunction]:
     return out
 
 
-def _scans(p: PairSpec, sf: SpaceForm, grid: int, tol: float, rows) -> list[Scan]:
-    """One scan of p per (target, terms) row, all over scan_range(sf)."""
+_SIGNED = "(signed-override)"
+
+
+def _scans(p: PairSpec, names: Sequence[str], sf: SpaceForm, grid: int, tol: float,
+           prefix: str = "") -> list[Scan]:
+    """One row per condition of p in names, labelled prefix + name:
+    "disconjugacy" by the ODE check, any other name by scanning its
+    pairs.condition_terms over scan_range(sf).  W of a pair that allows a
+    signed W is labelled W(signed-override) and does not gate."""
     b = p.bindings(sf)
-    return [pr.scan_positivity(terms, sf, grid=grid, bindings=b, tol=tol, target=target)
-            for target, terms in rows]
-
-
-def _dual_scans(p: PairSpec, sf: SpaceForm, grid: int, tol: float, e: str) -> list[Scan]:
-    """v, V, the residual and E1 or E2 of a dual pair."""
-    e_terms = pr.e1_terms(p) if e == "E1" else pr.e2_terms(p)
-    return _scans(p, sf, grid, tol, [("v", [p.expr("v")]), ("V", [p.expr("V")]),
-                                     ("residual", pr.residual_terms(p)), (e, e_terms)])
-
-
-def _side_condition_scans(case: InequalityCase, grid: int, tol: float):
-    row = SHAPES[case.shape]
-    p = case.pair
-    if row.kind == "dual":
-        e = "E1" if row.rhs == "gradrad" else "E2"
-        return _dual_scans(p, case.sf, grid, tol, e), []
-    w_target = "W(signed-override)" if p.allow_signed_W else "W"
-    scans = _scans(p, case.sf, grid, tol, [("w", [p.expr("w")]), (w_target, [p.expr("W")]),
-                                           ("residual", pr.residual_terms(p))])
-    notes = ["signed-W override engaged: W positivity not gating"] if p.allow_signed_W else []
-    return scans, notes
+    rows = []
+    for name in names:
+        if name == "disconjugacy":
+            rows.append(pr.disconjugacy_check(p, n=sf.n).scan(prefix + name))
+            continue
+        label = prefix + name + (_SIGNED if name == "W" and p.allow_signed_W else "")
+        rows.append(pr.scan_positivity(pr.condition_terms(p, name), sf, grid=grid,
+                                       bindings=b, tol=tol, target=label))
+    return rows
 
 
 def _gating(scans: Sequence[Scan]) -> bool:
-    return all(s.verdict == "nonnegative" for s in scans
-               if not s.target.endswith("(signed-override)"))
+    return all(s.verdict == "nonnegative" for s in scans if not s.target.endswith(_SIGNED))
 
 
 def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
@@ -395,7 +392,9 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
     if case.shape == "chain":
         return verify_chain(case.pair, case.sf, case.batch, quad_tol=quad_tol,
                             grid=grid, tol=tol, case_id=case.case_id)
-    scans, notes = _side_condition_scans(case, grid, tol)
+    scans = _scans(case.pair, SHAPES[case.shape].gates, case.sf, grid, tol)
+    notes = (["signed-W override engaged: W positivity not gating"]
+             if any(s.target.endswith(_SIGNED) for s in scans) else [])
     sides = shape_sides(case.shape, case.pair, case.sf)
     tests = [_record(f"t{i:03d}", u, *sides.integrals(case.sf, u, quad_tol))
              for i, u in enumerate(generate_batch(case.sf, case.batch))]
@@ -423,34 +422,28 @@ def _record(test_id: str, u: RadialTestFunction, lhs: QuadratureResult,
                 "support_hi": u.support_hi, "alpha": u.alpha, "l": u.l})
 
 
-def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm,
-                            tol: float = 1e-9) -> None:
-    """Verify v V = sum_i alpha_i w_i pointwise; raise naming the offending
-    link when dropping a single link explains the mismatch."""
-    lo, hi = pr.scan_range(sf)
-    ts = pr.log_grid(lo, hi, 64)
-    b = chain.dual.bindings(sf, ts)
-    target = np.asarray(chain.dual_rhs_density_expr().evaluate(b), dtype=float)
-    total = np.asarray(chain.split_density_expr().evaluate(b), dtype=float)
-    scale = np.maximum(1.0, np.abs(target))
-    worst = float(np.max(np.abs(total - target) / scale))
-    if worst <= tol:
+def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm) -> None:
+    """Verify v V = sum_i alpha_i w_i pointwise: the chain's composition terms
+    sum to zero (Scan.equality at 1e-9) on 64 points of scan_range(sf).  Raise
+    naming the offending link when dropping a single link explains the
+    mismatch."""
+    terms = chain.composition_terms()
+    b = chain.dual.bindings(sf)
+
+    def composes(skip: Optional[int] = None) -> Scan:
+        kept = [term for i, term in enumerate(terms) if i != skip]
+        return pr.scan_positivity(kept, sf, grid=64, bindings=b, tol=1e-9)
+
+    scan = composes()
+    if scan.equality:
         return
+    mismatch = f"chain weights do not compose (mismatch {scan.max_abs_relative:.3e})"
     if len(chain.links) == 1:
-        raise ChainMismatchError(
-            f"chain weights do not compose (mismatch {worst:.3e}); "
-            f"offending link: {chain.links[0].label}")
-    for bad in chain.links:
-        partial = target * 0.0
-        for link in chain.links:
-            if link is not bad:
-                partial = partial + link.alpha * np.asarray(link.weight_expr.evaluate(
-                    {**b, **link.spec.params, "t": ts}), dtype=float)
-        if float(np.max(np.abs(partial - target) / scale)) <= tol:
-            raise ChainMismatchError(
-                f"chain weights do not compose (mismatch {worst:.3e}); "
-                f"offending link: {bad.label}")
-    raise ChainMismatchError(f"chain weights do not compose (mismatch {worst:.3e})")
+        raise ChainMismatchError(f"{mismatch}; offending link: {chain.links[0].label}")
+    for i, bad in enumerate(chain.links):
+        if composes(skip=i).equality:
+            raise ChainMismatchError(f"{mismatch}; offending link: {bad.label}")
+    raise ChainMismatchError(mismatch)
 
 
 def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
@@ -461,17 +454,12 @@ def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
     integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2 per test."""
     check_chain_composition(chain, sf)
     dual = chain.dual
-    scans = _dual_scans(dual, sf, grid, tol, "E1")
-    notes: list[str] = []
+    scans = _scans(dual, SHAPES["delta-vs-gradrad"].gates, sf, grid, tol)
     for link in chain.links:
-        if link.spec.kind == "primal":
-            scans += _scans(link.spec, sf, grid, tol,
-                            [(f"{link.label}-residual", pr.residual_terms(link.spec))])
-            if link.spec.allow_signed_W:
-                notes.append(f"{link.label}: signed-W override engaged")
-        else:
-            rep = pr.disconjugacy_check(link.spec, n=sf.n)
-            scans.append(rep.scan(f"{link.label}-disconjugacy"))
+        names = ("residual",) if link.spec.kind == "primal" else ("disconjugacy",)
+        scans += _scans(link.spec, names, sf, grid, tol, prefix=f"{link.label}-")
+    notes = [f"{link.label}: signed-W override engaged"
+             for link in chain.links if link.spec.allow_signed_W]
     tests: list[TestRecord] = []
     dual_sides = shape_sides("delta-vs-gradrad", dual, sf)
     # each link is the gradrad-vs-usq step of its own weight and potential

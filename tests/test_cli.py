@@ -7,6 +7,7 @@ import re
 import pytest
 
 from rellich import catalog as cat
+from rellich import verify as vf
 from rellich.catalog import CATALOG_IDS
 from rellich.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_PASS,
                          EXIT_USAGE, format_report, main)
@@ -186,6 +187,23 @@ class TestChain:
         code, rep = _run(tmp_path, "chain", "--catalog", "classical-rellich",
                          "--n", "6", "--tests", "4")
         assert code == EXIT_PASS
+
+    def test_inline_potential_chains_with_its_lambda(self, tmp_path, capsys):
+        inline = ["--n", "6", "--z", "sqrt(logk(1,r/t))", "--Z", "1/(t^2*logk(1,r/t)^2)",
+                  "--r", "2.718281828459045", "--R", "1", "--tests", "2"]
+        code, rep = _run(tmp_path, "chain", *inline, "--lambda", "2")
+        code_cat, rep_cat = _run(tmp_path, "chain", "--catalog", "iterlog", "--k", "1",
+                                 "--n", "6", "--R", "1", "--tests", "2")
+        assert code == code_cat == EXIT_PASS
+        assert ([s["target"] for s in rep["scans"]]
+                == [s["target"] for s in rep_cat["scans"]])
+        assert [t["margin"] for t in rep["tests"]] == pytest.approx(
+            [t["margin"] for t in rep_cat["tests"]], rel=1e-12)
+        # without --lambda, lambda = 0 and Z'/Z = -lambda/t + f leaves f < 0
+        (tmp_path / "no-lambda").mkdir()
+        code, rep = _run(tmp_path / "no-lambda", "chain", *inline)
+        assert code == EXIT_USAGE and rep is None
+        assert "f >= 0 fails on spot check" in capsys.readouterr().err
 
 
 class TestSolveBessel:
@@ -510,3 +528,38 @@ def test_verify_and_estimate_run_the_same_sides(tmp_path, monkeypatch, entry, sh
         assert _sides_text(verified) != _sides_text(estimated)
         return
     assert _sides_text(verified) == _sides_text(estimated)
+
+
+# the rows each shape gates on, in report order
+_GATES = {
+    "delta-vs-gradrad": ["v", "V", "residual", "E1"],
+    "delta-vs-grad": ["v", "V", "residual", "E2"],
+    "gradrad-vs-usq": ["w", "W", "residual"],
+}
+
+
+@pytest.mark.parametrize("shape", ["delta-vs-gradrad", "delta-vs-grad", "gradrad-vs-usq",
+                                   "chain"])
+@pytest.mark.parametrize("entry", sorted(_SOURCES))
+def test_report_scans_are_the_shape_gates(tmp_path, monkeypatch, entry, shape):
+    pairs, real = [], vf.verify_case
+
+    def spy(case, **kwargs):
+        pairs.append(case.pair)
+        return real(case, **kwargs)
+
+    monkeypatch.setattr("rellich.verify.verify_case", spy)
+    code, rep = _run(tmp_path, "verify", "--catalog", entry, *_SOURCES[entry].split(),
+                     "--shape", shape, "--tests", "0", "--grid", "500", "--modes", "0,1")
+    if not pairs:
+        assert code == EXIT_USAGE and rep is None
+        return
+    pair = pairs[0]
+    if shape == "chain":
+        expected = _GATES["delta-vs-gradrad"] + [
+            f"{link.label}-{'residual' if link.spec.kind == 'primal' else 'disconjugacy'}"
+            for link in pair.links]
+    else:
+        expected = [g + "(signed-override)" if g == "W" and pair.allow_signed_W else g
+                    for g in _GATES[shape]]
+    assert [s["target"] for s in rep["scans"]] == expected

@@ -368,6 +368,19 @@ class TestDerivedBesselPairs:
         with pytest.raises(ValueError):
             pr.bessel_pairs_from_potential(pot, 4.0, 6)
 
+    @pytest.mark.parametrize("lam,raises", [
+        (0.0, {1, 2, 3}), (1.9, {3}), (2.0, set()), (2.5, set())])
+    def test_spot_check_decisions(self, lam, raises):
+        # f = Z'/Z + lambda/t on the iterlog potentials, whose Z'/Z is
+        # -2/t + (a nonnegative remainder): lambda >= 2 always passes
+        for k in (1, 2, 3):
+            pot = cat.iterated_log_potential(k, 1.0).specs["potential"]
+            if k in raises:
+                with pytest.raises(ValueError, match="f >= 0 fails on spot check"):
+                    pr.bessel_pairs_from_potential(pot, lam, 6)
+            else:
+                pr.bessel_pairs_from_potential(pot, lam, 6)
+
 
 @pytest.fixture(scope="module")
 def _iterlog_pot():
@@ -430,6 +443,38 @@ class TestDisconjugacy:
         assert rep.status == "inconclusive"
         assert rep.positive_solution is False
         assert rep.first_zero is None
+
+
+def _one_pair_of_each_kind():
+    pot = cat.iterated_log_potential(1, 1.0).specs["potential"]
+    first, second = pr.bessel_pairs_from_potential(pot, 2.0, 6)
+    return [cat.hyperbolic_lower(5, 1.0, 2).specs["primal"], _classical_dual(6), pot,
+            first, second]
+
+
+class TestConditionTerms:
+    @pytest.mark.parametrize("p", _one_pair_of_each_kind(),
+                             ids=["primal", "dual", "potential", "pair", "pair-without-y"])
+    def test_every_name(self, p):
+        for role, e in p.exprs.items():
+            assert pr.condition_terms(p, role) == [e]
+        if p.kind == "bessel-pair" and "y" not in p.exprs:
+            with pytest.raises(ValueError, match="disconjugacy"):
+                pr.condition_terms(p, "residual")
+        else:
+            assert _texts(pr.condition_terms(p, "residual")) == _texts(pr.residual_terms(p))
+        for name, terms in (("E1", pr.e1_terms), ("E2", pr.e2_terms)):
+            if p.kind == "dual":
+                assert _texts(pr.condition_terms(p, name)) == _texts(terms(p))
+            else:
+                with pytest.raises(ValueError, match=f"no condition '{name}'"):
+                    pr.condition_terms(p, name)
+        with pytest.raises(ValueError, match="no condition 'Q'"):
+            pr.condition_terms(p, "Q")
+
+
+def _texts(terms):
+    return [str(term) for term in terms]
 
 
 class TestScanPositivity:

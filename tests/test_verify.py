@@ -310,3 +310,13 @@ class TestVerifyChain:
         bad = dataclasses.replace(e.chain, links=bad_links)
         with pytest.raises(ChainMismatchError, match="link-1"):
             verify_chain(bad, SpaceForm(6, 0.0), BatchSpec(count=1, seed=1))
+
+    def test_spurious_link_among_many_is_named(self):
+        import dataclasses
+
+        e = cat.final_combined(5, 1.0)
+        spurious = cat.ChainLink(alpha=1.0, spec=cat.hyperbolic_lower(5, 1.0, 1)
+                                 .specs["primal"], label="link-x")
+        bad = dataclasses.replace(e.chain, links=e.chain.links + (spurious,))
+        with pytest.raises(ChainMismatchError, match="offending link: link-x"):
+            verify_chain(bad, SpaceForm(5, 1.0), BatchSpec(count=1, seed=1))
