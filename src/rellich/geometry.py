@@ -5,6 +5,10 @@ Everything is radial: a simply connected space form of curvature -kappa^2
 half-line (0, R) carrying the volume weight omega_{n-1} * s_kappa(t)^{n-1},
 where s_kappa(t) = t or sinh(kappa t)/kappa.  All functions accept floats
 or numpy arrays for t.
+
+A test profile is a plateau t^alpha times a C^2 taper; ``RadialTestFunction.jet``
+evaluates both once and returns (u, u', u'') together, so a density that needs
+all three (the separated Laplacian) masks and powers its nodes once.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 __all__ = [
     "SpaceForm", "RadialTestFunction", "ct", "big_l", "s_kappa",
     "volume_weight", "sphere_area", "angular_eigenvalue",
-    "radial_laplacian", "separated_laplacian", "make_bump", "make_powerlaw",
+    "separated_laplacian", "make_bump", "make_powerlaw",
 ]
 
 
@@ -91,38 +95,26 @@ def angular_eigenvalue(n: int, l: int) -> float:
     return float(l * (l + n - 2))
 
 
-def radial_laplacian(sf: SpaceForm, u: "RadialTestFunction", t):
-    """u'' + L_kappa u' for a purely radial profile (l = 0 only)."""
-    if getattr(u, "l", 0) != 0:
-        raise ValueError("radial_laplacian requires l = 0; use separated_laplacian")
-    return u.d2value(t) + big_l(sf, t) * u.dvalue(t)
-
-
 def separated_laplacian(sf: SpaceForm, u: "RadialTestFunction", t):
-    """phi'' + L_kappa phi' - mu_l phi / s_kappa^2 for u = phi(rho) Y_l(theta)."""
-    mu = angular_eigenvalue(sf.n, getattr(u, "l", 0))
-    out = u.d2value(t) + big_l(sf, t) * u.dvalue(t)
+    """phi'' + L_kappa phi' - mu_l phi / s_kappa^2 for u = phi(rho) Y_l(theta)
+    (l = 0: the radial Laplacian), from one u.jet(t)."""
+    mu = angular_eigenvalue(sf.n, u.l)
+    phi, d1, d2 = u.jet(t)
+    out = d2 + big_l(sf, t) * d1
     if mu:
-        out = out - mu * u.value(t) / s_kappa(sf, t) ** 2
+        out = out - mu * phi / s_kappa(sf, t) ** 2
     return out
 
 
 # ---------------------------------------------------------------------------
 # test functions
 
-# C^2 quintic smoothstep on [0, 1]: S(0)=S'(0)=S''(0)=0, S(1)=1, S'(1)=S''(1)=0.
-
 
 def _smoothstep(x):
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def _smoothstep_d1(x):
-    return 30.0 * x * x * (1.0 - x) ** 2
-
-
-def _smoothstep_d2(x):
-    return 60.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
+    """(S, S', S'') of the C^2 quintic smoothstep on [0, 1]:
+    S(0)=S'(0)=S''(0)=0, S(1)=1, S'(1)=S''(1)=0."""
+    return (x * x * x * (10.0 + x * (-15.0 + 6.0 * x)), 30.0 * x * x * (1.0 - x) ** 2,
+            60.0 * x * (1.0 - x) * (1.0 - 2.0 * x))
 
 
 @dataclass(frozen=True)
@@ -148,69 +140,43 @@ class RadialTestFunction:
     def support(self) -> tuple[float, float]:
         return (self.support_lo, self.support_hi)
 
-    def with_mode(self, l: int) -> "RadialTestFunction":
-        from dataclasses import replace
-
-        return replace(self, l=l)
-
-    # -- taper tau(t): 0 outside support, 1 on [rise_hi, fall_lo], C^2 --
-
-    def _tau(self, t, deriv: int):
-        t = np.asarray(t, dtype=float)
+    def jet(self, t):
+        """(u, u', u'') at t: the plateau t^alpha (1 for bumps) times the taper
+        tau, which is 0 outside the support, 1 on [rise_hi, fall_lo] and a
+        smoothstep on the rise and fall bands.  Floats for a scalar t."""
+        t_arr = np.asarray(t, dtype=float)
         w_in = self.rise_hi - self.support_lo
         w_out = self.support_hi - self.fall_lo
-        out = np.zeros_like(t)
-        inside = (t > self.support_lo) & (t < self.support_hi)
-        mid = (t >= self.rise_hi) & (t <= self.fall_lo)
-        if deriv == 0:
-            out[mid] = 1.0
-        rise = inside & (t < self.rise_hi)
-        fall = inside & (t > self.fall_lo)
+        tau0, tau1, tau2 = (np.zeros_like(t_arr) for _ in range(3))
+        inside = (t_arr > self.support_lo) & (t_arr < self.support_hi)
+        tau0[(t_arr >= self.rise_hi) & (t_arr <= self.fall_lo)] = 1.0
+        rise = inside & (t_arr < self.rise_hi)
+        fall = inside & (t_arr > self.fall_lo)
         if np.any(rise):
-            x = (t[rise] - self.support_lo) / w_in
-            f = (_smoothstep, _smoothstep_d1, _smoothstep_d2)[deriv]
-            out[rise] = f(x) / w_in ** deriv
+            s0, s1, s2 = _smoothstep((t_arr[rise] - self.support_lo) / w_in)
+            tau0[rise], tau1[rise], tau2[rise] = s0, s1 / w_in, s2 / w_in ** 2
         if np.any(fall):
-            x = (self.support_hi - t[fall]) / w_out
-            f = (_smoothstep, _smoothstep_d1, _smoothstep_d2)[deriv]
-            sign = -1.0 if deriv == 1 else 1.0
-            out[fall] = sign * f(x) / w_out ** deriv
-        return out
-
-    def _plateau(self, t, deriv: int):
-        if self.alpha == 0.0:
-            t = np.asarray(t, dtype=float)
-            return np.ones_like(t) if deriv == 0 else np.zeros_like(t)
+            s0, s1, s2 = _smoothstep((self.support_hi - t_arr[fall]) / w_out)
+            tau0[fall], tau1[fall], tau2[fall] = s0, -s1 / w_out, s2 / w_out ** 2
         a = self.alpha
-        if deriv == 0:
-            return t ** a
-        if deriv == 1:
-            return a * t ** (a - 1.0)
-        return a * (a - 1.0) * t ** (a - 2.0)
-
-    def _eval(self, t, deriv: int):
-        t_arr = np.asarray(t, dtype=float)
-        if deriv == 0:
-            out = self._plateau(t_arr, 0) * self._tau(t_arr, 0)
-        elif deriv == 1:
-            out = self._plateau(t_arr, 1) * self._tau(t_arr, 0) \
-                + self._plateau(t_arr, 0) * self._tau(t_arr, 1)
+        if a == 0.0:
+            p0, p1, p2 = np.ones_like(t_arr), np.zeros_like(t_arr), np.zeros_like(t_arr)
         else:
-            out = self._plateau(t_arr, 2) * self._tau(t_arr, 0) \
-                + 2.0 * self._plateau(t_arr, 1) * self._tau(t_arr, 1) \
-                + self._plateau(t_arr, 0) * self._tau(t_arr, 2)
+            p0, p1, p2 = t_arr ** a, a * t_arr ** (a - 1.0), a * (a - 1.0) * t_arr ** (a - 2.0)
+        out = (p0 * tau0, p1 * tau0 + p0 * tau1,
+               p2 * tau0 + 2.0 * p1 * tau1 + p0 * tau2)
         if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-            return float(out)
+            return tuple(float(o) for o in out)
         return out
 
     def value(self, t):
-        return self._eval(t, 0)
+        return self.jet(t)[0]
 
     def dvalue(self, t):
-        return self._eval(t, 1)
+        return self.jet(t)[1]
 
     def d2value(self, t):
-        return self._eval(t, 2)
+        return self.jet(t)[2]
 
 
 def make_bump(a: float, b: float, sf: SpaceForm, l: int = 0) -> RadialTestFunction:

@@ -74,8 +74,7 @@ class QuadratureResult:
     subintervals: int
 
 
-def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                 rtol: float, atol: float, max_panels: int,
+def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], rtol: float, max_panels: int,
                  init: Sequence[float]) -> QuadratureResult:
     edges = np.asarray(init, dtype=float)
     a = edges[:-1].copy()
@@ -95,7 +94,7 @@ def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     val, err = eval_panels(a, b)
     for _ in range(60):
         total = float(val.sum())
-        target = max(atol, rtol * abs(total))
+        target = rtol * abs(total)
         if err.sum() <= target:
             break
         if len(a) >= max_panels:
@@ -115,10 +114,10 @@ def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     total_err = float(err.sum())
     # modest slack over the request: |K-G| is a conservative estimator and
     # bottoms out near rounding noise of the panel sums
-    if total_err > max(atol, 8.0 * rtol * abs(total), 1e-280):
+    if total_err > max(1e-280, 8.0 * rtol * abs(total)):
         raise NonconvergenceError(
             f"quadrature did not converge: error estimate {total_err:.3e} "
-            f"with {len(a)} subintervals (target {max(atol, rtol * abs(total)):.3e})")
+            f"with {len(a)} subintervals (target {rtol * abs(total):.3e})")
     return QuadratureResult(total, total_err, len(a))
 
 
@@ -137,20 +136,17 @@ def integrate(sf: SpaceForm, density: Callable, a: float, b: float,
         return np.asarray(density(t), dtype=float) * volume_weight(sf, t)
 
     if a > 0 and b / a > 32.0:
-        lo, hi = math.log(a), math.log(b)
-
         def integrand_s(s):
             t = np.exp(s)
             return integrand(t) * t
 
-        init = np.linspace(lo, hi, 17)
-        return _adaptive_gk(integrand_s, lo, hi, tol, 0.0, max_panels, init)
+        init = np.linspace(math.log(a), math.log(b), 17)
+        return _adaptive_gk(integrand_s, tol, max_panels, init)
     if a == 0:
         # geometric initial panels toward the origin; nodes are interior
         edges = [0.0] + [b * 2.0 ** (-j) for j in range(16, -1, -1)]
-        return _adaptive_gk(integrand, a, b, tol, 0.0, max_panels, edges)
-    init = np.linspace(a, b, 9)
-    return _adaptive_gk(integrand, a, b, tol, 0.0, max_panels, init)
+        return _adaptive_gk(integrand, tol, max_panels, edges)
+    return _adaptive_gk(integrand, tol, max_panels, np.linspace(a, b, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +194,12 @@ def side(sf: SpaceForm, weight: Expr, u: RadialTestFunction, form: str,
         if form == "delta":
             lap = separated_laplacian(sf, u, t)
             return w * lap * lap
+        phi, d1, _ = u.jet(t)
         if form == "usq":
-            return w * u.value(t) ** 2
-        q = u.dvalue(t) ** 2
+            return w * phi ** 2
+        q = d1 ** 2
         if form == "grad" and mu:
-            q = q + mu * u.value(t) ** 2 / s_kappa(sf, t) ** 2
+            q = q + mu * phi ** 2 / s_kappa(sf, t) ** 2
         return w * q
 
     lo, hi = u.support

@@ -7,9 +7,8 @@ import pytest
 
 from rellich.expr import fd_check, parse
 from rellich.geometry import (RadialTestFunction, SpaceForm, angular_eigenvalue,
-                              big_l, ct, make_bump, make_powerlaw,
-                              radial_laplacian, s_kappa, separated_laplacian,
-                              sphere_area, volume_weight)
+                              big_l, ct, make_bump, make_powerlaw, s_kappa,
+                              separated_laplacian, sphere_area, volume_weight)
 
 
 class _Monomial:
@@ -20,14 +19,9 @@ class _Monomial:
     def __init__(self, p):
         self.p = p
 
-    def value(self, t):
-        return t ** self.p
-
-    def dvalue(self, t):
-        return self.p * t ** (self.p - 1)
-
-    def d2value(self, t):
-        return self.p * (self.p - 1) * t ** (self.p - 2)
+    def jet(self, t):
+        p = self.p
+        return t ** p, p * t ** (p - 1), p * (p - 1) * t ** (p - 2)
 
 
 class TestSpaceForm:
@@ -142,34 +136,20 @@ class TestLaplacians:
     def test_euclidean_quadratic(self):
         # Delta |x|^2 = 2n in R^n
         u = _Monomial(2)
-        assert radial_laplacian(SpaceForm(3, 0.0), u, 1.0) == pytest.approx(6.0)
-        assert radial_laplacian(SpaceForm(7, 0.0), u, 2.5) == pytest.approx(14.0)
+        assert separated_laplacian(SpaceForm(3, 0.0), u, 1.0) == pytest.approx(6.0)
+        assert separated_laplacian(SpaceForm(7, 0.0), u, 2.5) == pytest.approx(14.0)
 
     def test_plateau_is_harmonic(self):
         sf = SpaceForm(4, 0.9, 10.0)
         u = make_bump(1.0, 4.0, sf)
         for t in (2.2, 2.5, 2.8):  # middle third
-            assert radial_laplacian(sf, u, t) == 0.0
+            assert separated_laplacian(sf, u, t) == 0.0
 
     def test_hyperbolic_quadratic(self):
-        got = radial_laplacian(SpaceForm(3, 1.0), _Monomial(2), 1.0)
+        got = separated_laplacian(SpaceForm(3, 1.0), _Monomial(2), 1.0)
         want = 2.0 + 2.0 * 2.0 * math.cosh(1.0) / math.sinh(1.0)
         assert got == pytest.approx(want, rel=1e-14)
         assert got == pytest.approx(7.2521, abs=1e-4)
-
-    def test_radial_laplacian_rejects_modes(self):
-        sf = SpaceForm(4, 0.0, 10.0)
-        u = make_bump(1.0, 2.0, sf, l=1)
-        with pytest.raises(ValueError):
-            radial_laplacian(sf, u, 1.5)
-
-    def test_separated_matches_radial_for_l0(self):
-        sf = SpaceForm(5, 1.0, 10.0)
-        u = make_bump(0.5, 3.0, sf)
-        rng = np.random.default_rng(5)
-        for t in rng.uniform(0.5, 3.0, size=10):
-            assert separated_laplacian(sf, u, float(t)) == pytest.approx(
-                radial_laplacian(sf, u, float(t)), rel=1e-14)
 
     def test_angular_eigenvalues(self):
         assert angular_eigenvalue(5, 1) == 4.0
@@ -189,16 +169,9 @@ class TestLaplacians:
             l = 1
 
             @staticmethod
-            def value(t):
-                return phi(t)
-
-            @staticmethod
-            def dvalue(t):
-                return (1.0 - 2.0 * t ** 2) * np.exp(-(t ** 2))
-
-            @staticmethod
-            def d2value(t):
-                return (4.0 * t ** 3 - 6.0 * t) * np.exp(-(t ** 2))
+            def jet(t):
+                g = np.exp(-(t ** 2))
+                return phi(t), (1.0 - 2.0 * t ** 2) * g, (4.0 * t ** 3 - 6.0 * t) * g
 
         def u(x, y, z):
             r = math.sqrt(x * x + y * y + z * z)
@@ -264,6 +237,28 @@ class TestBump:
             make_bump(1.0, 200.0, self.sf)
 
 
+class TestJet:
+    """value, dvalue and d2value are the components of one jet, and the
+    array path agrees with the scalar one point by point."""
+
+    @pytest.mark.parametrize("u", [
+        make_bump(1.0, 4.0, SpaceForm(5, 0.0, 100.0)),
+        make_powerlaw(-1.5, 2.0, 8.0, 1.0, 3.0, SpaceForm(6, 0.0, 1000.0)),
+    ], ids=["bump", "powerlaw"])
+    def test_accessors_are_jet_components(self, u):
+        knots = [u.support_lo, u.rise_hi, u.fall_lo, u.support_hi]
+        ts = np.linspace(0.5 * u.support_lo, u.support_hi + 1.0, 401)
+        pieces = np.searchsorted(knots, ts)      # below, rise, plateau, fall, above
+        assert set(pieces.tolist()) == {0, 1, 2, 3, 4}
+        for t in knots + [ts]:
+            jet = u.jet(t)
+            for k, got in enumerate((u.value(t), u.dvalue(t), u.d2value(t))):
+                assert type(got) is type(jet[k])
+                assert np.asarray(got).tobytes() == np.asarray(jet[k]).tobytes()
+        pointwise = np.array([u.jet(float(t)) for t in ts]).T
+        assert pointwise.tobytes() == np.array(u.jet(ts)).tobytes()
+
+
 class TestPowerlaw:
     def setup_method(self):
         self.sf = SpaceForm(6, 0.0, 1000.0)
@@ -301,4 +296,4 @@ class TestPowerlaw:
     def test_mode_attachment(self):
         u = make_bump(1.0, 2.0, self.sf, l=2)
         assert u.l == 2
-        assert u.with_mode(0).l == 0
+        assert make_powerlaw(-1.0, 1.0, 4.0, 0.5, 1.0, self.sf, l=1).l == 1

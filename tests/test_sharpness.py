@@ -16,14 +16,8 @@ class _Scaled:
         self._u, self._s, self.l = u, s, u.l
         self.support = u.support
 
-    def value(self, t):
-        return self._s * self._u.value(t)
-
-    def dvalue(self, t):
-        return self._s * self._u.dvalue(t)
-
-    def d2value(self, t):
-        return self._s * self._u.d2value(t)
+    def jet(self, t):
+        return tuple(self._s * d for d in self._u.jet(t))
 
 
 class TestRayleighQuotient:

@@ -9,7 +9,8 @@ from numpy.polynomial import Polynomial
 from rellich import catalog as cat
 from rellich import verify as vf
 from rellich.expr import Const, parse
-from rellich.geometry import SpaceForm, make_bump, sphere_area
+from rellich.geometry import (RadialTestFunction, SpaceForm, make_bump,
+                              sphere_area)
 from rellich.verify import (BatchSpec, ChainMismatchError, InequalityCase,
                             generate_batch, integrate, shape_sides, side,
                             verify_case, verify_chain)
@@ -103,14 +104,8 @@ class _Scaled:
         self._u, self._s, self.l = u, s, u.l
         self.support = u.support
 
-    def value(self, t):
-        return self._s * self._u.value(t)
-
-    def dvalue(self, t):
-        return self._s * self._u.dvalue(t)
-
-    def d2value(self, t):
-        return self._s * self._u.d2value(t)
+    def jet(self, t):
+        return tuple(self._s * d for d in self._u.jet(t))
 
 
 class TestSides:
@@ -152,6 +147,28 @@ class TestSides:
     def test_invalid_side(self):
         with pytest.raises(ValueError):
             side(self.sf, Const(1.0), self.u, "curl")
+
+    @pytest.mark.parametrize("form,l", [("delta", 0), ("delta", 1), ("gradrad", 0),
+                                        ("grad", 1), ("usq", 0)])
+    def test_one_jet_per_density_evaluation(self, monkeypatch, form, l):
+        jets, densities = [], []
+        jet, integrate = RadialTestFunction.jet, vf.integrate
+
+        def counted_jet(u, t):
+            jets.append(np.size(t))
+            return jet(u, t)
+
+        def counted_integrate(sf, density, *args):
+            def counted(t):
+                densities.append(np.size(t))
+                return density(t)
+            return integrate(sf, counted, *args)
+
+        monkeypatch.setattr(RadialTestFunction, "jet", counted_jet)
+        monkeypatch.setattr(vf, "integrate", counted_integrate)
+        u = make_bump(0.5, 1.0, self.sf, l=l)
+        assert side(self.sf, parse("1/t^2"), u, form).value > 0
+        assert densities and jets == densities
 
 
 class TestBatch:
