@@ -344,6 +344,9 @@ def _cmd_solve_bessel(args):
     if (args.t0 is None) != (args.t1 is None):
         missing = "--t1" if args.t1 is None else "--t0"
         raise ValueError(f"an interval needs both --t0 and --t1: {missing} is missing")
+    if args.t0 is not None and not 0 < args.t0 < args.t1 < math.inf:
+        raise ValueError(f"--t0 and --t1 must satisfy 0 < t0 < t1 < inf, "
+                         f"got --t0 {args.t0:g} --t1 {args.t1:g}")
     entry, sf = _resolve(args)
     p = next((p for p in entry.specs.values()
               if p.kind in ("bessel-potential", "bessel-pair")), None)

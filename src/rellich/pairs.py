@@ -425,11 +425,16 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     """Integrate the defining linear ODE and report whether the solution
     with principal (recessive-at-zero) initial data stays positive.
 
-    The integration runs in s = log t over mpmath numbers, starting deep
-    near the singular endpoint (far below float range) so that the
-    oscillation of super-critical potentials is actually visible.  Steps
-    are RK4 with step-doubling error control, and the state is
-    renormalized in flight, which is sign-safe for a linear equation.
+    The integration runs in s = log t from near the singular endpoint.  A
+    potential starts at t = R e^(-2e6), far below float range, on mpmath
+    numbers, so that the oscillation of super-critical potentials is
+    actually visible.  A Bessel pair starts at R e^(-110), and an explicit
+    interval at its t0; when that start lies above e^(-120) the run is in
+    float and is retried on mpmath after an evaluation error.  Steps are
+    RK4 with step-doubling error control, and the state is renormalized in
+    flight, which is sign-safe for a linear equation.  ``steps`` counts
+    accepted and rejected attempts, plus the step that holds the first
+    zero.
     """
     import mpmath
 
@@ -437,8 +442,8 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     R = float(p.params.get("R", 1.0))
     if interval is not None:
         t0, t1 = interval
-        if not (0 < t0 < t1):
-            raise ValueError("interval must satisfy 0 < t0 < t1")
+        if not (0 < t0 < t1 < math.inf):
+            raise ValueError(f"interval must satisfy 0 < t0 < t1 < inf, got {interval}")
         s_lo, s_hi = math.log(t0), math.log(t1)
     else:
         depth = _DEEP_LOG_DEPTH if p.kind == "bessel-potential" else _PAIR_LOG_DEPTH
@@ -470,10 +475,15 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, max_steps,
         mpf = float
         exp_fn = math.exp
 
+    # one program for a(s) and b(s), run once per distinct s: the stages of
+    # a step share their points; the memo holds the current step's points
+    program = ex.Program((a_expr, b_expr))
+    memo = {}
+
     def coeffs(s):
-        t = exp_fn(s)
-        b = dict(base, t=t)
-        return a_expr.evaluate(b), b_expr.evaluate(b)
+        if s not in memo:
+            memo[s] = program.evaluate(dict(base, t=exp_fn(s)))
+        return memo[s]
 
     def rk4(s, y, dy, h):
         def f(s_, y_, dy_):
@@ -500,6 +510,10 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, max_steps,
             status = "inconclusive"
             break
         h = min(h, s_end - s)
+        start = memo.get(s)      # keep only the new start's coefficients
+        memo.clear()
+        if start is not None:
+            memo[s] = start
         try:
             y_full, dy_full = rk4(s, y, dy, h)
             y_half, dy_half = rk4(s, y, dy, h / 2)

@@ -222,6 +222,17 @@ class TestSolveBessel:
         assert rep is None
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t0,t1", [("0.1", "inf"), ("0.1", "nan"), ("nan", "0.9"),
+                                       ("0.9", "0.1"), ("0", "0.9")])
+    def test_interval_must_be_finite_and_ordered(self, tmp_path, capsys, t0, t1):
+        # a pass with --t1 inf would stand for no integration at all
+        code, rep = _run(tmp_path, "solve-bessel", "--catalog", "iterlog", "--k", "1",
+                         "--R", "1", "--c", "0.3", "--t0", t0, "--t1", t1)
+        assert code == EXIT_USAGE
+        assert rep is None
+        err = capsys.readouterr().err
+        assert "--t0" in err and "--t1" in err
+
     def test_inline_potential(self, tmp_path):
         code, rep = _run(tmp_path, "solve-bessel",
                          "--z", "sqrt(logk(1, r/t))",
@@ -426,8 +437,8 @@ class TestFormatting:
 
 
 # SHA-256 of each report without its timestamp line: verify in every shape,
-# chain and estimate integrate through verify.Sides, and no change there may
-# move a report byte unnoticed.
+# chain and estimate integrate through verify.Sides, solve-bessel reports the
+# disconjugacy ODE, and no change there may move a report byte unnoticed.
 _REPORT_DIGESTS = {
     "verify --catalog classical-rellich --n 6 --shape delta-vs-gradrad --tests 3 --grid 500":
         "99632a81f07b30e812d7a4b8379a3b58f2e9a002a4b6e27db98a48a2026de9e6",
@@ -458,6 +469,19 @@ _REPORT_DIGESTS = {
         "a31114aceadd016b596e08eea71d0a6d5b43c258430244776ca44bd421d6cf56",
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
         "2f4c0693ca63cf627dda6a3f3ea97e5f86d32a9559a9c8733390d417c100bec2",
+    # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
+    # deep mpmath start at the best and a super-critical constant, and the
+    # float path of an explicit interval
+    "solve-bessel --catalog iterlog --k 1 --R 1":
+        "5c96adc3b4ecbdb92e742b53f1921af8517ef830bfb8100e39cc7b1674c7624a",
+    "solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3":
+        "99ab00ad3c49b93cf912ca7f50ce7191ba420d06594b505c8d61e9adb2c0002a",
+    "solve-bessel --catalog ell-family --k 3 --R 1":
+        "7d33b39765583f1558d7edfc9dc7c4ef7a31e26c5411ff61fb81399e1e023e01",
+    "solve-bessel --catalog ell-family --k 3 --R 1 --c 0.3":
+        "47b2e65519d92d04cdb63f9d4042cf1c137ef77c5ea158e1188aec642a664ead",
+    "solve-bessel --catalog iterlog --k 1 --R 1 --t0 1e-6 --t1 0.999":
+        "59c12b7634225ba40509aea5aaf47a869425bf4913c2ebfe92726198950e5962",
 }
 
 

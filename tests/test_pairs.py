@@ -9,7 +9,7 @@ import pytest
 
 from rellich import catalog as cat
 from rellich import pairs as pr
-from rellich.expr import Const, Param, Unary, Var, parse
+from rellich.expr import Const, Param, Program, Unary, Var, parse
 from rellich.geometry import SpaceForm
 from rellich.pairs import PairSpec
 
@@ -443,6 +443,34 @@ class TestDisconjugacy:
         assert rep.status == "inconclusive"
         assert rep.positive_solution is False
         assert rep.first_zero is None
+
+    @pytest.mark.parametrize("end", [math.inf, math.nan])
+    def test_non_finite_interval_end_is_rejected(self, potential, end):
+        # an infinite end gives an infinite end tolerance: the step loop would
+        # not run, and a positive solution would stand for no integration
+        with pytest.raises(ValueError, match="interval"):
+            pr.disconjugacy_check(potential.with_constant(0.3), interval=(0.1, end))
+
+    @pytest.mark.parametrize("which", ["potential", "pair"])
+    def test_one_coefficient_run_per_point(self, potential, monkeypatch, which):
+        # a step of step-doubling RK4 meets about 5 distinct s values; each
+        # needs one run of the coefficient program, not one per stage and
+        # coefficient (24 per step)
+        if which == "potential":
+            p, n = potential.with_constant(0.3), None      # deep mpmath start
+        else:
+            p, n = pr.bessel_pairs_from_potential(potential, 2.0, 6)[1], 6   # float
+        runs = []
+        evaluate = Program.evaluate
+
+        def counted(self, bindings):
+            runs.append(bindings["t"])
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(Program, "evaluate", counted)
+        rep = pr.disconjugacy_check(p, n=n)
+        assert rep.steps > 100
+        assert len(runs) <= 6 * rep.steps
 
 
 def _one_pair_of_each_kind():
