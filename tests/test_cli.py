@@ -482,6 +482,19 @@ _REPORT_DIGESTS = {
         "47b2e65519d92d04cdb63f9d4042cf1c137ef77c5ea158e1188aec642a664ead",
     "solve-bessel --catalog iterlog --k 1 --R 1 --t0 1e-6 --t1 0.999":
         "59c12b7634225ba40509aea5aaf47a869425bf4913c2ebfe92726198950e5962",
+    # batch-workload shapes at seed 15, whose batches hold supports with
+    # b/a > 32 (log-substituted panels) beside linear ones; the first mixes
+    # modes 0, 1, 2 and exits 2 on its E2 scan with a report
+    "verify --catalog classical-rellich --n 7 --shape delta-vs-grad --modes 0,1,2 "
+    "--tests 12 --grid 500 --seed 15":
+        "1c1f3ed2b1938bb422ae037286c83d9894df0b32224562fcb96f0b328608311e",
+    "verify --catalog classical-rellich --n 5 --shape gradrad-vs-usq --tests 12 --grid 500 "
+    "--seed 15":
+        "61fc36b4932bd886ed9acfee7347ad8af7d1f88d5c32287695b4b7e382a55bde",
+    "chain --catalog classical-rellich --n 8 --tests 6 --grid 500 --seed 15":
+        "f93097761a330f6f5ea05f234d61582f6fa232482114626b3f4eecacb3b711f7",
+    "verify --catalog hyp-lower-2 --n 5 --kappa 1 --tests 12 --grid 500 --seed 15":
+        "04fdf2f5a0d1690db783b4c0a2a7fe4ea7e66162418916449293bc50d52c6f06",
 }
 
 
