@@ -9,6 +9,9 @@ or numpy arrays for t.
 A test profile is a plateau t^alpha times a C^2 taper; ``RadialTestFunction.jet``
 evaluates both once and returns (u, u', u'') together, so a density that needs
 all three (the separated Laplacian) masks and powers its nodes once.
+``Profiles`` stacks the test functions of a batch into (m, 1) parameter
+columns, so one jet call evaluates a 2-D t whose row i holds nodes of function
+i, each row bit-identical to that function's own jet.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 __all__ = [
     "SpaceForm", "RadialTestFunction", "ct", "big_l", "s_kappa",
     "volume_weight", "sphere_area", "angular_eigenvalue",
-    "separated_laplacian", "make_bump", "make_powerlaw",
+    "angular_term", "separated_laplacian", "make_bump", "make_powerlaw", "Profiles",
 ]
 
 
@@ -43,7 +46,7 @@ class SpaceForm:
 
 
 def _check_positive_radius(t):
-    if np.any(np.asarray(t) <= 0):
+    if (np.asarray(t) <= 0).any():
         bad = float(np.asarray(t, dtype=float).min())
         raise ValueError(f"radius must be positive, got {bad}")
 
@@ -88,21 +91,39 @@ def volume_weight(sf: SpaceForm, t):
         return sphere_area(sf.n) * s ** (sf.n - 1)
 
 
-def angular_eigenvalue(n: int, l: int) -> float:
-    """Eigenvalue l(l+n-2) of the spherical Laplacian on degree-l harmonics."""
-    if l < 0:
+def angular_eigenvalue(n: int, l):
+    """Eigenvalue l(l+n-2) of the spherical Laplacian on degree-l harmonics;
+    for an integer array of modes, the array of their eigenvalues."""
+    batch = isinstance(l, np.ndarray)
+    if (l < 0).any() if batch else l < 0:
         raise ValueError("angular mode must be >= 0")
-    return float(l * (l + n - 2))
+    return (l * (l + n - 2)).astype(float) if batch else float(l * (l + n - 2))
 
 
-def separated_laplacian(sf: SpaceForm, u: "RadialTestFunction", t):
+def angular_term(sf: SpaceForm, mu, f, t):
+    """mu f / s_kappa(t)^2, the angular part of a separated quantity, or None
+    when mu is 0.  For an (m, 1) column mu of a Profiles batch it is computed
+    on the rows of nonzero mu only and is 0 on the others, so a radial row
+    costs and rounds as it does alone."""
+    if not isinstance(mu, np.ndarray):
+        return mu * f / s_kappa(sf, t) ** 2 if mu else None
+    rows = mu[:, 0] != 0
+    if not rows.any():
+        return None
+    out = np.zeros(np.shape(f))
+    out[rows] = mu[rows] * f[rows] / s_kappa(sf, t[rows]) ** 2
+    return out
+
+
+def separated_laplacian(sf: SpaceForm, u, t):
     """phi'' + L_kappa phi' - mu_l phi / s_kappa^2 for u = phi(rho) Y_l(theta)
-    (l = 0: the radial Laplacian), from one u.jet(t)."""
-    mu = angular_eigenvalue(sf.n, u.l)
+    (l = 0: the radial Laplacian), from one u.jet(t); u is one test function
+    or a Profiles batch evaluated on a 2-D t."""
     phi, d1, d2 = u.jet(t)
     out = d2 + big_l(sf, t) * d1
-    if mu:
-        out = out - mu * phi / s_kappa(sf, t) ** 2
+    angular = angular_term(sf, angular_eigenvalue(sf.n, u.l), phi, t)
+    if angular is not None:
+        out = out - angular
     return out
 
 
@@ -144,30 +165,19 @@ class RadialTestFunction:
         """(u, u', u'') at t: the plateau t^alpha (1 for bumps) times the taper
         tau, which is 0 outside the support, 1 on [rise_hi, fall_lo] and a
         smoothstep on the rise and fall bands.  Floats for a scalar t."""
-        t_arr = np.asarray(t, dtype=float)
-        w_in = self.rise_hi - self.support_lo
-        w_out = self.support_hi - self.fall_lo
-        tau0, tau1, tau2 = (np.zeros_like(t_arr) for _ in range(3))
-        inside = (t_arr > self.support_lo) & (t_arr < self.support_hi)
-        tau0[(t_arr >= self.rise_hi) & (t_arr <= self.fall_lo)] = 1.0
-        rise = inside & (t_arr < self.rise_hi)
-        fall = inside & (t_arr > self.fall_lo)
-        if np.any(rise):
-            s0, s1, s2 = _smoothstep((t_arr[rise] - self.support_lo) / w_in)
-            tau0[rise], tau1[rise], tau2[rise] = s0, s1 / w_in, s2 / w_in ** 2
-        if np.any(fall):
-            s0, s1, s2 = _smoothstep((self.support_hi - t_arr[fall]) / w_out)
-            tau0[fall], tau1[fall], tau2[fall] = s0, -s1 / w_out, s2 / w_out ** 2
-        a = self.alpha
-        if a == 0.0:
-            p0, p1, p2 = np.ones_like(t_arr), np.zeros_like(t_arr), np.zeros_like(t_arr)
-        else:
-            p0, p1, p2 = t_arr ** a, a * t_arr ** (a - 1.0), a * (a - 1.0) * t_arr ** (a - 2.0)
-        out = (p0 * tau0, p1 * tau0 + p0 * tau1,
-               p2 * tau0 + 2.0 * p1 * tau1 + p0 * tau2)
+        out = _jet(np.asarray(t, dtype=float), self.alpha, *self.knots())
         if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
             return tuple(float(o) for o in out)
         return out
+
+    def knots(self) -> tuple:
+        """(support_lo, rise_hi, fall_lo, support_hi, w_in, w_in^2, w_out,
+        w_out^2) as floats, with w_in and w_out the widths of the rise and
+        fall bands."""
+        w_in = self.rise_hi - self.support_lo
+        w_out = self.support_hi - self.fall_lo
+        return (self.support_lo, self.rise_hi, self.fall_lo, self.support_hi,
+                w_in, w_in ** 2, w_out, w_out ** 2)
 
     def value(self, t):
         return self.jet(t)[0]
@@ -177,6 +187,62 @@ class RadialTestFunction:
 
     def d2value(self, t):
         return self.jet(t)[2]
+
+
+def _jet(t, alpha, lo, rise_hi, fall_lo, hi, w_in, w_in2, w_out, w_out2):
+    """RadialTestFunction.jet on the array t, for knots that are floats or
+    (m, 1) columns broadcasting over the rows of t."""
+    tau0, tau1, tau2 = (np.zeros_like(t) for _ in range(3))
+    inside = (t > lo) & (t < hi)
+    tau0[(t >= rise_hi) & (t <= fall_lo)] = 1.0
+    rise = inside & (t < rise_hi)
+    fall = inside & (t > fall_lo)
+    if rise.any():
+        start, w, w2 = _at(rise, lo, w_in, w_in2)
+        s0, s1, s2 = _smoothstep((t[rise] - start) / w)
+        tau0[rise], tau1[rise], tau2[rise] = s0, s1 / w, s2 / w2
+    if fall.any():
+        end, w, w2 = _at(fall, hi, w_out, w_out2)
+        s0, s1, s2 = _smoothstep((end - t[fall]) / w)
+        tau0[fall], tau1[fall], tau2[fall] = s0, -s1 / w, s2 / w2
+    a = alpha
+    if a == 0.0:
+        p0, p1, p2 = np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
+    else:
+        p0, p1, p2 = t ** a, a * t ** (a - 1.0), a * (a - 1.0) * t ** (a - 2.0)
+    return (p0 * tau0, p1 * tau0 + p0 * tau1,
+            p2 * tau0 + 2.0 * p1 * tau1 + p0 * tau2)
+
+
+def _at(mask, *knots):
+    """knots at the nodes selected by mask: floats as they are, (m, 1)
+    columns repeated along their rows."""
+    if isinstance(knots[0], np.ndarray):
+        return [np.broadcast_to(k, mask.shape)[mask] for k in knots]
+    return knots
+
+
+class Profiles:
+    """The test functions of a batch as (m, 1) parameter columns: jet(t)
+    evaluates row i of a 2-D t with function i, from the same float knots
+    RadialTestFunction.jet uses, so every row is bit-identical to that
+    function's own jet.  The functions share one plateau exponent (0 for
+    bumps); support is the pair of arrays of support ends and l the (m, 1)
+    column of angular modes."""
+
+    def __init__(self, functions):
+        self.functions = tuple(functions)
+        alphas = {u.alpha for u in self.functions}
+        if len(alphas) > 1:
+            raise ValueError("a Profiles batch shares one plateau exponent")
+        self.alpha = alphas.pop() if alphas else 0.0
+        knots = np.array([u.knots() for u in self.functions]).reshape(-1, 8)
+        self._knots = tuple(knots[:, k:k + 1] for k in range(8))
+        self.support = (knots[:, 0], knots[:, 3])
+        self.l = np.array([[u.l] for u in self.functions], dtype=int).reshape(-1, 1)
+
+    def jet(self, t):
+        return _jet(np.asarray(t, dtype=float), self.alpha, *self._knots)
 
 
 def make_bump(a: float, b: float, sf: SpaceForm, l: int = 0) -> RadialTestFunction:

@@ -2,10 +2,12 @@
 
 All integrals reduce to one dimension: for a radial density f,
 integral over Omega of f(rho) dx = integral of f(t) * volume_weight(t) dt.
-The quadrature is an adaptive Gauss-Kronrod (G7, K15) scheme, batched so
-every pending panel is evaluated in one vectorized call, with a
-t = exp(s) substitution for wide supports so power-like singular
-potentials are resolved cheaply.
+The quadrature is an adaptive Gauss-Kronrod (G7, K15) scheme run in
+lockstep over a batch of integrals: each pass evaluates every pending panel
+of every integral of one side in one vectorized call, while each integral
+refines, stops and rounds exactly as it would alone.  Wide supports use a
+t = exp(s) substitution so power-like singular potentials are resolved
+cheaply.
 
 A verification run certifies the *sampled* necessary condition (margins
 over a seeded batch of test functions) plus the sufficient side
@@ -27,14 +29,14 @@ import numpy as np
 from . import pairs as pr
 from .catalog import ChainDescriptor
 from .expr import Const, Expr
-from .geometry import (RadialTestFunction, SpaceForm, angular_eigenvalue,
-                       make_bump, s_kappa, separated_laplacian, volume_weight)
+from .geometry import (Profiles, RadialTestFunction, SpaceForm, angular_eigenvalue,
+                       angular_term, make_bump, separated_laplacian, volume_weight)
 from .pairs import PairSpec, Scan
 
 __all__ = [
     "QuadratureResult", "InequalityCase", "BatchSpec",
     "TestRecord", "VerificationReport", "ChainMismatchError", "NonconvergenceError",
-    "Shape", "Sides", "integrate", "side", "shape_sides", "verify_case",
+    "Quadratures", "Shape", "Sides", "integrate", "side", "shape_sides", "verify_case",
     "verify_chain", "check_chain_composition", "generate_batch", "batch_domain",
     "SHAPES", "DEFAULT_QUAD_TOL",
 ]
@@ -64,7 +66,10 @@ _GW[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])        # Gauss subset
 
 
 class NonconvergenceError(Exception):
-    """Adaptive quadrature exceeded its subdivision cap."""
+    """Adaptive quadrature exceeded its subdivision cap.  ``index`` is the
+    position of the failing integral in its integrate batch."""
+
+    index = 0
 
 
 @dataclass(frozen=True)
@@ -74,79 +79,164 @@ class QuadratureResult:
     subintervals: int
 
 
-def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], rtol: float, max_panels: int,
-                 init: Sequence[float]) -> QuadratureResult:
-    edges = np.asarray(init, dtype=float)
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
+class Quadratures(tuple):
+    """The QuadratureResults of one batched integrate call, in batch order."""
 
-    def eval_panels(aa, bb):
-        mid = 0.5 * (aa + bb)
-        half = 0.5 * (bb - aa)
-        pts = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals = np.asarray(f(pts.ravel()), dtype=float).reshape(len(aa), 15)
-        if np.any(~np.isfinite(vals)):
-            raise NonconvergenceError("quadrature met a non-finite integrand value")
-        k15 = (vals * _KW).sum(axis=1) * half
-        g7 = (vals * _GW).sum(axis=1) * half
-        return k15, np.abs(k15 - g7)
+    @property
+    def subintervals(self) -> int:
+        """Panels over the batch, so code that counts panels per integrate
+        call (perfbench's tracer) reads a batch like one result."""
+        return sum(q.subintervals for q in self)
 
-    val, err = eval_panels(a, b)
-    for _ in range(60):
-        total = float(val.sum())
-        target = rtol * abs(total)
-        if err.sum() <= target:
-            break
-        if len(a) >= max_panels:
-            break
-        thresh = max(target / (4.0 * len(a)), 0.25 * float(err.max()))
-        mask = err >= min(thresh, float(err.max()))
-        mid = 0.5 * (a[mask] + b[mask])
-        new_a = np.concatenate([a[~mask], a[mask], mid])
-        new_b = np.concatenate([b[~mask], mid, b[mask]])
-        keep_val, keep_err = val[~mask], err[~mask]
-        add_val, add_err = eval_panels(np.concatenate([a[mask], mid]),
-                                       np.concatenate([mid, b[mask]]))
-        a, b = new_a, new_b
-        val = np.concatenate([keep_val, add_val])
-        err = np.concatenate([keep_err, add_err])
-    total = float(val.sum())
-    total_err = float(err.sum())
+
+def _result(total: float, total_err: float, panels: int, rtol: float):
+    """The QuadratureResult of a finished integral, or the NonconvergenceError
+    when its error estimate misses the request."""
     # modest slack over the request: |K-G| is a conservative estimator and
     # bottoms out near rounding noise of the panel sums
     if total_err > max(1e-280, 8.0 * rtol * abs(total)):
-        raise NonconvergenceError(
+        return NonconvergenceError(
             f"quadrature did not converge: error estimate {total_err:.3e} "
-            f"with {len(a)} subintervals (target {rtol * abs(total):.3e})")
-    return QuadratureResult(total, total_err, len(a))
+            f"with {panels} subintervals (target {rtol * abs(total):.3e})")
+    return QuadratureResult(total, total_err, panels)
 
 
-def integrate(sf: SpaceForm, density: Callable, a: float, b: float,
-              tol: float = DEFAULT_QUAD_TOL, max_panels: int = 4096) -> QuadratureResult:
+def _evaluate(f: Callable, edges: Sequence[np.ndarray], new: dict):
+    """K15 and |K15 - G7| of the new panels of every integral in one call of
+    f, as (m, q) tables whose row i starts with the panels new[i] = (a, b) of
+    integral i, and the set of rows with a non-finite value.  Row i of the
+    nodes f gets is padded with copies of its last panel; a row not in new
+    (a finished integral) repeats the first panel of its edges[i]."""
+    m, q = len(edges), max(len(a) for a, _ in new.values())
+    ends = np.empty((2, m, q))
+    if len(new) < m:
+        ends[:] = np.array([e[:2] for e in edges]).T[..., None]
+    for i, (a, b) in new.items():
+        n = len(a)
+        ends[0, i, :n], ends[1, i, :n] = a, b
+        if n < q:
+            ends[:, i, n:] = ends[:, i, n - 1:n]
+    lo, hi = ends
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    pts = mid[..., None] + half[..., None] * _NODES
+    vals = np.asarray(f(pts.reshape(m, -1)), dtype=float).reshape(pts.shape)
+    bad = set()
+    if not np.isfinite(vals).all():
+        finite = np.isfinite(vals).all(axis=(1, 2))
+        bad = set(np.flatnonzero(~finite).tolist())
+        vals = np.where(finite[:, None, None], vals, 0.0)
+    k15 = (vals * _KW).sum(axis=-1) * half
+    g7 = (vals * _GW).sum(axis=-1) * half
+    return k15, np.abs(k15 - g7), bad
+
+
+_EMPTY = np.empty(0)
+
+
+def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], rtol: float, max_panels: int,
+                 edges: Sequence[np.ndarray]) -> list:
+    """G7/K15 quadrature of m integrals in lockstep, integral i from the panels
+    between its initial edges[i].
+
+    Every pass evaluates the new panels of every unfinished integral in one
+    call of f (_evaluate), on an (m, 15 q) array whose row i holds the nodes
+    of integral i.  Each integral then refines as it would alone: it stops
+    when its error sum meets rtol |total|, at max_panels or after 60
+    refinements, and otherwise halves its panels of largest error, keeping
+    its panel order (kept panels, left halves, right halves), so its sums
+    round as they would alone.  Returns per integral its QuadratureResult or
+    NonconvergenceError.
+    """
+    out: list = [None] * len(edges)
+    # per unfinished integral: its panels (a, b), the values and error
+    # estimates of all but the trailing new ones
+    runs = {i: (e[:-1], e[1:], _EMPTY, _EMPTY) for i, e in enumerate(edges)}
+    for refinements in range(61):
+        k15, k_err, bad = _evaluate(
+            f, edges, {i: (a[len(val):], b[len(val):]) for i, (a, b, val, _) in runs.items()})
+        pending = {}
+        for i, (a, b, val, err) in runs.items():
+            if i in bad:
+                out[i] = NonconvergenceError("quadrature met a non-finite integrand value")
+                continue
+            n = len(a) - len(val)
+            val = np.concatenate([val, k15[i, :n]])
+            err = np.concatenate([err, k_err[i, :n]])
+            total, total_err = float(val.sum()), float(err.sum())
+            target = rtol * abs(total)
+            if total_err <= target or len(a) >= max_panels or refinements == 60:
+                out[i] = _result(total, total_err, len(a), rtol)
+                continue
+            # halve every panel whose error is within a factor 4 of the largest
+            err_max = float(err.max())
+            mask = err >= min(max(target / (4.0 * len(a)), 0.25 * err_max), err_max)
+            keep = ~mask
+            a_mask, b_mask = a[mask], b[mask]
+            mid = 0.5 * (a_mask + b_mask)
+            pending[i] = (np.concatenate([a[keep], a_mask, mid]),
+                          np.concatenate([b[keep], mid, b_mask]), val[keep], err[keep])
+        runs = pending
+        if not runs:
+            break
+    return out
+
+
+def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_TOL,
+              max_panels: int = 4096):
     """integral over {a < rho < b} of density(rho) dx_kappa, i.e. the 1-D
-    integral of density(t) * volume_weight(t).
+    integral of density(t) * volume_weight(t), as a QuadratureResult.
+
+    With sequences a and b it is a batch: the m integrals run in lockstep
+    (_adaptive_gk), density is called with a 2-D t whose row i holds nodes of
+    integral i, each result is bit-identical to integral i alone, and they
+    come back as Quadratures; the first failing integral raises, its index
+    in the batch on the error.  Alone, density is called with a 1-D t.
 
     Only integrable endpoint singularities are supported; for wide ranges the
     integration runs in s = log t so t -> 0 power behavior is resolved.
     """
-    if not (0 <= a < b <= sf.R):
-        raise ValueError(f"integration range [{a}, {b}] outside [0, R={sf.R}]")
+    batch = not np.isscalar(a)
+    ranges = list(zip(a, b)) if batch else [(a, b)]
+    edges, logs = [], []
+    for lo, hi in ranges:
+        if not (0 <= lo < hi <= sf.R):
+            raise ValueError(f"integration range [{lo}, {hi}] outside [0, R={sf.R}]")
+        logs.append(lo > 0 and hi / lo > 32.0)
+        if logs[-1]:
+            edges.append(np.linspace(math.log(lo), math.log(hi), 17))
+        elif lo == 0:
+            # geometric initial panels toward the origin; nodes are interior
+            edges.append(np.array([0.0] + [hi * 2.0 ** (-j) for j in range(16, -1, -1)]))
+        else:
+            edges.append(np.linspace(lo, hi, 9))
+    if not edges:
+        return Quadratures()
+    every_log, some_log = all(logs), any(logs)
+    log = np.array(logs) if some_log else None
 
-    def integrand(t):
-        return np.asarray(density(t), dtype=float) * volume_weight(sf, t)
+    def integrand(x):
+        # rows in log hold nodes s = ln t, and their values carry the Jacobian t
+        if every_log:
+            t = np.exp(x)
+        elif some_log:
+            t = x.copy()
+            t[log] = np.exp(x[log])
+        else:
+            t = x
+        vals = np.asarray(density(t if batch else t[0]), dtype=float) * volume_weight(sf, t)
+        if every_log:
+            return vals * t
+        if some_log:
+            vals[log] *= t[log]
+        return vals
 
-    if a > 0 and b / a > 32.0:
-        def integrand_s(s):
-            t = np.exp(s)
-            return integrand(t) * t
-
-        init = np.linspace(math.log(a), math.log(b), 17)
-        return _adaptive_gk(integrand_s, tol, max_panels, init)
-    if a == 0:
-        # geometric initial panels toward the origin; nodes are interior
-        edges = [0.0] + [b * 2.0 ** (-j) for j in range(16, -1, -1)]
-        return _adaptive_gk(integrand, tol, max_panels, edges)
-    return _adaptive_gk(integrand, tol, max_panels, np.linspace(a, b, 9))
+    results = _adaptive_gk(integrand, tol, max_panels, edges)
+    for i, r in enumerate(results):
+        if isinstance(r, NonconvergenceError):
+            r.index = i
+            raise r
+    return Quadratures(results) if batch else results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +267,14 @@ SHAPES = {
 }
 
 
-def side(sf: SpaceForm, weight: Expr, u: RadialTestFunction, form: str,
-         bindings: Optional[dict] = None,
-         tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
+def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = None,
+         tol: float = DEFAULT_QUAD_TOL):
     """integral of weight(rho) * q(u) dx over the support of u, with q =
     |Delta u|^2 (delta), |grad_rad u|^2 (gradrad), |grad u|^2 (grad: radial
     plus angular part) or u^2 (usq); bindings holds the weight's parameters,
-    n and kappa (PairSpec.bindings(sf))."""
+    n and kappa (PairSpec.bindings(sf)).  u is one test function, or a
+    Profiles batch whose integrals run as one batched integrate call and come
+    back as Quadratures."""
     if form not in ("delta", "gradrad", "grad", "usq"):
         raise ValueError(f"unknown side {form!r}")
     bindings = bindings or {}
@@ -198,12 +289,31 @@ def side(sf: SpaceForm, weight: Expr, u: RadialTestFunction, form: str,
         if form == "usq":
             return w * phi ** 2
         q = d1 ** 2
-        if form == "grad" and mu:
-            q = q + mu * phi ** 2 / s_kappa(sf, t) ** 2
+        angular = angular_term(sf, mu, phi ** 2, t) if form == "grad" else None
+        if angular is not None:
+            q = q + angular
         return w * q
 
     lo, hi = u.support
     return integrate(sf, density, lo, hi, tol)
+
+
+def _first_failure_order(runs: Sequence[Callable]) -> list:
+    """Call each run (a side of every test of a batch) and return their
+    results.  On nonconvergence raise the failure a test-by-test loop meets
+    first: lowest test index, then earliest run."""
+    results, failure = [], None
+    for run in runs:
+        try:
+            results.append(run())
+        except NonconvergenceError as exc:
+            if failure is None or exc.index < failure.index:
+                failure = exc
+            if failure.index == 0:
+                break
+    if failure is not None:
+        raise failure
+    return results
 
 
 @dataclass(frozen=True)
@@ -218,10 +328,16 @@ class Sides:
     rhs: str
     bindings: dict
 
-    def integrals(self, sf: SpaceForm, u: RadialTestFunction,
-                  tol: float = DEFAULT_QUAD_TOL) -> tuple[QuadratureResult, QuadratureResult]:
-        return (side(sf, self.weight, u, self.lhs, self.bindings, tol),
-                side(sf, self.density, u, self.rhs, self.bindings, tol))
+    def runs(self, sf: SpaceForm, u, tol: float = DEFAULT_QUAD_TOL) -> list:
+        """The two side integrations of u (one test function or a Profiles
+        batch), not yet called."""
+        return [functools.partial(side, sf, self.weight, u, self.lhs, self.bindings, tol),
+                functools.partial(side, sf, self.density, u, self.rhs, self.bindings, tol)]
+
+    def integrals(self, sf: SpaceForm, u, tol: float = DEFAULT_QUAD_TOL) -> tuple:
+        """(lhs, rhs) of u: two QuadratureResults, or for a Profiles batch two
+        Quadratures."""
+        return tuple(_first_failure_order(self.runs(sf, u, tol)))
 
 
 def _check_pair(shape: str, pair) -> None:
@@ -393,8 +509,9 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
     notes = (["signed-W override engaged: W positivity not gating"]
              if any(s.target.endswith(_SIGNED) for s in scans) else [])
     sides = shape_sides(case.shape, case.pair, case.sf)
-    tests = [_record(f"t{i:03d}", u, *sides.integrals(case.sf, u, quad_tol))
-             for i, u in enumerate(generate_batch(case.sf, case.batch))]
+    us = Profiles(generate_batch(case.sf, case.batch))
+    tests = [_record(f"t{i:03d}", u, lhs, rhs) for i, (u, lhs, rhs) in
+             enumerate(zip(us.functions, *sides.integrals(case.sf, us, quad_tol)))]
     return _report(case.case_id, case.sf, case.batch, scans, tests, notes,
                    {"shape": case.shape, "quad_tol": quad_tol, "scan_grid": grid})
 
@@ -457,22 +574,24 @@ def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
         scans += _scans(link.spec, names, sf, grid, tol, prefix=f"{link.label}-")
     notes = [f"{link.label}: signed-W override engaged"
              for link in chain.links if link.spec.allow_signed_W]
-    tests: list[TestRecord] = []
     dual_sides = shape_sides("delta-vs-gradrad", dual, sf)
     # each link is the gradrad-vs-usq step of its own weight and potential
     row = SHAPES["gradrad-vs-usq"]
     link_sides = [Sides(link.weight_expr, row.lhs, link.weight_expr * link.potential_expr,
                         row.rhs, link.spec.bindings(sf)) for link in chain.links]
-    for i, u in enumerate(generate_batch(sf, batch)):
-        lhs, rhs_dual = dual_sides.integrals(sf, u, quad_tol)
-        tests.append(_record(f"t{i:03d}:dual", u, lhs, rhs_dual))
+    us = Profiles(generate_batch(sf, batch))
+    lhs, rhs_dual, *link_runs = _first_failure_order(
+        [run for sides in [dual_sides, *link_sides] for run in sides.runs(sf, us, quad_tol)])
+    tests: list[TestRecord] = []
+    for i, u in enumerate(us.functions):
+        tests.append(_record(f"t{i:03d}:dual", u, lhs[i], rhs_dual[i]))
         end_rhs, end_err = 0.0, 0.0
-        for link, sides in zip(chain.links, link_sides):
-            mid, low = sides.integrals(sf, u, quad_tol)
+        for k, link in enumerate(chain.links):
+            mid, low = link_runs[2 * k][i], link_runs[2 * k + 1][i]
             tests.append(_record(f"t{i:03d}:{link.label}", u, mid, low))
             end_rhs += link.alpha * low.value
             end_err += link.alpha * low.error_estimate
-        tests.append(_record(f"t{i:03d}:end", u, lhs,
+        tests.append(_record(f"t{i:03d}:end", u, lhs[i],
                              QuadratureResult(end_rhs, end_err, 0)))
     return _report(case_id, sf, batch, scans, tests, notes,
                    {"shape": "chain", "quad_tol": quad_tol, "scan_grid": grid,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rellich.expr import fd_check, parse
-from rellich.geometry import (RadialTestFunction, SpaceForm, angular_eigenvalue,
-                              big_l, ct, make_bump, make_powerlaw, s_kappa,
-                              separated_laplacian, sphere_area, volume_weight)
+from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm,
+                              angular_eigenvalue, big_l, ct, make_bump, make_powerlaw,
+                              s_kappa, separated_laplacian, sphere_area, volume_weight)
 
 
 class _Monomial:
@@ -257,6 +257,46 @@ class TestJet:
                 assert np.asarray(got).tobytes() == np.asarray(jet[k]).tobytes()
         pointwise = np.array([u.jet(float(t)) for t in ts]).T
         assert pointwise.tobytes() == np.array(u.jet(ts)).tobytes()
+
+
+class TestProfiles:
+    """A Profiles batch evaluates row i of a 2-D t with function i, bit for
+    bit as that function alone."""
+
+    sf = SpaceForm(5, 1.0)
+    us = [make_bump(0.5, 1.0, sf, l=0), make_bump(2.0, 90.0, sf, l=1),
+          make_bump(1.0, 1.3, sf, l=2)]
+
+    def _rows(self):
+        # each row spans its own function's five pieces, plus another's
+        return np.array([np.linspace(0.5 * u.support_lo, u.support_hi + 1.0, 64)
+                         for u in self.us])
+
+    def test_rows_are_each_functions_jet(self):
+        t = self._rows()
+        batch = Profiles(self.us).jet(t)
+        for i, u in enumerate(self.us):
+            assert np.array(batch)[:, i].tobytes() == np.array(u.jet(t[i])).tobytes()
+
+    def test_rows_are_each_functions_laplacian(self):
+        t = self._rows()
+        batch = separated_laplacian(self.sf, Profiles(self.us), t)
+        for i, u in enumerate(self.us):
+            assert batch[i].tobytes() == separated_laplacian(self.sf, u, t[i]).tobytes()
+
+    def test_columns(self):
+        p = Profiles(self.us)
+        assert p.support[0].tolist() == [0.5, 2.0, 1.0]
+        assert p.l.tolist() == [[0], [1], [2]]
+        assert angular_eigenvalue(5, p.l).tolist() == [[0.0], [4.0], [10.0]]
+        with pytest.raises(ValueError):
+            angular_eigenvalue(5, np.array([[1], [-1]]))
+
+    def test_one_plateau_exponent(self):
+        sf = SpaceForm(6, 0.0, 1000.0)
+        with pytest.raises(ValueError, match="plateau exponent"):
+            Profiles([make_bump(1.0, 2.0, sf),
+                      make_powerlaw(-1.0, 1.0, 4.0, 0.5, 1.0, sf)])
 
 
 class TestPowerlaw:

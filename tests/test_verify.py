@@ -9,11 +9,11 @@ from numpy.polynomial import Polynomial
 from rellich import catalog as cat
 from rellich import verify as vf
 from rellich.expr import Const, parse
-from rellich.geometry import (RadialTestFunction, SpaceForm, make_bump,
+from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, make_bump,
                               sphere_area)
 from rellich.verify import (BatchSpec, ChainMismatchError, InequalityCase,
-                            generate_batch, integrate, shape_sides, side,
-                            verify_case, verify_chain)
+                            NonconvergenceError, Quadratures, generate_batch,
+                            integrate, shape_sides, side, verify_case, verify_chain)
 
 
 def _bump_mass_closed_form(a: float, b: float, n: int) -> float:
@@ -99,6 +99,85 @@ class TestIntegrate:
             integrate(sf, wiggly, 0.1, 1.0, tol=1e-12, max_panels=8)
 
 
+def _peak(t):
+    """Sharp at t = 1.5: supports across it refine, the others do not."""
+    return 1.0 / ((t - 1.5) ** 2 + 1e-4)
+
+
+class TestLockstep:
+    """A batched integrate call runs its integrals in lockstep and gives each
+    the result it gets alone, bit for bit."""
+
+    sf = SpaceForm(5, 0.0, 100.0)
+    # log-substituted (b/a > 32) and capped at max_panels, first-pass
+    # linear, geometric (a = 0), refining linear, log-substituted, linear
+    supports = [(0.01, 5.0), (1.0, 1.2), (0.0, 1.46), (1.4, 1.6), (0.3, 12.0),
+                (2.0, 2.5)]
+
+    def test_lockstep_equals_solo(self):
+        lo, hi = zip(*self.supports)
+        batch = integrate(self.sf, _peak, lo, hi, tol=1e-8, max_panels=25)
+        solo = [integrate(self.sf, _peak, a, b, tol=1e-8, max_panels=25)
+                for a, b in self.supports]
+        assert isinstance(batch, Quadratures)
+        assert list(batch) == solo
+        assert batch.subintervals == sum(q.subintervals for q in solo)
+        # the capped integral would refine further, the short ones converge
+        # on the first pass while the others refine
+        assert solo[0].subintervals == 25
+        assert integrate(self.sf, _peak, 0.01, 5.0, tol=1e-8).subintervals > 25
+        assert solo[1].subintervals == solo[5].subintervals == 8
+        assert min(solo[2].subintervals, solo[3].subintervals) > 9
+
+    def test_density_rows_are_the_integrals(self):
+        shapes = []
+
+        def density(t):
+            shapes.append(t.shape)
+            return _peak(t)
+
+        lo, hi = zip(*self.supports)
+        integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25)
+        assert all(len(shape) == 2 and shape[0] == len(lo) for shape in shapes)
+        shapes.clear()
+        integrate(self.sf, density, 1.4, 1.6)
+        assert all(len(shape) == 1 for shape in shapes)
+
+    def test_empty_batch(self):
+        assert integrate(self.sf, _peak, [], []) == ()
+
+    @pytest.mark.parametrize("density,failing", [
+        (lambda t: np.where(t < 1.0, np.sin(5e4 / t), 1.0), (0.1, 1.0)),
+        (lambda t: np.where(t > 3.0, np.inf, 1.0), (3.5, 4.0)),
+    ])
+    def test_failure_is_the_solo_failure(self, density, failing):
+        supports = [(1.0, 1.2), failing, (2.0, 2.5)]
+        with pytest.raises(NonconvergenceError) as solo:
+            integrate(self.sf, density, *failing, tol=1e-12, max_panels=8)
+        lo, hi = zip(*supports)
+        with pytest.raises(NonconvergenceError) as batch:
+            integrate(self.sf, density, lo, hi, tol=1e-12, max_panels=8)
+        assert str(batch.value) == str(solo.value)
+        assert batch.value.index == 1
+
+    def test_first_failure_in_test_order(self):
+        def fails(index):
+            def run():
+                exc = NonconvergenceError(f"test {index}")
+                exc.index = index
+                raise exc
+            return run
+
+        # a test-by-test loop meets test 1's rhs before test 2's lhs
+        with pytest.raises(NonconvergenceError, match="test 1"):
+            vf._first_failure_order([fails(2), fails(1), fails(1)])
+        ran = []
+        with pytest.raises(NonconvergenceError, match="test 0"):
+            vf._first_failure_order([fails(0), lambda: ran.append(1)])
+        assert ran == []
+        assert vf._first_failure_order([lambda: 1, lambda: 2]) == [1, 2]
+
+
 class _Scaled:
     def __init__(self, u, s):
         self._u, self._s, self.l = u, s, u.l
@@ -169,6 +248,47 @@ class TestSides:
         u = make_bump(0.5, 1.0, self.sf, l=l)
         assert side(self.sf, parse("1/t^2"), u, form).value > 0
         assert densities and jets == densities
+
+    @pytest.mark.parametrize("form", ["delta", "gradrad", "grad", "usq"])
+    def test_batch_side_equals_solo_sides(self, form):
+        sf = SpaceForm(7, 0.0)
+        us = generate_batch(sf, BatchSpec(count=9, seed=15, modes=(0, 1, 2)))
+        w = parse("1/t^2")
+        assert list(side(sf, w, Profiles(us), form)) == [side(sf, w, u, form) for u in us]
+
+    def test_one_density_call_per_pass_on_a_batch(self, monkeypatch):
+        """A side of a 50-test batch makes one density call per pass, as many
+        as its slowest integral makes alone, and one jet call per density
+        call."""
+        sf = SpaceForm(7, 0.0)
+        sides = shape_sides("delta-vs-grad", cat.classical_euclidean(7).specs["dual"], sf)
+        us = generate_batch(sf, BatchSpec(count=50, seed=3, modes=(0, 1, 2)))
+        calls, jets = [], []
+        integrate, jet = vf.integrate, Profiles.jet
+
+        def counted_integrate(sf, density, *args):
+            calls.append(0)
+
+            def counted(t):
+                calls[-1] += 1
+                return density(t)
+            return integrate(sf, counted, *args)
+
+        def counted_jet(u, t):
+            jets.append(np.shape(t))
+            return jet(u, t)
+
+        monkeypatch.setattr(vf, "integrate", counted_integrate)
+        monkeypatch.setattr(Profiles, "jet", counted_jet)
+        for u in us:
+            sides.integrals(sf, u)
+        solo = [max(calls[0::2]), max(calls[1::2])]
+        calls.clear()
+        sides.integrals(sf, Profiles(us))
+        assert calls == solo
+        assert all(c <= 61 for c in calls)
+        assert len(jets) == sum(calls)
+        assert all(shape[0] == 50 for shape in jets)
 
 
 class TestBatch:
