@@ -189,9 +189,9 @@ class RadialTestFunction:
         return self.jet(t)[2]
 
 
-def _jet(t, alpha, lo, rise_hi, fall_lo, hi, w_in, w_in2, w_out, w_out2):
-    """RadialTestFunction.jet on the array t, for knots that are floats or
-    (m, 1) columns broadcasting over the rows of t."""
+def _jet(t, a, lo, rise_hi, fall_lo, hi, w_in, w_in2, w_out, w_out2):
+    """RadialTestFunction.jet on the array t with plateau exponent a, for
+    knots that are floats or (m, 1) columns broadcasting over the rows of t."""
     tau0, tau1, tau2 = (np.zeros_like(t) for _ in range(3))
     inside = (t > lo) & (t < hi)
     tau0[(t >= rise_hi) & (t <= fall_lo)] = 1.0
@@ -205,7 +205,6 @@ def _jet(t, alpha, lo, rise_hi, fall_lo, hi, w_in, w_in2, w_out, w_out2):
         end, w, w2 = _at(fall, hi, w_out, w_out2)
         s0, s1, s2 = _smoothstep((end - t[fall]) / w)
         tau0[fall], tau1[fall], tau2[fall] = s0, -s1 / w, s2 / w2
-    a = alpha
     if a == 0.0:
         p0, p1, p2 = np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
     else:
