@@ -101,12 +101,35 @@ def _result(total: float, total_err: float, panels: int, rtol: float):
     return QuadratureResult(total, total_err, panels)
 
 
+# nodes per density call: the most one integral alone can need in a pass (15
+# nodes on each half of up to 4096 panels), so a batch that refines deep is
+# split into several calls per pass instead of being held in memory at once
+_MAX_NODES = 1 << 17
+
+
+def _kronrod(f: Callable, ends: np.ndarray):
+    """K15, |K15 - G7| and the set of rows with a non-finite value for the
+    (m, q) panels ends = (lo, hi), from one call of f on their nodes."""
+    lo, hi = ends
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    pts = mid[..., None] + half[..., None] * _NODES
+    vals = np.asarray(f(pts.reshape(len(lo), -1)), dtype=float).reshape(pts.shape)
+    bad = set()
+    if not np.isfinite(vals).all():
+        finite = np.isfinite(vals).all(axis=(1, 2))
+        bad = set(np.flatnonzero(~finite).tolist())
+        vals = np.where(finite[:, None, None], vals, 0.0)
+    k15 = (vals * _KW).sum(axis=-1) * half
+    g7 = (vals * _GW).sum(axis=-1) * half
+    return k15, np.abs(k15 - g7), bad
+
+
 def _evaluate(f: Callable, edges: Sequence[np.ndarray], new: dict):
-    """K15 and |K15 - G7| of the new panels of every integral in one call of
-    f, as (m, q) tables whose row i starts with the panels new[i] = (a, b) of
-    integral i, and the set of rows with a non-finite value.  Row i of the
-    nodes f gets is padded with copies of its last panel; a row not in new
-    (a finished integral) repeats the first panel of its edges[i]."""
+    """_kronrod of the new panels of every integral, as (m, q) tables whose
+    row i starts with the panels new[i] = (a, b) of integral i.  Row i of
+    the nodes f gets is padded with copies of its last panel; a row not in
+    new (a finished integral) repeats the first panel of its edges[i]."""
     m, q = len(edges), max(len(a) for a, _ in new.values())
     ends = np.empty((2, m, q))
     if len(new) < m:
@@ -116,19 +139,11 @@ def _evaluate(f: Callable, edges: Sequence[np.ndarray], new: dict):
         ends[0, i, :n], ends[1, i, :n] = a, b
         if n < q:
             ends[:, i, n:] = ends[:, i, n - 1:n]
-    lo, hi = ends
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[..., None] + half[..., None] * _NODES
-    vals = np.asarray(f(pts.reshape(m, -1)), dtype=float).reshape(pts.shape)
-    bad = set()
-    if not np.isfinite(vals).all():
-        finite = np.isfinite(vals).all(axis=(1, 2))
-        bad = set(np.flatnonzero(~finite).tolist())
-        vals = np.where(finite[:, None, None], vals, 0.0)
-    k15 = (vals * _KW).sum(axis=-1) * half
-    g7 = (vals * _GW).sum(axis=-1) * half
-    return k15, np.abs(k15 - g7), bad
+    width = max(1, _MAX_NODES // (15 * m))
+    if q <= width:
+        return _kronrod(f, ends)
+    k15, err, bad = zip(*(_kronrod(f, ends[:, :, c:c + width]) for c in range(0, q, width)))
+    return np.concatenate(k15, axis=1), np.concatenate(err, axis=1), set().union(*bad)
 
 
 _EMPTY = np.empty(0)
@@ -146,7 +161,8 @@ def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], rtol: float, max_panels:
     refinements, and otherwise halves its panels of largest error, keeping
     its panel order (kept panels, left halves, right halves), so its sums
     round as they would alone.  Returns per integral its QuadratureResult or
-    NonconvergenceError.
+    NonconvergenceError.  The batch raises its first failure, so a failing
+    integral (a break below) drops the ones after it; they stay None.
     """
     out: list = [None] * len(edges)
     # per unfinished integral: its panels (a, b), the values and error
@@ -159,7 +175,7 @@ def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], rtol: float, max_panels:
         for i, (a, b, val, err) in runs.items():
             if i in bad:
                 out[i] = NonconvergenceError("quadrature met a non-finite integrand value")
-                continue
+                break
             n = len(a) - len(val)
             val = np.concatenate([val, k15[i, :n]])
             err = np.concatenate([err, k_err[i, :n]])
@@ -167,6 +183,8 @@ def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], rtol: float, max_panels:
             target = rtol * abs(total)
             if total_err <= target or len(a) >= max_panels or refinements == 60:
                 out[i] = _result(total, total_err, len(a), rtol)
+                if isinstance(out[i], NonconvergenceError):
+                    break
                 continue
             # halve every panel whose error is within a factor 4 of the largest
             err_max = float(err.max())

@@ -143,6 +143,31 @@ class TestLockstep:
         integrate(self.sf, density, 1.4, 1.6)
         assert all(len(shape) == 1 for shape in shapes)
 
+    def test_deep_pass_is_split_under_the_node_cap(self, monkeypatch):
+        lo, hi = zip(*self.supports)
+        sizes = []
+
+        def density(t):
+            sizes.append(t.size)
+            return _peak(t)
+
+        whole = integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25)
+        passes, sizes[:] = len(sizes), []
+        monkeypatch.setattr(vf, "_MAX_NODES", 15 * 6 * 4)     # four panels a call
+        assert integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25) == whole
+        assert max(sizes) == 15 * 6 * 4 and len(sizes) > passes
+
+    def test_integrals_after_a_failure_stop(self):
+        calls = []
+
+        def density(t):
+            calls.append(t.shape)
+            return np.where(t > 3.0, np.inf, _peak(t))
+
+        with pytest.raises(NonconvergenceError, match="non-finite"):
+            integrate(self.sf, density, [3.5, 0.01], [4.0, 5.0], tol=1e-8)
+        assert len(calls) == 1
+
     def test_empty_batch(self):
         assert integrate(self.sf, _peak, [], []) == ()
 
