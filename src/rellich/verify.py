@@ -346,16 +346,19 @@ class Sides:
     rhs: str
     bindings: dict
 
-    def runs(self, sf: SpaceForm, u, tol: float = DEFAULT_QUAD_TOL) -> list:
-        """The two side integrations of u (one test function or a Profiles
-        batch), not yet called."""
-        return [functools.partial(side, sf, self.weight, u, self.lhs, self.bindings, tol),
-                functools.partial(side, sf, self.density, u, self.rhs, self.bindings, tol)]
-
     def integrals(self, sf: SpaceForm, u, tol: float = DEFAULT_QUAD_TOL) -> tuple:
         """(lhs, rhs) of u: two QuadratureResults, or for a Profiles batch two
         Quadratures."""
-        return tuple(_first_failure_order(self.runs(sf, u, tol)))
+        return _integrals(sf, [self], u, tol)[0]
+
+
+def _integrals(sf: SpaceForm, sides: Sequence[Sides], u, tol: float) -> list:
+    """(lhs, rhs) of u on each of sides, one integrate call per side; a
+    failure raises as _first_failure_order says."""
+    results = _first_failure_order(
+        [functools.partial(side, sf, expr, u, form, s.bindings, tol)
+         for s in sides for expr, form in ((s.weight, s.lhs), (s.density, s.rhs))])
+    return list(zip(results[0::2], results[1::2]))
 
 
 def _check_pair(shape: str, pair) -> None:
@@ -598,17 +601,15 @@ def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
     link_sides = [Sides(link.weight_expr, row.lhs, link.weight_expr * link.potential_expr,
                         row.rhs, link.spec.bindings(sf)) for link in chain.links]
     us = Profiles(generate_batch(sf, batch))
-    lhs, rhs_dual, *link_runs = _first_failure_order(
-        [run for sides in [dual_sides, *link_sides] for run in sides.runs(sf, us, quad_tol)])
+    (lhs, rhs_dual), *link_sums = _integrals(sf, [dual_sides, *link_sides], us, quad_tol)
     tests: list[TestRecord] = []
     for i, u in enumerate(us.functions):
         tests.append(_record(f"t{i:03d}:dual", u, lhs[i], rhs_dual[i]))
         end_rhs, end_err = 0.0, 0.0
-        for k, link in enumerate(chain.links):
-            mid, low = link_runs[2 * k][i], link_runs[2 * k + 1][i]
-            tests.append(_record(f"t{i:03d}:{link.label}", u, mid, low))
-            end_rhs += link.alpha * low.value
-            end_err += link.alpha * low.error_estimate
+        for link, (mid, low) in zip(chain.links, link_sums):
+            tests.append(_record(f"t{i:03d}:{link.label}", u, mid[i], low[i]))
+            end_rhs += link.alpha * low[i].value
+            end_err += link.alpha * low[i].error_estimate
         tests.append(_record(f"t{i:03d}:end", u, lhs[i],
                              QuadratureResult(end_rhs, end_err, 0)))
     return _report(case_id, sf, batch, scans, tests, notes,
