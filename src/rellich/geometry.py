@@ -11,7 +11,8 @@ evaluates both once and returns (u, u', u'') together, so a density that needs
 all three (the separated Laplacian) masks and powers its nodes once.
 ``Profiles`` stacks the test functions of a batch into (m, 1) parameter
 columns, so one jet call evaluates a 2-D t whose row i holds nodes of function
-i, each row bit-identical to that function's own jet.
+i, each row bit-identical to that function's own jet; ``take`` picks the rows
+of one quadrature pass.
 """
 
 from __future__ import annotations
@@ -230,15 +231,26 @@ class Profiles:
     column of angular modes."""
 
     def __init__(self, functions):
-        self.functions = tuple(functions)
-        alphas = {u.alpha for u in self.functions}
+        functions = tuple(functions)
+        alphas = {u.alpha for u in functions}
         if len(alphas) > 1:
             raise ValueError("a Profiles batch shares one plateau exponent")
         self.alpha = alphas.pop() if alphas else 0.0
-        knots = np.array([u.knots() for u in self.functions]).reshape(-1, 8)
+        knots = np.array([u.knots() for u in functions]).reshape(-1, 8)
         self._knots = tuple(knots[:, k:k + 1] for k in range(8))
-        self.support = (knots[:, 0], knots[:, 3])
-        self.l = np.array([[u.l] for u in self.functions], dtype=int).reshape(-1, 1)
+        self.l = np.array([[u.l] for u in functions], dtype=int).reshape(-1, 1)
+
+    @property
+    def support(self) -> tuple:
+        return self._knots[0][:, 0], self._knots[3][:, 0]
+
+    def take(self, rows) -> "Profiles":
+        """The batch whose row k is function rows[k] of this one; rows is an
+        index array and may repeat."""
+        out = object.__new__(Profiles)
+        out.alpha, out.l = self.alpha, self.l[rows]
+        out._knots = tuple(k[rows] for k in self._knots)
+        return out
 
     def jet(self, t):
         return _jet(np.asarray(t, dtype=float), self.alpha, *self._knots)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import pairs as pr
 from .catalog import ChainDescriptor
-from .expr import Const, Expr
+from .expr import Const, EvaluationError, Expr
 from .geometry import (Profiles, RadialTestFunction, SpaceForm, angular_eigenvalue,
                        angular_term, make_bump, separated_laplacian, volume_weight)
 from .pairs import PairSpec, Scan
@@ -101,84 +101,93 @@ def _result(total: float, total_err: float, panels: int, rtol: float):
     return QuadratureResult(total, total_err, panels)
 
 
-# nodes per density call: the most one integral alone can need in a pass (15
-# nodes on each half of up to 4096 panels), so a batch that refines deep is
-# split into several calls per pass instead of being held in memory at once
+# nodes per density call: 15 nodes on each of up to 8738 panels, so a batch
+# that refines deep is split into several calls per pass instead of being
+# held in memory at once
 _MAX_NODES = 1 << 17
 
 
-def _kronrod(f: Callable, ends: np.ndarray):
-    """K15, |K15 - G7| and the set of rows with a non-finite value for the
-    (m, q) panels ends = (lo, hi), from one call of f on their nodes."""
-    lo, hi = ends
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[..., None] + half[..., None] * _NODES
-    vals = np.asarray(f(pts.reshape(len(lo), -1)), dtype=float).reshape(pts.shape)
-    bad = set()
-    if not np.isfinite(vals).all():
-        finite = np.isfinite(vals).all(axis=(1, 2))
-        bad = set(np.flatnonzero(~finite).tolist())
-        vals = np.where(finite[:, None, None], vals, 0.0)
-    k15 = (vals * _KW).sum(axis=-1) * half
-    g7 = (vals * _GW).sum(axis=-1) * half
-    return k15, np.abs(k15 - g7), bad
+def _kronrod(f: Callable, new: dict) -> dict:
+    """{i: (K15, |K15 - G7|) of the panels new[i] = (a, b) of integral i}, from
+    calls f(x, rows) of at most _MAX_NODES nodes each, where row k of x holds
+    the 15 nodes of one panel, of integral rows[k].  An integral with a
+    non-finite value maps to its NonconvergenceError instead."""
+    counts = [len(a) for a, _ in new.values()]
+    a = np.concatenate([a for a, _ in new.values()])
+    b = np.concatenate([b for _, b in new.values()])
+    rows = np.array(list(new)).repeat(counts)
+    k15, err, bad = np.empty(len(a)), np.empty(len(a)), set()
+    step = max(1, _MAX_NODES // 15)
+    for c in range(0, len(a), step):
+        part = slice(c, c + step)
+        mid, half = 0.5 * (a[part] + b[part]), 0.5 * (b[part] - a[part])
+        vals = f(mid[:, None] + half[:, None] * _NODES, rows[part])
+        if not np.isfinite(vals).all():
+            finite = np.isfinite(vals).all(axis=1)
+            bad.update(rows[part][~finite].tolist())
+            vals[~finite] = 0.0
+        k15[part] = (vals * _KW).sum(axis=1) * half
+        err[part] = np.abs(k15[part] - (vals * _GW).sum(axis=1) * half)
+    out, stop = {}, 0
+    for i, n in zip(new, counts):
+        start, stop = stop, stop + n
+        out[i] = (NonconvergenceError("quadrature met a non-finite integrand value")
+                  if i in bad else (k15[start:stop], err[start:stop]))
+    return out
 
 
-def _evaluate(f: Callable, edges: Sequence[np.ndarray], new: dict):
-    """_kronrod of the new panels of every integral, as (m, q) tables whose
-    row i starts with the panels new[i] = (a, b) of integral i.  Row i of
-    the nodes f gets is padded with copies of its last panel; a row not in
-    new (a finished integral) repeats the first panel of its edges[i]."""
-    m, q = len(edges), max(len(a) for a, _ in new.values())
-    ends = np.empty((2, m, q))
-    if len(new) < m:
-        ends[:] = np.array([e[:2] for e in edges]).T[..., None]
-    for i, (a, b) in new.items():
-        n = len(a)
-        ends[0, i, :n], ends[1, i, :n] = a, b
-        if n < q:
-            ends[:, i, n:] = ends[:, i, n - 1:n]
-    width = max(1, _MAX_NODES // (15 * m))
-    if q <= width:
-        return _kronrod(f, ends)
-    k15, err, bad = zip(*(_kronrod(f, ends[:, :, c:c + width]) for c in range(0, q, width)))
-    return np.concatenate(k15, axis=1), np.concatenate(err, axis=1), set().union(*bad)
+def _evaluate(f: Callable, new: dict) -> dict:
+    """_kronrod of new.  When f raises an EvaluationError, each integral is
+    evaluated alone instead, in order up to the first that fails, which maps
+    to its failure: the error it meets alone."""
+    try:
+        return _kronrod(f, new)
+    except EvaluationError:
+        out = {}
+        for i, panels in new.items():
+            try:
+                out[i] = _kronrod(f, {i: panels})[i]
+            except EvaluationError as exc:
+                out[i] = exc
+            if isinstance(out[i], Exception):
+                break
+        return out
 
 
 _EMPTY = np.empty(0)
 
 
-def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], rtol: float, max_panels: int,
+def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
                  edges: Sequence[np.ndarray]) -> list:
     """G7/K15 quadrature of m integrals in lockstep, integral i from the panels
     between its initial edges[i].
 
-    Every pass evaluates the new panels of every unfinished integral in one
-    call of f (_evaluate), on an (m, 15 q) array whose row i holds the nodes
-    of integral i.  Each integral then refines as it would alone: it stops
-    when its error sum meets rtol |total|, at max_panels or after 60
-    refinements, and otherwise halves its panels of largest error, keeping
-    its panel order (kept panels, left halves, right halves), so its sums
-    round as they would alone.  Returns per integral its QuadratureResult or
-    NonconvergenceError.  The batch raises its first failure, so a failing
-    integral (a break below) drops the ones after it; they stay None.
+    Every pass evaluates the new panels of every unfinished integral together
+    (_evaluate), in one call of f unless they exceed _MAX_NODES; finished
+    integrals are not evaluated.  Each integral then refines as it would
+    alone: it stops when its error sum meets rtol |total|, at max_panels or
+    after 60 refinements, and otherwise halves its panels of largest error,
+    keeping its panel order (kept panels, left halves, right halves), so its
+    sums round as they would alone.  Returns per integral its
+    QuadratureResult or failure.  The batch raises its first failure, so a
+    failing integral (a break below) drops the ones after it; they stay None.
     """
     out: list = [None] * len(edges)
     # per unfinished integral: its panels (a, b), the values and error
     # estimates of all but the trailing new ones
     runs = {i: (e[:-1], e[1:], _EMPTY, _EMPTY) for i, e in enumerate(edges)}
     for refinements in range(61):
-        k15, k_err, bad = _evaluate(
-            f, edges, {i: (a[len(val):], b[len(val):]) for i, (a, b, val, _) in runs.items()})
+        if not runs:
+            break
+        new = _evaluate(f, {i: (a[len(val):], b[len(val):])
+                            for i, (a, b, val, _) in runs.items()})
         pending = {}
         for i, (a, b, val, err) in runs.items():
-            if i in bad:
-                out[i] = NonconvergenceError("quadrature met a non-finite integrand value")
+            if isinstance(new[i], Exception):
+                out[i] = new[i]
                 break
-            n = len(a) - len(val)
-            val = np.concatenate([val, k15[i, :n]])
-            err = np.concatenate([err, k_err[i, :n]])
+            val = np.concatenate([val, new[i][0]])
+            err = np.concatenate([err, new[i][1]])
             total, total_err = float(val.sum()), float(err.sum())
             target = rtol * abs(total)
             if total_err <= target or len(a) >= max_panels or refinements == 60:
@@ -195,21 +204,22 @@ def _adaptive_gk(f: Callable[[np.ndarray], np.ndarray], rtol: float, max_panels:
             pending[i] = (np.concatenate([a[keep], a_mask, mid]),
                           np.concatenate([b[keep], mid, b_mask]), val[keep], err[keep])
         runs = pending
-        if not runs:
-            break
     return out
 
 
 def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_TOL,
-              max_panels: int = 4096):
+              select: Optional[Callable] = None, max_panels: int = 4096):
     """integral over {a < rho < b} of density(rho) dx_kappa, i.e. the 1-D
     integral of density(t) * volume_weight(t), as a QuadratureResult.
 
-    With sequences a and b it is a batch: the m integrals run in lockstep
-    (_adaptive_gk), density is called with a 2-D t whose row i holds nodes of
-    integral i, each result is bit-identical to integral i alone, and they
-    come back as Quadratures; the first failing integral raises, its index
-    in the batch on the error.  Alone, density is called with a 1-D t.
+    density is called with a 2-D t whose row k holds the 15 nodes of one
+    panel.  With sequences a and b it is a batch: the m integrals run in
+    lockstep (_adaptive_gk), each result is bit-identical to integral i alone,
+    and they come back as Quadratures; the first failing integral raises,
+    with its index in the batch as the error's index.  Before each call of
+    density on a batch, select(rows) is called with the index of the
+    integral of each row of t, so a density over a batch of test functions
+    can give each row its own.
 
     Only integrable endpoint singularities are supported; for wide ranges the
     integration runs in s = log t so t -> 0 power behavior is resolved.
@@ -228,30 +238,21 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
             edges.append(np.array([0.0] + [hi * 2.0 ** (-j) for j in range(16, -1, -1)]))
         else:
             edges.append(np.linspace(lo, hi, 9))
-    if not edges:
-        return Quadratures()
-    every_log, some_log = all(logs), any(logs)
-    log = np.array(logs) if some_log else None
+    log = np.array(logs, dtype=bool)
 
-    def integrand(x):
-        # rows in log hold nodes s = ln t, and their values carry the Jacobian t
-        if every_log:
-            t = np.exp(x)
-        elif some_log:
-            t = x.copy()
-            t[log] = np.exp(x[log])
-        else:
-            t = x
-        vals = np.asarray(density(t if batch else t[0]), dtype=float) * volume_weight(sf, t)
-        if every_log:
-            return vals * t
-        if some_log:
-            vals[log] *= t[log]
-        return vals
+    def integrand(x, rows):
+        # rows of log integrals hold nodes s = ln t, and their values carry
+        # the Jacobian t
+        on_log = log[rows][:, None]
+        t = np.exp(x, out=x.copy(), where=on_log)
+        if select is not None:
+            select(rows)
+        vals = np.asarray(density(t), dtype=float) * volume_weight(sf, t)
+        return np.multiply(vals, t, out=vals, where=on_log)
 
     results = _adaptive_gk(integrand, tol, max_panels, edges)
     for i, r in enumerate(results):
-        if isinstance(r, NonconvergenceError):
+        if isinstance(r, Exception):
             r.index = i
             raise r
     return Quadratures(results) if batch else results[0]
@@ -296,35 +297,43 @@ def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = N
     if form not in ("delta", "gradrad", "grad", "usq"):
         raise ValueError(f"unknown side {form!r}")
     bindings = bindings or {}
-    mu = angular_eigenvalue(sf.n, u.l)
+    # the functions of the rows of the next density call: u itself, or for a
+    # batch the rows integrate selects
+    rows_u = [u]
+
+    def select(rows):
+        rows_u[0] = u.take(rows)
 
     def density(t):
+        g = rows_u[0]
         w = np.asarray(weight.evaluate({**bindings, "t": t}), dtype=float)
         if form == "delta":
-            lap = separated_laplacian(sf, u, t)
+            lap = separated_laplacian(sf, g, t)
             return w * lap * lap
-        phi, d1, _ = u.jet(t)
+        phi, d1, _ = g.jet(t)
         if form == "usq":
             return w * phi ** 2
         q = d1 ** 2
-        angular = angular_term(sf, mu, phi ** 2, t) if form == "grad" else None
+        angular = (angular_term(sf, angular_eigenvalue(sf.n, g.l), phi ** 2, t)
+                   if form == "grad" else None)
         if angular is not None:
             q = q + angular
         return w * q
 
     lo, hi = u.support
-    return integrate(sf, density, lo, hi, tol)
+    return integrate(sf, density, lo, hi, tol, select if isinstance(u, Profiles) else None)
 
 
 def _first_failure_order(runs: Sequence[Callable]) -> list:
     """Call each run (a side of every test of a batch) and return their
-    results.  On nonconvergence raise the failure a test-by-test loop meets
-    first: lowest test index, then earliest run."""
+    results.  On a failure of the quadrature or of the expressions it
+    evaluates, raise the one a test-by-test loop meets first: lowest test
+    index, then earliest run."""
     results, failure = [], None
     for run in runs:
         try:
             results.append(run())
-        except NonconvergenceError as exc:
+        except (NonconvergenceError, EvaluationError) as exc:
             if failure is None or exc.index < failure.index:
                 failure = exc
             if failure.index == 0:
@@ -530,9 +539,9 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
     notes = (["signed-W override engaged: W positivity not gating"]
              if any(s.target.endswith(_SIGNED) for s in scans) else [])
     sides = shape_sides(case.shape, case.pair, case.sf)
-    us = Profiles(generate_batch(case.sf, case.batch))
+    us = generate_batch(case.sf, case.batch)
     tests = [_record(f"t{i:03d}", u, lhs, rhs) for i, (u, lhs, rhs) in
-             enumerate(zip(us.functions, *sides.integrals(case.sf, us, quad_tol)))]
+             enumerate(zip(us, *sides.integrals(case.sf, Profiles(us), quad_tol)))]
     return _report(case.case_id, case.sf, case.batch, scans, tests, notes,
                    {"shape": case.shape, "quad_tol": quad_tol, "scan_grid": grid})
 
@@ -600,10 +609,11 @@ def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
     row = SHAPES["gradrad-vs-usq"]
     link_sides = [Sides(link.weight_expr, row.lhs, link.weight_expr * link.potential_expr,
                         row.rhs, link.spec.bindings(sf)) for link in chain.links]
-    us = Profiles(generate_batch(sf, batch))
-    (lhs, rhs_dual), *link_sums = _integrals(sf, [dual_sides, *link_sides], us, quad_tol)
+    us = generate_batch(sf, batch)
+    (lhs, rhs_dual), *link_sums = _integrals(sf, [dual_sides, *link_sides], Profiles(us),
+                                             quad_tol)
     tests: list[TestRecord] = []
-    for i, u in enumerate(us.functions):
+    for i, u in enumerate(us):
         tests.append(_record(f"t{i:03d}:dual", u, lhs[i], rhs_dual[i]))
         end_rhs, end_err = 0.0, 0.0
         for link, (mid, low) in zip(chain.links, link_sums):

@@ -11,6 +11,9 @@ from rellich import verify as vf
 from rellich.catalog import CATALOG_IDS
 from rellich.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_PASS,
                          EXIT_USAGE, format_report, main)
+from rellich.expr import DomainError, parse
+from rellich.geometry import SpaceForm
+from rellich.pairs import PairSpec
 from rellich.verify import shape_sides
 
 _SCHEMA_TOP = {"command", "config", "space_form", "scans", "tests", "verdict",
@@ -359,6 +362,27 @@ class TestUsageAndIO:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "quadrature" in err and "--quad-tol" in err
+
+    def test_domain_error_is_the_one_a_test_loop_meets_first(self, tmp_path, capsys):
+        # V is out of domain on a band narrower than the scan grid's step,
+        # which the quadrature nodes of several tests (not the first) hit
+        V = "n^2/(4*t^2)*(1+1e-12*sqrt((t-159.7425)^2-0.0078))"
+        inline = ["--n", "5", "--H", "n/(2*t)", "--v", "1", "--V", V]
+        code, rep = _run(tmp_path, "verify", *inline, "--tests", "12", "--seed", "1")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep is None
+        sf = SpaceForm(5, 0.0)
+        spec = PairSpec(kind="dual", exprs={"H": parse("n/(2*t)"), "v": parse("1"),
+                                             "V": parse(V)})
+        sides = shape_sides("delta-vs-gradrad", spec, sf)
+        failures = []
+        for i, u in enumerate(vf.generate_batch(sf, vf.BatchSpec(count=12, seed=1))):
+            try:
+                sides.integrals(sf, u)
+            except DomainError as exc:
+                failures.append((i, str(exc)))
+        assert len(failures) > 1 and failures[0][0] > 0
+        assert capsys.readouterr().err == f"rellich: inconclusive: {failures[0][1]}\n"
 
     @pytest.mark.parametrize("command", ["verify", "chain", "estimate"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

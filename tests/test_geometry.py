@@ -284,6 +284,15 @@ class TestProfiles:
         for i, u in enumerate(self.us):
             assert batch[i].tobytes() == separated_laplacian(self.sf, u, t[i]).tobytes()
 
+    def test_take_gives_each_row_its_function(self):
+        t, rows = self._rows(), np.array([2, 0, 0, 1])
+        taken = Profiles(self.us).take(rows)
+        assert taken.l.tolist() == [[2], [0], [0], [1]]
+        assert taken.support[1].tolist() == [1.3, 1.0, 1.0, 90.0]
+        batch = np.array(taken.jet(t[rows]))
+        for k, i in enumerate(rows):
+            assert batch[:, k].tobytes() == np.array(self.us[i].jet(t[i])).tobytes()
+
     def test_columns(self):
         p = Profiles(self.us)
         assert p.support[0].tolist() == [0.5, 2.0, 1.0]

@@ -8,7 +8,7 @@ from numpy.polynomial import Polynomial
 
 from rellich import catalog as cat
 from rellich import verify as vf
-from rellich.expr import Const, parse
+from rellich.expr import Const, DomainError, parse
 from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, make_bump,
                               sphere_area)
 from rellich.verify import (BatchSpec, ChainMismatchError, InequalityCase,
@@ -129,19 +129,30 @@ class TestLockstep:
         assert solo[1].subintervals == solo[5].subintervals == 8
         assert min(solo[2].subintervals, solo[3].subintervals) > 9
 
-    def test_density_rows_are_the_integrals(self):
-        shapes = []
+    def test_only_pending_panels_are_evaluated(self):
+        """Each row of t holds the 15 nodes of one panel of an unfinished
+        integral, so the batch evaluates as many nodes as the solo runs, and
+        as many times as the solo run with the most passes."""
+        shapes, selected = [], []
 
         def density(t):
             shapes.append(t.shape)
             return _peak(t)
 
         lo, hi = zip(*self.supports)
-        integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25)
-        assert all(len(shape) == 2 and shape[0] == len(lo) for shape in shapes)
-        shapes.clear()
-        integrate(self.sf, density, 1.4, 1.6)
-        assert all(len(shape) == 1 for shape in shapes)
+        integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25, select=selected.append)
+        batch, shapes[:] = list(shapes), []
+        passes = []
+        for a, b in self.supports:
+            integrate(self.sf, density, a, b, tol=1e-8, max_panels=25)
+            passes.append(len(shapes) - sum(passes))
+        assert all(shape[1] == 15 for shape in batch + shapes)
+        assert sum(n for n, _ in batch) == sum(n for n, _ in shapes)
+        assert len(batch) == max(passes)
+        assert [len(rows) for rows in selected] == [n for n, _ in batch]
+        assert all((np.diff(rows) >= 0).all() for rows in selected)
+        # integral 1 converges on the first pass and is not evaluated again
+        assert 1 in selected[0] and all(1 not in rows for rows in selected[1:])
 
     def test_deep_pass_is_split_under_the_node_cap(self, monkeypatch):
         lo, hi = zip(*self.supports)
@@ -153,9 +164,9 @@ class TestLockstep:
 
         whole = integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25)
         passes, sizes[:] = len(sizes), []
-        monkeypatch.setattr(vf, "_MAX_NODES", 15 * 6 * 4)     # four panels a call
+        monkeypatch.setattr(vf, "_MAX_NODES", 15 * 4)     # four panels a call
         assert integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25) == whole
-        assert max(sizes) == 15 * 6 * 4 and len(sizes) > passes
+        assert max(sizes) == 15 * 4 and len(sizes) > passes
 
     def test_integrals_after_a_failure_stop(self):
         calls = []
@@ -185,6 +196,29 @@ class TestLockstep:
         assert str(batch.value) == str(solo.value)
         assert batch.value.index == 1
 
+    def test_evaluation_error_keeps_test_order(self):
+        # sin(5e4/t) does not converge below t = 1; w is out of domain on
+        # (2.2, 2.3), which the first pass of (2.0, 2.5) already hits
+        w = parse("sqrt((t-2.25)^2-0.0025)")
+
+        def density(t):
+            return np.where(t < 1.0, np.sin(5e4 / t), 1.0) * w.evaluate({"t": t})
+
+        def failure(supports):
+            lo, hi = zip(*supports)
+            with pytest.raises((NonconvergenceError, DomainError)) as exc:
+                integrate(self.sf, density, lo, hi, tol=1e-12, max_panels=8)
+            return exc.value
+
+        nonconvergent, out_of_domain = (failure([s]) for s in ((0.1, 1.0), (2.0, 2.5)))
+        assert isinstance(nonconvergent, NonconvergenceError)
+        assert isinstance(out_of_domain, DomainError)
+        for supports, solo in [([(1.0, 1.2), (0.1, 1.0), (2.0, 2.5)], nonconvergent),
+                               ([(1.0, 1.2), (2.0, 2.5), (0.1, 1.0)], out_of_domain)]:
+            batch = failure(supports)
+            assert type(batch) is type(solo) and str(batch) == str(solo)
+            assert batch.index == 1
+
     def test_first_failure_in_test_order(self):
         def fails(index):
             def run():
@@ -196,6 +230,14 @@ class TestLockstep:
         # a test-by-test loop meets test 1's rhs before test 2's lhs
         with pytest.raises(NonconvergenceError, match="test 1"):
             vf._first_failure_order([fails(2), fails(1), fails(1)])
+
+        def out_of_domain():
+            exc = DomainError("sqrt", -1.0)
+            exc.index = 1
+            raise exc
+
+        with pytest.raises(DomainError):
+            vf._first_failure_order([fails(2), out_of_domain, fails(1)])
         ran = []
         with pytest.raises(NonconvergenceError, match="test 0"):
             vf._first_failure_order([fails(0), lambda: ran.append(1)])
@@ -313,7 +355,7 @@ class TestSides:
         assert calls == solo
         assert all(c <= 61 for c in calls)
         assert len(jets) == sum(calls)
-        assert all(shape[0] == 50 for shape in jets)
+        assert all(shape[1] == 15 for shape in jets)
 
 
 class TestBatch:
