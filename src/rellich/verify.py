@@ -109,25 +109,26 @@ _MAX_NODES = 1 << 17
 
 def _kronrod(f: Callable, new: dict) -> dict:
     """{i: (K15, |K15 - G7|) of the panels new[i] = (a, b) of integral i}, from
-    calls f(x, rows) of at most _MAX_NODES nodes each, where row k of x holds
-    the 15 nodes of one panel, of integral rows[k].  An integral with a
-    non-finite value maps to its NonconvergenceError instead."""
+    calls f(x, rows) of at most _MAX_NODES nodes each, where row k of x (an
+    array f may overwrite) holds the 15 nodes of one panel, of integral
+    rows[k].  An integral with a non-finite value maps to its
+    NonconvergenceError instead."""
     counts = [len(a) for a, _ in new.values()]
     a = np.concatenate([a for a, _ in new.values()])
     b = np.concatenate([b for _, b in new.values()])
     rows = np.array(list(new)).repeat(counts)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
     k15, err, bad = np.empty(len(a)), np.empty(len(a)), set()
     step = max(1, _MAX_NODES // 15)
     for c in range(0, len(a), step):
         part = slice(c, c + step)
-        mid, half = 0.5 * (a[part] + b[part]), 0.5 * (b[part] - a[part])
-        vals = f(mid[:, None] + half[:, None] * _NODES, rows[part])
+        vals = f(mid[part, None] + half[part, None] * _NODES, rows[part])
         if not np.isfinite(vals).all():
             finite = np.isfinite(vals).all(axis=1)
             bad.update(rows[part][~finite].tolist())
             vals[~finite] = 0.0
-        k15[part] = (vals * _KW).sum(axis=1) * half
-        err[part] = np.abs(k15[part] - (vals * _GW).sum(axis=1) * half)
+        k15[part] = (vals * _KW).sum(axis=1) * half[part]
+        err[part] = np.abs(k15[part] - (vals * _GW).sum(axis=1) * half[part])
     out, stop = {}, 0
     for i, n in zip(new, counts):
         start, stop = stop, stop + n
@@ -244,7 +245,7 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
         # rows of log integrals hold nodes s = ln t, and their values carry
         # the Jacobian t
         on_log = log[rows][:, None]
-        t = np.exp(x, out=x.copy(), where=on_log)
+        t = np.exp(x, out=x, where=on_log)
         if select is not None:
             select(rows)
         vals = np.asarray(density(t), dtype=float) * volume_weight(sf, t)
