@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -109,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--shape", choices=("delta-vs-gradrad", "gradrad-vs-usq", "chain"),
                     default="delta-vs-gradrad")
-    sp.add_argument("--budget", type=int, default=500)
+    sp.add_argument("--budget", type=int, default=500,
+                    help="most basis functions of a Ritz level (default 500)")
     sp.add_argument("--seed", type=int, default=vf.BatchSpec.seed)
     sp = sub.add_parser("catalog", help="list or show catalog entries")
     sp.add_argument("action", choices=("list", "show"))
@@ -368,14 +370,14 @@ def _cmd_solve_bessel(args):
 def _cmd_estimate(args):
     quad_tol = _quad_tol(args)
     if args.budget < 1:
-        raise ValueError(f"--budget must be at least 1 quotient evaluation, got {args.budget}")
+        raise ValueError(f"--budget must be at least 1 basis function, got {args.budget}")
     entry, sf = _resolve(args)
     pair, claimed = sh.sharpness_problem(entry, args.shape, sf)
     est = sh.estimate_constant(sf, args.shape, pair, claimed=claimed,
                                budget=args.budget, tol=quad_tol)
     verdict = "pass"
     if not math.isfinite(est.estimate):
-        verdict = "inconclusive"  # no probe gave a finite quotient
+        verdict = "inconclusive"  # no level gave a finite quotient
     elif claimed is not None and est.estimate < claimed - 1e-6:
         verdict = "fail"  # an estimate below a certified constant flags a bug
     config = _config_dict(args, {
@@ -425,9 +427,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call; build_parser() stays a
+    fresh one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "catalog":
         try:
             return _cmd_catalog(args)

@@ -12,11 +12,14 @@ all three (the separated Laplacian) masks and powers its nodes once.
 ``Profiles`` stacks the test functions of a batch into (m, 1) parameter
 columns, so one jet call evaluates a 2-D t whose row i holds nodes of function
 i, each row bit-identical to that function's own jet; ``take`` picks the rows
-of one quadrature pass.
+of one quadrature pass.  ``SplineProfile`` is a cubic B-spline in log t, the
+profile a best-constant estimate reports; ``bspline_basis`` gives the pieces
+of its basis on one cell.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +29,7 @@ __all__ = [
     "SpaceForm", "RadialTestFunction", "ct", "big_l", "s_kappa",
     "volume_weight", "sphere_area", "angular_eigenvalue",
     "angular_term", "separated_laplacian", "make_bump", "make_powerlaw", "Profiles",
+    "SplineProfile", "bspline_basis",
 ]
 
 
@@ -281,3 +285,84 @@ def make_powerlaw(alpha: float, a: float, b: float, w_in: float, w_out: float,
         rise_hi=a, fall_lo=b, alpha=float(alpha), l=l,
         label=f"powerlaw[a={alpha:.4g},{a:.6g},{b:.6g}]l{l}",
     )
+
+
+# ---------------------------------------------------------------------------
+# cubic B-splines in s = log t
+
+# row j: the coefficients of 1, r, r^2, r^3 of the j-th of the four uniform
+# cubic B-splines that are nonzero on a cell, in the order of their supports
+# (row 0 ends at the cell's right knot, row 3 starts at its left knot), with
+# r in [0, 1] the position in the cell
+_BSPLINE = np.array([[1.0, -3.0, 3.0, -1.0], [4.0, 0.0, -6.0, 3.0],
+                     [1.0, 3.0, 3.0, -3.0], [0.0, 0.0, 0.0, 1.0]]) / 6.0
+
+
+def bspline_basis(r):
+    """(b, b_r, b_rr) at the cell positions r (an array): the four B-spline
+    pieces nonzero on a cell and their first two derivatives in r, each of
+    shape r.shape + (4,)."""
+    r = np.asarray(r, dtype=float)[..., None]
+    one, zero = np.ones_like(r), np.zeros_like(r)
+    powers = (np.concatenate([one, r, r * r, r * r * r], axis=-1),
+              np.concatenate([zero, one, 2.0 * r, 3.0 * r * r], axis=-1),
+              np.concatenate([zero, zero, 2.0 * one, 6.0 * r], axis=-1))
+    return tuple(p @ _BSPLINE.T for p in powers)
+
+
+@dataclass(frozen=True)
+class SplineProfile:
+    """Radial profile u(t) = sum_j c_j B_j(log t): a uniform cubic B-spline in
+    s = log t on len(coefficients) + 3 cells of [log support_lo, log
+    support_hi].  The three B-splines that reach past each end are left out,
+    so u, u' and u'' vanish at both ends and u is C^2 with compact support."""
+
+    support_lo: float
+    support_hi: float
+    coefficients: tuple
+
+    l = 0   # radial
+
+    def __post_init__(self):
+        if not (0 < self.support_lo < self.support_hi):
+            raise ValueError(f"spline support [{self.support_lo}, {self.support_hi}] "
+                             "must satisfy 0 < lo < hi")
+        if not self.coefficients:
+            raise ValueError("a spline profile needs at least one coefficient")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.support_lo, self.support_hi)
+
+    @property
+    def cells(self) -> int:
+        return len(self.coefficients) + 3
+
+    @functools.cached_property
+    def _pieces(self):
+        """(log support_lo, cell width, the (4, cells) table of each cell's
+        coefficients of 1, r, r^2, r^3)."""
+        s_lo = math.log(self.support_lo)
+        width = (math.log(self.support_hi) - s_lo) / self.cells
+        c = np.concatenate([np.zeros(3), np.asarray(self.coefficients, dtype=float),
+                            np.zeros(3)])
+        return s_lo, width, (np.lib.stride_tricks.sliding_window_view(c, 4) @ _BSPLINE).T.copy()
+
+    def jet(self, t):
+        """(u, u', u'') at t, 0 outside the support; floats for a scalar t."""
+        s_lo, width, pieces = self._pieces
+        t_arr = np.asarray(t, dtype=float)
+        x = (np.log(t_arr) - s_lo) / width
+        k = np.floor(x)
+        inside = (k >= 0) & (k < self.cells)
+        k = np.where(inside, k, 0).astype(int)
+        r = x - k
+        p0, p1, p2, p3 = pieces[:, k]
+        u = ((p3 * r + p2) * r + p1) * r + p0
+        u_s = ((3.0 * p3 * r + 2.0 * p2) * r + p1) / width
+        u_ss = (6.0 * p3 * r + 2.0 * p2) / (width * width)
+        out = (np.where(inside, u, 0.0), np.where(inside, u_s / t_arr, 0.0),
+               np.where(inside, (u_ss - u_s) / (t_arr * t_arr), 0.0))
+        if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
+            return tuple(float(o) for o in out)
+        return out

@@ -1,20 +1,29 @@
-"""Best-constant estimation by Rayleigh-quotient minimization.
+"""Best-constant estimation by Rayleigh-Ritz.
 
-The estimate is an upper bound on the sharp constant obtained by
-minimizing the quotient of the two sides (claimed constant factored out
-of the right-hand side) over a parameterized power-law test family, with
-a deterministic coordinate-descent / golden-section search.  It is an
-estimate, not a proof.
+The estimate is an upper bound on the sharp constant of an inequality (the
+claimed constant factored out of its right-hand side).  Each level k solves
+the Ritz problem on a uniform cubic B-spline space in s = log t with
+10 * 2^k cells: the two sides become Gram matrices, assembled on
+Gauss-Legendre nodes, and the least eigenvalue of the pencil gives the
+level's minimizer.  That minimizer, a geometry.SplineProfile, is then
+re-integrated by rayleigh_quotient like any test function; the estimate is
+the least finite re-integrated quotient over the levels, never a Ritz
+eigenvalue, so a coarse assembly can cost sharpness but not soundness.  The
+spaces are nested, so a larger budget only adds levels.  It is an estimate,
+not a proof.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .catalog import CatalogEntry, entry_pair
-from .geometry import SpaceForm, make_powerlaw
+from .geometry import (SpaceForm, SplineProfile, big_l, bspline_basis,
+                       volume_weight)
 from .verify import (DEFAULT_QUAD_TOL, SHAPES, NonconvergenceError, Sides,
                      batch_domain, shape_sides)
 
@@ -23,7 +32,14 @@ __all__ = [
     "rayleigh_quotient", "estimate_constant", "sharpness_problem",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# cells of the first level
+_FIRST_CELLS = 10
+# 10-point Gauss-Legendre nodes and weights on [-1, 1] (positive half listed)
+_GL_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+                  0.8650633666889845, 0.9739065285171717])
+_GL_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+                  0.1494513491505804, 0.06667134430868814])
+_GAUSS = (np.concatenate([-_GL_X[::-1], _GL_X]), np.concatenate([_GL_W[::-1], _GL_W]))
 
 
 class DegenerateTestFunctionError(ValueError):
@@ -67,112 +83,118 @@ def sharpness_problem(entry: CatalogEntry, shape: str, sf: SpaceForm):
     return entry_pair(entry, SHAPES[shape].kind, sf), claimed
 
 
-def _family_box(sf: SpaceForm) -> dict:
+def _interval(sf: SpaceForm) -> tuple[float, float]:
+    """The support of every level's splines: [1e-6 D, 0.995 D] (at least
+    1e-8 at its low end), D the end of the batch domain's range."""
     d_hi = batch_domain(sf)[1] / 0.98
-    a_min = max(1e-6 * d_hi, 1e-8)
-    return {
-        "alpha": (-(sf.n - 1.0), 1.0),
-        "ln_a": (math.log(a_min), math.log(0.3 * d_hi)),
-        "ln_span": (math.log(2.0), None),   # upper bound depends on ln_a
-        # wide transition bands: second derivatives of the taper scale like
-        # width^-2, so narrow bands dominate |Delta u|^2 and spoil the bound
-        "frac_in": (0.05, 0.95),
-        "frac_out": (0.05, 0.98),
-    }
+    return max(1e-6 * d_hi, 1e-8), 0.995 * d_hi
 
 
-def _build_u(x: dict, sf: SpaceForm, d_hi: float):
-    a = math.exp(x["ln_a"])
-    span_max = math.log(0.9 * d_hi / a) - 1e-9
-    span = min(x["ln_span"], span_max)
-    if span < math.log(1.5):
-        return None
-    b = a * math.exp(span)
-    w_in = x["frac_in"] * a                      # keeps a - w_in > 0
-    w_out = x["frac_out"] * (0.995 * d_hi - b)   # fraction of the available room
-    if w_out <= 0:
-        return None
-    return make_powerlaw(x["alpha"], a, b, w_in, w_out, sf)
+def _levels(budget: int) -> list[int]:
+    """The cell counts 10 * 2^k of the levels with at most budget functions
+    (cells - 3), and always the first."""
+    cells = [_FIRST_CELLS]
+    while 2 * cells[-1] - 3 <= budget:
+        cells.append(2 * cells[-1])
+    return cells
+
+
+def _grams(sf: SpaceForm, sides: Sides, lo: float, hi: float, cells: int) -> tuple:
+    """The Gram matrices of the two sides on the spline space of cells cells:
+    entry (i, j) integrates weight * q(B_i, B_j) dx, with the bilinear form q
+    of the side's form, by _GAUSS on each cell.  For kappa > 0 a cell is split
+    into equal parts over which the volume weight's exponent (n-1) kappa t
+    grows by at most 1, so the weight is resolved where cells are wide in t."""
+    s_lo = math.log(lo)
+    width = (math.log(hi) - s_lo) / cells
+    knots = np.exp(s_lo + width * np.arange(cells + 1))
+    parts = np.maximum(1, np.ceil((sf.n - 1) * sf.kappa * np.diff(knots))).astype(int)
+    part_cell = np.repeat(np.arange(cells), parts)
+    part = np.arange(len(part_cell)) - np.repeat(np.cumsum(parts) - parts, parts)
+    share = 1.0 / parts[part_cell]
+    x, w = _GAUSS
+    cell = np.repeat(part_cell, len(x))
+    r = ((part[:, None] + 0.5 * (x + 1.0)) * share[:, None]).ravel()
+    t = np.exp(s_lo + (cell + r) * width)
+    b, b_r, b_rr = bspline_basis(r)
+    d1 = b_r / (width * t[:, None])
+    features = {"usq": b, "gradrad": d1, "grad": d1,
+                "delta": (b_rr / width - b_r) / (width * (t * t)[:, None])
+                + big_l(sf, t)[:, None] * d1}
+    # the nodes' weights: dx = volume_weight dt, dt = t ds
+    measure = (0.5 * width * w * share[:, None]).ravel() * volume_weight(sf, t) * t
+    values = {**sides.bindings, "t": t}
+    out = []
+    for weight, form in ((sides.weight, sides.lhs), (sides.density, sides.rhs)):
+        f = features[form]
+        # each node touches the 4 functions of its cell: a band of width 3;
+        # an overflow is left to _ritz's finiteness check
+        gram = np.zeros((cells + 3, cells + 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = measure * np.asarray(weight.evaluate(values), dtype=float)
+            for i in range(4):
+                for j in range(i, 4):
+                    band = np.bincount(cell, q * f[:, i] * f[:, j], minlength=cells)
+                    gram[np.arange(i, cells + i), np.arange(j, cells + j)] += band
+                    if j > i:
+                        gram[np.arange(j, cells + j), np.arange(i, cells + i)] += band
+        out.append(gram[3:cells, 3:cells])
+    return tuple(out)
+
+
+def _ritz(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(least lambda of lhs c = lambda rhs c, its c): the largest mu of
+    rhs c = mu lhs c, after Jacobi scaling, with a Cholesky factor of lhs, so
+    rhs may be indefinite.  c is scaled so that its largest entry is 1.
+    Raises ValueError (numpy's LinAlgError is one) when lhs is not positive
+    definite or no c has a positive right side."""
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all() and (np.diag(lhs) > 0).all()):
+        raise ValueError("Ritz forms are not finite and positive")
+    scale = 1.0 / np.sqrt(np.diag(lhs))
+    factor = np.linalg.cholesky(lhs * np.outer(scale, scale))
+    inverse = np.linalg.inv(factor)
+    mu, vectors = np.linalg.eigh(inverse @ (rhs * np.outer(scale, scale)) @ inverse.T)
+    if not mu[-1] > 0:
+        raise ValueError("no function of the space has a positive right side")
+    c = scale * (inverse.T @ vectors[:, -1])
+    return 1.0 / mu[-1], c / c[np.argmax(np.abs(c))]
 
 
 def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] = None,
                       budget: int = 500,
                       tol: float = DEFAULT_QUAD_TOL) -> SharpnessEstimate:
-    """Minimize the quotient over (alpha, log a, log b/a, taper fractions).
+    """Least re-integrated Ritz quotient over the levels of at most budget
+    functions (always the first level).
 
-    Deterministic: a fixed start, coordinate sweeps of golden-section probes,
-    updates accepted only on strict improvement (so enlarging the budget can
-    never worsen the estimate).
+    A level whose forms are not finite, whose Ritz problem has no solution or
+    whose minimizer's re-integration fails or is degenerate is skipped; with
+    none left the estimate is inf.  Deterministic, and never larger for a
+    larger budget.  evaluations counts the re-integrations.
     """
-    # built once here, outside the probes, which turn every ValueError into
-    # an infinite quotient: a pair of the wrong kind is rejected, not inf
+    # built once here: a pair of the wrong kind is rejected, not skipped
     sides = shape_sides(shape, pair, sf, claimed=claimed or 1.0)
-    box = _family_box(sf)
-    d_hi = batch_domain(sf)[1] / 0.98
-    x = {
-        "alpha": 0.5 * (box["alpha"][0] + box["alpha"][1]) / 2.0,
-        "ln_a": 0.5 * (box["ln_a"][0] + box["ln_a"][1]),
-        "ln_span": math.log(max(2.0, 0.9 * 0.97 * d_hi / math.exp(
-            0.5 * (box["ln_a"][0] + box["ln_a"][1])))),
-        "frac_in": 0.25,
-        "frac_out": 0.25,
-    }
-    evals = 0
-
-    def quotient(xd: dict) -> float:
-        nonlocal evals
-        evals += 1
-        u = _build_u(xd, sf, d_hi)
-        if u is None:
-            return math.inf
+    lo, hi = _interval(sf)
+    best, params, evals = math.inf, {"support_lo": lo, "support_hi": hi}, 0
+    for cells in _levels(budget):
         try:
-            return rayleigh_quotient(sf, sides, u, tol=tol)
+            ritz, c = _ritz(*_grams(sf, sides, lo, hi, cells))
+        except (ValueError, OverflowError):
+            continue
+        u = SplineProfile(lo, hi, tuple(c.tolist()))
+        evals += 1
+        try:
+            q = rayleigh_quotient(sf, sides, u, tol=tol)
         except (DegenerateTestFunctionError, NonconvergenceError, ValueError,
                 OverflowError):
-            return math.inf
-
-    best_f = quotient(x)
-    best_x = dict(x)
-    coords = ("alpha", "ln_a", "ln_span", "frac_in", "frac_out")
-    probes_per_coord = 12
-    while evals + probes_per_coord <= budget:
-        improved = False
-        for key in coords:
-            if evals + probes_per_coord > budget:
-                break
-            lo_k, hi_k = box[key]
-            if hi_k is None:  # ln_span upper bound depends on current ln_a
-                hi_k = math.log(max(2.5, 0.97 * d_hi / math.exp(best_x["ln_a"])))
-            a_, b_ = lo_k, hi_k
-            x1 = b_ - _GOLDEN * (b_ - a_)
-            x2 = a_ + _GOLDEN * (b_ - a_)
-            f1 = quotient({**best_x, key: x1})
-            f2 = quotient({**best_x, key: x2})
-            local_best = min((f1, x1), (f2, x2))
-            for _ in range(probes_per_coord - 2):
-                if f1 <= f2:
-                    b_, x2, f2 = x2, x1, f1
-                    x1 = b_ - _GOLDEN * (b_ - a_)
-                    f1 = quotient({**best_x, key: x1})
-                else:
-                    a_, x1, f1 = x1, x2, f2
-                    x2 = a_ + _GOLDEN * (b_ - a_)
-                    f2 = quotient({**best_x, key: x2})
-                local_best = min(local_best, (f1, x1), (f2, x2))
-            if local_best[0] < best_f:
-                best_f = local_best[0]
-                best_x = {**best_x, key: local_best[1]}
-                improved = True
-        if not improved:
-            break
-    u = _build_u(best_x, sf, d_hi)
-    params = dict(best_x)
-    if u is not None:
-        params.update({"a": u.rise_hi, "b": u.fall_lo, "alpha": u.alpha, "l": u.l})
+            continue
+        if q < best:
+            best = q
+            params = {"support_lo": lo, "support_hi": hi, "cells": cells,
+                      "ritz_value": ritz, "coefficients": list(u.coefficients)}
     return SharpnessEstimate(
-        estimate=best_f,
+        estimate=best,
         params=params,
         claimed=claimed,
-        gap_ratio=(best_f / claimed) if claimed else None,
+        gap_ratio=(best / claimed) if claimed else None,
         evaluations=evals,
     )

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import rellich
 from rellich import catalog as cat
+from rellich import cli
 from rellich import verify as vf
 from rellich.catalog import CATALOG_IDS
 from rellich.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_PASS,
@@ -479,20 +484,20 @@ _REPORT_DIGESTS = {
     "chain --catalog iterlog --k 1 --n 6 --R 1 --tests 2 --grid 500":
         "7ee957e5b0ccbd64d1981e99d16f47599e9fce3a510c3dcd6f2d07a218d3ea32",
     "estimate --catalog classical-rellich --n 6 --shape delta-vs-gradrad --budget 25":
-        "2c84199f6bcbc14f7f7c8716d3b285a34e8df5986591b4c35f6752efa8c6286c",
+        "efc1a747ad72cf15094346c16d366baf07c332f33a2da84d5f88fcd709a40522",
     "estimate --catalog classical-rellich --n 6 --shape gradrad-vs-usq --budget 25":
-        "fee05c9a572df73d53a2734d68e6d646a1a2e27a2c0598a2f0329fab73fdb70d",
+        "a9af237bc4e235c0ca07809c408776c758fd07dad9a3139f4175a20faa0ceb2b",
     "estimate --catalog hyp-final --n 5 --kappa 1 --shape chain --budget 25":
-        "3482ad287f0161204db3fcf9b038189ca26d9e1f058abbc8c8eaccf35c705793",
+        "40eb1257c34270d39585e5885f4e6a72263d0b658c7ec1a2d15e60ee5d943c50",
     "estimate --catalog iterlog --k 1 --n 6 --R 1 --shape chain --budget 25":
-        "3d8aa2cdb2342ba93ffbf83cbba6a45de8d9b5a4599f302c6d74adba065b408c",
+        "6ec2cde6b89288ee2480af408bbf937299ba622a1e3fd50fc86ef345c3981588",
     "verify --catalog hyp-final --n 5 --kappa 1 --tests 2 --grid 500":
         "e41b1e995ed3ea28eb0f4973d1a1db0e0e764a82006188faf675be3abbaade91",
     "verify --n 6 --H n/(2*t) --v 1 --V n^2/(4*t^2) --shape gradrad-vs-usq --tests 2 "
     "--grid 500":
         "a31114aceadd016b596e08eea71d0a6d5b43c258430244776ca44bd421d6cf56",
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
-        "2f4c0693ca63cf627dda6a3f3ea97e5f86d32a9559a9c8733390d417c100bec2",
+        "07af439645b44251b3977bda417e3ac9a83cf9b9c88f6f59241729f66622d9f7",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
     # deep mpmath start at the best and a super-critical constant, and the
     # float path of an explicit interval
@@ -529,6 +534,45 @@ def test_report_bytes_are_pinned(tmp_path, argv):
     body = "".join(line for line in out.read_text().splitlines(True)
                    if not line.startswith('  "timestamp": '))
     assert hashlib.sha256(body.encode()).hexdigest() == _REPORT_DIGESTS[argv]
+
+
+def _without_timestamp(text: str) -> str:
+    return "".join(line for line in text.splitlines(True)
+                   if not line.startswith('  "timestamp": '))
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    # main builds its parser once; a usage error (argparse's and one of the
+    # handlers'), a catalog listing and a pinned report then read as they do
+    # from a fresh process
+    built, build = [], cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    report = "verify --catalog classical-rellich --n 6 --shape delta-vs-gradrad --tests 3 --grid 500"
+    commands = ["verify --shape nope", "verify --catalog classical-rellich --n 6 --tests -1",
+                "catalog list", report]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rellich.__file__)))
+    for argv in commands:
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "rellich.cli", *argv.split()],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert code == fresh.returncode
+        assert _without_timestamp(got.out) == _without_timestamp(fresh.stdout)
+        assert got.err == fresh.stderr
+    assert len(built) == 1
+    assert hashlib.sha256(_without_timestamp(got.out).encode()).hexdigest() == \
+        _REPORT_DIGESTS[report]
+    cli._parser.cache_clear()
+    assert build() is not build()
 
 
 class _Stop(Exception):

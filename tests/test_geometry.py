@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from rellich.expr import fd_check, parse
-from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm,
-                              angular_eigenvalue, big_l, ct, make_bump, make_powerlaw,
-                              s_kappa, separated_laplacian, sphere_area, volume_weight)
+from rellich.expr import Const, fd_check, parse
+from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
+                              angular_eigenvalue, big_l, bspline_basis, ct, make_bump,
+                              make_powerlaw, s_kappa, separated_laplacian, sphere_area,
+                              volume_weight)
+from rellich.verify import side
 
 
 class _Monomial:
@@ -346,3 +348,74 @@ class TestPowerlaw:
         u = make_bump(1.0, 2.0, self.sf, l=2)
         assert u.l == 2
         assert make_powerlaw(-1.0, 1.0, 4.0, 0.5, 1.0, self.sf, l=1).l == 1
+
+
+class TestSplineProfile:
+    """A cubic B-spline in log t with three functions dropped at each end."""
+
+    u = SplineProfile(0.01, 50.0, (0.3, -1.0, 0.7, 0.2, 0.9, -0.4, 0.5))
+
+    def _knots(self):
+        return np.geomspace(0.01, 50.0, self.u.cells + 1)
+
+    def test_basis_is_a_partition_of_unity(self):
+        r = np.linspace(0.0, 1.0, 11)
+        b, b_r, b_rr = bspline_basis(r)
+        assert b.shape == (11, 4)
+        assert np.allclose(b.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(b_r.sum(axis=1), 0.0, atol=1e-15)
+        assert np.allclose(b_rr.sum(axis=1), 0.0, atol=1e-15)
+
+    def test_derivatives_against_central_differences(self):
+        knots = self._knots()
+        # three points inside every cell, away from the knots
+        ts = (knots[:-1, None] * (knots[1:, None] / knots[:-1, None])
+              ** np.array([0.2, 0.5, 0.8])).ravel()
+        u, d1, d2 = self.u.jet(ts)
+        h = 1e-6 * ts
+        up, d1p, _ = self.u.jet(ts + h)
+        um, d1m, _ = self.u.jet(ts - h)
+        assert np.allclose((up - um) / (2 * h), d1, rtol=1e-6, atol=1e-6 * np.abs(d1).max())
+        assert np.allclose((d1p - d1m) / (2 * h), d2, rtol=1e-6, atol=1e-6 * np.abs(d2).max())
+
+    def test_c2_at_every_knot_and_zero_at_the_ends(self):
+        knots = self._knots()
+        scale = [np.abs(d).max() for d in self.u.jet(np.geomspace(0.01, 50.0, 2001))]
+        for t in knots:
+            left = self.u.jet(t * (1 - 1e-12))
+            right = self.u.jet(t * (1 + 1e-12))
+            for k in range(3):
+                assert abs(left[k] - right[k]) <= 1e-9 * scale[k]
+        for t in (0.01, 50.0):
+            assert all(abs(d) <= 1e-12 * s for d, s in zip(self.u.jet(t), scale))
+        for t in (0.005, 0.00999, 50.01, 900.0):
+            assert self.u.jet(t) == (0.0, 0.0, 0.0)
+
+    def test_scalar_t_gives_floats(self):
+        for t in (0.5, np.float64(0.5), 0.001):
+            assert all(type(d) is float for d in self.u.jet(t))
+        assert self.u.jet(0.5) == tuple(float(d[0]) for d in self.u.jet(np.array([0.5])))
+
+    @pytest.mark.parametrize("form", ["usq", "gradrad", "delta"])
+    def test_side_integrates_one_profile(self, form):
+        # a batch of one through verify.side against Gauss-Legendre on each
+        # cell in s = log t, where u is a polynomial
+        sf = SpaceForm(5, 0.0)
+        got = side(sf, Const(1.0), self.u, form)
+        x, w = np.polynomial.legendre.leggauss(20)
+        s = np.log(self._knots())
+        nodes = (0.5 * (s[:-1, None] + s[1:, None]) + 0.5 * (s[1:, None] - s[:-1, None]) * x)
+        t = np.exp(nodes)
+        u, d1, _ = self.u.jet(t)
+        q = {"usq": u ** 2, "gradrad": d1 ** 2,
+             "delta": separated_laplacian(sf, self.u, t) ** 2}[form]
+        want = float((q * volume_weight(sf, t) * t * 0.5 * np.diff(s)[:, None] * w).sum())
+        assert got.value == pytest.approx(want, rel=1e-9)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            SplineProfile(0.0, 1.0, (1.0,))
+        with pytest.raises(ValueError):
+            SplineProfile(2.0, 1.0, (1.0,))
+        with pytest.raises(ValueError):
+            SplineProfile(1.0, 2.0, ())
