@@ -346,7 +346,8 @@ class SplineProfile:
         width = (math.log(self.support_hi) - s_lo) / self.cells
         c = np.concatenate([np.zeros(3), np.asarray(self.coefficients, dtype=float),
                             np.zeros(3)])
-        return s_lo, width, (np.lib.stride_tricks.sliding_window_view(c, 4) @ _BSPLINE).T.copy()
+        windows = np.lib.stride_tricks.sliding_window_view(c, 4)
+        return s_lo, width, (windows @ _BSPLINE).T.copy()
 
     def jet(self, t):
         """(u, u', u'') at t, 0 outside the support; floats for a scalar t."""

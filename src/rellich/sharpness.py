@@ -40,6 +40,9 @@ _GL_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
 _GL_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
                   0.1494513491505804, 0.06667134430868814])
 _GAUSS = (np.concatenate([-_GL_X[::-1], _GL_X]), np.concatenate([_GL_W[::-1], _GL_W]))
+# the most the volume weight's exponent grows over one part of a cell: the
+# level Ritz values of the hyperbolic entries agree with those at 1 to 2e-11
+_GROWTH = 4.0
 
 
 class DegenerateTestFunctionError(ValueError):
@@ -104,11 +107,13 @@ def _grams(sf: SpaceForm, sides: Sides, lo: float, hi: float, cells: int) -> tup
     entry (i, j) integrates weight * q(B_i, B_j) dx, with the bilinear form q
     of the side's form, by _GAUSS on each cell.  For kappa > 0 a cell is split
     into equal parts over which the volume weight's exponent (n-1) kappa t
-    grows by at most 1, so the weight is resolved where cells are wide in t."""
+    grows by at most _GROWTH, so the weight is resolved where cells are wide
+    in t."""
     s_lo = math.log(lo)
     width = (math.log(hi) - s_lo) / cells
     knots = np.exp(s_lo + width * np.arange(cells + 1))
-    parts = np.maximum(1, np.ceil((sf.n - 1) * sf.kappa * np.diff(knots))).astype(int)
+    growth = (sf.n - 1) * sf.kappa * np.diff(knots)
+    parts = np.maximum(1, np.ceil(growth / _GROWTH)).astype(int)
     part_cell = np.repeat(np.arange(cells), parts)
     part = np.arange(len(part_cell)) - np.repeat(np.cumsum(parts) - parts, parts)
     share = 1.0 / parts[part_cell]
@@ -117,16 +122,24 @@ def _grams(sf: SpaceForm, sides: Sides, lo: float, hi: float, cells: int) -> tup
     r = ((part[:, None] + 0.5 * (x + 1.0)) * share[:, None]).ravel()
     t = np.exp(s_lo + (cell + r) * width)
     b, b_r, b_rr = bspline_basis(r)
-    d1 = b_r / (width * t[:, None])
-    features = {"usq": b, "gradrad": d1, "grad": d1,
-                "delta": (b_rr / width - b_r) / (width * (t * t)[:, None])
-                + big_l(sf, t)[:, None] * d1}
+
+    def features(form):
+        """The side's form q(u) = f(u)^2, f linear: f of the four B-splines
+        of each node's cell, in t."""
+        if form == "usq":
+            return b
+        d1 = b_r / (width * t[:, None])
+        if form == "delta":
+            return ((b_rr / width - b_r) / (width * (t * t)[:, None])
+                    + big_l(sf, t)[:, None] * d1)
+        return d1      # gradrad, or grad at l = 0
+
     # the nodes' weights: dx = volume_weight dt, dt = t ds
     measure = (0.5 * width * w * share[:, None]).ravel() * volume_weight(sf, t) * t
     values = {**sides.bindings, "t": t}
     out = []
     for weight, form in ((sides.weight, sides.lhs), (sides.density, sides.rhs)):
-        f = features[form]
+        f = features(form)
         # each node touches the 4 functions of its cell: a band of width 3;
         # an overflow is left to _ritz's finiteness check
         gram = np.zeros((cells + 3, cells + 3))

@@ -488,7 +488,7 @@ _REPORT_DIGESTS = {
     "estimate --catalog classical-rellich --n 6 --shape gradrad-vs-usq --budget 25":
         "a9af237bc4e235c0ca07809c408776c758fd07dad9a3139f4175a20faa0ceb2b",
     "estimate --catalog hyp-final --n 5 --kappa 1 --shape chain --budget 25":
-        "40eb1257c34270d39585e5885f4e6a72263d0b658c7ec1a2d15e60ee5d943c50",
+        "f87bac5a649f8ee25c8208e58bf5e982579c19be109bb080d9520e3161832a24",
     "estimate --catalog iterlog --k 1 --n 6 --R 1 --shape chain --budget 25":
         "6ec2cde6b89288ee2480af408bbf937299ba622a1e3fd50fc86ef345c3981588",
     "verify --catalog hyp-final --n 5 --kappa 1 --tests 2 --grid 500":
@@ -497,7 +497,7 @@ _REPORT_DIGESTS = {
     "--grid 500":
         "a31114aceadd016b596e08eea71d0a6d5b43c258430244776ca44bd421d6cf56",
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
-        "07af439645b44251b3977bda417e3ac9a83cf9b9c88f6f59241729f66622d9f7",
+        "dd24bbde56d97847dc3c6a08305a14634694f80ba6b3598303de8d0482178e73",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
     # deep mpmath start at the best and a super-critical constant, and the
     # float path of an explicit interval
@@ -553,7 +553,8 @@ def test_one_parser_per_process(capsys, monkeypatch):
 
     cli._parser.cache_clear()
     monkeypatch.setattr(cli, "build_parser", counting_build)
-    report = "verify --catalog classical-rellich --n 6 --shape delta-vs-gradrad --tests 3 --grid 500"
+    report = ("verify --catalog classical-rellich --n 6 --shape delta-vs-gradrad --tests 3 "
+              "--grid 500")
     commands = ["verify --shape nope", "verify --catalog classical-rellich --n 6 --tests -1",
                 "catalog list", report]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rellich.__file__)))
