@@ -158,9 +158,10 @@ def _grams(sf: SpaceForm, sides: Sides, lo: float, hi: float, cells: int) -> tup
 def _ritz(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     """(least lambda of lhs c = lambda rhs c, its c): the largest mu of
     rhs c = mu lhs c, after Jacobi scaling, with a Cholesky factor of lhs, so
-    rhs may be indefinite.  c is scaled so that its largest entry is 1.
-    Raises ValueError (numpy's LinAlgError is one) when lhs is not positive
-    definite or no c has a positive right side."""
+    rhs may be indefinite.  c has c.lhs.c = 1, so its sides are of order 1
+    wherever its support lies, and its entry of largest magnitude is
+    positive.  Raises ValueError (numpy's LinAlgError is one) when lhs is not
+    positive definite or no c has a positive right side."""
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all() and (np.diag(lhs) > 0).all()):
         raise ValueError("Ritz forms are not finite and positive")
     scale = 1.0 / np.sqrt(np.diag(lhs))
@@ -170,7 +171,7 @@ def _ritz(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     if not mu[-1] > 0:
         raise ValueError("no function of the space has a positive right side")
     c = scale * (inverse.T @ vectors[:, -1])
-    return 1.0 / mu[-1], c / c[np.argmax(np.abs(c))]
+    return 1.0 / mu[-1], np.copysign(1.0, c[np.argmax(np.abs(c))]) * c
 
 
 def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] = None,
