@@ -199,8 +199,8 @@ def test_estimate_quality_is_pinned(source):
 
 
 @pytest.mark.parametrize("entry,shape", [
-    # at kappa > 0 an assembly on a few nodes per cell once gave a Ritz value
-    # of 0.544 against a re-integrated quotient of 1.198
+    # kappa > 0: the volume weight varies fastest across a cell here, so an
+    # under-resolved Ritz value would differ most from the reported quotient
     (cat.build_entry("hyp-lower-2", n=5, kappa=1.0), "gradrad-vs-usq"),
     (cat.build_entry("hyp-final", n=5, kappa=1.0), "chain"),
     (cat.build_entry("classical-rellich", n=6, kappa=0.0), "delta-vs-gradrad"),
