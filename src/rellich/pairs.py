@@ -417,6 +417,7 @@ def _sspace_coefficients(p: PairSpec, n: Optional[int]):
 
 _DEEP_LOG_DEPTH = 2.0e6          # potentials: start at t = R e^{-depth}
 _PAIR_LOG_DEPTH = 110.0
+_FLOAT_LOG_FLOOR = -120.0        # below t = e^{-120}, coefficients on mpmath
 _ODE_RTOL = 1e-8                 # step-doubling error per step
 
 
@@ -425,14 +426,16 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     """Integrate the defining linear ODE and report whether the solution
     with principal (recessive-at-zero) initial data stays positive.
 
-    The integration runs in s = log t from near the singular endpoint.  A
-    potential starts at t = R e^(-2e6), far below float range, on mpmath
-    numbers, so that the oscillation of super-critical potentials is
-    actually visible.  A Bessel pair starts at R e^(-110), and an explicit
-    interval at its t0; when that start lies above e^(-120) the run is in
-    float and is retried on mpmath after an evaluation error.  Steps are
-    RK4 with step-doubling error control, and the state is renormalized in
-    flight, which is sign-safe for a linear equation.  ``steps`` counts
+    The integration runs in s = log t from near the singular endpoint: a
+    potential from t = R e^(-2e6), far below float range, so that the
+    oscillation of super-critical potentials is actually visible, a Bessel
+    pair from R e^(-110), and an explicit interval from its t0.  The state
+    (y, y', s and the step) is float.  The coefficients are computed on a
+    float t = e^s above e^(-120), and on an mpmath t at 25 digits below it
+    or after a float evaluation error, then converted to float; a
+    coefficient that is not finite there ends the run inconclusive.  Steps
+    are RK4 with step-doubling error control, and the state is renormalized
+    in flight, which is sign-safe for a linear equation.  ``steps`` counts
     accepted and rejected attempts, plus the step that holds the first
     zero.
     """
@@ -449,41 +452,35 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         depth = _DEEP_LOG_DEPTH if p.kind == "bessel-potential" else _PAIR_LOG_DEPTH
         s_hi = math.log(R) + math.log1p(-1e-9)
         s_lo = math.log(R) - depth
+    program = ex.Program((a_expr, b_expr))
     base = p.bindings(n=n)
-
-    # float arithmetic when the start is shallow enough for float-range
-    # expression trees; deep starts (and float failures) use mpmath
-    if s_lo > -120.0:
-        try:
-            return _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi,
-                                     max_steps, use_mp=False)
-        except ex.EvaluationError:
-            pass
     with mpmath.workdps(25):   # the caller's precision is left as it was
-        return _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi,
-                                 max_steps, use_mp=True)
+        return _disconjugacy_run(program, base, s_lo, s_hi, max_steps)
 
 
-def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, max_steps,
-                      use_mp: bool) -> DisconjugacyReport:
+def _disconjugacy_run(program, base, s_lo, s_hi, max_steps) -> DisconjugacyReport:
     import mpmath
 
-    if use_mp:
-        mpf = mpmath.mpf
-        exp_fn = mpmath.exp
-    else:
-        mpf = float
-        exp_fn = math.exp
-
-    # one program for a(s) and b(s), run once per distinct s: the stages of
-    # a step share their points; the memo holds the current step's points
-    program = ex.Program((a_expr, b_expr))
+    # (a, b) at s as floats: on a float t = e^s above e^(-120), else (or
+    # after a float failure) on mpmath.  The stages of a step share their
+    # points; the memo holds the current step's points by exact s
     memo = {}
 
     def coeffs(s):
-        if s not in memo:
-            memo[s] = program.evaluate(dict(base, t=exp_fn(s)))
-        return memo[s]
+        if s in memo:
+            return memo[s]
+        values = None
+        if s > _FLOAT_LOG_FLOOR:
+            try:
+                values = program.evaluate(dict(base, t=math.exp(s)))
+            except ex.EvaluationError:
+                pass
+        if values is None or not all(map(math.isfinite, values)):
+            values = [float(v) for v in program.evaluate(dict(base, t=mpmath.exp(s)))]
+            if not all(map(math.isfinite, values)):
+                raise ex.EvaluationError(f"ODE coefficient out of float range at log t = {s!r}")
+        memo[s] = values
+        return values
 
     def rk4(s, y, dy, h):
         def f(s_, y_, dy_):
@@ -497,19 +494,17 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, max_steps,
         return (y + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
                 dy + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
 
-    y, dy = mpf(1), mpf(0)
-    s = mpf(s_lo)
-    s_end = mpf(s_hi)
+    y, dy, s = 1.0, 0.0, s_lo
     end_tol = 1e-9 * max(1.0, abs(s_hi))
-    h = mpf(min(1.0, s_hi - s_lo))
+    h = min(1.0, s_hi - s_lo)
     first_zero_s = None
     steps = 0
     status = "ok"
-    while float(s_end - s) > end_tol:
+    while s_hi - s > end_tol:
         if steps >= max_steps:
             status = "inconclusive"
             break
-        h = min(h, s_end - s)
+        h = min(h, s_hi - s)
         start = memo.get(s)      # keep only the new start's coefficients
         memo.clear()
         if start is not None:
@@ -519,18 +514,19 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, max_steps,
             y_half, dy_half = rk4(s, y, dy, h / 2)
             y2, dy2 = rk4(s + h / 2, y_half, dy_half, h / 2)
         except (ex.EvaluationError, ZeroDivisionError):
-            if not use_mp:
-                raise  # retried with mpmath by the caller
             status = "inconclusive"
             break
-        norm = max(abs(y2), abs(dy2), mpf(1e-300))
-        err = float(max(abs(y2 - y_full), abs(dy2 - dy_full)) / norm)
-        if err > _ODE_RTOL:
-            if float(h) > 1e-12 * max(1.0, abs(float(s))):
+        # max() drops a NaN in a later argument: a NaN y2 reaches err
+        # through norm, a NaN dy2 through the first term, and a NaN err is
+        # never accepted
+        norm = max(abs(y2), abs(dy2), 1e-300)
+        err = max(abs(dy2 - dy_full), abs(y2 - y_full)) / norm
+        if not err <= _ODE_RTOL:
+            if h > 1e-12 * max(1.0, abs(s)):
                 h = h * max(0.2, 0.9 * (_ODE_RTOL / err) ** 0.2)
                 steps += 1
                 continue
-            if err > 100.0 * _ODE_RTOL:   # step underflow: stiff failure
+            if not err <= 100.0 * _ODE_RTOL:   # step underflow: stiff failure
                 status = "inconclusive"
                 break
         y_new, dy_new = y2, dy2
@@ -548,9 +544,9 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, max_steps,
                     hi_s = mid
                 else:
                     lo_s, y_lo, dy_lo = mid, y_mid, dy_mid
-                if float(hi_s - lo_s) < 1e-9 * max(1.0, abs(float(hi_s))):
+                if hi_s - lo_s < 1e-9 * max(1.0, abs(hi_s)):
                     break
-            first_zero_s = float((lo_s + hi_s) / 2)
+            first_zero_s = (lo_s + hi_s) / 2
             steps += 1
             break
         y, dy, s = y_new, dy_new, s + h
@@ -560,7 +556,7 @@ def _disconjugacy_run(p, a_expr, b_expr, base, s_lo, s_hi, max_steps,
         else:
             h = h * 5.0
         m = max(abs(y), abs(dy))
-        if m > mpf("1e80") or m < mpf("1e-80"):
+        if m > 1e80 or m < 1e-80:
             y, dy = y / m, dy / m
 
     t_start = math.exp(max(s_lo, -745.0))

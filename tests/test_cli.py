@@ -255,13 +255,25 @@ class TestSolveBessel:
         assert code == EXIT_PASS
         assert rep["config"]["positive_solution"] is True
 
+    @pytest.mark.parametrize("Z", ["t^-2*1e300", "exp(1/t)"])
+    def test_non_finite_step_is_inconclusive(self, tmp_path, Z):
+        # the state overflows in the first steps (t^-2*1e300), or the
+        # coefficient does not fit in a float (exp(1/t)): a NaN step error
+        # must be rejected, not read as a converged step that ends the run
+        code, rep = _run(tmp_path, "solve-bessel", "--z", "t", "--Z", Z, "--R", "1",
+                         "--t0", "1e-3", "--t1", "0.5")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["config"]["status"] == "inconclusive"
+        assert rep["config"]["positive_solution"] is False
+        assert rep["config"]["steps"] < 50
+
     @pytest.mark.parametrize("argv", [
         ["--Z", "sqrt(0.5-t)", "--t0", "0.1", "--t1", "0.9"],
         ["--Z", "log(t-0.5)"],
     ])
     def test_potential_outside_its_domain_is_inconclusive(self, tmp_path, argv):
-        # Z is undefined on part of the interval, so the mpmath pass stops
-        # with a domain error instead of going complex
+        # Z is undefined on part of the interval, so the coefficients fail
+        # there in float and again on mpmath, instead of going complex
         code, rep = _run(tmp_path, "solve-bessel", "--z", "t", "--R", "1", *argv)
         assert code == EXIT_INCONCLUSIVE
         assert rep["verdict"] == "inconclusive"
@@ -502,16 +514,16 @@ _REPORT_DIGESTS = {
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
         "e56dba5f4e47c7320e2442765a84bfce80ab8c347ca5b27e0bbb46e96b0bfae9",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
-    # deep mpmath start at the best and a super-critical constant, and the
-    # float path of an explicit interval
+    # deep start (mpmath coefficients below e^-120) at the best and a
+    # super-critical constant, and an explicit interval wholly in float
     "solve-bessel --catalog iterlog --k 1 --R 1":
         "5c96adc3b4ecbdb92e742b53f1921af8517ef830bfb8100e39cc7b1674c7624a",
     "solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3":
-        "99ab00ad3c49b93cf912ca7f50ce7191ba420d06594b505c8d61e9adb2c0002a",
+        "7d1a78b96cc9f43a73c42643f4b062ff94e69be49c8a51cd019af38a1705d3e5",
     "solve-bessel --catalog ell-family --k 3 --R 1":
         "7d33b39765583f1558d7edfc9dc7c4ef7a31e26c5411ff61fb81399e1e023e01",
     "solve-bessel --catalog ell-family --k 3 --R 1 --c 0.3":
-        "47b2e65519d92d04cdb63f9d4042cf1c137ef77c5ea158e1188aec642a664ead",
+        "d03937ac4961ace42b3a3345576dc8f21a89cc74d12369d64c6b34e8a068b4fd",
     "solve-bessel --catalog iterlog --k 1 --R 1 --t0 1e-6 --t1 0.999":
         "59c12b7634225ba40509aea5aaf47a869425bf4913c2ebfe92726198950e5962",
     # batch-workload shapes at seed 15, whose batches hold supports with

@@ -438,6 +438,28 @@ class TestDisconjugacy:
             assert mpmath.mp.dps == 50
         assert rep.positive_solution is True
 
+    def test_start_below_float_range_falls_back_per_point(self, monkeypatch):
+        # t0 = 1e-200 lies below e^-120: the points there run on mpmath, the
+        # rest of the interval in float, with the steps and verdict of a run
+        # wholly on mpmath; the caller's precision is unchanged
+        import mpmath
+
+        p = cat.iterated_log_potential(2, 1.0).specs["potential"]
+        kinds = set()
+        evaluate = Program.evaluate
+
+        def counted(self, bindings):
+            kinds.add(type(bindings["t"]).__name__)
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(Program, "evaluate", counted)
+        dps = mpmath.mp.dps
+        rep = pr.disconjugacy_check(p, interval=(1e-200, 0.999))
+        assert mpmath.mp.dps == dps
+        assert kinds == {"float", "mpf"}
+        assert rep.positive_solution is True and rep.status == "ok"
+        assert rep.steps == 80
+
     def test_step_budget_exhaustion_is_inconclusive(self, potential):
         rep = pr.disconjugacy_check(potential, max_steps=3)
         assert rep.status == "inconclusive"
@@ -471,6 +493,46 @@ class TestDisconjugacy:
         rep = pr.disconjugacy_check(p, n=n)
         assert rep.steps > 100
         assert len(runs) <= 6 * rep.steps
+
+
+# steps at the default c and at c = 0.3, and the first zero at c = 0.3, of
+# each R = 1 potential (the deep start), as read from the run whose state was
+# mpmath throughout: the float state keeps every step count, and the zero
+# within the bisection tolerance 1e-9 max(1, |log t|)
+_DEEP_RUNS = {
+    ("iterlog", 1): (209, 187, -9.378285435152735),
+    ("iterlog", 2): (200, 181, -15.147431238128739),
+    ("iterlog", 3): (173, 183, -4.923012283394908),
+    ("ell-family", 1): (209, 187, -9.378285435152733),
+    ("ell-family", 2): (214, 182, -15.025018794938854),
+    ("ell-family", 3): (217, 183, -15.664370439149423),
+}
+
+
+class TestDeepDisconjugacy:
+    @pytest.mark.parametrize("family,k", sorted(_DEEP_RUNS))
+    def test_steps_and_first_zero_are_kept(self, family, k):
+        steps, steps_super, log_zero = _DEEP_RUNS[family, k]
+        build = cat.iterated_log_potential if family == "iterlog" else cat.ell_potential
+        potential = build(k, 1.0).specs["potential"]
+        rep = pr.disconjugacy_check(potential)
+        assert rep.positive_solution is True and rep.steps == steps
+        rep = pr.disconjugacy_check(potential.with_constant(0.3))
+        assert rep.positive_solution is False and rep.steps == steps_super
+        assert abs(rep.log_t_first_zero - log_zero) <= 1e-9 * max(1.0, abs(log_zero))
+
+    def test_zero_below_float_range_is_reported(self):
+        # z'' + z'/t + c z/t^2 = 0 is z_ss + c z = 0 in s = log t: from the
+        # principal data at s0 = -2e6 the first zero is s0 + pi/(2 sqrt(c)),
+        # far below float range, so first_zero reads 0 and log t carries it
+        p = PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse("1/t^2")},
+                     constant=0.3, params={"R": 1.0})
+        rep = pr.disconjugacy_check(p)
+        assert rep.positive_solution is False and rep.first_zero == 0.0
+        assert rep.steps == 29
+        tol = 1e-9 * 2e6
+        assert abs(rep.log_t_first_zero - -1999997.13274638) <= tol
+        assert abs(rep.log_t_first_zero - (-2e6 + math.pi / (2 * math.sqrt(0.3)))) <= tol
 
 
 def _one_pair_of_each_kind():
