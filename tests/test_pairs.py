@@ -434,7 +434,7 @@ class TestDisconjugacy:
         import mpmath
 
         with mpmath.workdps(50):
-            rep = pr.disconjugacy_check(potential)   # the deep start runs on mpmath
+            rep = pr.disconjugacy_check(potential)   # mpmath coefficients at the deep start
             assert mpmath.mp.dps == 50
         assert rep.positive_solution is True
 
@@ -479,7 +479,7 @@ class TestDisconjugacy:
         # needs one run of the coefficient program, not one per stage and
         # coefficient (24 per step)
         if which == "potential":
-            p, n = potential.with_constant(0.3), None      # deep mpmath start
+            p, n = potential.with_constant(0.3), None      # deep start
         else:
             p, n = pr.bessel_pairs_from_potential(potential, 2.0, 6)[1], 6   # float
         runs = []
