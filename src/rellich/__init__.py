@@ -4,8 +4,7 @@ constant-curvature space forms via Riccati and dual Riccati pairs."""
 from .expr import (Bindings, Expr, differentiate, evaluate, fd_check,  # noqa: F401
                    parse)
 from .geometry import (RadialTestFunction, SpaceForm, big_l, ct,  # noqa: F401
-                       make_bump, make_powerlaw, separated_laplacian,
-                       volume_weight)
+                       make_bump, separated_laplacian, volume_weight)
 from .pairs import (PairSpec, Scan, positivity_polynomial_roots,  # noqa: F401
                     disconjugacy_check, dual_to_primal, e1_expr, e2_expr,
                     e1_terms, e2_terms, from_bessel_pair, from_bessel_potential,

@@ -521,8 +521,7 @@ def entry_pair(entry: CatalogEntry, kind: str, sf: SpaceForm):
 
 
 def build_entry(entry_id: str, n: int = 5, kappa: float = 1.0,
-                lam: float = 0.0, k: int = 1, R: float = 1.0,
-                which: Optional[int] = None) -> CatalogEntry:
+                lam: float = 0.0, k: int = 1, R: float = 1.0) -> CatalogEntry:
     """Construct a catalog entry by its CLI id."""
     if entry_id == "classical-rellich":
         return classical_euclidean(n)
@@ -533,8 +532,7 @@ def build_entry(entry_id: str, n: int = 5, kappa: float = 1.0,
     if entry_id == "hyp-interp":
         return hyperbolic_interpolation(n, kappa, lam)
     if entry_id.startswith("hyp-lower-"):
-        sel = which if which is not None else int(entry_id.rsplit("-", 1)[1])
-        return hyperbolic_lower(n, kappa, sel)
+        return hyperbolic_lower(n, kappa, int(entry_id.rsplit("-", 1)[1]))
     if entry_id == "hyp-final":
         return final_combined(n, kappa)
     raise ValueError(f"unknown catalog id {entry_id!r}; known: {', '.join(CATALOG_IDS)}")

@@ -12,7 +12,10 @@ CSV as flattened per-test rows) with the schema
 and exits 0 on pass, 1 on fail/violated, 2 on inconclusive, 64 on usage
 errors, 74 on I/O failure.  Reports are written atomically; with the
 same configuration and seed the report is byte-identical up to the
-timestamp field.
+timestamp field.  One exception: from --budget 157 on, ``estimate``
+solves a Ritz level of 157 or more functions, which OpenBLAS runs on
+several threads, so its bytes also depend on the BLAS thread count
+(OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations

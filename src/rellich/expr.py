@@ -198,13 +198,25 @@ _NUMPY = _primitives(
     np.power, lambda y: np.mod(y, 1.0) != 0, lambda x: bool(np.any(np.isnan(x))))
 
 
+# |x| beyond which mpmath's exp, sinh and cosh saturate to 0 or +-inf.
+# e^(10^12) times any power t^p of a radius (|log t| <= 2.1e6 at the deepest
+# start, |p| < 10^4) is still far outside float range, while mpmath's cost
+# grows with x: exp(e^(3e5)) takes seconds at 25 digits.
+_MP_SATURATION = 1e12
+
+
 @functools.cache
 def _mpmath_primitives() -> dict:
     import mpmath  # imported on first use: most runs never need it
 
+    def saturating(f, below):
+        return lambda x: (mpmath.inf if x > _MP_SATURATION else
+                          below if x < -_MP_SATURATION else f(x))
+
     return _primitives(
-        bool, _reject_scalar, mpmath.log, mpmath.sqrt, mpmath.exp, mpmath.sinh,
-        mpmath.cosh, mpmath.tanh, mpmath.coth,
+        bool, _reject_scalar, mpmath.log, mpmath.sqrt,
+        saturating(mpmath.exp, mpmath.mpf(0)), saturating(mpmath.sinh, -mpmath.inf),
+        saturating(mpmath.cosh, mpmath.inf), mpmath.tanh, mpmath.coth,
         lambda x, kappa: kappa * mpmath.coth(kappa * x), operator.pow,
         lambda y: not mpmath.isint(y), mpmath.isnan)
 

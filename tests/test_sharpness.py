@@ -11,7 +11,7 @@ from rellich import catalog as cat
 from rellich import expr as ex
 from rellich import sharpness as sh
 from rellich.cli import main
-from rellich.geometry import SpaceForm, SplineProfile, make_bump, make_powerlaw
+from rellich.geometry import SpaceForm, SplineProfile, make_bump
 from rellich.sharpness import (DegenerateTestFunctionError, estimate_constant,
                                rayleigh_quotient, sharpness_problem)
 from rellich.verify import shape_sides
@@ -48,8 +48,13 @@ class TestRayleighQuotient:
         assert q2 == pytest.approx(q1, rel=1e-10)
 
     def test_hardy_style_quotient_above_one(self):
-        # claimed (n-4)^2/4 = 1 at n = 6 for the chained primal shape
-        u = make_powerlaw(-1.0, 0.5, 200.0, 0.4, 300.0, self.sf)
+        # claimed (n-4)^2/4 = 1 at n = 6 for the chained primal shape, on a
+        # spline that follows the near-extremal t^-(n-4)/2 = t^-1 over a
+        # support wide enough (b/a > 32) for the log-substituted quadrature
+        lo, hi, m = 0.1, 500.0, 20
+        width = math.log(hi / lo) / (m + 3)
+        u = SplineProfile(lo, hi, tuple(1.0 / (lo * math.exp((j + 2) * width))
+                                        for j in range(m)))
         q = rayleigh_quotient(self.sf, self._sides("gradrad-vs-usq", "primal", 1.0), u)
         assert q >= 1.0 - 1e-9
 
