@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rellich.expr import Const, fd_check, parse
-from rellich.geometry import (Profiles, SpaceForm, SplineProfile, angular_eigenvalue, big_l,
-                              bspline_basis, ct, make_bump, s_kappa, separated_laplacian,
-                              sphere_area, volume_weight)
+from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
+                              angular_eigenvalue, big_l, bspline_basis, ct, make_bump, s_kappa,
+                              separated_laplacian, sphere_area, volume_weight)
 from rellich.verify import side
 
 
@@ -86,6 +86,13 @@ class TestCt:
         with pytest.raises(ValueError):
             ct(SpaceForm(3, 0.0), 0.0)
 
+    def test_float_t_is_the_array_path(self):
+        ts = np.geomspace(1e-3, 1e3, 41)
+        for sf in (SpaceForm(4, 0.0), SpaceForm(4, 0.7)):
+            for f in (ct, s_kappa):
+                points = np.array([f(sf, float(t)) for t in ts])
+                assert points.tobytes() == np.asarray(f(sf, ts), dtype=float).tobytes()
+
 
 class TestBigL:
     def test_flat(self):
@@ -125,6 +132,16 @@ class TestVolumeWeight:
             ts = np.geomspace(0.01, 20.0, 100)
             w = volume_weight(sf, ts)
             assert np.all(np.diff(w) > 0)
+
+    def test_past_float_range_is_inf(self):
+        # sinh(kappa t) overflows from kappa t ~ 710 on; a float t and an
+        # array both saturate to inf rather than raise
+        sf = SpaceForm(3, 1.0)
+        with np.errstate(over="raise"):
+            assert s_kappa(sf, 800.0) == math.inf
+            assert volume_weight(sf, 800.0) == math.inf
+            assert np.all(np.isinf(s_kappa(sf, np.array([800.0, 1e5]))))
+        assert ct(sf, 800.0) == 1.0
 
     def test_flat_limit_of_curved(self):
         for t in (0.5, 1.0, 2.0):
@@ -237,6 +254,35 @@ class TestBump:
         with pytest.raises(ValueError):
             make_bump(1.0, 200.0, self.sf)
 
+    def test_mode_attachment(self):
+        assert make_bump(1.0, 2.0, self.sf).l == 0
+        assert make_bump(1.0, 2.0, self.sf, l=2).l == 2
+
+
+# a taper whose rise band (width 1) and fall band (width 3) differ, which no
+# make_bump gives: each band must use its own width
+_UNEQUAL_BANDS = RadialTestFunction(support_lo=1.0, support_hi=11.0, rise_hi=2.0, fall_lo=8.0)
+
+
+class TestUnequalBands:
+    u = _UNEQUAL_BANDS
+
+    def test_c2_and_support(self):
+        assert self.u.support == (1.0, 11.0)
+        for knot in (1.0, 2.0, 8.0, 11.0):
+            assert abs(self.u.d2value(knot - 1e-12) - self.u.d2value(knot + 1e-12)) <= 1e-9
+        assert self.u.value(0.99) == 0.0 and self.u.value(11.01) == 0.0
+        assert np.all(self.u.value(np.linspace(2.0, 8.0, 13)) == 1.0)
+
+    def test_derivatives_against_fd(self):
+        ts = np.concatenate([np.linspace(1.01, 1.99, 23), np.linspace(8.01, 10.99, 23)])
+        h = 1e-7
+        fd1 = (self.u.value(ts + h) - self.u.value(ts - h)) / (2 * h)
+        assert np.allclose(fd1, self.u.dvalue(ts), atol=1e-5)
+        h2 = 1e-4  # t reaches 11 here, where t +- 1e-5 already rounds too coarsely
+        fd2 = (self.u.value(ts + h2) - 2 * self.u.value(ts) + self.u.value(ts - h2)) / h2 ** 2
+        assert np.allclose(fd2, self.u.d2value(ts), atol=1e-5)
+
 
 class TestJet:
     """value, dvalue and d2value are the components of one jet, and the
@@ -244,7 +290,8 @@ class TestJet:
 
     @pytest.mark.parametrize("u", [
         make_bump(1.0, 4.0, SpaceForm(5, 0.0, 100.0)),
-    ], ids=["bump"])
+        _UNEQUAL_BANDS,
+    ], ids=["bump", "unequal-bands"])
     def test_accessors_are_jet_components(self, u):
         knots = [u.support_lo, u.rise_hi, u.fall_lo, u.support_hi]
         ts = np.linspace(0.5 * u.support_lo, u.support_hi + 1.0, 401)
@@ -300,6 +347,13 @@ class TestProfiles:
         assert angular_eigenvalue(5, p.l).tolist() == [[0.0], [4.0], [10.0]]
         with pytest.raises(ValueError):
             angular_eigenvalue(5, np.array([[1], [-1]]))
+
+    def test_rows_with_unequal_bands(self):
+        us = self.us + [_UNEQUAL_BANDS]
+        t = np.array([np.linspace(0.5 * u.support_lo, u.support_hi + 1.0, 64) for u in us])
+        batch = np.array(Profiles(us).jet(t))
+        for i, u in enumerate(us):
+            assert batch[:, i].tobytes() == np.array(u.jet(t[i])).tobytes()
 
 
 class TestSplineProfile:
