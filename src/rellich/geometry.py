@@ -159,6 +159,12 @@ class RadialTestFunction:
     def support(self) -> tuple[float, float]:
         return (self.support_lo, self.support_hi)
 
+    @property
+    def edges(self) -> tuple:
+        """(support_lo, rise_hi, fall_lo, support_hi): the ends of the bands on
+        each of which the profile is one polynomial."""
+        return (self.support_lo, self.rise_hi, self.fall_lo, self.support_hi)
+
     def jet(self, t):
         """(u, u', u'') of the taper at t; floats for a scalar t."""
         out = _jet(np.asarray(t, dtype=float), *self.knots())
@@ -216,8 +222,8 @@ class Profiles:
     """The test functions of a batch as (m, 1) parameter columns: jet(t)
     evaluates row i of a 2-D t with function i, from the same float knots
     RadialTestFunction.jet uses, so every row is bit-identical to that
-    function's own jet.  support is the pair of arrays of support ends and
-    l the (m, 1) column of angular modes."""
+    function's own jet.  support is the pair of arrays of support ends, edges
+    the (m, 4) array of band ends and l the (m, 1) column of angular modes."""
 
     def __init__(self, functions):
         functions = tuple(functions)
@@ -228,6 +234,11 @@ class Profiles:
     @property
     def support(self) -> tuple:
         return self._knots[0][:, 0], self._knots[3][:, 0]
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The (m, 4) array of the functions' edges, row i function i's."""
+        return np.hstack(self._knots[:4])
 
     def take(self, rows) -> "Profiles":
         """The batch whose row k is function rows[k] of this one; rows is an
@@ -299,6 +310,14 @@ class SplineProfile:
     @property
     def cells(self) -> int:
         return len(self.coefficients) + 3
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The cells + 1 knots in t, from support_lo to support_hi."""
+        s_lo, width, _ = self._pieces
+        out = np.exp(s_lo + width * np.arange(self.cells + 1))
+        out[[0, -1]] = self.support
+        return out
 
     @functools.cached_property
     def _pieces(self):

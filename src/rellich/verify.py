@@ -5,9 +5,12 @@ integral over Omega of f(rho) dx = integral of f(t) * volume_weight(t) dt.
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) scheme run in
 lockstep over a batch of integrals: each pass evaluates every pending panel
 of every integral of one side in one vectorized call, while each integral
-refines, stops and rounds exactly as it would alone.  Wide supports use a
-t = exp(s) substitution so power-like singular potentials are resolved
-cheaply.
+refines, stops and rounds exactly as it would alone.  Each integral starts
+from panels between its test function's knots (a bump's band ends, a
+spline's cells), so no panel straddles a jump of the third derivative, and
+its error estimate adds QUADPACK's rounding floor to the |K15 - G7| sum.
+Wide supports use a t = exp(s) substitution so power-like singular
+potentials are resolved cheaply.
 
 A verification run certifies the *sampled* necessary condition (margins
 over a seeded batch of test functions) plus the sufficient side
@@ -29,8 +32,9 @@ import numpy as np
 from . import pairs as pr
 from .catalog import ChainDescriptor
 from .expr import Const, EvaluationError, Expr
-from .geometry import (Profiles, RadialTestFunction, SpaceForm, angular_eigenvalue,
-                       angular_term, make_bump, separated_laplacian, volume_weight)
+from .geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
+                       angular_eigenvalue, angular_term, make_bump, separated_laplacian,
+                       volume_weight)
 from .pairs import PairSpec, Scan
 
 __all__ = [
@@ -89,17 +93,22 @@ class Quadratures(tuple):
         return sum(q.subintervals for q in self)
 
 
-def _result(total: float, total_err: float, panels: int, rtol: float):
-    """The QuadratureResult of a finished integral, or the NonconvergenceError
-    when its error estimate misses the request."""
-    # modest slack over the request: |K-G| is a conservative estimator and
-    # bottoms out near rounding noise of the panel sums
+def _result(total: float, total_err: float, floor: float, panels: int, rtol: float):
+    """The QuadratureResult of a finished integral, its error estimate the
+    error sum plus the rounding floor, or the NonconvergenceError when its
+    error sum misses the request."""
+    # at the panel or refinement cap an error sum within 8 times the request
+    # is accepted: |K-G| bottoms out near the rounding noise of the panel
+    # sums, which the rounding floor in the reported estimate covers
     if total_err > max(1e-280, 8.0 * rtol * abs(total)):
         return NonconvergenceError(
             f"quadrature did not converge: error estimate {total_err:.3e} "
             f"with {panels} subintervals (target {rtol * abs(total):.3e})")
-    return QuadratureResult(total, total_err, panels)
+    return QuadratureResult(total, total_err + floor, panels)
 
+
+# QUADPACK's rounding floor of a panel, per unit of its K15 rule on |f|
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 # nodes per density call: 15 nodes on each of up to 8738 panels, so a batch
 # that refines deep is split into several calls per pass instead of being
@@ -108,17 +117,19 @@ _MAX_NODES = 1 << 17
 
 
 def _kronrod(f: Callable, new: dict) -> dict:
-    """{i: (K15, |K15 - G7|) of the panels new[i] = (a, b) of integral i}, from
-    calls f(x, rows) of at most _MAX_NODES nodes each, where row k of x (an
-    array f may overwrite) holds the 15 nodes of one panel, of integral
-    rows[k].  An integral with a non-finite value maps to its
-    NonconvergenceError instead."""
+    """{i: the (3, p) array of the K15 value, |K15 - G7| and rounding floor of
+    each of the p panels new[i] = (a, b) of integral i}, from calls f(x, rows)
+    of at most _MAX_NODES nodes each, where row k of x (an array f may
+    overwrite) holds the 15 nodes of one panel, of integral rows[k].  The
+    floor is QUADPACK's (qk15): 50 eps times the K15 rule on |f|.  An
+    integral with a non-finite value maps to its NonconvergenceError
+    instead."""
     counts = [len(a) for a, _ in new.values()]
     a = np.concatenate([a for a, _ in new.values()])
     b = np.concatenate([b for _, b in new.values()])
     rows = np.array(list(new)).repeat(counts)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    k15, err, bad = np.empty(len(a)), np.empty(len(a)), set()
+    panels, bad = np.empty((3, len(a))), set()
     step = max(1, _MAX_NODES // 15)
     for c in range(0, len(a), step):
         part = slice(c, c + step)
@@ -127,13 +138,15 @@ def _kronrod(f: Callable, new: dict) -> dict:
             finite = np.isfinite(vals).all(axis=1)
             bad.update(rows[part][~finite].tolist())
             vals[~finite] = 0.0
-        k15[part] = (vals * _KW).sum(axis=1) * half[part]
-        err[part] = np.abs(k15[part] - (vals * _GW).sum(axis=1) * half[part])
+        k15 = (vals * _KW).sum(axis=1) * half[part]
+        panels[0, part] = k15
+        panels[1, part] = np.abs(k15 - (vals * _GW).sum(axis=1) * half[part])
+        panels[2, part] = _ROUNDING * (np.abs(vals) * _KW).sum(axis=1) * np.abs(half[part])
     out, stop = {}, 0
     for i, n in zip(new, counts):
         start, stop = stop, stop + n
         out[i] = (NonconvergenceError("quadrature met a non-finite integrand value")
-                  if i in bad else (k15[start:stop], err[start:stop]))
+                  if i in bad else panels[:, start:stop])
     return out
 
 
@@ -155,7 +168,7 @@ def _evaluate(f: Callable, new: dict) -> dict:
         return out
 
 
-_EMPTY = np.empty(0)
+_EMPTY = np.empty((3, 0))
 
 
 def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
@@ -169,30 +182,32 @@ def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
     alone: it stops when its error sum meets rtol |total|, at max_panels or
     after 60 refinements, and otherwise halves its panels of largest error,
     keeping its panel order (kept panels, left halves, right halves), so its
-    sums round as they would alone.  Returns per integral its
-    QuadratureResult or failure.  The batch raises its first failure, so a
-    failing integral (a break below) drops the ones after it; they stay None.
+    sums round as they would alone.  The rounding floors stay out of that
+    rule and are added to the finished integral's error estimate.  Returns
+    per integral its QuadratureResult or failure.  The batch raises its first
+    failure, so a failing integral (a break below) drops the ones after it;
+    they stay None.
     """
     out: list = [None] * len(edges)
-    # per unfinished integral: its panels (a, b), the values and error
-    # estimates of all but the trailing new ones
-    runs = {i: (e[:-1], e[1:], _EMPTY, _EMPTY) for i, e in enumerate(edges)}
+    # per unfinished integral: its panels (a, b) and the _kronrod columns of
+    # all but the trailing new ones
+    runs = {i: (e[:-1], e[1:], _EMPTY) for i, e in enumerate(edges)}
     for refinements in range(61):
         if not runs:
             break
-        new = _evaluate(f, {i: (a[len(val):], b[len(val):])
-                            for i, (a, b, val, _) in runs.items()})
+        new = _evaluate(f, {i: (a[done.shape[1]:], b[done.shape[1]:])
+                            for i, (a, b, done) in runs.items()})
         pending = {}
-        for i, (a, b, val, err) in runs.items():
+        for i, (a, b, done) in runs.items():
             if isinstance(new[i], Exception):
                 out[i] = new[i]
                 break
-            val = np.concatenate([val, new[i][0]])
-            err = np.concatenate([err, new[i][1]])
-            total, total_err = float(val.sum()), float(err.sum())
+            done = np.concatenate([done, new[i]], axis=1)
+            err = done[1]
+            total, total_err = float(done[0].sum()), float(err.sum())
             target = rtol * abs(total)
             if total_err <= target or len(a) >= max_panels or refinements == 60:
-                out[i] = _result(total, total_err, len(a), rtol)
+                out[i] = _result(total, total_err, float(done[2].sum()), len(a), rtol)
                 if isinstance(out[i], NonconvergenceError):
                     break
                 continue
@@ -203,15 +218,18 @@ def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
             a_mask, b_mask = a[mask], b[mask]
             mid = 0.5 * (a_mask + b_mask)
             pending[i] = (np.concatenate([a[keep], a_mask, mid]),
-                          np.concatenate([b[keep], mid, b_mask]), val[keep], err[keep])
+                          np.concatenate([b[keep], mid, b_mask]), done[:, keep])
         runs = pending
     return out
 
 
 def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_TOL,
-              select: Optional[Callable] = None, max_panels: int = 4096):
+              select: Optional[Callable] = None, knots=None, panels: int = 16,
+              max_panels: int = 4096):
     """integral over {a < rho < b} of density(rho) dx_kappa, i.e. the 1-D
-    integral of density(t) * volume_weight(t), as a QuadratureResult.
+    integral of density(t) * volume_weight(t), as a QuadratureResult.  Its
+    error_estimate, the budget, is the sum of |K15 - G7| over its panels
+    plus their rounding floors; only the first sum must meet tol |value|.
 
     density is called with a 2-D t whose row k holds the 15 nodes of one
     panel.  With sequences a and b it is a batch: the m integrals run in
@@ -222,24 +240,33 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
     integral of each row of t, so a density over a batch of test functions
     can give each row its own.
 
-    Only integrable endpoint singularities are supported; for wide ranges the
-    integration runs in s = log t so t -> 0 power behavior is resolved.
+    knots are the points inside (a, b) where the integrand's derivatives may
+    jump (a sequence; for a batch, one row per integral), so that no initial
+    panel straddles one.  Each band between a, the knots and b starts as
+    `panels` equal panels in s = log t when b/a > 32, which resolves power
+    behaviour toward t = 0, or else as panels // 2 (at least one) equal
+    panels in t.  Only integrable endpoint singularities are supported.
     """
-    batch = not np.isscalar(a)
-    ranges = list(zip(a, b)) if batch else [(a, b)]
-    edges, logs = [], []
-    for lo, hi in ranges:
-        if not (0 <= lo < hi <= sf.R):
-            raise ValueError(f"integration range [{lo}, {hi}] outside [0, R={sf.R}]")
-        logs.append(lo > 0 and hi / lo > 32.0)
-        if logs[-1]:
-            edges.append(np.linspace(math.log(lo), math.log(hi), 17))
-        elif lo == 0:
-            # geometric initial panels toward the origin; nodes are interior
-            edges.append(np.array([0.0] + [hi * 2.0 ** (-j) for j in range(16, -1, -1)]))
-        else:
-            edges.append(np.linspace(lo, hi, 9))
-    log = np.array(logs, dtype=bool)
+    batch = np.ndim(a) > 0
+    lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
+    bad = ~((0 <= lo) & (lo < hi) & (hi <= sf.R))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"integration range [{lo[i]}, {hi[i]}] outside [0, R={sf.R}]")
+    inner = (np.empty((len(lo), 0)) if knots is None else
+             np.asarray(knots if batch else [knots], dtype=float))
+    x = np.column_stack([lo, inner, hi])
+    log = lo > 0
+    log[log] = hi[log] / lo[log] > 32.0
+    x[log] = np.log(x[log])
+    edges: list = [None] * len(lo)
+    for rows, n in ((log, panels), (~log, max(1, panels // 2))):
+        ends = x[rows]
+        steps = np.diff(ends, axis=1)[:, :, None] / n
+        starts = np.arange(n) * steps + ends[:, :-1, None]
+        starts = starts.reshape(len(ends), starts.shape[1] * n)
+        for i, e in zip(np.flatnonzero(rows), np.column_stack([starts, ends[:, -1]])):
+            edges[i] = e
 
     def integrand(x, rows):
         # rows of log integrals hold nodes s = ln t, and their values carry
@@ -287,6 +314,11 @@ SHAPES = {
 }
 
 
+# initial panels per band between a bump's edges (integrate's panels): 18 in
+# log t or 9 in t over its three bands; a spline's cells start as one each
+_BUMP_PANELS = 6
+
+
 def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = None,
          tol: float = DEFAULT_QUAD_TOL):
     """integral of weight(rho) * q(u) dx over the support of u, with q =
@@ -321,8 +353,10 @@ def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = N
             q = q + angular
         return w * q
 
-    lo, hi = u.support
-    return integrate(sf, density, lo, hi, tol, select if isinstance(u, Profiles) else None)
+    edges = np.asarray(u.edges)
+    return integrate(sf, density, edges[..., 0], edges[..., -1], tol,
+                     select if isinstance(u, Profiles) else None, edges[..., 1:-1],
+                     1 if isinstance(u, SplineProfile) else _BUMP_PANELS)
 
 
 def _first_failure_order(runs: Sequence[Callable]) -> list:

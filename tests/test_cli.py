@@ -415,7 +415,7 @@ class TestUsageAndIO:
     def test_domain_error_is_the_one_a_test_loop_meets_first(self, tmp_path, capsys):
         # V is out of domain on a band narrower than the scan grid's step,
         # which the quadrature nodes of several tests (not the first) hit
-        V = "n^2/(4*t^2)*(1+1e-12*sqrt((t-159.7425)^2-0.0078))"
+        V = "n^2/(4*t^2)*(1+1e-12*sqrt((t-159.0817)^2-0.0078))"
         inline = ["--n", "5", "--H", "n/(2*t)", "--v", "1", "--V", V]
         code, rep = _run(tmp_path, "verify", *inline, "--tests", "12", "--seed", "1")
         assert code == EXIT_INCONCLUSIVE
@@ -514,38 +514,38 @@ class TestFormatting:
 # disconjugacy ODE, and no change there may move a report byte unnoticed.
 _REPORT_DIGESTS = {
     "verify --catalog classical-rellich --n 6 --shape delta-vs-gradrad --tests 3 --grid 500":
-        "99632a81f07b30e812d7a4b8379a3b58f2e9a002a4b6e27db98a48a2026de9e6",
+        "4b894cf3606768ea130e9b36838ff542e87f3599153a8956c3baea8b11ee09c4",
     "verify --catalog hyp-interp --n 5 --kappa 1 --shape delta-vs-grad --modes 0,1 "
     "--tests 3 --grid 500":
-        "fc8552b9d970ce1c632670a13feb133d0cc39cbcee21cee2fb4698fb608e10f7",
+        "2f4726943033649b2e93393b69e64e24929b467c2e5b31de825e1346eeb0e94a",
     # the CSV rows of the same run: family and alpha columns, two modes
     "verify --catalog hyp-interp --n 5 --kappa 1 --shape delta-vs-grad --modes 0,1 "
     "--tests 3 --grid 500 --format csv":
-        "05e1e63c73e421a50b23a2c2cc4a09cdebd9a1cec874c5197fd831d8f7555c9e",
+        "8c5670da63ab114543f0c77e8f24ae65f9accfb85ad27168ecf345eba6ef2bd6",
     "verify --catalog hyp-lower-1 --n 5 --kappa 1 --shape gradrad-vs-usq --tests 3 "
     "--grid 500":
-        "365b2d8d871ebbc401457a2cd9d3521c908bb127fef3692382e9c098d345c960",
+        "5034ffa2b8d25975b4bc0dbf56c8110700d4b64866290e56728c445691895f67",
     "verify --catalog iterlog --k 1 --n 6 --R 1 --shape gradrad-vs-usq --tests 2 --grid 500":
-        "5b572e857977c7c6712bc05add5039f6e72e27f3ecef6a02b1f168781e3353f1",
+        "2dea4403d49793fbf28c0149999fb6bc84f2506b5db16f23a46a3abd85d05783",
     "chain --catalog hyp-final --n 5 --kappa 1 --tests 2 --grid 500":
-        "e41b1e995ed3ea28eb0f4973d1a1db0e0e764a82006188faf675be3abbaade91",
+        "f65cb4109fced11ea106c0cca9f0827f083830278d456b574af94b9700250733",
     "chain --catalog iterlog --k 1 --n 6 --R 1 --tests 2 --grid 500":
-        "7ee957e5b0ccbd64d1981e99d16f47599e9fce3a510c3dcd6f2d07a218d3ea32",
+        "ccafeb444745ab6bffcf6c39419d5384fc8f169b38c2203be1c1b08d3aabca67",
     "estimate --catalog classical-rellich --n 6 --shape delta-vs-gradrad --budget 25":
-        "ea7aa91f8b4d35d577d589ec930169982328cacb9af74bf29d5295588ab48ed3",
+        "a50775f6ecc3c1f65cba453fb01b093e822e66b5c60626cb4825ed266505cf45",
     "estimate --catalog classical-rellich --n 6 --shape gradrad-vs-usq --budget 25":
-        "564831d95eed51b2e8baa9030599d653128bde4775a059213d9b5931da82d770",
+        "eeee69b41b59b0b35ce0829e8411eb7804f4eb2ca44fe23576a24151bed9e82d",
     "estimate --catalog hyp-final --n 5 --kappa 1 --shape chain --budget 25":
-        "e9674fadb7448015151be1d6f4634592b3fe9f26459ee0042a6b6a3bcdf659ff",
+        "733f928bc8181e5bf1bf9f38073c2a81f8875001d17fed41ebe0ff2a1416607b",
     "estimate --catalog iterlog --k 1 --n 6 --R 1 --shape chain --budget 25":
-        "bd94a4a78ddd02227c5e6377d49274b4a7ee982a3e6c272e155fca5cea672528",
+        "99497267adb238c25d6d7491bc21e65a229b86c55ea16b264d7c407d3a6c4f8c",
     "verify --catalog hyp-final --n 5 --kappa 1 --tests 2 --grid 500":
-        "e41b1e995ed3ea28eb0f4973d1a1db0e0e764a82006188faf675be3abbaade91",
+        "f65cb4109fced11ea106c0cca9f0827f083830278d456b574af94b9700250733",
     "verify --n 6 --H n/(2*t) --v 1 --V n^2/(4*t^2) --shape gradrad-vs-usq --tests 2 "
     "--grid 500":
-        "a31114aceadd016b596e08eea71d0a6d5b43c258430244776ca44bd421d6cf56",
+        "f509a7d888f2bd6cad5a3cb7ed19be15244b00db36ead33a09c9f10fa692e165",
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
-        "e56dba5f4e47c7320e2442765a84bfce80ab8c347ca5b27e0bbb46e96b0bfae9",
+        "44efee05c2a9b8af2e96be434f983db903f5b6d96b0e88c55ec1b3054135f2e2",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
     # deep start (mpmath coefficients below e^-120) at the best and a
     # super-critical constant, and an explicit interval wholly in float
@@ -564,14 +564,14 @@ _REPORT_DIGESTS = {
     # modes 0, 1, 2 and exits 2 on its E2 scan with a report
     "verify --catalog classical-rellich --n 7 --shape delta-vs-grad --modes 0,1,2 "
     "--tests 12 --grid 500 --seed 15":
-        "1c1f3ed2b1938bb422ae037286c83d9894df0b32224562fcb96f0b328608311e",
+        "ef644fbdaebcecb435008a2127e6aba95ca7585cc3ac812b0c75c0c7fe67a808",
     "verify --catalog classical-rellich --n 5 --shape gradrad-vs-usq --tests 12 --grid 500 "
     "--seed 15":
-        "61fc36b4932bd886ed9acfee7347ad8af7d1f88d5c32287695b4b7e382a55bde",
+        "ad6bb22e34acf5cf983ba266d99f067b5fe45138f1ef18cf79c3df2a28adeeda",
     "chain --catalog classical-rellich --n 8 --tests 6 --grid 500 --seed 15":
-        "f93097761a330f6f5ea05f234d61582f6fa232482114626b3f4eecacb3b711f7",
+        "b54ba6e16d1dde65aba90802e6222daa31fb1c56597e56e21c1366fa14bb13d5",
     "verify --catalog hyp-lower-2 --n 5 --kappa 1 --tests 12 --grid 500 --seed 15":
-        "04fdf2f5a0d1690db783b4c0a2a7fe4ea7e66162418916449293bc50d52c6f06",
+        "a621b8543346327767736a6eb936370b64e2ccea2496b808148078c78adf177a",
 }
 
 

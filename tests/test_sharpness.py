@@ -20,7 +20,7 @@ from rellich.verify import shape_sides
 class _Scaled:
     def __init__(self, u, s):
         self._u, self._s, self.l = u, s, u.l
-        self.support = u.support
+        self.support, self.edges = u.support, u.edges
 
     def jet(self, t):
         return tuple(self._s * d for d in self._u.jet(t))
@@ -219,3 +219,14 @@ def test_estimate_is_the_reintegrated_quotient(entry, shape):
     assert u.cells == p["cells"]
     sides = shape_sides(shape, pair, sf, claimed=claimed or 1.0)
     assert rayleigh_quotient(sf, sides, u) == est.estimate
+
+
+def test_default_tolerance_matches_a_tight_one():
+    """Started from the spline's cells, the re-integration at the default
+    tolerance gives the estimate of --quad-tol 1e-13; started from equal
+    panels across the knots it read 1.2e-9 high."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main("estimate --catalog classical-rellich --n 6 --budget 100".split())
+    assert json.loads(out.getvalue())["config"]["estimate"] == pytest.approx(
+        9.0714728269861, rel=1e-12)

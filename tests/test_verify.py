@@ -1,5 +1,6 @@
 """Quadrature and end-to-end verification runs."""
 
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from rellich import catalog as cat
+from rellich import sharpness as sh
 from rellich import verify as vf
+from rellich.cli import main
 from rellich.expr import Const, DomainError, parse
-from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, make_bump,
-                              sphere_area)
+from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
+                              make_bump, sphere_area)
 from rellich.verify import (BatchSpec, ChainMismatchError, InequalityCase,
                             NonconvergenceError, Quadratures, generate_batch,
                             integrate, shape_sides, side, verify_case, verify_chain)
@@ -110,7 +113,7 @@ class TestLockstep:
 
     sf = SpaceForm(5, 0.0, 100.0)
     # log-substituted (b/a > 32) and capped at max_panels, first-pass
-    # linear, geometric (a = 0), refining linear, log-substituted, linear
+    # linear, linear from a = 0, refining linear, log-substituted, linear
     supports = [(0.01, 5.0), (1.0, 1.2), (0.0, 1.46), (1.4, 1.6), (0.3, 12.0),
                 (2.0, 2.5)]
 
@@ -248,7 +251,7 @@ class TestLockstep:
 class _Scaled:
     def __init__(self, u, s):
         self._u, self._s, self.l = u, s, u.l
-        self.support = u.support
+        self.support, self.edges = u.support, u.edges
 
     def jet(self, t):
         return tuple(self._s * d for d in self._u.jet(t))
@@ -524,3 +527,45 @@ class TestVerifyChain:
         bad = dataclasses.replace(e.chain, links=e.chain.links + (spurious,))
         with pytest.raises(ChainMismatchError, match="offending link: link-x"):
             verify_chain(bad, SpaceForm(5, 1.0), BatchSpec(count=1, seed=1))
+
+
+def _rows(tmp_path, argv: str, tol: float) -> dict:
+    # the scan grid does not reach the quadrature, so a coarse one will do
+    out = tmp_path / "report.json"
+    main(argv.split() + ["--grid", "500", "--quad-tol", repr(tol), "-o", str(out)])
+    return {t["id"]: t for t in json.loads(out.read_text())["tests"]}
+
+
+class TestBudgetBoundsTheError:
+    """A value at the default tolerance is within its budget of the value at
+    1e-14: the budget bounds the quadrature error, also across the knots of
+    a bump or a spline, where |K15 - G7| alone misjudged it."""
+
+    @pytest.mark.parametrize("argv", [
+        "chain --catalog hyp-final --n 5 --kappa 1 --tests 20",
+        "verify --catalog hyp-lower-2 --n 5 --kappa 1",
+        "verify --catalog classical-rellich --n 6",
+        "chain --catalog classical-rellich --n 6",
+    ])
+    def test_report_margins(self, tmp_path, argv):
+        got, ref = (_rows(tmp_path, argv, tol) for tol in (vf.DEFAULT_QUAD_TOL, 1e-14))
+        over = [(k, abs(r["margin"] - ref[k]["margin"]) / r["budget"])
+                for k, r in got.items() if abs(r["margin"] - ref[k]["margin"]) > r["budget"]]
+        assert over == []
+
+    def test_estimate_levels(self):
+        """Both sides of the minimizer of every level of estimate --catalog
+        classical-rellich --n 6 --budget 100, re-integrated."""
+        sf = SpaceForm(6, 0.0)
+        pair, claimed = sh.sharpness_problem(cat.classical_euclidean(6), "delta-vs-gradrad",
+                                             sf)
+        sides = shape_sides("delta-vs-gradrad", pair, sf, claimed=claimed)
+        lo, hi = sh._interval(sf)
+        over = []
+        for cells in sh._levels(100):
+            _, c = sh._ritz(*sh._grams(sf, sides, lo, hi, cells))
+            u = SplineProfile(lo, hi, tuple(c.tolist()))
+            for side_got, side_ref in zip(sides.integrals(sf, u), sides.integrals(sf, u, 1e-14)):
+                if abs(side_got.value - side_ref.value) > side_got.error_estimate:
+                    over.append((cells, side_got, side_ref))
+        assert over == []
