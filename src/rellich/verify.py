@@ -326,7 +326,7 @@ def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = N
     plus angular part) or u^2 (usq); bindings holds the weight's parameters,
     n and kappa (PairSpec.bindings(sf)).  u is one test function, or a
     Profiles batch whose integrals run as one batched integrate call and come
-    back as Quadratures."""
+    back as Quadratures.  The inner edges of u are integrate's knots."""
     if form not in ("delta", "gradrad", "grad", "usq"):
         raise ValueError(f"unknown side {form!r}")
     bindings = bindings or {}
