@@ -2,9 +2,10 @@
 
 Expressions are immutable trees over the variable ``t`` and the named
 parameters ``n, kappa, lambda, r, R, c, k``.  They support evaluation
-(float, numpy array, or mpmath backends, chosen from the type of the
-``t`` binding), closed-form differentiation, printing back to the DSL,
-and a finite-difference self check.
+(float, numpy array, or ``ExtFloat`` backends, chosen from the type of
+the ``t`` binding; an ExtFloat has a float mantissa and an unbounded
+exponent, for t far below float range), closed-form differentiation,
+printing back to the DSL, and a finite-difference self check.
 
 Evaluation is compiled once per root: the first ``evaluate`` lowers the
 tree to a straight-line program with one step per distinct subtree (the
@@ -24,7 +25,6 @@ identity).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -36,7 +36,7 @@ __all__ = [
     "Expr", "Const", "Var", "Param", "Unary", "Binary", "Iter", "Program",
     "Bindings", "parse", "evaluate", "differentiate", "fd_check",
     "ExprError", "ParseError", "EvaluationError", "UnboundParameterError",
-    "DomainError",
+    "DomainError", "ExtFloat", "ext_exp",
 ]
 
 PARAMETER_NAMES = ("n", "kappa", "lambda", "r", "R", "c", "k")
@@ -137,8 +137,8 @@ def _primitives(any_, reject, log, sqrt, exp, sinh, cosh, tanh, coth, hyp_ct,
         bad = ((x <= 0) & notint(y)) | ((x == 0) & (y < 0))
         if bad is not False and any_(bad):
             reject("^", x, bad)
-        if isinstance(y, (int, float)) and float(y).is_integer():
-            return int_pow(x, int(y))
+        if isinstance(y, (int, float, ExtFloat)) and float(y).is_integer():
+            return int_pow(x, int(float(y)))
         return power(x, y)
 
     return {"+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg,
@@ -183,12 +183,16 @@ def _pow_float(x, y):
         return math.inf
 
 
+def _notint_scalar(y):
+    return not float(y).is_integer()
+
+
 # the float table stays on math: numpy's exp/sinh/cosh/tanh differ from libm
 # in the last bit on some inputs, and scalar paths must match earlier reports
 _FLOAT = _primitives(
     bool, _reject_scalar, math.log, math.sqrt, _exp_float, _sinh_float, _cosh_float,
     math.tanh, lambda x: 1.0 / math.tanh(x), lambda x, kappa: kappa / math.tanh(kappa * x),
-    _pow_float, lambda y: not float(y).is_integer(),
+    _pow_float, _notint_scalar,
     lambda x: isinstance(x, float) and math.isnan(x))
 
 # overflow is silenced by the errstate in Expr.evaluate
@@ -198,34 +202,183 @@ _NUMPY = _primitives(
     np.power, lambda y: np.mod(y, 1.0) != 0, lambda x: bool(np.any(np.isnan(x))))
 
 
-# |x| beyond which mpmath's exp, sinh and cosh saturate to 0 or +-inf.
-# e^(10^12) times any power t^p of a radius (|log t| <= 2.1e6 at the deepest
-# start, |p| < 10^4) is still far outside float range, while mpmath's cost
-# grows with x: exp(e^(3e5)) takes seconds at 25 digits.
-_MP_SATURATION = 1e12
+# ---------------------------------------------------------------------------
+# extended-exponent scalars: the disconjugacy ODE starts at t = e^(-2e6)
 
 
-@functools.cache
-def _mpmath_primitives() -> dict:
-    import mpmath  # imported on first use: most runs never need it
+class ExtFloat:
+    """A real number m * 2^e: a float mantissa m, normalized by frexp
+    (0.5 <= |m| < 1) unless it is zero, infinite or NaN, and a Python-int
+    exponent e.  + - * / round once, so inside float range they give the
+    float's bits; a float or int operand is promoted to an ExtFloat."""
 
-    def saturating(f, below):
-        return lambda x: (mpmath.inf if x > _MP_SATURATION else
-                          below if x < -_MP_SATURATION else f(x))
+    __slots__ = ("m", "e")
 
-    return _primitives(
-        bool, _reject_scalar, mpmath.log, mpmath.sqrt,
-        saturating(mpmath.exp, mpmath.mpf(0)), saturating(mpmath.sinh, -mpmath.inf),
-        saturating(mpmath.cosh, mpmath.inf), mpmath.tanh, mpmath.coth,
-        lambda x, kappa: kappa * mpmath.coth(kappa * x), operator.pow,
-        lambda y: not mpmath.isint(y), mpmath.isnan)
+    def __init__(self, x, e=0):
+        self.m, d = math.frexp(x)
+        self.e = e + d
+
+    def __float__(self):
+        try:
+            return math.ldexp(self.m, self.e)
+        except OverflowError:
+            return math.copysign(math.inf, self.m)
+
+    def __repr__(self):
+        return f"ExtFloat({self.m!r}, {self.e})"
+
+    def __neg__(self):
+        return ExtFloat(-self.m, self.e)
+
+    def __add__(self, other):
+        return _add(self.m, self.e, *_split(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return _add(*_split(other), -self.m, self.e)
+
+    def __mul__(self, other):
+        if type(other) is ExtFloat:
+            return ExtFloat(self.m * other.m, self.e + other.e)
+        m, e = math.frexp(other)
+        return ExtFloat(self.m * m, self.e + e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        m, e = _split(other)
+        return ExtFloat(self.m / m, self.e - e)
+
+    def __rtruediv__(self, other):
+        m, e = _split(other)
+        return ExtFloat(m / self.m, e - self.e)
+
+    def _sign(self, other) -> float:
+        """A float with the sign of self - other (NaN if unordered)."""
+        if type(other) is not ExtFloat and other == 0:
+            return self.m
+        return (self - other).m
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+    def __le__(self, other):
+        return self._sign(other) <= 0
+
+    def __gt__(self, other):
+        return self._sign(other) > 0
+
+    def __ge__(self, other):
+        return self._sign(other) >= 0
+
+    def __eq__(self, other):
+        if not isinstance(other, (ExtFloat, float, int)):
+            return NotImplemented
+        m, e = _split(other)
+        return self.m == m and (self.e == e or not 0 < abs(m) < math.inf)
+
+
+def _split(x) -> tuple:
+    return (x.m, x.e) if type(x) is ExtFloat else math.frexp(x)
+
+
+def _add(am, ae, bm, be) -> ExtFloat:
+    # the operand of smaller exponent is scaled exactly (or to a negligible
+    # subnormal) before the one rounding of the sum
+    if not bm:
+        return ExtFloat(am + bm if not am else am, ae)   # signed zeros as in float
+    if not am:
+        return ExtFloat(bm, be)
+    if ae >= be:
+        return ExtFloat(am + math.ldexp(bm, be - ae), ae)
+    return ExtFloat(math.ldexp(am, ae - be) + bm, be)
+
+
+# ln 2 in three parts for Cody-Waite reduction; the first two have at most 20
+# significant bits, so k*part is exact for |k| < 2^33
+_LN2_HI = float.fromhex("0x1.62e42p-1")
+_LN2_MID = float.fromhex("0x1.fdf48p-22")
+_LN2_LO = float.fromhex("-0x1.8432a1b0e2634p-43")
+_LN2 = math.log(2.0)
+
+# |x| beyond which exp, sinh and cosh saturate to 0 or +-inf: k = x/ln 2 stays
+# below 2^33, and e^(2^32) times any power t^p of a radius (|log t| <= 2.1e6
+# at the deepest start, |p| < 2000) is still far outside float range
+_EXP_SATURATION = 2.0 ** 32
+
+
+def ext_exp(x) -> ExtFloat:
+    """e^x as an ExtFloat: x = k ln 2 + r with |r| <= ln(2)/2, e^x = e^r 2^k."""
+    x = float(x)
+    if not -_EXP_SATURATION <= x <= _EXP_SATURATION:
+        return ExtFloat(math.inf if x > 0 else 0.0 if x < 0 else x)
+    k = round(x / _LN2)
+    return ExtFloat(math.exp(x - k * _LN2_HI - k * _LN2_MID - k * _LN2_LO), k)
+
+
+def _ext_log(x) -> ExtFloat:
+    m, e = _split(x)
+    if -1021 <= e <= 1024:       # inside float range: no cancellation near x = 1
+        return ExtFloat(math.log(math.ldexp(m, e)))
+    return ExtFloat(e * _LN2_HI + (math.log(m) + e * (_LN2_MID + _LN2_LO)))
+
+
+def _ext_sqrt(x) -> ExtFloat:
+    m, e = _split(x)
+    return ExtFloat(math.sqrt(math.ldexp(m, e & 1)), e >> 1)
+
+
+def _tiny(x) -> bool:
+    """Below 2^-1000, where sinh x = tanh x = x in float."""
+    return type(x) is ExtFloat and x.e < -1000
+
+
+def _ext_sinh_cosh(f, odd: bool):
+    def g(x) -> ExtFloat:
+        if odd and _tiny(x):
+            return x
+        x = float(x)
+        if abs(x) <= 709.0:
+            return ExtFloat(f(x))
+        y = ext_exp(abs(x))          # e^-|x| is below the last bit
+        return ExtFloat(math.copysign(y.m, x) if odd else y.m, y.e - 1)
+    return g
+
+
+def _ext_tanh(x) -> ExtFloat:
+    return x if _tiny(x) else ExtFloat(math.tanh(float(x)))
+
+
+def _ext_pow(x, y) -> ExtFloat:
+    """x^y for x >= 0 and y not an integer, as 2^(y log2 m) 2^(y e): the
+    product y e is split exactly into its whole and fractional parts."""
+    m, e = _split(x)
+    y = float(y)
+    if not m:
+        return ExtFloat(0.0)      # the domain rules let 0^y through for y > 0 only
+    if not math.isfinite(y):
+        return ext_exp(y * float(_ext_log(x)))
+    p, q = y.as_integer_ratio()
+    whole, part = divmod(e * p, q)
+    r = ext_exp((part / q + y * math.log2(m)) * _LN2)
+    return ExtFloat(r.m, r.e + whole)
+
+
+_EXT = _primitives(
+    bool, _reject_scalar, _ext_log, _ext_sqrt, ext_exp, _ext_sinh_cosh(math.sinh, True),
+    _ext_sinh_cosh(math.cosh, False), _ext_tanh, lambda x: 1.0 / _ext_tanh(x),
+    lambda x, kappa: kappa / _ext_tanh(kappa * x), _ext_pow, _notint_scalar, lambda x: x != x)
 
 
 def _backend(t_value) -> dict:
     if isinstance(t_value, np.ndarray):
         return _NUMPY
-    if type(t_value).__module__.startswith("mpmath"):
-        return _mpmath_primitives()
+    if type(t_value) is ExtFloat:
+        return _EXT
     return _FLOAT
 
 

@@ -415,7 +415,7 @@ def _sspace_coefficients(p: PairSpec, n: Optional[int]):
 
 _DEEP_LOG_DEPTH = 2.0e6          # potentials: start at t = R e^{-depth}
 _PAIR_LOG_DEPTH = 110.0
-_FLOAT_LOG_FLOOR = -120.0        # below t = e^{-120}, coefficients on mpmath
+_FLOAT_LOG_FLOOR = -120.0        # below t = e^{-120}, coefficients on ExtFloat
 _ODE_RTOL = 1e-8                 # step-doubling error per step
 
 
@@ -429,16 +429,14 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     oscillation of super-critical potentials is actually visible, a Bessel
     pair from R e^(-110), and an explicit interval from its t0.  The state
     (y, y', s and the step) is float.  The coefficients are computed on a
-    float t = e^s above e^(-120), and on an mpmath t at 25 digits below it
-    or after a float evaluation error, then converted to float; a
-    coefficient that is not finite there ends the run inconclusive.  Steps
-    are RK4 with step-doubling error control, and the state is renormalized
-    in flight, which is sign-safe for a linear equation.  ``steps`` counts
-    accepted and rejected attempts, plus the step that holds the first
-    zero.
+    float t = e^s above e^(-120), and on an ``expr.ExtFloat`` t (a float
+    mantissa with an unbounded exponent) below it or after a float
+    evaluation error, then converted to float; a coefficient that is not
+    finite there ends the run inconclusive.  Steps are RK4 with step-doubling
+    error control, and the state is renormalized in flight, which is
+    sign-safe for a linear equation.  ``steps`` counts accepted and rejected
+    attempts, plus the step that holds the first zero.
     """
-    import mpmath
-
     a_expr, b_expr = _sspace_coefficients(p, n)
     R = float(p.params.get("R", 1.0))
     if interval is not None:
@@ -452,16 +450,10 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         s_lo = math.log(R) - depth
     program = ex.Program((a_expr, b_expr))
     base = p.bindings(n=n)
-    with mpmath.workdps(25):   # the caller's precision is left as it was
-        return _disconjugacy_run(program, base, s_lo, s_hi, max_steps)
-
-
-def _disconjugacy_run(program, base, s_lo, s_hi, max_steps) -> DisconjugacyReport:
-    import mpmath
 
     # (a, b) at s as floats: on a float t = e^s above e^(-120), else (or
-    # after a float failure) on mpmath.  The stages of a step share their
-    # points; the memo holds the current step's points by exact s
+    # after a float failure) on an ExtFloat t.  The stages of a step share
+    # their points; the memo holds the current step's points by exact s
     memo = {}
 
     def coeffs(s):
@@ -474,7 +466,7 @@ def _disconjugacy_run(program, base, s_lo, s_hi, max_steps) -> DisconjugacyRepor
             except ex.EvaluationError:
                 pass
         if values is None or not all(map(math.isfinite, values)):
-            values = [float(v) for v in program.evaluate(dict(base, t=mpmath.exp(s)))]
+            values = [float(v) for v in program.evaluate(dict(base, t=ex.ext_exp(s)))]
             if not all(map(math.isfinite, values)):
                 raise ex.EvaluationError(f"ODE coefficient out of float range at log t = {s!r}")
         memo[s] = values

@@ -291,7 +291,7 @@ class TestSolveBessel:
     ])
     def test_potential_outside_its_domain_is_inconclusive(self, tmp_path, argv):
         # Z is undefined on part of the interval, so the coefficients fail
-        # there in float and again on mpmath, instead of going complex
+        # there in float and again on ExtFloat, instead of going complex
         code, rep = _run(tmp_path, "solve-bessel", "--z", "t", "--R", "1", *argv)
         assert code == EXIT_INCONCLUSIVE
         assert rep["verdict"] == "inconclusive"
@@ -547,16 +547,16 @@ _REPORT_DIGESTS = {
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
         "44efee05c2a9b8af2e96be434f983db903f5b6d96b0e88c55ec1b3054135f2e2",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
-    # deep start (mpmath coefficients below e^-120) at the best and a
+    # deep start (ExtFloat coefficients below e^-120) at the best and a
     # super-critical constant, and an explicit interval wholly in float
     "solve-bessel --catalog iterlog --k 1 --R 1":
         "5c96adc3b4ecbdb92e742b53f1921af8517ef830bfb8100e39cc7b1674c7624a",
     "solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3":
-        "7d1a78b96cc9f43a73c42643f4b062ff94e69be49c8a51cd019af38a1705d3e5",
+        "65e394bd5d8c0330c4cffc637ae75752d6da6261af9d9f65899ab45e13cd78db",
     "solve-bessel --catalog ell-family --k 3 --R 1":
         "7d33b39765583f1558d7edfc9dc7c4ef7a31e26c5411ff61fb81399e1e023e01",
     "solve-bessel --catalog ell-family --k 3 --R 1 --c 0.3":
-        "d03937ac4961ace42b3a3345576dc8f21a89cc74d12369d64c6b34e8a068b4fd",
+        "22284df67b30672381a254d763143675c3bcd6cb384d9816111c974adb068530",
     "solve-bessel --catalog iterlog --k 1 --R 1 --t0 1e-6 --t1 0.999":
         "59c12b7634225ba40509aea5aaf47a869425bf4913c2ebfe92726198950e5962",
     # batch-workload shapes at seed 15, whose batches hold supports with

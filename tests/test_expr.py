@@ -10,7 +10,7 @@ import pytest
 from rellich import catalog as cat
 from rellich import expr as ex
 from rellich import pairs as pr
-from rellich.expr import (Binary, Const, DomainError, Iter, Param, ParseError,
+from rellich.expr import (Binary, Const, DomainError, ExtFloat, Iter, Param, ParseError,
                           Unary, UnboundParameterError, Var, differentiate,
                           evaluate, fd_check, parse)
 from rellich.geometry import SpaceForm
@@ -87,8 +87,8 @@ class TestParse:
 
 
 def _backends(x):
-    """t = x on each backend: a float, a one-element numpy array, an mpf."""
-    return (x, np.array([x]), mpmath.mpf(x))
+    """t = x on each backend: a float, a one-element numpy array, an ExtFloat."""
+    return (x, np.array([x]), ExtFloat(x))
 
 
 class TestEvaluate:
@@ -118,8 +118,8 @@ class TestEvaluate:
         with pytest.raises(UnboundParameterError):
             evaluate(parse("n*t"), {"t": 1.0})
 
-    # the domain rules hold on every backend (mpmath's log and sqrt would
-    # otherwise go complex, and its coth(0) raise ZeroDivisionError)
+    # the domain rules hold on every backend (the ExtFloat table's log and
+    # sqrt would otherwise raise ValueError, and its coth(0) ZeroDivisionError)
 
     def test_log_domain(self):
         for x in (-1.0, 0.0):
@@ -204,23 +204,64 @@ class TestEvaluate:
         got = evaluate(parse("1/sinh(t)^2"), {"t": 1000.0})
         assert got == 0.0
 
-    def test_mpmath_backend_deep_range(self):
-        with mpmath.workdps(25):
-            t = mpmath.exp(mpmath.mpf(-2000))
-            got = evaluate(parse("t^2*(1/(t^2*log(r/t)^2))"), {"t": t, "r": math.e})
-        assert float(got) == pytest.approx(1.0 / 2001.0 ** 2, rel=1e-12)
+    @pytest.mark.parametrize("s", [-2000.0, -2e6])
+    def test_extended_backend_deep_range(self, s):
+        t = ex.ext_exp(s)
+        got = evaluate(parse("t^2*(1/(t^2*log(r/t)^2))"), {"t": t, "r": math.e})
+        assert isinstance(got, ExtFloat)
+        assert float(got) == pytest.approx(1.0 / (1.0 - s) ** 2, rel=1e-14)
+        # below 2^-1000 sinh t = tanh t = t and cosh t = 1; a real power
+        # splits its exponent exactly, so t^2.5 keeps float precision
+        for src in ("sinh(t)/t", "tanh(t)/t", "t*coth(t)", "t*ct(t)", "cosh(t)",
+                    "t^2.5/(t*t*sqrt(t))", "t^-0.5*sqrt(t)"):
+            got = evaluate(parse(src), {"t": t, "kappa": 1.0})
+            assert float(got) == pytest.approx(1.0, rel=1e-15), src
 
-    def test_mpmath_exponentials_saturate_far_outside_float_range(self):
-        # e^(e^(2e6)) would take mpmath minutes; past the saturation bound
-        # exp, sinh and cosh return 0 or +-inf at once, and below it they
-        # are mpmath's own
-        with mpmath.workdps(25):
-            t = mpmath.exp(mpmath.mpf(-2e6))
-            got = [evaluate(parse(f), {"t": t}) for f in
-                   ("exp(1/t)", "exp(-1/t)", "sinh(-1/t)", "cosh(-1/t)", "t^2*exp(1/t)")]
-            assert got == [mpmath.inf, 0, -mpmath.inf, mpmath.inf, mpmath.inf]
-            bound = mpmath.mpf(ex._MP_SATURATION)
-            assert evaluate(parse("exp(t)"), {"t": bound}) == mpmath.exp(bound)
+    def test_extended_exponentials_saturate_far_outside_float_range(self):
+        # e^(e^(2e6)) has an exponent of 2.9e6 digits; past the saturation
+        # bound exp, sinh and cosh return 0 or +-inf at once, and at it exp
+        # keeps float precision
+        t = ex.ext_exp(-2e6)
+        got = [evaluate(parse(f), {"t": t}) for f in
+               ("exp(1/t)", "exp(-1/t)", "sinh(-1/t)", "cosh(-1/t)", "t^2*exp(1/t)")]
+        assert got == [math.inf, 0.0, -math.inf, math.inf, math.inf]
+        bound = ex._EXP_SATURATION
+        for x in (bound, -bound):
+            got = evaluate(parse("exp(t)"), {"t": ExtFloat(x)})
+            with mpmath.workdps(50):
+                m, e = mpmath.frexp(mpmath.exp(mpmath.mpf(x)))
+            assert got.e == e and got.m == pytest.approx(float(m), rel=4 * 2.0 ** -53)
+        assert evaluate(parse("exp(t)"), {"t": ExtFloat(2 * bound)}) == math.inf
+        assert evaluate(parse("exp(-t)"), {"t": ExtFloat(2 * bound)}) == 0.0
+
+    @pytest.mark.parametrize("s", [-2e6, -1e5, -745.5, -120.5])
+    def test_extended_exp_matches_50_digits(self, s):
+        # Cody-Waite reduction with a three-part ln 2: the exponent exact,
+        # the mantissa within 2 ulp
+        got = ex.ext_exp(s)
+        with mpmath.workdps(50):
+            m, e = mpmath.frexp(mpmath.exp(mpmath.mpf(s)))
+        assert got.e == e
+        assert abs(got.m - float(m)) <= 2 * math.ulp(got.m)
+
+    def test_extended_arithmetic_rounds_as_float(self):
+        # + - * / round once: inside float range an ExtFloat gives the
+        # float's bits, signed zeros included, whatever the operand order
+        rng = random.Random(5)
+        special = [0.0, -0.0, 1.0, -3.5]
+        xs = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(400)]
+        for x, y in [(x, y) for x in special for y in special] + list(zip(xs, reversed(xs))):
+            for op in ("+", "-", "*", "/"):
+                if op == "/" and y == 0:
+                    continue
+                want = ex._FLOAT[op](x, y)
+                for got in (ex._EXT[op](ExtFloat(x), ExtFloat(y)), ex._EXT[op](x, ExtFloat(y)),
+                            ex._EXT[op](ExtFloat(x), y)):
+                    assert float(got).hex() == want.hex()
+        tiny, huge = ExtFloat(0.75, -5000), ExtFloat(0.75, 5000)
+        assert tiny > 0 and -tiny < 0 <= tiny and huge > tiny and not huge < 1.0
+        assert float(huge) == math.inf and float(-tiny) == 0.0 and math.copysign(1, float(-tiny)) < 0
+        assert (huge + tiny) == huge and (huge - huge) == 0 and (tiny * huge) == 0.5625
 
 
 def _walk(e, b, be):
@@ -251,8 +292,8 @@ def _bits(x):
     """The exact bits of a value: sign of zero and NaN payloads included."""
     if isinstance(x, np.ndarray):
         return x.dtype, x.shape, x.tobytes()
-    if isinstance(x, mpmath.mpf):
-        return x._mpf_
+    if isinstance(x, ExtFloat):
+        return x.m.hex(), x.e
     return float(x).hex()
 
 
@@ -281,7 +322,8 @@ class TestCompiledEvaluator:
                 "iterlog3-E1": lambda: _iterlog_e1(3)}[tree]()
         points = [pr.log_grid(1e-5, 1.0, 2000)]
         points += [float(t) for t in pr.log_grid(1e-5, 0.999, 20)]
-        points += [mpmath.mpf(float(t)) for t in pr.log_grid(1e-4, 0.99, 5)]
+        points += [ExtFloat(float(t)) for t in pr.log_grid(1e-4, 0.99, 5)]
+        points += [ex.ext_exp(s) for s in (-130.0, -3000.5, -2e6)]
         for t in points:
             bt = {**b, "t": t}
             assert _bits(e.evaluate(bt)) == _bits(_reference(e, bt))
@@ -320,7 +362,7 @@ class TestCompiledEvaluator:
         roots = (*terms, pr.e1_expr(dual), terms[0], dual.expr("H"), Const(2.0))
         program = ex.Program(roots)
         b = dual.bindings(SpaceForm(5, 0.0, 1.0))
-        for t in (0.3, pr.log_grid(1e-5, 0.999, 500), mpmath.mpf("0.3")):
+        for t in (0.3, pr.log_grid(1e-5, 0.999, 500), ExtFloat(0.3)):
             bt = {**b, "t": t}
             assert [_bits(v) for v in program.evaluate(bt)] == [
                 _bits(root.evaluate(bt)) for root in roots]

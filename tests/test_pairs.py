@@ -1,13 +1,20 @@
 """Residuals, side conditions, transforms, Bessel machinery, scanning."""
 
 import math
+import operator
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import rellich
 from rellich import catalog as cat
+from rellich import expr as ex
 from rellich import pairs as pr
 from rellich.expr import Const, Param, Program, Unary, Var, parse
 from rellich.geometry import SpaceForm
@@ -430,20 +437,28 @@ class TestDisconjugacy:
         rep = pr.disconjugacy_check(second, n=6)
         assert rep.positive_solution is True
 
-    def test_caller_precision_is_kept(self, potential):
-        import mpmath
-
-        with mpmath.workdps(50):
-            rep = pr.disconjugacy_check(potential)   # mpmath coefficients at the deep start
-            assert mpmath.mp.dps == 50
-        assert rep.positive_solution is True
+    def test_no_mpmath_import(self):
+        # a deep-start Bessel potential and a chain with a Bessel-pair link,
+        # in a fresh interpreter, run without mpmath; no source file names it
+        src = pathlib.Path(rellich.__file__).parent
+        code = (
+            "import sys, contextlib, io\n"
+            "from rellich import cli\n"
+            "for argv in ('solve-bessel --catalog ell-family --k 3 --R 1 --c 0.3',\n"
+            "             'chain --catalog iterlog --k 1 --n 6 --R 1'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        print(argv.split()[0], cli.main(argv.split()), file=sys.stderr)\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(src.parent)})
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.split() == ["solve-bessel", "1", "chain", "0"]
+        assert [f.name for f in src.glob("*.py") if "mpmath" in f.read_text()] == []
 
     def test_start_below_float_range_falls_back_per_point(self, monkeypatch):
-        # t0 = 1e-200 lies below e^-120: the points there run on mpmath, the
-        # rest of the interval in float, with the steps and verdict of a run
-        # wholly on mpmath; the caller's precision is unchanged
-        import mpmath
-
+        # t0 = 1e-200 lies below e^-120: the points there run on ExtFloat,
+        # the rest of the interval in float, with the steps and verdict of a
+        # run wholly on mpmath
         p = cat.iterated_log_potential(2, 1.0).specs["potential"]
         kinds = set()
         evaluate = Program.evaluate
@@ -453,10 +468,8 @@ class TestDisconjugacy:
             return evaluate(self, bindings)
 
         monkeypatch.setattr(Program, "evaluate", counted)
-        dps = mpmath.mp.dps
         rep = pr.disconjugacy_check(p, interval=(1e-200, 0.999))
-        assert mpmath.mp.dps == dps
-        assert kinds == {"float", "mpf"}
+        assert kinds == {"float", "ExtFloat"}
         assert rep.positive_solution is True and rep.status == "ok"
         assert rep.steps == 80
 
@@ -495,31 +508,86 @@ class TestDisconjugacy:
         assert len(runs) <= 6 * rep.steps
 
 
+def _mp_walk(e, b):
+    """e at the bindings b by a walk of its tree on mpmath numbers."""
+    import mpmath
+
+    if isinstance(e, Const):
+        return mpmath.mpf(e.value)
+    if isinstance(e, (Var, Param)):
+        return mpmath.mpf(b["t" if isinstance(e, Var) else e.name])
+    if isinstance(e, Unary):
+        x = _mp_walk(e.child, b)
+        return -x if e.op == "neg" else getattr(mpmath, e.op)(x)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
+    return ops[e.op](_mp_walk(e.left, b), _mp_walk(e.right, b))
+
+
 # steps at the default c and at c = 0.3, and the first zero at c = 0.3, of
-# each R = 1 potential (the deep start), as read from the run whose state was
-# mpmath throughout: the float state keeps every step count, and the zero
-# within the bisection tolerance 1e-9 max(1, |log t|)
+# each potential at R = 1 and R = 0.9 (the deep start).  The R = 1 zeros were
+# read from the run whose state was mpmath throughout, the R = 0.9 ones from
+# the float-state run on 25-digit mpmath coefficients: the ExtFloat
+# coefficients keep every step count, and the zero within the bisection
+# tolerance 1e-9 max(1, |log t|)
 _DEEP_RUNS = {
-    ("iterlog", 1): (209, 187, -9.378285435152735),
-    ("iterlog", 2): (200, 181, -15.147431238128739),
-    ("iterlog", 3): (173, 183, -4.923012283394908),
-    ("ell-family", 1): (209, 187, -9.378285435152733),
-    ("ell-family", 2): (214, 182, -15.025018794938854),
-    ("ell-family", 3): (217, 183, -15.664370439149423),
+    ("iterlog", 1, 1.0): (209, 187, -9.378285435152735),
+    ("iterlog", 2, 1.0): (200, 181, -15.147431238128739),
+    ("iterlog", 3, 1.0): (173, 183, -4.923012283394908),
+    ("ell-family", 1, 1.0): (209, 187, -9.378285435152733),
+    ("ell-family", 2, 1.0): (214, 182, -15.025018794938854),
+    ("ell-family", 3, 1.0): (217, 183, -15.664370439149423),
+    ("iterlog", 1, 0.9): (209, 187, -9.483645951585114),
+    ("iterlog", 2, 0.9): (200, 181, -15.252791749667814),
+    ("iterlog", 3, 0.9): (173, 183, -5.028372798217399),
+    ("ell-family", 1, 0.9): (209, 187, -9.483645951585114),
+    ("ell-family", 2, 0.9): (214, 182, -15.13037930876582),
+    ("ell-family", 3, 0.9): (217, 183, -15.769730959637819),
 }
 
 
 class TestDeepDisconjugacy:
-    @pytest.mark.parametrize("family,k", sorted(_DEEP_RUNS))
-    def test_steps_and_first_zero_are_kept(self, family, k):
-        steps, steps_super, log_zero = _DEEP_RUNS[family, k]
+    @pytest.mark.parametrize("family,k,R", sorted(_DEEP_RUNS))
+    def test_steps_and_first_zero_are_kept(self, family, k, R):
+        steps, steps_super, log_zero = _DEEP_RUNS[family, k, R]
         build = cat.iterated_log_potential if family == "iterlog" else cat.ell_potential
-        potential = build(k, 1.0).specs["potential"]
+        potential = build(k, R).specs["potential"]
         rep = pr.disconjugacy_check(potential)
         assert rep.positive_solution is True and rep.steps == steps
         rep = pr.disconjugacy_check(potential.with_constant(0.3))
         assert rep.positive_solution is False and rep.steps == steps_super
         assert abs(rep.log_t_first_zero - log_zero) <= 1e-9 * max(1.0, abs(log_zero))
+
+    def test_cancelling_potential_at_the_deep_start(self):
+        # the iterlog k = 1 potential 1/(t log(e/t))^2, and the same written
+        # so that its terms cancel: at t = e^(-2e6) the sum 1/t^2 + 1/(t
+        # log(e/t))^2 holds the second term, 2.5e-13 of the first, to about
+        # 3 digits.  Against a 50-digit mpmath walk of the same tree, b(s) is
+        # within 8 eps of it in the plain form, and within eps times the
+        # condition number sum|terms|/|Z| = 1 + 2 log(e/t)^2 in the
+        # cancelling one
+        import mpmath
+
+        eps = 2.0 ** -53
+        plain, cancelling = [PairSpec(kind="bessel-potential",
+                                      exprs={"z": Var(), "Z": parse(src)},
+                                      constant=0.3, params={"R": 1.0})
+                             for src in ("1/(t*log(e/t))^2", "1/t^2 + 1/(t*log(e/t))^2 - 1/t^2")]
+        for p, cond in ((plain, lambda s: 8.0), (cancelling, lambda s: 1 + 2 * (1 - s) ** 2)):
+            _, b = pr._sspace_coefficients(p, None)
+            for s in (-2e6, -1e5, -3000.5, -130.0):
+                got = float(b.evaluate({**p.bindings(), "t": ex.ext_exp(s)}))
+                with mpmath.workdps(50):
+                    want = _mp_walk(b, {**p.bindings(), "t": mpmath.exp(mpmath.mpf(s))})
+                    assert abs(got - want) <= eps * cond(s) * abs(want)
+        # the verdicts hold.  A 25-digit run took 209 and 187 steps, as the
+        # plain form does; the cancellation noise in b (4.5e-5 relative at
+        # the start) costs step-doubling control some rejected steps
+        rep = pr.disconjugacy_check(cancelling.with_constant(0.25))
+        assert rep.positive_solution is True and rep.steps == 247
+        rep = pr.disconjugacy_check(cancelling)
+        assert rep.positive_solution is False and rep.steps == 225
+        assert abs(rep.log_t_first_zero - _DEEP_RUNS["iterlog", 1, 1.0][2]) <= 1e-5
 
     def test_zero_below_float_range_is_reported(self):
         # z'' + z'/t + c z/t^2 = 0 is z_ss + c z = 0 in s = log t: from the
