@@ -825,37 +825,29 @@ class Program:
     subtree the roots share is computed once per run.  ``Expr.evaluate`` is
     the one-root case."""
 
-    __slots__ = ("steps", "uses", "outs", "code", "width", "regs")
+    __slots__ = ("code", "width", "regs")
 
     def __init__(self, roots: tuple):
-        self.steps, need, self.uses, self.outs = _lower(roots)
+        steps, need, uses, outs = _lower(roots)
         self.code, self.width, self.regs = _emit(
-            self.steps, self.uses, _sethi_ullman(self.steps, need, self.outs), self.outs)
+            steps, uses, _sethi_ullman(steps, need, outs), outs)
 
     def evaluate(self, bindings: Bindings) -> list:
         """The value of every root, in order, on the backend picked from the
-        type of the ``t`` binding; a NaN value raises DomainError."""
+        type of the ``t`` binding; a NaN value raises DomainError.  A step
+        outside its primitive's domain raises as the scheduled order meets
+        it, so of several such steps the one computed first names the error."""
         be = _backend(bindings.get("t"))
         if be is _NUMPY:
             # overflow saturates to inf by design; NaN is still rejected below
             with np.errstate(all="ignore"):
-                values = self.run(bindings, be)
+                values = _run(self.code, self.width, self.regs, bindings, be)
         else:
-            values = self.run(bindings, be)
+            values = _run(self.code, self.width, self.regs, bindings, be)
         for value in values:
             if be["isnan"](value):
                 raise DomainError("expression", "NaN produced")
         return values
-
-    def run(self, bindings: Bindings, be: dict) -> list:
-        try:
-            return _run(self.code, self.width, self.regs, bindings, be)
-        except EvaluationError:
-            pass
-        # report the error a left-to-right walk of each root in turn meets
-        # first: replay in that order
-        return _run(*_emit(self.steps, self.uses, range(len(self.steps)), self.outs),
-                    bindings, be)
 
 
 # ---------------------------------------------------------------------------

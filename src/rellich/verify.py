@@ -31,7 +31,7 @@ import numpy as np
 
 from . import pairs as pr
 from .catalog import ChainDescriptor
-from .expr import Const, EvaluationError, Expr
+from .expr import Const, Expr
 from .geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
                        angular_eigenvalue, angular_term, make_bump, separated_laplacian,
                        volume_weight)
@@ -70,10 +70,8 @@ _GW[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])        # Gauss subset
 
 
 class NonconvergenceError(Exception):
-    """Adaptive quadrature exceeded its subdivision cap.  ``index`` is the
-    position of the failing integral in its integrate batch."""
-
-    index = 0
+    """Adaptive quadrature missed its tolerance at its subdivision cap, or
+    met a non-finite integrand value."""
 
 
 @dataclass(frozen=True)
@@ -95,13 +93,13 @@ class Quadratures(tuple):
 
 def _result(total: float, total_err: float, floor: float, panels: int, rtol: float):
     """The QuadratureResult of a finished integral, its error estimate the
-    error sum plus the rounding floor, or the NonconvergenceError when its
+    error sum plus the rounding floor; raise NonconvergenceError when its
     error sum misses the request."""
     # at the panel or refinement cap an error sum within 8 times the request
     # is accepted: |K-G| bottoms out near the rounding noise of the panel
     # sums, which the rounding floor in the reported estimate covers
     if total_err > max(1e-280, 8.0 * rtol * abs(total)):
-        return NonconvergenceError(
+        raise NonconvergenceError(
             f"quadrature did not converge: error estimate {total_err:.3e} "
             f"with {panels} subintervals (target {rtol * abs(total):.3e})")
     return QuadratureResult(total, total_err + floor, panels)
@@ -119,53 +117,28 @@ _MAX_NODES = 1 << 17
 def _kronrod(f: Callable, new: dict) -> dict:
     """{i: the (3, p) array of the K15 value, |K15 - G7| and rounding floor of
     each of the p panels new[i] = (a, b) of integral i}, from calls f(x, rows)
-    of at most _MAX_NODES nodes each, where row k of x (an array f may
-    overwrite) holds the 15 nodes of one panel, of integral rows[k].  The
-    floor is QUADPACK's (qk15): 50 eps times the K15 rule on |f|.  An
-    integral with a non-finite value maps to its NonconvergenceError
-    instead."""
+    of at most _MAX_NODES nodes each, in integral order, where row k of x (an
+    array f may overwrite) holds the 15 nodes of one panel, of integral
+    rows[k].  The floor is QUADPACK's (qk15): 50 eps times the K15 rule on
+    |f|.  A call that returns a non-finite value raises NonconvergenceError,
+    and no further call is made."""
     counts = [len(a) for a, _ in new.values()]
     a = np.concatenate([a for a, _ in new.values()])
     b = np.concatenate([b for _, b in new.values()])
     rows = np.array(list(new)).repeat(counts)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    panels, bad = np.empty((3, len(a))), set()
+    panels = np.empty((3, len(a)))
     step = max(1, _MAX_NODES // 15)
     for c in range(0, len(a), step):
         part = slice(c, c + step)
         vals = f(mid[part, None] + half[part, None] * _NODES, rows[part])
         if not np.isfinite(vals).all():
-            finite = np.isfinite(vals).all(axis=1)
-            bad.update(rows[part][~finite].tolist())
-            vals[~finite] = 0.0
+            raise NonconvergenceError("quadrature met a non-finite integrand value")
         k15 = (vals * _KW).sum(axis=1) * half[part]
         panels[0, part] = k15
         panels[1, part] = np.abs(k15 - (vals * _GW).sum(axis=1) * half[part])
         panels[2, part] = _ROUNDING * (np.abs(vals) * _KW).sum(axis=1) * np.abs(half[part])
-    out, stop = {}, 0
-    for i, n in zip(new, counts):
-        start, stop = stop, stop + n
-        out[i] = (NonconvergenceError("quadrature met a non-finite integrand value")
-                  if i in bad else panels[:, start:stop])
-    return out
-
-
-def _evaluate(f: Callable, new: dict) -> dict:
-    """_kronrod of new.  When f raises an EvaluationError, each integral is
-    evaluated alone instead, in order up to the first that fails, which maps
-    to its failure: the error it meets alone."""
-    try:
-        return _kronrod(f, new)
-    except EvaluationError:
-        out = {}
-        for i, panels in new.items():
-            try:
-                out[i] = _kronrod(f, {i: panels})[i]
-            except EvaluationError as exc:
-                out[i] = exc
-            if isinstance(out[i], Exception):
-                break
-        return out
+    return dict(zip(new, np.split(panels, np.cumsum(counts)[:-1], axis=1)))
 
 
 _EMPTY = np.empty((3, 0))
@@ -173,20 +146,17 @@ _EMPTY = np.empty((3, 0))
 
 def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
                  edges: Sequence[np.ndarray]) -> list:
-    """G7/K15 quadrature of m integrals in lockstep, integral i from the panels
-    between its initial edges[i].
+    """The QuadratureResults of m integrals, G7/K15 quadrature in lockstep,
+    integral i from the panels between its initial edges[i].
 
     Every pass evaluates the new panels of every unfinished integral together
-    (_evaluate), in one call of f unless they exceed _MAX_NODES; finished
+    (_kronrod), in one call of f unless they exceed _MAX_NODES; finished
     integrals are not evaluated.  Each integral then refines as it would
     alone: it stops when its error sum meets rtol |total|, at max_panels or
     after 60 refinements, and otherwise halves its panels of largest error,
     keeping its panel order (kept panels, left halves, right halves), so its
     sums round as they would alone.  The rounding floors stay out of that
-    rule and are added to the finished integral's error estimate.  Returns
-    per integral its QuadratureResult or failure.  The batch raises its first
-    failure, so a failing integral (a break below) drops the ones after it;
-    they stay None.
+    rule and are added to the finished integral's error estimate.
     """
     out: list = [None] * len(edges)
     # per unfinished integral: its panels (a, b) and the _kronrod columns of
@@ -195,21 +165,16 @@ def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
     for refinements in range(61):
         if not runs:
             break
-        new = _evaluate(f, {i: (a[done.shape[1]:], b[done.shape[1]:])
-                            for i, (a, b, done) in runs.items()})
+        new = _kronrod(f, {i: (a[done.shape[1]:], b[done.shape[1]:])
+                           for i, (a, b, done) in runs.items()})
         pending = {}
         for i, (a, b, done) in runs.items():
-            if isinstance(new[i], Exception):
-                out[i] = new[i]
-                break
             done = np.concatenate([done, new[i]], axis=1)
             err = done[1]
             total, total_err = float(done[0].sum()), float(err.sum())
             target = rtol * abs(total)
             if total_err <= target or len(a) >= max_panels or refinements == 60:
                 out[i] = _result(total, total_err, float(done[2].sum()), len(a), rtol)
-                if isinstance(out[i], NonconvergenceError):
-                    break
                 continue
             # halve every panel whose error is within a factor 4 of the largest
             err_max = float(err.max())
@@ -234,11 +199,17 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
     density is called with a 2-D t whose row k holds the 15 nodes of one
     panel.  With sequences a and b it is a batch: the m integrals run in
     lockstep (_adaptive_gk), each result is bit-identical to integral i alone,
-    and they come back as Quadratures; the first failing integral raises,
-    with its index in the batch as the error's index.  Before each call of
-    density on a batch, select(rows) is called with the index of the
-    integral of each row of t, so a density over a batch of test functions
-    can give each row its own.
+    and they come back as Quadratures.  Before each call of density on a
+    batch, select(rows) is called with the index of the integral of each row
+    of t, so a density over a batch of test functions can give each row its
+    own.
+
+    A failure (NonconvergenceError, or an EvaluationError of the expressions
+    density evaluates) raises where the run meets it, and nothing runs
+    after it: the earliest failing pass, within it the density calls in
+    integral order and then the convergence checks in integral order, within
+    an expression its steps in scheduled (Sethi-Ullman) order, and across
+    the sides of Sides.integrals the sides in order.
 
     knots are the points inside (a, b) where the integrand's derivatives may
     jump (a sequence; for a batch, one row per integral), so that no initial
@@ -279,10 +250,6 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
         return np.multiply(vals, t, out=vals, where=on_log)
 
     results = _adaptive_gk(integrand, tol, max_panels, edges)
-    for i, r in enumerate(results):
-        if isinstance(r, Exception):
-            r.index = i
-            raise r
     return Quadratures(results) if batch else results[0]
 
 
@@ -359,25 +326,6 @@ def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = N
                      1 if isinstance(u, SplineProfile) else _BUMP_PANELS)
 
 
-def _first_failure_order(runs: Sequence[Callable]) -> list:
-    """Call each run (a side of every test of a batch) and return their
-    results.  On a failure of the quadrature or of the expressions it
-    evaluates, raise the one a test-by-test loop meets first: lowest test
-    index, then earliest run."""
-    results, failure = [], None
-    for run in runs:
-        try:
-            results.append(run())
-        except (NonconvergenceError, EvaluationError) as exc:
-            if failure is None or exc.index < failure.index:
-                failure = exc
-            if failure.index == 0:
-                break
-    if failure is not None:
-        raise failure
-    return results
-
-
 @dataclass(frozen=True)
 class Sides:
     """The two sides of one inequality, integral of weight * lhs(u) against
@@ -397,12 +345,10 @@ class Sides:
 
 
 def _integrals(sf: SpaceForm, sides: Sequence[Sides], u, tol: float) -> list:
-    """(lhs, rhs) of u on each of sides, one integrate call per side; a
-    failure raises as _first_failure_order says."""
-    results = _first_failure_order(
-        [functools.partial(side, sf, expr, u, form, s.bindings, tol)
-         for s in sides for expr, form in ((s.weight, s.lhs), (s.density, s.rhs))])
-    return list(zip(results[0::2], results[1::2]))
+    """(lhs, rhs) of u on each of sides, one integrate call per side, in
+    order; the first failing call raises."""
+    return [(side(sf, s.weight, u, s.lhs, s.bindings, tol),
+             side(sf, s.density, u, s.rhs, s.bindings, tol)) for s in sides]
 
 
 def _check_pair(shape: str, pair) -> None:
@@ -441,7 +387,6 @@ def shape_sides(shape: str, pair, sf: SpaceForm,
 class BatchSpec:
     count: int = 50
     seed: int = 42
-    family: str = "bump"
     modes: tuple = (0,)
 
     def __post_init__(self):
@@ -589,7 +534,7 @@ def _report(case_id: str, sf: SpaceForm, batch: BatchSpec, scans, tests, notes,
         case_id=case_id, sf=sf, seed=batch.seed, scans=tuple(scans), tests=tuple(tests),
         verdict=verdict, notes=tuple(notes) + (_DOMAIN_NOTE,),
         config={**config, "count": batch.count, "modes": list(batch.modes),
-                "family": batch.family})
+                "family": "bump"})
 
 
 def _record(test_id: str, u: RadialTestFunction, lhs: QuadratureResult,

@@ -44,3 +44,24 @@ def test_imported_names_are_exported(path):
     missing = sorted({(m, name) for m, name in used
                       if name not in _module(m).__all__})
     assert missing == []
+
+
+@pytest.mark.parametrize("path", [p for p in _SOURCES if p.stem != "__init__"],
+                         ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    """Every name a module imports is read in it or listed in its __all__
+    (``__init__`` is exempt: it imports to re-export)."""
+    tree = ast.parse(path.read_text())
+    imported = {}       # bound name -> line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in read and name not in getattr(_module(path.stem),
+                                                                "__all__", ()))
+    assert unused == []

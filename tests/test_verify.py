@@ -197,11 +197,12 @@ class TestLockstep:
         with pytest.raises(NonconvergenceError) as batch:
             integrate(self.sf, density, lo, hi, tol=1e-12, max_panels=8)
         assert str(batch.value) == str(solo.value)
-        assert batch.value.index == 1
 
-    def test_evaluation_error_keeps_test_order(self):
-        # sin(5e4/t) does not converge below t = 1; w is out of domain on
-        # (2.2, 2.3), which the first pass of (2.0, 2.5) already hits
+    def test_domain_error_on_pass_one_beats_an_earlier_nonconvergence(self):
+        # sin(5e4/t) does not converge below t = 1, and (0.1, 1.0) starts at
+        # the 8-panel cap, so it fails its convergence check on pass 1; w is
+        # out of domain on (2.2, 2.3), which the density call of pass 1
+        # already hits for (2.0, 2.5), before any convergence check
         w = parse("sqrt((t-2.25)^2-0.0025)")
 
         def density(t):
@@ -213,39 +214,26 @@ class TestLockstep:
                 integrate(self.sf, density, lo, hi, tol=1e-12, max_panels=8)
             return exc.value
 
-        nonconvergent, out_of_domain = (failure([s]) for s in ((0.1, 1.0), (2.0, 2.5)))
-        assert isinstance(nonconvergent, NonconvergenceError)
+        assert isinstance(failure([(0.1, 1.0)]), NonconvergenceError)
+        out_of_domain = failure([(2.0, 2.5)])
         assert isinstance(out_of_domain, DomainError)
-        for supports, solo in [([(1.0, 1.2), (0.1, 1.0), (2.0, 2.5)], nonconvergent),
-                               ([(1.0, 1.2), (2.0, 2.5), (0.1, 1.0)], out_of_domain)]:
-            batch = failure(supports)
-            assert type(batch) is type(solo) and str(batch) == str(solo)
-            assert batch.index == 1
+        batch = failure([(1.0, 1.2), (0.1, 1.0), (2.0, 2.5)])
+        assert type(batch) is DomainError and str(batch) == str(out_of_domain)
 
-    def test_first_failure_in_test_order(self):
-        def fails(index):
-            def run():
-                exc = NonconvergenceError(f"test {index}")
-                exc.index = index
-                raise exc
-            return run
+    def test_non_finite_chunk_stops_the_pass(self, monkeypatch):
+        # four panels a call and four initial panels per integral: the
+        # second call of pass 1 holds exactly the panels of (3.5, 4.0)
+        calls = []
 
-        # a test-by-test loop meets test 1's rhs before test 2's lhs
-        with pytest.raises(NonconvergenceError, match="test 1"):
-            vf._first_failure_order([fails(2), fails(1), fails(1)])
+        def density(t):
+            calls.append(t.shape)
+            return np.where(t > 3.0, np.inf, 1.0)
 
-        def out_of_domain():
-            exc = DomainError("sqrt", -1.0)
-            exc.index = 1
-            raise exc
-
-        with pytest.raises(DomainError):
-            vf._first_failure_order([fails(2), out_of_domain, fails(1)])
-        ran = []
-        with pytest.raises(NonconvergenceError, match="test 0"):
-            vf._first_failure_order([fails(0), lambda: ran.append(1)])
-        assert ran == []
-        assert vf._first_failure_order([lambda: 1, lambda: 2]) == [1, 2]
+        monkeypatch.setattr(vf, "_MAX_NODES", 15 * 4)
+        with pytest.raises(NonconvergenceError, match="non-finite"):
+            integrate(self.sf, density, [1.0, 3.5, 2.0], [1.2, 4.0, 2.5], tol=1e-8,
+                      panels=8)
+        assert calls == [(4, 15), (4, 15)]
 
 
 class _Scaled:
