@@ -374,6 +374,46 @@ class TestCatalogCommand:
     def test_show_unknown(self, capsys):
         assert main(["catalog", "show", "nope"]) == EXIT_USAGE
 
+    # the listing and every entry at its default knobs, the iterated families
+    # at depths 1-3: the entry trees print through str(), so these pin them
+    _DIGESTS = {
+        "catalog list": "a9b060523276704c0a4416747af6e82c559263af9209a3d7e38b5c4da776ec8a",
+        "catalog show classical-rellich":
+            "f573124baa728b3056b2cc6be6f0889e8434e09c15f4408dcbe23425e58f0ec2",
+        "catalog show hyp-interp":
+            "b98b4c23e33646b3afdc459dfec582c737ac4128a8de1ed7ff41b43399ea5908",
+        "catalog show hyp-lower-1":
+            "86535914ca7b1a4d9cde15acd8287cd5b71a92d6250d125ed580f1e1b2597f07",
+        "catalog show hyp-lower-2":
+            "40ef6aad9267882b3e8912a5df105c48721d32b702b60c5da8a9735e7f3bc295",
+        "catalog show hyp-lower-3":
+            "37b58c63b0193525252e53d46f562c25581edd5e44a1ab1a4eed8ce43b641e36",
+        "catalog show hyp-final":
+            "51cf960fa3ecce8f2218d6359520e4f247d37da2142dcfe2275c7ae08d1c5557",
+        "catalog show iterlog --k 1":
+            "9399f8aeb5359e7341f24ffb2b57ab5ad032098f800759d7ce5f732615b5226b",
+        "catalog show iterlog --k 2":
+            "18de0cbf0d4a61b7ebd69f8db6c7b48eacbf9b1212c1e4d082cf365977f732ba",
+        "catalog show iterlog --k 3":
+            "5900f237ccbc4ccae6934577d26ab9e7860f24be8e71330bc4317eddd96976de",
+        "catalog show ell-family --k 1":
+            "d6d5bab3048b3e3342ab2a32a54ec020c73914b2dcde953766efec3afbf61a87",
+        "catalog show ell-family --k 2":
+            "5223c2c8f5512b0c5b3b8e9d0e31514f7e877226475d66f4359ea9e5d0c3a26f",
+        "catalog show ell-family --k 3":
+            "2dde4eedfd5aa386a310af67326e29b94937732d4c87368b7b66070b9d7cd3f7",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(_DIGESTS))
+    def test_output_is_pinned(self, capsys, argv):
+        assert main(argv.split()) == EXIT_PASS
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self._DIGESTS[argv]
+
+    def test_every_entry_is_shown(self):
+        shown = {argv.split()[2] for argv in self._DIGESTS if argv.startswith("catalog show")}
+        assert shown == set(CATALOG_IDS)
+
 
 class TestUsageAndIO:
     def test_unknown_catalog_id(self, tmp_path):
