@@ -16,7 +16,7 @@ from .catalog import (build_entry, classical_euclidean, ell_potential,  # noqa: 
                       chain_from_potential, entry_chain, entry_pair)
 from .verify import (BatchSpec, InequalityCase, QuadratureResult,  # noqa: F401
                      Sides, VerificationReport, integrate, shape_sides, side,
-                     verify_case, verify_chain)
+                     verify_case)
 from .sharpness import (SharpnessEstimate, estimate_constant,  # noqa: F401
                         rayleigh_quotient)
 

@@ -10,7 +10,10 @@ of transcribed; the provenance note records the delta.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,12 +29,6 @@ __all__ = [
     "chain_from_potential", "entry_chain", "entry_pair", "iterlog_q_expr",
     "iterlog_product_bounds", "CATALOG_IDS", "build_entry",
 ]
-
-CATALOG_IDS = (
-    "classical-rellich", "iterlog", "ell-family", "hyp-interp",
-    "hyp-lower-1", "hyp-lower-2", "hyp-lower-3", "hyp-final",
-)
-
 
 @dataclass(frozen=True)
 class ChainLink:
@@ -68,11 +65,8 @@ class ChainDescriptor:
     meta: dict = field(default_factory=dict)
 
     def rhs_density_expr(self) -> Expr:
-        acc = None
-        for link in self.links:
-            term = Const(link.alpha) * link.weight_expr * link.potential_expr
-            acc = term if acc is None else acc + term
-        return acc
+        return _sum(Const(link.alpha) * link.weight_expr * link.potential_expr
+                    for link in self.links)
 
     def composition_terms(self) -> list[Expr]:
         """alpha_i w_i for each link, then -v V: the terms whose sum vanishes
@@ -91,6 +85,17 @@ class CatalogEntry:
     default_shape: Optional[str] = None
     provenance: str = ""
     extras: dict = field(default_factory=dict)
+
+
+def _sum(terms) -> Expr:
+    """t1 + t2 + ... + tk, summed left to right."""
+    return functools.reduce(operator.add, terms)
+
+
+def _products(factors) -> list[Expr]:
+    """The partial products f1, f1 f2, ..., f1 f2 ... fk, each multiplied
+    left to right."""
+    return list(itertools.accumulate(factors, operator.mul))
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +179,9 @@ def iterated_log_potential(k: int, R: float) -> CatalogEntry:
     r = R * _exp_iter(k - 1, math.e)
     t = Var()
     rt = Param("r") / t
-    prod_full = None
-    z_sum = None
-    for j in range(1, k + 1):
-        prod_j = None
-        for i in range(1, j + 1):
-            factor = Iter("logk", i, rt)
-            prod_j = factor if prod_j is None else prod_j * factor
-        term = (Const(1.0) / (t * t)) * prod_j ** Const(-2.0)
-        z_sum = term if z_sum is None else z_sum + term
-        if j == k:
-            prod_full = prod_j
-    z = Unary("sqrt", prod_full)
+    prods = _products(Iter("logk", i, rt) for i in range(1, k + 1))
+    z_sum = _sum((Const(1.0) / (t * t)) * p ** Const(-2.0) for p in prods)
+    z = Unary("sqrt", prods[-1])
     potential = PairSpec(
         kind="bessel-potential",
         exprs={"z": z, "Z": z_sum},
@@ -209,15 +205,8 @@ def iterlog_q_expr(k: int) -> Expr:
     lies in (-1, 0) on (0, R)."""
     t = Var()
     rt = Param("r") / t
-    acc = None
-    for j in range(1, k + 1):
-        prod_j = None
-        for i in range(1, j + 1):
-            factor = Iter("logk", i, rt)
-            prod_j = factor if prod_j is None else prod_j * factor
-        term = Const(1.0) / prod_j
-        acc = term if acc is None else acc + term
-    return Const(-0.5) * acc
+    prods = _products(Iter("logk", i, rt) for i in range(1, k + 1))
+    return Const(-0.5) * _sum(Const(1.0) / p for p in prods)
 
 
 def iterlog_product_bounds(k: int) -> dict:
@@ -249,18 +238,9 @@ def ell_potential(k: int, R: float) -> CatalogEntry:
         raise ValueError("need R > 0")
     t = Var()
     arg = t / Param("R")
-    z_sum = None
-    prod_full = None
-    for j in range(1, k + 1):
-        prod_j = None
-        for i in range(1, j + 1):
-            factor = _ell_iter_expr(i, arg)
-            prod_j = factor if prod_j is None else prod_j * factor
-        term = (Const(1.0) / (t * t)) * prod_j ** Const(2.0)
-        z_sum = term if z_sum is None else z_sum + term
-        if j == k:
-            prod_full = prod_j
-    z = prod_full ** Const(-0.5)
+    prods = _products(_ell_iter_expr(i, arg) for i in range(1, k + 1))
+    z_sum = _sum((Const(1.0) / (t * t)) * p ** Const(2.0) for p in prods)
+    z = prods[-1] ** Const(-0.5)
     potential = PairSpec(
         kind="bessel-potential",
         exprs={"z": z, "Z": z_sum},
@@ -520,19 +500,24 @@ def entry_pair(entry: CatalogEntry, kind: str, sf: SpaceForm):
 # registry
 
 
+# CLI id -> builder, in listing order; each reads the knobs it names
+_FAMILIES = {
+    "classical-rellich": lambda n, **_: classical_euclidean(n),
+    "iterlog": lambda k, R, **_: iterated_log_potential(k, R),
+    "ell-family": lambda k, R, **_: ell_potential(k, R),
+    "hyp-interp": lambda n, kappa, lam, **_: hyperbolic_interpolation(n, kappa, lam),
+    "hyp-lower-1": lambda n, kappa, **_: hyperbolic_lower(n, kappa, 1),
+    "hyp-lower-2": lambda n, kappa, **_: hyperbolic_lower(n, kappa, 2),
+    "hyp-lower-3": lambda n, kappa, **_: hyperbolic_lower(n, kappa, 3),
+    "hyp-final": lambda n, kappa, **_: final_combined(n, kappa),
+}
+
+CATALOG_IDS = tuple(_FAMILIES)
+
+
 def build_entry(entry_id: str, n: int = 5, kappa: float = 1.0,
                 lam: float = 0.0, k: int = 1, R: float = 1.0) -> CatalogEntry:
     """Construct a catalog entry by its CLI id."""
-    if entry_id == "classical-rellich":
-        return classical_euclidean(n)
-    if entry_id == "iterlog":
-        return iterated_log_potential(k, R)
-    if entry_id == "ell-family":
-        return ell_potential(k, R)
-    if entry_id == "hyp-interp":
-        return hyperbolic_interpolation(n, kappa, lam)
-    if entry_id.startswith("hyp-lower-"):
-        return hyperbolic_lower(n, kappa, int(entry_id.rsplit("-", 1)[1]))
-    if entry_id == "hyp-final":
-        return final_combined(n, kappa)
-    raise ValueError(f"unknown catalog id {entry_id!r}; known: {', '.join(CATALOG_IDS)}")
+    if entry_id not in _FAMILIES:
+        raise ValueError(f"unknown catalog id {entry_id!r}; known: {', '.join(CATALOG_IDS)}")
+    return _FAMILIES[entry_id](n=n, kappa=kappa, lam=lam, k=k, R=R)

@@ -53,6 +53,17 @@ EXIT_IO = 74
 _INLINE_ROLES = tuple(r for roles in pr.ROLES.values() for r in roles) + ("y",)
 
 
+def _finite(text: str) -> float:
+    """A float flag's value; anything but a finite number is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -70,14 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--catalog", metavar="ID",
                         help=f"catalog entry id ({', '.join(cat.CATALOG_IDS)})")
         sp.add_argument("--n", type=int, default=5, help="dimension (default 5)")
-        sp.add_argument("--kappa", type=float, default=None,
+        sp.add_argument("--kappa", type=_finite, default=None,
                         help="curvature parameter (default: entry-specific)")
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
+        sp.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
         sp.add_argument("--k", type=int, default=1, help="iteration depth")
         sp.add_argument("--R", type=float, default=None, help="radial domain bound")
-        sp.add_argument("--r", dest="r_param", type=float, default=None,
+        sp.add_argument("--r", dest="r_param", type=_finite, default=None,
                         help="value for the DSL parameter r")
-        sp.add_argument("--c", type=float, default=None,
+        sp.add_argument("--c", type=_finite, default=None,
                         help="override the potential constant c")
         sp.add_argument("--grid", type=int, default=pr.DEFAULT_GRID)
         sp.add_argument("--quad-tol", type=float, default=vf.DEFAULT_QUAD_TOL)
@@ -120,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=("list", "show"))
     sp.add_argument("id", nargs="?")
     sp.add_argument("--n", type=int, default=5)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    sp.add_argument("--kappa", type=_finite, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--R", type=float, default=None)
     return p
@@ -155,10 +166,9 @@ def _inline_pair(args) -> Optional[PairSpec]:
 
 
 def _catalog_entry(args, entry_id: str) -> cat.CatalogEntry:
-    kappa = args.kappa if args.kappa is not None else (
-        1.0 if entry_id.startswith("hyp") else 0.0)
-    return cat.build_entry(entry_id, n=args.n, kappa=kappa, lam=args.lam,
-                           k=args.k, R=args.R if args.R is not None else 1.0)
+    given = {name: value for name, value in (("kappa", args.kappa), ("R", args.R))
+             if value is not None}
+    return cat.build_entry(entry_id, n=args.n, lam=args.lam, k=args.k, **given)
 
 
 def _resolve(args):

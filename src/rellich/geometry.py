@@ -45,8 +45,8 @@ class SpaceForm:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.n}")
-        if self.kappa < 0:
-            raise ValueError(f"curvature parameter must be >= 0, got {self.kappa}")
+        if not (self.kappa >= 0 and math.isfinite(self.kappa)):
+            raise ValueError(f"curvature parameter must be finite and >= 0, got {self.kappa}")
         if not self.R > 0:
             raise ValueError(f"radial bound must be positive, got {self.R}")
 

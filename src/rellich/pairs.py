@@ -375,11 +375,15 @@ def scan_range(sf: SpaceForm) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DisconjugacyReport:
-    positive_solution: bool
     first_zero: Optional[float]
     status: str                    # "ok" | "inconclusive"
     log_t_first_zero: Optional[float] = None
     steps: int = 0
+
+    @property
+    def positive_solution(self) -> bool:
+        """The run reached its end with no zero of the solution."""
+        return self.status == "ok" and self.first_zero is None
 
     def scan(self, target: str) -> Scan:
         """The report row: nonnegative with a positive solution, violated at
@@ -417,10 +421,11 @@ _DEEP_LOG_DEPTH = 2.0e6          # potentials: start at t = R e^{-depth}
 _PAIR_LOG_DEPTH = 110.0
 _FLOAT_LOG_FLOOR = -120.0        # below t = e^{-120}, coefficients on ExtFloat
 _ODE_RTOL = 1e-8                 # step-doubling error per step
+_MAX_STEPS = 20_000              # attempts before a run ends inconclusive
 
 
 def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = None,
-                       n: Optional[int] = None, max_steps: int = 20_000) -> DisconjugacyReport:
+                       n: Optional[int] = None) -> DisconjugacyReport:
     """Integrate the defining linear ODE and report whether the solution
     with principal (recessive-at-zero) initial data stays positive.
 
@@ -491,7 +496,7 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     steps = 0
     status = "ok"
     while s_hi - s > end_tol:
-        if steps >= max_steps:
+        if steps >= _MAX_STEPS:
             status = "inconclusive"
             break
         h = min(h, s_hi - s)
@@ -551,9 +556,8 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
 
     if first_zero_s is not None:
         t_zero = math.exp(first_zero_s) if first_zero_s > -745.0 else 0.0
-        return DisconjugacyReport(False, t_zero, "ok", log_t_first_zero=first_zero_s,
-                                  steps=steps)
-    return DisconjugacyReport(status == "ok", None, status, steps=steps)
+        return DisconjugacyReport(t_zero, "ok", log_t_first_zero=first_zero_s, steps=steps)
+    return DisconjugacyReport(None, status, steps=steps)
 
 
 # ---------------------------------------------------------------------------

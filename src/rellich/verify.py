@@ -41,7 +41,7 @@ __all__ = [
     "QuadratureResult", "InequalityCase", "BatchSpec",
     "TestRecord", "VerificationReport", "ChainMismatchError", "NonconvergenceError",
     "Quadratures", "Shape", "Sides", "integrate", "side", "shape_sides", "verify_case",
-    "verify_chain", "check_chain_composition", "generate_batch", "batch_domain",
+    "check_chain_composition", "generate_batch", "batch_domain",
     "SHAPES", "DEFAULT_QUAD_TOL",
 ]
 
@@ -113,6 +113,9 @@ _ROUNDING = 50.0 * np.finfo(float).eps
 # held in memory at once
 _MAX_NODES = 1 << 17
 
+# panels at which an integral stops refining
+_MAX_PANELS = 4096
+
 
 def _kronrod(f: Callable, new: dict) -> dict:
     """{i: the (3, p) array of the K15 value, |K15 - G7| and rounding floor of
@@ -144,15 +147,14 @@ def _kronrod(f: Callable, new: dict) -> dict:
 _EMPTY = np.empty((3, 0))
 
 
-def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
-                 edges: Sequence[np.ndarray]) -> list:
+def _adaptive_gk(f: Callable, rtol: float, edges: Sequence[np.ndarray]) -> list:
     """The QuadratureResults of m integrals, G7/K15 quadrature in lockstep,
     integral i from the panels between its initial edges[i].
 
     Every pass evaluates the new panels of every unfinished integral together
     (_kronrod), in one call of f unless they exceed _MAX_NODES; finished
     integrals are not evaluated.  Each integral then refines as it would
-    alone: it stops when its error sum meets rtol |total|, at max_panels or
+    alone: it stops when its error sum meets rtol |total|, at _MAX_PANELS or
     after 60 refinements, and otherwise halves its panels of largest error,
     keeping its panel order (kept panels, left halves, right halves), so its
     sums round as they would alone.  The rounding floors stay out of that
@@ -173,7 +175,7 @@ def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
             err = done[1]
             total, total_err = float(done[0].sum()), float(err.sum())
             target = rtol * abs(total)
-            if total_err <= target or len(a) >= max_panels or refinements == 60:
+            if total_err <= target or len(a) >= _MAX_PANELS or refinements == 60:
                 out[i] = _result(total, total_err, float(done[2].sum()), len(a), rtol)
                 continue
             # halve every panel whose error is within a factor 4 of the largest
@@ -189,8 +191,7 @@ def _adaptive_gk(f: Callable, rtol: float, max_panels: int,
 
 
 def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_TOL,
-              select: Optional[Callable] = None, knots=None, panels: int = 16,
-              max_panels: int = 4096):
+              select: Optional[Callable] = None, knots=None, panels: int = 16):
     """integral over {a < rho < b} of density(rho) dx_kappa, i.e. the 1-D
     integral of density(t) * volume_weight(t), as a QuadratureResult.  Its
     error_estimate, the budget, is the sum of |K15 - G7| over its panels
@@ -249,7 +250,7 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
         vals = np.asarray(density(t), dtype=float) * volume_weight(sf, t)
         return np.multiply(vals, t, out=vals, where=on_log)
 
-    results = _adaptive_gk(integrand, tol, max_panels, edges)
+    results = _adaptive_gk(integrand, tol, edges)
     return Quadratures(results) if batch else results[0]
 
 
@@ -498,40 +499,60 @@ def _scans(p: PairSpec, names: Sequence[str], sf: SpaceForm, grid: int, tol: flo
     return rows
 
 
-def _gating(scans: Sequence[Scan]) -> bool:
-    return all(s.verdict == "nonnegative" for s in scans if not s.target.endswith(_SIGNED))
-
-
 def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
                 grid: int = pr.DEFAULT_GRID,
                 tol: float = pr.DEFAULT_RESIDUAL_TOL) -> VerificationReport:
     """Run the side-condition scans, then check the inequality on the batch.
+
+    A chain checks its composition first.  Its rows are t000:dual (its dual's
+    delta-vs-gradrad step), t000:link-i (the gradrad-vs-usq step of link i,
+    gating on its residual or, for a Bessel pair, its disconjugacy) and
+    t000:end (integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2).
 
     Verdict: "fail" if any margin < -budget; otherwise "pass" when every
     gating scan is nonnegative, else "inconclusive" (a failed side condition
     means the sufficient condition is not established, not that the
     inequality is false).
     """
-    if case.shape == "chain":
-        return verify_chain(case.pair, case.sf, case.batch, quad_tol=quad_tol,
-                            grid=grid, tol=tol, case_id=case.case_id)
-    scans = _scans(case.pair, SHAPES[case.shape].gates, case.sf, grid, tol)
+    sf, batch = case.sf, case.batch
+    chain = case.pair if case.shape == "chain" else None
+    config = {"shape": case.shape, "quad_tol": quad_tol, "scan_grid": grid}
+    if chain:
+        check_chain_composition(chain, sf)
+        config.update(links=[l.label for l in chain.links], meta=dict(chain.meta))
+    shape, spec, links = (("delta-vs-gradrad", chain.dual, chain.links) if chain
+                          else (case.shape, case.pair, ()))
+    scans = _scans(spec, SHAPES[shape].gates, sf, grid, tol)
+    for link in links:
+        names = ("residual",) if link.spec.kind == "primal" else ("disconjugacy",)
+        scans += _scans(link.spec, names, sf, grid, tol, prefix=f"{link.label}-")
     notes = (["signed-W override engaged: W positivity not gating"]
              if any(s.target.endswith(_SIGNED) for s in scans) else [])
-    sides = shape_sides(case.shape, case.pair, case.sf)
-    us = generate_batch(case.sf, case.batch)
-    tests = [_record(f"t{i:03d}", u, lhs, rhs) for i, (u, lhs, rhs) in
-             enumerate(zip(us, *sides.integrals(case.sf, Profiles(us), quad_tol)))]
-    return _report(case.case_id, case.sf, case.batch, scans, tests, notes,
-                   {"shape": case.shape, "quad_tol": quad_tol, "scan_grid": grid})
-
-
-def _report(case_id: str, sf: SpaceForm, batch: BatchSpec, scans, tests, notes,
-            config: dict) -> VerificationReport:
-    verdict = ("fail" if any(t.margin < -t.budget for t in tests) else
-               "pass" if _gating(scans) else "inconclusive")
+    notes += [f"{link.label}: signed-W override engaged"
+              for link in links if link.spec.allow_signed_W]
+    row = SHAPES["gradrad-vs-usq"]
+    sides = [shape_sides(shape, spec, sf)] + [
+        Sides(link.weight_expr, row.lhs, link.weight_expr * link.potential_expr, row.rhs,
+              link.spec.bindings(sf)) for link in links]
+    us = generate_batch(sf, batch)
+    (lhs, rhs), *link_sums = _integrals(sf, sides, Profiles(us), quad_tol)
+    tests: list[TestRecord] = []
+    for i, u in enumerate(us):
+        test_id = f"t{i:03d}"
+        tests.append(_record(test_id + (":dual" if chain else ""), u, lhs[i], rhs[i]))
+        end_rhs, end_err = 0.0, 0.0
+        for link, (mid, low) in zip(links, link_sums):
+            tests.append(_record(f"{test_id}:{link.label}", u, mid[i], low[i]))
+            end_rhs += link.alpha * low[i].value
+            end_err += link.alpha * low[i].error_estimate
+        if chain:
+            tests.append(_record(f"{test_id}:end", u, lhs[i],
+                                 QuadratureResult(end_rhs, end_err, 0)))
+    gating = all(s.verdict == "nonnegative" for s in scans if not s.target.endswith(_SIGNED))
+    verdict = ("fail" if not all(t.passed for t in tests) else
+               "pass" if gating else "inconclusive")
     return VerificationReport(
-        case_id=case_id, sf=sf, seed=batch.seed, scans=tuple(scans), tests=tuple(tests),
+        case_id=case.case_id, sf=sf, seed=batch.seed, scans=tuple(scans), tests=tuple(tests),
         verdict=verdict, notes=tuple(notes) + (_DOMAIN_NOTE,),
         config={**config, "count": batch.count, "modes": list(batch.modes),
                 "family": "bump"})
@@ -568,40 +589,3 @@ def check_chain_composition(chain: ChainDescriptor, sf: SpaceForm) -> None:
         if composes(skip=i).equality:
             raise ChainMismatchError(f"{mismatch}; offending link: {bad.label}")
     raise ChainMismatchError(mismatch)
-
-
-def verify_chain(chain: ChainDescriptor, sf: SpaceForm, batch: BatchSpec,
-                 quad_tol: float = DEFAULT_QUAD_TOL, grid: int = pr.DEFAULT_GRID,
-                 tol: float = pr.DEFAULT_RESIDUAL_TOL,
-                 case_id: str = "chain") -> VerificationReport:
-    """Verify every link and the end-to-end inequality
-    integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2 per test."""
-    check_chain_composition(chain, sf)
-    dual = chain.dual
-    scans = _scans(dual, SHAPES["delta-vs-gradrad"].gates, sf, grid, tol)
-    for link in chain.links:
-        names = ("residual",) if link.spec.kind == "primal" else ("disconjugacy",)
-        scans += _scans(link.spec, names, sf, grid, tol, prefix=f"{link.label}-")
-    notes = [f"{link.label}: signed-W override engaged"
-             for link in chain.links if link.spec.allow_signed_W]
-    dual_sides = shape_sides("delta-vs-gradrad", dual, sf)
-    # each link is the gradrad-vs-usq step of its own weight and potential
-    row = SHAPES["gradrad-vs-usq"]
-    link_sides = [Sides(link.weight_expr, row.lhs, link.weight_expr * link.potential_expr,
-                        row.rhs, link.spec.bindings(sf)) for link in chain.links]
-    us = generate_batch(sf, batch)
-    (lhs, rhs_dual), *link_sums = _integrals(sf, [dual_sides, *link_sides], Profiles(us),
-                                             quad_tol)
-    tests: list[TestRecord] = []
-    for i, u in enumerate(us):
-        tests.append(_record(f"t{i:03d}:dual", u, lhs[i], rhs_dual[i]))
-        end_rhs, end_err = 0.0, 0.0
-        for link, (mid, low) in zip(chain.links, link_sums):
-            tests.append(_record(f"t{i:03d}:{link.label}", u, mid[i], low[i]))
-            end_rhs += link.alpha * low[i].value
-            end_err += link.alpha * low[i].error_estimate
-        tests.append(_record(f"t{i:03d}:end", u, lhs[i],
-                             QuadratureResult(end_rhs, end_err, 0)))
-    return _report(case_id, sf, batch, scans, tests, notes,
-                   {"shape": "chain", "quad_tol": quad_tol, "scan_grid": grid,
-                    "links": [l.label for l in chain.links], "meta": dict(chain.meta)})

@@ -334,19 +334,19 @@ def criterion7_reports():
             batch=vf.BatchSpec(count=50, seed=42), pair=entry.specs["primal"],
             case_id=f"hyp-lower-{which}"))
     e6 = cat.classical_euclidean(6)
-    reports["chain-classical"] = vf.verify_chain(
-        e6.chain, SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42),
-        case_id="chain-classical-6")
+    reports["chain-classical"] = vf.verify_case(vf.InequalityCase(
+        "chain", SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42), e6.chain,
+        case_id="chain-classical-6"))
     il = cat.iterated_log_potential(1, 1.0)
     chain_pot = cat.chain_from_potential(il, 6)
-    reports["chain-potential"] = vf.verify_chain(
-        chain_pot, SpaceForm(6, 0.0, 1.0), vf.BatchSpec(count=50, seed=42),
-        case_id="chain-potential-6")
+    reports["chain-potential"] = vf.verify_case(vf.InequalityCase(
+        "chain", SpaceForm(6, 0.0, 1.0), vf.BatchSpec(count=50, seed=42), chain_pot,
+        case_id="chain-potential-6"))
     reports["_chain_pot_meta"] = chain_pot.meta
     fin = cat.final_combined(5, 1.0)
-    reports["chain-final"] = vf.verify_chain(
-        fin.chain, SpaceForm(5, 1.0), vf.BatchSpec(count=20, seed=42),
-        case_id="chain-final-5")
+    reports["chain-final"] = vf.verify_case(vf.InequalityCase(
+        "chain", SpaceForm(5, 1.0), vf.BatchSpec(count=20, seed=42), fin.chain,
+        case_id="chain-final-5"))
     reports["_elapsed"] = time.perf_counter() - t0
     return reports
 
@@ -422,9 +422,9 @@ class TestCriterion9:
                 batch=vf.BatchSpec(count=50, seed=42),
                 pair=cat.hyperbolic_lower(5, 1.0, 2).specs["primal"],
                 case_id="hyp-lower-2")),
-            "chain-classical": vf.verify_chain(
-                e6.chain, SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42),
-                case_id="chain-classical-6"),
+            "chain-classical": vf.verify_case(vf.InequalityCase(
+                "chain", SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42), e6.chain,
+                case_id="chain-classical-6")),
         }
         ok = True
         for key, rep in again.items():

@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -506,6 +508,34 @@ class TestUsageAndIO:
         assert rep is None
         assert knob.split("=")[0] in capsys.readouterr().err
 
+    def test_unknown_family_member_names_the_known_ids(self, tmp_path, capsys):
+        code, rep = _run(tmp_path, "verify", "--catalog", "hyp-lower-x", "--n", "5")
+        assert code == EXIT_USAGE
+        assert rep is None
+        assert "unknown catalog id 'hyp-lower-x'; known: " + ", ".join(CATALOG_IDS) in \
+            capsys.readouterr().err
+
+    _PAIR = "--n 6 --H n/(2*t) --v 1 --V n^2/(4*t^2)"
+    _POTENTIAL = "--n 6 --R 1 --z sqrt(logk(1,r/t)) --Z 1/(t^2*logk(1,r/t)^2)"
+
+    @pytest.mark.parametrize("argv", [
+        f"scan {_PAIR} --target E1 --kappa inf",
+        f"scan {_PAIR} --target E1 --kappa nan",
+        f"verify {_PAIR} --kappa inf",
+        f"check-pair {_POTENTIAL} --r nan",
+        f"check-pair {_POTENTIAL} --r inf",
+        f"check-pair {_PAIR} --lambda nan",
+        "solve-bessel --catalog iterlog --c inf",
+        "catalog show hyp-interp --kappa nan",
+    ])
+    def test_non_finite_float_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {argv.split()[-2]}: must be a finite number" in err
+
     def test_io_failure(self):
         code = main(["check-pair", "--catalog", "classical-rellich", "--n", "5",
                      "-o", "/nonexistent-dir/report.json"])
@@ -750,3 +780,30 @@ def test_report_scans_are_the_shape_gates(tmp_path, monkeypatch, entry, shape):
         expected = [g + "(signed-override)" if g == "W" and pair.allow_signed_W else g
                     for g in _GATES[shape]]
     assert [s["target"] for s in rep["scans"]] == expected
+
+
+def _readme_examples() -> list[str]:
+    """The `rellich ...` command lines of README's CLI section, with their
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("\n## CLI\n"):text.index("\n## Report schema\n")]
+    lines = (line.strip() for line in re.sub(r"\s*\\\n\s*", " ", section).splitlines())
+    return [line for line in lines if line.startswith("rellich ")]
+
+
+# the README shows these two exiting 1: a violated E1 and a super-critical c
+_README_FAILS = ("rellich scan --catalog ell-family --k 6 ",
+                 "rellich solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3")
+
+
+def test_readme_lists_its_examples():
+    examples = _readme_examples()
+    assert len(examples) == 12
+    assert sum(line.startswith(_README_FAILS) for line in examples) == 2
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_example_runs(capsys, line):
+    code = main(shlex.split(line)[1:])
+    assert code == (EXIT_FAIL if line.startswith(_README_FAILS) else EXIT_PASS)
+    assert capsys.readouterr().out

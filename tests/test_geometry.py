@@ -30,8 +30,9 @@ class TestSpaceForm:
         SpaceForm(2, 0.0)
         with pytest.raises(ValueError):
             SpaceForm(1, 0.0)
-        with pytest.raises(ValueError):
-            SpaceForm(3, -1.0)
+        for kappa in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="curvature"):
+                SpaceForm(3, kappa)
         with pytest.raises(ValueError):
             SpaceForm(3, 1.0, 0.0)
 

@@ -473,8 +473,9 @@ class TestDisconjugacy:
         assert rep.positive_solution is True and rep.status == "ok"
         assert rep.steps == 80
 
-    def test_step_budget_exhaustion_is_inconclusive(self, potential):
-        rep = pr.disconjugacy_check(potential, max_steps=3)
+    def test_step_budget_exhaustion_is_inconclusive(self, potential, monkeypatch):
+        monkeypatch.setattr(pr, "_MAX_STEPS", 3)
+        rep = pr.disconjugacy_check(potential)
         assert rep.status == "inconclusive"
         assert rep.positive_solution is False
         assert rep.first_zero is None

@@ -16,7 +16,7 @@ from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplinePro
                               make_bump, sphere_area)
 from rellich.verify import (BatchSpec, ChainMismatchError, InequalityCase,
                             NonconvergenceError, Quadratures, generate_batch,
-                            integrate, shape_sides, side, verify_case, verify_chain)
+                            integrate, shape_sides, side, verify_case)
 
 
 def _bump_mass_closed_form(a: float, b: float, n: int) -> float:
@@ -93,13 +93,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(sf, lambda t: t, -0.5, 0.7)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         from rellich.verify import NonconvergenceError
 
         sf = SpaceForm(3, 0.0, 2.0)
         wiggly = lambda t: np.sin(5e4 / t)
+        monkeypatch.setattr(vf, "_MAX_PANELS", 8)
         with pytest.raises(NonconvergenceError):
-            integrate(sf, wiggly, 0.1, 1.0, tol=1e-12, max_panels=8)
+            integrate(sf, wiggly, 0.1, 1.0, tol=1e-12)
 
 
 def _peak(t):
@@ -112,27 +113,28 @@ class TestLockstep:
     the result it gets alone, bit for bit."""
 
     sf = SpaceForm(5, 0.0, 100.0)
-    # log-substituted (b/a > 32) and capped at max_panels, first-pass
+    # log-substituted (b/a > 32) and capped at _MAX_PANELS, first-pass
     # linear, linear from a = 0, refining linear, log-substituted, linear
     supports = [(0.01, 5.0), (1.0, 1.2), (0.0, 1.46), (1.4, 1.6), (0.3, 12.0),
                 (2.0, 2.5)]
 
-    def test_lockstep_equals_solo(self):
+    def test_lockstep_equals_solo(self, monkeypatch):
+        uncapped = integrate(self.sf, _peak, 0.01, 5.0, tol=1e-8)
+        monkeypatch.setattr(vf, "_MAX_PANELS", 25)
         lo, hi = zip(*self.supports)
-        batch = integrate(self.sf, _peak, lo, hi, tol=1e-8, max_panels=25)
-        solo = [integrate(self.sf, _peak, a, b, tol=1e-8, max_panels=25)
-                for a, b in self.supports]
+        batch = integrate(self.sf, _peak, lo, hi, tol=1e-8)
+        solo = [integrate(self.sf, _peak, a, b, tol=1e-8) for a, b in self.supports]
         assert isinstance(batch, Quadratures)
         assert list(batch) == solo
         assert batch.subintervals == sum(q.subintervals for q in solo)
         # the capped integral would refine further, the short ones converge
         # on the first pass while the others refine
         assert solo[0].subintervals == 25
-        assert integrate(self.sf, _peak, 0.01, 5.0, tol=1e-8).subintervals > 25
+        assert uncapped.subintervals > 25
         assert solo[1].subintervals == solo[5].subintervals == 8
         assert min(solo[2].subintervals, solo[3].subintervals) > 9
 
-    def test_only_pending_panels_are_evaluated(self):
+    def test_only_pending_panels_are_evaluated(self, monkeypatch):
         """Each row of t holds the 15 nodes of one panel of an unfinished
         integral, so the batch evaluates as many nodes as the solo runs, and
         as many times as the solo run with the most passes."""
@@ -142,12 +144,13 @@ class TestLockstep:
             shapes.append(t.shape)
             return _peak(t)
 
+        monkeypatch.setattr(vf, "_MAX_PANELS", 25)
         lo, hi = zip(*self.supports)
-        integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25, select=selected.append)
+        integrate(self.sf, density, lo, hi, tol=1e-8, select=selected.append)
         batch, shapes[:] = list(shapes), []
         passes = []
         for a, b in self.supports:
-            integrate(self.sf, density, a, b, tol=1e-8, max_panels=25)
+            integrate(self.sf, density, a, b, tol=1e-8)
             passes.append(len(shapes) - sum(passes))
         assert all(shape[1] == 15 for shape in batch + shapes)
         assert sum(n for n, _ in batch) == sum(n for n, _ in shapes)
@@ -158,6 +161,7 @@ class TestLockstep:
         assert 1 in selected[0] and all(1 not in rows for rows in selected[1:])
 
     def test_deep_pass_is_split_under_the_node_cap(self, monkeypatch):
+        monkeypatch.setattr(vf, "_MAX_PANELS", 25)
         lo, hi = zip(*self.supports)
         sizes = []
 
@@ -165,10 +169,10 @@ class TestLockstep:
             sizes.append(t.size)
             return _peak(t)
 
-        whole = integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25)
+        whole = integrate(self.sf, density, lo, hi, tol=1e-8)
         passes, sizes[:] = len(sizes), []
         monkeypatch.setattr(vf, "_MAX_NODES", 15 * 4)     # four panels a call
-        assert integrate(self.sf, density, lo, hi, tol=1e-8, max_panels=25) == whole
+        assert integrate(self.sf, density, lo, hi, tol=1e-8) == whole
         assert max(sizes) == 15 * 4 and len(sizes) > passes
 
     def test_integrals_after_a_failure_stop(self):
@@ -189,16 +193,17 @@ class TestLockstep:
         (lambda t: np.where(t < 1.0, np.sin(5e4 / t), 1.0), (0.1, 1.0)),
         (lambda t: np.where(t > 3.0, np.inf, 1.0), (3.5, 4.0)),
     ])
-    def test_failure_is_the_solo_failure(self, density, failing):
+    def test_failure_is_the_solo_failure(self, monkeypatch, density, failing):
+        monkeypatch.setattr(vf, "_MAX_PANELS", 8)
         supports = [(1.0, 1.2), failing, (2.0, 2.5)]
         with pytest.raises(NonconvergenceError) as solo:
-            integrate(self.sf, density, *failing, tol=1e-12, max_panels=8)
+            integrate(self.sf, density, *failing, tol=1e-12)
         lo, hi = zip(*supports)
         with pytest.raises(NonconvergenceError) as batch:
-            integrate(self.sf, density, lo, hi, tol=1e-12, max_panels=8)
+            integrate(self.sf, density, lo, hi, tol=1e-12)
         assert str(batch.value) == str(solo.value)
 
-    def test_domain_error_on_pass_one_beats_an_earlier_nonconvergence(self):
+    def test_domain_error_on_pass_one_beats_an_earlier_nonconvergence(self, monkeypatch):
         # sin(5e4/t) does not converge below t = 1, and (0.1, 1.0) starts at
         # the 8-panel cap, so it fails its convergence check on pass 1; w is
         # out of domain on (2.2, 2.3), which the density call of pass 1
@@ -211,9 +216,10 @@ class TestLockstep:
         def failure(supports):
             lo, hi = zip(*supports)
             with pytest.raises((NonconvergenceError, DomainError)) as exc:
-                integrate(self.sf, density, lo, hi, tol=1e-12, max_panels=8)
+                integrate(self.sf, density, lo, hi, tol=1e-12)
             return exc.value
 
+        monkeypatch.setattr(vf, "_MAX_PANELS", 8)
         assert isinstance(failure([(0.1, 1.0)]), NonconvergenceError)
         out_of_domain = failure([(2.0, 2.5)])
         assert isinstance(out_of_domain, DomainError)
@@ -473,7 +479,8 @@ class TestVerifyCase:
 class TestVerifyChain:
     def test_classical_chain_end_to_end(self):
         e = cat.classical_euclidean(6)
-        rep = verify_chain(e.chain, SpaceForm(6, 0.0), BatchSpec(count=10, seed=5))
+        rep = verify_case(InequalityCase("chain", SpaceForm(6, 0.0), BatchSpec(count=10, seed=5),
+                                         e.chain, case_id="chain"))
         assert rep.verdict == "pass"
         ends = [t for t in rep.tests if t.id.endswith(":end")]
         assert len(ends) == 10
@@ -487,14 +494,16 @@ class TestVerifyChain:
     def test_potential_chain(self):
         entry = cat.iterated_log_potential(1, 1.0)
         chain = cat.chain_from_potential(entry, 6)
-        rep = verify_chain(chain, SpaceForm(6, 0.0, 1.0), BatchSpec(count=6, seed=7))
+        rep = verify_case(InequalityCase("chain", SpaceForm(6, 0.0, 1.0),
+                                         BatchSpec(count=6, seed=7), chain, case_id="chain"))
         assert rep.verdict == "pass"
         assert any(s.target == "link-2-disconjugacy" and s.verdict == "nonnegative"
                    for s in rep.scans)
 
     def test_final_combined_chain(self):
         entry = cat.final_combined(5, 1.0)
-        rep = verify_chain(entry.chain, SpaceForm(5, 1.0), BatchSpec(count=5, seed=9))
+        rep = verify_case(InequalityCase("chain", SpaceForm(5, 1.0), BatchSpec(count=5, seed=9),
+                                         entry.chain, case_id="chain"))
         assert rep.verdict == "pass"
 
     def test_link_mismatch_detected(self):
@@ -504,7 +513,8 @@ class TestVerifyChain:
         bad_links = (dataclasses.replace(e.chain.links[0], alpha=1.5),)
         bad = dataclasses.replace(e.chain, links=bad_links)
         with pytest.raises(ChainMismatchError, match="link-1"):
-            verify_chain(bad, SpaceForm(6, 0.0), BatchSpec(count=1, seed=1))
+            verify_case(InequalityCase("chain", SpaceForm(6, 0.0), BatchSpec(count=1, seed=1),
+                                       bad, case_id="chain"))
 
     def test_spurious_link_among_many_is_named(self):
         import dataclasses
@@ -514,7 +524,8 @@ class TestVerifyChain:
                                  .specs["primal"], label="link-x")
         bad = dataclasses.replace(e.chain, links=e.chain.links + (spurious,))
         with pytest.raises(ChainMismatchError, match="offending link: link-x"):
-            verify_chain(bad, SpaceForm(5, 1.0), BatchSpec(count=1, seed=1))
+            verify_case(InequalityCase("chain", SpaceForm(5, 1.0), BatchSpec(count=1, seed=1),
+                                       bad, case_id="chain"))
 
 
 def _rows(tmp_path, argv: str, tol: float) -> dict:
