@@ -11,6 +11,7 @@ of transcribed; the provenance note records the delta.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 import operator
@@ -27,7 +28,7 @@ __all__ = [
     "classical_euclidean", "iterated_log_potential", "ell_potential",
     "hyperbolic_interpolation", "hyperbolic_lower", "final_combined",
     "chain_from_potential", "entry_chain", "entry_pair", "iterlog_q_expr",
-    "iterlog_product_bounds", "CATALOG_IDS", "build_entry",
+    "iterlog_product_bounds", "CATALOG_IDS", "build_entry", "family_knobs",
 ]
 
 @dataclass(frozen=True)
@@ -515,9 +516,19 @@ _FAMILIES = {
 CATALOG_IDS = tuple(_FAMILIES)
 
 
+def _family(entry_id: str):
+    if entry_id not in _FAMILIES:
+        raise ValueError(f"unknown catalog id {entry_id!r}; known: {', '.join(CATALOG_IDS)}")
+    return _FAMILIES[entry_id]
+
+
+def family_knobs(entry_id: str) -> frozenset:
+    """The knobs (of n, kappa, lam, k, R) that the family's builder reads."""
+    params = inspect.signature(_family(entry_id)).parameters.values()
+    return frozenset(p.name for p in params if p.kind is not p.VAR_KEYWORD)
+
+
 def build_entry(entry_id: str, n: int = 5, kappa: float = 1.0,
                 lam: float = 0.0, k: int = 1, R: float = 1.0) -> CatalogEntry:
     """Construct a catalog entry by its CLI id."""
-    if entry_id not in _FAMILIES:
-        raise ValueError(f"unknown catalog id {entry_id!r}; known: {', '.join(CATALOG_IDS)}")
-    return _FAMILIES[entry_id](n=n, kappa=kappa, lam=lam, k=k, R=R)
+    return _family(entry_id)(n=n, kappa=kappa, lam=lam, k=k, R=R)

@@ -166,6 +166,14 @@ def _inline_pair(args) -> Optional[PairSpec]:
 
 
 def _catalog_entry(args, entry_id: str) -> cat.CatalogEntry:
+    """The entry built from the flags; a --kappa, or a nonzero --lambda, that
+    the family does not read is a usage error rather than a config echo."""
+    knobs = cat.family_knobs(entry_id)
+    for flag, knob, given in (("--kappa", "kappa", args.kappa is not None),
+                              ("--lambda", "lam", args.lam != 0.0)):
+        if given and knob not in knobs:
+            raise ValueError(f"{flag} is not a knob of catalog family {entry_id!r}, "
+                             f"which does not read it")
     given = {name: value for name, value in (("kappa", args.kappa), ("R", args.R))
              if value is not None}
     return cat.build_entry(entry_id, n=args.n, lam=args.lam, k=args.k, **given)

@@ -420,8 +420,10 @@ def _sspace_coefficients(p: PairSpec, n: Optional[int]):
 _DEEP_LOG_DEPTH = 2.0e6          # potentials: start at t = R e^{-depth}
 _PAIR_LOG_DEPTH = 110.0
 _FLOAT_LOG_FLOOR = -120.0        # below t = e^{-120}, coefficients on ExtFloat
-_ODE_RTOL = 1e-8                 # step-doubling error per step
-_MAX_STEPS = 20_000              # attempts before a run ends inconclusive
+_ODE_RTOL = 1e-8                 # potentials: step-doubling error per step
+_PAIR_GRID = 512                 # pairs: steps of the first fixed-grid level
+_ANGLE_TOL = 1e-6                # pairs: Pruefer-angle agreement of two levels
+_MAX_STEPS = 20_000              # steps before a run ends inconclusive
 
 
 def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = None,
@@ -437,10 +439,15 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     float t = e^s above e^(-120), and on an ``expr.ExtFloat`` t (a float
     mantissa with an unbounded exponent) below it or after a float
     evaluation error, then converted to float; a coefficient that is not
-    finite there ends the run inconclusive.  Steps are RK4 with step-doubling
-    error control, and the state is renormalized in flight, which is
-    sign-safe for a linear equation.  ``steps`` counts accepted and rejected
-    attempts, plus the step that holds the first zero.
+    finite there ends the run inconclusive.
+
+    A potential takes RK4 steps with step-doubling error control, and its
+    state is renormalized in flight, which is sign-safe for a linear
+    equation.  A Bessel pair takes RK4 on nested uniform grids instead
+    (``_fixed_grid_run``).  ``steps`` counts a potential's accepted and
+    rejected attempts, or a pair's steps over all its grid levels, plus the
+    step that holds the first zero, which both bisect alike.  Past
+    ``_MAX_STEPS`` steps the run is inconclusive.
     """
     a_expr, b_expr = _sspace_coefficients(p, n)
     R = float(p.params.get("R", 1.0))
@@ -455,62 +462,102 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         s_lo = math.log(R) - depth
     program = ex.Program((a_expr, b_expr))
     base = p.bindings(n=n)
+    run = _fixed_grid_run if p.kind == "bessel-pair" else _adaptive_run
+    first_zero_s, status, steps = run(program, base, s_lo, s_hi)
+    if first_zero_s is not None:
+        t_zero = math.exp(first_zero_s) if first_zero_s > -745.0 else 0.0
+        return DisconjugacyReport(t_zero, "ok", log_t_first_zero=first_zero_s, steps=steps)
+    return DisconjugacyReport(None, status, steps=steps)
 
-    # (a, b) at s as floats: on a float t = e^s above e^(-120), else (or
-    # after a float failure) on an ExtFloat t.  The stages of a step share
-    # their points; the memo holds the current step's points by exact s
+
+def _point_coefficients(program: ex.Program, base: dict, s: float) -> list:
+    """(a, b) at one s as floats: on a float t = e^s above e^(-120), else (or
+    after a float failure or a non-finite value) on an ExtFloat t; raises
+    EvaluationError where that is not finite either."""
+    values = None
+    if s > _FLOAT_LOG_FLOOR:
+        try:
+            values = program.evaluate(dict(base, t=math.exp(s)))
+        except ex.EvaluationError:
+            pass
+    if values is None or not all(map(math.isfinite, values)):
+        values = [float(v) for v in program.evaluate(dict(base, t=ex.ext_exp(s)))]
+        if not all(map(math.isfinite, values)):
+            raise ex.EvaluationError(f"ODE coefficient out of float range at log t = {s!r}")
+    return values
+
+
+def _coefficient_memo(program: ex.Program, base: dict):
+    """_point_coefficients memoized by exact s, and its memo."""
     memo = {}
 
     def coeffs(s):
-        if s in memo:
-            return memo[s]
-        values = None
-        if s > _FLOAT_LOG_FLOOR:
-            try:
-                values = program.evaluate(dict(base, t=math.exp(s)))
-            except ex.EvaluationError:
-                pass
-        if values is None or not all(map(math.isfinite, values)):
-            values = [float(v) for v in program.evaluate(dict(base, t=ex.ext_exp(s)))]
-            if not all(map(math.isfinite, values)):
-                raise ex.EvaluationError(f"ODE coefficient out of float range at log t = {s!r}")
-        memo[s] = values
-        return values
+        if s not in memo:
+            memo[s] = _point_coefficients(program, base, s)
+        return memo[s]
 
-    def rk4(s, y, dy, h):
-        def f(s_, y_, dy_):
-            a_, b_ = coeffs(s_)
-            return dy_, -a_ * dy_ - b_ * y_
+    return coeffs, memo
 
-        k1 = f(s, y, dy)
-        k2 = f(s + h / 2, y + h / 2 * k1[0], dy + h / 2 * k1[1])
-        k3 = f(s + h / 2, y + h / 2 * k2[0], dy + h / 2 * k2[1])
-        k4 = f(s + h, y + h * k3[0], dy + h * k3[1])
-        return (y + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                dy + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
 
+def _rk4(coeffs, s, y, dy, h):
+    """One scalar RK4 step of y_ss + a y_s + b y = 0, (a, b) = coeffs(s)."""
+    def f(s_, y_, dy_):
+        a_, b_ = coeffs(s_)
+        return dy_, -a_ * dy_ - b_ * y_
+
+    k1 = f(s, y, dy)
+    k2 = f(s + h / 2, y + h / 2 * k1[0], dy + h / 2 * k1[1])
+    k3 = f(s + h / 2, y + h / 2 * k2[0], dy + h / 2 * k2[1])
+    k4 = f(s + h, y + h * k3[0], dy + h * k3[1])
+    return (y + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            dy + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+
+
+def _bisect_zero(coeffs, s, y, dy, h) -> float:
+    """The first zero of y in the step (s, s + h] from the state (y, dy) at
+    s: bisect the sign change on RK4 substeps re-integrated from the last
+    point before it, to 1e-9 max(1, |log t|)."""
+    lo_s, hi_s = s, s + h
+    y_lo, dy_lo = y, dy
+    for _ in range(40):
+        mid = (lo_s + hi_s) / 2
+        try:
+            y_mid, dy_mid = _rk4(coeffs, lo_s, y_lo, dy_lo, mid - lo_s)
+        except (ex.EvaluationError, ZeroDivisionError):
+            break
+        if y_mid == 0 or (y_lo < 0) != (y_mid < 0):
+            hi_s = mid
+        else:
+            lo_s, y_lo, dy_lo = mid, y_mid, dy_mid
+        if hi_s - lo_s < 1e-9 * max(1.0, abs(hi_s)):
+            break
+    return (lo_s + hi_s) / 2
+
+
+def _adaptive_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
+    """(first zero s or None, status, steps) of step-doubling RK4 from
+    (y, y_s) = (1, 0) at s_lo."""
+    # the stages of a step share their points; the memo holds the current
+    # step's points
+    coeffs, memo = _coefficient_memo(program, base)
     y, dy, s = 1.0, 0.0, s_lo
     end_tol = 1e-9 * max(1.0, abs(s_hi))
     h = min(1.0, s_hi - s_lo)
-    first_zero_s = None
     steps = 0
-    status = "ok"
     while s_hi - s > end_tol:
         if steps >= _MAX_STEPS:
-            status = "inconclusive"
-            break
+            return None, "inconclusive", steps
         h = min(h, s_hi - s)
         start = memo.get(s)      # keep only the new start's coefficients
         memo.clear()
         if start is not None:
             memo[s] = start
         try:
-            y_full, dy_full = rk4(s, y, dy, h)
-            y_half, dy_half = rk4(s, y, dy, h / 2)
-            y2, dy2 = rk4(s + h / 2, y_half, dy_half, h / 2)
+            y_full, dy_full = _rk4(coeffs, s, y, dy, h)
+            y_half, dy_half = _rk4(coeffs, s, y, dy, h / 2)
+            y2, dy2 = _rk4(coeffs, s + h / 2, y_half, dy_half, h / 2)
         except (ex.EvaluationError, ZeroDivisionError):
-            status = "inconclusive"
-            break
+            return None, "inconclusive", steps
         # max() drops a NaN in a later argument: a NaN y2 reaches err
         # through norm, a NaN dy2 through the first term, and a NaN err is
         # never accepted
@@ -522,29 +569,10 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
                 steps += 1
                 continue
             if not err <= 100.0 * _ODE_RTOL:   # step underflow: stiff failure
-                status = "inconclusive"
-                break
-        y_new, dy_new = y2, dy2
-        if y_new == 0 or (y < 0) != (y_new < 0):
-            # bisect the in-step sign change on re-integrated substeps
-            lo_s, hi_s = s, s + h
-            y_lo, dy_lo = y, dy
-            for _ in range(40):
-                mid = (lo_s + hi_s) / 2
-                try:
-                    y_mid, dy_mid = rk4(lo_s, y_lo, dy_lo, mid - lo_s)
-                except (ex.EvaluationError, ZeroDivisionError):
-                    break
-                if y_mid == 0 or (y_lo < 0) != (y_mid < 0):
-                    hi_s = mid
-                else:
-                    lo_s, y_lo, dy_lo = mid, y_mid, dy_mid
-                if hi_s - lo_s < 1e-9 * max(1.0, abs(hi_s)):
-                    break
-            first_zero_s = (lo_s + hi_s) / 2
-            steps += 1
-            break
-        y, dy, s = y_new, dy_new, s + h
+                return None, "inconclusive", steps
+        if y2 == 0 or (y < 0) != (y2 < 0):
+            return _bisect_zero(coeffs, s, y, dy, h), "ok", steps + 1
+        y, dy, s = y2, dy2, s + h
         steps += 1
         if err > 0:
             h = h * min(5.0, 0.9 * (_ODE_RTOL / err) ** 0.2)
@@ -553,11 +581,129 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         m = max(abs(y), abs(dy))
         if m > 1e80 or m < 1e-80:
             y, dy = y / m, dy / m
+    return None, "ok", steps
 
-    if first_zero_s is not None:
-        t_zero = math.exp(first_zero_s) if first_zero_s > -745.0 else 0.0
-        return DisconjugacyReport(t_zero, "ok", log_t_first_zero=first_zero_s, steps=steps)
-    return DisconjugacyReport(None, status, steps=steps)
+
+def _fill_coefficients(program: ex.Program, base: dict, s: np.ndarray,
+                       coef: np.ndarray) -> None:
+    """Set coef[:, i] = (a, b) at s[i] where it is NaN (not computed yet):
+    one vector run over the points above e^(-120), and the per-point rule
+    where that run raises or gives a non-finite value and below e^(-120)."""
+    todo = np.flatnonzero(np.isnan(coef[0]))
+    vec = todo[s[todo] > _FLOAT_LOG_FLOOR]
+    if vec.size:
+        try:
+            coef[:, vec] = [np.broadcast_to(v, vec.shape)
+                            for v in program.evaluate(dict(base, t=np.exp(s[vec])))]
+        except ex.EvaluationError:
+            pass
+    for i in todo[~np.isfinite(coef[:, todo]).all(axis=0)]:
+        coef[:, i] = _point_coefficients(program, base, float(s[i]))
+
+
+def _mul(p, q):
+    """p q for 2x2 matrices stored as rows (m00, m01, m10, m11) of columns."""
+    return np.array([p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+                     p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3]])
+
+
+_EYE = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
+
+
+def _step_matrices(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step matrices of u_s = A u, A = [[0, 1], [-b, -a]], u = (y, y_s),
+    one column per step of a uniform grid whose nodes and midpoints, in
+    order, carry a and b."""
+    (a0, am, a1), (b0, bm, b1) = [(v[:-1:2], v[1::2], v[2::2]) for v in (a, b)]
+
+    def times_a(a_, b_, x):      # A x
+        return np.array([x[2], x[3], -b_ * x[0] - a_ * x[2], -b_ * x[1] - a_ * x[3]])
+
+    k1 = times_a(a0, b0, np.broadcast_to(_EYE, (4, len(a0))))
+    k2 = times_a(am, bm, _EYE + h / 2 * k1)
+    k3 = times_a(am, bm, _EYE + h / 2 * k2)
+    k4 = times_a(a1, b1, _EYE + h * k3)
+    return _EYE + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """Column i is m_i ... m_1 m_0, in log2 depth.  Every pass divides each
+    partial product by its largest entry: a positive factor, so signs hold
+    and nothing overflows."""
+    q = m.copy()
+    d = 1
+    while d < q.shape[1]:
+        q[:, d:] = _mul(q[:, d:], q[:, :-d])
+        q /= np.abs(q).max(axis=0)
+        d *= 2
+    return q
+
+
+def _fixed_grid_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
+    """(first zero s or None, status, steps) of RK4 on uniform grids of
+    N = _PAIR_GRID, 2N, ... steps from (y, y_s) = (1, 0) at s_lo.
+
+    The coefficients do not depend on y: a level computes them in one vector
+    run on its nodes and midpoints, which the next level's nodes are, builds
+    every step's RK4 matrix in one pass and propagates by a prefix product.
+    A level is accepted when its Pruefer angle atan2(y_s, y) agrees within
+    _ANGLE_TOL with the previous level's at their shared nodes, up to its
+    first sign change, and the previous level agreed with its own within
+    16 _ANGLE_TOL, the factor by which one doubling cuts RK4's error: one
+    chance agreement of two levels that are both off is not convergence.
+    After a sign change the next level stops one coarse step past it.  The
+    first zero is bisected on scalar RK4 substeps from the Richardson
+    extrapolation of the two levels' angles at the last shared node before
+    it.  A level that would take the steps past _MAX_STEPS, or whose step is
+    below 1e-12 max(1, |s|), ends the run inconclusive; an interval within
+    the step-doubling loop's end tolerance has nothing to integrate.
+    """
+    span = s_hi - s_lo
+    if span <= 1e-9 * max(1.0, abs(s_hi)):
+        return None, "ok", 0
+    floor = 1e-12 * max(1.0, abs(s_lo), abs(s_hi))
+    N = stop = _PAIR_GRID                        # steps of the grid and of this level
+    coef = np.empty((2, 0))                      # (a, b) on a prefix of the grid of 2N steps
+    steps, coarse, agreed = 0, None, math.inf    # the previous level's angles and agreement
+    while True:
+        if steps + stop > _MAX_STEPS or span / N < floor:
+            return None, "inconclusive", steps
+        m = 2 * stop + 1
+        if m > coef.shape[1]:
+            coef = np.concatenate((coef, np.full((2, m - coef.shape[1]), np.nan)), axis=1)
+        s = s_lo + np.arange(m) / (2 * N) * span
+        try:
+            _fill_coefficients(program, base, s, coef[:, :m])
+        except (ex.EvaluationError, ZeroDivisionError):
+            return None, "inconclusive", steps
+        steps += stop
+        with np.errstate(all="ignore"):          # a NaN angle is never accepted
+            q = _prefix_products(_step_matrices(*coef[:, :m], span / N))
+            theta = np.concatenate(([0.0], np.arctan2(q[2], q[0])))
+        down = np.flatnonzero(~(q[0] > 0))
+        flip = int(down[0]) + 1 if down.size else None
+        if coarse is not None:
+            end = stop if flip is None else flip
+            comparable = (end >= 2 and len(coarse) > end // 2
+                          and (flip is not None or stop == N and len(coarse) == N // 2 + 1))
+            diff = (np.max(np.abs(theta[:end + 1:2] - coarse[:end // 2 + 1]))
+                    if comparable else math.inf)
+            if diff <= _ANGLE_TOL and agreed <= 16.0 * _ANGLE_TOL:
+                if flip is None:
+                    return None, "ok", steps
+                i = 2 * ((flip - 1) // 2)
+                angle = theta[i] + (theta[i] - coarse[i // 2]) / 15.0
+                coeffs, _ = _coefficient_memo(program, base)
+                zero = _bisect_zero(coeffs, float(s[2 * i]), math.cos(angle), math.sin(angle),
+                                    float(s[2 * flip] - s[2 * i]))
+                return zero, "ok", steps + 1
+            agreed = diff
+        coarse = theta
+        N *= 2
+        stop = N if flip is None else min(N, 2 * (flip + 1))
+        finer = np.full((2, 2 * coef.shape[1] - 1), np.nan)   # the same points, finer grid
+        finer[:, ::2] = coef
+        coef = finer
 
 
 # ---------------------------------------------------------------------------

@@ -515,8 +515,22 @@ class TestUsageAndIO:
         assert "unknown catalog id 'hyp-lower-x'; known: " + ", ".join(CATALOG_IDS) in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,knob,family", [
+        # the family is flat: its report echoed config.kappa 3.0 beside
+        # space_form.kappa 0.0
+        ("verify --catalog classical-rellich --n 6 --kappa 3", "--kappa", "classical-rellich"),
+        # the chain uses the entry's lambda 2.0; its report echoed lam 5.0
+        ("chain --catalog iterlog --k 1 --n 6 --R 1 --lambda 5", "--lambda", "iterlog"),
+    ])
+    def test_knob_the_family_ignores_is_a_usage_error(self, tmp_path, capsys, argv, knob,
+                                                      family):
+        code, rep = _run(tmp_path, *argv.split(), "--tests", "1")
+        assert code == EXIT_USAGE
+        assert rep is None
+        assert f"{knob} is not a knob of catalog family {family!r}" in capsys.readouterr().err
+
     _PAIR = "--n 6 --H n/(2*t) --v 1 --V n^2/(4*t^2)"
-    _POTENTIAL = "--n 6 --R 1 --z sqrt(logk(1,r/t)) --Z 1/(t^2*logk(1,r/t)^2)"
+    _POTENTIAL ="--n 6 --R 1 --z sqrt(logk(1,r/t)) --Z 1/(t^2*logk(1,r/t)^2)"
 
     @pytest.mark.parametrize("argv", [
         f"scan {_PAIR} --target E1 --kappa inf",

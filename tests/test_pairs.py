@@ -491,22 +491,89 @@ class TestDisconjugacy:
     def test_one_coefficient_run_per_point(self, potential, monkeypatch, which):
         # a step of step-doubling RK4 meets about 5 distinct s values; each
         # needs one run of the coefficient program, not one per stage and
-        # coefficient (24 per step)
-        if which == "potential":
-            p, n = potential.with_constant(0.3), None      # deep start
-        else:
-            p, n = pr.bessel_pairs_from_potential(potential, 2.0, 6)[1], 6   # float
-        runs = []
-        evaluate = Program.evaluate
+        # coefficient (24 per step).  A pair's fixed-grid levels run it once
+        # each, on a vector of the points no earlier level computed, and only
+        # the bisection of a first zero runs it point by point
+        runs, levels = [], []
+        evaluate, products = Program.evaluate, pr._prefix_products
 
         def counted(self, bindings):
             runs.append(bindings["t"])
             return evaluate(self, bindings)
 
+        def level(m):
+            levels.append(m.shape[1])
+            return products(m)
+
         monkeypatch.setattr(Program, "evaluate", counted)
-        rep = pr.disconjugacy_check(p, n=n)
-        assert rep.steps > 100
-        assert len(runs) <= 6 * rep.steps
+        if which == "potential":
+            rep = pr.disconjugacy_check(potential.with_constant(0.3))     # deep start
+            assert rep.steps > 100
+            assert len(runs) <= 6 * rep.steps
+            return
+        monkeypatch.setattr(pr, "_prefix_products", level)
+        second = pr.bessel_pairs_from_potential(potential, 2.0, 6)[1]
+        for c, zero in ((1.0, False), (3.0, True)):
+            runs.clear()
+            levels.clear()
+            rep = pr.disconjugacy_check(second.with_constant(c), n=6)
+            assert (rep.first_zero is not None) == zero and rep.status == "ok"
+            vectors = [t for t in runs if isinstance(t, np.ndarray)]
+            points = np.concatenate(vectors)
+            assert len(vectors) <= len(levels) and len(np.unique(points)) == len(points)
+            assert rep.steps == sum(levels) + zero
+            # the bisection: at most 40 halvings of 3 new points each
+            assert len(runs) - len(vectors) <= (120 if zero else 0)
+
+    @pytest.mark.parametrize("Y", ["exp(-8*log(t))*t^6",   # inf on float below t = e^-88.7
+                                   "t^-8*t^6"])   # t^8 is 0 below e^-93.1, and 1/0 raises
+    @pytest.mark.parametrize("C", [1.0, 5.0])
+    def test_pair_coefficients_fall_back_per_point(self, monkeypatch, Y, C):
+        # b = C t^2 Y = C, a = n - 2 = 4: y_ss + 4 y_s + C y = 0 from (1, 0)
+        # at s0 = -110 stays positive for C <= 4; at C = 5 it is
+        # e^(-2 (s-s0)) (cos + 2 sin)(s - s0), whose first zero lies at
+        # s0 + pi - atan(1/2).  Float coefficients are not finite deep in
+        # the interval, so those points take the per-point rule (ExtFloat)
+        kinds = set()
+        evaluate = Program.evaluate
+
+        def counted(self, bindings):
+            kinds.add(type(bindings["t"]).__name__)
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(Program, "evaluate", counted)
+        p = PairSpec(kind="bessel-pair", exprs={"X": Const(1.0), "Y": parse(Y)},
+                     constant=C, params={"R": 1.0})
+        rep = pr.disconjugacy_check(p, n=6)
+        assert "ExtFloat" in kinds and "ndarray" in kinds
+        assert rep.status == "ok"
+        if C < 4:
+            assert rep.positive_solution is True
+        else:
+            assert abs(rep.log_t_first_zero - (-110.0 + math.pi - math.atan(0.5))) <= 1e-7
+
+    def test_pair_coefficient_out_of_range_is_inconclusive(self):
+        # exp(1/t) is inf on float and saturates on ExtFloat below t = 2^-32
+        p = PairSpec(kind="bessel-pair", exprs={"X": Const(1.0), "Y": parse("exp(1/t)")},
+                     params={"R": 1.0})
+        rep = pr.disconjugacy_check(p, n=6)
+        assert rep.status == "inconclusive" and rep.steps == 0
+
+    @pytest.mark.parametrize("which", ["potential", "pair"])
+    def test_interval_within_the_end_tolerance_is_a_positive_run(self, potential, which):
+        p = potential if which == "potential" else pr.bessel_pairs_from_potential(
+            potential, 2.0, 6)[1]
+        rep = pr.disconjugacy_check(p, interval=(0.5, 0.5 * (1 + 1e-12)), n=6)
+        assert rep.positive_solution is True and rep.steps == 0
+
+    def test_pair_step_budget_is_inconclusive(self, potential, monkeypatch):
+        # the positive link needs levels of 512, ..., 4096 steps (7,680)
+        second = pr.bessel_pairs_from_potential(potential, 2.0, 6)[1]
+        assert pr.disconjugacy_check(second, n=6).steps == 7680
+        monkeypatch.setattr(pr, "_MAX_STEPS", 7679)
+        rep = pr.disconjugacy_check(second, n=6)
+        assert rep.status == "inconclusive" and rep.positive_solution is False
+        assert rep.steps == 3584
 
 
 def _mp_walk(e, b):
@@ -602,6 +669,55 @@ class TestDeepDisconjugacy:
         tol = 1e-9 * 2e6
         assert abs(rep.log_t_first_zero - -1999997.13274638) <= tol
         assert abs(rep.log_t_first_zero - (-2e6 + math.pi / (2 * math.sqrt(0.3)))) <= tol
+
+
+def _link_pair(family, k, n):
+    """The Bessel-pair link of a family's chain at R = 1."""
+    build = cat.iterated_log_potential if family == "iterlog" else cat.ell_potential
+    chain = cat.chain_from_potential(build(k, 1.0), n)
+    return next(link.spec for link in chain.links if link.spec.kind == "bessel-pair")
+
+
+def _reference_first_zero(p, n):
+    """log t of the first zero of a pair's solution from the principal data
+    at t = e^-110, by scipy's DOP853 at rtol 1e-13 on float coefficients."""
+    from scipy.integrate import solve_ivp
+
+    program = Program(pr._sspace_coefficients(p, n))
+    bindings = p.bindings(n=n)
+
+    def f(s, u):
+        a, b = program.evaluate({**bindings, "t": math.exp(s)})
+        return [u[1], -a * u[1] - b * u[0]]
+
+    def crossing(s, u):
+        return u[0]
+
+    crossing.terminal = True
+    sol = solve_ivp(f, (-110.0, math.log1p(-1e-9)), [1.0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-20, first_step=1e-3, events=crossing)
+    return sol.t_events[0][0]
+
+
+class TestPairGrid:
+    @pytest.mark.parametrize("family", ["iterlog", "ell-family"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_chain_link_keeps_a_positive_solution(self, family, k, n):
+        rep = pr.disconjugacy_check(_link_pair(family, k, n), n=n)
+        assert rep.positive_solution is True and rep.status == "ok"
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1.5, 3.0, 30.0])
+    def test_first_zero_matches_a_reference_integrator(self, k, c):
+        # the step-doubling loop came within 4.3e-8 of the reference here,
+        # the bisection's own tolerance being 1e-9 |log t| (1.1e-7).  At
+        # c = 1.5 the levels of 512 and 1,024 steps are both 1.2e-6 off and
+        # agree within 2.6e-7: a zero bisected from either misses by 1.2e-6
+        p = _link_pair("iterlog", k, 6).with_constant(c)
+        rep = pr.disconjugacy_check(p, n=6)
+        assert rep.status == "ok"
+        assert abs(rep.log_t_first_zero - _reference_first_zero(p, 6)) <= 1e-7
 
 
 def _one_pair_of_each_kind():
