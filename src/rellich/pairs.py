@@ -443,11 +443,13 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
 
     A potential takes RK4 steps with step-doubling error control, and its
     state is renormalized in flight, which is sign-safe for a linear
-    equation.  A Bessel pair takes RK4 on nested uniform grids instead
-    (``_fixed_grid_run``).  ``steps`` counts a potential's accepted and
-    rejected attempts, or a pair's steps over all its grid levels, plus the
-    step that holds the first zero, which both bisect alike.  Past
-    ``_MAX_STEPS`` steps the run is inconclusive.
+    equation.  A Bessel pair whose interval starts above e^(-120), as the
+    default one does, takes RK4 on nested uniform grids instead
+    (``_fixed_grid_run``); one that starts deeper spans too much of log t for
+    a uniform grid and takes the step-doubling loop too.  ``steps`` counts
+    the loop's accepted and rejected attempts, or the grid's steps over all
+    its levels, plus the step that holds the first zero, which both bisect
+    alike.  Past ``_MAX_STEPS`` steps the run is inconclusive.
     """
     a_expr, b_expr = _sspace_coefficients(p, n)
     R = float(p.params.get("R", 1.0))
@@ -462,7 +464,8 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         s_lo = math.log(R) - depth
     program = ex.Program((a_expr, b_expr))
     base = p.bindings(n=n)
-    run = _fixed_grid_run if p.kind == "bessel-pair" else _adaptive_run
+    grid = p.kind == "bessel-pair" and s_lo > _FLOAT_LOG_FLOOR
+    run = _fixed_grid_run if grid else _adaptive_run
     first_zero_s, status, steps = run(program, base, s_lo, s_hi)
     if first_zero_s is not None:
         t_zero = math.exp(first_zero_s) if first_zero_s > -745.0 else 0.0
@@ -627,9 +630,10 @@ def _step_matrices(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
-    """Column i is m_i ... m_1 m_0, in log2 depth.  Every pass divides each
-    partial product by its largest entry: a positive factor, so signs hold
-    and nothing overflows."""
+    """Column i is m_i ... m_1 m_0, in log2 depth, up to a positive factor
+    per column.  Every pass divides each partial product by its largest
+    entry, so signs hold; only a first-pass product of steps above 1e154 can
+    leave float range, and a column at or past one that does is not finite."""
     q = m.copy()
     d = 1
     while d < q.shape[1]:
@@ -654,9 +658,11 @@ def _fixed_grid_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
     After a sign change the next level stops one coarse step past it.  The
     first zero is bisected on scalar RK4 substeps from the Richardson
     extrapolation of the two levels' angles at the last shared node before
-    it.  A level that would take the steps past _MAX_STEPS, or whose step is
-    below 1e-12 max(1, |s|), ends the run inconclusive; an interval within
-    the step-doubling loop's end tolerance has nothing to integrate.
+    it.  A level that would take the steps past _MAX_STEPS, whose step is
+    below 1e-12 max(1, |s|), or whose state is not finite before its first
+    sign change (steps out of float range, which no level within the budget
+    resolves) ends the run inconclusive; an interval within the
+    step-doubling loop's end tolerance has nothing to integrate.
     """
     span = s_hi - s_lo
     if span <= 1e-9 * max(1.0, abs(s_hi)):
@@ -677,10 +683,13 @@ def _fixed_grid_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
         except (ex.EvaluationError, ZeroDivisionError):
             return None, "inconclusive", steps
         steps += stop
-        with np.errstate(all="ignore"):          # a NaN angle is never accepted
+        with np.errstate(all="ignore"):          # a state out of range is caught below
             q = _prefix_products(_step_matrices(*coef[:, :m], span / N))
             theta = np.concatenate(([0.0], np.arctan2(q[2], q[0])))
-        down = np.flatnonzero(~(q[0] > 0))
+        lost = ~np.isfinite(q).all(axis=0)
+        down = np.flatnonzero(~(q[0] > 0) | lost)
+        if down.size and lost[down[0]]:
+            return None, "inconclusive", steps
         flip = int(down[0]) + 1 if down.size else None
         if coarse is not None:
             end = stop if flip is None else flip
@@ -701,8 +710,8 @@ def _fixed_grid_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
         coarse = theta
         N *= 2
         stop = N if flip is None else min(N, 2 * (flip + 1))
-        finer = np.full((2, 2 * coef.shape[1] - 1), np.nan)   # the same points, finer grid
-        finer[:, ::2] = coef
+        finer = np.full((2, 2 * m - 1), np.nan)   # this level's points, finer grid
+        finer[:, ::2] = coef[:, :m]
         coef = finer
 
 

@@ -530,7 +530,7 @@ class TestUsageAndIO:
         assert f"{knob} is not a knob of catalog family {family!r}" in capsys.readouterr().err
 
     _PAIR = "--n 6 --H n/(2*t) --v 1 --V n^2/(4*t^2)"
-    _POTENTIAL ="--n 6 --R 1 --z sqrt(logk(1,r/t)) --Z 1/(t^2*logk(1,r/t)^2)"
+    _POTENTIAL = "--n 6 --R 1 --z sqrt(logk(1,r/t)) --Z 1/(t^2*logk(1,r/t)^2)"
 
     @pytest.mark.parametrize("argv", [
         f"scan {_PAIR} --target E1 --kappa inf",

@@ -575,6 +575,29 @@ class TestDisconjugacy:
         assert rep.status == "inconclusive" and rep.positive_solution is False
         assert rep.steps == 3584
 
+    @pytest.mark.parametrize("Y", ["1/t^6", "1/t^8"])
+    def test_pair_step_out_of_float_range_is_inconclusive(self, monkeypatch, Y):
+        # b = C t^2 Y/X is t^-2 (1e95 at the start) or t^-4 (1e191): the
+        # first level's steps, or their first products, are out of float
+        # range before any sign change, and no level within the budget
+        # resolves them.  Were a NaN state read as a sign change, every level
+        # would stop near the start, so the coefficient array must follow
+        # where a level stops, not keep every point of the finest grid
+        widths = []
+        fill = pr._fill_coefficients
+
+        def recorded(program, base, s, coef):
+            widths.append((coef if coef.base is None else coef.base).shape[1])
+            assert widths[-1] <= 2 * pr._MAX_STEPS + 1     # before a runaway allocation
+            return fill(program, base, s, coef)
+
+        monkeypatch.setattr(pr, "_fill_coefficients", recorded)
+        p = PairSpec(kind="bessel-pair", exprs={"X": parse("1/t^2"), "Y": parse(Y)},
+                     constant=1.0, params={"R": 1.0})
+        rep = pr.disconjugacy_check(p, n=6)
+        assert rep.status == "inconclusive" and rep.positive_solution is False
+        assert rep.steps == 512
+
 
 def _mp_walk(e, b):
     """e at the bindings b by a walk of its tree on mpmath numbers."""
@@ -718,6 +741,13 @@ class TestPairGrid:
         rep = pr.disconjugacy_check(p, n=6)
         assert rep.status == "ok"
         assert abs(rep.log_t_first_zero - _reference_first_zero(p, 6)) <= 1e-7
+
+    def test_interval_below_float_range_takes_the_loop(self):
+        # 460 in log t: a uniform grid exhausts the budget before its levels
+        # agree, where the step-doubling loop passes
+        rep = pr.disconjugacy_check(_link_pair("iterlog", 1, 6), interval=(1e-200, 0.999), n=6)
+        assert rep.positive_solution is True and rep.status == "ok"
+        assert rep.steps == 6978
 
 
 def _one_pair_of_each_kind():
