@@ -2,9 +2,10 @@
 
 Expressions are immutable trees over the variable ``t`` and the named
 parameters ``n, kappa, lambda, r, R, c, k``.  They support evaluation
-(float, numpy array, or ``ExtFloat`` backends, chosen from the type of
-the ``t`` binding; an ExtFloat has a float mantissa and an unbounded
-exponent, for t far below float range), closed-form differentiation,
+(float, numpy array, ``ExtFloat`` or ``WideFloat`` backends, chosen from
+the type of the ``t`` binding; an ExtFloat array has float mantissas and
+int64 exponents, for t far below float range, and a WideFloat is a 40-digit
+decimal, for sums that cancel there), closed-form differentiation,
 printing back to the DSL, and a finite-difference self check.
 
 Evaluation is compiled once per root: the first ``evaluate`` lowers the
@@ -25,6 +26,7 @@ identity).
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 import re
@@ -36,7 +38,7 @@ __all__ = [
     "Expr", "Const", "Var", "Param", "Unary", "Binary", "Iter", "Program",
     "Bindings", "parse", "evaluate", "differentiate", "fd_check",
     "ExprError", "ParseError", "EvaluationError", "UnboundParameterError",
-    "DomainError", "ExtFloat", "ext_exp",
+    "DomainError", "ExtFloat", "ext_exp", "to_floats", "WideFloat", "wide_exp",
 ]
 
 PARAMETER_NAMES = ("n", "kappa", "lambda", "r", "R", "c", "k")
@@ -137,7 +139,7 @@ def _primitives(any_, reject, log, sqrt, exp, sinh, cosh, tanh, coth, hyp_ct,
         bad = ((x <= 0) & notint(y)) | ((x == 0) & (y < 0))
         if bad is not False and any_(bad):
             reject("^", x, bad)
-        if isinstance(y, (int, float, ExtFloat)) and float(y).is_integer():
+        if isinstance(y, (int, float)) and float(y).is_integer():
             return int_pow(x, int(float(y)))
         return power(x, y)
 
@@ -151,8 +153,15 @@ def _reject_scalar(primitive, x, bad):
     raise DomainError(primitive, x)
 
 
+def _any_array(bad) -> bool:
+    """Whether a predicate of the vector backends holds anywhere (a plain
+    True comes from a constant operand)."""
+    return bad is True or np.count_nonzero(bad) > 0
+
+
 def _reject_array(primitive, x, bad):
-    raise DomainError(primitive, float(np.asarray(x)[np.asarray(bad)].flat[0]))
+    bad = np.asarray(bad)
+    raise DomainError(primitive, float(np.broadcast_to(to_floats(x), bad.shape)[bad].flat[0]))
 
 
 def _sinh_float(x):
@@ -197,38 +206,56 @@ _FLOAT = _primitives(
 
 # overflow is silenced by the errstate in Expr.evaluate
 _NUMPY = _primitives(
-    np.any, _reject_array, np.log, np.sqrt, np.exp, np.sinh, np.cosh, np.tanh,
+    _any_array, _reject_array, np.log, np.sqrt, np.exp, np.sinh, np.cosh, np.tanh,
     lambda x: 1.0 / np.tanh(x), lambda x, kappa: kappa / np.tanh(kappa * x),
     np.power, lambda y: np.mod(y, 1.0) != 0, lambda x: bool(np.any(np.isnan(x))))
 
 
 # ---------------------------------------------------------------------------
-# extended-exponent scalars: the disconjugacy ODE starts at t = e^(-2e6)
+# extended-exponent arrays: the disconjugacy ODE starts at t = e^(-2e6)
 
 
 class ExtFloat:
-    """A real number m * 2^e: a float mantissa m, normalized by frexp
-    (0.5 <= |m| < 1) unless it is zero, infinite or NaN, and a Python-int
-    exponent e.  + - * / round once, so inside float range they give the
-    float's bits; a float or int operand is promoted to an ExtFloat."""
+    """Real numbers m * 2^e, elementwise: a numpy float mantissa m and an
+    int64 exponent e of the same shape; a scalar has shape ().  + - * /
+    round once, so inside float range they give the float's bits; a float,
+    int or array operand is promoted, and shapes broadcast as in numpy.
 
-    __slots__ = ("m", "e")
+    The constructor, a sum and every function of the table normalize the
+    mantissa by frexp (0.5 <= |m| < 1, unless it is zero, infinite or NaN).
+    A product or quotient does not: ``drift`` counts the multiplications
+    and divisions since the last normalization, which keep |m| within
+    [2^-(drift+1), 2^drift], and passing _DRIFT normalizes.  So a sum
+    aligns operands far inside float range, and no value depends on where
+    normalization happened.  Mantissas can overflow to inf and NaN, so
+    vector code runs under ``np.errstate``, as ``Program.evaluate`` does."""
+
+    __slots__ = ("m", "e", "drift")
+    __array_ufunc__ = None       # numpy operands defer to the methods below
 
     def __init__(self, x, e=0):
-        self.m, d = math.frexp(x)
-        self.e = e + d
+        self.m, d = np.frexp(x)
+        self.e = np.add(e, d, dtype=np.int64)
+        self.drift = 0
+
+    def floats(self) -> np.ndarray:
+        """The values as floats: 0 or +-inf outside float range (which
+        warns unless np.errstate says otherwise)."""
+        return np.ldexp(self.m, self.e)
 
     def __float__(self):
-        try:
-            return math.ldexp(self.m, self.e)
-        except OverflowError:
-            return math.copysign(math.inf, self.m)
+        with np.errstate(over="ignore"):
+            return float(self.floats().item())
 
     def __repr__(self):
-        return f"ExtFloat({self.m!r}, {self.e})"
+        x = _normalized(self)
+        return f"ExtFloat({x.m!r}, {x.e!r})"
 
     def __neg__(self):
-        return ExtFloat(-self.m, self.e)
+        return _raw(-self.m, self.e, self.drift)
+
+    def __abs__(self):
+        return _raw(np.abs(self.m), self.e, self.drift)
 
     def __add__(self, other):
         return _add(self.m, self.e, *_split(other))
@@ -236,30 +263,37 @@ class ExtFloat:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -other
+        m, e = _split(other)
+        return _add(self.m, self.e, -m, e)
 
     def __rsub__(self, other):
         return _add(*_split(other), -self.m, self.e)
 
     def __mul__(self, other):
-        if type(other) is ExtFloat:
-            return ExtFloat(self.m * other.m, self.e + other.e)
-        m, e = math.frexp(other)
-        return ExtFloat(self.m * m, self.e + e)
+        kind = type(other)
+        if kind is ExtFloat:
+            m, e, drift = other.m, other.e, self.drift + other.drift
+        else:
+            (m, e), drift = _factor(other, kind), self.drift
+        return _product(self.m * m, self.e + e, drift)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        m, e = _split(other)
-        return ExtFloat(self.m / m, self.e - e)
+        kind = type(other)
+        if kind is ExtFloat:
+            m, e, drift = other.m, other.e, self.drift + other.drift
+        else:
+            (m, e), drift = _factor(other, kind), self.drift
+        return _product(self.m / m, self.e - e, drift)
 
     def __rtruediv__(self, other):
-        m, e = _split(other)
-        return ExtFloat(m / self.m, e - self.e)
+        m, e = _factor(other, type(other))
+        return _product(m / self.m, e - self.e, self.drift)
 
-    def _sign(self, other) -> float:
-        """A float with the sign of self - other (NaN if unordered)."""
-        if type(other) is not ExtFloat and other == 0:
+    def _sign(self, other):
+        """Floats with the signs of self - other (NaN where unordered)."""
+        if isinstance(other, (int, float)) and other == 0:
             return self.m
         return (self - other).m
 
@@ -276,26 +310,81 @@ class ExtFloat:
         return self._sign(other) >= 0
 
     def __eq__(self, other):
-        if not isinstance(other, (ExtFloat, float, int)):
+        kind = type(other)
+        if (kind is float or kind is int) and other == 0:
+            return self.m == 0
+        if not isinstance(other, (ExtFloat, float, int, np.ndarray)):
             return NotImplemented
-        m, e = _split(other)
-        return self.m == m and (self.e == e or not 0 < abs(m) < math.inf)
+        x = _normalized(self)
+        m, e = _split(_normalized(other) if type(other) is ExtFloat else other)
+        return (x.m == m) & ((x.e == e) | (m == 0) | ~np.isfinite(m))
+
+
+# products and quotients since the last normalization before the next one
+_DRIFT = 64
 
 
 def _split(x) -> tuple:
-    return (x.m, x.e) if type(x) is ExtFloat else math.frexp(x)
+    return (x.m, x.e) if type(x) is ExtFloat else np.frexp(x)
+
+
+def _factor(x, kind) -> tuple:
+    """(m, e) of a product's operand x of type kind, not ExtFloat; a Python
+    number is split by math."""
+    return math.frexp(x) if kind is float or kind is int else np.frexp(x)
+
+
+def _raw(m, e, drift=0) -> ExtFloat:
+    x = object.__new__(ExtFloat)
+    x.m, x.e, x.drift = m, e, drift
+    return x
+
+
+def _normal(m, e) -> ExtFloat:
+    """m 2^e with its mantissa normalized, for an int64 exponent e."""
+    m, d = np.frexp(m)
+    return _raw(m, e + d)
+
+
+def _product(m, e, drift) -> ExtFloat:
+    """m 2^e from a product or quotient of mantissas of the given drift."""
+    if drift >= _DRIFT:
+        return _normal(m, e)
+    x = object.__new__(ExtFloat)
+    x.m, x.e, x.drift = m, e, drift + 1
+    return x
+
+
+def _normalized(x):
+    """x with its mantissa normalized; any other operand as it is."""
+    if type(x) is not ExtFloat or not x.drift:
+        return x
+    return _normal(x.m, x.e)
+
+
+def to_floats(x) -> np.ndarray:
+    """x as floats: an ExtFloat rounded (0 or +-inf outside float range,
+    which warns unless np.errstate says otherwise), anything else through
+    np.asarray."""
+    return x.floats() if type(x) is ExtFloat else np.asarray(x, dtype=float)
+
+
+_ZERO_EXPONENT = -(2 ** 62)      # a zero's exponent in a sum: below every other
 
 
 def _add(am, ae, bm, be) -> ExtFloat:
     # the operand of smaller exponent is scaled exactly (or to a negligible
-    # subnormal) before the one rounding of the sum
-    if not bm:
-        return ExtFloat(am + bm if not am else am, ae)   # signed zeros as in float
-    if not am:
-        return ExtFloat(bm, be)
-    if ae >= be:
-        return ExtFloat(am + math.ldexp(bm, be - ae), ae)
-    return ExtFloat(math.ldexp(am, ae - be) + bm, be)
+    # subnormal) before the one rounding of the sum; a zero counts as the
+    # smaller one, so signed zeros add as in float
+    product = am * bm            # zero where an operand is (0 * inf is NaN, which adds alike)
+    if np.count_nonzero(product) == np.size(product):
+        k = np.maximum(ae, be)
+        return _normal(np.ldexp(am, ae - k) + np.ldexp(bm, be - k), k)
+    ka = np.where(am == 0, _ZERO_EXPONENT, ae)
+    kb = np.where(bm == 0, _ZERO_EXPONENT, be)
+    k = np.maximum(ka, kb)
+    m = np.ldexp(am, ka - k) + np.ldexp(bm, kb - k)
+    return _normal(m, np.maximum(k, np.minimum(ae, be)))
 
 
 # ln 2 in three parts for Cody-Waite reduction; the first two have at most 20
@@ -313,72 +402,214 @@ _EXP_SATURATION = 2.0 ** 32
 
 def ext_exp(x) -> ExtFloat:
     """e^x as an ExtFloat: x = k ln 2 + r with |r| <= ln(2)/2, e^x = e^r 2^k."""
-    x = float(x)
-    if not -_EXP_SATURATION <= x <= _EXP_SATURATION:
-        return ExtFloat(math.inf if x > 0 else 0.0 if x < 0 else x)
-    k = round(x / _LN2)
-    return ExtFloat(math.exp(x - k * _LN2_HI - k * _LN2_MID - k * _LN2_LO), k)
+    if type(x) is ExtFloat:
+        with np.errstate(over="ignore"):
+            x = x.floats()
+    x = np.asarray(x, dtype=float)
+    k = np.rint(x / _LN2)
+    outside = ~(np.abs(x) <= _EXP_SATURATION)
+    if np.count_nonzero(outside):    # 0 or +inf, and NaN stays NaN
+        x = np.where(outside, np.where(x > 0, np.inf, np.where(x < 0, -np.inf, x)), x)
+        k = np.where(outside, 0.0, k)
+    return _normal(np.exp(x - k * _LN2_HI - k * _LN2_MID - k * _LN2_LO), k.astype(np.int64))
 
 
 def _ext_log(x) -> ExtFloat:
-    m, e = _split(x)
-    if -1021 <= e <= 1024:       # inside float range: no cancellation near x = 1
-        return ExtFloat(math.log(math.ldexp(m, e)))
-    return ExtFloat(e * _LN2_HI + (math.log(m) + e * (_LN2_MID + _LN2_LO)))
+    m, e = _split(_normalized(x))
+    far = e * _LN2_HI + (np.log(m) + e * (_LN2_MID + _LN2_LO))
+    inside = np.abs(e) <= 1021
+    if np.count_nonzero(inside):     # inside float range: no cancellation near x = 1
+        far = np.where(inside, np.log(np.ldexp(m, np.where(inside, e, 0))), far)
+    return _normal(far, 0)
 
 
 def _ext_sqrt(x) -> ExtFloat:
     m, e = _split(x)
-    return ExtFloat(math.sqrt(math.ldexp(m, e & 1)), e >> 1)
+    return ExtFloat(np.sqrt(np.ldexp(m, e & 1)), e >> 1)
 
 
-def _tiny(x) -> bool:
-    """Below 2^-1000, where sinh x = tanh x = x in float."""
-    return type(x) is ExtFloat and x.e < -1000
+def _unless_tiny(x, m, e) -> ExtFloat:
+    """m 2^e, but x itself where |x| < 2^-1000: there sinh x = tanh x = x."""
+    if type(x) is not ExtFloat:
+        return ExtFloat(m, e)
+    x = _normalized(x)
+    tiny = x.e < -1000
+    return ExtFloat(np.where(tiny, x.m, m), np.where(tiny, x.e, e))
 
 
 def _ext_sinh_cosh(f, odd: bool):
     def g(x) -> ExtFloat:
-        if odd and _tiny(x):
-            return x
-        x = float(x)
-        if abs(x) <= 709.0:
-            return ExtFloat(f(x))
-        y = ext_exp(abs(x))          # e^-|x| is below the last bit
-        return ExtFloat(math.copysign(y.m, x) if odd else y.m, y.e - 1)
+        xf = to_floats(x)
+        y = ext_exp(np.abs(xf))          # past 709, e^-|x| is below the last bit
+        big = np.abs(xf) > 709.0
+        m = np.where(big, np.copysign(y.m, xf) if odd else y.m, f(xf))
+        e = np.where(big, y.e - 1, 0)
+        return _unless_tiny(x, m, e) if odd else ExtFloat(m, e)
     return g
 
 
 def _ext_tanh(x) -> ExtFloat:
-    return x if _tiny(x) else ExtFloat(math.tanh(float(x)))
+    return _unless_tiny(x, np.tanh(to_floats(x)), 0)
 
 
 def _ext_pow(x, y) -> ExtFloat:
-    """x^y for x >= 0 and y not an integer, as 2^(y log2 m) 2^(y e): the
-    product y e is split exactly into its whole and fractional parts."""
+    """x^y elementwise where the domain rules let it through (x > 0, or y
+    an integer), as +-2^(y log2 |m|) 2^(y e).  For |y| < 2^53, y = p / 2^q
+    and the product y e is split exactly, in Python ints, into its whole
+    and fractional parts; a larger or non-finite y takes e^(y log |x|)."""
     m, e = _split(x)
-    y = float(y)
-    if not m:
-        return ExtFloat(0.0)      # the domain rules let 0^y through for y > 0 only
-    if not math.isfinite(y):
-        return ext_exp(y * float(_ext_log(x)))
-    p, q = y.as_integer_ratio()
-    whole, part = divmod(e * p, q)
-    r = ext_exp((part / q + y * math.log2(m)) * _LN2)
-    return ExtFloat(r.m, r.e + whole)
+    m, e, y = np.broadcast_arrays(m, e, to_floats(y))
+    exact = np.abs(y) < 2.0 ** 53
+    fy, ky = np.frexp(np.where(exact, y, 0.0))
+    whole, frac = [], []
+    for p, k, q in zip(*(np.ravel(v).tolist() for v in
+                         (np.ldexp(fy, 53).astype(np.int64), e, 53 - ky))):
+        w, part = divmod(p * k, 1 << q)
+        whole.append(min(max(w, -2 ** 62), 2 ** 62))
+        frac.append(part / (1 << q))
+    whole, frac = np.reshape(whole, m.shape).astype(np.int64), np.reshape(frac, m.shape)
+    r = ext_exp((frac + y * np.log2(np.abs(m))) * _LN2)
+    r_e = r.e + whole
+    if not exact.all():
+        far = ext_exp(y * to_floats(_ext_log(ExtFloat(np.abs(m), e))))
+        r = ExtFloat(np.where(exact, r.m, far.m), np.where(exact, r_e, far.e))
+        r_e = r.e
+    sign = np.where((m < 0) & (np.mod(y, 2.0) == 1), -1.0, 1.0)
+    zero = m == 0                # 0^0 = 1; the domain rules reject 0^y for y < 0
+    return ExtFloat(np.where(zero, np.where(y == 0, 1.0, 0.0), sign * r.m),
+                    np.where(zero, 0, r_e))
 
 
 _EXT = _primitives(
-    bool, _reject_scalar, _ext_log, _ext_sqrt, ext_exp, _ext_sinh_cosh(math.sinh, True),
-    _ext_sinh_cosh(math.cosh, False), _ext_tanh, lambda x: 1.0 / _ext_tanh(x),
-    lambda x, kappa: kappa / _ext_tanh(kappa * x), _ext_pow, _notint_scalar, lambda x: x != x)
+    _any_array, _reject_array, _ext_log, _ext_sqrt, ext_exp, _ext_sinh_cosh(np.sinh, True),
+    _ext_sinh_cosh(np.cosh, False), _ext_tanh, lambda x: 1.0 / _ext_tanh(x),
+    lambda x, kappa: kappa / _ext_tanh(kappa * x), _ext_pow,
+    lambda y: np.mod(to_floats(y), 1.0) != 0, lambda x: np.count_nonzero(np.isnan(_split(x)[0])) > 0)
+
+
+# ---------------------------------------------------------------------------
+# 40-digit decimals: coefficients whose terms cancel at the deep start
+
+_WIDE_CONTEXT = decimal.Context(prec=40, Emin=-10 ** 9, Emax=10 ** 9, traps=[])
+
+
+class WideFloat:
+    """A 40-digit decimal with exponents within +-10^9.  Its arithmetic runs
+    on a context of its own, so the thread's decimal context is neither read
+    nor changed; a float or int operand is rounded to 40 digits."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, x):
+        self.d = _decimal(x)
+
+    def __float__(self):
+        return float(self.d)
+
+    def __repr__(self):
+        return f"WideFloat({str(self.d)!r})"
+
+    def __neg__(self):
+        return WideFloat(_WIDE_CONTEXT.minus(self.d))
+
+    def __abs__(self):
+        return WideFloat(_WIDE_CONTEXT.abs(self.d))
+
+    def __add__(self, other):
+        return WideFloat(_WIDE_CONTEXT.add(self.d, _decimal(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return WideFloat(_WIDE_CONTEXT.subtract(self.d, _decimal(other)))
+
+    def __rsub__(self, other):
+        return WideFloat(_WIDE_CONTEXT.subtract(_decimal(other), self.d))
+
+    def __mul__(self, other):
+        return WideFloat(_WIDE_CONTEXT.multiply(self.d, _decimal(other)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return WideFloat(_WIDE_CONTEXT.divide(self.d, _decimal(other)))
+
+    def __rtruediv__(self, other):
+        return WideFloat(_WIDE_CONTEXT.divide(_decimal(other), self.d))
+
+    def _sign(self, other) -> float:
+        """The sign of self - other as a float (NaN if unordered)."""
+        return float(_WIDE_CONTEXT.compare(self.d, _decimal(other)))
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+    def __le__(self, other):
+        return self._sign(other) <= 0
+
+    def __gt__(self, other):
+        return self._sign(other) > 0
+
+    def __ge__(self, other):
+        return self._sign(other) >= 0
+
+    def __eq__(self, other):
+        return self._sign(other) == 0
+
+
+def _decimal(x) -> decimal.Decimal:
+    # Decimal(float) would flag FloatOperation on the thread's context
+    kind = type(x)
+    if kind is WideFloat:
+        return x.d
+    return x if kind is decimal.Decimal else _WIDE_CONTEXT.create_decimal_from_float(x)
+
+
+def wide_exp(x) -> WideFloat:
+    """e^x as a WideFloat."""
+    return WideFloat(_WIDE_CONTEXT.exp(_decimal(x)))
+
+
+def _wide(f):
+    return lambda x: WideFloat(f(_decimal(x)))
+
+
+def _wide_sinh_cosh(odd: bool):
+    def g(x) -> WideFloat:
+        x = WideFloat(x)
+        if odd and x.d.adjusted() < -10:     # sinh x = x within 1e-20
+            return x
+        y = wide_exp(x)
+        return (y - 1 / y) / 2 if odd else (y + 1 / y) / 2
+    return g
+
+
+def _wide_tanh(x) -> WideFloat:
+    x = WideFloat(x)
+    if x.d.adjusted() < -10:                 # tanh x = x within 1e-20
+        return x
+    if abs(x) > 50:                          # tanh x = +-1 within 1e-43
+        return WideFloat(decimal.Decimal(1).copy_sign(x.d))
+    y = wide_exp(2 * x)
+    return (y - 1) / (y + 1)
+
+
+_WIDE = _primitives(
+    bool, _reject_scalar, _wide(_WIDE_CONTEXT.ln), _wide(_WIDE_CONTEXT.sqrt), wide_exp,
+    _wide_sinh_cosh(True), _wide_sinh_cosh(False), _wide_tanh, lambda x: 1 / _wide_tanh(x),
+    lambda x, kappa: kappa / _wide_tanh(kappa * x),
+    lambda x, y: WideFloat(_WIDE_CONTEXT.power(_decimal(x), _decimal(y))), _notint_scalar,
+    lambda x: type(x) is WideFloat and x.d.is_nan())
 
 
 def _backend(t_value) -> dict:
     if isinstance(t_value, np.ndarray):
         return _NUMPY
-    if type(t_value) is ExtFloat:
+    kind = type(t_value)
+    if kind is ExtFloat:
         return _EXT
+    if kind is WideFloat:
+        return _WIDE
     return _FLOAT
 
 
@@ -389,8 +620,9 @@ def _ipow(x, k: int):
     while k:
         if k & 1:
             result = base if result is None else result * base
-        base = base * base
         k >>= 1
+        if k:
+            base = base * base
     return 1.0 if result is None else result
 
 
@@ -838,12 +1070,12 @@ class Program:
         outside its primitive's domain raises as the scheduled order meets
         it, so of several such steps the one computed first names the error."""
         be = _backend(bindings.get("t"))
-        if be is _NUMPY:
+        if be is _FLOAT:
+            values = _run(self.code, self.width, self.regs, bindings, be)
+        else:
             # overflow saturates to inf by design; NaN is still rejected below
             with np.errstate(all="ignore"):
                 values = _run(self.code, self.width, self.regs, bindings, be)
-        else:
-            values = _run(self.code, self.width, self.regs, bindings, be)
         for value in values:
             if be["isnan"](value):
                 raise DomainError("expression", "NaN produced")

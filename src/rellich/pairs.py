@@ -417,12 +417,28 @@ def _sspace_coefficients(p: PairSpec, n: Optional[int]):
     return a, b
 
 
+def _summands(p: PairSpec) -> tuple:
+    """The top-level sum in b (Z of a potential, Y of a pair) followed by
+    its terms, for the cancellation rule; () when it has one term."""
+    total = p.expr("Z" if p.kind == "bessel-potential" else "Y")
+    terms, stack = [], [total]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, ex.Binary) and e.op in ("+", "-"):
+            stack += [e.right, e.left]
+        else:
+            terms.append(e)
+    return (total, *terms) if len(terms) > 1 else ()
+
+
 _DEEP_LOG_DEPTH = 2.0e6          # potentials: start at t = R e^{-depth}
 _PAIR_LOG_DEPTH = 110.0
+_END_GAP = -math.log1p(-1e-9)    # default intervals end at t = R (1 - 1e-9)
 _FLOAT_LOG_FLOOR = -120.0        # below t = e^{-120}, coefficients on ExtFloat
-_ODE_RTOL = 1e-8                 # potentials: step-doubling error per step
-_PAIR_GRID = 512                 # pairs: steps of the first fixed-grid level
-_ANGLE_TOL = 1e-6                # pairs: Pruefer-angle agreement of two levels
+_CANCELLATION = 2.0 ** 12        # sum |term| / |sum| past which b takes 40 digits
+_ODE_RTOL = 1e-8                 # the loop: step-doubling error per step
+_GRID = 512                      # steps of the first fixed-grid level
+_ANGLE_TOL = 1e-6                # Pruefer-angle agreement of two levels
 _MAX_STEPS = 20_000              # steps before a run ends inconclusive
 
 
@@ -431,28 +447,32 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     """Integrate the defining linear ODE and report whether the solution
     with principal (recessive-at-zero) initial data stays positive.
 
-    The integration runs in s = log t from near the singular endpoint: a
-    potential from t = R e^(-2e6), far below float range, so that the
-    oscillation of super-critical potentials is actually visible, a Bessel
-    pair from R e^(-110), and an explicit interval from its t0.  The state
-    (y, y', s and the step) is float.  The coefficients are computed on a
-    float t = e^s above e^(-120), and on an ``expr.ExtFloat`` t (a float
-    mantissa with an unbounded exponent) below it or after a float
-    evaluation error, then converted to float; a coefficient that is not
-    finite there ends the run inconclusive.
+    The integration runs from near the singular endpoint: a potential from
+    t = R e^(-2e6), far below float range, so that the oscillation of
+    super-critical potentials is actually visible, a Bessel pair from
+    R e^(-110), and an explicit interval from its t0.  The state is float.
+    The coefficients (``_coefficients``) are computed in one numpy run on
+    the points t = e^s above e^(-120) and one ``expr.ExtFloat`` run (float
+    mantissas, int64 exponents) on those below it or whose numpy value is
+    not finite, then rounded to float; a point where the top-level sum in b
+    cancels (sum |term| / |sum| above 2^12) is recomputed on 40 digits, and
+    a coefficient that is not finite ends the run inconclusive.
 
-    A potential takes RK4 steps with step-doubling error control, and its
+    Three integrators share that rule.  A potential on its default interval
+    takes RK4 on nested grids uniform in v = -log(log R - s), s = log t,
+    where b w^2 (w = log R - s) of the catalog potentials tends to a
+    constant at both ends (``_fixed_grid_run``); a Bessel pair whose
+    interval starts above e^(-120), as the default one does, takes nested
+    grids uniform in s.  Everything else, and a potential that no grid
+    level resolves, takes the step-doubling loop (``_adaptive_run``), whose
     state is renormalized in flight, which is sign-safe for a linear
-    equation.  A Bessel pair whose interval starts above e^(-120), as the
-    default one does, takes RK4 on nested uniform grids instead
-    (``_fixed_grid_run``); one that starts deeper spans too much of log t for
-    a uniform grid and takes the step-doubling loop too.  ``steps`` counts
-    the loop's accepted and rejected attempts, or the grid's steps over all
-    its levels, plus the step that holds the first zero, which both bisect
-    alike.  Past ``_MAX_STEPS`` steps the run is inconclusive.
+    equation.  ``steps`` counts the grid's steps over all its levels, the
+    loop's accepted and rejected attempts, and the step that holds the
+    first zero, which both bisect alike in s.  Past ``_MAX_STEPS`` steps
+    the run is inconclusive.
     """
     a_expr, b_expr = _sspace_coefficients(p, n)
-    R = float(p.params.get("R", 1.0))
+    log_R = math.log(float(p.params.get("R", 1.0)))
     if interval is not None:
         t0, t1 = interval
         if not (0 < t0 < t1 < math.inf):
@@ -460,58 +480,97 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         s_lo, s_hi = math.log(t0), math.log(t1)
     else:
         depth = _DEEP_LOG_DEPTH if p.kind == "bessel-potential" else _PAIR_LOG_DEPTH
-        s_hi = math.log(R) + math.log1p(-1e-9)
-        s_lo = math.log(R) - depth
-    program = ex.Program((a_expr, b_expr))
+        s_lo, s_hi = log_R - depth, log_R - _END_GAP
+    program = ex.Program((a_expr, b_expr, *_summands(p)))
     base = p.bindings(n=n)
-    grid = p.kind == "bessel-pair" and s_lo > _FLOAT_LOG_FLOOR
-    run = _fixed_grid_run if grid else _adaptive_run
-    first_zero_s, status, steps = run(program, base, s_lo, s_hi)
+    if p.kind == "bessel-potential" and interval is None:
+        first_zero_s, status, steps = _fixed_grid_run(
+            program, base, -math.log(depth), -math.log(_END_GAP), _v_map(log_R))
+        if status == "inconclusive":
+            first_zero_s, status, steps = _adaptive_run(program, base, s_lo, s_hi, steps)
+    elif p.kind == "bessel-pair" and s_lo > _FLOAT_LOG_FLOOR:
+        first_zero_s, status, steps = _fixed_grid_run(program, base, s_lo, s_hi, _s_map)
+    else:
+        first_zero_s, status, steps = _adaptive_run(program, base, s_lo, s_hi)
     if first_zero_s is not None:
         t_zero = math.exp(first_zero_s) if first_zero_s > -745.0 else 0.0
         return DisconjugacyReport(t_zero, "ok", log_t_first_zero=first_zero_s, steps=steps)
     return DisconjugacyReport(None, status, steps=steps)
 
 
-def _point_coefficients(program: ex.Program, base: dict, s: float) -> list:
-    """(a, b) at one s as floats: on a float t = e^s above e^(-120), else (or
-    after a float failure or a non-finite value) on an ExtFloat t; raises
-    EvaluationError where that is not finite either."""
-    values = None
-    if s > _FLOAT_LOG_FLOOR:
+def _coefficients(program: ex.Program, base: dict, s: np.ndarray) -> np.ndarray:
+    """(a, b) at the points s as two float rows: one numpy run on the points
+    above e^(-120), one ExtFloat run on the rest and on those whose numpy
+    value is not finite (all of them when that run raises).  A point whose
+    top-level sum in b has sum |term| / |sum| above _CANCELLATION is
+    recomputed on 40 digits (``expr.WideFloat``).  Raises EvaluationError
+    where a value is not finite."""
+    coef = np.empty((2, s.size))
+    cancels = np.zeros(s.size, dtype=bool)
+
+    def run(i, t):
+        values = program.evaluate(dict(base, t=t))
+        with np.errstate(all="ignore"):
+            coef[0, i], coef[1, i] = ex.to_floats(values[0]), ex.to_floats(values[1])
+            if len(values) > 2:
+                total, *terms = values[2:]
+                cancels[i] = _sum(map(abs, terms)) > _CANCELLATION * abs(total)
+
+    deep = s <= _FLOAT_LOG_FLOOR
+    n_deep = np.count_nonzero(deep)
+    if n_deep < s.size:
+        i = slice(None) if not n_deep else np.flatnonzero(~deep)
         try:
-            values = program.evaluate(dict(base, t=math.exp(s)))
+            run(i, np.exp(s[i]))
+            deep |= ~(np.isfinite(coef[0]) & np.isfinite(coef[1]))
+            n_deep = np.count_nonzero(deep)
         except ex.EvaluationError:
-            pass
-    if values is None or not all(map(math.isfinite, values)):
-        values = [float(v) for v in program.evaluate(dict(base, t=ex.ext_exp(s)))]
-        if not all(map(math.isfinite, values)):
-            raise ex.EvaluationError(f"ODE coefficient out of float range at log t = {s!r}")
-    return values
+            deep[:], n_deep = True, s.size
+    if n_deep:
+        i = slice(None) if n_deep == s.size else np.flatnonzero(deep)
+        run(i, ex.ext_exp(s[i]))
+        lost = np.flatnonzero(~(np.isfinite(coef[0, i]) & np.isfinite(coef[1, i])))
+        if lost.size:
+            raise ex.EvaluationError(f"ODE coefficient out of float range at log t = "
+                                     f"{float(s[i][lost[0]])!r}")
+    for i in np.flatnonzero(cancels):
+        try:
+            wide = program.evaluate(dict(base, t=ex.wide_exp(float(s[i]))))
+        except ex.EvaluationError:
+            continue
+        wide = [float(v) for v in wide[:2]]
+        if all(map(math.isfinite, wide)):
+            coef[:, i] = wide
+    return coef
 
 
 def _coefficient_memo(program: ex.Program, base: dict):
-    """_point_coefficients memoized by exact s, and its memo."""
+    """coeffs(*points): the [a, b] of each point, memoized by exact s; the
+    points not known yet are computed in one _coefficients call.  Returns
+    coeffs and its memo."""
     memo = {}
 
-    def coeffs(s):
-        if s not in memo:
-            memo[s] = _point_coefficients(program, base, s)
-        return memo[s]
+    def coeffs(*points):
+        new = [s for s in dict.fromkeys(points) if s not in memo]
+        if new:
+            memo.update(zip(new, _coefficients(program, base, np.array(new)).T.tolist()))
+        return [memo[s] for s in points]
 
     return coeffs, memo
 
 
 def _rk4(coeffs, s, y, dy, h):
-    """One scalar RK4 step of y_ss + a y_s + b y = 0, (a, b) = coeffs(s)."""
-    def f(s_, y_, dy_):
-        a_, b_ = coeffs(s_)
+    """One scalar RK4 step of y_ss + a y_s + b y = 0 from s; coeffs gives
+    (a, b) at its three points in one call."""
+    (a0, b0), (am, bm), (a1, b1) = coeffs(s, s + h / 2, s + h)
+
+    def f(a_, b_, y_, dy_):
         return dy_, -a_ * dy_ - b_ * y_
 
-    k1 = f(s, y, dy)
-    k2 = f(s + h / 2, y + h / 2 * k1[0], dy + h / 2 * k1[1])
-    k3 = f(s + h / 2, y + h / 2 * k2[0], dy + h / 2 * k2[1])
-    k4 = f(s + h, y + h * k3[0], dy + h * k3[1])
+    k1 = f(a0, b0, y, dy)
+    k2 = f(am, bm, y + h / 2 * k1[0], dy + h / 2 * k1[1])
+    k3 = f(am, bm, y + h / 2 * k2[0], dy + h / 2 * k2[1])
+    k4 = f(a1, b1, y + h * k3[0], dy + h * k3[1])
     return (y + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
             dy + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
 
@@ -537,16 +596,16 @@ def _bisect_zero(coeffs, s, y, dy, h) -> float:
     return (lo_s + hi_s) / 2
 
 
-def _adaptive_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
+def _adaptive_run(program: ex.Program, base: dict, s_lo: float, s_hi: float,
+                  steps: int = 0):
     """(first zero s or None, status, steps) of step-doubling RK4 from
-    (y, y_s) = (1, 0) at s_lo."""
-    # the stages of a step share their points; the memo holds the current
-    # step's points
+    (y, y_s) = (1, 0) at s_lo, counting on from the given steps."""
+    # an attempt's three RK4 steps share their points, which one
+    # _coefficients call computes; the memo holds the current attempt's
     coeffs, memo = _coefficient_memo(program, base)
     y, dy, s = 1.0, 0.0, s_lo
     end_tol = 1e-9 * max(1.0, abs(s_hi))
     h = min(1.0, s_hi - s_lo)
-    steps = 0
     while s_hi - s > end_tol:
         if steps >= _MAX_STEPS:
             return None, "inconclusive", steps
@@ -556,9 +615,11 @@ def _adaptive_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
         if start is not None:
             memo[s] = start
         try:
+            half = s + h / 2
+            coeffs(s, half, s + h, s + h / 4, half + h / 4, half + h / 2)
             y_full, dy_full = _rk4(coeffs, s, y, dy, h)
             y_half, dy_half = _rk4(coeffs, s, y, dy, h / 2)
-            y2, dy2 = _rk4(coeffs, s + h / 2, y_half, dy_half, h / 2)
+            y2, dy2 = _rk4(coeffs, half, y_half, dy_half, h / 2)
         except (ex.EvaluationError, ZeroDivisionError):
             return None, "inconclusive", steps
         # max() drops a NaN in a later argument: a NaN y2 reaches err
@@ -587,21 +648,30 @@ def _adaptive_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
     return None, "ok", steps
 
 
-def _fill_coefficients(program: ex.Program, base: dict, s: np.ndarray,
-                       coef: np.ndarray) -> None:
-    """Set coef[:, i] = (a, b) at s[i] where it is NaN (not computed yet):
-    one vector run over the points above e^(-120), and the per-point rule
-    where that run raises or gives a non-finite value and below e^(-120)."""
+def _s_map(x: np.ndarray) -> tuple:
+    """The grid uniform in s: (s, ds/dx, w'/w) at the points x = s."""
+    return x, np.ones_like(x), 0.0
+
+
+def _v_map(log_R: float):
+    """The grid uniform in v = -log(log R - s): s = log R - w with w = e^-v,
+    so ds/dv = w and w'/w = -1."""
+    def to_s(v: np.ndarray) -> tuple:
+        w = np.exp(-v)
+        return log_R - w, w, -1.0
+    return to_s
+
+
+def _fill_coefficients(program: ex.Program, base: dict, x: np.ndarray,
+                       coef: np.ndarray, to_s) -> None:
+    """Set coef[:, i] to the coefficients in x at x[i] where it is NaN (not
+    computed yet).  With (s, w, r) = to_s(x), w = ds/dx and r = w'/w,
+    y_ss + a y_s + b y = 0 is y_xx + (a w - r) y_x + b w^2 y = 0."""
     todo = np.flatnonzero(np.isnan(coef[0]))
-    vec = todo[s[todo] > _FLOAT_LOG_FLOOR]
-    if vec.size:
-        try:
-            coef[:, vec] = [np.broadcast_to(v, vec.shape)
-                            for v in program.evaluate(dict(base, t=np.exp(s[vec])))]
-        except ex.EvaluationError:
-            pass
-    for i in todo[~np.isfinite(coef[:, todo]).all(axis=0)]:
-        coef[:, i] = _point_coefficients(program, base, float(s[i]))
+    s, w, rate = to_s(x[todo])
+    a, b = _coefficients(program, base, s)
+    coef[0, todo] = a * w - rate
+    coef[1, todo] = b * w * w
 
 
 def _mul(p, q):
@@ -643,33 +713,36 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
     return q
 
 
-def _fixed_grid_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
-    """(first zero s or None, status, steps) of RK4 on uniform grids of
-    N = _PAIR_GRID, 2N, ... steps from (y, y_s) = (1, 0) at s_lo.
+def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, to_s):
+    """(first zero s or None, status, steps) of RK4 on grids of N = _GRID,
+    2N, ... steps uniform in x from (y, y_x) = (1, 0) at x_lo, where
+    to_s(x) gives s, ds/dx and the rate of ds/dx (``_s_map``, ``_v_map``).
 
-    The coefficients do not depend on y: a level computes them in one vector
-    run on its nodes and midpoints, which the next level's nodes are, builds
+    The coefficients do not depend on y: a level computes them on its nodes
+    and midpoints that no coarser level has (the next level's nodes are
+    this one's points), in at most one numpy and one ExtFloat run, builds
     every step's RK4 matrix in one pass and propagates by a prefix product.
-    A level is accepted when its Pruefer angle atan2(y_s, y) agrees within
+    A level is accepted when its Pruefer angle atan2(y_x, y) agrees within
     _ANGLE_TOL with the previous level's at their shared nodes, up to its
     first sign change, and the previous level agreed with its own within
     16 _ANGLE_TOL, the factor by which one doubling cuts RK4's error: one
     chance agreement of two levels that are both off is not convergence.
     After a sign change the next level stops one coarse step past it.  The
-    first zero is bisected on scalar RK4 substeps from the Richardson
+    first zero is bisected in s, on scalar RK4 substeps, from the Richardson
     extrapolation of the two levels' angles at the last shared node before
-    it.  A level that would take the steps past _MAX_STEPS, whose step is
-    below 1e-12 max(1, |s|), or whose state is not finite before its first
-    sign change (steps out of float range, which no level within the budget
-    resolves) ends the run inconclusive; an interval within the
-    step-doubling loop's end tolerance has nothing to integrate.
+    it (there y_s = y_x / (ds/dx)).  A level that would take the steps past
+    _MAX_STEPS, whose step is below 1e-12 max(1, |x|), or whose state is
+    not finite before its first sign change (steps out of float range,
+    which no level within the budget resolves) ends the run inconclusive;
+    an interval within the step-doubling loop's end tolerance has nothing
+    to integrate.
     """
-    span = s_hi - s_lo
-    if span <= 1e-9 * max(1.0, abs(s_hi)):
+    span = x_hi - x_lo
+    if span <= 1e-9 * max(1.0, abs(x_hi)):
         return None, "ok", 0
-    floor = 1e-12 * max(1.0, abs(s_lo), abs(s_hi))
-    N = stop = _PAIR_GRID                        # steps of the grid and of this level
-    coef = np.empty((2, 0))                      # (a, b) on a prefix of the grid of 2N steps
+    floor = 1e-12 * max(1.0, abs(x_lo), abs(x_hi))
+    N = stop = _GRID                             # steps of the grid and of this level
+    coef = np.empty((2, 0))                      # coefficients on a prefix of the 2N-step grid
     steps, coarse, agreed = 0, None, math.inf    # the previous level's angles and agreement
     while True:
         if steps + stop > _MAX_STEPS or span / N < floor:
@@ -677,9 +750,9 @@ def _fixed_grid_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
         m = 2 * stop + 1
         if m > coef.shape[1]:
             coef = np.concatenate((coef, np.full((2, m - coef.shape[1]), np.nan)), axis=1)
-        s = s_lo + np.arange(m) / (2 * N) * span
+        x = x_lo + np.arange(m) / (2 * N) * span
         try:
-            _fill_coefficients(program, base, s, coef[:, :m])
+            _fill_coefficients(program, base, x, coef[:, :m], to_s)
         except (ex.EvaluationError, ZeroDivisionError):
             return None, "inconclusive", steps
         steps += stop
@@ -702,9 +775,10 @@ def _fixed_grid_run(program: ex.Program, base: dict, s_lo: float, s_hi: float):
                     return None, "ok", steps
                 i = 2 * ((flip - 1) // 2)
                 angle = theta[i] + (theta[i] - coarse[i // 2]) / 15.0
+                s, w, _ = to_s(x[[2 * i, 2 * flip]])
                 coeffs, _ = _coefficient_memo(program, base)
-                zero = _bisect_zero(coeffs, float(s[2 * i]), math.cos(angle), math.sin(angle),
-                                    float(s[2 * flip] - s[2 * i]))
+                zero = _bisect_zero(coeffs, float(s[0]), math.cos(angle),
+                                    math.sin(angle) / float(w[0]), float(s[1] - s[0]))
                 return zero, "ok", steps + 1
             agreed = diff
         coarse = theta

@@ -626,16 +626,17 @@ _REPORT_DIGESTS = {
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
         "44efee05c2a9b8af2e96be434f983db903f5b6d96b0e88c55ec1b3054135f2e2",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
-    # deep start (ExtFloat coefficients below e^-120) at the best and a
-    # super-critical constant, and an explicit interval wholly in float
+    # deep start (the grid uniform in v, ExtFloat coefficients below e^-120)
+    # at the best and a super-critical constant, and an explicit interval
+    # wholly in float (the step-doubling loop)
     "solve-bessel --catalog iterlog --k 1 --R 1":
-        "5c96adc3b4ecbdb92e742b53f1921af8517ef830bfb8100e39cc7b1674c7624a",
+        "f7cbaabd51cdac69b42bd029649544d421c09fc70bad5b10eecccb45b5a60c37",
     "solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3":
-        "65e394bd5d8c0330c4cffc637ae75752d6da6261af9d9f65899ab45e13cd78db",
+        "499089a048a709da5fa12d4c1c29c689594809c57df633da57a4552a8659ccc1",
     "solve-bessel --catalog ell-family --k 3 --R 1":
-        "7d33b39765583f1558d7edfc9dc7c4ef7a31e26c5411ff61fb81399e1e023e01",
+        "f3c7c250acb0af89b9eb989b21448dba32524099ebc6c7268ec902e327805ed7",
     "solve-bessel --catalog ell-family --k 3 --R 1 --c 0.3":
-        "22284df67b30672381a254d763143675c3bcd6cb384d9816111c974adb068530",
+        "24ac50d2a393d2d899cf9812b5f679b3ba54be4c0984355b1cd960bbe2dfd034",
     "solve-bessel --catalog iterlog --k 1 --R 1 --t0 1e-6 --t1 0.999":
         "59c12b7634225ba40509aea5aaf47a869425bf4913c2ebfe92726198950e5962",
     # batch-workload shapes at seed 15, whose batches hold supports with

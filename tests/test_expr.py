@@ -87,8 +87,9 @@ class TestParse:
 
 
 def _backends(x):
-    """t = x on each backend: a float, a one-element numpy array, an ExtFloat."""
-    return (x, np.array([x]), ExtFloat(x))
+    """t = x on each backend: a float, a one-element numpy array, an ExtFloat
+    of shape () and a WideFloat."""
+    return (x, np.array([x]), ExtFloat(x), ex.WideFloat(x))
 
 
 class TestEvaluate:
@@ -118,8 +119,8 @@ class TestEvaluate:
         with pytest.raises(UnboundParameterError):
             evaluate(parse("n*t"), {"t": 1.0})
 
-    # the domain rules hold on every backend (the ExtFloat table's log and
-    # sqrt would otherwise raise ValueError, and its coth(0) ZeroDivisionError)
+    # the domain rules hold on every backend (the WideFloat table's log and
+    # sqrt would otherwise return NaN, and its coth(0) infinity)
 
     def test_log_domain(self):
         for x in (-1.0, 0.0):
@@ -293,7 +294,7 @@ def _bits(x):
     if isinstance(x, np.ndarray):
         return x.dtype, x.shape, x.tobytes()
     if isinstance(x, ExtFloat):
-        return x.m.hex(), x.e
+        return _bits(np.asarray(x.m)), _bits(np.asarray(x.e))
     return float(x).hex()
 
 
@@ -322,8 +323,8 @@ class TestCompiledEvaluator:
                 "iterlog3-E1": lambda: _iterlog_e1(3)}[tree]()
         points = [pr.log_grid(1e-5, 1.0, 2000)]
         points += [float(t) for t in pr.log_grid(1e-5, 0.999, 20)]
-        points += [ExtFloat(float(t)) for t in pr.log_grid(1e-4, 0.99, 5)]
-        points += [ex.ext_exp(s) for s in (-130.0, -3000.5, -2e6)]
+        # ExtFloat arrays, elementwise (test_extfloat_array_is_elementwise)
+        points += [ExtFloat(pr.log_grid(1e-4, 0.99, 5)), ex.ext_exp(np.array([-130.0, -3000.5, -2e6]))]
         for t in points:
             bt = {**b, "t": t}
             assert _bits(e.evaluate(bt)) == _bits(_reference(e, bt))
@@ -353,6 +354,35 @@ class TestCompiledEvaluator:
         program = ex.Program((e,))
         assert len(program.code) <= 300
         assert program.width <= 20
+
+    @pytest.mark.parametrize("tree", ["ell6-E1", "iterlog3-E1"])
+    def test_extfloat_array_is_elementwise(self, tree):
+        # an ExtFloat array gives each element the value its own evaluation
+        # (shape ()) gives, bit for bit, inside float range and far below it
+        e, b = {"ell6-E1": lambda: _ell_e1(6), "iterlog3-E1": lambda: _iterlog_e1(3)}[tree]()
+        s = np.array([-0.5, -30.0, -130.0, -745.5, -3000.5, -1e5, -2e6])
+        got = ex._normalized(e.evaluate({**b, "t": ex.ext_exp(s)}))
+        for i, si in enumerate(s):
+            one = ex._normalized(e.evaluate({**b, "t": ex.ext_exp(si)}))
+            assert (got.m[i].hex(), got.e[i]) == (float(one.m).hex(), int(one.e))
+
+    def test_wide_backend(self):
+        # 40 digits keep the 2.5e-13 part of 1/t^2 + 1/(t log(e/t))^2 at
+        # t = e^-2e6 that 53 bits leave to rounding; the primitives agree
+        # with float, and the thread's decimal context is left as it was
+        import decimal
+
+        flags = dict(decimal.getcontext().flags)
+        got = parse("t^2*(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)").evaluate({"t": ex.wide_exp(-2e6)})
+        assert float(got) == pytest.approx(1.0 / (1.0 + 2e6) ** 2, rel=1e-15)
+        for src in ("sinh(t) + cosh(t)/t", "tanh(t) + coth(t)", "ct(t) + t^0.7 + sqrt(t)",
+                    "exp(-t)*log(t)", "tanh(60*t) + sinh(1e-12*t)/t"):
+            e = parse(src)
+            for kappa in (0.0, 1.5):
+                b = {"t": 0.7, "kappa": kappa}
+                assert float(e.evaluate({**b, "t": ex.WideFloat(0.7)})) == pytest.approx(
+                    e.evaluate(b), rel=1e-14), src
+        assert dict(decimal.getcontext().flags) == flags
 
     def test_program_gives_each_root_its_own_value(self):
         dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],

@@ -456,9 +456,10 @@ class TestDisconjugacy:
         assert [f.name for f in src.glob("*.py") if "mpmath" in f.read_text()] == []
 
     def test_start_below_float_range_falls_back_per_point(self, monkeypatch):
-        # t0 = 1e-200 lies below e^-120: the points there run on ExtFloat,
-        # the rest of the interval in float, with the steps and verdict of a
-        # run wholly on mpmath
+        # t0 = 1e-200 lies below e^-120: an explicit interval takes the
+        # step-doubling loop, whose attempts run their points below e^-120
+        # on ExtFloat arrays and the rest on numpy arrays, with the steps and
+        # verdict of a run wholly on mpmath
         p = cat.iterated_log_potential(2, 1.0).specs["potential"]
         kinds = set()
         evaluate = Program.evaluate
@@ -469,7 +470,7 @@ class TestDisconjugacy:
 
         monkeypatch.setattr(Program, "evaluate", counted)
         rep = pr.disconjugacy_check(p, interval=(1e-200, 0.999))
-        assert kinds == {"float", "ExtFloat"}
+        assert kinds == {"ndarray", "ExtFloat"}
         assert rep.positive_solution is True and rep.status == "ok"
         assert rep.steps == 80
 
@@ -480,6 +481,17 @@ class TestDisconjugacy:
         assert rep.positive_solution is False
         assert rep.first_zero is None
 
+    def test_potential_no_level_resolves_takes_the_loop(self, potential, monkeypatch):
+        # with 800 steps the grid stops after its 512-step level, and the
+        # step-doubling loop counts on from there: 209 steps to a positive
+        # solution, and 187 to the loop's first zero at c = 0.3
+        monkeypatch.setattr(pr, "_MAX_STEPS", 800)
+        rep = pr.disconjugacy_check(potential)
+        assert rep.positive_solution is True and rep.steps == 512 + 209
+        rep = pr.disconjugacy_check(potential.with_constant(0.3))
+        assert rep.first_zero is not None and rep.steps == 512 + 187
+        assert abs(rep.log_t_first_zero - _DEEP_RUNS["iterlog", 1, 1.0][2]) <= 5e-6
+
     @pytest.mark.parametrize("end", [math.inf, math.nan])
     def test_non_finite_interval_end_is_rejected(self, potential, end):
         # an infinite end gives an infinite end tolerance: the step loop would
@@ -487,43 +499,62 @@ class TestDisconjugacy:
         with pytest.raises(ValueError, match="interval"):
             pr.disconjugacy_check(potential.with_constant(0.3), interval=(0.1, end))
 
-    @pytest.mark.parametrize("which", ["potential", "pair"])
+    @pytest.mark.parametrize("which", ["potential", "pair", "loop"])
     def test_one_coefficient_run_per_point(self, potential, monkeypatch, which):
-        # a step of step-doubling RK4 meets about 5 distinct s values; each
-        # needs one run of the coefficient program, not one per stage and
-        # coefficient (24 per step).  A pair's fixed-grid levels run it once
-        # each, on a vector of the points no earlier level computed, and only
-        # the bisection of a first zero runs it point by point
-        runs, levels = [], []
-        evaluate, products = Program.evaluate, pr._prefix_products
+        # a grid level computes the coefficients of the points no coarser
+        # level has in at most two runs of the program: one numpy run on the
+        # points above e^-120 and one ExtFloat run on those below it (all of
+        # a pair's points lie above).  The bisection of a first zero makes
+        # one run per halving, on at most 3 points, and a step-doubling
+        # attempt one run on its 5 points
+        runs, levels, new = [], [], []
+        evaluate, fill = Program.evaluate, pr._fill_coefficients
 
         def counted(self, bindings):
             runs.append(bindings["t"])
             return evaluate(self, bindings)
 
-        def level(m):
-            levels.append(m.shape[1])
-            return products(m)
+        def level(program, base, x, coef, to_s):
+            start = len(runs)
+            new.append(x[np.isnan(coef[0])])
+            fill(program, base, x, coef, to_s)
+            levels.append([type(t).__name__ for t in runs[start:]])
 
         monkeypatch.setattr(Program, "evaluate", counted)
-        if which == "potential":
-            rep = pr.disconjugacy_check(potential.with_constant(0.3))     # deep start
-            assert rep.steps > 100
-            assert len(runs) <= 6 * rep.steps
+        monkeypatch.setattr(pr, "_fill_coefficients", level)
+        if which == "loop":
+            batches = []
+            coefficients = pr._coefficients
+
+            def batch(program, base, s):
+                start = len(runs)
+                coef = coefficients(program, base, s)
+                batches.append((s.size, len(runs) - start))
+                return coef
+
+            monkeypatch.setattr(pr, "_coefficients", batch)
+            rep = pr.disconjugacy_check(cat.iterated_log_potential(2, 1.0).specs["potential"],
+                                        interval=(1e-200, 0.999))
+            assert rep.positive_solution is True and levels == []
+            assert len(batches) == rep.steps
+            assert max(size for size, _ in batches) <= 6 and max(n for _, n in batches) <= 2
             return
-        monkeypatch.setattr(pr, "_prefix_products", level)
-        second = pr.bessel_pairs_from_potential(potential, 2.0, 6)[1]
-        for c, zero in ((1.0, False), (3.0, True)):
+        p = potential if which == "potential" else pr.bessel_pairs_from_potential(
+            potential, 2.0, 6)[1]
+        shape = ["ndarray", "ExtFloat"] if which == "potential" else ["ndarray"]
+        for c, zero in ((0.25, False), (0.3, True)) if which == "potential" else (
+                (1.0, False), (3.0, True)):
             runs.clear()
             levels.clear()
-            rep = pr.disconjugacy_check(second.with_constant(c), n=6)
+            new.clear()
+            rep = pr.disconjugacy_check(p.with_constant(c), n=6)
             assert (rep.first_zero is not None) == zero and rep.status == "ok"
-            vectors = [t for t in runs if isinstance(t, np.ndarray)]
-            points = np.concatenate(vectors)
-            assert len(vectors) <= len(levels) and len(np.unique(points)) == len(points)
-            assert rep.steps == sum(levels) + zero
-            # the bisection: at most 40 halvings of 3 new points each
-            assert len(runs) - len(vectors) <= (120 if zero else 0)
+            assert len(levels) >= 3 and all(kinds == shape for kinds in levels)
+            points = np.concatenate(new)          # no level recomputes a coarser one's
+            assert len(np.unique(points)) == len(points)
+            bisection = runs[sum(map(len, levels)):]
+            assert len(bisection) <= (40 if zero else 0)
+            assert all(isinstance(t, np.ndarray) and t.size <= 3 for t in bisection)
 
     @pytest.mark.parametrize("Y", ["exp(-8*log(t))*t^6",   # inf on float below t = e^-88.7
                                    "t^-8*t^6"])   # t^8 is 0 below e^-93.1, and 1/0 raises
@@ -586,10 +617,10 @@ class TestDisconjugacy:
         widths = []
         fill = pr._fill_coefficients
 
-        def recorded(program, base, s, coef):
+        def recorded(program, base, s, coef, to_s):
             widths.append((coef if coef.base is None else coef.base).shape[1])
             assert widths[-1] <= 2 * pr._MAX_STEPS + 1     # before a runaway allocation
-            return fill(program, base, s, coef)
+            return fill(program, base, s, coef, to_s)
 
         monkeypatch.setattr(pr, "_fill_coefficients", recorded)
         p = PairSpec(kind="bessel-pair", exprs={"X": parse("1/t^2"), "Y": parse(Y)},
@@ -616,38 +647,74 @@ def _mp_walk(e, b):
 
 
 # steps at the default c and at c = 0.3, and the first zero at c = 0.3, of
-# each potential at R = 1 and R = 0.9 (the deep start).  The R = 1 zeros were
-# read from the run whose state was mpmath throughout, the R = 0.9 ones from
-# the float-state run on 25-digit mpmath coefficients: the ExtFloat
-# coefficients keep every step count, and the zero within the bisection
-# tolerance 1e-9 max(1, |log t|)
+# each potential at R = 1 and R = 0.9 (the deep start), on the grid uniform
+# in v = -log(log R - s): a positive solution is accepted at the 2,048-step
+# level, and at c = 0.3 the levels stop one coarse step past the sign change
 _DEEP_RUNS = {
-    ("iterlog", 1, 1.0): (209, 187, -9.378285435152735),
-    ("iterlog", 2, 1.0): (200, 181, -15.147431238128739),
-    ("iterlog", 3, 1.0): (173, 183, -4.923012283394908),
-    ("ell-family", 1, 1.0): (209, 187, -9.378285435152733),
-    ("ell-family", 2, 1.0): (214, 182, -15.025018794938854),
-    ("ell-family", 3, 1.0): (217, 183, -15.664370439149423),
-    ("iterlog", 1, 0.9): (209, 187, -9.483645951585114),
-    ("iterlog", 2, 0.9): (200, 181, -15.252791749667814),
-    ("iterlog", 3, 0.9): (173, 183, -5.028372798217399),
-    ("ell-family", 1, 0.9): (209, 187, -9.483645951585114),
-    ("ell-family", 2, 0.9): (214, 182, -15.13037930876582),
-    ("ell-family", 3, 0.9): (217, 183, -15.769730959637819),
+    ("iterlog", 1, 1.0): (3584, 1589, -9.37828349618896),
+    ("iterlog", 2, 1.0): (3584, 1547, -15.147428817147503),
+    ("iterlog", 3, 1.0): (3584, 1645, -4.923009664238976),
+    ("ell-family", 1, 1.0): (3584, 1589, -9.37828349618896),
+    ("ell-family", 2, 1.0): (3584, 1547, -15.025016433445959),
+    ("ell-family", 3, 1.0): (3584, 1543, -15.664367969147495),
+    ("iterlog", 1, 0.9): (3584, 1589, -9.483644011846788),
+    ("iterlog", 2, 0.9): (3584, 1547, -15.252789332805328),
+    ("iterlog", 3, 0.9): (3584, 1645, -5.028370179896803),
+    ("ell-family", 1, 0.9): (3584, 1589, -9.483644011846788),
+    ("ell-family", 2, 0.9): (3584, 1547, -15.130376949103788),
+    ("ell-family", 3, 0.9): (3584, 1543, -15.76972848480532),
 }
+
+
+def _deep_potential(family, k, R):
+    build = cat.iterated_log_potential if family == "iterlog" else cat.ell_potential
+    return build(k, R).specs["potential"]
+
+
+def _reference_deep_zero(p):
+    """log t of the first zero of a potential's solution from the principal
+    data at t = R e^(-2e6), by scipy's DOP853 at rtol 1e-13 in
+    v = -log(log R - s), where y_ss + b y = 0 is y_vv + y_v + b w^2 y = 0
+    with w = log R - s, on the coefficients of _coefficients."""
+    from scipy.integrate import solve_ivp
+
+    program = Program(pr._sspace_coefficients(p, None))
+    bindings = p.bindings()
+    log_R = math.log(p.params["R"])
+
+    def f(v, u):
+        w = math.exp(-v)
+        a, b = pr._coefficients(program, bindings, np.array([log_R - w]))[:, 0]
+        return [u[1], -(1.0 + a * w) * u[1] - b * w * w * u[0]]
+
+    def crossing(v, u):
+        return u[0]
+
+    crossing.terminal = True
+    sol = solve_ivp(f, (-math.log(pr._DEEP_LOG_DEPTH), -math.log(pr._END_GAP)), [1.0, 0.0],
+                    method="DOP853", rtol=1e-13, atol=1e-20, events=crossing)
+    return log_R - math.exp(-sol.t_events[0][0])
 
 
 class TestDeepDisconjugacy:
     @pytest.mark.parametrize("family,k,R", sorted(_DEEP_RUNS))
     def test_steps_and_first_zero_are_kept(self, family, k, R):
         steps, steps_super, log_zero = _DEEP_RUNS[family, k, R]
-        build = cat.iterated_log_potential if family == "iterlog" else cat.ell_potential
-        potential = build(k, R).specs["potential"]
+        potential = _deep_potential(family, k, R)
         rep = pr.disconjugacy_check(potential)
         assert rep.positive_solution is True and rep.steps == steps
         rep = pr.disconjugacy_check(potential.with_constant(0.3))
         assert rep.positive_solution is False and rep.steps == steps_super
         assert abs(rep.log_t_first_zero - log_zero) <= 1e-9 * max(1.0, abs(log_zero))
+
+    @pytest.mark.parametrize("family,k,R", sorted(_DEEP_RUNS))
+    def test_first_zero_matches_a_reference_integrator(self, family, k, R):
+        # the grid's zeros lie within 3e-10 to 2.7e-9 of the reference; the
+        # step-doubling loop's lay 1.9e-6 to 2.6e-6 from it, 20 times its
+        # bisection tolerance 1e-9 |log t|
+        p = _deep_potential(family, k, R).with_constant(0.3)
+        rep = pr.disconjugacy_check(p)
+        assert abs(rep.log_t_first_zero - _reference_deep_zero(p)) <= 1e-7
 
     def test_cancelling_potential_at_the_deep_start(self):
         # the iterlog k = 1 potential 1/(t log(e/t))^2, and the same written
@@ -656,7 +723,10 @@ class TestDeepDisconjugacy:
         # 3 digits.  Against a 50-digit mpmath walk of the same tree, b(s) is
         # within 8 eps of it in the plain form, and within eps times the
         # condition number sum|terms|/|Z| = 1 + 2 log(e/t)^2 in the
-        # cancelling one
+        # cancelling one on ExtFloat; where that number passes 2^12,
+        # _coefficients recomputes the point on 40 digits, within 8 eps
+        import decimal
+
         import mpmath
 
         eps = 2.0 ** -53
@@ -664,33 +734,41 @@ class TestDeepDisconjugacy:
                                       exprs={"z": Var(), "Z": parse(src)},
                                       constant=0.3, params={"R": 1.0})
                              for src in ("1/(t*log(e/t))^2", "1/t^2 + 1/(t*log(e/t))^2 - 1/t^2")]
+        context = decimal.getcontext().copy()
         for p, cond in ((plain, lambda s: 8.0), (cancelling, lambda s: 1 + 2 * (1 - s) ** 2)):
-            _, b = pr._sspace_coefficients(p, None)
+            a, b = pr._sspace_coefficients(p, None)
+            program = Program((a, b, *pr._summands(p)))
             for s in (-2e6, -1e5, -3000.5, -130.0):
                 got = float(b.evaluate({**p.bindings(), "t": ex.ext_exp(s)}))
+                wide = pr._coefficients(program, p.bindings(), np.array([s]))[1, 0]
                 with mpmath.workdps(50):
                     want = _mp_walk(b, {**p.bindings(), "t": mpmath.exp(mpmath.mpf(s))})
                     assert abs(got - want) <= eps * cond(s) * abs(want)
-        # the verdicts hold.  A 25-digit run took 209 and 187 steps, as the
-        # plain form does; the cancellation noise in b (4.5e-5 relative at
-        # the start) costs step-doubling control some rejected steps
-        rep = pr.disconjugacy_check(cancelling.with_constant(0.25))
-        assert rep.positive_solution is True and rep.steps == 247
-        rep = pr.disconjugacy_check(cancelling)
-        assert rep.positive_solution is False and rep.steps == 225
-        assert abs(rep.log_t_first_zero - _DEEP_RUNS["iterlog", 1, 1.0][2]) <= 1e-5
+                    assert abs(wide - want) <= 8 * eps * abs(want)
+        # the 40-digit points leave the thread's decimal context as it was
+        assert decimal.getcontext().prec == context.prec
+        assert decimal.getcontext().flags == context.flags
+        # so both forms give the same steps and the same zero
+        for c in (0.25, 0.3):
+            got = pr.disconjugacy_check(cancelling.with_constant(c))
+            want = pr.disconjugacy_check(plain.with_constant(c))
+            assert got.positive_solution is (c == 0.25) and got.steps == want.steps
+            if want.first_zero is not None:
+                assert abs(got.log_t_first_zero - want.log_t_first_zero) <= 1e-9
 
     def test_zero_below_float_range_is_reported(self):
         # z'' + z'/t + c z/t^2 = 0 is z_ss + c z = 0 in s = log t: from the
         # principal data at s0 = -2e6 the first zero is s0 + pi/(2 sqrt(c)),
-        # far below float range, so first_zero reads 0 and log t carries it
+        # far below float range, so first_zero reads 0 and log t carries it.
+        # In v, b w^2 = c w^2 is 1.2e12 at the start: the levels stop a few
+        # steps past the sign change until steps of 5e-7 in v resolve it
         p = PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse("1/t^2")},
                      constant=0.3, params={"R": 1.0})
         rep = pr.disconjugacy_check(p)
         assert rep.positive_solution is False and rep.first_zero == 0.0
-        assert rep.steps == 29
+        assert rep.steps == 6749
         tol = 1e-9 * 2e6
-        assert abs(rep.log_t_first_zero - -1999997.13274638) <= tol
+        assert abs(rep.log_t_first_zero - -1999997.131490565) <= tol
         assert abs(rep.log_t_first_zero - (-2e6 + math.pi / (2 * math.sqrt(0.3)))) <= tol
 
 
