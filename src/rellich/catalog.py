@@ -34,24 +34,15 @@ __all__ = [
 @dataclass(frozen=True)
 class ChainLink:
     """One first-order link: integral of alpha * w |grad_rad u|^2 bounded below
-    by alpha * w W u^2, certified either by a primal Riccati residual scan
-    (explicit G) or by an ODE disconjugacy check (Bessel pair without y)."""
+    by alpha * w W u^2, for a primal pair (G, w, W) certified by its Riccati
+    residual scan."""
 
     alpha: float
     spec: PairSpec
     label: str
 
-    @property
-    def weight_expr(self) -> Expr:
-        if self.spec.kind == "primal":
-            return self.spec.expr("w")
-        return self.spec.expr("X")
-
-    @property
-    def potential_expr(self) -> Expr:
-        if self.spec.kind == "primal":
-            return self.spec.expr("W")
-        return Const(self.spec.constant) * self.spec.expr("Y") / self.spec.expr("X")
+    def __post_init__(self):
+        self.spec.require("primal")
 
 
 @dataclass(frozen=True)
@@ -66,13 +57,13 @@ class ChainDescriptor:
     meta: dict = field(default_factory=dict)
 
     def rhs_density_expr(self) -> Expr:
-        return _sum(Const(link.alpha) * link.weight_expr * link.potential_expr
+        return _sum(Const(link.alpha) * link.spec.expr("w") * link.spec.expr("W")
                     for link in self.links)
 
     def composition_terms(self) -> list[Expr]:
         """alpha_i w_i for each link, then -v V: the terms whose sum vanishes
         when the link weights split the dual RHS density."""
-        return ([Const(link.alpha) * link.weight_expr for link in self.links]
+        return ([Const(link.alpha) * link.spec.expr("w") for link in self.links]
                 + [-(self.dual.expr("v") * self.dual.expr("V"))])
 
 
@@ -429,23 +420,31 @@ def final_combined(n: int, kappa: float) -> CatalogEntry:
 
 
 def chain_from_potential(entry: CatalogEntry, n: int) -> ChainDescriptor:
-    """Chain a Bessel potential's dual pair with the two first-order pairs it
-    generates: v V = n^2/4 * (1/t^2) + c * Z, so
+    """Chain a Bessel potential's dual pair with a primal pair from each of
+    the two Bessel pairs it generates: v V = n^2/4 * (1/t^2) + c * Z, so
 
         integral |Delta u|^2 >= n^2(n-4)^2/16 integral u^2/t^4
             + c (n^2/4 + (n-lam-2)^2/4) integral Z u^2/t^2.
 
-    The first link carries an explicit solution; the second is certified by
-    disconjugacy."""
+    The first link is the first pair's variant (iv), from its explicit
+    solution, with equality.  The second is (G, w, W) = (a/t, X, C Y/X) =
+    (a/t, Z, a^2/t^2) from the second pair, a = (n-lam-2)/2 > 0: its
+    residual a f/t + a (n-1)(ct - 1/t)/t, f = Z'/Z + lam/t, is >= 0 wherever
+    f >= 0 (ct >= 1/t), so both links gate on their residual scan."""
     potential = _potential(entry)
     lam = entry.params.get("lambda", 2.0)
     dual = pr.from_bessel_potential(potential, "iii", n)
     first_pair, second_pair = pr.bessel_pairs_from_potential(potential, lam, n)
-    first_primal = pr.from_bessel_pair(first_pair, n)
+    X, Y = second_pair.expr("X"), second_pair.expr("Y")
+    second_primal = PairSpec(
+        kind="primal",
+        exprs={"G": Const((n - lam - 2) / 2.0) / Var(), "w": X,
+               "W": Const(second_pair.constant) * Y / X},
+        params=dict(second_pair.params), note=second_pair.note)
     c = potential.constant
     links = (
-        ChainLink(alpha=n * n / 4.0, spec=first_primal, label="link-1"),
-        ChainLink(alpha=c, spec=second_pair, label="link-2"),
+        ChainLink(alpha=n * n / 4.0, spec=pr.from_bessel_pair(first_pair, n), label="link-1"),
+        ChainLink(alpha=c, spec=second_primal, label="link-2"),
     )
     addon = c * (n * n / 4.0 + (n - lam - 2) ** 2 / 4.0)
     return ChainDescriptor(

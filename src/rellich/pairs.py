@@ -9,13 +9,14 @@ A PairSpec bundles the defining expressions of one of four object kinds:
 
 with L(t) = (n-1) ct_kappa(t).  The residual, E1 and E2 builders, the
 primal<->dual change of functions, the potential-to-pair constructions, an
-ODE disconjugacy certificate for "a positive solution exists", and the grid
-scanner live here.  Each side condition is written once, as a list of
-terms (the *_expr builders are their sums), condition_terms is the one map
-from a condition's name to its terms, and the one scanner, scan_positivity,
-judges the sum of a list of terms relative to 1 + sum |term| under one
-tolerance; a raw function is a single term.  Every scan returns one Scan
-record, whose first five fields are the report row.
+ODE disconjugacy certificate for "a positive solution exists" (solve-bessel
+runs it; a chain's links are primal pairs, judged by their residual scans),
+and the grid scanner live here.  Each side condition is written once, as a
+list of terms (the *_expr builders are their sums), condition_terms is the
+one map from a condition's name to its terms, and the one scanner,
+scan_positivity, judges the sum of a list of terms relative to
+1 + sum |term| under one tolerance; a raw function is a single term.  Every
+scan returns one Scan record, whose first five fields are the report row.
 """
 
 from __future__ import annotations
@@ -305,9 +306,13 @@ def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int) -> tuple[PairSp
     derivative satisfies Z'/Z = -lam/t + f with f >= 0 and t f(t) -> 0:
 
       (1/t^2, (n-4)^2/(4t^4) + c Z/t^2)   with explicit  y = z t^(-(n-4)/2)
-      (Z,     (n-lam-2)^2 Z/(4t^2))       certified via disconjugacy
+      (Z,     (n-lam-2)^2 Z/(4t^2))       without y
 
-    both with C = 1.  Raises if lam >= n-2 or the f >= 0 spot check fails.
+    both with C = 1.  A chain takes the second as the primal pair
+    (a/t, Z, a^2/t^2), a = (n-lam-2)/2, whose residual
+    a f/t + a (n-1)(ct - 1/t)/t is >= 0 wherever f >= 0;
+    disconjugacy_check certifies its positive solution directly.  Raises if
+    lam >= n-2 or the f >= 0 spot check fails.
     """
     p.require("bessel-potential")
     if lam >= n - 2:

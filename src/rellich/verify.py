@@ -483,16 +483,12 @@ _SIGNED = "(signed-override)"
 
 def _scans(p: PairSpec, names: Sequence[str], sf: SpaceForm, grid: int, tol: float,
            prefix: str = "") -> list[Scan]:
-    """One row per condition of p in names, labelled prefix + name:
-    "disconjugacy" by the ODE check, any other name by scanning its
-    pairs.condition_terms over scan_range(sf).  W of a pair that allows a
-    signed W is labelled W(signed-override) and does not gate."""
+    """One row per condition of p in names, labelled prefix + name: the scan
+    of its pairs.condition_terms over scan_range(sf).  W of a pair that
+    allows a signed W is labelled W(signed-override) and does not gate."""
     b = p.bindings(sf)
     rows = []
     for name in names:
-        if name == "disconjugacy":
-            rows.append(pr.disconjugacy_check(p, n=sf.n).scan(prefix + name))
-            continue
         label = prefix + name + (_SIGNED if name == "W" and p.allow_signed_W else "")
         rows.append(pr.scan_positivity(pr.condition_terms(p, name), sf, grid=grid,
                                        bindings=b, tol=tol, target=label))
@@ -506,8 +502,8 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
 
     A chain checks its composition first.  Its rows are t000:dual (its dual's
     delta-vs-gradrad step), t000:link-i (the gradrad-vs-usq step of link i,
-    gating on its residual or, for a Bessel pair, its disconjugacy) and
-    t000:end (integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2).
+    a primal pair gating on its link-i-residual row) and t000:end
+    (integral v |Delta u|^2 >= sum_i alpha_i integral w_i W_i u^2).
 
     Verdict: "fail" if any margin < -budget; otherwise "pass" when every
     gating scan is nonnegative, else "inconclusive" (a failed side condition
@@ -524,16 +520,13 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
                           else (case.shape, case.pair, ()))
     scans = _scans(spec, SHAPES[shape].gates, sf, grid, tol)
     for link in links:
-        names = ("residual",) if link.spec.kind == "primal" else ("disconjugacy",)
-        scans += _scans(link.spec, names, sf, grid, tol, prefix=f"{link.label}-")
+        scans += _scans(link.spec, ("residual",), sf, grid, tol, prefix=f"{link.label}-")
     notes = (["signed-W override engaged: W positivity not gating"]
              if any(s.target.endswith(_SIGNED) for s in scans) else [])
     notes += [f"{link.label}: signed-W override engaged"
               for link in links if link.spec.allow_signed_W]
-    row = SHAPES["gradrad-vs-usq"]
     sides = [shape_sides(shape, spec, sf)] + [
-        Sides(link.weight_expr, row.lhs, link.weight_expr * link.potential_expr, row.rhs,
-              link.spec.bindings(sf)) for link in links]
+        shape_sides("gradrad-vs-usq", link.spec, sf) for link in links]
     us = generate_batch(sf, batch)
     (lhs, rhs), *link_sums = _integrals(sf, sides, Profiles(us), quad_tol)
     tests: list[TestRecord] = []

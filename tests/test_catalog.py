@@ -7,6 +7,7 @@ import pytest
 
 from rellich import catalog as cat
 from rellich import pairs as pr
+from rellich.expr import Const
 from rellich.geometry import SpaceForm
 
 
@@ -313,6 +314,19 @@ class TestPotentialChain:
         from rellich.verify import check_chain_composition
 
         check_chain_composition(chain, SpaceForm(6, 0.0, 1.0))
+
+    def test_links_are_primal_pairs(self):
+        # link-2 is the second Bessel pair's primal pair (a/t, X, C Y/X), so
+        # every link is certified by its residual; a Bessel pair is refused
+        entry = cat.iterated_log_potential(1, 1.0)
+        second = pr.bessel_pairs_from_potential(entry.specs["potential"], 2.0, 6)[1]
+        links = cat.chain_from_potential(entry, 6).links
+        assert [link.spec.kind for link in links] == ["primal", "primal"]
+        assert links[1].spec.expr("w") is second.expr("X")
+        assert str(links[1].spec.expr("W")) == str(
+            Const(second.constant) * second.expr("Y") / second.expr("X"))
+        with pytest.raises(ValueError, match="expected a primal spec, got bessel-pair"):
+            cat.ChainLink(alpha=0.25, spec=second, label="link-2")
 
 
 class TestRegistry:

@@ -14,6 +14,7 @@ import pytest
 import rellich
 from rellich import catalog as cat
 from rellich import cli
+from rellich import pairs as pr
 from rellich import verify as vf
 from rellich.catalog import CATALOG_IDS
 from rellich.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_PASS,
@@ -609,7 +610,7 @@ _REPORT_DIGESTS = {
     "chain --catalog hyp-final --n 5 --kappa 1 --tests 2 --grid 500":
         "f65cb4109fced11ea106c0cca9f0827f083830278d456b574af94b9700250733",
     "chain --catalog iterlog --k 1 --n 6 --R 1 --tests 2 --grid 500":
-        "ccafeb444745ab6bffcf6c39419d5384fc8f169b38c2203be1c1b08d3aabca67",
+        "d6d43a224d53b293e3d9aeec998284ac25353c1ed62252fbc62ca2a45cf4336a",
     "estimate --catalog classical-rellich --n 6 --shape delta-vs-gradrad --budget 25":
         "a50775f6ecc3c1f65cba453fb01b093e822e66b5c60626cb4825ed266505cf45",
     "estimate --catalog classical-rellich --n 6 --shape gradrad-vs-usq --budget 25":
@@ -788,9 +789,8 @@ def test_report_scans_are_the_shape_gates(tmp_path, monkeypatch, entry, shape):
         return
     pair = pairs[0]
     if shape == "chain":
-        expected = _GATES["delta-vs-gradrad"] + [
-            f"{link.label}-{'residual' if link.spec.kind == 'primal' else 'disconjugacy'}"
-            for link in pair.links]
+        expected = _GATES["delta-vs-gradrad"] + [f"{link.label}-residual"
+                                                 for link in pair.links]
     else:
         expected = [g + "(signed-override)" if g == "W" and pair.allow_signed_W else g
                     for g in _GATES[shape]]
@@ -821,4 +821,24 @@ def test_readme_lists_its_examples():
 def test_readme_example_runs(capsys, line):
     code = main(shlex.split(line)[1:])
     assert code == (EXIT_FAIL if line.startswith(_README_FAILS) else EXIT_PASS)
+    assert capsys.readouterr().out
+
+
+# the README's chain examples and the potential chains at n = 6, once each
+_CHAINS = dict.fromkeys(
+    [line.removeprefix("rellich ") for line in _readme_examples()
+     if line.startswith("rellich chain ")]
+    + [f"chain --catalog {family} --k {k} --n 6 --R 1"
+       for family in ("iterlog", "ell-family") for k in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("line", _CHAINS)
+def test_chain_runs_no_ode(capsys, monkeypatch, line):
+    # every link gates on its residual scan, so no chain integrates the
+    # disconjugacy ODE
+    def no_ode(*args, **kwargs):
+        raise AssertionError("a chain ran the disconjugacy ODE")
+
+    monkeypatch.setattr(pr, "disconjugacy_check", no_ode)
+    assert main(shlex.split(line)) == EXIT_PASS
     assert capsys.readouterr().out

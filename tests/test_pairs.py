@@ -773,10 +773,10 @@ class TestDeepDisconjugacy:
 
 
 def _link_pair(family, k, n):
-    """The Bessel-pair link of a family's chain at R = 1."""
+    """The second Bessel pair of a family's potential at R = 1: the pair of
+    its chain's link-2."""
     build = cat.iterated_log_potential if family == "iterlog" else cat.ell_potential
-    chain = cat.chain_from_potential(build(k, 1.0), n)
-    return next(link.spec for link in chain.links if link.spec.kind == "bessel-pair")
+    return pr.bessel_pairs_from_potential(build(k, 1.0).specs["potential"], 2.0, n)[1]
 
 
 def _reference_first_zero(p, n):

@@ -1,5 +1,6 @@
 """Quadrature and end-to-end verification runs."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from rellich import catalog as cat
+from rellich import pairs as pr
 from rellich import sharpness as sh
 from rellich import verify as vf
 from rellich.cli import main
@@ -497,8 +499,42 @@ class TestVerifyChain:
         rep = verify_case(InequalityCase("chain", SpaceForm(6, 0.0, 1.0),
                                          BatchSpec(count=6, seed=7), chain, case_id="chain"))
         assert rep.verdict == "pass"
-        assert any(s.target == "link-2-disconjugacy" and s.verdict == "nonnegative"
+        assert any(s.target == "link-2-residual" and s.verdict == "nonnegative"
                    for s in rep.scans)
+
+    @pytest.mark.parametrize("family", ["iterlog", "ell-family"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_link_residual_agrees_with_the_ode(self, family, k, n):
+        # link-2's residual a f/t + a (n-1)(ct - 1/t)/t reads nonnegative where
+        # the ODE on the same Bessel pair keeps a positive solution; with W
+        # raised by half the row reads violated and the chain cannot pass
+        entry = (cat.iterated_log_potential if family == "iterlog" else cat.ell_potential)(k, 1.0)
+        chain = cat.chain_from_potential(entry, n)
+        sf = SpaceForm(n, 0.0, 1.0)
+        assert _link_2_run(chain, sf)[1].verdict == "nonnegative"
+        second = pr.bessel_pairs_from_potential(entry.specs["potential"], 2.0, n)[1]
+        assert pr.disconjugacy_check(second, n=n).positive_solution is True
+        link = chain.links[1]
+        raised = dataclasses.replace(link.spec, exprs={
+            **link.spec.exprs, "W": Const(1.5) * link.spec.expr("W")})
+        bad = dataclasses.replace(
+            chain, links=(chain.links[0], dataclasses.replace(link, spec=raised)))
+        verdict, row = _link_2_run(bad, sf, count=2)
+        assert row.verdict == "violated" and verdict != "pass"
+
+    def test_inline_link_residual_reads_the_space_form(self):
+        # an inline potential chain at kappa = 1: the residual gains
+        # a (n-1)(ct - 1/t)/t > 0, where the ODE read only n
+        pot = cat.iterated_log_potential(1, 1.0).specs["potential"]
+        entry = cat.CatalogEntry("inline", {"lambda": 2.0}, {pot.kind: pot},
+                                 SpaceForm(6, 1.0, 1.0))
+        chain = cat.chain_from_potential(entry, 6)
+        flat, curved = (_link_2_run(chain, SpaceForm(6, kappa, 1.0))[1] for kappa in (0.0, 1.0))
+        assert flat.verdict == curved.verdict == "nonnegative"
+        assert curved.min > flat.min
+        second = pr.bessel_pairs_from_potential(pot, 2.0, 6)[1]
+        assert pr.disconjugacy_check(second, n=6).positive_solution is True
 
     def test_final_combined_chain(self):
         entry = cat.final_combined(5, 1.0)
@@ -526,6 +562,12 @@ class TestVerifyChain:
         with pytest.raises(ChainMismatchError, match="offending link: link-x"):
             verify_case(InequalityCase("chain", SpaceForm(5, 1.0), BatchSpec(count=1, seed=1),
                                        bad, case_id="chain"))
+
+
+def _link_2_run(chain, sf, count=0):
+    """The verdict and link-2-residual row of the chain on count tests."""
+    rep = verify_case(InequalityCase("chain", sf, BatchSpec(count=count, seed=7), chain))
+    return rep.verdict, next(s for s in rep.scans if s.target == "link-2-residual")
 
 
 def _rows(tmp_path, argv: str, tol: float) -> dict:
