@@ -441,10 +441,9 @@ _PAIR_LOG_DEPTH = 110.0
 _END_GAP = -math.log1p(-1e-9)    # default intervals end at t = R (1 - 1e-9)
 _FLOAT_LOG_FLOOR = -120.0        # below t = e^{-120}, coefficients on ExtFloat
 _CANCELLATION = 2.0 ** 12        # sum |term| / |sum| past which b takes 40 digits
-_ODE_RTOL = 1e-8                 # the loop: step-doubling error per step
 _GRID = 512                      # steps of the first fixed-grid level
 _ANGLE_TOL = 1e-6                # Pruefer-angle agreement of two levels
-_MAX_STEPS = 20_000              # steps before a run ends inconclusive
+_MAX_STEPS = 2 ** 17             # grid steps before a run ends inconclusive
 
 
 def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = None,
@@ -463,40 +462,34 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     cancels (sum |term| / |sum| above 2^12) is recomputed on 40 digits, and
     a coefficient that is not finite ends the run inconclusive.
 
-    Three integrators share that rule.  A potential on its default interval
-    takes RK4 on nested grids uniform in v = -log(log R - s), s = log t,
-    where b w^2 (w = log R - s) of the catalog potentials tends to a
-    constant at both ends (``_fixed_grid_run``); a Bessel pair whose
-    interval starts above e^(-120), as the default one does, takes nested
-    grids uniform in s.  Everything else, and a potential that no grid
-    level resolves, takes the step-doubling loop (``_adaptive_run``), whose
-    state is renormalized in flight, which is sign-safe for a linear
-    equation.  ``steps`` counts the grid's steps over all its levels, the
-    loop's accepted and rejected attempts, and the step that holds the
-    first zero, which both bisect alike in s.  Past ``_MAX_STEPS`` steps
-    the run is inconclusive.
+    One integrator, RK4 on nested fixed grids (``_fixed_grid_run``), runs
+    every interval on one of two maps.  A potential takes grids uniform in
+    v = -log(A - s), s = log t, graded toward the end t = e^A: A = log R on
+    the default interval, where b w^2 (w = log R - s) of the catalog
+    potentials tends to a constant at both ends, and A = log t1 + _END_GAP
+    on an explicit one.  A Bessel pair takes grids uniform in s.  ``steps``
+    counts the grid's steps over all its levels and the step that holds the
+    first zero, which is bisected in s.  Past ``_MAX_STEPS`` steps the run
+    is inconclusive.
     """
     a_expr, b_expr = _sspace_coefficients(p, n)
-    log_R = math.log(float(p.params.get("R", 1.0)))
     if interval is not None:
         t0, t1 = interval
         if not (0 < t0 < t1 < math.inf):
             raise ValueError(f"interval must satisfy 0 < t0 < t1 < inf, got {interval}")
         s_lo, s_hi = math.log(t0), math.log(t1)
+        anchor = s_hi + _END_GAP
+        w_lo = anchor - s_lo
     else:
-        depth = _DEEP_LOG_DEPTH if p.kind == "bessel-potential" else _PAIR_LOG_DEPTH
-        s_lo, s_hi = log_R - depth, log_R - _END_GAP
+        log_R = math.log(float(p.params.get("R", 1.0)))
+        w_lo = _DEEP_LOG_DEPTH if p.kind == "bessel-potential" else _PAIR_LOG_DEPTH
+        s_lo, s_hi, anchor = log_R - w_lo, log_R - _END_GAP, log_R
     program = ex.Program((a_expr, b_expr, *_summands(p)))
-    base = p.bindings(n=n)
-    if p.kind == "bessel-potential" and interval is None:
-        first_zero_s, status, steps = _fixed_grid_run(
-            program, base, -math.log(depth), -math.log(_END_GAP), _v_map(log_R))
-        if status == "inconclusive":
-            first_zero_s, status, steps = _adaptive_run(program, base, s_lo, s_hi, steps)
-    elif p.kind == "bessel-pair" and s_lo > _FLOAT_LOG_FLOOR:
-        first_zero_s, status, steps = _fixed_grid_run(program, base, s_lo, s_hi, _s_map)
+    if p.kind == "bessel-pair":
+        grid = (s_lo, s_hi, _s_map)
     else:
-        first_zero_s, status, steps = _adaptive_run(program, base, s_lo, s_hi)
+        grid = (-math.log(w_lo), -math.log(_END_GAP), _v_map(anchor))
+    first_zero_s, status, steps = _fixed_grid_run(program, p.bindings(n=n), *grid)
     if first_zero_s is not None:
         t_zero = math.exp(first_zero_s) if first_zero_s > -745.0 else 0.0
         return DisconjugacyReport(t_zero, "ok", log_t_first_zero=first_zero_s, steps=steps)
@@ -551,8 +544,7 @@ def _coefficients(program: ex.Program, base: dict, s: np.ndarray) -> np.ndarray:
 
 def _coefficient_memo(program: ex.Program, base: dict):
     """coeffs(*points): the [a, b] of each point, memoized by exact s; the
-    points not known yet are computed in one _coefficients call.  Returns
-    coeffs and its memo."""
+    points not known yet are computed in one _coefficients call."""
     memo = {}
 
     def coeffs(*points):
@@ -561,7 +553,7 @@ def _coefficient_memo(program: ex.Program, base: dict):
             memo.update(zip(new, _coefficients(program, base, np.array(new)).T.tolist()))
         return [memo[s] for s in points]
 
-    return coeffs, memo
+    return coeffs
 
 
 def _rk4(coeffs, s, y, dy, h):
@@ -599,58 +591,6 @@ def _bisect_zero(coeffs, s, y, dy, h) -> float:
         if hi_s - lo_s < 1e-9 * max(1.0, abs(hi_s)):
             break
     return (lo_s + hi_s) / 2
-
-
-def _adaptive_run(program: ex.Program, base: dict, s_lo: float, s_hi: float,
-                  steps: int = 0):
-    """(first zero s or None, status, steps) of step-doubling RK4 from
-    (y, y_s) = (1, 0) at s_lo, counting on from the given steps."""
-    # an attempt's three RK4 steps share their points, which one
-    # _coefficients call computes; the memo holds the current attempt's
-    coeffs, memo = _coefficient_memo(program, base)
-    y, dy, s = 1.0, 0.0, s_lo
-    end_tol = 1e-9 * max(1.0, abs(s_hi))
-    h = min(1.0, s_hi - s_lo)
-    while s_hi - s > end_tol:
-        if steps >= _MAX_STEPS:
-            return None, "inconclusive", steps
-        h = min(h, s_hi - s)
-        start = memo.get(s)      # keep only the new start's coefficients
-        memo.clear()
-        if start is not None:
-            memo[s] = start
-        try:
-            half = s + h / 2
-            coeffs(s, half, s + h, s + h / 4, half + h / 4, half + h / 2)
-            y_full, dy_full = _rk4(coeffs, s, y, dy, h)
-            y_half, dy_half = _rk4(coeffs, s, y, dy, h / 2)
-            y2, dy2 = _rk4(coeffs, half, y_half, dy_half, h / 2)
-        except (ex.EvaluationError, ZeroDivisionError):
-            return None, "inconclusive", steps
-        # max() drops a NaN in a later argument: a NaN y2 reaches err
-        # through norm, a NaN dy2 through the first term, and a NaN err is
-        # never accepted
-        norm = max(abs(y2), abs(dy2), 1e-300)
-        err = max(abs(dy2 - dy_full), abs(y2 - y_full)) / norm
-        if not err <= _ODE_RTOL:
-            if h > 1e-12 * max(1.0, abs(s)):
-                h = h * max(0.2, 0.9 * (_ODE_RTOL / err) ** 0.2)
-                steps += 1
-                continue
-            if not err <= 100.0 * _ODE_RTOL:   # step underflow: stiff failure
-                return None, "inconclusive", steps
-        if y2 == 0 or (y < 0) != (y2 < 0):
-            return _bisect_zero(coeffs, s, y, dy, h), "ok", steps + 1
-        y, dy, s = y2, dy2, s + h
-        steps += 1
-        if err > 0:
-            h = h * min(5.0, 0.9 * (_ODE_RTOL / err) ** 0.2)
-        else:
-            h = h * 5.0
-        m = max(abs(y), abs(dy))
-        if m > 1e80 or m < 1e-80:
-            y, dy = y / m, dy / m
-    return None, "ok", steps
 
 
 def _s_map(x: np.ndarray) -> tuple:
@@ -739,12 +679,13 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
     _MAX_STEPS, whose step is below 1e-12 max(1, |x|), or whose state is
     not finite before its first sign change (steps out of float range,
     which no level within the budget resolves) ends the run inconclusive;
-    an interval within the step-doubling loop's end tolerance has nothing
-    to integrate.
+    an interval no longer in s than the bisection's tolerance,
+    1e-9 max(1, |s|) at its end, has nothing to integrate.
     """
-    span = x_hi - x_lo
-    if span <= 1e-9 * max(1.0, abs(x_hi)):
+    s_lo, s_hi = to_s(np.array([x_lo, x_hi]))[0]
+    if s_hi - s_lo <= 1e-9 * max(1.0, abs(s_hi)):
         return None, "ok", 0
+    span = x_hi - x_lo
     floor = 1e-12 * max(1.0, abs(x_lo), abs(x_hi))
     N = stop = _GRID                             # steps of the grid and of this level
     coef = np.empty((2, 0))                      # coefficients on a prefix of the 2N-step grid
@@ -781,7 +722,7 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
                 i = 2 * ((flip - 1) // 2)
                 angle = theta[i] + (theta[i] - coarse[i // 2]) / 15.0
                 s, w, _ = to_s(x[[2 * i, 2 * flip]])
-                coeffs, _ = _coefficient_memo(program, base)
+                coeffs = _coefficient_memo(program, base)
                 zero = _bisect_zero(coeffs, float(s[0]), math.cos(angle),
                                     math.sin(angle) / float(w[0]), float(s[1] - s[0]))
                 return zero, "ok", steps + 1

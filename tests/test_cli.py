@@ -266,14 +266,15 @@ class TestSolveBessel:
     @pytest.mark.parametrize("Z", ["t^-2*1e300", "exp(1/t)"])
     def test_non_finite_step_is_inconclusive(self, tmp_path, Z):
         # the state overflows in the first steps (t^-2*1e300), or the
-        # coefficient does not fit in a float (exp(1/t)): a NaN step error
-        # must be rejected, not read as a converged step that ends the run
+        # coefficient does not fit in a float (exp(1/t)): the run stops at
+        # its first level, after its 512 steps or before any, and a NaN
+        # state must not be read as a sign change or a converged level
         code, rep = _run(tmp_path, "solve-bessel", "--z", "t", "--Z", Z, "--R", "1",
                          "--t0", "1e-3", "--t1", "0.5")
         assert code == EXIT_INCONCLUSIVE
         assert rep["config"]["status"] == "inconclusive"
         assert rep["config"]["positive_solution"] is False
-        assert rep["config"]["steps"] < 50
+        assert rep["config"]["steps"] == {"t^-2*1e300": 512, "exp(1/t)": 0}[Z]
 
     def test_deep_start_out_of_float_range_ends_at_once(self):
         # the first coefficient at t = e^(-2e6) needs exp(e^(2e6)); mpmath's
@@ -629,7 +630,7 @@ _REPORT_DIGESTS = {
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
     # deep start (the grid uniform in v, ExtFloat coefficients below e^-120)
     # at the best and a super-critical constant, and an explicit interval
-    # wholly in float (the step-doubling loop)
+    # wholly in float (the grid uniform in v graded toward t1)
     "solve-bessel --catalog iterlog --k 1 --R 1":
         "f7cbaabd51cdac69b42bd029649544d421c09fc70bad5b10eecccb45b5a60c37",
     "solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3":
@@ -639,7 +640,7 @@ _REPORT_DIGESTS = {
     "solve-bessel --catalog ell-family --k 3 --R 1 --c 0.3":
         "24ac50d2a393d2d899cf9812b5f679b3ba54be4c0984355b1cd960bbe2dfd034",
     "solve-bessel --catalog iterlog --k 1 --R 1 --t0 1e-6 --t1 0.999":
-        "59c12b7634225ba40509aea5aaf47a869425bf4913c2ebfe92726198950e5962",
+        "9859a4611aa2293ffa568d60f92ccd49f62c618b2ac58046a6b31353fcb6c329",
     # batch-workload shapes at seed 15, whose batches hold supports with
     # b/a > 32 (log-substituted panels) beside linear ones; the first mixes
     # modes 0, 1, 2 and exits 2 on its E2 scan with a report

@@ -456,10 +456,9 @@ class TestDisconjugacy:
         assert [f.name for f in src.glob("*.py") if "mpmath" in f.read_text()] == []
 
     def test_start_below_float_range_falls_back_per_point(self, monkeypatch):
-        # t0 = 1e-200 lies below e^-120: an explicit interval takes the
-        # step-doubling loop, whose attempts run their points below e^-120
-        # on ExtFloat arrays and the rest on numpy arrays, with the steps and
-        # verdict of a run wholly on mpmath
+        # t0 = 1e-200 lies below e^-120: the grid graded toward t1 runs its
+        # points below e^-120 on ExtFloat arrays and the rest on numpy
+        # arrays, and accepts a positive solution at its 2,048-step level
         p = cat.iterated_log_potential(2, 1.0).specs["potential"]
         kinds = set()
         evaluate = Program.evaluate
@@ -472,7 +471,7 @@ class TestDisconjugacy:
         rep = pr.disconjugacy_check(p, interval=(1e-200, 0.999))
         assert kinds == {"ndarray", "ExtFloat"}
         assert rep.positive_solution is True and rep.status == "ok"
-        assert rep.steps == 80
+        assert rep.steps == 3584
 
     def test_step_budget_exhaustion_is_inconclusive(self, potential, monkeypatch):
         monkeypatch.setattr(pr, "_MAX_STEPS", 3)
@@ -481,32 +480,30 @@ class TestDisconjugacy:
         assert rep.positive_solution is False
         assert rep.first_zero is None
 
-    def test_potential_no_level_resolves_takes_the_loop(self, potential, monkeypatch):
-        # with 800 steps the grid stops after its 512-step level, and the
-        # step-doubling loop counts on from there: 209 steps to a positive
-        # solution, and 187 to the loop's first zero at c = 0.3
+    @pytest.mark.parametrize("c", [0.25, 0.3])
+    def test_potential_no_level_resolves_is_inconclusive(self, potential, monkeypatch, c):
+        # with 800 steps the grid stops after its 512-step level, which
+        # alone accepts nothing: no positive solution and no first zero
         monkeypatch.setattr(pr, "_MAX_STEPS", 800)
-        rep = pr.disconjugacy_check(potential)
-        assert rep.positive_solution is True and rep.steps == 512 + 209
-        rep = pr.disconjugacy_check(potential.with_constant(0.3))
-        assert rep.first_zero is not None and rep.steps == 512 + 187
-        assert abs(rep.log_t_first_zero - _DEEP_RUNS["iterlog", 1, 1.0][2]) <= 5e-6
+        rep = pr.disconjugacy_check(potential.with_constant(c))
+        assert rep.status == "inconclusive" and rep.first_zero is None
+        assert rep.positive_solution is False and rep.steps == 512
 
     @pytest.mark.parametrize("end", [math.inf, math.nan])
     def test_non_finite_interval_end_is_rejected(self, potential, end):
-        # an infinite end gives an infinite end tolerance: the step loop would
+        # an infinite end gives an infinite end tolerance: the grid would
         # not run, and a positive solution would stand for no integration
         with pytest.raises(ValueError, match="interval"):
             pr.disconjugacy_check(potential.with_constant(0.3), interval=(0.1, end))
 
-    @pytest.mark.parametrize("which", ["potential", "pair", "loop"])
+    @pytest.mark.parametrize("which", ["potential", "pair", "explicit"])
     def test_one_coefficient_run_per_point(self, potential, monkeypatch, which):
         # a grid level computes the coefficients of the points no coarser
         # level has in at most two runs of the program: one numpy run on the
         # points above e^-120 and one ExtFloat run on those below it (all of
-        # a pair's points lie above).  The bisection of a first zero makes
-        # one run per halving, on at most 3 points, and a step-doubling
-        # attempt one run on its 5 points
+        # a default pair's points lie above; an explicit interval from
+        # 1e-200 has both).  The bisection of a first zero makes one run per
+        # halving, on at most 3 points
         runs, levels, new = [], [], []
         evaluate, fill = Program.evaluate, pr._fill_coefficients
 
@@ -522,32 +519,17 @@ class TestDisconjugacy:
 
         monkeypatch.setattr(Program, "evaluate", counted)
         monkeypatch.setattr(pr, "_fill_coefficients", level)
-        if which == "loop":
-            batches = []
-            coefficients = pr._coefficients
-
-            def batch(program, base, s):
-                start = len(runs)
-                coef = coefficients(program, base, s)
-                batches.append((s.size, len(runs) - start))
-                return coef
-
-            monkeypatch.setattr(pr, "_coefficients", batch)
-            rep = pr.disconjugacy_check(cat.iterated_log_potential(2, 1.0).specs["potential"],
-                                        interval=(1e-200, 0.999))
-            assert rep.positive_solution is True and levels == []
-            assert len(batches) == rep.steps
-            assert max(size for size, _ in batches) <= 6 and max(n for _, n in batches) <= 2
-            return
-        p = potential if which == "potential" else pr.bessel_pairs_from_potential(
+        p = potential if which != "pair" else pr.bessel_pairs_from_potential(
             potential, 2.0, 6)[1]
-        shape = ["ndarray", "ExtFloat"] if which == "potential" else ["ndarray"]
-        for c, zero in ((0.25, False), (0.3, True)) if which == "potential" else (
-                (1.0, False), (3.0, True)):
+        shape = ["ndarray"] if which == "pair" else ["ndarray", "ExtFloat"]
+        interval = (1e-200, 0.999) if which == "explicit" else None
+        for c, zero in {"potential": ((0.25, False), (0.3, True)),
+                        "pair": ((1.0, False), (3.0, True)),
+                        "explicit": ((0.25, False), (1.0, True))}[which]:
             runs.clear()
             levels.clear()
             new.clear()
-            rep = pr.disconjugacy_check(p.with_constant(c), n=6)
+            rep = pr.disconjugacy_check(p.with_constant(c), interval, n=6)
             assert (rep.first_zero is not None) == zero and rep.status == "ok"
             assert len(levels) >= 3 and all(kinds == shape for kinds in levels)
             points = np.concatenate(new)          # no level recomputes a coarser one's
@@ -709,9 +691,7 @@ class TestDeepDisconjugacy:
 
     @pytest.mark.parametrize("family,k,R", sorted(_DEEP_RUNS))
     def test_first_zero_matches_a_reference_integrator(self, family, k, R):
-        # the grid's zeros lie within 3e-10 to 2.7e-9 of the reference; the
-        # step-doubling loop's lay 1.9e-6 to 2.6e-6 from it, 20 times its
-        # bisection tolerance 1e-9 |log t|
+        # the grid's zeros lie within 3e-10 to 2.7e-9 of the reference
         p = _deep_potential(family, k, R).with_constant(0.3)
         rep = pr.disconjugacy_check(p)
         assert abs(rep.log_t_first_zero - _reference_deep_zero(p)) <= 1e-7
@@ -756,6 +736,17 @@ class TestDeepDisconjugacy:
             if want.first_zero is not None:
                 assert abs(got.log_t_first_zero - want.log_t_first_zero) <= 1e-9
 
+    @pytest.mark.parametrize("t0,c", [(1e-300, 0.3), (1e-300, 5.0), (1e-6, 2.0)])
+    def test_explicit_interval_zero_matches_the_closed_form(self, t0, c):
+        # z_ss + c z = 0 from the principal data at s0 = log t0, on the grid
+        # graded toward t1: the first zero is s0 + pi/(2 sqrt(c))
+        p = PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse("1/t^2")},
+                     constant=c, params={"R": 1.0})
+        rep = pr.disconjugacy_check(p, interval=(t0, 0.999))
+        want = math.log(t0) + math.pi / (2 * math.sqrt(c))
+        assert rep.status == "ok"
+        assert abs(rep.log_t_first_zero - want) <= 1e-9 * max(1.0, abs(want))
+
     def test_zero_below_float_range_is_reported(self):
         # z'' + z'/t + c z/t^2 = 0 is z_ss + c z = 0 in s = log t: from the
         # principal data at s0 = -2e6 the first zero is s0 + pi/(2 sqrt(c)),
@@ -779,23 +770,24 @@ def _link_pair(family, k, n):
     return pr.bessel_pairs_from_potential(build(k, 1.0).specs["potential"], 2.0, n)[1]
 
 
-def _reference_first_zero(p, n):
+def _reference_first_zero(p, n, s0=-110.0):
     """log t of the first zero of a pair's solution from the principal data
-    at t = e^-110, by scipy's DOP853 at rtol 1e-13 on float coefficients."""
+    at log t = s0, by scipy's DOP853 at rtol 1e-13 on the coefficients of
+    _coefficients (float t^2 Y/X is NaN below float range)."""
     from scipy.integrate import solve_ivp
 
     program = Program(pr._sspace_coefficients(p, n))
     bindings = p.bindings(n=n)
 
     def f(s, u):
-        a, b = program.evaluate({**bindings, "t": math.exp(s)})
+        a, b = pr._coefficients(program, bindings, np.array([s]))[:, 0]
         return [u[1], -a * u[1] - b * u[0]]
 
     def crossing(s, u):
         return u[0]
 
     crossing.terminal = True
-    sol = solve_ivp(f, (-110.0, math.log1p(-1e-9)), [1.0, 0.0], method="DOP853",
+    sol = solve_ivp(f, (s0, math.log1p(-1e-9)), [1.0, 0.0], method="DOP853",
                     rtol=1e-13, atol=1e-20, first_step=1e-3, events=crossing)
     return sol.t_events[0][0]
 
@@ -811,8 +803,7 @@ class TestPairGrid:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("c", [1.5, 3.0, 30.0])
     def test_first_zero_matches_a_reference_integrator(self, k, c):
-        # the step-doubling loop came within 4.3e-8 of the reference here,
-        # the bisection's own tolerance being 1e-9 |log t| (1.1e-7).  At
+        # the bisection's own tolerance is 1e-9 |log t| (1.1e-7).  At
         # c = 1.5 the levels of 512 and 1,024 steps are both 1.2e-6 off and
         # agree within 2.6e-7: a zero bisected from either misses by 1.2e-6
         p = _link_pair("iterlog", k, 6).with_constant(c)
@@ -820,12 +811,35 @@ class TestPairGrid:
         assert rep.status == "ok"
         assert abs(rep.log_t_first_zero - _reference_first_zero(p, 6)) <= 1e-7
 
-    def test_interval_below_float_range_takes_the_loop(self):
-        # 460 in log t: a uniform grid exhausts the budget before its levels
-        # agree, where the step-doubling loop passes
+    def test_interval_below_float_range_takes_the_grid(self):
+        # 460 in log t: the levels of 512, ..., 16,384 steps uniform in s
         rep = pr.disconjugacy_check(_link_pair("iterlog", 1, 6), interval=(1e-200, 0.999), n=6)
         assert rep.positive_solution is True and rep.status == "ok"
-        assert rep.steps == 6978
+        assert rep.steps == 32256
+
+    @pytest.mark.parametrize("family", ["iterlog", "ell-family"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_deep_interval_keeps_a_positive_solution(self, family, k, n):
+        rep = pr.disconjugacy_check(_link_pair(family, k, n), interval=(1e-120, 0.999), n=n)
+        assert rep.positive_solution is True and rep.status == "ok"
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_deep_first_zero_matches_a_reference_integrator(self, k):
+        p = _link_pair("iterlog", k, 6).with_constant(1.5)
+        rep = pr.disconjugacy_check(p, interval=(1e-200, 0.999), n=6)
+        want = _reference_first_zero(p, 6, math.log(1e-200))
+        assert rep.status == "ok"
+        assert abs(rep.log_t_first_zero - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("interval", [(1e-200, 5.0), (1e-130, 3.0), (1e-300, 20.0)])
+    def test_interval_across_the_pole_is_inconclusive(self, interval):
+        # a = 4 + 2/(1 - log t) has a pole at t = e: no level resolves the
+        # run across it.  A solver that steps over the pole reports a first
+        # zero whose place depends on the interval (log t 1.079, 1.050 and
+        # 1.035 here, by adaptive step-doubling RK4 at 1e-8 per step)
+        rep = pr.disconjugacy_check(_link_pair("iterlog", 1, 6), interval=interval, n=6)
+        assert rep.status == "inconclusive" and rep.first_zero is None
 
 
 def _one_pair_of_each_kind():
