@@ -192,6 +192,11 @@ def _pow_float(x, y):
         return math.inf
 
 
+def _ct_float(x, kappa):
+    tanh = math.tanh(kappa * x)
+    return kappa / tanh if tanh else math.inf    # kappa x underflows to 0: +inf, as numpy
+
+
 def _notint_scalar(y):
     return not float(y).is_integer()
 
@@ -200,8 +205,7 @@ def _notint_scalar(y):
 # in the last bit on some inputs, and scalar paths must match earlier reports
 _FLOAT = _primitives(
     bool, _reject_scalar, math.log, math.sqrt, _exp_float, _sinh_float, _cosh_float,
-    math.tanh, lambda x: 1.0 / math.tanh(x), lambda x, kappa: kappa / math.tanh(kappa * x),
-    _pow_float, _notint_scalar,
+    math.tanh, lambda x: 1.0 / math.tanh(x), _ct_float, _pow_float, _notint_scalar,
     lambda x: isinstance(x, float) and math.isnan(x))
 
 # overflow is silenced by the errstate in Expr.evaluate

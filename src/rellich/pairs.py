@@ -423,9 +423,19 @@ def _sspace_coefficients(p: PairSpec, n: Optional[int]):
 
 
 def _summands(p: PairSpec) -> tuple:
-    """The top-level sum in b (Z of a potential, Y of a pair) followed by
+    """The sum in b (Z of a potential, Y of a pair), under any sign change
+    and constant factors, which cancel no more than it does, followed by
     its terms, for the cancellation rule; () when it has one term."""
     total = p.expr("Z" if p.kind == "bessel-potential" else "Y")
+    while True:
+        if isinstance(total, Unary) and total.op == "neg":
+            total = total.child
+        elif isinstance(total, ex.Binary) and total.op == "*" and isinstance(total.left, Const):
+            total = total.right
+        elif isinstance(total, ex.Binary) and total.op in "*/" and isinstance(total.right, Const):
+            total = total.left
+        else:
+            break
     terms, stack = [], [total]
     while stack:
         e = stack.pop()
@@ -444,6 +454,7 @@ _CANCELLATION = 2.0 ** 12        # sum |term| / |sum| past which b takes 40 digi
 _GRID = 512                      # steps of the first fixed-grid level
 _ANGLE_TOL = 1e-6                # Pruefer-angle agreement of two levels
 _MAX_STEPS = 2 ** 17             # grid steps before a run ends inconclusive
+_SECTIONS = 64                   # RK4 substeps of a first zero's bracket per round
 
 
 def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = None,
@@ -458,9 +469,10 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     The coefficients (``_coefficients``) are computed in one numpy run on
     the points t = e^s above e^(-120) and one ``expr.ExtFloat`` run (float
     mantissas, int64 exponents) on those below it or whose numpy value is
-    not finite, then rounded to float; a point where the top-level sum in b
-    cancels (sum |term| / |sum| above 2^12) is recomputed on 40 digits, and
-    a coefficient that is not finite ends the run inconclusive.
+    not finite, then rounded to float; a point where the sum in b
+    (``_summands``) cancels (sum |term| / |sum| above 2^12) is recomputed
+    on 40 digits, and a coefficient that is not finite ends the run
+    inconclusive.
 
     One integrator, RK4 on nested fixed grids (``_fixed_grid_run``), runs
     every interval on one of two maps.  A potential takes grids uniform in
@@ -469,8 +481,8 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     potentials tends to a constant at both ends, and A = log t1 + _END_GAP
     on an explicit one.  A Bessel pair takes grids uniform in s.  ``steps``
     counts the grid's steps over all its levels and the step that holds the
-    first zero, which is bisected in s.  Past ``_MAX_STEPS`` steps the run
-    is inconclusive.
+    first zero, which is found in s by multisection on the same RK4 kernels
+    (``_bisect_zero``).  Past ``_MAX_STEPS`` steps the run is inconclusive.
     """
     a_expr, b_expr = _sspace_coefficients(p, n)
     if interval is not None:
@@ -500,7 +512,7 @@ def _coefficients(program: ex.Program, base: dict, s: np.ndarray) -> np.ndarray:
     """(a, b) at the points s as two float rows: one numpy run on the points
     above e^(-120), one ExtFloat run on the rest and on those whose numpy
     value is not finite (all of them when that run raises).  A point whose
-    top-level sum in b has sum |term| / |sum| above _CANCELLATION is
+    sum in b (``_summands``) has sum |term| / |sum| above _CANCELLATION is
     recomputed on 40 digits (``expr.WideFloat``).  Raises EvaluationError
     where a value is not finite."""
     coef = np.empty((2, s.size))
@@ -515,19 +527,17 @@ def _coefficients(program: ex.Program, base: dict, s: np.ndarray) -> np.ndarray:
                 cancels[i] = _sum(map(abs, terms)) > _CANCELLATION * abs(total)
 
     deep = s <= _FLOAT_LOG_FLOOR
-    n_deep = np.count_nonzero(deep)
-    if n_deep < s.size:
-        i = slice(None) if not n_deep else np.flatnonzero(~deep)
+    if not deep.all():
+        i = np.flatnonzero(~deep)
         try:
             run(i, np.exp(s[i]))
-            deep |= ~(np.isfinite(coef[0]) & np.isfinite(coef[1]))
-            n_deep = np.count_nonzero(deep)
+            deep |= ~np.isfinite(coef).all(axis=0)
         except ex.EvaluationError:
-            deep[:], n_deep = True, s.size
-    if n_deep:
-        i = slice(None) if n_deep == s.size else np.flatnonzero(deep)
+            deep[:] = True
+    if deep.any():
+        i = np.flatnonzero(deep)
         run(i, ex.ext_exp(s[i]))
-        lost = np.flatnonzero(~(np.isfinite(coef[0, i]) & np.isfinite(coef[1, i])))
+        lost = np.flatnonzero(~np.isfinite(coef[:, i]).all(axis=0))
         if lost.size:
             raise ex.EvaluationError(f"ODE coefficient out of float range at log t = "
                                      f"{float(s[i][lost[0]])!r}")
@@ -540,57 +550,6 @@ def _coefficients(program: ex.Program, base: dict, s: np.ndarray) -> np.ndarray:
         if all(map(math.isfinite, wide)):
             coef[:, i] = wide
     return coef
-
-
-def _coefficient_memo(program: ex.Program, base: dict):
-    """coeffs(*points): the [a, b] of each point, memoized by exact s; the
-    points not known yet are computed in one _coefficients call."""
-    memo = {}
-
-    def coeffs(*points):
-        new = [s for s in dict.fromkeys(points) if s not in memo]
-        if new:
-            memo.update(zip(new, _coefficients(program, base, np.array(new)).T.tolist()))
-        return [memo[s] for s in points]
-
-    return coeffs
-
-
-def _rk4(coeffs, s, y, dy, h):
-    """One scalar RK4 step of y_ss + a y_s + b y = 0 from s; coeffs gives
-    (a, b) at its three points in one call."""
-    (a0, b0), (am, bm), (a1, b1) = coeffs(s, s + h / 2, s + h)
-
-    def f(a_, b_, y_, dy_):
-        return dy_, -a_ * dy_ - b_ * y_
-
-    k1 = f(a0, b0, y, dy)
-    k2 = f(am, bm, y + h / 2 * k1[0], dy + h / 2 * k1[1])
-    k3 = f(am, bm, y + h / 2 * k2[0], dy + h / 2 * k2[1])
-    k4 = f(a1, b1, y + h * k3[0], dy + h * k3[1])
-    return (y + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            dy + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
-
-
-def _bisect_zero(coeffs, s, y, dy, h) -> float:
-    """The first zero of y in the step (s, s + h] from the state (y, dy) at
-    s: bisect the sign change on RK4 substeps re-integrated from the last
-    point before it, to 1e-9 max(1, |log t|)."""
-    lo_s, hi_s = s, s + h
-    y_lo, dy_lo = y, dy
-    for _ in range(40):
-        mid = (lo_s + hi_s) / 2
-        try:
-            y_mid, dy_mid = _rk4(coeffs, lo_s, y_lo, dy_lo, mid - lo_s)
-        except (ex.EvaluationError, ZeroDivisionError):
-            break
-        if y_mid == 0 or (y_lo < 0) != (y_mid < 0):
-            hi_s = mid
-        else:
-            lo_s, y_lo, dy_lo = mid, y_mid, dy_mid
-        if hi_s - lo_s < 1e-9 * max(1.0, abs(hi_s)):
-            break
-    return (lo_s + hi_s) / 2
 
 
 def _s_map(x: np.ndarray) -> tuple:
@@ -658,6 +617,35 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
     return q
 
 
+def _bisect_zero(program: ex.Program, base: dict, s, y, dy, h) -> float:
+    """The first zero of y in the step (s, s + h] from the state (y, dy) at
+    s, by multisection: a round integrates the bracket in _SECTIONS RK4
+    substeps uniform in s, on one coefficient run and one prefix product,
+    and keeps the first substep where y is 0 or changes sign (the last one
+    if none does), until the bracket is below 1e-9 max(1, |log t|).  A
+    coefficient that raises, or a state that is not finite, stops the
+    refinement at the bracket's midpoint."""
+    fractions = np.arange(2 * _SECTIONS + 1) / (2 * _SECTIONS)
+    while h >= 1e-9 * max(1.0, abs(s + h)):
+        try:
+            coef = _coefficients(program, base, s + h * fractions)
+        except ex.EvaluationError:
+            break
+        with np.errstate(all="ignore"):          # a state out of range is caught below
+            q = _prefix_products(_step_matrices(*coef, h / _SECTIONS))
+            ys, dys = q[0] * y + q[1] * dy, q[2] * y + q[3] * dy
+        lost = ~(np.isfinite(ys) & np.isfinite(dys))
+        hit = np.flatnonzero((ys == 0) | ((ys < 0) != (y < 0)) | lost)
+        k = int(hit[0]) if hit.size else _SECTIONS - 1
+        if lost[k]:
+            break
+        if k:
+            y, dy = ys[k - 1], dys[k - 1]
+        h /= _SECTIONS
+        s += k * h
+    return s + h / 2
+
+
 def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, to_s):
     """(first zero s or None, status, steps) of RK4 on grids of N = _GRID,
     2N, ... steps uniform in x from (y, y_x) = (1, 0) at x_lo, where
@@ -673,13 +661,13 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
     16 _ANGLE_TOL, the factor by which one doubling cuts RK4's error: one
     chance agreement of two levels that are both off is not convergence.
     After a sign change the next level stops one coarse step past it.  The
-    first zero is bisected in s, on scalar RK4 substeps, from the Richardson
+    first zero is found in s by ``_bisect_zero``, from the Richardson
     extrapolation of the two levels' angles at the last shared node before
     it (there y_s = y_x / (ds/dx)).  A level that would take the steps past
     _MAX_STEPS, whose step is below 1e-12 max(1, |x|), or whose state is
     not finite before its first sign change (steps out of float range,
     which no level within the budget resolves) ends the run inconclusive;
-    an interval no longer in s than the bisection's tolerance,
+    an interval no longer in s than the zero search's tolerance,
     1e-9 max(1, |s|) at its end, has nothing to integrate.
     """
     s_lo, s_hi = to_s(np.array([x_lo, x_hi]))[0]
@@ -699,7 +687,7 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
         x = x_lo + np.arange(m) / (2 * N) * span
         try:
             _fill_coefficients(program, base, x, coef[:, :m], to_s)
-        except (ex.EvaluationError, ZeroDivisionError):
+        except ex.EvaluationError:
             return None, "inconclusive", steps
         steps += stop
         with np.errstate(all="ignore"):          # a state out of range is caught below
@@ -722,8 +710,7 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
                 i = 2 * ((flip - 1) // 2)
                 angle = theta[i] + (theta[i] - coarse[i // 2]) / 15.0
                 s, w, _ = to_s(x[[2 * i, 2 * flip]])
-                coeffs = _coefficient_memo(program, base)
-                zero = _bisect_zero(coeffs, float(s[0]), math.cos(angle),
+                zero = _bisect_zero(program, base, float(s[0]), math.cos(angle),
                                     math.sin(angle) / float(w[0]), float(s[1] - s[0]))
                 return zero, "ok", steps + 1
             agreed = diff

@@ -135,6 +135,15 @@ class TestScan:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] == ["/"]
 
+    def test_ct_underflow_is_a_report(self, tmp_path):
+        # kappa t underflows to 0 on the boundary-limit points: ct(t) is
+        # +inf there, not a traceback with exit 1
+        code, rep = _run(tmp_path, "scan", "--n", "5", "--kappa", "1e-20", "--R", "1e-300",
+                         "--H", "1/t", "--v", "1", "--V", "ct(t)", "--target", "V")
+        assert code == EXIT_PASS
+        assert rep["scans"][0]["verdict"] == "nonnegative"
+        assert rep["scans"][0]["min"] == float("inf")
+
     def test_classical_e1_nonnegative(self, tmp_path):
         code, rep = _run(tmp_path, "scan", "--catalog", "classical-rellich",
                          "--n", "5", "--target", "E1")
@@ -634,11 +643,11 @@ _REPORT_DIGESTS = {
     "solve-bessel --catalog iterlog --k 1 --R 1":
         "f7cbaabd51cdac69b42bd029649544d421c09fc70bad5b10eecccb45b5a60c37",
     "solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3":
-        "499089a048a709da5fa12d4c1c29c689594809c57df633da57a4552a8659ccc1",
+        "6a6c8c2e77d3af2303f740d1ce8bae5a15b92a1dab0cc471b8e5988366d32f1c",
     "solve-bessel --catalog ell-family --k 3 --R 1":
         "f3c7c250acb0af89b9eb989b21448dba32524099ebc6c7268ec902e327805ed7",
     "solve-bessel --catalog ell-family --k 3 --R 1 --c 0.3":
-        "24ac50d2a393d2d899cf9812b5f679b3ba54be4c0984355b1cd960bbe2dfd034",
+        "4f535a96b047a26220ccfdb44584bae3ddcaf43ff4e5f087f6b57703a70c4087",
     "solve-bessel --catalog iterlog --k 1 --R 1 --t0 1e-6 --t1 0.999":
         "9859a4611aa2293ffa568d60f92ccd49f62c618b2ac58046a6b31353fcb6c329",
     # batch-workload shapes at seed 15, whose batches hold supports with

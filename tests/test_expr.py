@@ -160,6 +160,15 @@ class TestEvaluate:
                     with pytest.raises(DomainError, match="'ct'"):
                         evaluate(parse("ct(t)"), {"t": t, "kappa": kappa})
 
+    def test_ct_where_kappa_t_underflows(self):
+        # kappa t underflows to 0 while t > 0: ct is +inf on a float, as on
+        # an array, where the float table used to divide by zero
+        for kappa in (1e-10, -1e-10):
+            b = {"t": 1e-320, "kappa": kappa}
+            got = evaluate(parse("ct(t)"), b)
+            vec = evaluate(parse("ct(t)"), {**b, "t": np.array([1e-320])})
+            assert got == vec[0] == math.inf
+
     def test_negative_integer_power_of_zero(self):
         # x^-k is 1/x^k, so an exact zero falls under the '/' rule
         for t in _backends(0.5):

@@ -4,6 +4,8 @@ in that module's ``__all__``, and every ``__all__`` name resolves."""
 import ast
 import importlib
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -65,3 +67,24 @@ def test_no_unused_imports(path):
                     if name not in read and name not in getattr(_module(path.stem),
                                                                 "__all__", ()))
     assert unused == []
+
+
+def test_runtime_dependencies_are_the_imports():
+    """The top-level imports of the package that are not in the standard
+    library are the names of pyproject.toml's runtime dependencies, no more
+    and no fewer (mpmath is a test extra: the tests' 50-digit reference)."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(rellich.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("not a source checkout")
+    imported = set()
+    for path in _SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+             for d in declared}
+    assert imported - set(sys.stdlib_module_names) == names

@@ -438,8 +438,8 @@ class TestDisconjugacy:
         assert rep.positive_solution is True
 
     def test_no_mpmath_import(self):
-        # a deep-start Bessel potential and a chain with a Bessel-pair link,
-        # in a fresh interpreter, run without mpmath; no source file names it
+        # a deep-start Bessel potential and a potential's chain, in a fresh
+        # interpreter, run without mpmath; no source file names it
         src = pathlib.Path(rellich.__file__).parent
         code = (
             "import sys, contextlib, io\n"
@@ -502,10 +502,12 @@ class TestDisconjugacy:
         # level has in at most two runs of the program: one numpy run on the
         # points above e^-120 and one ExtFloat run on those below it (all of
         # a default pair's points lie above; an explicit interval from
-        # 1e-200 has both).  The bisection of a first zero makes one run per
-        # halving, on at most 3 points
-        runs, levels, new = [], [], []
+        # 1e-200 has both).  The search for a first zero then takes at most
+        # 6 rounds, each one _coefficients call on the 2 _SECTIONS + 1 nodes
+        # and midpoints of its substeps
+        runs, levels, new, rounds, searching = [], [], [], [], []
         evaluate, fill = Program.evaluate, pr._fill_coefficients
+        coefficients, bisect = pr._coefficients, pr._bisect_zero
 
         def counted(self, bindings):
             runs.append(bindings["t"])
@@ -517,8 +519,19 @@ class TestDisconjugacy:
             fill(program, base, x, coef, to_s)
             levels.append([type(t).__name__ for t in runs[start:]])
 
+        def round_(program, base, s):
+            if searching:
+                rounds.append(s.size)
+            return coefficients(program, base, s)
+
+        def search(*args):
+            searching.append(True)
+            return bisect(*args)
+
         monkeypatch.setattr(Program, "evaluate", counted)
         monkeypatch.setattr(pr, "_fill_coefficients", level)
+        monkeypatch.setattr(pr, "_coefficients", round_)
+        monkeypatch.setattr(pr, "_bisect_zero", search)
         p = potential if which != "pair" else pr.bessel_pairs_from_potential(
             potential, 2.0, 6)[1]
         shape = ["ndarray"] if which == "pair" else ["ndarray", "ExtFloat"]
@@ -526,17 +539,40 @@ class TestDisconjugacy:
         for c, zero in {"potential": ((0.25, False), (0.3, True)),
                         "pair": ((1.0, False), (3.0, True)),
                         "explicit": ((0.25, False), (1.0, True))}[which]:
-            runs.clear()
-            levels.clear()
-            new.clear()
+            for record in (runs, levels, new, rounds, searching):
+                record.clear()
             rep = pr.disconjugacy_check(p.with_constant(c), interval, n=6)
             assert (rep.first_zero is not None) == zero and rep.status == "ok"
             assert len(levels) >= 3 and all(kinds == shape for kinds in levels)
             points = np.concatenate(new)          # no level recomputes a coarser one's
             assert len(np.unique(points)) == len(points)
-            bisection = runs[sum(map(len, levels)):]
-            assert len(bisection) <= (40 if zero else 0)
-            assert all(isinstance(t, np.ndarray) and t.size <= 3 for t in bisection)
+            assert len(searching) == zero and (1 <= len(rounds) <= 6 if zero else not rounds)
+            assert all(size == 2 * pr._SECTIONS + 1 for size in rounds)
+
+    @pytest.mark.parametrize("which", ["potential", "pair", "explicit"])
+    def test_no_coefficient_run_on_a_python_float(self, potential, monkeypatch, which):
+        # every coefficient run, the first zero's search and the 40-digit
+        # points included, evaluates on numpy arrays, ExtFloat or WideFloat
+        kinds = set()
+        evaluate = Program.evaluate
+
+        def counted(self, bindings):
+            kinds.add(type(bindings["t"]).__name__)
+            return evaluate(self, bindings)
+
+        Z = parse("2*(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)/2")
+        cancelling = PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": Z},
+                              params={"R": 1.0})
+        p, constants, interval = {
+            "potential": (cancelling, (0.25, 0.3), None),
+            "pair": (pr.bessel_pairs_from_potential(potential, 2.0, 6)[1], (1.0, 3.0), None),
+            "explicit": (potential, (0.25, 1.0), (1e-200, 0.999))}[which]
+        monkeypatch.setattr(Program, "evaluate", counted)
+        zeros = [pr.disconjugacy_check(p.with_constant(c), interval, n=6).first_zero
+                 for c in constants]
+        assert zeros[0] is None and zeros[1] is not None
+        assert "ndarray" in kinds and kinds <= {"ndarray", "ExtFloat", "WideFloat"}
+        assert ("WideFloat" in kinds) == (which == "potential")
 
     @pytest.mark.parametrize("Y", ["exp(-8*log(t))*t^6",   # inf on float below t = e^-88.7
                                    "t^-8*t^6"])   # t^8 is 0 below e^-93.1, and 1/0 raises
@@ -691,7 +727,7 @@ class TestDeepDisconjugacy:
 
     @pytest.mark.parametrize("family,k,R", sorted(_DEEP_RUNS))
     def test_first_zero_matches_a_reference_integrator(self, family, k, R):
-        # the grid's zeros lie within 3e-10 to 2.7e-9 of the reference
+        # the grid's zeros lie within 5.6e-11 to 1.8e-10 of the reference
         p = _deep_potential(family, k, R).with_constant(0.3)
         rep = pr.disconjugacy_check(p)
         assert abs(rep.log_t_first_zero - _reference_deep_zero(p)) <= 1e-7
@@ -728,13 +764,19 @@ class TestDeepDisconjugacy:
         # the 40-digit points leave the thread's decimal context as it was
         assert decimal.getcontext().prec == context.prec
         assert decimal.getcontext().flags == context.flags
-        # so both forms give the same steps and the same zero
+        # so both forms give the same steps and the same zero, and so does
+        # the cancelling sum under a constant factor: it cancels as much
+        scaled = [PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse(src)},
+                           params={"R": 1.0})
+                  for src in ("2*(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)/2",
+                              "(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)*1")]
         for c in (0.25, 0.3):
-            got = pr.disconjugacy_check(cancelling.with_constant(c))
             want = pr.disconjugacy_check(plain.with_constant(c))
-            assert got.positive_solution is (c == 0.25) and got.steps == want.steps
-            if want.first_zero is not None:
-                assert abs(got.log_t_first_zero - want.log_t_first_zero) <= 1e-9
+            for p in (cancelling, *scaled):
+                got = pr.disconjugacy_check(p.with_constant(c))
+                assert got.positive_solution is (c == 0.25) and got.steps == want.steps
+                if want.first_zero is not None:
+                    assert abs(got.log_t_first_zero - want.log_t_first_zero) <= 1e-9
 
     @pytest.mark.parametrize("t0,c", [(1e-300, 0.3), (1e-300, 5.0), (1e-6, 2.0)])
     def test_explicit_interval_zero_matches_the_closed_form(self, t0, c):
@@ -803,9 +845,9 @@ class TestPairGrid:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("c", [1.5, 3.0, 30.0])
     def test_first_zero_matches_a_reference_integrator(self, k, c):
-        # the bisection's own tolerance is 1e-9 |log t| (1.1e-7).  At
+        # the zero search's own tolerance is 1e-9 |log t| (1.1e-7).  At
         # c = 1.5 the levels of 512 and 1,024 steps are both 1.2e-6 off and
-        # agree within 2.6e-7: a zero bisected from either misses by 1.2e-6
+        # agree within 2.6e-7: a zero searched for from either misses by 1.2e-6
         p = _link_pair("iterlog", k, 6).with_constant(c)
         rep = pr.disconjugacy_check(p, n=6)
         assert rep.status == "ok"
