@@ -663,6 +663,19 @@ _REPORT_DIGESTS = {
         "b54ba6e16d1dde65aba90802e6222daa31fb1c56597e56e21c1366fa14bb13d5",
     "verify --catalog hyp-lower-2 --n 5 --kappa 1 --tests 12 --grid 500 --seed 15":
         "a621b8543346327767736a6eb936370b64e2ccea2496b808148078c78adf177a",
+    # scan-workload reports on the largest trees: the ell-family k = 6 side
+    # conditions (both violated), an iterlog residual, a check-pair whose
+    # chain runs the equality spot checks and a curved dual
+    "scan --catalog ell-family --k 6 --n 5 --R 1 --target E1":
+        "c0ad303c87ae23a104dc4a71272c31ed68b595c51a0a1a615a55d9417ae5e25a",
+    "scan --catalog ell-family --k 6 --n 5 --R 1 --target E2":
+        "c43d67067aac90521e36372ffc410c33b1c1a94cc94d3a35aa5f21c25f6d34c9",
+    "scan --catalog iterlog --k 3 --n 5 --R 1 --target residual":
+        "8dc024e030f45f9aacf506130f3de1db4b5c8b1484ff1a53209e29ab1eaf51d0",
+    "check-pair --catalog ell-family --k 6 --R 1":
+        "878f2624d31d83b433f8c6b0bea78bb6fb3b4c52d8de67117581ceaa3cda8e1e",
+    "scan --catalog hyp-interp --n 5 --kappa 1 --target E1":
+        "ed1072fb38175cda2ee69d35893751d01f738243be17913c34ef82594c69b802",
 }
 
 
