@@ -433,8 +433,8 @@ def chain_from_potential(entry: CatalogEntry, n: int) -> ChainDescriptor:
     f >= 0 (ct >= 1/t), so both links gate on their residual scan."""
     potential = _potential(entry)
     lam = entry.params.get("lambda", 2.0)
-    dual = pr.from_bessel_potential(potential, "iii", n)
-    first_pair, second_pair = pr.bessel_pairs_from_potential(potential, lam, n)
+    dual = pr.from_bessel_potential(potential, "iii", n)     # checks the potential once
+    first_pair, second_pair = pr.bessel_pairs_from_potential(potential, lam, n, verified=True)
     X, Y = second_pair.expr("X"), second_pair.expr("Y")
     second_primal = PairSpec(
         kind="primal",

@@ -1,21 +1,23 @@
 """Differentiable scalar expressions of one radial variable t.
 
 Expressions are immutable trees over the variable ``t`` and the named
-parameters ``n, kappa, lambda, r, R, c, k``.  They support evaluation
-(float, numpy array, ``ExtFloat`` or ``WideFloat`` backends, chosen from
-the type of the ``t`` binding; an ExtFloat array has float mantissas and
-int64 exponents, for t far below float range, and a WideFloat is a 40-digit
-decimal, for sums that cancel there), closed-form differentiation,
-printing back to the DSL, and a finite-difference self check.
+parameters ``n, kappa, lambda, r, R, c, k``.  Nodes are unique per
+structure (building a node equal to a live one returns that one), so trees
+share every common subtree as one DAG, and each node keeps its derivative
+in t.  They support evaluation (float, numpy array, ``ExtFloat`` or
+``WideFloat`` backends, chosen from the type of the ``t`` binding; an
+ExtFloat array has float mantissas and int64 exponents, for t far below
+float range, and a WideFloat is a 40-digit decimal, for sums that cancel
+there), closed-form differentiation, printing back to the DSL, and a
+finite-difference self check.
 
 Evaluation is compiled once per root: the first ``evaluate`` lowers the
-tree to a straight-line program with one step per distinct subtree (the
-trees ``diff`` builds repeat subtrees many times over), schedules it so
-few values are live at once, and keeps it on the root.  ``Program``
-compiles several roots into one such program, which computes each subtree
-they share once.  Every step calls the same primitive on the same operands
-as the tree node it stands for, so the values are those of a tree walk,
-bit for bit.
+DAG to a straight-line program with one step per distinct subtree,
+schedules it so few values are live at once, and keeps it on the root.
+``Program`` compiles several roots into one such program, which computes
+each subtree they share once.  Every step calls the same primitive on the
+same operands as the tree node it stands for, so the values are those of
+a tree walk, bit for bit.
 
 Supported primitives: + - * / ^ (real power), negation, log, exp, sqrt,
 sinh, cosh, tanh, coth, the curvature-aware ``ct`` (1/t when kappa = 0,
@@ -27,9 +29,11 @@ identity).
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import operator
 import re
+import weakref
 from typing import Mapping, Union
 
 import numpy as np
@@ -634,14 +638,43 @@ def _ipow(x, k: int):
 # expression nodes
 
 
+# every live node, by structure (its class and op, and its value's bits or
+# its children's ids: a child lives as long as its parent, so no id in a key
+# is reused while the entry is there), as a weak reference that drops its
+# entry when the node dies: once a job's trees are garbage, no later job
+# finds them.  A plain dict of weakrefs, not a WeakValueDictionary, keeps
+# the lookup of every node construction in C.
+_NODES: dict = {}
+
+
+def _forget(key: tuple, ref) -> None:
+    if _NODES.get(key) is ref:
+        del _NODES[key]
+
+
+def _intern(cls, key: tuple, *fields) -> "Expr":
+    """The live node of class cls under key, or a new one whose slots
+    (cls.__slots__ in order) hold fields."""
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        _NODES[key] = weakref.ref(node, functools.partial(_forget, key))
+    return node
+
+
 class Expr:
-    """Immutable expression tree node; evaluation is deterministic.
+    """Immutable expression node, unique per structure (see ``_intern``);
+    evaluation is deterministic.
 
     A node evaluated as a root compiles itself once and keeps the program
-    in its ``_program`` slot, so the program dies with the tree.
+    in its ``_program`` slot, and its derivative in t in its ``_dt`` slot,
+    so both die with the node.
     """
 
-    __slots__ = ("_program",)
+    __slots__ = ("_program", "_dt", "__weakref__")
 
     precedence = 4
 
@@ -655,6 +688,9 @@ class Expr:
 
     def diff(self, var: str = "t") -> "Expr":
         return _diff(self, var, {})
+
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
 
     # subclasses implement _diff / __str__
 
@@ -700,14 +736,11 @@ class Expr:
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Number):
+    def __new__(cls, value: Number):
         v = float(value)
         if math.isnan(v) or math.isinf(v):
             raise ValueError("constants must be finite")
-        object.__setattr__(self, "value", v)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        return _intern(cls, (cls, v.hex()), v)     # 0.0 and -0.0 stay apart
 
     def _diff(self, var, memo):
         return Const(0.0)
@@ -721,6 +754,9 @@ class Var(Expr):
 
     __slots__ = ()
 
+    def __new__(cls):
+        return _intern(cls, (cls,))
+
     def _diff(self, var, memo):
         return Const(1.0 if var == "t" else 0.0)
 
@@ -731,13 +767,10 @@ class Var(Expr):
 class Param(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if name not in PARAMETER_NAMES:
             raise ValueError(f"unknown parameter {name!r}")
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        return _intern(cls, (cls, name), name)
 
     def _diff(self, var, memo):
         return Const(1.0 if var == self.name else 0.0)
@@ -751,14 +784,10 @@ class Unary(Expr):
 
     precedence = 4  # function application / prefix minus
 
-    def __init__(self, op: str, child: Expr):
+    def __new__(cls, op: str, child: Expr):
         if op != "neg" and op not in _UNARY_FUNCTIONS:
             raise ValueError(f"unknown unary op {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "child", child)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        return _intern(cls, (cls, op, id(child)), op, child)
 
     def _diff(self, var, memo):
         u = self.child
@@ -799,15 +828,10 @@ class Binary(Expr):
 
     _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
-    def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in self._PRECEDENCE:
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        if op not in cls._PRECEDENCE:
             raise ValueError(f"unknown binary op {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        return _intern(cls, (cls, op, id(left), id(right)), op, left, right)
 
     @property
     def precedence(self):
@@ -845,17 +869,12 @@ class Iter(Expr):
 
     __slots__ = ("func", "depth", "child")
 
-    def __init__(self, func: str, depth: int, child: Expr):
+    def __new__(cls, func: str, depth: int, child: Expr):
         if func not in _ITER_FUNCTIONS:
             raise ValueError(f"unknown iterated function {func!r}")
         if not isinstance(depth, int) or depth < 0:
             raise ValueError("iteration depth must be a nonnegative integer")
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "child", child)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        return _intern(cls, (cls, func, depth, id(child)), func, depth, child)
 
     def _diff(self, var, memo):
         du = _diff(self.child, var, memo)
@@ -877,7 +896,15 @@ class Iter(Expr):
 
 
 def _diff(e: Expr, var: str, memo: dict) -> Expr:
-    """de/dvar, differentiating each node object once per ``diff`` call."""
+    """de/dvar: in t each node is differentiated once and keeps the result
+    in its ``_dt`` slot, in another variable once per ``diff`` call."""
+    if var == "t":
+        try:
+            return e._dt
+        except AttributeError:
+            d = e._diff(var, memo)
+            object.__setattr__(e, "_dt", d)
+            return d
     hit = memo.get(id(e))
     if hit is None:
         hit = memo[id(e)] = (e, e._diff(var, memo))  # e is kept so its id stays unique

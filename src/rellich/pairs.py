@@ -39,7 +39,7 @@ __all__ = [
     "condition_terms",
     "primal_to_dual", "dual_to_primal",
     "from_bessel_potential", "from_bessel_pair", "bessel_pairs_from_potential",
-    "disconjugacy_check", "scan_positivity", "scan_range",
+    "disconjugacy_check", "scan_positivity", "scan_range", "max_relative",
     "positivity_polynomial_roots", "polynomial_criterion_holds",
     "DEFAULT_RESIDUAL_TOL", "DEFAULT_GRID", "log_grid",
 ]
@@ -249,10 +249,14 @@ def _spot_scan(p: PairSpec, n: int, terms, grid: int, lo: float, hi: float,
 
 
 def _check_verified(p: PairSpec, n: int) -> None:
-    scan = _spot_scan(p, n, residual_terms(p), 32, 1e-3, 0.999, 1e-6)
-    if not scan.equality:   # a NaN (inf - inf between terms) is not verified either
+    """Raise unless p's residual is an equality within 1e-6 on 32 points of
+    (1e-3 R, 0.999 R), judged on the grid pass alone (max_relative)."""
+    R = float(p.params.get("R", 1.0))
+    worst = max_relative(residual_terms(p), p.bindings(SpaceForm(n, 0.0, R)),
+                         1e-3 * R, 0.999 * R, 32)
+    if not worst <= 1e-6:   # a NaN (inf - inf between terms) is not verified either
         raise ValueError(f"input {p.kind} is not verified: relative residual "
-                         f"{scan.max_abs_relative:.3e} > {scan.tol:.0e}")
+                         f"{worst:.3e} > 1e-06")
 
 
 def from_bessel_potential(p: PairSpec, variant: str, n: int) -> PairSpec:
@@ -301,7 +305,8 @@ def from_bessel_pair(p: PairSpec, n: int) -> PairSpec:
                     params=dict(p.params), note=p.note)
 
 
-def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int) -> tuple[PairSpec, PairSpec]:
+def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int, *,
+                                verified: bool = False) -> tuple[PairSpec, PairSpec]:
     """The two Bessel pairs generated by a potential whose logarithmic
     derivative satisfies Z'/Z = -lam/t + f with f >= 0 and t f(t) -> 0:
 
@@ -312,12 +317,14 @@ def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int) -> tuple[PairSp
     (a/t, Z, a^2/t^2), a = (n-lam-2)/2, whose residual
     a f/t + a (n-1)(ct - 1/t)/t is >= 0 wherever f >= 0;
     disconjugacy_check certifies its positive solution directly.  Raises if
-    lam >= n-2 or the f >= 0 spot check fails.
+    lam >= n-2, if p's residual check fails (verified: the caller has just
+    run it, through from_bessel_potential) or the f >= 0 spot check fails.
     """
     p.require("bessel-potential")
     if lam >= n - 2:
         raise ValueError(f"need lambda < n-2, got lambda={lam}, n={n}")
-    _check_verified(p, n)
+    if not verified:
+        _check_verified(p, n)
     t = Var()
     z, Z, c = p.expr("z"), p.expr("Z"), p.constant
     # spot check f = Z'/Z + lam/t >= 0 (the decay of t f is the caller's assertion)
@@ -455,6 +462,7 @@ _GRID = 512                      # steps of the first fixed-grid level
 _ANGLE_TOL = 1e-6                # Pruefer-angle agreement of two levels
 _MAX_STEPS = 2 ** 17             # grid steps before a run ends inconclusive
 _SECTIONS = 64                   # RK4 substeps of a first zero's bracket per round
+_RK4_RANGE = 4.0                 # largest h^2 |b| of a compared level (RK4 is stable below 8)
 
 
 def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = None,
@@ -660,6 +668,11 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
     first sign change, and the previous level agreed with its own within
     16 _ANGLE_TOL, the factor by which one doubling cuts RK4's error: one
     chance agreement of two levels that are both off is not convergence.
+    A level whose h^2 |b| in x exceeds _RK4_RANGE at a node or midpoint up
+    to its first sign change is not compared at all: there RK4 does not
+    follow the oscillation of y_xx = -b y (it is stable for h^2 b < 8),
+    and two such levels can agree by chance, as Z = 1/t^2 at c = 2 from the
+    deep start did 9.5 in log t above its zero.
     After a sign change the next level stops one coarse step past it.  The
     first zero is found in s by ``_bisect_zero``, from the Richardson
     extrapolation of the two levels' angles at the last shared node before
@@ -701,7 +714,8 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
         if coarse is not None:
             end = stop if flip is None else flip
             comparable = (end >= 2 and len(coarse) > end // 2
-                          and (flip is not None or stop == N and len(coarse) == N // 2 + 1))
+                          and (flip is not None or stop == N and len(coarse) == N // 2 + 1)
+                          and np.abs(coef[1, :2 * end + 1]).max() * (span / N) ** 2 <= _RK4_RANGE)
             diff = (np.max(np.abs(theta[:end + 1:2] - coarse[:end // 2 + 1]))
                     if comparable else math.inf)
             if diff <= _ANGLE_TOL and agreed <= 16.0 * _ANGLE_TOL:
@@ -748,6 +762,32 @@ def _richardson_limit(program: ex.Program, bindings: dict, points: Sequence[floa
     return table[0]
 
 
+def _grid_pass(terms: Sequence[Expr], bindings: dict, lo: float, hi: float,
+               grid: int) -> tuple:
+    """(program, ts, total, rel): the terms compiled into one program, the
+    log grid of grid points on [lo, hi], the sum of the terms there and that
+    sum relative to 1 + sum |term| (its sign where it is infinite, NaN where
+    it is inf - inf)."""
+    program = ex.Program(tuple(terms))
+    ts = log_grid(lo, hi, grid)
+    vals = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+            for v in program.evaluate({**bindings, "t": ts})]
+    with np.errstate(all="ignore"):   # inf - inf and inf/inf are handled by the caller
+        total = _sum(vals)
+        rel = np.where(np.isinf(total), np.sign(total),
+                       total / sum((np.abs(v) for v in vals), 1.0))
+    return program, ts, total, rel
+
+
+def max_relative(terms: Sequence[Expr], bindings: dict, lo: float, hi: float,
+                 grid: int) -> float:
+    """max |sum| / (1 + sum |term|) of terms on the log grid of grid points
+    on [lo, hi], NaN if a sum there is inf - inf: Scan.max_abs_relative of
+    scan_positivity, from its grid pass alone (no bisection, no limits).
+    The equality checks judge by it; bindings must hold n and kappa."""
+    return float(np.max(np.abs(_grid_pass(terms, bindings, lo, hi, grid)[3])))
+
+
 def scan_positivity(terms: Sequence[Expr], sf: SpaceForm, grid: int = DEFAULT_GRID,
                     t_lo: Optional[float] = None,
                     t_hi: Optional[float] = None, bindings: Optional[dict] = None,
@@ -776,15 +816,7 @@ def scan_positivity(terms: Sequence[Expr], sf: SpaceForm, grid: int = DEFAULT_GR
     b = dict(bindings or {})
     b.setdefault("n", float(sf.n))
     b.setdefault("kappa", float(sf.kappa))
-    program = ex.Program(tuple(terms))
-
-    ts = log_grid(lo, hi, grid)
-    vals = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
-            for v in program.evaluate({**b, "t": ts})]
-    with np.errstate(all="ignore"):   # inf - inf and inf/inf are handled below
-        total = _sum(vals)
-        rel = np.where(np.isinf(total), np.sign(total),
-                       total / sum((np.abs(v) for v in vals), 1.0))
+    program, ts, total, rel = _grid_pass(terms, b, lo, hi, grid)
     undecided = np.isnan(rel)
     i_min = int(np.argmin(np.where(undecided, np.inf, rel)))
     sign = np.where(rel > tol, 1, np.where(rel < -tol, -1, 0))

@@ -1,5 +1,6 @@
 """Parser, evaluator, and symbolic-derivative tests for the expression DSL."""
 
+import gc
 import math
 import random
 
@@ -560,6 +561,43 @@ class TestFdProperty:
                 except DomainError:
                     continue
                 assert e2.evaluate(b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestUniqueNodes:
+    def test_equal_constructions_are_one_object(self):
+        assert parse("1/t^2") is parse("1/t^2")
+        assert Binary("+", Var(), Param("n")) is parse("t + n")
+        assert Iter("logk", 2, Var()) is parse("logk(2, t)")
+        assert Const(1) is Const(1.0)
+
+    def test_signed_zeros_are_two_nodes(self):
+        assert Const(0.0) is not Const(-0.0)
+        assert str(Const(-0.0)) == "-0.0"
+
+    def test_derivative_in_t_is_kept(self):
+        e = parse("exp(t) * ct(log(t))")
+        assert e.diff() is e.diff()
+        assert e.diff().diff() is e.diff().diff()
+
+    def test_table_forgets_dead_trees(self):
+        # the table holds no node alive: once a job's trees are garbage, no
+        # later job can find them
+        gc.collect()
+        before = len(ex._NODES)
+        dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
+                                        "iii", 5)
+        terms = pr.e1_terms(dual)
+        assert len(ex._NODES) > before + 200
+        del dual, terms
+        gc.collect()
+        assert len(ex._NODES) == before
+
+    @pytest.mark.parametrize("name, steps", [("E1", 290), ("E2", 288), ("residual", 311)])
+    def test_ell_family_side_conditions_keep_their_steps(self, name, steps):
+        # one node per distinct subtree leaves the programs as they were
+        dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
+                                        "iii", 5)
+        assert len(ex.Program(tuple(pr.condition_terms(dual, name))).code) == steps
 
 
 class TestImmutability:

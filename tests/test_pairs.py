@@ -16,6 +16,7 @@ import rellich
 from rellich import catalog as cat
 from rellich import expr as ex
 from rellich import pairs as pr
+from rellich import verify as vf
 from rellich.expr import Const, Param, Program, Unary, Var, parse
 from rellich.geometry import SpaceForm
 from rellich.pairs import PairSpec
@@ -804,6 +805,18 @@ class TestDeepDisconjugacy:
         assert abs(rep.log_t_first_zero - -1999997.131490565) <= tol
         assert abs(rep.log_t_first_zero - (-2e6 + math.pi / (2 * math.sqrt(0.3)))) <= tol
 
+    @pytest.mark.parametrize("c", [1.0, 2.0, 5.0])
+    def test_deep_zero_matches_the_closed_form(self, c):
+        # b w^2 = c w^2 is 4e12 c at the start: a level whose h^2 b w^2 is
+        # past RK4's range before the first sign change is refused, so two
+        # coarse levels that agree by chance are not taken for convergence
+        p = PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse("1/t^2")},
+                     constant=c, params={"R": 1.0})
+        rep = pr.disconjugacy_check(p)
+        want = -2e6 + math.pi / (2 * math.sqrt(c))
+        assert rep.status == "ok"
+        assert abs(rep.log_t_first_zero - want) <= 1e-9 * max(1.0, abs(want))
+
 
 def _link_pair(family, k, n):
     """The second Bessel pair of a family's potential at R = 1: the pair of
@@ -832,6 +845,64 @@ def _reference_first_zero(p, n, s0=-110.0):
     sol = solve_ivp(f, (s0, math.log1p(-1e-9)), [1.0, 0.0], method="DOP853",
                     rtol=1e-13, atol=1e-20, first_step=1e-3, events=crossing)
     return sol.t_events[0][0]
+
+
+def _float_evaluations(monkeypatch) -> list:
+    """The bindings of every Program.evaluate call whose t is a Python float."""
+    calls, evaluate = [], Program.evaluate
+
+    def counted(self, bindings):
+        if type(bindings.get("t")) is float:
+            calls.append(bindings)
+        return evaluate(self, bindings)
+
+    monkeypatch.setattr(Program, "evaluate", counted)
+    return calls
+
+
+class TestEqualityChecks:
+    @pytest.mark.parametrize("family, k", [("ell-family", 6), ("iterlog", 3)])
+    def test_residual_check_is_one_grid_pass(self, monkeypatch, family, k):
+        # the spot check reads only the equality, so it makes no bisection
+        # or boundary-limit evaluation
+        potential = cat.build_entry(family, k=k, R=1.0).specs["potential"]
+        calls = _float_evaluations(monkeypatch)
+        pr._check_verified(potential, 5)
+        pr._check_verified(pr.from_bessel_potential(potential, "ii", 5), 5)
+        assert calls == []
+
+    def test_unverified_residual_names_its_mismatch(self):
+        # G = 1/t, W = 1/t^2 at n = 5: the residual is 1/t^2 against the
+        # magnitude 1 + 7/t^2, whose ratio tends to 1/7 as t -> 0
+        p = PairSpec(kind="primal", exprs={"G": parse("1/t"), "w": Const(1.0),
+                                           "W": parse("1/t^2")})
+        with pytest.raises(ValueError, match=r"^input primal is not verified: relative "
+                                             r"residual 1\.429e-01 > 1e-06$"):
+            pr._check_verified(p, 5)
+
+    def test_catalog_chain_checks_the_potential_once(self, monkeypatch):
+        # the dual and the two Bessel pairs come from one potential, checked
+        # once; the first pair's variant (iv) checks that pair
+        checked, check = [], pr._check_verified
+        monkeypatch.setattr(pr, "_check_verified",
+                            lambda p, n: checked.append(p.kind) or check(p, n))
+        cat.chain_from_potential(cat.ell_potential(4, 1.0), 5)
+        assert checked == ["bessel-potential", "bessel-pair"]
+
+    def test_chain_composition_is_grid_passes_alone(self, monkeypatch):
+        # neither the check nor its drop-one-link retries make a bisection
+        # or boundary-limit evaluation
+        import dataclasses
+
+        calls = _float_evaluations(monkeypatch)
+        chain = cat.final_combined(5, 1.0).chain
+        vf.check_chain_composition(chain, SpaceForm(5, 1.0))
+        spurious = cat.ChainLink(alpha=1.0, spec=cat.hyperbolic_lower(5, 1.0, 1)
+                                 .specs["primal"], label="link-x")
+        bad = dataclasses.replace(chain, links=chain.links + (spurious,))
+        with pytest.raises(vf.ChainMismatchError, match="offending link: link-x"):
+            vf.check_chain_composition(bad, SpaceForm(5, 1.0))
+        assert calls == []
 
 
 class TestPairGrid:
