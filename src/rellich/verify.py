@@ -2,15 +2,10 @@
 
 All integrals reduce to one dimension: for a radial density f,
 integral over Omega of f(rho) dx = integral of f(t) * volume_weight(t) dt.
-The quadrature is an adaptive Gauss-Kronrod (G7, K15) scheme run in
-lockstep over a batch of integrals: each pass evaluates every pending panel
-of every integral of one side in one vectorized call, while each integral
-refines, stops and rounds exactly as it would alone.  Each integral starts
-from panels between its test function's knots (a bump's band ends, a
-spline's cells), so no panel straddles a jump of the third derivative, and
-its error estimate adds QUADPACK's rounding floor to the |K15 - G7| sum.
-Wide supports use a t = exp(s) substitution so power-like singular
-potentials are resolved cheaply.
+The quadrature (integrate) is an adaptive Gauss-Kronrod (G7, K15) scheme
+run in lockstep over a batch of integrals on one flat panel table, each
+integral refining, stopping and rounding as it would alone, from panels
+between its test function's knots; wide supports use t = exp(s).
 
 A verification run certifies the *sampled* necessary condition (margins
 over a seeded batch of test functions) plus the sufficient side
@@ -91,20 +86,6 @@ class Quadratures(tuple):
         return sum(q.subintervals for q in self)
 
 
-def _result(total: float, total_err: float, floor: float, panels: int, rtol: float):
-    """The QuadratureResult of a finished integral, its error estimate the
-    error sum plus the rounding floor; raise NonconvergenceError when its
-    error sum misses the request."""
-    # at the panel or refinement cap an error sum within 8 times the request
-    # is accepted: |K-G| bottoms out near the rounding noise of the panel
-    # sums, which the rounding floor in the reported estimate covers
-    if total_err > max(1e-280, 8.0 * rtol * abs(total)):
-        raise NonconvergenceError(
-            f"quadrature did not converge: error estimate {total_err:.3e} "
-            f"with {panels} subintervals (target {rtol * abs(total):.3e})")
-    return QuadratureResult(total, total_err + floor, panels)
-
-
 # QUADPACK's rounding floor of a panel, per unit of its K15 rule on |f|
 _ROUNDING = 50.0 * np.finfo(float).eps
 
@@ -117,18 +98,13 @@ _MAX_NODES = 1 << 17
 _MAX_PANELS = 4096
 
 
-def _kronrod(f: Callable, new: dict) -> dict:
-    """{i: the (3, p) array of the K15 value, |K15 - G7| and rounding floor of
-    each of the p panels new[i] = (a, b) of integral i}, from calls f(x, rows)
-    of at most _MAX_NODES nodes each, in integral order, where row k of x (an
-    array f may overwrite) holds the 15 nodes of one panel, of integral
-    rows[k].  The floor is QUADPACK's (qk15): 50 eps times the K15 rule on
-    |f|.  A call that returns a non-finite value raises NonconvergenceError,
-    and no further call is made."""
-    counts = [len(a) for a, _ in new.values()]
-    a = np.concatenate([a for a, _ in new.values()])
-    b = np.concatenate([b for _, b in new.values()])
-    rows = np.array(list(new)).repeat(counts)
+def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (3, p) K15 values, |K15 - G7| and rounding floors of the panels
+    (a[k], b[k]), from calls f(x, rows[part]) of at most _MAX_NODES nodes
+    each, in panel order, where row k of x (an array f may overwrite) holds
+    the 15 nodes of panel k, of integral rows[k].  The floor is QUADPACK's
+    (qk15): 50 eps times the K15 rule on |f|.  A call that returns a
+    non-finite value raises NonconvergenceError, and no further call is made."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     panels = np.empty((3, len(a)))
     step = max(1, _MAX_NODES // 15)
@@ -141,52 +117,78 @@ def _kronrod(f: Callable, new: dict) -> dict:
         panels[0, part] = k15
         panels[1, part] = np.abs(k15 - (vals * _GW).sum(axis=1) * half[part])
         panels[2, part] = _ROUNDING * (np.abs(vals) * _KW).sum(axis=1) * np.abs(half[part])
-    return dict(zip(new, np.split(panels, np.cumsum(counts)[:-1], axis=1)))
+    return panels
 
 
-_EMPTY = np.empty((3, 0))
+def _group_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The (r, m) sums of the m runs of columns of the (r, P) array x, run i
+    the counts[i] columns after the runs before it, each bit for bit
+    x[j, s:e].sum(): pairwise, as a sum over the last axis of a C-contiguous
+    array is (np.add.reduceat adds in sequence, which moves last bits).  Runs
+    of one length are summed together, x reshaped when all are one length,
+    else gathered by np.take (C-contiguous; x[:, index] is not)."""
+    x = np.ascontiguousarray(x)
+    if len(counts) and (counts == counts[0]).all():
+        return x.reshape(len(x), len(counts), -1).sum(axis=2)
+    out, starts = np.empty((len(x), len(counts))), counts.cumsum() - counts
+    for n in set(counts.tolist()):
+        runs = (counts == n).nonzero()[0]
+        out[:, runs] = np.take(x, starts[runs, None] + np.arange(n), axis=1).sum(axis=2)
+    return out
 
 
-def _adaptive_gk(f: Callable, rtol: float, edges: Sequence[np.ndarray]) -> list:
-    """The QuadratureResults of m integrals, G7/K15 quadrature in lockstep,
-    integral i from the panels between its initial edges[i].
-
-    Every pass evaluates the new panels of every unfinished integral together
-    (_kronrod), in one call of f unless they exceed _MAX_NODES; finished
-    integrals are not evaluated.  Each integral then refines as it would
-    alone: it stops when its error sum meets rtol |total|, at _MAX_PANELS or
-    after 60 refinements, and otherwise halves its panels of largest error,
-    keeping its panel order (kept panels, left halves, right halves), so its
-    sums round as they would alone.  The rounding floors stay out of that
-    rule and are added to the finished integral's error estimate.
-    """
-    out: list = [None] * len(edges)
-    # per unfinished integral: its panels (a, b) and the _kronrod columns of
-    # all but the trailing new ones
-    runs = {i: (e[:-1], e[1:], _EMPTY) for i, e in enumerate(edges)}
+def _adaptive_gk(f: Callable, rtol: float, a: np.ndarray, b: np.ndarray,
+                 counts: np.ndarray) -> list:
+    """The QuadratureResults of m integrals, G7/K15 quadrature in lockstep
+    on one flat panel table: the panels (a, b) and their _kronrod columns,
+    integral i's run of counts[i] panels after the runs of those before it.
+    Every pass evaluates the new panels of the unfinished integrals in one
+    _kronrod call.  Each integral then stops when its error sum meets rtol
+    |total|, at _MAX_PANELS or after 60 refinements, or else halves its
+    panels of largest error, its run becoming its kept panels, left halves
+    and right halves as alone, so its sums (_group_sums) round as alone.
+    The rounding floors only enter a finished integral's error estimate."""
+    out: list = [None] * len(counts)
+    ids = np.arange(len(counts))         # the unfinished integrals
+    cols = np.empty((3, len(a)))
+    fresh = np.arange(len(a))            # the panels still to evaluate
     for refinements in range(61):
-        if not runs:
+        cols[:, fresh] = _kronrod(f, a[fresh], b[fresh], ids.repeat(counts)[fresh])
+        total, total_err, floor = _group_sums(cols, counts)
+        target = rtol * np.abs(total)
+        done = (total_err <= target) | (counts >= _MAX_PANELS) | (refinements == 60)
+        finished = done.nonzero()[0]
+        for i in finished:
+            value, err_sum = float(total[i]), float(total_err[i])
+            # at a cap an error sum within 8 times the request is accepted: |K-G|
+            # bottoms out near the panel sums' rounding noise, which the floor covers
+            if err_sum > max(1e-280, 8.0 * rtol * abs(value)):
+                raise NonconvergenceError(
+                    f"quadrature did not converge: error estimate {err_sum:.3e} "
+                    f"with {counts[i]} subintervals (target {rtol * abs(value):.3e})")
+            out[ids[i]] = QuadratureResult(value, err_sum + float(floor[i]), int(counts[i]))
+        if len(finished) == len(ids):
             break
-        new = _kronrod(f, {i: (a[done.shape[1]:], b[done.shape[1]:])
-                           for i, (a, b, done) in runs.items()})
-        pending = {}
-        for i, (a, b, done) in runs.items():
-            done = np.concatenate([done, new[i]], axis=1)
-            err = done[1]
-            total, total_err = float(done[0].sum()), float(err.sum())
-            target = rtol * abs(total)
-            if total_err <= target or len(a) >= _MAX_PANELS or refinements == 60:
-                out[i] = _result(total, total_err, float(done[2].sum()), len(a), rtol)
-                continue
-            # halve every panel whose error is within a factor 4 of the largest
-            err_max = float(err.max())
-            mask = err >= min(max(target / (4.0 * len(a)), 0.25 * err_max), err_max)
-            keep = ~mask
-            a_mask, b_mask = a[mask], b[mask]
-            mid = 0.5 * (a_mask + b_mask)
-            pending[i] = (np.concatenate([a[keep], a_mask, mid]),
-                          np.concatenate([b[keep], mid, b_mask]), done[:, keep])
-        runs = pending
+        # halve every panel whose error is within a factor 4 of the largest
+        # (no panel of a finished integral, whose cut is NaN)
+        bounds = np.concatenate(([0], counts.cumsum()))
+        err, err_max = cols[1], np.maximum.reduceat(cols[1], bounds[:-1])
+        cut = np.minimum(np.maximum(target / (4.0 * counts), 0.25 * err_max), err_max)
+        cut = np.where(done, np.nan, cut).repeat(counts)
+        kept, halved = (err < cut).nonzero()[0], (err >= cut).nonzero()[0]
+        # run i restarts at k[i] + 2 h[i], k and h counting panels kept and halved before it
+        k, h = kept.searchsorted(bounds), halved.searchsorted(bounds)
+        k_run, h_run = k[1:] - k[:-1], h[1:] - h[:-1]
+        to_keep = np.arange(len(kept)) + (2 * h[:-1]).repeat(k_run)
+        to_left = np.arange(len(halved)) + (k[1:] + h[:-1]).repeat(h_run)
+        to_right = to_left + h_run.repeat(h_run)
+        mid = 0.5 * (a[halved] + b[halved])
+        source = np.empty(len(kept) + 2 * len(halved), dtype=int)
+        source[to_keep], source[to_left], source[to_right] = kept, halved, halved
+        a, b, cols = a[source], b[source], cols[:, source]
+        a[to_right], b[to_left] = mid, mid
+        fresh = np.arange(2 * len(halved)) + k[1:].repeat(2 * h_run)
+        counts, ids = (k_run + 2 * h_run)[~done], ids[~done]
     return out
 
 
@@ -199,11 +201,10 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
 
     density is called with a 2-D t whose row k holds the 15 nodes of one
     panel.  With sequences a and b it is a batch: the m integrals run in
-    lockstep (_adaptive_gk), each result is bit-identical to integral i alone,
-    and they come back as Quadratures.  Before each call of density on a
-    batch, select(rows) is called with the index of the integral of each row
-    of t, so a density over a batch of test functions can give each row its
-    own.
+    lockstep on one flat panel table (_adaptive_gk), each bit-identical to
+    integral i alone, and come back as Quadratures.  Before each density
+    call on a batch, select(rows) is called with the integral of each row of
+    t, so a density over a batch of test functions can give each row its own.
 
     A failure (NonconvergenceError, or an EvaluationError of the expressions
     density evaluates) raises where the run meets it, and nothing runs
@@ -212,33 +213,35 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
     an expression its steps in scheduled (Sethi-Ullman) order, and across
     the sides of Sides.integrals the sides in order.
 
-    knots are the points inside (a, b) where the integrand's derivatives may
-    jump (a sequence; for a batch, one row per integral), so that no initial
-    panel straddles one.  Each band between a, the knots and b starts as
+    knots are points where the integrand's derivatives may jump (a
+    sequence; for a batch, one row per integral), so that no initial panel
+    straddles one; a row must have 0 <= a <= knots <= b <= R, a < b, or
+    ValueError names it.  Each band between a, the knots and b starts as
     `panels` equal panels in s = log t when b/a > 32, which resolves power
     behaviour toward t = 0, or else as panels // 2 (at least one) equal
     panels in t.  Only integrable endpoint singularities are supported.
     """
     batch = np.ndim(a) > 0
     lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
-    bad = ~((0 <= lo) & (lo < hi) & (hi <= sf.R))
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(f"integration range [{lo[i]}, {hi[i]}] outside [0, R={sf.R}]")
     inner = (np.empty((len(lo), 0)) if knots is None else
              np.asarray(knots if batch else [knots], dtype=float))
     x = np.column_stack([lo, inner, hi])
+    bad = ~((0 <= lo) & (lo < hi) & (hi <= sf.R) & (x[:, 1:] >= x[:, :-1]).all(axis=1))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"integration row {i}: [{lo[i]}, {hi[i]}] with knots "
+                         f"{inner[i].tolist()} is not 0 <= a <= knots <= b <= R={sf.R}, a < b")
     log = lo > 0
     log[log] = hi[log] / lo[log] > 32.0
     x[log] = np.log(x[log])
-    edges: list = [None] * len(lo)
-    for rows, n in ((log, panels), (~log, max(1, panels // 2))):
-        ends = x[rows]
-        steps = np.diff(ends, axis=1)[:, :, None] / n
-        starts = np.arange(n) * steps + ends[:, :-1, None]
-        starts = starts.reshape(len(ends), starts.shape[1] * n)
-        for i, e in zip(np.flatnonzero(rows), np.column_stack([starts, ends[:, -1]])):
-            edges[i] = e
+    # the flat panel table: integral by integral and band by band, the n
+    # equal panels of a band from x to x', panel k from x + k (x' - x) / n
+    n = np.where(log, panels, max(1, panels // 2))
+    counts, n = n * (x.shape[1] - 1), n.repeat(x.shape[1] - 1)
+    k = np.arange(n.sum()) - (n.cumsum() - n).repeat(n)
+    left = k * ((x[:, 1:] - x[:, :-1]).ravel() / n).repeat(n) + x[:, :-1].ravel().repeat(n)
+    right = np.concatenate([left[1:], x[-1:, -1]])
+    right[counts.cumsum() - 1] = x[:, -1]
 
     def integrand(x, rows):
         # rows of log integrals hold nodes s = ln t, and their values carry
@@ -250,7 +253,7 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
         vals = np.asarray(density(t), dtype=float) * volume_weight(sf, t)
         return np.multiply(vals, t, out=vals, where=on_log)
 
-    results = _adaptive_gk(integrand, tol, edges)
+    results = _adaptive_gk(integrand, tol, left, right, counts)
     return Quadratures(results) if batch else results[0]
 
 

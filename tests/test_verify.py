@@ -95,6 +95,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(sf, lambda t: t, -0.5, 0.7)
 
+    def test_knots_must_be_ordered_inside_the_range(self):
+        sf = SpaceForm(3, 0.0, 5.0)
+        f = lambda t: np.exp(-t)
+        with pytest.raises(ValueError, match="row 0"):
+            integrate(sf, f, 0.1, 1.0, knots=[2.0])
+        with pytest.raises(ValueError, match="row 0"):
+            integrate(sf, f, 0.1, 1.0, knots=[0.6, 0.4])
+        with pytest.raises(ValueError, match="row 1"):
+            integrate(sf, f, [0.1, 0.1, 0.1], [1.0, 1.0, 1.0], knots=[[0.5], [0.05], [0.5]])
+        # knots at the ends and repeated knots are bands of zero width
+        plain = integrate(sf, f, 0.1, 1.0, knots=[0.5])
+        edged = integrate(sf, f, 0.1, 1.0, knots=[0.1, 0.5, 0.5, 1.0])
+        assert edged.value == pytest.approx(plain.value, rel=1e-14)
+
     def test_nonconvergence_raises(self, monkeypatch):
         from rellich.verify import NonconvergenceError
 
@@ -135,6 +149,28 @@ class TestLockstep:
         assert uncapped.subintervals > 25
         assert solo[1].subintervals == solo[5].subintervals == 8
         assert min(solo[2].subintervals, solo[3].subintervals) > 9
+
+    def test_large_mixed_batch_equals_solo(self, monkeypatch):
+        """A 41-integral batch, log-substituted and linear, across the peak
+        and away from it, some capped at _MAX_PANELS, some converging on the
+        first pass, many of one panel count but of different values."""
+        supports = ([(0.01, 5.0), (0.3, 12.0)]
+                    + [(0.02 + 0.002 * j, 2.0 + 0.3 * j) for j in range(8)]
+                    + [(3.0 + 0.1 * j, 99.0 - j) for j in range(4)]
+                    + [(1.0 + 0.02 * j, 2.0 + 0.03 * j) for j in range(10)]
+                    + [(2.0 + 0.2 * j, 2.5 + 0.2 * j) for j in range(10)]
+                    + [(0.0, 1.0 + 0.1 * j) for j in range(5)] + [(0.0, 1.46), (1.4, 1.6)])
+        monkeypatch.setattr(vf, "_MAX_PANELS", 25)
+        solo = [integrate(self.sf, _peak, a, b, tol=1e-8) for a, b in supports]
+        lo, hi = zip(*supports)
+        assert list(integrate(self.sf, _peak, lo, hi, tol=1e-8)) == solo
+        monkeypatch.setattr(vf, "_MAX_NODES", 15 * 4)
+        assert list(integrate(self.sf, _peak, lo, hi, tol=1e-8)) == solo
+        panels = [q.subintervals for q in solo]
+        assert panels[0] == 25 and max(panels) > 25           # capped
+        assert panels[10] == 16 and panels.count(8) >= 10     # first pass, log and linear
+        first_pass = [q.value for q, n in zip(solo, panels) if n == 8]
+        assert len(set(first_pass)) == len(first_pass)
 
     def test_only_pending_panels_are_evaluated(self, monkeypatch):
         """Each row of t holds the 15 nodes of one panel of an unfinished
@@ -242,6 +278,41 @@ class TestLockstep:
             integrate(self.sf, density, [1.0, 3.5, 2.0], [1.2, 4.0, 2.5], tol=1e-8,
                       panels=8)
         assert calls == [(4, 15), (4, 15)]
+
+
+class TestGroupSums:
+    """The per-integral sums of the flat panel table are each the sum of the
+    integral's own panels alone, bit for bit."""
+
+    @staticmethod
+    def _check(x, counts):
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        alone = [[row[s:e].sum() for s, e in zip(bounds[:-1], bounds[1:])] for row in x]
+        assert vf._group_sums(x, counts).tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ragged_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        # ragged lengths from 1 to 4096, some repeated, so buckets hold
+        # several runs
+        counts = np.concatenate([rng.integers(1, 4097, 24), [1, 1, 2, 4096, 4096],
+                                 rng.integers(1, 200, 6).repeat(3)])
+        rng.shuffle(counts)
+        size = int(counts.sum())
+        x = 10.0 ** rng.uniform(-20, 5, (3, size)) * rng.choice([-1.0, 1.0], (3, size))
+        self._check(x, counts)
+        # a gathered table is not C-contiguous, and its row sums along a
+        # reshaped or fancy-indexed view would not be pairwise
+        gathered = x[:, rng.permutation(size)]
+        assert not gathered.flags.c_contiguous
+        self._check(gathered, counts)
+
+    def test_runs_of_one_length(self):
+        rng = np.random.default_rng(4)
+        for length, runs in ((1, 5), (37, 1), (300, 7), (4096, 3)):
+            x = 10.0 ** rng.uniform(-20, 5, (3, length * runs))
+            self._check(x, np.full(runs, length))
+            self._check(x[:, rng.permutation(length * runs)], np.full(runs, length))
 
 
 class _Scaled:
