@@ -4,12 +4,11 @@ Expressions are immutable trees over the variable ``t`` and the named
 parameters ``n, kappa, lambda, r, R, c, k``.  Nodes are unique per
 structure (building a node equal to a live one returns that one), so trees
 share every common subtree as one DAG, and each node keeps its derivative
-in t.  They support evaluation (float, numpy array, ``ExtFloat`` or
-``WideFloat`` backends, chosen from the type of the ``t`` binding; an
-ExtFloat array has float mantissas and int64 exponents, for t far below
-float range, and a WideFloat is a 40-digit decimal, for sums that cancel
-there), closed-form differentiation, printing back to the DSL, and a
-finite-difference self check.
+in t.  They support evaluation (float or numpy array backends, chosen from
+the type of the ``t`` binding), closed-form differentiation, printing back
+to the DSL, a finite-difference self check, and the rewrite ``s_form`` of
+an expression into t^k g(s) with s = log t, which evaluates in float at
+any depth where the powers of t cancel.
 
 Evaluation is compiled once per root: the first ``evaluate`` lowers the
 DAG to a straight-line program with one step per distinct subtree,
@@ -23,12 +22,13 @@ Supported primitives: + - * / ^ (real power), negation, log, exp, sqrt,
 sinh, cosh, tanh, coth, the curvature-aware ``ct`` (1/t when kappa = 0,
 kappa*coth(kappa*t) when kappa > 0), and the iterated forms
 ``logk(i, x)`` / ``expk(i, x)`` with depth i >= 0 (depth 0 is the
-identity).
+identity).  The s-form also uses three x-scaled primitives that the DSL
+does not parse: sinhc(x) = sinh(x)/x, tanhc(x) = tanh(x)/x and
+xcoth(x) = x coth(x), each 1 at x = 0.
 """
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 import operator
@@ -42,13 +42,14 @@ __all__ = [
     "Expr", "Const", "Var", "Param", "Unary", "Binary", "Iter", "Program",
     "Bindings", "parse", "evaluate", "differentiate", "fd_check",
     "ExprError", "ParseError", "EvaluationError", "UnboundParameterError",
-    "DomainError", "ExtFloat", "ext_exp", "to_floats", "WideFloat", "wide_exp",
+    "DomainError", "s_form", "s_flat", "summands",
 ]
 
 PARAMETER_NAMES = ("n", "kappa", "lambda", "r", "R", "c", "k")
 _CONSTANT_NAMES = {"pi": math.pi, "e": math.e}
 _UNARY_FUNCTIONS = ("log", "exp", "sqrt", "sinh", "cosh", "tanh", "coth", "ct")
 _ITER_FUNCTIONS = ("logk", "expk")
+_SCALED_FUNCTIONS = ("sinhc", "tanhc", "xcoth")     # s-form only: not parsed, not differentiated
 
 Number = Union[int, float]
 Bindings = Mapping[str, object]
@@ -165,7 +166,8 @@ def _any_array(bad) -> bool:
 
 def _reject_array(primitive, x, bad):
     bad = np.asarray(bad)
-    raise DomainError(primitive, float(np.broadcast_to(to_floats(x), bad.shape)[bad].flat[0]))
+    raise DomainError(primitive, float(np.broadcast_to(np.asarray(x, dtype=float),
+                                                       bad.shape)[bad].flat[0]))
 
 
 def _sinh_float(x):
@@ -207,418 +209,35 @@ def _notint_scalar(y):
 
 # the float table stays on math: numpy's exp/sinh/cosh/tanh differ from libm
 # in the last bit on some inputs, and scalar paths must match earlier reports
-_FLOAT = _primitives(
-    bool, _reject_scalar, math.log, math.sqrt, _exp_float, _sinh_float, _cosh_float,
-    math.tanh, lambda x: 1.0 / math.tanh(x), _ct_float, _pow_float, _notint_scalar,
-    lambda x: isinstance(x, float) and math.isnan(x))
+_FLOAT = {
+    **_primitives(bool, _reject_scalar, math.log, math.sqrt, _exp_float, _sinh_float,
+                  _cosh_float, math.tanh, lambda x: 1.0 / math.tanh(x), _ct_float, _pow_float,
+                  _notint_scalar, lambda x: isinstance(x, float) and math.isnan(x)),
+    "sinhc": lambda x: _sinh_float(x) / x if x else 1.0,
+    "tanhc": lambda x: math.tanh(x) / x if x else 1.0,
+    "xcoth": lambda x: x / math.tanh(x) if x else 1.0,
+}
+
+
+def _at_zero_one(f):
+    """f on an array, and 1 where the argument is 0 (f's 0/0 there)."""
+    return lambda x: np.where(x == 0, 1.0, f(x))
+
 
 # overflow is silenced by the errstate in Expr.evaluate
-_NUMPY = _primitives(
-    _any_array, _reject_array, np.log, np.sqrt, np.exp, np.sinh, np.cosh, np.tanh,
-    lambda x: 1.0 / np.tanh(x), lambda x, kappa: kappa / np.tanh(kappa * x),
-    np.power, lambda y: np.mod(y, 1.0) != 0, lambda x: bool(np.any(np.isnan(x))))
-
-
-# ---------------------------------------------------------------------------
-# extended-exponent arrays: the disconjugacy ODE starts at t = e^(-2e6)
-
-
-class ExtFloat:
-    """Real numbers m * 2^e, elementwise: a numpy float mantissa m and an
-    int64 exponent e of the same shape; a scalar has shape ().  + - * /
-    round once, so inside float range they give the float's bits; a float,
-    int or array operand is promoted, and shapes broadcast as in numpy.
-
-    The constructor, a sum and every function of the table normalize the
-    mantissa by frexp (0.5 <= |m| < 1, unless it is zero, infinite or NaN).
-    A product or quotient does not: ``drift`` counts the multiplications
-    and divisions since the last normalization, which keep |m| within
-    [2^-(drift+1), 2^drift], and passing _DRIFT normalizes.  So a sum
-    aligns operands far inside float range, and no value depends on where
-    normalization happened.  Mantissas can overflow to inf and NaN, so
-    vector code runs under ``np.errstate``, as ``Program.evaluate`` does."""
-
-    __slots__ = ("m", "e", "drift")
-    __array_ufunc__ = None       # numpy operands defer to the methods below
-
-    def __init__(self, x, e=0):
-        self.m, d = np.frexp(x)
-        self.e = np.add(e, d, dtype=np.int64)
-        self.drift = 0
-
-    def floats(self) -> np.ndarray:
-        """The values as floats: 0 or +-inf outside float range (which
-        warns unless np.errstate says otherwise)."""
-        return np.ldexp(self.m, self.e)
-
-    def __float__(self):
-        with np.errstate(over="ignore"):
-            return float(self.floats().item())
-
-    def __repr__(self):
-        x = _normalized(self)
-        return f"ExtFloat({x.m!r}, {x.e!r})"
-
-    def __neg__(self):
-        return _raw(-self.m, self.e, self.drift)
-
-    def __abs__(self):
-        return _raw(np.abs(self.m), self.e, self.drift)
-
-    def __add__(self, other):
-        return _add(self.m, self.e, *_split(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        m, e = _split(other)
-        return _add(self.m, self.e, -m, e)
-
-    def __rsub__(self, other):
-        return _add(*_split(other), -self.m, self.e)
-
-    def __mul__(self, other):
-        kind = type(other)
-        if kind is ExtFloat:
-            m, e, drift = other.m, other.e, self.drift + other.drift
-        else:
-            (m, e), drift = _factor(other, kind), self.drift
-        return _product(self.m * m, self.e + e, drift)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        kind = type(other)
-        if kind is ExtFloat:
-            m, e, drift = other.m, other.e, self.drift + other.drift
-        else:
-            (m, e), drift = _factor(other, kind), self.drift
-        return _product(self.m / m, self.e - e, drift)
-
-    def __rtruediv__(self, other):
-        m, e = _factor(other, type(other))
-        return _product(m / self.m, e - self.e, self.drift)
-
-    def _sign(self, other):
-        """Floats with the signs of self - other (NaN where unordered)."""
-        if isinstance(other, (int, float)) and other == 0:
-            return self.m
-        return (self - other).m
-
-    def __lt__(self, other):
-        return self._sign(other) < 0
-
-    def __le__(self, other):
-        return self._sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._sign(other) > 0
-
-    def __ge__(self, other):
-        return self._sign(other) >= 0
-
-    def __eq__(self, other):
-        kind = type(other)
-        if (kind is float or kind is int) and other == 0:
-            return self.m == 0
-        if not isinstance(other, (ExtFloat, float, int, np.ndarray)):
-            return NotImplemented
-        x = _normalized(self)
-        m, e = _split(_normalized(other) if type(other) is ExtFloat else other)
-        return (x.m == m) & ((x.e == e) | (m == 0) | ~np.isfinite(m))
-
-
-# products and quotients since the last normalization before the next one
-_DRIFT = 64
-
-
-def _split(x) -> tuple:
-    return (x.m, x.e) if type(x) is ExtFloat else np.frexp(x)
-
-
-def _factor(x, kind) -> tuple:
-    """(m, e) of a product's operand x of type kind, not ExtFloat; a Python
-    number is split by math."""
-    return math.frexp(x) if kind is float or kind is int else np.frexp(x)
-
-
-def _raw(m, e, drift=0) -> ExtFloat:
-    x = object.__new__(ExtFloat)
-    x.m, x.e, x.drift = m, e, drift
-    return x
-
-
-def _normal(m, e) -> ExtFloat:
-    """m 2^e with its mantissa normalized, for an int64 exponent e."""
-    m, d = np.frexp(m)
-    return _raw(m, e + d)
-
-
-def _product(m, e, drift) -> ExtFloat:
-    """m 2^e from a product or quotient of mantissas of the given drift."""
-    if drift >= _DRIFT:
-        return _normal(m, e)
-    x = object.__new__(ExtFloat)
-    x.m, x.e, x.drift = m, e, drift + 1
-    return x
-
-
-def _normalized(x):
-    """x with its mantissa normalized; any other operand as it is."""
-    if type(x) is not ExtFloat or not x.drift:
-        return x
-    return _normal(x.m, x.e)
-
-
-def to_floats(x) -> np.ndarray:
-    """x as floats: an ExtFloat rounded (0 or +-inf outside float range,
-    which warns unless np.errstate says otherwise), anything else through
-    np.asarray."""
-    return x.floats() if type(x) is ExtFloat else np.asarray(x, dtype=float)
-
-
-_ZERO_EXPONENT = -(2 ** 62)      # a zero's exponent in a sum: below every other
-
-
-def _add(am, ae, bm, be) -> ExtFloat:
-    # the operand of smaller exponent is scaled exactly (or to a negligible
-    # subnormal) before the one rounding of the sum; a zero counts as the
-    # smaller one, so signed zeros add as in float
-    product = am * bm            # zero where an operand is (0 * inf is NaN, which adds alike)
-    if np.count_nonzero(product) == np.size(product):
-        k = np.maximum(ae, be)
-        return _normal(np.ldexp(am, ae - k) + np.ldexp(bm, be - k), k)
-    ka = np.where(am == 0, _ZERO_EXPONENT, ae)
-    kb = np.where(bm == 0, _ZERO_EXPONENT, be)
-    k = np.maximum(ka, kb)
-    m = np.ldexp(am, ka - k) + np.ldexp(bm, kb - k)
-    return _normal(m, np.maximum(k, np.minimum(ae, be)))
-
-
-# ln 2 in three parts for Cody-Waite reduction; the first two have at most 20
-# significant bits, so k*part is exact for |k| < 2^33
-_LN2_HI = float.fromhex("0x1.62e42p-1")
-_LN2_MID = float.fromhex("0x1.fdf48p-22")
-_LN2_LO = float.fromhex("-0x1.8432a1b0e2634p-43")
-_LN2 = math.log(2.0)
-
-# |x| beyond which exp, sinh and cosh saturate to 0 or +-inf: k = x/ln 2 stays
-# below 2^33, and e^(2^32) times any power t^p of a radius (|log t| <= 2.1e6
-# at the deepest start, |p| < 2000) is still far outside float range
-_EXP_SATURATION = 2.0 ** 32
-
-
-def ext_exp(x) -> ExtFloat:
-    """e^x as an ExtFloat: x = k ln 2 + r with |r| <= ln(2)/2, e^x = e^r 2^k."""
-    if type(x) is ExtFloat:
-        with np.errstate(over="ignore"):
-            x = x.floats()
-    x = np.asarray(x, dtype=float)
-    k = np.rint(x / _LN2)
-    outside = ~(np.abs(x) <= _EXP_SATURATION)
-    if np.count_nonzero(outside):    # 0 or +inf, and NaN stays NaN
-        x = np.where(outside, np.where(x > 0, np.inf, np.where(x < 0, -np.inf, x)), x)
-        k = np.where(outside, 0.0, k)
-    return _normal(np.exp(x - k * _LN2_HI - k * _LN2_MID - k * _LN2_LO), k.astype(np.int64))
-
-
-def _ext_log(x) -> ExtFloat:
-    m, e = _split(_normalized(x))
-    far = e * _LN2_HI + (np.log(m) + e * (_LN2_MID + _LN2_LO))
-    inside = np.abs(e) <= 1021
-    if np.count_nonzero(inside):     # inside float range: no cancellation near x = 1
-        far = np.where(inside, np.log(np.ldexp(m, np.where(inside, e, 0))), far)
-    return _normal(far, 0)
-
-
-def _ext_sqrt(x) -> ExtFloat:
-    m, e = _split(x)
-    return ExtFloat(np.sqrt(np.ldexp(m, e & 1)), e >> 1)
-
-
-def _unless_tiny(x, m, e) -> ExtFloat:
-    """m 2^e, but x itself where |x| < 2^-1000: there sinh x = tanh x = x."""
-    if type(x) is not ExtFloat:
-        return ExtFloat(m, e)
-    x = _normalized(x)
-    tiny = x.e < -1000
-    return ExtFloat(np.where(tiny, x.m, m), np.where(tiny, x.e, e))
-
-
-def _ext_sinh_cosh(f, odd: bool):
-    def g(x) -> ExtFloat:
-        xf = to_floats(x)
-        y = ext_exp(np.abs(xf))          # past 709, e^-|x| is below the last bit
-        big = np.abs(xf) > 709.0
-        m = np.where(big, np.copysign(y.m, xf) if odd else y.m, f(xf))
-        e = np.where(big, y.e - 1, 0)
-        return _unless_tiny(x, m, e) if odd else ExtFloat(m, e)
-    return g
-
-
-def _ext_tanh(x) -> ExtFloat:
-    return _unless_tiny(x, np.tanh(to_floats(x)), 0)
-
-
-def _ext_pow(x, y) -> ExtFloat:
-    """x^y elementwise where the domain rules let it through (x > 0, or y
-    an integer), as +-2^(y log2 |m|) 2^(y e).  For |y| < 2^53, y = p / 2^q
-    and the product y e is split exactly, in Python ints, into its whole
-    and fractional parts; a larger or non-finite y takes e^(y log |x|)."""
-    m, e = _split(x)
-    m, e, y = np.broadcast_arrays(m, e, to_floats(y))
-    exact = np.abs(y) < 2.0 ** 53
-    fy, ky = np.frexp(np.where(exact, y, 0.0))
-    whole, frac = [], []
-    for p, k, q in zip(*(np.ravel(v).tolist() for v in
-                         (np.ldexp(fy, 53).astype(np.int64), e, 53 - ky))):
-        w, part = divmod(p * k, 1 << q)
-        whole.append(min(max(w, -2 ** 62), 2 ** 62))
-        frac.append(part / (1 << q))
-    whole, frac = np.reshape(whole, m.shape).astype(np.int64), np.reshape(frac, m.shape)
-    r = ext_exp((frac + y * np.log2(np.abs(m))) * _LN2)
-    r_e = r.e + whole
-    if not exact.all():
-        far = ext_exp(y * to_floats(_ext_log(ExtFloat(np.abs(m), e))))
-        r = ExtFloat(np.where(exact, r.m, far.m), np.where(exact, r_e, far.e))
-        r_e = r.e
-    sign = np.where((m < 0) & (np.mod(y, 2.0) == 1), -1.0, 1.0)
-    zero = m == 0                # 0^0 = 1; the domain rules reject 0^y for y < 0
-    return ExtFloat(np.where(zero, np.where(y == 0, 1.0, 0.0), sign * r.m),
-                    np.where(zero, 0, r_e))
-
-
-_EXT = _primitives(
-    _any_array, _reject_array, _ext_log, _ext_sqrt, ext_exp, _ext_sinh_cosh(np.sinh, True),
-    _ext_sinh_cosh(np.cosh, False), _ext_tanh, lambda x: 1.0 / _ext_tanh(x),
-    lambda x, kappa: kappa / _ext_tanh(kappa * x), _ext_pow,
-    lambda y: np.mod(to_floats(y), 1.0) != 0, lambda x: np.count_nonzero(np.isnan(_split(x)[0])) > 0)
-
-
-# ---------------------------------------------------------------------------
-# 40-digit decimals: coefficients whose terms cancel at the deep start
-
-_WIDE_CONTEXT = decimal.Context(prec=40, Emin=-10 ** 9, Emax=10 ** 9, traps=[])
-
-
-class WideFloat:
-    """A 40-digit decimal with exponents within +-10^9.  Its arithmetic runs
-    on a context of its own, so the thread's decimal context is neither read
-    nor changed; a float or int operand is rounded to 40 digits."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, x):
-        self.d = _decimal(x)
-
-    def __float__(self):
-        return float(self.d)
-
-    def __repr__(self):
-        return f"WideFloat({str(self.d)!r})"
-
-    def __neg__(self):
-        return WideFloat(_WIDE_CONTEXT.minus(self.d))
-
-    def __abs__(self):
-        return WideFloat(_WIDE_CONTEXT.abs(self.d))
-
-    def __add__(self, other):
-        return WideFloat(_WIDE_CONTEXT.add(self.d, _decimal(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return WideFloat(_WIDE_CONTEXT.subtract(self.d, _decimal(other)))
-
-    def __rsub__(self, other):
-        return WideFloat(_WIDE_CONTEXT.subtract(_decimal(other), self.d))
-
-    def __mul__(self, other):
-        return WideFloat(_WIDE_CONTEXT.multiply(self.d, _decimal(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return WideFloat(_WIDE_CONTEXT.divide(self.d, _decimal(other)))
-
-    def __rtruediv__(self, other):
-        return WideFloat(_WIDE_CONTEXT.divide(_decimal(other), self.d))
-
-    def _sign(self, other) -> float:
-        """The sign of self - other as a float (NaN if unordered)."""
-        return float(_WIDE_CONTEXT.compare(self.d, _decimal(other)))
-
-    def __lt__(self, other):
-        return self._sign(other) < 0
-
-    def __le__(self, other):
-        return self._sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._sign(other) > 0
-
-    def __ge__(self, other):
-        return self._sign(other) >= 0
-
-    def __eq__(self, other):
-        return self._sign(other) == 0
-
-
-def _decimal(x) -> decimal.Decimal:
-    # Decimal(float) would flag FloatOperation on the thread's context
-    kind = type(x)
-    if kind is WideFloat:
-        return x.d
-    return x if kind is decimal.Decimal else _WIDE_CONTEXT.create_decimal_from_float(x)
-
-
-def wide_exp(x) -> WideFloat:
-    """e^x as a WideFloat."""
-    return WideFloat(_WIDE_CONTEXT.exp(_decimal(x)))
-
-
-def _wide(f):
-    return lambda x: WideFloat(f(_decimal(x)))
-
-
-def _wide_sinh_cosh(odd: bool):
-    def g(x) -> WideFloat:
-        x = WideFloat(x)
-        if odd and x.d.adjusted() < -10:     # sinh x = x within 1e-20
-            return x
-        y = wide_exp(x)
-        return (y - 1 / y) / 2 if odd else (y + 1 / y) / 2
-    return g
-
-
-def _wide_tanh(x) -> WideFloat:
-    x = WideFloat(x)
-    if x.d.adjusted() < -10:                 # tanh x = x within 1e-20
-        return x
-    if abs(x) > 50:                          # tanh x = +-1 within 1e-43
-        return WideFloat(decimal.Decimal(1).copy_sign(x.d))
-    y = wide_exp(2 * x)
-    return (y - 1) / (y + 1)
-
-
-_WIDE = _primitives(
-    bool, _reject_scalar, _wide(_WIDE_CONTEXT.ln), _wide(_WIDE_CONTEXT.sqrt), wide_exp,
-    _wide_sinh_cosh(True), _wide_sinh_cosh(False), _wide_tanh, lambda x: 1 / _wide_tanh(x),
-    lambda x, kappa: kappa / _wide_tanh(kappa * x),
-    lambda x, y: WideFloat(_WIDE_CONTEXT.power(_decimal(x), _decimal(y))), _notint_scalar,
-    lambda x: type(x) is WideFloat and x.d.is_nan())
+_NUMPY = {
+    **_primitives(_any_array, _reject_array, np.log, np.sqrt, np.exp, np.sinh, np.cosh,
+                  np.tanh, lambda x: 1.0 / np.tanh(x),
+                  lambda x, kappa: kappa / np.tanh(kappa * x), np.power,
+                  lambda y: np.mod(y, 1.0) != 0, lambda x: bool(np.any(np.isnan(x)))),
+    "sinhc": _at_zero_one(lambda x: np.sinh(x) / x),
+    "tanhc": _at_zero_one(lambda x: np.tanh(x) / x),
+    "xcoth": _at_zero_one(lambda x: x / np.tanh(x)),
+}
 
 
 def _backend(t_value) -> dict:
-    if isinstance(t_value, np.ndarray):
-        return _NUMPY
-    kind = type(t_value)
-    if kind is ExtFloat:
-        return _EXT
-    if kind is WideFloat:
-        return _WIDE
-    return _FLOAT
+    return _NUMPY if isinstance(t_value, np.ndarray) else _FLOAT
 
 
 def _ipow(x, k: int):
@@ -785,7 +404,7 @@ class Unary(Expr):
     precedence = 4  # function application / prefix minus
 
     def __new__(cls, op: str, child: Expr):
-        if op != "neg" and op not in _UNARY_FUNCTIONS:
+        if op != "neg" and op not in _UNARY_FUNCTIONS + _SCALED_FUNCTIONS:
             raise ValueError(f"unknown unary op {op!r}")
         return _intern(cls, (cls, op, id(child)), op, child)
 
@@ -1175,6 +794,180 @@ def neg(a) -> Expr:
     if isinstance(a, Const):
         return Const(-a.value)
     return Unary("neg", a)
+
+
+# ---------------------------------------------------------------------------
+# s-form: node = t^k g(s), s = log t
+
+_ONE, _ZERO = Const(1.0), Const(0.0)
+
+
+def _is_zero(g: Expr) -> bool:
+    return type(g) is Const and g.value == 0.0
+
+
+def _times(a: Expr, b: Expr) -> Expr:
+    """a b, where a structural zero absorbs and a factor 1 drops out."""
+    if _is_zero(a) or _is_zero(b):
+        return _ZERO
+    return b if a is _ONE else a if b is _ONE else mul(a, b)
+
+
+def _over(a: Expr, b: Expr) -> Expr:
+    return a if b is _ONE or _is_zero(a) else div(a, b)
+
+
+def _ks(k: float) -> Expr:
+    return Var() if k == 1 else mul(Const(k), Var())
+
+
+def s_flat(k: float, g: Expr) -> Expr:
+    """t^k g(s) as one expression in s: g when k = 0, else g e^(k s), which
+    underflows to 0 toward s -> -inf where k > 0 and overflows where k < 0."""
+    return g if k == 0 else _times(g, Unary("exp", _ks(k)))
+
+
+def summands(e: Expr) -> list:
+    """The summands of e's tree of +, - and negation, left to right, as
+    (sign, node)."""
+    out, stack = [], [(1.0, e)]
+    while stack:
+        sign, x = stack.pop()
+        if type(x) is Unary and x.op == "neg":
+            stack.append((-sign, x.child))
+        elif type(x) is Binary and x.op in "+-":
+            stack += [(-sign if x.op == "-" else sign, x.right), (sign, x.left)]
+        else:
+            out.append((sign, x))
+    return out
+
+
+def _signed_sum(terms: list) -> Expr:
+    (sign, total), *rest = terms
+    total = total if sign > 0 else neg(total)
+    for sign, x in rest:
+        total = add(total, x) if sign > 0 else sub(total, x)
+    return total
+
+
+def _sum_form(parts: list) -> tuple:
+    """The form of a sum of (sign, form) parts: parts of one k and one g
+    node are collected (x + y - x is y), structural zeros drop out, and the
+    least k is factored out, each other part scaled by e^((k_i - k) s)."""
+    collected: dict = {}
+    for sign, (k, g) in parts:
+        if not _is_zero(g):
+            collected.setdefault((k, id(g)), [k, g, 0.0])[2] += sign
+    terms = [term for term in collected.values() if term[2]]
+    if not terms:
+        return 0.0, _ZERO
+    k0 = min(k for k, _, _ in terms)
+    scaled = []
+    for k, g, n in terms:
+        g = s_flat(k - k0, g)
+        scaled.append((n, g if abs(n) == 1 else _times(Const(abs(n)), g)))
+    return k0, _signed_sum(scaled)
+
+
+def _apply(op: str, k: float, g: Expr, kappa) -> tuple:
+    """The form of op(t^k g) for a unary function op."""
+    if op == "log":
+        if k == 0:
+            return 0.0, Unary("log", g)
+        return 0.0, _ks(k) if g is _ONE else add(_ks(k), Unary("log", g))
+    if op == "exp" and k == 0:                       # e^(c s + h) = t^c e^h
+        c, rest = 0.0, []
+        for sign, x in summands(g):
+            if type(x) is Var:
+                c += sign
+            elif (type(x) is Binary and x.op == "*"
+                  and {type(x.left), type(x.right)} == {Const, Var}):
+                c += sign * (x.left if type(x.left) is Const else x.right).value
+            else:
+                rest.append((sign, x))
+        if c == 0:
+            return 0.0, Unary("exp", g)
+        return c, Unary("exp", _signed_sum(rest)) if rest else _ONE
+    if op == "sqrt":
+        return k / 2, g if g is _ONE else Unary("sqrt", g)
+    if k > 0 and op in ("sinh", "tanh"):             # sinh u = u sinhc(u)
+        return k, _times(g, Unary(op + "c", s_flat(k, g)))
+    if k > 0 and op == "coth":                       # coth u = xcoth(u) / u
+        return -k, _over(Unary("xcoth", s_flat(k, g)), g)
+    if op == "ct" and kappa == 0:                    # ct(t^k g) = 1/(t^k g)
+        return -k, Unary("ct", g)
+    if op == "ct" and kappa is not None and k > 0:   # kappa coth(kappa u) = xcoth(kappa u) / u
+        return -k, _over(Unary("xcoth", mul(Param("kappa"), s_flat(k, g))), g)
+    return 0.0, Unary(op, s_flat(k, g))
+
+
+def _is_sum(e: Expr) -> bool:
+    return (type(e) is Binary and e.op in "+-") or (type(e) is Unary and e.op == "neg")
+
+
+def _operands(e: Expr) -> list:
+    """e's operands as (sign, node): its summands if e is a sum."""
+    if _is_sum(e):
+        return summands(e)
+    if type(e) is Binary:
+        return [(1.0, e.left), (1.0, e.right)]
+    return [(1.0, e.child)] if type(e) in (Unary, Iter) else []
+
+
+def _rule(e: Expr, parts: list, kappa) -> tuple:
+    """The form of e from the (sign, form) of its operands."""
+    cls = type(e)
+    if cls is Var:
+        return 1.0, _ONE
+    if cls is Const or cls is Param:
+        return 0.0, e
+    if _is_sum(e):
+        return _sum_form(parts)
+    if cls is Iter:
+        form = parts[0][1]
+        for _ in range(e.depth):
+            form = _apply("log" if e.func == "logk" else "exp", *form, kappa)
+        return form
+    if cls is Unary:
+        return _apply(e.op, *parts[0][1], kappa)
+    (_, (ka, ga)), (_, (kb, gb)) = parts
+    if e.op in "*/":
+        g = _times(ga, gb) if e.op == "*" else _over(ga, gb)
+        return (0.0, g) if _is_zero(g) else (ka + kb if e.op == "*" else ka - kb, g)
+    if type(e.right) is Const:                       # (t^k g)^p = t^(k p) g^p
+        return ka * e.right.value, pow_(ga, e.right)
+    return 0.0, pow_(s_flat(ka, ga), s_flat(kb, gb))
+
+
+def s_form(e: Expr, kappa=None) -> tuple:
+    """(k, g) with e = t^k g(s), s = log t, where g's variable stands for s
+    (a program of g takes s as its ``t`` binding); kappa is the curvature
+    ct will be evaluated at, or None (ct is then left as it is).
+
+    * and / add and subtract exponents and ^ of a constant scales them; a
+    sum is ``_sum_form``; log(t^k g) = k s + log g and e^(c s + h) =
+    t^c e^h; sinh, tanh, coth and (kappa > 0) ct of t^k g with k > 0 factor
+    through sinhc, tanhc and xcoth; any other function, and a variable
+    exponent, takes its operands flattened (``s_flat``).  Each rule is an
+    identity wherever e is defined, bar structural zeros (0 x is 0 even
+    where x is not finite), so the powers of t of a coefficient such as
+    c t^2 Z cancel exactly and its g is float at any depth.  The DAG is
+    walked once, without recursion.
+    """
+    memo: dict = {}                  # id(node) -> (node, form); the node keeps its id unique
+    stack = [(e, None)]              # a node, then again with its operands once they are done
+    while stack:
+        node, operands = stack.pop()
+        if id(node) in memo:
+            continue
+        if operands is None:
+            operands = _operands(node)
+            stack.append((node, operands))
+            stack += [(x, None) for _, x in operands if id(x) not in memo]
+        else:
+            parts = [(sign, memo[id(x)][1]) for sign, x in operands]
+            memo[id(node)] = node, _rule(node, parts, kappa)
+    return memo[id(e)][1]
 
 
 # ---------------------------------------------------------------------------

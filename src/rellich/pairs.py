@@ -429,35 +429,39 @@ def _sspace_coefficients(p: PairSpec, n: Optional[int]):
     return a, b
 
 
-def _summands(p: PairSpec) -> tuple:
-    """The sum in b (Z of a potential, Y of a pair), under any sign change
-    and constant factors, which cancel no more than it does, followed by
-    its terms, for the cancellation rule; () when it has one term."""
-    total = p.expr("Z" if p.kind == "bessel-potential" else "Y")
+def _s_program(a: Expr, b: Expr, kappa=None) -> ex.Program:
+    """The coefficients a and b rewritten into their s-forms t^k g(s)
+    (``expr.s_form``) and compiled into one program that takes s as its t
+    binding: a and b as ``expr.s_flat`` gives them, then the factor and the
+    summands of the sum in b's g (``_summands``) for the cancellation rule."""
+    (ka, ga), (kb, gb) = ex.s_form(a, kappa), ex.s_form(b, kappa)
+    return ex.Program((ex.s_flat(ka, ga), ex.s_flat(kb, gb), *_summands(gb)))
+
+
+def _summands(g: Expr) -> tuple:
+    """(|f|, x_1, ..., x_m) where g = f (x_1 +- ... +- x_m), m > 1, and f is
+    a product of constants and signs; () when g has one summand."""
+    factor = 1.0
     while True:
-        if isinstance(total, Unary) and total.op == "neg":
-            total = total.child
-        elif isinstance(total, ex.Binary) and total.op == "*" and isinstance(total.left, Const):
-            total = total.right
-        elif isinstance(total, ex.Binary) and total.op in "*/" and isinstance(total.right, Const):
-            total = total.left
+        if isinstance(g, Unary) and g.op == "neg":
+            g = g.child
+        elif isinstance(g, ex.Binary) and g.op == "*" and isinstance(g.left, Const):
+            factor, g = factor * abs(g.left.value), g.right
+        elif (isinstance(g, ex.Binary) and g.op in "*/" and isinstance(g.right, Const)
+              and g.right.value != 0):
+            c = abs(g.right.value)
+            factor, g = factor * c if g.op == "*" else factor / c, g.left
         else:
             break
-    terms, stack = [], [total]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, ex.Binary) and e.op in ("+", "-"):
-            stack += [e.right, e.left]
-        else:
-            terms.append(e)
-    return (total, *terms) if len(terms) > 1 else ()
+    terms = [x for _, x in ex.summands(g)]
+    # a Const must be finite, and a product of constants can overflow
+    return (Const(min(factor, 1e308)), *terms) if len(terms) > 1 else ()
 
 
 _DEEP_LOG_DEPTH = 2.0e6          # potentials: start at t = R e^{-depth}
 _PAIR_LOG_DEPTH = 110.0
 _END_GAP = -math.log1p(-1e-9)    # default intervals end at t = R (1 - 1e-9)
-_FLOAT_LOG_FLOOR = -120.0        # below t = e^{-120}, coefficients on ExtFloat
-_CANCELLATION = 2.0 ** 12        # sum |term| / |sum| past which b takes 40 digits
+_CANCELLATION = 2.0 ** 12        # b's summands against the equation, past which b is not trusted
 _GRID = 512                      # steps of the first fixed-grid level
 _ANGLE_TOL = 1e-6                # Pruefer-angle agreement of two levels
 _MAX_STEPS = 2 ** 17             # grid steps before a run ends inconclusive
@@ -474,13 +478,14 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
     t = R e^(-2e6), far below float range, so that the oscillation of
     super-critical potentials is actually visible, a Bessel pair from
     R e^(-110), and an explicit interval from its t0.  The state is float.
-    The coefficients (``_coefficients``) are computed in one numpy run on
-    the points t = e^s above e^(-120) and one ``expr.ExtFloat`` run (float
-    mantissas, int64 exponents) on those below it or whose numpy value is
-    not finite, then rounded to float; a point where the sum in b
-    (``_summands``) cancels (sum |term| / |sum| above 2^12) is recomputed
-    on 40 digits, and a coefficient that is not finite ends the run
-    inconclusive.
+    The coefficients are computed in s: a and b are rewritten once into
+    t^k g(s) (``expr.s_form``), where the powers of t of c t^2 Z, t X'/X
+    and C t^2 Y/X cancel, and compiled into one program (``_s_program``),
+    which every batch of points runs once on numpy (``_coefficients``).
+    A coefficient that is not finite (a form that keeps k < 0 overflows
+    toward the deep start), or whose sum in b cancels so far that its
+    rounding error is not small beside the equation the grid integrates
+    (``_coefficients``), ends the run inconclusive.
 
     One integrator, RK4 on nested fixed grids (``_fixed_grid_run``), runs
     every interval on one of two maps.  A potential takes grids uniform in
@@ -504,59 +509,40 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         log_R = math.log(float(p.params.get("R", 1.0)))
         w_lo = _DEEP_LOG_DEPTH if p.kind == "bessel-potential" else _PAIR_LOG_DEPTH
         s_lo, s_hi, anchor = log_R - w_lo, log_R - _END_GAP, log_R
-    program = ex.Program((a_expr, b_expr, *_summands(p)))
+    base = p.bindings(n=n)
+    program = _s_program(a_expr, b_expr, base.get("kappa"))
     if p.kind == "bessel-pair":
         grid = (s_lo, s_hi, _s_map)
     else:
         grid = (-math.log(w_lo), -math.log(_END_GAP), _v_map(anchor))
-    first_zero_s, status, steps = _fixed_grid_run(program, p.bindings(n=n), *grid)
+    first_zero_s, status, steps = _fixed_grid_run(program, base, *grid)
     if first_zero_s is not None:
         t_zero = math.exp(first_zero_s) if first_zero_s > -745.0 else 0.0
         return DisconjugacyReport(t_zero, "ok", log_t_first_zero=first_zero_s, steps=steps)
     return DisconjugacyReport(None, status, steps=steps)
 
 
-def _coefficients(program: ex.Program, base: dict, s: np.ndarray) -> np.ndarray:
-    """(a, b) at the points s as two float rows: one numpy run on the points
-    above e^(-120), one ExtFloat run on the rest and on those whose numpy
-    value is not finite (all of them when that run raises).  A point whose
-    sum in b (``_summands``) has sum |term| / |sum| above _CANCELLATION is
-    recomputed on 40 digits (``expr.WideFloat``).  Raises EvaluationError
-    where a value is not finite."""
+def _coefficients(program: ex.Program, base: dict, s: np.ndarray, w=1.0,
+                  rate=0.0) -> np.ndarray:
+    """(A, B) = (a w - rate, b w^2) at the points s as two float rows: the
+    coefficients of y_xx + A y_x + B y = 0 in a grid variable x with
+    ds/dx = w and w'/w = rate (by default x = s), from one numpy run of the
+    s-form program (``_s_program``) on s.  Raises EvaluationError where a
+    value is not finite, or where b's summands, scaled as B is, exceed
+    _CANCELLATION (1 + |A| + |B|): there they cancel past _CANCELLATION,
+    and b's rounding error is not small beside the equation."""
+    values = program.evaluate(dict(base, t=s))
     coef = np.empty((2, s.size))
-    cancels = np.zeros(s.size, dtype=bool)
-
-    def run(i, t):
-        values = program.evaluate(dict(base, t=t))
-        with np.errstate(all="ignore"):
-            coef[0, i], coef[1, i] = ex.to_floats(values[0]), ex.to_floats(values[1])
-            if len(values) > 2:
-                total, *terms = values[2:]
-                cancels[i] = _sum(map(abs, terms)) > _CANCELLATION * abs(total)
-
-    deep = s <= _FLOAT_LOG_FLOOR
-    if not deep.all():
-        i = np.flatnonzero(~deep)
-        try:
-            run(i, np.exp(s[i]))
-            deep |= ~np.isfinite(coef).all(axis=0)
-        except ex.EvaluationError:
-            deep[:] = True
-    if deep.any():
-        i = np.flatnonzero(deep)
-        run(i, ex.ext_exp(s[i]))
-        lost = np.flatnonzero(~np.isfinite(coef[:, i]).all(axis=0))
-        if lost.size:
-            raise ex.EvaluationError(f"ODE coefficient out of float range at log t = "
-                                     f"{float(s[i][lost[0]])!r}")
-    for i in np.flatnonzero(cancels):
-        try:
-            wide = program.evaluate(dict(base, t=ex.wide_exp(float(s[i]))))
-        except ex.EvaluationError:
-            continue
-        wide = [float(v) for v in wide[:2]]
-        if all(map(math.isfinite, wide)):
-            coef[:, i] = wide
+    with np.errstate(all="ignore"):
+        coef[0], coef[1] = values[0] * w - rate, values[1] * w * w
+        bad = ~np.isfinite(coef).all(axis=0)
+        if len(values) > 2:                     # b's summands, scaled as B is
+            factor, *terms = values[2:]
+            spread = factor * _sum(map(np.abs, terms)) * w * w
+            bad |= spread > _CANCELLATION * (1.0 + np.abs(coef[0]) + np.abs(coef[1]))
+    if bad.any():
+        raise ex.EvaluationError(f"ODE coefficient not finite, or b cancelling, at log t = "
+                                 f"{float(s[np.argmax(bad)])!r}")
     return coef
 
 
@@ -580,10 +566,7 @@ def _fill_coefficients(program: ex.Program, base: dict, x: np.ndarray,
     computed yet).  With (s, w, r) = to_s(x), w = ds/dx and r = w'/w,
     y_ss + a y_s + b y = 0 is y_xx + (a w - r) y_x + b w^2 y = 0."""
     todo = np.flatnonzero(np.isnan(coef[0]))
-    s, w, rate = to_s(x[todo])
-    a, b = _coefficients(program, base, s)
-    coef[0, todo] = a * w - rate
-    coef[1, todo] = b * w * w
+    coef[:, todo] = _coefficients(program, base, *to_s(x[todo]))
 
 
 def _mul(p, q):
@@ -661,8 +644,8 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
 
     The coefficients do not depend on y: a level computes them on its nodes
     and midpoints that no coarser level has (the next level's nodes are
-    this one's points), in at most one numpy and one ExtFloat run, builds
-    every step's RK4 matrix in one pass and propagates by a prefix product.
+    this one's points), in one numpy run, builds every step's RK4 matrix
+    in one pass and propagates by a prefix product.
     A level is accepted when its Pruefer angle atan2(y_x, y) agrees within
     _ANGLE_TOL with the previous level's at their shared nodes, up to its
     first sign change, and the previous level agreed with its own within

@@ -272,6 +272,27 @@ class TestSolveBessel:
         assert code == EXIT_PASS
         assert rep["config"]["positive_solution"] is True
 
+    @pytest.mark.parametrize("Z,c,code,steps,log_zero", [
+        ("sinh(t)/t^3", 0.25, EXIT_FAIL, 6461, -1999996.8580979332),
+        ("sinh(t)/t^3", 0.3, EXIT_FAIL, 6749, -1999997.1316187375),
+        ("tanh(t)/t^3", 0.25, EXIT_FAIL, 6461, -1999996.8580979332),
+        ("tanh(t)/t^3", 0.3, EXIT_FAIL, 6749, -1999997.1316187375),
+        ("cosh(t)/(t^2*log(e/t)^2)", 0.25, EXIT_PASS, 3584, None),
+        ("cosh(t)/(t^2*log(e/t)^2)", 0.3, EXIT_FAIL, 1589, -9.378283496038026),
+    ])
+    def test_hyperbolic_inline_potential(self, tmp_path, Z, c, code, steps, log_zero):
+        # sinh t and tanh t are t to float precision at the deep start, so
+        # the first two are 1/t^2 there (a zero at every c > 0), and cosh t
+        # is 1, which leaves the iterlog k = 1 potential
+        got, rep = _run(tmp_path, "solve-bessel", "--z", "t", "--Z", Z, "--R", "1",
+                        "--c", str(c))
+        config = rep["config"]
+        assert got == code and config["steps"] == steps
+        if log_zero is None:
+            assert config["positive_solution"] is True
+        else:
+            assert abs(config["log_t_first_zero"] - log_zero) <= 1e-9 * abs(log_zero)
+
     @pytest.mark.parametrize("Z", ["t^-2*1e300", "exp(1/t)"])
     def test_non_finite_step_is_inconclusive(self, tmp_path, Z):
         # the state overflows in the first steps (t^-2*1e300), or the
@@ -301,12 +322,22 @@ class TestSolveBessel:
     ])
     def test_potential_outside_its_domain_is_inconclusive(self, tmp_path, argv):
         # Z is undefined on part of the interval, so the coefficients fail
-        # there in float and again on ExtFloat, instead of going complex
+        # there, instead of going complex, and the run ends before its
+        # first step
         code, rep = _run(tmp_path, "solve-bessel", "--z", "t", "--R", "1", *argv)
         assert code == EXIT_INCONCLUSIVE
         assert rep["verdict"] == "inconclusive"
         assert rep["config"]["status"] == "inconclusive"
         assert rep["scans"][0]["verdict"] == "inconclusive"
+        assert rep["config"]["steps"] == 0
+
+    @pytest.mark.parametrize("Z", ["exp(t)/t^3", "exp(1/t)"])
+    def test_deep_start_out_of_float_range_is_inconclusive(self, tmp_path, Z):
+        # c t^2 Z is e^(-s) e^(e^s) or e^(2s) e^(e^-s): inf at the deep
+        # start, where the run ends before its first step
+        code, rep = _run(tmp_path, "solve-bessel", "--z", "t", "--Z", Z, "--R", "1")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["config"]["status"] == "inconclusive" and rep["config"]["steps"] == 0
 
 
 class TestEstimate:
@@ -637,9 +668,9 @@ _REPORT_DIGESTS = {
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
         "44efee05c2a9b8af2e96be434f983db903f5b6d96b0e88c55ec1b3054135f2e2",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
-    # deep start (the grid uniform in v, ExtFloat coefficients below e^-120)
-    # at the best and a super-critical constant, and an explicit interval
-    # wholly in float (the grid uniform in v graded toward t1)
+    # deep start (the grid uniform in v, coefficients from their s-forms in
+    # float) at the best and a super-critical constant, and an explicit
+    # interval (the grid uniform in v graded toward t1)
     "solve-bessel --catalog iterlog --k 1 --R 1":
         "f7cbaabd51cdac69b42bd029649544d421c09fc70bad5b10eecccb45b5a60c37",
     "solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3":

@@ -4,14 +4,13 @@ import gc
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
 
 from rellich import catalog as cat
 from rellich import expr as ex
 from rellich import pairs as pr
-from rellich.expr import (Binary, Const, DomainError, ExtFloat, Iter, Param, ParseError,
+from rellich.expr import (Binary, Const, DomainError, Iter, Param, ParseError,
                           Unary, UnboundParameterError, Var, differentiate,
                           evaluate, fd_check, parse)
 from rellich.geometry import SpaceForm
@@ -88,9 +87,8 @@ class TestParse:
 
 
 def _backends(x):
-    """t = x on each backend: a float, a one-element numpy array, an ExtFloat
-    of shape () and a WideFloat."""
-    return (x, np.array([x]), ExtFloat(x), ex.WideFloat(x))
+    """t = x on each backend: a float and a one-element numpy array."""
+    return (x, np.array([x]))
 
 
 class TestEvaluate:
@@ -120,8 +118,7 @@ class TestEvaluate:
         with pytest.raises(UnboundParameterError):
             evaluate(parse("n*t"), {"t": 1.0})
 
-    # the domain rules hold on every backend (the WideFloat table's log and
-    # sqrt would otherwise return NaN, and its coth(0) infinity)
+    # the domain rules hold on every backend
 
     def test_log_domain(self):
         for x in (-1.0, 0.0):
@@ -215,66 +212,6 @@ class TestEvaluate:
         got = evaluate(parse("1/sinh(t)^2"), {"t": 1000.0})
         assert got == 0.0
 
-    @pytest.mark.parametrize("s", [-2000.0, -2e6])
-    def test_extended_backend_deep_range(self, s):
-        t = ex.ext_exp(s)
-        got = evaluate(parse("t^2*(1/(t^2*log(r/t)^2))"), {"t": t, "r": math.e})
-        assert isinstance(got, ExtFloat)
-        assert float(got) == pytest.approx(1.0 / (1.0 - s) ** 2, rel=1e-14)
-        # below 2^-1000 sinh t = tanh t = t and cosh t = 1; a real power
-        # splits its exponent exactly, so t^2.5 keeps float precision
-        for src in ("sinh(t)/t", "tanh(t)/t", "t*coth(t)", "t*ct(t)", "cosh(t)",
-                    "t^2.5/(t*t*sqrt(t))", "t^-0.5*sqrt(t)"):
-            got = evaluate(parse(src), {"t": t, "kappa": 1.0})
-            assert float(got) == pytest.approx(1.0, rel=1e-15), src
-
-    def test_extended_exponentials_saturate_far_outside_float_range(self):
-        # e^(e^(2e6)) has an exponent of 2.9e6 digits; past the saturation
-        # bound exp, sinh and cosh return 0 or +-inf at once, and at it exp
-        # keeps float precision
-        t = ex.ext_exp(-2e6)
-        got = [evaluate(parse(f), {"t": t}) for f in
-               ("exp(1/t)", "exp(-1/t)", "sinh(-1/t)", "cosh(-1/t)", "t^2*exp(1/t)")]
-        assert got == [math.inf, 0.0, -math.inf, math.inf, math.inf]
-        bound = ex._EXP_SATURATION
-        for x in (bound, -bound):
-            got = evaluate(parse("exp(t)"), {"t": ExtFloat(x)})
-            with mpmath.workdps(50):
-                m, e = mpmath.frexp(mpmath.exp(mpmath.mpf(x)))
-            assert got.e == e and got.m == pytest.approx(float(m), rel=4 * 2.0 ** -53)
-        assert evaluate(parse("exp(t)"), {"t": ExtFloat(2 * bound)}) == math.inf
-        assert evaluate(parse("exp(-t)"), {"t": ExtFloat(2 * bound)}) == 0.0
-
-    @pytest.mark.parametrize("s", [-2e6, -1e5, -745.5, -120.5])
-    def test_extended_exp_matches_50_digits(self, s):
-        # Cody-Waite reduction with a three-part ln 2: the exponent exact,
-        # the mantissa within 2 ulp
-        got = ex.ext_exp(s)
-        with mpmath.workdps(50):
-            m, e = mpmath.frexp(mpmath.exp(mpmath.mpf(s)))
-        assert got.e == e
-        assert abs(got.m - float(m)) <= 2 * math.ulp(got.m)
-
-    def test_extended_arithmetic_rounds_as_float(self):
-        # + - * / round once: inside float range an ExtFloat gives the
-        # float's bits, signed zeros included, whatever the operand order
-        rng = random.Random(5)
-        special = [0.0, -0.0, 1.0, -3.5]
-        xs = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(400)]
-        for x, y in [(x, y) for x in special for y in special] + list(zip(xs, reversed(xs))):
-            for op in ("+", "-", "*", "/"):
-                if op == "/" and y == 0:
-                    continue
-                want = ex._FLOAT[op](x, y)
-                for got in (ex._EXT[op](ExtFloat(x), ExtFloat(y)), ex._EXT[op](x, ExtFloat(y)),
-                            ex._EXT[op](ExtFloat(x), y)):
-                    assert float(got).hex() == want.hex()
-        tiny, huge = ExtFloat(0.75, -5000), ExtFloat(0.75, 5000)
-        assert tiny > 0 and -tiny < 0 <= tiny and huge > tiny and not huge < 1.0
-        assert float(huge) == math.inf and float(-tiny) == 0.0 and math.copysign(1, float(-tiny)) < 0
-        assert (huge + tiny) == huge and (huge - huge) == 0 and (tiny * huge) == 0.5625
-
-
 def _walk(e, b, be):
     """Reference tree walk over the same primitive table: every node is
     evaluated at every one of its uses, as the evaluator did before it was
@@ -303,8 +240,6 @@ def _bits(x):
     """The exact bits of a value: sign of zero and NaN payloads included."""
     if isinstance(x, np.ndarray):
         return x.dtype, x.shape, x.tobytes()
-    if isinstance(x, ExtFloat):
-        return _bits(np.asarray(x.m)), _bits(np.asarray(x.e))
     return float(x).hex()
 
 
@@ -333,8 +268,6 @@ class TestCompiledEvaluator:
                 "iterlog3-E1": lambda: _iterlog_e1(3)}[tree]()
         points = [pr.log_grid(1e-5, 1.0, 2000)]
         points += [float(t) for t in pr.log_grid(1e-5, 0.999, 20)]
-        # ExtFloat arrays, elementwise (test_extfloat_array_is_elementwise)
-        points += [ExtFloat(pr.log_grid(1e-4, 0.99, 5)), ex.ext_exp(np.array([-130.0, -3000.5, -2e6]))]
         for t in points:
             bt = {**b, "t": t}
             assert _bits(e.evaluate(bt)) == _bits(_reference(e, bt))
@@ -365,35 +298,6 @@ class TestCompiledEvaluator:
         assert len(program.code) <= 300
         assert program.width <= 20
 
-    @pytest.mark.parametrize("tree", ["ell6-E1", "iterlog3-E1"])
-    def test_extfloat_array_is_elementwise(self, tree):
-        # an ExtFloat array gives each element the value its own evaluation
-        # (shape ()) gives, bit for bit, inside float range and far below it
-        e, b = {"ell6-E1": lambda: _ell_e1(6), "iterlog3-E1": lambda: _iterlog_e1(3)}[tree]()
-        s = np.array([-0.5, -30.0, -130.0, -745.5, -3000.5, -1e5, -2e6])
-        got = ex._normalized(e.evaluate({**b, "t": ex.ext_exp(s)}))
-        for i, si in enumerate(s):
-            one = ex._normalized(e.evaluate({**b, "t": ex.ext_exp(si)}))
-            assert (got.m[i].hex(), got.e[i]) == (float(one.m).hex(), int(one.e))
-
-    def test_wide_backend(self):
-        # 40 digits keep the 2.5e-13 part of 1/t^2 + 1/(t log(e/t))^2 at
-        # t = e^-2e6 that 53 bits leave to rounding; the primitives agree
-        # with float, and the thread's decimal context is left as it was
-        import decimal
-
-        flags = dict(decimal.getcontext().flags)
-        got = parse("t^2*(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)").evaluate({"t": ex.wide_exp(-2e6)})
-        assert float(got) == pytest.approx(1.0 / (1.0 + 2e6) ** 2, rel=1e-15)
-        for src in ("sinh(t) + cosh(t)/t", "tanh(t) + coth(t)", "ct(t) + t^0.7 + sqrt(t)",
-                    "exp(-t)*log(t)", "tanh(60*t) + sinh(1e-12*t)/t"):
-            e = parse(src)
-            for kappa in (0.0, 1.5):
-                b = {"t": 0.7, "kappa": kappa}
-                assert float(e.evaluate({**b, "t": ex.WideFloat(0.7)})) == pytest.approx(
-                    e.evaluate(b), rel=1e-14), src
-        assert dict(decimal.getcontext().flags) == flags
-
     def test_program_gives_each_root_its_own_value(self):
         dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
                                         "iii", 5)
@@ -402,7 +306,7 @@ class TestCompiledEvaluator:
         roots = (*terms, pr.e1_expr(dual), terms[0], dual.expr("H"), Const(2.0))
         program = ex.Program(roots)
         b = dual.bindings(SpaceForm(5, 0.0, 1.0))
-        for t in (0.3, pr.log_grid(1e-5, 0.999, 500), ExtFloat(0.3)):
+        for t in (0.3, pr.log_grid(1e-5, 0.999, 500)):
             bt = {**b, "t": t}
             assert [_bits(v) for v in program.evaluate(bt)] == [
                 _bits(root.evaluate(bt)) for root in roots]
@@ -423,12 +327,91 @@ class TestCompiledEvaluator:
             with pytest.raises(DomainError, match="'sqrt'") as exc:
                 evaluate(e, {"t": t})
             errors.append(exc.value)
-        # an ExtFloat argument prints as ExtFloat(mantissa, exponent)
         assert str(errors[0]) == str(errors[1]) == "domain violation in 'sqrt' at argument -90.0"
-        assert float(errors[2].value) == -90.0
         # n and k are both unbound; the scheduled order loads k first
         with pytest.raises(UnboundParameterError, match="'k'"):
             evaluate(parse("n + k*(t-1)*(t-2)"), {"t": 1.0})
+
+
+def _s_value(e, s, kappa=None, **params):
+    """e's s-form, flattened, at the points s."""
+    g = ex.s_flat(*ex.s_form(e, kappa))
+    return g.evaluate({**params, "kappa": kappa, "t": np.asarray(s, dtype=float)})
+
+
+class TestSForm:
+    def test_rules(self):
+        one, s = Const(1.0), Var()
+        assert ex.s_form(parse("t")) == (1.0, one)
+        assert ex.s_form(parse("t^2*t/sqrt(t)")) == (2.5, one)
+        assert ex.s_form(parse("log(t)")) == (0.0, s)
+        # e^(c s) is t^c, and the products of powers of t cancel
+        assert ex.s_form(parse("exp(-8*log(t))*t^6")) == (-2.0, one)
+        # summands of one node are collected, structural zeros drop out
+        plain = ex.s_form(parse("1/(t*log(e/t))^2"))
+        assert ex.s_form(parse("1/t^2 + 1/(t*log(e/t))^2 - 1/t^2")) == plain
+        assert ex.s_form(parse("0*exp(1/t) + t - 0/t")) == (1.0, one)
+        assert ex.s_form(parse("t + t")) == (1.0, Const(2.0))
+        # the least exponent is factored out of a sum
+        k, g = ex.s_form(parse("1/t^2 + 1"))
+        assert k == -2 and str(g) == "1.0+exp(2.0*t)"
+        # x-scaled primitives for sinh, tanh, coth and ct of t^k g, k > 0
+        for src, kappa, k in (("sinh(t)", None, 1), ("tanh(2*t)", None, 1),
+                              ("coth(t^2)", None, -2), ("ct(t)", 0.0, -1), ("ct(t)", 1.0, -1),
+                              ("ct(t)", None, 0), ("sinh(1/t)", None, 0), ("cosh(t)", None, 0)):
+            assert ex.s_form(parse(src), kappa)[0] == k, src
+
+    @pytest.mark.parametrize("s", [-2000.0, -2e6])
+    def test_float_at_any_depth(self, s):
+        got = _s_value(parse("t^2*(1/(t^2*log(r/t)^2))"), s, r=math.e)
+        assert got == pytest.approx(1.0 / (1.0 - s) ** 2, rel=1e-14)
+        # the s-form collects the two 1/t^2 that cancel in t at the deep start
+        got = _s_value(parse("t^2*(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)"), s)
+        assert got == pytest.approx(1.0 / (1.0 - s) ** 2, rel=1e-14)
+        for src in ("sinh(t)/t", "tanh(t)/t", "t*coth(t)", "t*ct(t)", "cosh(t)",
+                    "t^2.5/(t*t*sqrt(t))", "t^-0.5*sqrt(t)"):
+            assert _s_value(parse(src), s, kappa=1.0) == pytest.approx(1.0, rel=1e-15), src
+        # a form that keeps k != 0 underflows to 0 (k > 0) or is out of
+        # float range (k < 0) there, and so is e^(1/t)
+        got = [_s_value(parse(src), s) for src in
+               ("t^2", "1/t", "exp(1/t)", "exp(-1/t)", "sinh(-1/t)", "cosh(-1/t)")]
+        assert got == [0.0, math.inf, math.inf, 0.0, -math.inf, math.inf]
+
+    def test_random_trees_match_the_t_form(self):
+        # the s-form flattened at s = log t is e(t) to about a few ulp
+        # times e's condition number, wherever e is defined
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(400):
+            e = _random_expr(rng, rng.randint(1, 5))
+            ts = np.array([rng.uniform(0.1, 10.0) for _ in range(8)])
+            kappa = rng.choice([0.0, 1.0])
+            base = {"kappa": kappa, "n": 5.0, "r": 30.0}
+            try:
+                want = np.broadcast_to(e.evaluate({**base, "t": ts}), ts.shape)
+            except DomainError:
+                continue
+            got = np.broadcast_to(_s_value(e, np.log(ts), kappa, n=5.0, r=30.0), ts.shape)
+            finite = np.isfinite(want) & (np.abs(want) < 1e100)
+            assert np.allclose(got[finite], want[finite], rtol=1e-9, atol=1e-12), str(e)
+            checked += 1
+        assert checked >= 300
+
+    def test_scaled_primitives(self):
+        # sinhc, tanhc and xcoth are 1 at 0 on both backends, and
+        # sinh(x)/x, tanh(x)/x and x coth(x) elsewhere
+        xs = [0.0, -0.0, 1e-300, -0.5, 2.0, 800.0]
+        for op, f in (("sinhc", lambda x: math.sinh(x) / x),
+                      ("tanhc", lambda x: math.tanh(x) / x),
+                      ("xcoth", lambda x: x / math.tanh(x))):
+            e = Unary(op, Var())
+            vec = e.evaluate({"t": np.array(xs)})
+            for x, v in zip(xs, vec):
+                want = 1.0 if x == 0 else (math.inf if x == 800.0 and op == "sinhc" else f(x))
+                assert e.evaluate({"t": x}) == pytest.approx(want, rel=1e-15)
+                assert v == pytest.approx(want, rel=1e-15)
+        with pytest.raises(ParseError):
+            parse("sinhc(t)")
 
 
 class TestDifferentiate:

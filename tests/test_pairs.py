@@ -5,6 +5,7 @@ import operator
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -440,7 +441,8 @@ class TestDisconjugacy:
 
     def test_no_mpmath_import(self):
         # a deep-start Bessel potential and a potential's chain, in a fresh
-        # interpreter, run without mpmath; no source file names it
+        # interpreter, run without mpmath or decimal; no source file names
+        # either module (cli's str.isdecimal is not the module)
         src = pathlib.Path(rellich.__file__).parent
         code = (
             "import sys, contextlib, io\n"
@@ -449,17 +451,20 @@ class TestDisconjugacy:
             "             'chain --catalog iterlog --k 1 --n 6 --R 1'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        print(argv.split()[0], cli.main(argv.split()), file=sys.stderr)\n"
-            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+            "assert 'decimal' not in sys.modules, 'decimal was imported'\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": str(src.parent)})
         assert done.returncode == 0, done.stderr
         assert done.stderr.split() == ["solve-bessel", "1", "chain", "0"]
-        assert [f.name for f in src.glob("*.py") if "mpmath" in f.read_text()] == []
+        for name in ("mpmath", "decimal"):
+            assert [f.name for f in src.glob("*.py")
+                    if re.search(rf"\b{name}\b", f.read_text())] == []
 
-    def test_start_below_float_range_falls_back_per_point(self, monkeypatch):
-        # t0 = 1e-200 lies below e^-120: the grid graded toward t1 runs its
-        # points below e^-120 on ExtFloat arrays and the rest on numpy
-        # arrays, and accepts a positive solution at its 2,048-step level
+    def test_start_below_float_range_runs_on_numpy(self, monkeypatch):
+        # t0 = 1e-200: the grid graded toward t1 runs every point, the deep
+        # ones included, on numpy arrays of s, and accepts a positive
+        # solution at its 2,048-step level
         p = cat.iterated_log_potential(2, 1.0).specs["potential"]
         kinds = set()
         evaluate = Program.evaluate
@@ -470,7 +475,7 @@ class TestDisconjugacy:
 
         monkeypatch.setattr(Program, "evaluate", counted)
         rep = pr.disconjugacy_check(p, interval=(1e-200, 0.999))
-        assert kinds == {"ndarray", "ExtFloat"}
+        assert kinds == {"ndarray"}
         assert rep.positive_solution is True and rep.status == "ok"
         assert rep.steps == 3584
 
@@ -500,10 +505,9 @@ class TestDisconjugacy:
     @pytest.mark.parametrize("which", ["potential", "pair", "explicit"])
     def test_one_coefficient_run_per_point(self, potential, monkeypatch, which):
         # a grid level computes the coefficients of the points no coarser
-        # level has in at most two runs of the program: one numpy run on the
-        # points above e^-120 and one ExtFloat run on those below it (all of
-        # a default pair's points lie above; an explicit interval from
-        # 1e-200 has both).  The search for a first zero then takes at most
+        # level has in one numpy run of the s-form program, at any depth
+        # (a default pair starts at e^-110, a potential at e^-2e6, the
+        # explicit interval at 1e-200).  The search for a first zero then takes at most
         # 6 rounds, each one _coefficients call on the 2 _SECTIONS + 1 nodes
         # and midpoints of its substeps
         runs, levels, new, rounds, searching = [], [], [], [], []
@@ -520,10 +524,10 @@ class TestDisconjugacy:
             fill(program, base, x, coef, to_s)
             levels.append([type(t).__name__ for t in runs[start:]])
 
-        def round_(program, base, s):
+        def round_(program, base, s, *grid):
             if searching:
                 rounds.append(s.size)
-            return coefficients(program, base, s)
+            return coefficients(program, base, s, *grid)
 
         def search(*args):
             searching.append(True)
@@ -535,7 +539,7 @@ class TestDisconjugacy:
         monkeypatch.setattr(pr, "_bisect_zero", search)
         p = potential if which != "pair" else pr.bessel_pairs_from_potential(
             potential, 2.0, 6)[1]
-        shape = ["ndarray"] if which == "pair" else ["ndarray", "ExtFloat"]
+        shape = ["ndarray"]
         interval = (1e-200, 0.999) if which == "explicit" else None
         for c, zero in {"potential": ((0.25, False), (0.3, True)),
                         "pair": ((1.0, False), (3.0, True)),
@@ -552,8 +556,9 @@ class TestDisconjugacy:
 
     @pytest.mark.parametrize("which", ["potential", "pair", "explicit"])
     def test_no_coefficient_run_on_a_python_float(self, potential, monkeypatch, which):
-        # every coefficient run, the first zero's search and the 40-digit
-        # points included, evaluates on numpy arrays, ExtFloat or WideFloat
+        # every coefficient run, the first zero's search included, and on a
+        # potential whose sum cancels under a constant factor, evaluates on
+        # numpy arrays
         kinds = set()
         evaluate = Program.evaluate
 
@@ -572,18 +577,17 @@ class TestDisconjugacy:
         zeros = [pr.disconjugacy_check(p.with_constant(c), interval, n=6).first_zero
                  for c in constants]
         assert zeros[0] is None and zeros[1] is not None
-        assert "ndarray" in kinds and kinds <= {"ndarray", "ExtFloat", "WideFloat"}
-        assert ("WideFloat" in kinds) == (which == "potential")
+        assert kinds == {"ndarray"}
 
     @pytest.mark.parametrize("Y", ["exp(-8*log(t))*t^6",   # inf on float below t = e^-88.7
                                    "t^-8*t^6"])   # t^8 is 0 below e^-93.1, and 1/0 raises
     @pytest.mark.parametrize("C", [1.0, 5.0])
-    def test_pair_coefficients_fall_back_per_point(self, monkeypatch, Y, C):
+    def test_pair_coefficients_below_float_range(self, monkeypatch, Y, C):
         # b = C t^2 Y = C, a = n - 2 = 4: y_ss + 4 y_s + C y = 0 from (1, 0)
         # at s0 = -110 stays positive for C <= 4; at C = 5 it is
         # e^(-2 (s-s0)) (cos + 2 sin)(s - s0), whose first zero lies at
-        # s0 + pi - atan(1/2).  Float coefficients are not finite deep in
-        # the interval, so those points take the per-point rule (ExtFloat)
+        # s0 + pi - atan(1/2).  Y's factors leave float range deep in the
+        # interval; its s-form, t^-2 (e^(-8 s) = t^-8), has no such factor
         kinds = set()
         evaluate = Program.evaluate
 
@@ -595,7 +599,7 @@ class TestDisconjugacy:
         p = PairSpec(kind="bessel-pair", exprs={"X": Const(1.0), "Y": parse(Y)},
                      constant=C, params={"R": 1.0})
         rep = pr.disconjugacy_check(p, n=6)
-        assert "ExtFloat" in kinds and "ndarray" in kinds
+        assert kinds == {"ndarray"}
         assert rep.status == "ok"
         if C < 4:
             assert rep.positive_solution is True
@@ -603,7 +607,7 @@ class TestDisconjugacy:
             assert abs(rep.log_t_first_zero - (-110.0 + math.pi - math.atan(0.5))) <= 1e-7
 
     def test_pair_coefficient_out_of_range_is_inconclusive(self):
-        # exp(1/t) is inf on float and saturates on ExtFloat below t = 2^-32
+        # b = t^2 exp(1/t) is e^(2s) e^(e^-s): inf on the whole first level
         p = PairSpec(kind="bessel-pair", exprs={"X": Const(1.0), "Y": parse("exp(1/t)")},
                      params={"R": 1.0})
         rep = pr.disconjugacy_check(p, n=6)
@@ -697,7 +701,7 @@ def _reference_deep_zero(p):
     with w = log R - s, on the coefficients of _coefficients."""
     from scipy.integrate import solve_ivp
 
-    program = Program(pr._sspace_coefficients(p, None))
+    program = pr._s_program(*pr._sspace_coefficients(p, None))
     bindings = p.bindings()
     log_R = math.log(p.params["R"])
 
@@ -737,13 +741,9 @@ class TestDeepDisconjugacy:
         # the iterlog k = 1 potential 1/(t log(e/t))^2, and the same written
         # so that its terms cancel: at t = e^(-2e6) the sum 1/t^2 + 1/(t
         # log(e/t))^2 holds the second term, 2.5e-13 of the first, to about
-        # 3 digits.  Against a 50-digit mpmath walk of the same tree, b(s) is
-        # within 8 eps of it in the plain form, and within eps times the
-        # condition number sum|terms|/|Z| = 1 + 2 log(e/t)^2 in the
-        # cancelling one on ExtFloat; where that number passes 2^12,
-        # _coefficients recomputes the point on 40 digits, within 8 eps
-        import decimal
-
+        # 3 digits in t.  The s-form collects the two 1/t^2 by node, so both
+        # forms compile to one program, whose b lies within 8 eps of a
+        # 50-digit mpmath walk of the cancelling tree in t
         import mpmath
 
         eps = 2.0 ** -53
@@ -751,33 +751,103 @@ class TestDeepDisconjugacy:
                                       exprs={"z": Var(), "Z": parse(src)},
                                       constant=0.3, params={"R": 1.0})
                              for src in ("1/(t*log(e/t))^2", "1/t^2 + 1/(t*log(e/t))^2 - 1/t^2")]
-        context = decimal.getcontext().copy()
-        for p, cond in ((plain, lambda s: 8.0), (cancelling, lambda s: 1 + 2 * (1 - s) ** 2)):
-            a, b = pr._sspace_coefficients(p, None)
-            program = Program((a, b, *pr._summands(p)))
-            for s in (-2e6, -1e5, -3000.5, -130.0):
-                got = float(b.evaluate({**p.bindings(), "t": ex.ext_exp(s)}))
-                wide = pr._coefficients(program, p.bindings(), np.array([s]))[1, 0]
-                with mpmath.workdps(50):
-                    want = _mp_walk(b, {**p.bindings(), "t": mpmath.exp(mpmath.mpf(s))})
-                    assert abs(got - want) <= eps * cond(s) * abs(want)
-                    assert abs(wide - want) <= 8 * eps * abs(want)
-        # the 40-digit points leave the thread's decimal context as it was
-        assert decimal.getcontext().prec == context.prec
-        assert decimal.getcontext().flags == context.flags
-        # so both forms give the same steps and the same zero, and so does
-        # the cancelling sum under a constant factor: it cancels as much
-        scaled = [PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse(src)},
-                           params={"R": 1.0})
-                  for src in ("2*(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)/2",
-                              "(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)*1")]
-        for c in (0.25, 0.3):
-            want = pr.disconjugacy_check(plain.with_constant(c))
-            for p in (cancelling, *scaled):
-                got = pr.disconjugacy_check(p.with_constant(c))
-                assert got.positive_solution is (c == 0.25) and got.steps == want.steps
-                if want.first_zero is not None:
-                    assert abs(got.log_t_first_zero - want.log_t_first_zero) <= 1e-9
+        programs = [pr._s_program(*pr._sspace_coefficients(p, None)) for p in (plain, cancelling)]
+        assert programs[0].code == programs[1].code
+        b = pr._sspace_coefficients(cancelling, None)[1]
+        s = np.array([-2e6, -1e5, -3000.5, -130.0, -0.5])
+        got = pr._coefficients(programs[1], cancelling.bindings(), s)[1]
+        for si, gi in zip(s, got):
+            with mpmath.workdps(50):
+                want = _mp_walk(b, {**cancelling.bindings(), "t": mpmath.exp(mpmath.mpf(si))})
+                assert abs(gi - want) <= 8 * eps * abs(want)
+
+    @pytest.mark.parametrize("src", ["1/t^2 + 1/(t*log(e/t))^2 - 1/t^2",
+                                     "2*(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)/2",
+                                     "(1/t^2 + 1/(t*log(e/t))^2 - 1/t^2)*1"])
+    @pytest.mark.parametrize("c", [0.25, 0.3])
+    def test_cancelling_form_runs_as_the_plain_form(self, monkeypatch, src, c):
+        # the same verdict, steps and zero as 1/(t log(e/t))^2, bit for bit
+        # (2 x / 2 is x in float), in as many coefficient runs: no point is
+        # recomputed on its own
+        calls, evaluate = [], Program.evaluate
+
+        def counted(self, bindings):
+            calls.append(bindings["t"].size)
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(Program, "evaluate", counted)
+        runs = []
+        for Z in ("1/(t*log(e/t))^2", src):
+            calls.clear()
+            p = PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse(Z)},
+                         constant=c, params={"R": 1.0})
+            runs.append((pr.disconjugacy_check(p), list(calls)))
+        assert runs[1] == runs[0]
+        assert runs[0][0].positive_solution is (c == 0.25)
+
+    def test_form_that_keeps_a_power_of_t(self):
+        # Z = 1/t^3 leaves b = c/t, t^-1 in s-form, which is out of float
+        # range at the deep start: the run ends there, before its first
+        # step.  On an interval in float range the same form runs, and so
+        # does b = c t^2 (Z = 1) at the deep start, where it underflows to 0
+        def potential(Z):
+            return PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse(Z)},
+                            constant=0.25, params={"R": 1.0})
+
+        b = pr._sspace_coefficients(potential("1/t^3"), None)[1]
+        assert ex.s_form(b)[0] == -1
+        rep = pr.disconjugacy_check(potential("1/t^3"))
+        assert rep.status == "inconclusive" and rep.steps == 0
+        rep = pr.disconjugacy_check(potential("1/t^3"), interval=(0.1, 0.9))
+        assert rep.status == "ok" and rep.steps == 625
+        assert abs(rep.log_t_first_zero - -1.141065347417527) <= 1e-9
+        rep = pr.disconjugacy_check(potential("1"))
+        assert rep.positive_solution is True and rep.steps == 3584
+
+    def test_residual_cancellation_is_inconclusive(self):
+        # 1/(t^2 (1 + 1e-12)) is not the node 1/t^2, so b's sum keeps its
+        # cancellation: at the deep start its summands are 1, 2.5e-13 and
+        # 1 - 1e-12, whose sum float holds to about 4 digits.  In v, where
+        # w = log R - s = 2e6 scales b by w^2, that error is 4e-4 of the
+        # equation, and the run ends before its first step; in s (w = 1)
+        # it is 1e-16 of the equation, which is no cause.  On (0.1, 0.9)
+        # the run has the verdict and steps of 1/(t log(e/t))^2
+        p = PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse(
+            "1/t^2 + 1/(t*log(e/t))^2 - 1/(t^2*(1+1e-12))")}, params={"R": 1.0})
+        rep = pr.disconjugacy_check(p)
+        assert rep.status == "inconclusive" and rep.steps == 0
+        program = pr._s_program(*pr._sspace_coefficients(p, None))
+        s = np.array([-2e6])
+        with pytest.raises(ex.EvaluationError, match="cancelling"):
+            pr._coefficients(program, p.bindings(), s, np.array([2e6]), -1.0)
+        assert np.isfinite(pr._coefficients(program, p.bindings(), s)).all()
+        plain = PairSpec(kind="bessel-potential",
+                         exprs={"z": Var(), "Z": parse("1/(t*log(e/t))^2")}, params={"R": 1.0})
+        for c in (0.25, 2.0):
+            got, want = [pr.disconjugacy_check(q.with_constant(c), interval=(0.1, 0.9))
+                         for q in (p, plain)]
+            assert got.status == "ok" and got.steps == want.steps
+            assert got.positive_solution is want.positive_solution
+
+    @pytest.mark.parametrize("Z,c,interval,steps,log_zero", [
+        ("1/(t*log(e/t))^2 - 1/(t^2*log(e/t)^3)", 0.25, None, 3584, None),
+        ("1/(t*log(e/t))^2 - 1/(t^2*log(e/t)^3)", 0.25, (1e-3, 1.0), 3584, None),
+        ("1/(t*log(e/t))^2 - 1/(t^2*log(e/t)^3)", 0.3, None, 1595, -8.87291173610317),
+        ("1/t^2 - 1/(t^2*log(e/t))", 0.25, (1e-3, 1.0), 611, -3.507030333509106),
+    ])
+    def test_sum_that_vanishes_at_the_end(self, Z, c, interval, steps, log_zero):
+        # b = c (1 - 1/log(e/t)) / log(e/t)^2 or c (1 - 1/log(e/t)) is 0 at
+        # t = R = 1, so its summands cancel toward the end of the interval,
+        # where b and its rounding error are small beside the equation, and
+        # that cancellation ends no run
+        p = PairSpec(kind="bessel-potential", exprs={"z": Var(), "Z": parse(Z)},
+                     constant=c, params={"R": 1.0})
+        rep = pr.disconjugacy_check(p, interval)
+        assert rep.status == "ok" and rep.steps == steps
+        if log_zero is None:
+            assert rep.positive_solution is True
+        else:
+            assert abs(rep.log_t_first_zero - log_zero) <= 1e-9 * abs(log_zero)
 
     @pytest.mark.parametrize("t0,c", [(1e-300, 0.3), (1e-300, 5.0), (1e-6, 2.0)])
     def test_explicit_interval_zero_matches_the_closed_form(self, t0, c):
@@ -828,10 +898,10 @@ def _link_pair(family, k, n):
 def _reference_first_zero(p, n, s0=-110.0):
     """log t of the first zero of a pair's solution from the principal data
     at log t = s0, by scipy's DOP853 at rtol 1e-13 on the coefficients of
-    _coefficients (float t^2 Y/X is NaN below float range)."""
+    _coefficients (float t^2 Y/X in t is NaN below float range)."""
     from scipy.integrate import solve_ivp
 
-    program = Program(pr._sspace_coefficients(p, n))
+    program = pr._s_program(*pr._sspace_coefficients(p, n))
     bindings = p.bindings(n=n)
 
     def f(s, u):
