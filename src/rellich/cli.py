@@ -152,7 +152,8 @@ def _inline_pair(args) -> Optional[PairSpec]:
             exprs = {r: parse(provided[r]) for r in roles}
             if kind == "bessel-pair" and "y" in provided:
                 exprs["y"] = parse(provided["y"])
-            params = {"lambda": args.lam, "k": float(args.k)}
+            kappa = args.kappa if args.kappa is not None else 0.0
+            params = {"lambda": args.lam, "k": float(args.k), "kappa": kappa}
             if args.R is not None:
                 params["R"] = args.R
             if getattr(args, "r_param", None) is not None:
@@ -187,9 +188,8 @@ def _resolve(args):
     if (args.catalog is None) == (inline is None):
         raise ValueError("exactly one pair source required: --catalog or inline expressions")
     if inline is not None:
-        kappa = args.kappa if args.kappa is not None else 0.0
         R = args.R if args.R is not None else math.inf
-        sf = SpaceForm(args.n, kappa, R)
+        sf = SpaceForm(args.n, inline.params["kappa"], R)
         entry = cat.CatalogEntry("inline", {"lambda": args.lam}, {inline.kind: inline}, sf)
         return entry, sf
     entry = _catalog_entry(args, args.catalog)
@@ -457,19 +457,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "catalog":
-        try:
-            return _cmd_catalog(args)
-        except ValueError as exc:
-            sys.stderr.write(f"rellich: {exc}\n")
-            return EXIT_USAGE
     try:
+        if args.command == "catalog":
+            return _cmd_catalog(args)
         verdict, report = _HANDLERS[args.command](args)
     except vf.NonconvergenceError as exc:
         sys.stderr.write(f"rellich: inconclusive at --quad-tol {args.quad_tol:g}: {exc}\n")
         return EXIT_INCONCLUSIVE
     except DomainError as exc:
         sys.stderr.write(f"rellich: inconclusive: {exc}\n")
+        return EXIT_INCONCLUSIVE
+    except RecursionError as exc:
+        # parsing, differentiating and printing walk a tree recursively
+        sys.stderr.write(f"rellich: inconclusive: expression nested too deeply: {exc}\n")
         return EXIT_INCONCLUSIVE
     except (ValueError, ExprError) as exc:
         sys.stderr.write(f"rellich: {exc}\n")

@@ -3,12 +3,14 @@
 Expressions are immutable trees over the variable ``t`` and the named
 parameters ``n, kappa, lambda, r, R, c, k``.  Nodes are unique per
 structure (building a node equal to a live one returns that one), so trees
-share every common subtree as one DAG, and each node keeps its derivative
-in t.  They support evaluation (float or numpy array backends, chosen from
-the type of the ``t`` binding), closed-form differentiation, printing back
-to the DSL, a finite-difference self check, and the rewrite ``s_form`` of
-an expression into t^k g(s) with s = log t, which evaluates in float at
-any depth where the powers of t cancel.
+share every common subtree as one DAG.  They support evaluation (float or
+numpy array backends, chosen from the type of the ``t`` binding),
+closed-form differentiation in t (the one variable: each node keeps its
+derivative), printing back to the DSL, a finite-difference self check, and
+the rewrite ``s_form`` of an expression into t^k g(s) with s = log t, which
+evaluates in float at any depth where the powers of t cancel.  Parsing,
+differentiation and printing recurse on the tree, so a tree deeper than
+the interpreter's recursion limit raises RecursionError there.
 
 Evaluation is compiled once per root: the first ``evaluate`` lowers the
 DAG to a straight-line program with one step per distinct subtree,
@@ -170,32 +172,21 @@ def _reject_array(primitive, x, bad):
                                                        bad.shape)[bad].flat[0]))
 
 
-def _sinh_float(x):
-    try:
-        return math.sinh(x)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+def _saturating(f, odd=False):
+    """f on floats, overflowing to +inf as numpy does, or to the sign of x
+    where f is odd: exp, cosh and a power of x > 0 (the one ``power`` call)
+    only overflow upwards."""
+
+    def saturated(*args):
+        try:
+            return f(*args)
+        except OverflowError:
+            return math.copysign(math.inf, args[0]) if odd else math.inf
+
+    return saturated
 
 
-def _cosh_float(x):
-    try:
-        return math.cosh(x)
-    except OverflowError:
-        return math.inf
-
-
-def _exp_float(x):
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _pow_float(x, y):
-    try:
-        return math.pow(x, y)
-    except OverflowError:
-        return math.inf
+_sinh_float = _saturating(math.sinh, odd=True)
 
 
 def _ct_float(x, kappa):
@@ -210,9 +201,10 @@ def _notint_scalar(y):
 # the float table stays on math: numpy's exp/sinh/cosh/tanh differ from libm
 # in the last bit on some inputs, and scalar paths must match earlier reports
 _FLOAT = {
-    **_primitives(bool, _reject_scalar, math.log, math.sqrt, _exp_float, _sinh_float,
-                  _cosh_float, math.tanh, lambda x: 1.0 / math.tanh(x), _ct_float, _pow_float,
-                  _notint_scalar, lambda x: isinstance(x, float) and math.isnan(x)),
+    **_primitives(bool, _reject_scalar, math.log, math.sqrt, _saturating(math.exp),
+                  _sinh_float, _saturating(math.cosh), math.tanh, lambda x: 1.0 / math.tanh(x),
+                  _ct_float, _saturating(math.pow), _notint_scalar,
+                  lambda x: isinstance(x, float) and math.isnan(x)),
     "sinhc": lambda x: _sinh_float(x) / x if x else 1.0,
     "tanhc": lambda x: math.tanh(x) / x if x else 1.0,
     "xcoth": lambda x: x / math.tanh(x) if x else 1.0,
@@ -305,13 +297,17 @@ class Expr:
             object.__setattr__(self, "_program", program)
         return program.evaluate(bindings)[0]
 
-    def diff(self, var: str = "t") -> "Expr":
-        return _diff(self, var, {})
+    def diff(self) -> "Expr":
+        """The derivative in t."""
+        return _diff(self)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    # subclasses implement _diff / __str__
+    # subclasses implement __str__, and _diff where the derivative is not 0
+
+    def _diff(self):
+        return Const(0.0)
 
     def _paren(self, child: "Expr", tight: bool = False) -> str:
         if child.precedence < self.precedence or (tight and child.precedence == self.precedence):
@@ -319,34 +315,34 @@ class Expr:
         return str(child)
 
     def __add__(self, other):
-        return add(self, _as_expr(other))
+        return _binary("+", self, other)
 
     def __radd__(self, other):
-        return add(_as_expr(other), self)
+        return _binary("+", other, self)
 
     def __sub__(self, other):
-        return sub(self, _as_expr(other))
+        return _binary("-", self, other)
 
     def __rsub__(self, other):
-        return sub(_as_expr(other), self)
+        return _binary("-", other, self)
 
     def __mul__(self, other):
-        return mul(self, _as_expr(other))
+        return _binary("*", self, other)
 
     def __rmul__(self, other):
-        return mul(_as_expr(other), self)
+        return _binary("*", other, self)
 
     def __truediv__(self, other):
-        return div(self, _as_expr(other))
+        return _binary("/", self, other)
 
     def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
+        return _binary("/", other, self)
 
     def __pow__(self, other):
-        return pow_(self, _as_expr(other))
+        return _binary("^", self, other)
 
     def __neg__(self):
-        return neg(self)
+        return Unary("neg", self)
 
     def __repr__(self):
         return f"{type(self).__name__}<{self}>"
@@ -361,8 +357,8 @@ class Const(Expr):
             raise ValueError("constants must be finite")
         return _intern(cls, (cls, v.hex()), v)     # 0.0 and -0.0 stay apart
 
-    def _diff(self, var, memo):
-        return Const(0.0)
+    def __neg__(self):
+        return Const(-self.value)
 
     def __str__(self):
         return repr(self.value)
@@ -376,8 +372,8 @@ class Var(Expr):
     def __new__(cls):
         return _intern(cls, (cls,))
 
-    def _diff(self, var, memo):
-        return Const(1.0 if var == "t" else 0.0)
+    def _diff(self):
+        return Const(1.0)
 
     def __str__(self):
         return "t"
@@ -390,9 +386,6 @@ class Param(Expr):
         if name not in PARAMETER_NAMES:
             raise ValueError(f"unknown parameter {name!r}")
         return _intern(cls, (cls, name), name)
-
-    def _diff(self, var, memo):
-        return Const(1.0 if var == self.name else 0.0)
 
     def __str__(self):
         return self.name
@@ -408,32 +401,27 @@ class Unary(Expr):
             raise ValueError(f"unknown unary op {op!r}")
         return _intern(cls, (cls, op, id(child)), op, child)
 
-    def _diff(self, var, memo):
+    def _diff(self):
         u = self.child
-        du = _diff(u, var, memo)
+        du = _diff(u)
         op = self.op
         if op == "neg":
-            return neg(du)
+            return -du
         if op == "log":
-            return div(du, u)
+            return du / u
         if op == "exp":
-            return mul(Unary("exp", u), du)
+            return self * du
         if op == "sqrt":
-            return div(du, mul(Const(2.0), Unary("sqrt", u)))
+            return du / (2.0 * self)
         if op == "sinh":
-            return mul(Unary("cosh", u), du)
+            return Unary("cosh", u) * du
         if op == "cosh":
-            return mul(Unary("sinh", u), du)
-        if op == "tanh":
-            return mul(sub(Const(1.0), pow_(Unary("tanh", u), Const(2.0))), du)
-        if op == "coth":
-            return mul(sub(Const(1.0), pow_(Unary("coth", u), Const(2.0))), du)
+            return Unary("sinh", u) * du
+        if op in ("tanh", "coth"):
+            return (1.0 - self ** 2.0) * du
         if op == "ct":
             # d ct(u) = (kappa^2 - ct(u)^2) u', valid for kappa = 0 too
-            return mul(
-                sub(pow_(Param("kappa"), Const(2.0)), pow_(Unary("ct", u), Const(2.0))),
-                du,
-            )
+            return (Param("kappa") ** 2.0 - self ** 2.0) * du
         raise AssertionError(op)
 
     def __str__(self):
@@ -456,26 +444,20 @@ class Binary(Expr):
     def precedence(self):
         return self._PRECEDENCE[self.op]
 
-    def _diff(self, var, memo):
-        a, b_ = self.left, self.right
-        da, db = _diff(a, var, memo), _diff(b_, var, memo)
+    def _diff(self):
+        a, b = self.left, self.right
+        da, db = _diff(a), _diff(b)
         op = self.op
-        if op == "+":
-            return add(da, db)
-        if op == "-":
-            return sub(da, db)
+        if op in "+-":
+            return _binary(op, da, db)
         if op == "*":
-            return add(mul(da, b_), mul(a, db))
+            return da * b + a * db
         if op == "/":
-            return div(sub(mul(da, b_), mul(a, db)), pow_(b_, Const(2.0)))
+            return (da * b - a * db) / b ** 2.0
         # power: constant exponent uses the power rule, general case the log form
-        if isinstance(b_, Const):
-            e = b_.value
-            return mul(mul(Const(e), pow_(a, Const(e - 1.0))), da)
-        return mul(
-            pow_(a, b_),
-            add(mul(db, Unary("log", a)), div(mul(b_, da), a)),
-        )
+        if type(b) is Const:
+            return b * a ** (b.value - 1.0) * da
+        return self * (db * Unary("log", a) + b * da / a)
 
     def __str__(self):
         ls = self._paren(self.left, tight=(self.op == "^"))
@@ -495,39 +477,30 @@ class Iter(Expr):
             raise ValueError("iteration depth must be a nonnegative integer")
         return _intern(cls, (cls, func, depth, id(child)), func, depth, child)
 
-    def _diff(self, var, memo):
-        du = _diff(self.child, var, memo)
-        if self.depth == 0:
-            return du
+    def _diff(self):
+        acc = _diff(self.child)
         if self.func == "logk":
             # d log_[i](u) = u' * prod_{j<i} 1/log_[j](u)
-            acc = du
             for j in range(self.depth):
-                acc = div(acc, Iter("logk", j, self.child))
-            return acc
-        acc = du
-        for j in range(1, self.depth + 1):
-            acc = mul(acc, Iter("expk", j, self.child))
+                acc = acc / Iter("logk", j, self.child)
+        else:
+            for j in range(1, self.depth + 1):
+                acc = acc * Iter("expk", j, self.child)
         return acc
 
     def __str__(self):
         return f"{self.func}({self.depth}, {self.child})"
 
 
-def _diff(e: Expr, var: str, memo: dict) -> Expr:
-    """de/dvar: in t each node is differentiated once and keeps the result
-    in its ``_dt`` slot, in another variable once per ``diff`` call."""
-    if var == "t":
-        try:
-            return e._dt
-        except AttributeError:
-            d = e._diff(var, memo)
-            object.__setattr__(e, "_dt", d)
-            return d
-    hit = memo.get(id(e))
-    if hit is None:
-        hit = memo[id(e)] = (e, e._diff(var, memo))  # e is kept so its id stays unique
-    return hit[1]
+def _diff(e: Expr) -> Expr:
+    """de/dt: each node is differentiated once and keeps the result in its
+    ``_dt`` slot."""
+    try:
+        return e._dt
+    except AttributeError:
+        d = e._diff()
+        object.__setattr__(e, "_dt", d)
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -620,46 +593,39 @@ def _lower(roots: tuple):
     return steps, need, uses, [done[id(root)] for root in roots]
 
 
-def _sethi_ullman(steps: list, need: list, outs: list) -> list:
-    """An evaluation order, root by root, that computes the operand needing
-    more live values first (Sethi-Ullman), so few values are live at once."""
-    order = []
-    placed = bytearray(len(steps))
-    stack = list(reversed(outs))   # i: expand step i; ~i: place it
-    while stack:
-        i = stack.pop()
-        if i < 0:
-            order.append(~i)
-            placed[~i] = 1
-            continue
-        if placed[i]:
-            continue
-        stack.append(~i)
-        kind, _, a, b = steps[i]
-        if kind == _BINARY:
-            first, second = (b, a) if need[b] > need[a] else (a, b)
-            if not placed[second]:
-                stack.append(second)
-            if not placed[first]:
-                stack.append(first)
-        elif kind >= _UNARY and not placed[a]:
-            stack.append(a)
-    return order
-
-
-def _emit(steps: list, uses: list, order, outs: list) -> tuple:
-    """Code for the steps run in the given order, on registers: a register
-    is reused after the last use of its value, except that the roots' values
-    stay live to the end, so the register count is the most values live at
-    once.  Returns the code, the register count and the roots' registers."""
+def _schedule(steps: list, need: list, uses: list, outs: list) -> tuple:
+    """Code for the steps on registers, root by root, each step after its
+    operands and the operand needing more live values first (Sethi-Ullman),
+    so few values are live at once.  A step takes its register as it is
+    placed, reusing one freed by the last use of a value, except that the
+    roots' values stay live to the end, so the register count is the most
+    values live at once.  Returns the code, the register count and the
+    roots' registers."""
     left = list(uses)
     for i in outs:
         left[i] += 1
-    reg = [0] * len(steps)
+    reg = [-1] * len(steps)           # -1: not placed yet
     free: list = []
     code = []
     width = 0
-    for i in order:
+    stack = list(reversed(outs))      # i: expand step i; ~i: place it
+    while stack:
+        i = stack.pop()
+        if i >= 0:
+            if reg[i] >= 0:
+                continue
+            stack.append(~i)
+            kind, _, a, b = steps[i]
+            if kind == _BINARY:
+                first, second = (b, a) if need[b] > need[a] else (a, b)
+                if reg[second] < 0:
+                    stack.append(second)
+                if reg[first] < 0:
+                    stack.append(first)
+            elif kind >= _UNARY and reg[a] < 0:
+                stack.append(a)
+            continue
+        i = ~i
         kind, op, a, b = steps[i]
         if kind >= _UNARY:
             ra = reg[a]
@@ -710,9 +676,7 @@ class Program:
     __slots__ = ("code", "width", "regs")
 
     def __init__(self, roots: tuple):
-        steps, need, uses, outs = _lower(roots)
-        self.code, self.width, self.regs = _emit(
-            steps, uses, _sethi_ullman(steps, need, outs), outs)
+        self.code, self.width, self.regs = _schedule(*_lower(roots))
 
     def evaluate(self, bindings: Bindings) -> list:
         """The value of every root, in order, on the backend picked from the
@@ -733,67 +697,35 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# folding constructors (constant folding only, per the design decision)
+# the binary node constructor: constant folding only, per the design decision
 
 
-def _as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Const(x)
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _fold(op: str, a: Expr, b: Expr):
-    if isinstance(a, Const) and isinstance(b, Const):
+def _binary(op: str, a, b) -> Expr:
+    """The node a op b, or its value where both are constants and the value
+    is defined: x / 0 and 0^-k are left to evaluation, which rejects them,
+    and so is x^y for x <= 0 and y not an integer."""
+    if not isinstance(a, Expr):
+        a = Const(a)
+    if not isinstance(b, Expr):
+        b = Const(b)
+    if type(a) is Const and type(b) is Const:
         x, y = a.value, b.value
-        if op == "+":
-            return Const(x + y)
-        if op == "-":
-            return Const(x - y)
-        if op == "*":
-            return Const(x * y)
+        if op in _FOLD:
+            return Const(_FOLD[op](x, y))
         if op == "/" and y != 0:
             return Const(x / y)
-        if op == "^" and float(y).is_integer():
+        if op == "^" and y.is_integer():
             p = _ipow(x, abs(int(y)))
             if y >= 0:
                 return Const(p)
-            if p != 0:   # 0^-k is left to evaluation, which rejects it
+            if p != 0:
                 return Const(1.0 / p)
         elif op == "^" and x > 0:
             return Const(x ** y)
-    return None
-
-
-def add(a, b) -> Expr:
-    a, b = _as_expr(a), _as_expr(b)
-    return _fold("+", a, b) or Binary("+", a, b)
-
-
-def sub(a, b) -> Expr:
-    a, b = _as_expr(a), _as_expr(b)
-    return _fold("-", a, b) or Binary("-", a, b)
-
-
-def mul(a, b) -> Expr:
-    a, b = _as_expr(a), _as_expr(b)
-    return _fold("*", a, b) or Binary("*", a, b)
-
-
-def div(a, b) -> Expr:
-    a, b = _as_expr(a), _as_expr(b)
-    return _fold("/", a, b) or Binary("/", a, b)
-
-
-def pow_(a, b) -> Expr:
-    a, b = _as_expr(a), _as_expr(b)
-    return _fold("^", a, b) or Binary("^", a, b)
-
-
-def neg(a) -> Expr:
-    a = _as_expr(a)
-    if isinstance(a, Const):
-        return Const(-a.value)
-    return Unary("neg", a)
+    return Binary(op, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -810,15 +742,15 @@ def _times(a: Expr, b: Expr) -> Expr:
     """a b, where a structural zero absorbs and a factor 1 drops out."""
     if _is_zero(a) or _is_zero(b):
         return _ZERO
-    return b if a is _ONE else a if b is _ONE else mul(a, b)
+    return b if a is _ONE else a if b is _ONE else a * b
 
 
 def _over(a: Expr, b: Expr) -> Expr:
-    return a if b is _ONE or _is_zero(a) else div(a, b)
+    return a if b is _ONE or _is_zero(a) else a / b
 
 
 def _ks(k: float) -> Expr:
-    return Var() if k == 1 else mul(Const(k), Var())
+    return Var() if k == 1 else k * Var()
 
 
 def s_flat(k: float, g: Expr) -> Expr:
@@ -844,9 +776,9 @@ def summands(e: Expr) -> list:
 
 def _signed_sum(terms: list) -> Expr:
     (sign, total), *rest = terms
-    total = total if sign > 0 else neg(total)
+    total = total if sign > 0 else -total
     for sign, x in rest:
-        total = add(total, x) if sign > 0 else sub(total, x)
+        total = total + x if sign > 0 else total - x
     return total
 
 
@@ -874,7 +806,7 @@ def _apply(op: str, k: float, g: Expr, kappa) -> tuple:
     if op == "log":
         if k == 0:
             return 0.0, Unary("log", g)
-        return 0.0, _ks(k) if g is _ONE else add(_ks(k), Unary("log", g))
+        return 0.0, _ks(k) if g is _ONE else _ks(k) + Unary("log", g)
     if op == "exp" and k == 0:                       # e^(c s + h) = t^c e^h
         c, rest = 0.0, []
         for sign, x in summands(g):
@@ -897,7 +829,7 @@ def _apply(op: str, k: float, g: Expr, kappa) -> tuple:
     if op == "ct" and kappa == 0:                    # ct(t^k g) = 1/(t^k g)
         return -k, Unary("ct", g)
     if op == "ct" and kappa is not None and k > 0:   # kappa coth(kappa u) = xcoth(kappa u) / u
-        return -k, _over(Unary("xcoth", mul(Param("kappa"), s_flat(k, g))), g)
+        return -k, _over(Unary("xcoth", Param("kappa") * s_flat(k, g)), g)
     return 0.0, Unary(op, s_flat(k, g))
 
 
@@ -935,8 +867,8 @@ def _rule(e: Expr, parts: list, kappa) -> tuple:
         g = _times(ga, gb) if e.op == "*" else _over(ga, gb)
         return (0.0, g) if _is_zero(g) else (ka + kb if e.op == "*" else ka - kb, g)
     if type(e.right) is Const:                       # (t^k g)^p = t^(k p) g^p
-        return ka * e.right.value, pow_(ga, e.right)
-    return 0.0, pow_(s_flat(ka, ga), s_flat(kb, gb))
+        return ka * e.right.value, ga ** e.right
+    return 0.0, s_flat(ka, ga) ** s_flat(kb, gb)
 
 
 def s_form(e: Expr, kappa=None) -> tuple:
@@ -1023,28 +955,21 @@ def parse(text: str) -> Expr:
     return e
 
 
-def _parse_expr(tz: _Tokenizer) -> Expr:
-    e = _parse_term(tz)
-    while True:
-        kind, val, _ = tz.peek()
-        if kind == "op" and val in "+-":
-            tz.next()
-            rhs = _parse_term(tz)
-            e = add(e, rhs) if val == "+" else sub(e, rhs)
-        else:
-            return e
+_INFIX = {"+": 1, "-": 1, "*": 2, "/": 2}    # binding strength; ^ is _parse_factor's
 
 
-def _parse_term(tz: _Tokenizer) -> Expr:
+def _parse_expr(tz: _Tokenizer, level: int = 1) -> Expr:
+    """Factors joined by the infix operators of at least this binding
+    strength, left-associative: each right operand takes the operators that
+    bind tighter than its own."""
     e = _parse_factor(tz)
     while True:
-        kind, val, _ = tz.peek()
-        if kind == "op" and val in "*/":
-            tz.next()
-            rhs = _parse_factor(tz)
-            e = mul(e, rhs) if val == "*" else div(e, rhs)
-        else:
+        _, val, _ = tz.peek()
+        strength = _INFIX.get(val, 0)
+        if strength < level:
             return e
+        tz.next()
+        e = _binary(val, e, _parse_expr(tz, strength + 1))
 
 
 def _parse_factor(tz: _Tokenizer) -> Expr:
@@ -1052,7 +977,7 @@ def _parse_factor(tz: _Tokenizer) -> Expr:
     kind, val, _ = tz.peek()
     if kind == "op" and val == "^":
         tz.next()
-        return pow_(base, _parse_factor(tz))  # right-associative
+        return base ** _parse_factor(tz)  # right-associative
     return base
 
 
@@ -1061,7 +986,7 @@ def _parse_base(tz: _Tokenizer) -> Expr:
     if kind == "num":
         return Const(float(val))
     if kind == "op" and val == "-":
-        return neg(_parse_base(tz))
+        return -_parse_base(tz)
     if kind == "op" and val == "(":
         e = _parse_expr(tz)
         kind, val, off = tz.next()
@@ -1115,9 +1040,9 @@ def evaluate(e: Expr, bindings: Bindings):
     return e.evaluate(bindings)
 
 
-def differentiate(e: Expr, var: str = "t") -> Expr:
-    """Return de/dvar as an Expression (closed under the primitive set)."""
-    return e.diff(var)
+def differentiate(e: Expr) -> Expr:
+    """Return de/dt as an Expression (closed under the primitive set)."""
+    return e.diff()
 
 
 def fd_check(e: Expr, bindings: Bindings, h: float = 1e-6) -> float:
@@ -1126,5 +1051,5 @@ def fd_check(e: Expr, bindings: Bindings, h: float = 1e-6) -> float:
     lo = dict(bindings, t=t - h)
     hi = dict(bindings, t=t + h)
     central = (e.evaluate(hi) - e.evaluate(lo)) / (2.0 * h)
-    symbolic = e.diff("t").evaluate(dict(bindings, t=t))
+    symbolic = e.diff().evaluate(dict(bindings, t=t))
     return abs(symbolic - central)

@@ -144,6 +144,16 @@ class TestScan:
         assert rep["scans"][0]["verdict"] == "nonnegative"
         assert rep["scans"][0]["min"] == float("inf")
 
+    def test_negative_limit_beyond_the_grid_is_near_boundary(self, tmp_path):
+        # the grid stops at R~ = min(R, 1e3), where W = 1500 - t is 500, but
+        # W tends to -500 at R = 2000: no sample is negative, and the run
+        # must still not pass
+        code, rep = _run(tmp_path, "scan", "--n", "5", "--R", "2000", "--G", "t",
+                         "--w", "1", "--W=1500-t", "--target", "W")
+        assert code == EXIT_INCONCLUSIVE
+        assert rep["verdict"] == rep["scans"][0]["verdict"] == "inconclusive-near-boundary"
+        assert rep["scans"][0]["boundary_limit_R"] == -500.0
+
     def test_classical_e1_nonnegative(self, tmp_path):
         code, rep = _run(tmp_path, "scan", "--catalog", "classical-rellich",
                          "--n", "5", "--target", "E1")
@@ -293,6 +303,17 @@ class TestSolveBessel:
         else:
             assert abs(config["log_t_first_zero"] - log_zero) <= 1e-9 * abs(log_zero)
 
+    @pytest.mark.parametrize("c, steps", [("0.25", 6461), ("0.3", 6749)])
+    def test_inline_potential_reads_kappa(self, tmp_path, c, steps):
+        # ct(t)^2 is 1/t^2 at --kappa 0: the run is that of --Z 1/t^2, where
+        # an unbound kappa used to end it after 0 steps
+        runs = [_run(tmp_path, "solve-bessel", "--z", "t", "--Z", Z, "--kappa", "0",
+                     "--R", "1", "--c", c) for Z in ("ct(t)^2", "1/t^2")]
+        (code, rep), (want_code, want) = runs
+        assert code == want_code == EXIT_FAIL
+        assert rep["config"]["steps"] == want["config"]["steps"] == steps
+        assert rep["config"]["log_t_first_zero"] == want["config"]["log_t_first_zero"]
+
     @pytest.mark.parametrize("Z", ["t^-2*1e300", "exp(1/t)"])
     def test_non_finite_step_is_inconclusive(self, tmp_path, Z):
         # the state overflows in the first steps (t^-2*1e300), or the
@@ -418,6 +439,10 @@ class TestCatalogCommand:
     def test_show_unknown(self, capsys):
         assert main(["catalog", "show", "nope"]) == EXIT_USAGE
 
+    def test_show_needs_an_id(self, capsys):
+        assert main(["catalog", "show"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "rellich: catalog show needs an entry id\n"
+
     # the listing and every entry at its default knobs, the iterated families
     # at depths 1-3: the entry trees print through str(), so these pin them
     _DIGESTS = {
@@ -467,6 +492,12 @@ class TestUsageAndIO:
     def test_missing_pair_source(self, tmp_path):
         code, _ = _run(tmp_path, "check-pair", "--n", "5")
         assert code == EXIT_USAGE
+
+    def test_incomplete_inline_pair(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, "scan", "--n", "5", "--G", "t", "--w", "1",
+                       "--target", "G")
+        assert code == EXIT_USAGE
+        assert "do not form a complete pair" in capsys.readouterr().err
 
     def test_both_pair_sources(self, tmp_path):
         code, _ = _run(tmp_path, "check-pair", "--catalog", "classical-rellich",
@@ -577,6 +608,7 @@ class TestUsageAndIO:
     @pytest.mark.parametrize("argv", [
         f"scan {_PAIR} --target E1 --kappa inf",
         f"scan {_PAIR} --target E1 --kappa nan",
+        f"scan {_PAIR} --target E1 --kappa abc",
         f"verify {_PAIR} --kappa inf",
         f"check-pair {_POTENTIAL} --r nan",
         f"check-pair {_POTENTIAL} --r inf",
@@ -591,6 +623,26 @@ class TestUsageAndIO:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"argument {argv.split()[-2]}: must be a finite number" in err
+
+    _PRODUCT = "*".join(["(1+t)"] * 2000)
+
+    @pytest.mark.parametrize("argv", [
+        "scan --catalog ell-family --k 400 --R 1 --target E1 --grid 200",
+        f"scan --n 5 --H {_PRODUCT} --v 1 --V 1 --target residual",
+        "scan --n 5 --G t --w 1 --W " + "(" * 600 + "t" + ")" * 600 + " --target W",
+        "scan --n 5 --G t --w 1 --W=" + "-" * 1200 + "t --target W",
+        "scan --n 5 --G t --w 1 --W=" + "^".join(["t"] * 1200) + " --target W",
+    ], ids=["ell-family-k400", "product-2000", "parentheses-600", "minus-1200",
+            "power-chain-1200"])
+    def test_tree_too_deep_is_inconclusive(self, tmp_path, capsys, argv):
+        # parsing, differentiating and printing recurse on the tree: one
+        # deeper than the stack ends the run inconclusive, in one line, where
+        # a traceback exited 1, the code of a counterexample
+        code, rep = _run(tmp_path, *argv.split())
+        assert code == EXIT_INCONCLUSIVE
+        assert rep is None
+        assert re.fullmatch(r"rellich: inconclusive: expression nested too deeply: .*\n",
+                            capsys.readouterr().err)
 
     def test_io_failure(self):
         code = main(["check-pair", "--catalog", "classical-rellich", "--n", "5",

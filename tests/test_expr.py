@@ -1,6 +1,7 @@
 """Parser, evaluator, and symbolic-derivative tests for the expression DSL."""
 
 import gc
+import hashlib
 import math
 import random
 
@@ -84,6 +85,17 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("1+2)")
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("t + $", "unexpected character '$'", 4),
+        ("(t + 1", "expected ')'", 6),
+        ("log(t t)", "expected ',' or ')'", 6),
+    ])
+    def test_error_names_its_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
 
 
 def _backends(x):
@@ -211,6 +223,17 @@ class TestEvaluate:
         # 1/sinh^2 underflows gracefully to 0 for huge arguments
         got = evaluate(parse("1/sinh(t)^2"), {"t": 1000.0})
         assert got == 0.0
+
+    @pytest.mark.parametrize("text, x, want", [
+        ("exp(t)", 800.0, math.inf), ("cosh(t)", 800.0, math.inf),
+        ("cosh(t)", -800.0, math.inf), ("t^1.5", 1e300, math.inf),
+        ("sinh(t)", 800.0, math.inf), ("sinh(t)", -800.0, -math.inf),
+    ])
+    def test_overflow_is_the_same_on_every_backend(self, text, x, want):
+        # the float backend saturates where math raises OverflowError, as
+        # numpy does: to +inf, and sinh, which is odd, to the sign of t
+        for t in _backends(x):
+            assert float(np.asarray(parse(text).evaluate({"t": t})).flat[0]) == want
 
 def _walk(e, b, be):
     """Reference tree walk over the same primitive table: every node is
@@ -397,6 +420,14 @@ class TestSForm:
             checked += 1
         assert checked >= 300
 
+    def test_variable_exponent_matches_the_t_form(self):
+        # a variable exponent takes both operands flattened
+        for e in (parse("t^t"), parse("t^t").diff()):
+            k, g = ex.s_form(e)
+            for t in (0.25, 1.7, 3.0):
+                assert t ** k * g.evaluate({"t": math.log(t)}) == pytest.approx(
+                    e.evaluate({"t": t}), rel=1e-13)
+
     def test_scaled_primitives(self):
         # sinhc, tanhc and xcoth are 1 at 0 on both backends, and
         # sinh(x)/x, tanh(x)/x and x coth(x) elsewhere
@@ -445,6 +476,13 @@ class TestDifferentiate:
 
     def test_fd_oracle_quadratic(self):
         assert fd_check(parse("t^2"), {"t": 3.0}, h=1e-5) <= 1e-8
+
+    def test_variable_exponent(self):
+        # t^t takes the log form: (t^t)' = t^t (t' log t + t t'/t)
+        e = parse("t^t")
+        assert e.diff().evaluate({"t": 2.0}) == pytest.approx(4.0 * (math.log(2.0) + 1.0),
+                                                              rel=1e-15)
+        assert fd_check(e, {"t": 1.7}, h=1e-6) <= 1e-7
 
     def test_derivative_closed_under_primitives(self):
         # differentiating any parsed catalog-like expression yields an Expr
@@ -502,7 +540,7 @@ class TestFdProperty:
         points_checked = 0
         for _ in range(1000):
             e = _random_expr(rng, rng.randint(1, 6))
-            d = e.diff("t")
+            d = e.diff()
             pts = [rng.uniform(0.1, 10.0) for _ in range(npts)]
             base = {"kappa": rng.choice([0.0, 1.0]), "n": 5.0, "r": 30.0}
             def _fd(h):
@@ -581,6 +619,26 @@ class TestUniqueNodes:
         dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
                                         "iii", 5)
         assert len(ex.Program(tuple(pr.condition_terms(dual, name))).code) == steps
+
+    @pytest.mark.parametrize("name, steps, width, digest", [
+        ("ell-family k=6 E1", 290, 18,
+         "fab2b8a30559742c221080e110a6791deec5d8e787b45c353c14ff44e9a874c5"),
+        ("iterlog k=3 residual", 89, 13,
+         "e9b04dce36f85dede0eacdfba578feefe57c84f2ad1313e53580da2cf7295d48"),
+    ])
+    def test_largest_scan_programs_are_pinned(self, name, steps, width, digest):
+        # the code of the two largest scan programs, step by step and
+        # register by register: a rewrite of the constructors, derivatives
+        # or scheduler that keeps the values must keep these too
+        if name.startswith("ell"):
+            dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
+                                            "iii", 5)
+            terms = pr.e1_terms(dual)
+        else:
+            terms = pr.residual_terms(cat.iterated_log_potential(3, 1.0).specs["potential"])
+        program = ex.Program(tuple(terms))
+        assert (len(program.code), program.width) == (steps, width)
+        assert hashlib.sha256(repr(program.code).encode()).hexdigest() == digest
 
 
 class TestImmutability:

@@ -1191,7 +1191,7 @@ class TestCatalogExpressionFdProperty:
             for spec in entry.specs.values():
                 binds = spec.bindings(entry.space_form)
                 for e in spec.exprs.values():
-                    d = e.diff("t")
+                    d = e.diff()
                     for _ in range(20):
                         tv = math.exp(rng.uniform(math.log(0.1), math.log(hi)))
                         b = {**binds, "t": tv}
