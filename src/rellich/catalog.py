@@ -76,7 +76,6 @@ class CatalogEntry:
     chain: Optional[ChainDescriptor] = None
     default_shape: Optional[str] = None
     provenance: str = ""
-    extras: dict = field(default_factory=dict)
 
 
 def _sum(terms) -> Expr:
@@ -166,8 +165,8 @@ def iterated_log_potential(k: int, R: float) -> CatalogEntry:
     if not 1 <= k <= 3:
         raise ValueError(f"need 1 <= k <= 3, got k={k}: "
                          "r = R exp_[k-1](e) overflows a float for k >= 4")
-    if not R > 0:
-        raise ValueError("need R > 0")
+    if not 0 < R < math.inf:
+        raise ValueError(f"need 0 < R < inf, got R={R}")
     r = R * _exp_iter(k - 1, math.e)
     t = Var()
     rt = Param("r") / t
@@ -187,8 +186,6 @@ def iterated_log_potential(k: int, R: float) -> CatalogEntry:
         specs={"potential": potential},
         space_form=SpaceForm(5, 0.0, R),
         provenance="iterated-logarithm remainder family",
-        extras={"q_expr": iterlog_q_expr(k),
-                "product_bounds": iterlog_product_bounds(k)},
     )
 
 
@@ -226,8 +223,8 @@ def ell_potential(k: int, R: float) -> CatalogEntry:
     t = R as k grows, which is the documented failure mode."""
     if k < 1:
         raise ValueError("need k >= 1")
-    if not R > 0:
-        raise ValueError("need R > 0")
+    if not 0 < R < math.inf:
+        raise ValueError(f"need 0 < R < inf, got R={R}")
     t = Var()
     arg = t / Param("R")
     prods = _products(_ell_iter_expr(i, arg) for i in range(1, k + 1))
@@ -427,24 +424,19 @@ def chain_from_potential(entry: CatalogEntry, n: int) -> ChainDescriptor:
             + c (n^2/4 + (n-lam-2)^2/4) integral Z u^2/t^2.
 
     The first link is the first pair's variant (iv), from its explicit
-    solution, with equality.  The second is (G, w, W) = (a/t, X, C Y/X) =
-    (a/t, Z, a^2/t^2) from the second pair, a = (n-lam-2)/2 > 0: its
-    residual a f/t + a (n-1)(ct - 1/t)/t, f = Z'/Z + lam/t, is >= 0 wherever
-    f >= 0 (ct >= 1/t), so both links gate on their residual scan."""
+    solution, with equality.  The second is the second pair's
+    bessel_pair_primal (a/t, X, C Y/X) = (a/t, Z, a^2/t^2), a = (n-lam-2)/2
+    > 0: its residual a f/t + a (n-1)(ct - 1/t)/t, f = Z'/Z + lam/t, is >= 0
+    wherever f >= 0 (ct >= 1/t), so both links gate on their residual scan."""
     potential = _potential(entry)
     lam = entry.params.get("lambda", 2.0)
     dual = pr.from_bessel_potential(potential, "iii", n)     # checks the potential once
     first_pair, second_pair = pr.bessel_pairs_from_potential(potential, lam, n, verified=True)
-    X, Y = second_pair.expr("X"), second_pair.expr("Y")
-    second_primal = PairSpec(
-        kind="primal",
-        exprs={"G": Const((n - lam - 2) / 2.0) / Var(), "w": X,
-               "W": Const(second_pair.constant) * Y / X},
-        params=dict(second_pair.params), note=second_pair.note)
     c = potential.constant
     links = (
         ChainLink(alpha=n * n / 4.0, spec=pr.from_bessel_pair(first_pair, n), label="link-1"),
-        ChainLink(alpha=c, spec=second_primal, label="link-2"),
+        ChainLink(alpha=c, label="link-2", spec=pr.bessel_pair_primal(
+            second_pair, Const((n - lam - 2) / 2.0) / Var())),
     )
     addon = c * (n * n / 4.0 + (n - lam - 2) ** 2 / 4.0)
     return ChainDescriptor(
@@ -486,10 +478,10 @@ def entry_pair(entry: CatalogEntry, kind: str, sf: SpaceForm):
     if kind in entry.specs:
         return entry.specs[kind]
     if kind == "primal":
-        return pr.dual_to_primal(entry_pair(entry, "dual", sf), sf)
+        return pr.dual_to_primal(entry_pair(entry, "dual", sf))
     if kind == "dual":
         if "primal" in entry.specs:
-            return pr.primal_to_dual(entry.specs["primal"], sf)
+            return pr.primal_to_dual(entry.specs["primal"])
         potential = _potential(entry)
         if potential is not None:
             return pr.from_bessel_potential(potential, "iii", sf.n)

@@ -354,8 +354,7 @@ def _cmd_verify(args):
         shape = next((s for s, row in vf.SHAPES.items() if row.kind == kind),
                      "delta-vs-gradrad")
     case = vf.InequalityCase(shape=shape, sf=sf, batch=_batch(args),
-                             pair=cat.entry_pair(entry, vf.SHAPES[shape].kind, sf),
-                             case_id=entry.id)
+                             pair=cat.entry_pair(entry, vf.SHAPES[shape].kind, sf))
     rep = vf.verify_case(case, quad_tol=quad_tol, grid=args.grid, tol=args.tol)
     config = _config_dict(args, {"notes": list(rep.notes), **rep.config})
     command = "chain" if shape == "chain" else "verify"

@@ -94,25 +94,18 @@ def volume_weight(sf: SpaceForm, t):
 def angular_eigenvalue(n: int, l):
     """Eigenvalue l(l+n-2) of the spherical Laplacian on degree-l harmonics;
     for an integer array of modes, the array of their eigenvalues."""
-    batch = isinstance(l, np.ndarray)
-    if (l < 0).any() if batch else l < 0:
+    if np.any(np.less(l, 0)):
         raise ValueError("angular mode must be >= 0")
-    return (l * (l + n - 2)).astype(float) if batch else float(l * (l + n - 2))
+    return np.multiply(l, l + n - 2, dtype=float)
 
 
 def angular_term(sf: SpaceForm, mu, f, t):
     """mu f / s_kappa(t)^2, the angular part of a separated quantity, or None
-    when mu is 0.  For an (m, 1) column mu of a Profiles batch it is computed
-    on the rows of nonzero mu only and is 0 on the others, so a radial row
-    costs and rounds as it does alone."""
-    if not isinstance(mu, np.ndarray):
-        return mu * f / s_kappa(sf, t) ** 2 if mu else None
-    rows = mu[:, 0] != 0
-    if not rows.any():
+    when every mu is 0.  mu is a float or the (m, 1) column of a Profiles
+    batch; a radial row of a batch gets an exact ±0."""
+    if not np.any(mu):
         return None
-    out = np.zeros(np.shape(f))
-    out[rows] = mu[rows] * f[rows] / s_kappa(sf, t[rows]) ** 2
-    return out
+    return mu * f / s_kappa(sf, t) ** 2
 
 
 def separated_laplacian(sf: SpaceForm, u, t):
@@ -211,11 +204,8 @@ def _jet(t, lo, rise_hi, fall_lo, hi, w_in, w_in2, w_out, w_out2):
 
 
 def _at(mask, *knots):
-    """knots at the nodes selected by mask: floats as they are, (m, 1)
-    columns repeated along their rows."""
-    if isinstance(knots[0], np.ndarray):
-        return [np.broadcast_to(k, mask.shape)[mask] for k in knots]
-    return knots
+    """knots (floats or (m, 1) columns) at the nodes selected by mask."""
+    return [np.broadcast_to(k, mask.shape)[mask] for k in knots]
 
 
 class Profiles:

@@ -37,7 +37,7 @@ __all__ = [
     "PairSpec", "Scan", "DisconjugacyReport", "ROLES",
     "residual_terms", "residual_expr", "e1_expr", "e2_expr", "e1_terms", "e2_terms",
     "condition_terms",
-    "primal_to_dual", "dual_to_primal",
+    "primal_to_dual", "dual_to_primal", "bessel_pair_primal",
     "from_bessel_potential", "from_bessel_pair", "bessel_pairs_from_potential",
     "disconjugacy_check", "scan_positivity", "scan_range", "max_relative",
     "positivity_polynomial_roots", "polynomial_criterion_holds",
@@ -205,7 +205,7 @@ def condition_terms(p: PairSpec, name: str) -> list[Expr]:
 # primal <-> dual change of functions
 
 
-def primal_to_dual(p: PairSpec, sf: SpaceForm) -> PairSpec:
+def primal_to_dual(p: PairSpec) -> PairSpec:
     """H = L - G, v = w, V = W - (v'/v) L - L'.
 
     The change is an exact identity: the dual residual of the image equals
@@ -222,7 +222,7 @@ def primal_to_dual(p: PairSpec, sf: SpaceForm) -> PairSpec:
                     note=p.note, logd=logd)
 
 
-def dual_to_primal(p: PairSpec, sf: SpaceForm) -> PairSpec:
+def dual_to_primal(p: PairSpec) -> PairSpec:
     """Inverse change: G = L - H, w = v, W = V + (w'/w) L + L'."""
     p.require("dual")
     H, v, V = p.expr("H"), p.expr("v"), p.expr("V")
@@ -239,21 +239,25 @@ def dual_to_primal(p: PairSpec, sf: SpaceForm) -> PairSpec:
 # Bessel constructions
 
 
-def _spot_scan(p: PairSpec, n: int, terms, grid: int, lo: float, hi: float,
-               tol: float) -> Scan:
-    """scan_positivity of terms on (lo R, hi R), R from p's parameters."""
+def _radius(p: PairSpec) -> float:
+    """R from p's parameters (default 1), where a Bessel object's checks and
+    its default ODE interval end; it must be finite and > 0."""
     R = float(p.params.get("R", 1.0))
-    sf = SpaceForm(n, 0.0, R)
-    return scan_positivity(terms, sf, grid=grid, t_lo=lo * R, t_hi=hi * R,
-                           bindings=p.bindings(sf), tol=tol)
+    if not 0 < R < math.inf:
+        raise ValueError(f"need 0 < R < inf, got R={R}")
+    return R
+
+
+def _flat(p: PairSpec, n: int) -> SpaceForm:
+    """The space form of p's checks: SpaceForm(n, 0, R), R = _radius(p)."""
+    return SpaceForm(n, 0.0, _radius(p))
 
 
 def _check_verified(p: PairSpec, n: int) -> None:
     """Raise unless p's residual is an equality within 1e-6 on 32 points of
     (1e-3 R, 0.999 R), judged on the grid pass alone (max_relative)."""
-    R = float(p.params.get("R", 1.0))
-    worst = max_relative(residual_terms(p), p.bindings(SpaceForm(n, 0.0, R)),
-                         1e-3 * R, 0.999 * R, 32)
+    sf = _flat(p, n)
+    worst = max_relative(residual_terms(p), p.bindings(sf), 1e-3 * sf.R, 0.999 * sf.R, 32)
     if not worst <= 1e-6:   # a NaN (inf - inf between terms) is not verified either
         raise ValueError(f"input {p.kind} is not verified: relative residual "
                          f"{worst:.3e} > 1e-06")
@@ -292,17 +296,24 @@ def from_bessel_potential(p: PairSpec, variant: str, n: int) -> PairSpec:
     raise ValueError(f"variant must be 'i', 'ii' or 'iii', got {variant!r}")
 
 
+def bessel_pair_primal(p: PairSpec, G: Expr) -> PairSpec:
+    """The primal pair (G, X, C Y/X) of the Bessel pair p, with p's
+    parameters and note."""
+    p.require("bessel-pair")
+    X = p.expr("X")
+    W = Const(p.constant) * p.expr("Y") / X
+    return PairSpec(kind="primal", exprs={"G": G, "w": X, "W": W},
+                    params=dict(p.params), note=p.note)
+
+
 def from_bessel_pair(p: PairSpec, n: int) -> PairSpec:
     """Variant (iv): primal pair G = -y'/y, w = X, W = C Y/X, with equality."""
     p.require("bessel-pair")
     if "y" not in p.exprs:
         raise ValueError("bessel-pair spec carries no explicit y")
     _check_verified(p, n)
-    y, X, Y = p.expr("y"), p.expr("X"), p.expr("Y")
-    G = -(y.diff() / y)
-    W = Const(p.constant) * Y / X
-    return PairSpec(kind="primal", exprs={"G": G, "w": X, "W": W},
-                    params=dict(p.params), note=p.note)
+    y = p.expr("y")
+    return bessel_pair_primal(p, -(y.diff() / y))
 
 
 def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int, *,
@@ -313,9 +324,9 @@ def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int, *,
       (1/t^2, (n-4)^2/(4t^4) + c Z/t^2)   with explicit  y = z t^(-(n-4)/2)
       (Z,     (n-lam-2)^2 Z/(4t^2))       without y
 
-    both with C = 1.  A chain takes the second as the primal pair
-    (a/t, Z, a^2/t^2), a = (n-lam-2)/2, whose residual
-    a f/t + a (n-1)(ct - 1/t)/t is >= 0 wherever f >= 0;
+    both with C = 1.  A chain's link-2 is the second's bessel_pair_primal
+    with G = a/t, a = (n-lam-2)/2: the primal pair (a/t, Z, a^2/t^2), whose
+    residual a f/t + a (n-1)(ct - 1/t)/t is >= 0 wherever f >= 0;
     disconjugacy_check certifies its positive solution directly.  Raises if
     lam >= n-2, if p's residual check fails (verified: the caller has just
     run it, through from_bessel_potential) or the f >= 0 spot check fails.
@@ -328,7 +339,9 @@ def bessel_pairs_from_potential(p: PairSpec, lam: float, n: int, *,
     t = Var()
     z, Z, c = p.expr("z"), p.expr("Z"), p.constant
     # spot check f = Z'/Z + lam/t >= 0 (the decay of t f is the caller's assertion)
-    f = _spot_scan(p, n, [Z.diff() / Z, Const(lam) / t], 64, 1e-4, 0.99, 1e-9)
+    sf = _flat(p, n)
+    f = scan_positivity([Z.diff() / Z, Const(lam) / t], sf, grid=64, t_lo=1e-4 * sf.R,
+                        t_hi=0.99 * sf.R, bindings=p.bindings(sf), tol=1e-9)
     if f.verdict != "nonnegative":
         raise ValueError("condition Z'/Z = -lambda/t + f with f >= 0 fails on spot check")
     params = dict(p.params)
@@ -506,7 +519,7 @@ def disconjugacy_check(p: PairSpec, interval: Optional[tuple[float, float]] = No
         anchor = s_hi + _END_GAP
         w_lo = anchor - s_lo
     else:
-        log_R = math.log(float(p.params.get("R", 1.0)))
+        log_R = math.log(_radius(p))
         w_lo = _DEEP_LOG_DEPTH if p.kind == "bessel-potential" else _PAIR_LOG_DEPTH
         s_lo, s_hi, anchor = log_R - w_lo, log_R - _END_GAP, log_R
     base = p.bindings(n=n)

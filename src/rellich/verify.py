@@ -410,7 +410,6 @@ class InequalityCase:
     sf: SpaceForm
     batch: BatchSpec = BatchSpec()
     pair: object = None
-    case_id: str = "case"
 
     def __post_init__(self):
         _check_pair(self.shape, self.pair)
@@ -440,8 +439,6 @@ _DOMAIN_NOTE = ("radial/separated test functions on a geodesic ball: "
 
 @dataclass(frozen=True)
 class VerificationReport:
-    case_id: str
-    sf: SpaceForm
     seed: int
     scans: tuple
     tests: tuple
@@ -548,8 +545,8 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
     verdict = ("fail" if not all(t.passed for t in tests) else
                "pass" if gating else "inconclusive")
     return VerificationReport(
-        case_id=case.case_id, sf=sf, seed=batch.seed, scans=tuple(scans), tests=tuple(tests),
-        verdict=verdict, notes=tuple(notes) + (_DOMAIN_NOTE,),
+        seed=batch.seed, scans=tuple(scans), tests=tuple(tests), verdict=verdict,
+        notes=tuple(notes) + (_DOMAIN_NOTE,),
         config={**config, "count": batch.count, "modes": list(batch.modes),
                 "family": "bump"})
 

@@ -142,8 +142,8 @@ class TestCriterion3:
             kappa = rng.choice([0.0, 0.5, 1.0])
             sf = SpaceForm(n, kappa)
             p = self._random_primal(rng)
-            d = pr.primal_to_dual(p, sf)
-            q = pr.dual_to_primal(d, sf)
+            d = pr.primal_to_dual(p)
+            q = pr.dual_to_primal(d)
             ts = np.exp(np.array([rng.uniform(math.log(0.1), math.log(10.0))
                                   for _ in range(50)]))
             b = {"n": float(n), "kappa": kappa, "t": ts}
@@ -161,7 +161,7 @@ class TestCriterion3:
         exact = 0.0
         for n in (5, 8, 12):
             sf = SpaceForm(n, 0.0)
-            d = pr.primal_to_dual(cat.classical_euclidean(n).specs["hardy"], sf)
+            d = pr.primal_to_dual(cat.classical_euclidean(n).specs["hardy"])
             for tv in (0.3, 1.0, 5.0):
                 b = d.bindings(sf, tv)
                 exact = max(exact, abs(d.expr("H").evaluate(b) - n / (2 * tv))
@@ -308,45 +308,38 @@ def criterion7_reports():
         e = cat.classical_euclidean(n)
         case = vf.InequalityCase(
             shape="delta-vs-gradrad", sf=SpaceForm(n, 0.0),
-            batch=vf.BatchSpec(count=50, seed=42), pair=e.specs["dual"],
-            case_id=f"classical-gradrad-{n}")
+            batch=vf.BatchSpec(count=50, seed=42), pair=e.specs["dual"])
         reports[f"classical-{n}"] = vf.verify_case(case)
     e8 = cat.classical_euclidean(8)
     reports["classical-grad-8"] = vf.verify_case(vf.InequalityCase(
         shape="delta-vs-grad", sf=SpaceForm(8, 0.0),
         batch=vf.BatchSpec(count=50, seed=42, modes=(0, 1, 2)),
-        pair=e8.specs["dual"], case_id="classical-grad-8"))
+        pair=e8.specs["dual"]))
     e5 = cat.classical_euclidean(5)
     reports["hardy-5"] = vf.verify_case(vf.InequalityCase(
         shape="gradrad-vs-usq", sf=SpaceForm(5, 0.0),
-        batch=vf.BatchSpec(count=50, seed=42), pair=e5.specs["hardy"],
-        case_id="hardy-5"))
+        batch=vf.BatchSpec(count=50, seed=42), pair=e5.specs["hardy"]))
     for lam in (0.0, 4.0):
         entry = cat.hyperbolic_interpolation(5, 1.0, lam)
         reports[f"hyp-interp-{lam:g}"] = vf.verify_case(vf.InequalityCase(
             shape="delta-vs-gradrad", sf=SpaceForm(5, 1.0),
-            batch=vf.BatchSpec(count=50, seed=42), pair=entry.specs["dual"],
-            case_id=f"hyp-interp-{lam:g}"))
+            batch=vf.BatchSpec(count=50, seed=42), pair=entry.specs["dual"]))
     for which in (1, 2, 3):
         entry = cat.hyperbolic_lower(5, 1.0, which)
         reports[f"hyp-lower-{which}"] = vf.verify_case(vf.InequalityCase(
             shape="gradrad-vs-usq", sf=SpaceForm(5, 1.0),
-            batch=vf.BatchSpec(count=50, seed=42), pair=entry.specs["primal"],
-            case_id=f"hyp-lower-{which}"))
+            batch=vf.BatchSpec(count=50, seed=42), pair=entry.specs["primal"]))
     e6 = cat.classical_euclidean(6)
     reports["chain-classical"] = vf.verify_case(vf.InequalityCase(
-        "chain", SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42), e6.chain,
-        case_id="chain-classical-6"))
+        "chain", SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42), e6.chain))
     il = cat.iterated_log_potential(1, 1.0)
     chain_pot = cat.chain_from_potential(il, 6)
     reports["chain-potential"] = vf.verify_case(vf.InequalityCase(
-        "chain", SpaceForm(6, 0.0, 1.0), vf.BatchSpec(count=50, seed=42), chain_pot,
-        case_id="chain-potential-6"))
+        "chain", SpaceForm(6, 0.0, 1.0), vf.BatchSpec(count=50, seed=42), chain_pot))
     reports["_chain_pot_meta"] = chain_pot.meta
     fin = cat.final_combined(5, 1.0)
     reports["chain-final"] = vf.verify_case(vf.InequalityCase(
-        "chain", SpaceForm(5, 1.0), vf.BatchSpec(count=20, seed=42), fin.chain,
-        case_id="chain-final-5"))
+        "chain", SpaceForm(5, 1.0), vf.BatchSpec(count=20, seed=42), fin.chain))
     reports["_elapsed"] = time.perf_counter() - t0
     return reports
 
@@ -415,16 +408,13 @@ class TestCriterion9:
         again = {
             "classical-6": vf.verify_case(vf.InequalityCase(
                 shape="delta-vs-gradrad", sf=SpaceForm(6, 0.0),
-                batch=vf.BatchSpec(count=50, seed=42), pair=e6.specs["dual"],
-                case_id="classical-gradrad-6")),
+                batch=vf.BatchSpec(count=50, seed=42), pair=e6.specs["dual"])),
             "hyp-lower-2": vf.verify_case(vf.InequalityCase(
                 shape="gradrad-vs-usq", sf=SpaceForm(5, 1.0),
                 batch=vf.BatchSpec(count=50, seed=42),
-                pair=cat.hyperbolic_lower(5, 1.0, 2).specs["primal"],
-                case_id="hyp-lower-2")),
+                pair=cat.hyperbolic_lower(5, 1.0, 2).specs["primal"])),
             "chain-classical": vf.verify_case(vf.InequalityCase(
-                "chain", SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42), e6.chain,
-                case_id="chain-classical-6")),
+                "chain", SpaceForm(6, 0.0), vf.BatchSpec(count=50, seed=42), e6.chain)),
         }
         ok = True
         for key, rep in again.items():

@@ -54,12 +54,12 @@ class TestIterlog:
     def test_q_function_range(self):
         # q = t z'/z lies in (-1, 0); equals -1/(2 log(r/t)), so -1/2 at t = R
         entry = cat.iterated_log_potential(1, 1.0)
-        q = entry.extras["q_expr"]
+        q = cat.iterlog_q_expr(1)
         b = dict(entry.specs["potential"].params)
         assert q.evaluate({**b, "t": 1.0}) == pytest.approx(-0.5, rel=1e-13)
         for k in (1, 2, 3):
             e = cat.iterated_log_potential(k, 1.0)
-            qk = e.extras["q_expr"]
+            qk = cat.iterlog_q_expr(k)
             bk = dict(e.specs["potential"].params)
             for tv in pr.log_grid(1e-6, 0.999, 200):
                 val = qk.evaluate({**bk, "t": float(tv)})
@@ -73,7 +73,7 @@ class TestIterlog:
     def test_product_lower_bounds(self):
         for k in (2, 3):
             entry = cat.iterated_log_potential(k, 1.0)
-            bounds = entry.extras["product_bounds"]
+            bounds = cat.iterlog_product_bounds(k)
             assert bounds["full"] == 2.0 ** (k - 1)
             b = dict(entry.specs["potential"].params)
             r = b["r"]

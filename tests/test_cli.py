@@ -624,6 +624,23 @@ class TestUsageAndIO:
         assert out == ""
         assert f"argument {argv.split()[-2]}: must be a finite number" in err
 
+    @pytest.mark.parametrize("argv", [
+        "scan --catalog iterlog --k 1 --R inf --target E1",
+        "check-pair --catalog ell-family --k 2 --R inf",
+        "solve-bessel --catalog iterlog --k 1 --R inf",
+        "chain --catalog ell-family --k 1 --n 6 --R inf --tests 1",
+        f"solve-bessel {_POTENTIAL} --R inf --r 2.718281828459045",
+        f"chain {_POTENTIAL} --R inf --r 2.718281828459045 --tests 1",
+    ])
+    def test_potential_needs_a_finite_radius(self, tmp_path, capsys, argv):
+        # an infinite R reached the scans and the ODE as a NaN or a 0 divisor
+        # and ended the run inconclusive (exit 2); the inline solve-bessel
+        # integrated at log t = inf and reported a positive solution (exit 0)
+        code, rep = _run(tmp_path, *argv.split())
+        assert code == EXIT_USAGE
+        assert rep is None
+        assert "need 0 < R < inf, got R=inf" in capsys.readouterr().err
+
     _PRODUCT = "*".join(["(1+t)"] * 2000)
 
     @pytest.mark.parametrize("argv", [

@@ -175,6 +175,7 @@ class TestLaplacians:
         assert angular_eigenvalue(4, 2) == 8.0
         assert angular_eigenvalue(3, 1) == 2.0
         assert angular_eigenvalue(9, 0) == 0.0
+        assert isinstance(angular_eigenvalue(5, 1), float)
 
     def test_separated_against_grid_laplacian(self):
         """l = 1, n = 3 Euclidean: 7-point-stencil Laplacian of

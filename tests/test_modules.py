@@ -88,3 +88,34 @@ def test_runtime_dependencies_are_the_imports():
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
              for d in declared}
     assert imported - set(sys.stdlib_module_names) == names
+
+
+# parameters that are unread on purpose: the scalar table's reject
+# primitive fills the signature of a domain-check primitive, and an Expr
+# refuses every attribute write whatever its arguments
+_UNREAD_ON_PURPOSE = {("expr", "_reject_scalar", "bad"), ("expr", "__setattr__", "a")}
+
+
+def test_no_unread_parameters():
+    """Every parameter of every function in the package is read in its body
+    (a method's self or cls excepted)."""
+    unread = []
+    for path in _SOURCES:
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in f.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            if id(node) in methods:
+                params = params[1:]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(path.stem, node.name, p.arg) for p in params
+                       if p.arg not in read and (path.stem, node.name, p.arg)
+                       not in _UNREAD_ON_PURPOSE]
+    assert unread == []

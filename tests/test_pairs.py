@@ -165,7 +165,7 @@ class TestTransforms:
     def test_hardy_to_classical_dual_exact(self):
         for n in (5, 6, 9):
             sf = SpaceForm(n, 0.0)
-            d = pr.primal_to_dual(cat.classical_euclidean(n).specs["hardy"], sf)
+            d = pr.primal_to_dual(cat.classical_euclidean(n).specs["hardy"])
             for tv in (0.3, 1.0, 5.0):
                 b = d.bindings(sf, tv)
                 assert d.expr("H").evaluate(b) == pytest.approx(
@@ -177,7 +177,7 @@ class TestTransforms:
         rng = random.Random(99)
         sf = SpaceForm(5, 1.0)
         p = _random_primal(rng)
-        q = pr.dual_to_primal(pr.primal_to_dual(p, sf), sf)
+        q = pr.dual_to_primal(pr.primal_to_dual(p))
         for _ in range(20):
             tv = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
             b = {"n": 5.0, "kappa": 1.0, "t": tv}
@@ -194,7 +194,7 @@ class TestTransforms:
             n = rng.choice([3, 5, 8])
             sf = SpaceForm(n, kappa)
             p = _random_primal(rng)
-            d = pr.primal_to_dual(p, sf)
+            d = pr.primal_to_dual(p)
             rp, rd = pr.residual_expr(p), pr.residual_expr(d)
             for _ in range(50):
                 tv = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
@@ -208,7 +208,7 @@ class TestTransforms:
         G = (Param("n") - 1.0) * Unary("ct", t)
         p = PairSpec(kind="primal", exprs={"G": G, "w": Const(1.0), "W": Const(0.0)},
                      allow_signed_W=True)
-        d = pr.primal_to_dual(p, sf)
+        d = pr.primal_to_dual(p)
         rp, rd = pr.residual_expr(p), pr.residual_expr(d)
         for tv in (0.5, 2.0):
             assert d.expr("H").evaluate(d.bindings(sf, tv)) == pytest.approx(0.0, abs=1e-13)
@@ -311,7 +311,7 @@ class TestPotentialConstructions:
     def test_closure_ii_then_dualize_is_iii(self, potential):
         n = 6
         sf = SpaceForm(n, 0.0, 1.0)
-        via_ii = pr.primal_to_dual(pr.from_bessel_potential(potential, "ii", n), sf)
+        via_ii = pr.primal_to_dual(pr.from_bessel_potential(potential, "ii", n))
         direct = pr.from_bessel_potential(potential, "iii", n)
         for tv in pr.log_grid(1e-3, 0.99, 30):
             b = {"n": float(n), "kappa": 0.0, "r": math.e, "R": 1.0, "t": float(tv)}

@@ -388,10 +388,10 @@ class TestSides:
 
     @pytest.mark.parametrize("form", ["delta", "gradrad", "grad", "usq"])
     def test_batch_side_equals_solo_sides(self, form):
-        sf = SpaceForm(7, 0.0)
-        us = generate_batch(sf, BatchSpec(count=9, seed=15, modes=(0, 1, 2)))
         w = parse("1/t^2")
-        assert list(side(sf, w, Profiles(us), form)) == [side(sf, w, u, form) for u in us]
+        for sf in (SpaceForm(7, 0.0), SpaceForm(5, 1.0), SpaceForm(7, 0.5, 40.0)):
+            us = generate_batch(sf, BatchSpec(count=9, seed=15, modes=(0, 1, 2)))
+            assert list(side(sf, w, Profiles(us), form)) == [side(sf, w, u, form) for u in us]
 
     def test_one_density_call_per_pass_on_a_batch(self, monkeypatch):
         """A side of a 50-test batch makes one density call per pass, as many
@@ -459,7 +459,7 @@ class TestVerifyCase:
         e = cat.classical_euclidean(5)
         case = InequalityCase(shape="delta-vs-gradrad", sf=SpaceForm(5, 0.0),
                               batch=BatchSpec(count=12, seed=42),
-                              pair=e.specs["dual"], case_id="classical-5")
+                              pair=e.specs["dual"])
         rep = verify_case(case)
         assert rep.verdict == "pass"
         assert all(t.margin >= -t.budget for t in rep.tests)
@@ -553,7 +553,7 @@ class TestVerifyChain:
     def test_classical_chain_end_to_end(self):
         e = cat.classical_euclidean(6)
         rep = verify_case(InequalityCase("chain", SpaceForm(6, 0.0), BatchSpec(count=10, seed=5),
-                                         e.chain, case_id="chain"))
+                                         e.chain))
         assert rep.verdict == "pass"
         ends = [t for t in rep.tests if t.id.endswith(":end")]
         assert len(ends) == 10
@@ -568,7 +568,7 @@ class TestVerifyChain:
         entry = cat.iterated_log_potential(1, 1.0)
         chain = cat.chain_from_potential(entry, 6)
         rep = verify_case(InequalityCase("chain", SpaceForm(6, 0.0, 1.0),
-                                         BatchSpec(count=6, seed=7), chain, case_id="chain"))
+                                         BatchSpec(count=6, seed=7), chain))
         assert rep.verdict == "pass"
         assert any(s.target == "link-2-residual" and s.verdict == "nonnegative"
                    for s in rep.scans)
@@ -610,7 +610,7 @@ class TestVerifyChain:
     def test_final_combined_chain(self):
         entry = cat.final_combined(5, 1.0)
         rep = verify_case(InequalityCase("chain", SpaceForm(5, 1.0), BatchSpec(count=5, seed=9),
-                                         entry.chain, case_id="chain"))
+                                         entry.chain))
         assert rep.verdict == "pass"
 
     def test_link_mismatch_detected(self):
@@ -621,7 +621,7 @@ class TestVerifyChain:
         bad = dataclasses.replace(e.chain, links=bad_links)
         with pytest.raises(ChainMismatchError, match="link-1"):
             verify_case(InequalityCase("chain", SpaceForm(6, 0.0), BatchSpec(count=1, seed=1),
-                                       bad, case_id="chain"))
+                                       bad))
 
     def test_spurious_link_among_many_is_named(self):
         import dataclasses
@@ -632,7 +632,7 @@ class TestVerifyChain:
         bad = dataclasses.replace(e.chain, links=e.chain.links + (spurious,))
         with pytest.raises(ChainMismatchError, match="offending link: link-x"):
             verify_case(InequalityCase("chain", SpaceForm(5, 1.0), BatchSpec(count=1, seed=1),
-                                       bad, case_id="chain"))
+                                       bad))
 
 
 def _link_2_run(chain, sf, count=0):
