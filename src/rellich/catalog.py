@@ -158,9 +158,9 @@ def _exp_iter(k: int, x: float) -> float:
     return v
 
 
-def iterated_log_potential(k: int, R: float) -> CatalogEntry:
+def iterated_log_potential(k: int, R: float, c: float = 0.25) -> CatalogEntry:
     """Potential Z(t) = sum_{j<=k} t^-2 (prod_{i<=j} log_[i](r/t))^-2 with
-    solution z = (prod_{i<=k} log_[i](r/t))^(1/2), best constant 1/4, and
+    solution z = (prod_{i<=k} log_[i](r/t))^(1/2), constant c (best: 1/4), and
     r = R exp_[k-1](e) so every iterated log stays >= 1 on (0, R)."""
     if not 1 <= k <= 3:
         raise ValueError(f"need 1 <= k <= 3, got k={k}: "
@@ -176,7 +176,7 @@ def iterated_log_potential(k: int, R: float) -> CatalogEntry:
     potential = PairSpec(
         kind="bessel-potential",
         exprs={"z": z, "Z": z_sum},
-        constant=0.25,
+        constant=c,
         params={"r": r, "R": float(R), "k": float(k)},
         note=f"iterated-log potential, depth {k}",
     )
@@ -216,9 +216,9 @@ def _ell_iter_expr(i: int, arg: Expr) -> Expr:
     return v
 
 
-def ell_potential(k: int, R: float) -> CatalogEntry:
+def ell_potential(k: int, R: float, c: float = 0.25) -> CatalogEntry:
     """Potential Z(t) = sum_{j<=k} t^-2 prod_{i<=j} l_[i](t/R)^2 with solution
-    z = (prod_{i<=k} l_[i](t/R))^(-1/2) and best constant 1/4, where
+    z = (prod_{i<=k} l_[i](t/R))^(-1/2) and constant c (best: 1/4), where
     l(x) = 1/(1 - log x).  Its companion side condition E1 degrades near
     t = R as k grows, which is the documented failure mode."""
     if k < 1:
@@ -233,7 +233,7 @@ def ell_potential(k: int, R: float) -> CatalogEntry:
     potential = PairSpec(
         kind="bessel-potential",
         exprs={"z": z, "Z": z_sum},
-        constant=0.25,
+        constant=c,
         params={"R": float(R), "k": float(k)},
         note=f"ell-family potential, depth {k}",
     )
@@ -495,8 +495,8 @@ def entry_pair(entry: CatalogEntry, kind: str, sf: SpaceForm):
 # CLI id -> builder, in listing order; each reads the knobs it names
 _FAMILIES = {
     "classical-rellich": lambda n, **_: classical_euclidean(n),
-    "iterlog": lambda k, R, **_: iterated_log_potential(k, R),
-    "ell-family": lambda k, R, **_: ell_potential(k, R),
+    "iterlog": lambda k, R, c, **_: iterated_log_potential(k, R, c),
+    "ell-family": lambda k, R, c, **_: ell_potential(k, R, c),
     "hyp-interp": lambda n, kappa, lam, **_: hyperbolic_interpolation(n, kappa, lam),
     "hyp-lower-1": lambda n, kappa, **_: hyperbolic_lower(n, kappa, 1),
     "hyp-lower-2": lambda n, kappa, **_: hyperbolic_lower(n, kappa, 2),
@@ -514,12 +514,12 @@ def _family(entry_id: str):
 
 
 def family_knobs(entry_id: str) -> frozenset:
-    """The knobs (of n, kappa, lam, k, R) that the family's builder reads."""
+    """The knobs (of n, kappa, lam, k, R, c) that the family's builder reads."""
     params = inspect.signature(_family(entry_id)).parameters.values()
     return frozenset(p.name for p in params if p.kind is not p.VAR_KEYWORD)
 
 
-def build_entry(entry_id: str, n: int = 5, kappa: float = 1.0,
-                lam: float = 0.0, k: int = 1, R: float = 1.0) -> CatalogEntry:
+def build_entry(entry_id: str, n: int = 5, kappa: float = 1.0, lam: float = 0.0,
+                k: int = 1, R: float = 1.0, c: float = 0.25) -> CatalogEntry:
     """Construct a catalog entry by its CLI id."""
-    return _family(entry_id)(n=n, kappa=kappa, lam=lam, k=k, R=R)
+    return _family(entry_id)(n=n, kappa=kappa, lam=lam, k=k, R=R, c=c)

@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -77,22 +76,27 @@ def build_parser() -> argparse.ArgumentParser:
                             "on constant-curvature space forms.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, batch=False):
-        sp.add_argument("--catalog", metavar="ID",
-                        help=f"catalog entry id ({', '.join(cat.CATALOG_IDS)})")
+    def family(sp):
         sp.add_argument("--n", type=int, default=5, help="dimension (default 5)")
         sp.add_argument("--kappa", type=_finite, default=None,
                         help="curvature parameter (default: entry-specific)")
         sp.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
         sp.add_argument("--k", type=int, default=1, help="iteration depth")
         sp.add_argument("--R", type=float, default=None, help="radial domain bound")
+
+    def common(sp, scans=False, quad=False, batch=False):
+        sp.add_argument("--catalog", metavar="ID",
+                        help=f"catalog entry id ({', '.join(cat.CATALOG_IDS)})")
+        family(sp)
         sp.add_argument("--r", dest="r_param", type=_finite, default=None,
                         help="value for the DSL parameter r")
         sp.add_argument("--c", type=_finite, default=None,
                         help="override the potential constant c")
-        sp.add_argument("--grid", type=int, default=pr.DEFAULT_GRID)
-        sp.add_argument("--quad-tol", type=float, default=vf.DEFAULT_QUAD_TOL)
-        sp.add_argument("--tol", type=float, default=pr.DEFAULT_RESIDUAL_TOL)
+        if scans:
+            sp.add_argument("--grid", type=int, default=pr.DEFAULT_GRID)
+            sp.add_argument("--tol", type=float, default=pr.DEFAULT_RESIDUAL_TOL)
+        if quad:
+            sp.add_argument("--quad-tol", type=float, default=vf.DEFAULT_QUAD_TOL)
         sp.add_argument("--output", "-o", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         for role in _INLINE_ROLES:
@@ -105,36 +109,31 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated angular modes to cycle, e.g. 0,1,2")
 
     sp = sub.add_parser("check-pair", help="scan the defining residual(s)")
-    common(sp)
+    common(sp, scans=True)
     sp = sub.add_parser("scan", help="positivity-scan one target function")
-    common(sp)
+    common(sp, scans=True)
     sp.add_argument("--target", required=True,
                     help="E1 | E2 | residual | and any expression role (W, V, Z, ...)")
     sp = sub.add_parser("verify", help="verify one inequality on a seeded batch")
-    common(sp, batch=True)
+    common(sp, scans=True, quad=True, batch=True)
     sp.add_argument("--shape", choices=vf.SHAPES, default=None)
     sp = sub.add_parser("chain", help="verify a chained inequality end to end")
-    common(sp, batch=True)
+    common(sp, scans=True, quad=True, batch=True)
     sp.set_defaults(shape="chain")
     sp = sub.add_parser("solve-bessel", help="disconjugacy certificate for a potential/pair")
     common(sp)
     sp.add_argument("--t0", type=float, default=None)
     sp.add_argument("--t1", type=float, default=None)
     sp = sub.add_parser("estimate", help="estimate the best constant of a shape")
-    common(sp)
+    common(sp, quad=True)
     sp.add_argument("--shape", choices=("delta-vs-gradrad", "gradrad-vs-usq", "chain"),
                     default="delta-vs-gradrad")
     sp.add_argument("--budget", type=int, default=500,
                     help="most basis functions of a Ritz level (default 500)")
-    sp.add_argument("--seed", type=int, default=vf.BatchSpec.seed)
     sp = sub.add_parser("catalog", help="list or show catalog entries")
     sp.add_argument("action", choices=("list", "show"))
     sp.add_argument("id", nargs="?")
-    sp.add_argument("--n", type=int, default=5)
-    sp.add_argument("--kappa", type=_finite, default=None)
-    sp.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--R", type=float, default=None)
+    family(sp)
     return p
 
 
@@ -156,7 +155,7 @@ def _inline_pair(args) -> Optional[PairSpec]:
             params = {"lambda": args.lam, "k": float(args.k), "kappa": kappa}
             if args.R is not None:
                 params["R"] = args.R
-            if getattr(args, "r_param", None) is not None:
+            if args.r_param is not None:
                 params["r"] = args.r_param
             constant = args.c if args.c is not None else (
                 0.25 if kind == "bessel-potential" else 1.0)
@@ -167,15 +166,20 @@ def _inline_pair(args) -> Optional[PairSpec]:
 
 
 def _catalog_entry(args, entry_id: str) -> cat.CatalogEntry:
-    """The entry built from the flags; a --kappa, or a nonzero --lambda, that
-    the family does not read is a usage error rather than a config echo."""
+    """The entry built from the flags; a knob the family does not read (a
+    --kappa, --c or --r, a nonzero --lambda, a --k other than 1) is a usage
+    error rather than a config echo.  catalog show takes no --c or --r."""
+    c, r = getattr(args, "c", None), getattr(args, "r_param", None)
     knobs = cat.family_knobs(entry_id)
     for flag, knob, given in (("--kappa", "kappa", args.kappa is not None),
-                              ("--lambda", "lam", args.lam != 0.0)):
+                              ("--lambda", "lam", args.lam != 0.0),
+                              ("--k", "k", args.k != 1),
+                              ("--c", "c", c is not None),
+                              ("--r", "r", r is not None)):
         if given and knob not in knobs:
             raise ValueError(f"{flag} is not a knob of catalog family {entry_id!r}, "
                              f"which does not read it")
-    given = {name: value for name, value in (("kappa", args.kappa), ("R", args.R))
+    given = {name: value for name, value in (("kappa", args.kappa), ("R", args.R), ("c", c))
              if value is not None}
     return cat.build_entry(entry_id, n=args.n, lam=args.lam, k=args.k, **given)
 
@@ -194,12 +198,7 @@ def _resolve(args):
         return entry, sf
     entry = _catalog_entry(args, args.catalog)
     R = args.R if args.R is not None else entry.space_form.R
-    sf = SpaceForm(args.n, entry.space_form.kappa, R)
-    if args.c is not None:
-        entry = replace(entry, specs={
-            name: p.with_constant(args.c) if p.kind == "bessel-potential" else p
-            for name, p in entry.specs.items()})
-    return entry, sf
+    return entry, SpaceForm(args.n, entry.space_form.kappa, R)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +275,10 @@ _VERDICT_EXIT = {"pass": EXIT_PASS, "nonnegative": EXIT_PASS,
                  "inconclusive-near-boundary": EXIT_INCONCLUSIVE}
 
 
-def _config_dict(args, extra: Optional[dict] = None) -> dict:
+def _config_dict(args, extra: dict) -> dict:
+    """Every parsed flag but the output's path and format, then extra."""
     skip = {"output", "format", "command"}
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in skip and not k.startswith("_") and _jsonable(v)}
-    cfg.update(extra or {})
-    return cfg
-
-
-def _jsonable(v) -> bool:
-    return isinstance(v, (int, float, str, bool, type(None), list, dict))
+    return {**{k: v for k, v in vars(args).items() if k not in skip}, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +396,9 @@ def _cmd_estimate(args):
     config = _config_dict(args, {
         "estimate": est.estimate, "claimed": est.claimed,
         "gap_ratio": est.gap_ratio, "evaluations": est.evaluations,
-        "minimizer": {k: (v if _jsonable(v) else float(v))
-                      for k, v in est.params.items()},
+        "minimizer": est.params,
         "label": est.label})
-    return verdict, _report("estimate", config, sf, [], [], verdict, args.seed)
+    return verdict, _report("estimate", config, sf, [], [], verdict, vf.BatchSpec.seed)
 
 
 def _cmd_catalog(args):

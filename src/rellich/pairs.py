@@ -309,8 +309,6 @@ def bessel_pair_primal(p: PairSpec, G: Expr) -> PairSpec:
 def from_bessel_pair(p: PairSpec, n: int) -> PairSpec:
     """Variant (iv): primal pair G = -y'/y, w = X, W = C Y/X, with equality."""
     p.require("bessel-pair")
-    if "y" not in p.exprs:
-        raise ValueError("bessel-pair spec carries no explicit y")
     _check_verified(p, n)
     y = p.expr("y")
     return bessel_pair_primal(p, -(y.diff() / y))
@@ -824,6 +822,8 @@ def scan_positivity(terms: Sequence[Expr], sf: SpaceForm, grid: int = DEFAULT_GR
         fa = float(total[i])
         for _ in range(_BISECTIONS):
             m = 0.5 * (a_ + b_)
+            if m == a_ or m == b_:
+                break  # the bracket is two neighbouring floats
             fm = float(_sum(program.evaluate({**b, "t": m})))
             if fm == 0.0:
                 break  # keep the last strict bracket

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -557,6 +558,24 @@ class TestUsageAndIO:
         assert rep is None
         assert "--quad-tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "check-pair --catalog classical-rellich --quad-tol 1e-8",
+        "scan --catalog classical-rellich --target E1 --quad-tol 1e-8",
+        "solve-bessel --catalog iterlog --R 1 --grid 500",
+        "solve-bessel --catalog iterlog --R 1 --tol 1e-8",
+        "solve-bessel --catalog iterlog --R 1 --quad-tol 1e-8",
+        "estimate --catalog classical-rellich --grid 500",
+        "estimate --catalog classical-rellich --tol 1e-8",
+        "estimate --catalog classical-rellich --seed 7",
+    ])
+    def test_flag_the_run_does_not_read_is_rejected(self, capsys, argv):
+        # each was parsed, echoed in config and never read
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == EXIT_USAGE
+        flag = " ".join(argv.split()[-2:])
+        assert f"error: unrecognized arguments: {flag}\n" in capsys.readouterr().err
+
     def test_domain_error_while_scanning_is_inconclusive(self, tmp_path, capsys):
         code, rep = _run(tmp_path, "scan", "--n", "5", "--R", "1", "--H", "n/(2*t)",
                          "--v", "1", "--V", "log(t-1)", "--target", "V")
@@ -594,6 +613,10 @@ class TestUsageAndIO:
         ("verify --catalog classical-rellich --n 6 --kappa 3", "--kappa", "classical-rellich"),
         # the chain uses the entry's lambda 2.0; its report echoed lam 5.0
         ("chain --catalog iterlog --k 1 --n 6 --R 1 --lambda 5", "--lambda", "iterlog"),
+        # the family has no depth, no Bessel potential, no DSL parameter r
+        ("verify --catalog classical-rellich --n 6 --k 2", "--k", "classical-rellich"),
+        ("verify --catalog hyp-interp --n 5 --kappa 1 --c 0.3", "--c", "hyp-interp"),
+        ("chain --catalog iterlog --k 1 --n 6 --R 1 --r 3", "--r", "iterlog"),
     ])
     def test_knob_the_family_ignores_is_a_usage_error(self, tmp_path, capsys, argv, knob,
                                                       family):
@@ -722,34 +745,40 @@ _REPORT_DIGESTS = {
     "chain --catalog iterlog --k 1 --n 6 --R 1 --tests 2 --grid 500":
         "d6d43a224d53b293e3d9aeec998284ac25353c1ed62252fbc62ca2a45cf4336a",
     "estimate --catalog classical-rellich --n 6 --shape delta-vs-gradrad --budget 25":
-        "a50775f6ecc3c1f65cba453fb01b093e822e66b5c60626cb4825ed266505cf45",
+        "89db31af6b411beb39a78e9431de93e846ab4c0bf3bd584fae3354784556ad10",
     "estimate --catalog classical-rellich --n 6 --shape gradrad-vs-usq --budget 25":
-        "eeee69b41b59b0b35ce0829e8411eb7804f4eb2ca44fe23576a24151bed9e82d",
+        "e1359388e0d3198f433c9fdaae643b0d2d97f0a88a49e66a5329ba218d758eae",
     "estimate --catalog hyp-final --n 5 --kappa 1 --shape chain --budget 25":
-        "733f928bc8181e5bf1bf9f38073c2a81f8875001d17fed41ebe0ff2a1416607b",
+        "35c463be44810419c4ef0b752354c28d8354f616f069d7314401778fa6ae4744",
     "estimate --catalog iterlog --k 1 --n 6 --R 1 --shape chain --budget 25":
-        "99497267adb238c25d6d7491bc21e65a229b86c55ea16b264d7c407d3a6c4f8c",
+        "cdb16183da551d223e7ccc589dda209a64c99ebd4489efa48c2a07e66f5a9ddf",
     "verify --catalog hyp-final --n 5 --kappa 1 --tests 2 --grid 500":
         "f65cb4109fced11ea106c0cca9f0827f083830278d456b574af94b9700250733",
     "verify --n 6 --H n/(2*t) --v 1 --V n^2/(4*t^2) --shape gradrad-vs-usq --tests 2 "
     "--grid 500":
         "f509a7d888f2bd6cad5a3cb7ed19be15244b00db36ead33a09c9f10fa692e165",
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
-        "44efee05c2a9b8af2e96be434f983db903f5b6d96b0e88c55ec1b3054135f2e2",
+        "1c0b4be4866c15c1683b1f251c5d772e9b611ccdad22d00012c37d540f43479a",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
     # deep start (the grid uniform in v, coefficients from their s-forms in
     # float) at the best and a super-critical constant, and an explicit
     # interval (the grid uniform in v graded toward t1)
     "solve-bessel --catalog iterlog --k 1 --R 1":
-        "f7cbaabd51cdac69b42bd029649544d421c09fc70bad5b10eecccb45b5a60c37",
+        "3a174c3b4c9fffabd70fd65a2e8184485918a2e25d9d120e019d546c0e5c82c8",
     "solve-bessel --catalog iterlog --k 1 --R 1 --c 0.3":
-        "6a6c8c2e77d3af2303f740d1ce8bae5a15b92a1dab0cc471b8e5988366d32f1c",
+        "a9e7d524a592b491050243b2a70f6834ba8318a0fa1d82836e9dcb0f6fc80e82",
     "solve-bessel --catalog ell-family --k 3 --R 1":
-        "f3c7c250acb0af89b9eb989b21448dba32524099ebc6c7268ec902e327805ed7",
+        "b122efd7ff1d7ef5d861733b351ef0e210260e40dd39f39d20c21df12741af60",
     "solve-bessel --catalog ell-family --k 3 --R 1 --c 0.3":
-        "4f535a96b047a26220ccfdb44584bae3ddcaf43ff4e5f087f6b57703a70c4087",
+        "290c7e63faa4425d6859d5c411692433fa39c2762401957ba9f352339cfc4bae",
     "solve-bessel --catalog iterlog --k 1 --R 1 --t0 1e-6 --t1 0.999":
-        "9859a4611aa2293ffa568d60f92ccd49f62c618b2ac58046a6b31353fcb6c329",
+        "10d65a1f95c66564dee3b5c5413b8593810d3cb5327c16826a937f89b1104798",
+    # an inline Bessel pair (X, Y) runs the grid uniform in s: it passes at
+    # c = 1 and meets its first zero near t = 1.8e-47 at c = 2
+    "solve-bessel --n 6 --R 1 --X 1/t^2 --Y 1/t^4+0.25/(t^4*log(e/t)^2)":
+        "6475be58e27ab59b24c4a0d70d4886768e23a37dd0f6edbcb5160c657bc81a56",
+    "solve-bessel --n 6 --R 1 --X 1/t^2 --Y 1/t^4+0.25/(t^4*log(e/t)^2) --c 2":
+        "bc19f5a94acfe0adf8216dc9496741c64eaaa9d48560922be616817e3a61c051",
     # batch-workload shapes at seed 15, whose batches hold supports with
     # b/a > 32 (log-substituted panels) beside linear ones; the first mixes
     # modes 0, 1, 2 and exits 2 on its E2 scan with a report
@@ -767,15 +796,15 @@ _REPORT_DIGESTS = {
     # conditions (both violated), an iterlog residual, a check-pair whose
     # chain runs the equality spot checks and a curved dual
     "scan --catalog ell-family --k 6 --n 5 --R 1 --target E1":
-        "c0ad303c87ae23a104dc4a71272c31ed68b595c51a0a1a615a55d9417ae5e25a",
+        "8de8507d97605e8a5bf958b839b872c0f2c63967c92a1314b6751ded6c843756",
     "scan --catalog ell-family --k 6 --n 5 --R 1 --target E2":
-        "c43d67067aac90521e36372ffc410c33b1c1a94cc94d3a35aa5f21c25f6d34c9",
+        "0d2e4c2bcf0551c079e2a6f62bb6f3cd6b376f379ea2860c948cfb7a0a1e9b31",
     "scan --catalog iterlog --k 3 --n 5 --R 1 --target residual":
-        "8dc024e030f45f9aacf506130f3de1db4b5c8b1484ff1a53209e29ab1eaf51d0",
+        "0e6d59ff2fd6e8c1ad36f39496878ff8dd69961b9060686b6ce4e72449b06f13",
     "check-pair --catalog ell-family --k 6 --R 1":
-        "878f2624d31d83b433f8c6b0bea78bb6fb3b4c52d8de67117581ceaa3cda8e1e",
+        "d7db1214ff18d10f989a97147559f3119e0672a21907544f10ff953125817897",
     "scan --catalog hyp-interp --n 5 --kappa 1 --target E1":
-        "ed1072fb38175cda2ee69d35893751d01f738243be17913c34ef82594c69b802",
+        "0e39dad6aa8d80c53fe293e03cdb3013607b3b5f288a462f446135a3da04d0a2",
 }
 
 
@@ -824,6 +853,40 @@ def test_one_parser_per_process(capsys, monkeypatch):
         _REPORT_DIGESTS[report]
     cli._parser.cache_clear()
     assert build() is not build()
+
+
+_PAIR = TestUsageAndIO._PAIR
+_POTENTIAL = TestUsageAndIO._POTENTIAL + " --r 2.718281828459045"
+
+
+@pytest.mark.parametrize("argv", [
+    "check-pair --catalog classical-rellich --n 6",
+    f"check-pair {_PAIR}",
+    "scan --catalog iterlog --k 2 --R 1 --target E1",
+    f"scan {_PAIR} --target E1",
+    "verify --catalog hyp-interp --kappa 1 --lambda 1 --tests 1 --grid 500",
+    f"verify {_PAIR} --tests 1 --grid 500",
+    "chain --catalog classical-rellich --n 6 --tests 1 --grid 500",
+    f"chain {_POTENTIAL} --lambda 2 --tests 1 --grid 500",
+    "solve-bessel --catalog ell-family --k 2 --R 1 --c 0.3",
+    f"solve-bessel {_POTENTIAL}",
+    "estimate --catalog classical-rellich --n 6 --budget 25",
+    f"estimate {_PAIR} --budget 25",
+])
+def test_every_parsed_flag_is_read(argv):
+    # a parsed flag that no code reads is only echoed in config: the run
+    # reads every dest but the output's path and format
+    reads = set()
+
+    class Logged(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(argv.split(), namespace=Logged())
+    reads.clear()
+    cli._HANDLERS[args.command](args)
+    assert set(vars(args)) - {"output", "format", "command"} - reads == set()
 
 
 class _Stop(Exception):

@@ -175,7 +175,6 @@ class TestTransforms:
 
     def test_roundtrip_pointwise(self):
         rng = random.Random(99)
-        sf = SpaceForm(5, 1.0)
         p = _random_primal(rng)
         q = pr.dual_to_primal(pr.primal_to_dual(p))
         for _ in range(20):
@@ -310,7 +309,6 @@ class TestPotentialConstructions:
 
     def test_closure_ii_then_dualize_is_iii(self, potential):
         n = 6
-        sf = SpaceForm(n, 0.0, 1.0)
         via_ii = pr.primal_to_dual(pr.from_bessel_potential(potential, "ii", n))
         direct = pr.from_bessel_potential(potential, "iii", n)
         for tv in pr.log_grid(1e-3, 0.99, 30):
@@ -1094,6 +1092,20 @@ class TestScanPositivity:
         oracle = -q * q + (n - 4) * q + n * (n - 4) / 2.0 - z2 / 4.0
         assert rep.boundary_limit_R == pytest.approx(oracle, abs=1e-3)
         assert fn(1.0 - 1e-7) == pytest.approx(oracle, abs=1e-4)
+
+    def test_bisection_stops_at_neighbouring_floats(self, monkeypatch):
+        # the E1 sign change of ell-family k = 5 narrows to two neighbouring
+        # floats before the 60th halving; a halving past that point would
+        # evaluate an endpoint again (k = 6 ends early on an exact zero)
+        n, k = 5, 5
+        dual = pr.from_bessel_potential(cat.ell_potential(k, 1.0).specs["potential"], "iii", n)
+        sf = SpaceForm(n, 0.0, 1.0)
+        calls = _float_evaluations(monkeypatch)
+        rep = pr.scan_positivity(pr.e1_terms(dual), sf, bindings=dual.bindings(sf))
+        (t1, t2), = rep.sign_changes
+        assert math.nextafter(t1, math.inf) == t2
+        ts = [b["t"] for b in calls]
+        assert len(ts) == len(set(ts)) == 58
 
     def test_ell_family_small_depth_nonnegative_near_boundary(self):
         # k = 1: E1 stays positive near R (limit 3/2 by the same oracle)
