@@ -184,6 +184,20 @@ def _catalog_entry(args, entry_id: str) -> cat.CatalogEntry:
     return cat.build_entry(entry_id, n=args.n, lam=args.lam, k=args.k, **given)
 
 
+def _derive(args, derive, *argv):
+    """derive(*argv), a pair or chain derived from the entry; a catalog
+    potential that --c leaves unverified is a usage error naming --c."""
+    try:
+        return derive(*argv)
+    except ValueError as exc:
+        if args.catalog is None or args.c is None:
+            raise
+        raise ValueError(f"--c {args.c:g} is not the constant of catalog potential "
+                         f"{args.catalog!r} ({exc}): its pairs need the family's c, so "
+                         f"only solve-bessel takes a non-default --c (check-pair and scan "
+                         f"read it on the potential alone)") from None
+
+
 def _resolve(args):
     """(entry, space form) from --catalog or the inline flags.  An inline pair
     is the entry "inline", whose one spec is keyed by its kind and whose
@@ -307,7 +321,7 @@ def _scan_target_terms(args, entry, sf):
     the entry's dual, a role on the first spec that has it, anything else on
     the first spec."""
     if args.target in ("E1", "E2"):
-        p = cat.entry_pair(entry, "dual", sf)
+        p = _derive(args, cat.entry_pair, entry, "dual", sf)
     else:
         specs = list(entry.specs.values())
         p = next((p for p in specs if args.target in p.exprs), specs[0])
@@ -347,7 +361,8 @@ def _cmd_verify(args):
         shape = next((s for s, row in vf.SHAPES.items() if row.kind == kind),
                      "delta-vs-gradrad")
     case = vf.InequalityCase(shape=shape, sf=sf, batch=_batch(args),
-                             pair=cat.entry_pair(entry, vf.SHAPES[shape].kind, sf))
+                             pair=_derive(args, cat.entry_pair, entry,
+                                          vf.SHAPES[shape].kind, sf))
     rep = vf.verify_case(case, quad_tol=quad_tol, grid=args.grid, tol=args.tol)
     config = _config_dict(args, {"notes": list(rep.notes), **rep.config})
     command = "chain" if shape == "chain" else "verify"
@@ -385,7 +400,7 @@ def _cmd_estimate(args):
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1 basis function, got {args.budget}")
     entry, sf = _resolve(args)
-    pair, claimed = sh.sharpness_problem(entry, args.shape, sf)
+    pair, claimed = _derive(args, sh.sharpness_problem, entry, args.shape, sf)
     est = sh.estimate_constant(sf, args.shape, pair, claimed=claimed,
                                budget=args.budget, tol=quad_tol)
     verdict = "pass"

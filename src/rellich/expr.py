@@ -3,8 +3,8 @@
 Expressions are immutable trees over the variable ``t`` and the named
 parameters ``n, kappa, lambda, r, R, c, k``.  Nodes are unique per
 structure (building a node equal to a live one returns that one), so trees
-share every common subtree as one DAG.  They support evaluation (float or
-numpy array backends, chosen from the type of the ``t`` binding),
+share every common subtree as one DAG.  They support evaluation on numpy
+arrays (a float ``t`` runs as a one-point array and gives floats),
 closed-form differentiation in t (the one variable: each node keeps its
 derivative), printing back to the DSL, a finite-difference self check, and
 the rewrite ``s_form`` of an expression into t^k g(s) with s = log t, which
@@ -89,126 +89,59 @@ class DomainError(EvaluationError):
 
 
 # ---------------------------------------------------------------------------
-# numeric backends: one primitive table per number type
+# the primitive table: numpy functions behind the domain rules
+#
+# log and ct reject x <= 0, sqrt rejects x < 0, coth and / reject 0, and so
+# does a negative integer power (it is 1/x^k); x^y rejects x <= 0 where y is
+# not an integer and x = 0 where y < 0 (NaN passes).  Overflow saturates to
+# inf under the errstate of Program.evaluate.
 
 
-def _primitives(any_, reject, log, sqrt, exp, sinh, cosh, tanh, coth, hyp_ct,
-                power, notint, isnan) -> dict:
-    """The checked primitive table of one backend, built from its raw functions.
-
-    The domain rules live here, once for every backend: log and ct reject
-    x <= 0, sqrt rejects x < 0, coth and / reject 0, and so does a negative
-    integer power (it is 1/x^k); x^y rejects x <= 0 where y is not an
-    integer and x = 0 where y < 0 (NaN passes).  ``any_`` reduces a
-    predicate to a bool and ``reject`` raises the DomainError for the first
-    offending argument.  A scalar predicate is already a plain bool, so
-    ``bad is not False`` spares the scalar paths the reduction call.
-    """
-
-    def log_(x):
-        bad = x <= 0
-        if bad is not False and any_(bad):
-            reject("log", x, bad)
-        return log(x)
-
-    def sqrt_(x):
-        bad = x < 0
-        if bad is not False and any_(bad):
-            reject("sqrt", x, bad)
-        return sqrt(x)
-
-    def coth_(x):
-        bad = x == 0
-        if bad is not False and any_(bad):
-            reject("coth", x, bad)
-        return coth(x)
-
-    def ct_(x, kappa):
-        bad = x <= 0
-        if bad is not False and any_(bad):
-            reject("ct", x, bad)
-        if kappa == 0:
-            return 1.0 / x
-        return hyp_ct(x, kappa)
-
-    def truediv(x, y):
-        bad = y == 0
-        if bad is not False and any_(bad):
-            reject("/", y, bad)
-        return x / y
-
-    def int_pow(x, k):
-        if k < 0:
-            return truediv(1.0, _ipow(x, -k))
-        return _ipow(x, k)
-
-    def real_pow(x, y):
-        bad = ((x <= 0) & notint(y)) | ((x == 0) & (y < 0))
-        if bad is not False and any_(bad):
-            reject("^", x, bad)
-        if isinstance(y, (int, float)) and float(y).is_integer():
-            return int_pow(x, int(float(y)))
-        return power(x, y)
-
-    return {"+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg,
-            "log": log_, "sqrt": sqrt_, "exp": exp, "sinh": sinh, "cosh": cosh,
-            "tanh": tanh, "coth": coth_, "ct": ct_, "/": truediv, "^": real_pow,
-            "ipow": int_pow, "isnan": isnan}
+def _check(primitive: str, x, bad) -> None:
+    """Raise the DomainError of primitive at the first argument x where the
+    predicate bad holds (a plain bool where the operands are constants)."""
+    if np.count_nonzero(bad):
+        bad = np.asarray(bad)
+        raise DomainError(primitive, float(np.broadcast_to(np.asarray(x, dtype=float),
+                                                           bad.shape)[bad].flat[0]))
 
 
-def _reject_scalar(primitive, x, bad):
-    raise DomainError(primitive, x)
+def _log(x):
+    _check("log", x, x <= 0)
+    return np.log(x)
 
 
-def _any_array(bad) -> bool:
-    """Whether a predicate of the vector backends holds anywhere (a plain
-    True comes from a constant operand)."""
-    return bad is True or np.count_nonzero(bad) > 0
+def _sqrt(x):
+    _check("sqrt", x, x < 0)
+    return np.sqrt(x)
 
 
-def _reject_array(primitive, x, bad):
-    bad = np.asarray(bad)
-    raise DomainError(primitive, float(np.broadcast_to(np.asarray(x, dtype=float),
-                                                       bad.shape)[bad].flat[0]))
+def _coth(x):
+    _check("coth", x, x == 0)
+    return 1.0 / np.tanh(x)
 
 
-def _saturating(f, odd=False):
-    """f on floats, overflowing to +inf as numpy does, or to the sign of x
-    where f is odd: exp, cosh and a power of x > 0 (the one ``power`` call)
-    only overflow upwards."""
-
-    def saturated(*args):
-        try:
-            return f(*args)
-        except OverflowError:
-            return math.copysign(math.inf, args[0]) if odd else math.inf
-
-    return saturated
+def _ct(x, kappa):
+    """1/x when kappa = 0, else kappa coth(kappa x): +inf where kappa x
+    underflows to 0."""
+    _check("ct", x, x <= 0)
+    return 1.0 / x if kappa == 0 else kappa / np.tanh(kappa * x)
 
 
-_sinh_float = _saturating(math.sinh, odd=True)
+def _div(x, y):
+    _check("/", y, y == 0)
+    return x / y
 
 
-def _ct_float(x, kappa):
-    tanh = math.tanh(kappa * x)
-    return kappa / tanh if tanh else math.inf    # kappa x underflows to 0: +inf, as numpy
+def _int_pow(x, k: int):
+    return _div(1.0, _ipow(x, -k)) if k < 0 else _ipow(x, k)
 
 
-def _notint_scalar(y):
-    return not float(y).is_integer()
-
-
-# the float table stays on math: numpy's exp/sinh/cosh/tanh differ from libm
-# in the last bit on some inputs, and scalar paths must match earlier reports
-_FLOAT = {
-    **_primitives(bool, _reject_scalar, math.log, math.sqrt, _saturating(math.exp),
-                  _sinh_float, _saturating(math.cosh), math.tanh, lambda x: 1.0 / math.tanh(x),
-                  _ct_float, _saturating(math.pow), _notint_scalar,
-                  lambda x: isinstance(x, float) and math.isnan(x)),
-    "sinhc": lambda x: _sinh_float(x) / x if x else 1.0,
-    "tanhc": lambda x: math.tanh(x) / x if x else 1.0,
-    "xcoth": lambda x: x / math.tanh(x) if x else 1.0,
-}
+def _pow(x, y):
+    _check("^", x, ((x <= 0) & (np.mod(y, 1.0) != 0)) | ((x == 0) & (y < 0)))
+    if isinstance(y, (int, float)) and float(y).is_integer():
+        return _int_pow(x, int(float(y)))
+    return np.power(x, y)
 
 
 def _at_zero_one(f):
@@ -216,20 +149,14 @@ def _at_zero_one(f):
     return lambda x: np.where(x == 0, 1.0, f(x))
 
 
-# overflow is silenced by the errstate in Expr.evaluate
 _NUMPY = {
-    **_primitives(_any_array, _reject_array, np.log, np.sqrt, np.exp, np.sinh, np.cosh,
-                  np.tanh, lambda x: 1.0 / np.tanh(x),
-                  lambda x, kappa: kappa / np.tanh(kappa * x), np.power,
-                  lambda y: np.mod(y, 1.0) != 0, lambda x: bool(np.any(np.isnan(x)))),
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg,
+    "/": _div, "^": _pow, "ipow": _int_pow, "log": _log, "sqrt": _sqrt, "exp": np.exp,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh, "coth": _coth, "ct": _ct,
     "sinhc": _at_zero_one(lambda x: np.sinh(x) / x),
     "tanhc": _at_zero_one(lambda x: np.tanh(x) / x),
     "xcoth": _at_zero_one(lambda x: x / np.tanh(x)),
 }
-
-
-def _backend(t_value) -> dict:
-    return _NUMPY if isinstance(t_value, np.ndarray) else _FLOAT
 
 
 def _ipow(x, k: int):
@@ -649,25 +576,6 @@ def _schedule(steps: list, need: list, uses: list, outs: list) -> tuple:
     return code, width, [reg[i] for i in outs]
 
 
-def _run(code: list, width: int, outs: list, bindings: Bindings, be: dict) -> list:
-    regs = [None] * width
-    for kind, op, dst, a, b in code:
-        if kind == _BINARY:
-            regs[dst] = be[op](regs[a], regs[b])
-        elif kind == _UNARY:
-            regs[dst] = be[op](regs[a])
-        elif kind == _CONST:
-            regs[dst] = a
-        elif kind == _LOAD:
-            try:
-                regs[dst] = bindings[a]
-            except KeyError:
-                raise UnboundParameterError(a) from None
-        else:
-            regs[dst] = be[op](regs[a], b)
-    return [regs[r] for r in outs]
-
-
 class Program:
     """A tuple of roots compiled once into one straight-line program: each
     subtree the roots share is computed once per run.  ``Expr.evaluate`` is
@@ -679,21 +587,37 @@ class Program:
         self.code, self.width, self.regs = _schedule(*_lower(roots))
 
     def evaluate(self, bindings: Bindings) -> list:
-        """The value of every root, in order, on the backend picked from the
-        type of the ``t`` binding; a NaN value raises DomainError.  A step
-        outside its primitive's domain raises as the scheduled order meets
-        it, so of several such steps the one computed first names the error."""
-        be = _backend(bindings.get("t"))
-        if be is _FLOAT:
-            values = _run(self.code, self.width, self.regs, bindings, be)
-        else:
-            # overflow saturates to inf by design; NaN is still rejected below
-            with np.errstate(all="ignore"):
-                values = _run(self.code, self.width, self.regs, bindings, be)
+        """The value of every root, in order.  A t bound to a numpy array
+        gives numpy values; any other t runs as a one-point array and gives
+        Python floats.  A NaN value raises DomainError.  A step outside its
+        primitive's domain raises as the scheduled order meets it, so of
+        several such steps the one computed first names the error."""
+        t = bindings.get("t")
+        point = not isinstance(t, np.ndarray)
+        if point and t is not None:
+            bindings = {**bindings, "t": np.array([t], dtype=float)}
+        prims, regs = _NUMPY, [None] * self.width
+        # overflow saturates to inf by design; NaN is still rejected below
+        with np.errstate(all="ignore"):
+            for kind, op, dst, a, b in self.code:
+                if kind == _BINARY:
+                    regs[dst] = prims[op](regs[a], regs[b])
+                elif kind == _UNARY:
+                    regs[dst] = prims[op](regs[a])
+                elif kind == _CONST:
+                    regs[dst] = a
+                elif kind == _LOAD:
+                    try:
+                        regs[dst] = bindings[a]
+                    except KeyError:
+                        raise UnboundParameterError(a) from None
+                else:
+                    regs[dst] = prims[op](regs[a], b)
+        values = [regs[r] for r in self.regs]
         for value in values:
-            if be["isnan"](value):
+            if np.isnan(value).any():
                 raise DomainError("expression", "NaN produced")
-        return values
+        return [np.asarray(v, dtype=float).item() for v in values] if point else values
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
 
 DEFAULT_RESIDUAL_TOL = 1e-9       # the scans' relative tolerance
 DEFAULT_GRID = 10_000             # the scans' log-grid size
-_BISECTIONS = 60                  # halvings of each sign-change bracket
 
 ROLES = {
     "primal": ("G", "w", "W"),
@@ -476,7 +475,7 @@ _CANCELLATION = 2.0 ** 12        # b's summands against the equation, past which
 _GRID = 512                      # steps of the first fixed-grid level
 _ANGLE_TOL = 1e-6                # Pruefer-angle agreement of two levels
 _MAX_STEPS = 2 ** 17             # grid steps before a run ends inconclusive
-_SECTIONS = 64                   # RK4 substeps of a first zero's bracket per round
+_SECTIONS = 64                   # a multisection round reads 2 _SECTIONS + 1 even points
 _RK4_RANGE = 4.0                 # largest h^2 |b| of a compared level (RK4 is stable below 8)
 
 
@@ -736,14 +735,15 @@ def _fixed_grid_run(program: ex.Program, base: dict, x_lo: float, x_hi: float, t
 
 def _richardson_limit(program: ex.Program, bindings: dict, points: Sequence[float]):
     """Extrapolate the sum of the terms along a geometrically converging
-    sequence of points."""
-    vals = []
-    for t in points:
-        try:
-            vals.append(float(_sum(program.evaluate({**bindings, "t": t}))))
-        except ex.EvaluationError:
-            return None
-    if any(math.isnan(v) or math.isinf(v) for v in vals):
+    sequence of points, evaluated in one call; None where a point is outside
+    the domain or a sum there is not finite."""
+    try:
+        values = program.evaluate({**bindings, "t": np.array(points)})
+    except ex.EvaluationError:
+        return None
+    with np.errstate(all="ignore"):   # inf - inf between terms is NaN: no limit
+        vals = np.broadcast_to(_sum(values), len(points)).tolist()
+    if not all(map(math.isfinite, vals)):
         return None
     # detect divergence: magnitudes growing geometrically
     mags = [abs(v) for v in vals]
@@ -754,6 +754,36 @@ def _richardson_limit(program: ex.Program, bindings: dict, points: Sequence[floa
         fac = 2.0 ** order
         table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
     return table[0]
+
+
+def _refine(program: ex.Program, bindings: dict, a: float, b: float, fa: float) -> tuple:
+    """The sign change of the sum of the terms in (a, b), where it has fa's
+    sign at a and the opposite sign at b, bracketed by multisection: a
+    round evaluates the points that split the bracket into 2 _SECTIONS
+    parts (the points of a _bisect_zero round) in one call and keeps the
+    first part whose ends differ in sign, until the bracket is two
+    neighbouring floats.  A point where the sum is an exact zero (or NaN)
+    ends the refinement with the narrowest bracket around it whose ends
+    have strict signs."""
+    fractions = np.arange(1, 2 * _SECTIONS) / (2 * _SECTIONS)
+    sign_a = math.copysign(1.0, fa)
+    while True:
+        ts = a + (b - a) * fractions                  # nondecreasing
+        ts = ts[(np.diff(ts, prepend=a) > 0) & (ts < b)]   # each float inside once
+        if not ts.size:
+            return a, b                               # two neighbouring floats
+        with np.errstate(all="ignore"):               # inf - inf is NaN, handled below
+            side = np.sign(_sum(program.evaluate({**bindings, "t": ts}))) * sign_a
+        other = np.flatnonzero(~(side > 0))           # the points without a's sign
+        j = int(other[0]) if other.size else ts.size
+        if j:
+            a = float(ts[j - 1])
+        if j == ts.size:
+            continue
+        if not side[j] < 0:                           # a zero (or NaN): keep a strict bracket
+            past = np.flatnonzero(side[j:] < 0)
+            return a, (float(ts[j + past[0]]) if past.size else b)
+        b = float(ts[j])
 
 
 def _grid_pass(terms: Sequence[Expr], bindings: dict, lo: float, hi: float,
@@ -787,7 +817,7 @@ def scan_positivity(terms: Sequence[Expr], sf: SpaceForm, grid: int = DEFAULT_GR
                     t_hi: Optional[float] = None, bindings: Optional[dict] = None,
                     tol: float = DEFAULT_RESIDUAL_TOL, target: str = "f") -> Scan:
     """Scan sum(terms) >= 0 on a log-spaced grid over scan_range(sf) unless
-    t_lo/t_hi are given, refine sign changes by bisection, and extrapolate
+    t_lo/t_hi are given, refine sign changes by multisection, and extrapolate
     both boundary limits.  A raw function is a single term.
 
     The terms are compiled into one program.  Each sample is judged relative
@@ -815,23 +845,9 @@ def scan_positivity(terms: Sequence[Expr], sf: SpaceForm, grid: int = DEFAULT_GR
     i_min = int(np.argmin(np.where(undecided, np.inf, rel)))
     sign = np.where(rel > tol, 1, np.where(rel < -tol, -1, 0))
 
-    brackets = []
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips[:16]:
-        a_, b_ = float(ts[i]), float(ts[i + 1])
-        fa = float(total[i])
-        for _ in range(_BISECTIONS):
-            m = 0.5 * (a_ + b_)
-            if m == a_ or m == b_:
-                break  # the bracket is two neighbouring floats
-            fm = float(_sum(program.evaluate({**b, "t": m})))
-            if fm == 0.0:
-                break  # keep the last strict bracket
-            if fa * fm < 0:
-                b_ = m
-            else:
-                a_, fa = m, fm
-        brackets.append((a_, b_))
+    brackets = [_refine(program, b, float(ts[i]), float(ts[i + 1]), float(total[i]))
+                for i in flips[:16]]
 
     limit_R = None
     if math.isfinite(sf.R):

@@ -625,6 +625,19 @@ class TestUsageAndIO:
         assert rep is None
         assert f"{knob} is not a knob of catalog family {family!r}" in capsys.readouterr().err
 
+    def test_c_off_the_potential_names_itself(self, tmp_path, capsys):
+        # the potential's equation holds at c = 1/4 alone, so the dual that
+        # E1 runs on is not derivable at --c 0.3; solve-bessel reads that c
+        code, rep = _run(tmp_path, "scan", "--catalog", "iterlog", "--k", "2", "--R", "1",
+                         "--target", "E1", "--c", "0.3")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and rep is None
+        assert "--c 0.3 is not the constant of catalog potential 'iterlog'" in err
+        assert "only solve-bessel takes a non-default --c" in err
+        code, _ = _run(tmp_path, "solve-bessel", "--catalog", "iterlog", "--k", "2",
+                       "--R", "1", "--c", "0.3")
+        assert code == EXIT_FAIL
+
     _PAIR = "--n 6 --H n/(2*t) --v 1 --V n^2/(4*t^2)"
     _POTENTIAL = "--n 6 --R 1 --z sqrt(logk(1,r/t)) --Z 1/(t^2*logk(1,r/t)^2)"
 
@@ -796,13 +809,13 @@ _REPORT_DIGESTS = {
     # conditions (both violated), an iterlog residual, a check-pair whose
     # chain runs the equality spot checks and a curved dual
     "scan --catalog ell-family --k 6 --n 5 --R 1 --target E1":
-        "8de8507d97605e8a5bf958b839b872c0f2c63967c92a1314b6751ded6c843756",
+        "fe1f84ff13b432eec49bc850dd83afc91eec8ecefb024fed20534ae3f5268cd9",
     "scan --catalog ell-family --k 6 --n 5 --R 1 --target E2":
-        "0d2e4c2bcf0551c079e2a6f62bb6f3cd6b376f379ea2860c948cfb7a0a1e9b31",
+        "03eae507dfaa4b5663215c9b054ca6ca2bde1e14141476988b63a0c3bea7f3f1",
     "scan --catalog iterlog --k 3 --n 5 --R 1 --target residual":
         "0e6d59ff2fd6e8c1ad36f39496878ff8dd69961b9060686b6ce4e72449b06f13",
     "check-pair --catalog ell-family --k 6 --R 1":
-        "d7db1214ff18d10f989a97147559f3119e0672a21907544f10ff953125817897",
+        "718417e567876383ca24df9730e03f2b338b6fd13b8c12cac1583168f744b10f",
     "scan --catalog hyp-interp --n 5 --kappa 1 --target E1":
         "0e39dad6aa8d80c53fe293e03cdb3013607b3b5f288a462f446135a3da04d0a2",
 }

@@ -99,7 +99,7 @@ class TestParse:
 
 
 def _backends(x):
-    """t = x on each backend: a float and a one-element numpy array."""
+    """t = x as a float and as a one-element numpy array."""
     return (x, np.array([x]))
 
 
@@ -130,7 +130,7 @@ class TestEvaluate:
         with pytest.raises(UnboundParameterError):
             evaluate(parse("n*t"), {"t": 1.0})
 
-    # the domain rules hold on every backend
+    # the domain rules hold for a float t and for an array t
 
     def test_log_domain(self):
         for x in (-1.0, 0.0):
@@ -171,8 +171,8 @@ class TestEvaluate:
                         evaluate(parse("ct(t)"), {"t": t, "kappa": kappa})
 
     def test_ct_where_kappa_t_underflows(self):
-        # kappa t underflows to 0 while t > 0: ct is +inf on a float, as on
-        # an array, where the float table used to divide by zero
+        # kappa t underflows to 0 while t > 0: ct is +inf, on a float t as
+        # on an array
         for kappa in (1e-10, -1e-10):
             b = {"t": 1e-320, "kappa": kappa}
             got = evaluate(parse("ct(t)"), b)
@@ -230,13 +230,38 @@ class TestEvaluate:
         ("sinh(t)", 800.0, math.inf), ("sinh(t)", -800.0, -math.inf),
     ])
     def test_overflow_is_the_same_on_every_backend(self, text, x, want):
-        # the float backend saturates where math raises OverflowError, as
-        # numpy does: to +inf, and sinh, which is odd, to the sign of t
+        # overflow saturates to +inf, and sinh, which is odd, to the sign of
+        # t, on a float t as on an array
         for t in _backends(x):
             assert float(np.asarray(parse(text).evaluate({"t": t})).flat[0]) == want
 
+    @pytest.mark.parametrize("e, x, params", [
+        *[(parse(text), 0.7, {}) for text in (
+            "t+2", "t-2", "2*t", "t/3", "-t", "t^3", "t^-2", "t^1.5", "t^t", "(t-1)^k",
+            "log(t)", "exp(t)", "sqrt(t)", "sinh(t)", "cosh(t)", "tanh(t)", "coth(t)",
+            "logk(2, 3*t)", "expk(2, t)")],
+        *[(Unary(op, Var()), x, {}) for op in ("sinhc", "tanhc", "xcoth") for x in (0.7, 0.0)],
+        (parse("ct(t)"), 0.7, {"kappa": 0.0}), (parse("ct(t)"), 0.7, {"kappa": 1.0}),
+        # overflow, signed zero, and ct where kappa t underflows to +-0
+        (parse("exp(t)"), 800.0, {}), (parse("cosh(t)"), -800.0, {}),
+        (parse("t^1.5"), 1e300, {}), (parse("sinh(t)"), -800.0, {}),
+        (Binary("*", Var(), Const(-0.0)), 2.0, {}), (parse("-t"), 0.0, {}),
+        (parse("ct(t)"), 1e-320, {"kappa": 1e-10}), (parse("ct(t)"), 1e-320, {"kappa": -1e-10}),
+    ])
+    def test_float_t_is_the_one_point_array(self, e, x, params):
+        b = {"k": 3.0, **params}
+        got = e.evaluate({**b, "t": x})
+        vec = e.evaluate({**b, "t": np.array([x])})
+        assert type(got) is float and vec.shape == (1,)
+        assert got.hex() == float(vec[0]).hex()
+
+    def test_no_math_primitive(self):
+        from_math = {id(f) for f in vars(math).values() if callable(f)}
+        assert not [op for op, f in ex._NUMPY.items() if id(f) in from_math]
+
+
 def _walk(e, b, be):
-    """Reference tree walk over the same primitive table: every node is
+    """Reference tree walk over the primitive table be: every node is
     evaluated at every one of its uses, as the evaluator did before it was
     compiled."""
     if isinstance(e, Const):
@@ -267,9 +292,8 @@ def _bits(x):
 
 
 def _reference(e, b):
-    be = ex._backend(b["t"])
     with np.errstate(all="ignore"):
-        return _walk(e, b, be)
+        return _walk(e, b, ex._NUMPY)
 
 
 def _ell_e1(k, which="E1"):
@@ -303,14 +327,13 @@ class TestCompiledEvaluator:
             assert _bits(got) == _bits(_reference(e, {"t": t}))
             assert np.all(np.signbit(got))
 
-    @pytest.mark.parametrize("table, t", [("_FLOAT", 2.0), ("_NUMPY", np.array([2.0, 3.0]))])
-    def test_equal_subtrees_evaluate_once(self, monkeypatch, table, t):
+    def test_equal_subtrees_evaluate_once(self, monkeypatch):
         calls = []
-        counted = dict(getattr(ex, table))
+        counted = dict(ex._NUMPY)
         counted["log"] = lambda x, log=counted["log"]: calls.append(1) or log(x)
-        monkeypatch.setattr(ex, table, counted)
+        monkeypatch.setattr(ex, "_NUMPY", counted)
         e = parse("log(t)") * parse("log(t)")
-        for _ in range(3):
+        for t in (2.0, np.array([2.0, 3.0])) * 3:
             e.evaluate({"t": t})
             assert len(calls) == 1
             calls.clear()

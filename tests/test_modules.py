@@ -90,10 +90,9 @@ def test_runtime_dependencies_are_the_imports():
     assert imported - set(sys.stdlib_module_names) == names
 
 
-# parameters that are unread on purpose: the scalar table's reject
-# primitive fills the signature of a domain-check primitive, and an Expr
-# refuses every attribute write whatever its arguments
-_UNREAD_ON_PURPOSE = {("expr", "_reject_scalar", "bad"), ("expr", "__setattr__", "a")}
+# parameters that are unread on purpose: an Expr refuses every attribute
+# write whatever its arguments
+_UNREAD_ON_PURPOSE = {("expr", "__setattr__", "a")}
 
 
 def test_no_unread_parameters():

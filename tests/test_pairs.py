@@ -1093,19 +1093,41 @@ class TestScanPositivity:
         assert rep.boundary_limit_R == pytest.approx(oracle, abs=1e-3)
         assert fn(1.0 - 1e-7) == pytest.approx(oracle, abs=1e-4)
 
-    def test_bisection_stops_at_neighbouring_floats(self, monkeypatch):
+    def test_multisection_stops_at_neighbouring_floats(self, monkeypatch):
         # the E1 sign change of ell-family k = 5 narrows to two neighbouring
-        # floats before the 60th halving; a halving past that point would
-        # evaluate an endpoint again (k = 6 ends early on an exact zero)
+        # floats in vector rounds of 2 _SECTIONS - 1 points each, and each
+        # boundary limit evaluates its 8 points in one call: the scan makes
+        # no float-t evaluation
         n, k = 5, 5
         dual = pr.from_bessel_potential(cat.ell_potential(k, 1.0).specs["potential"], "iii", n)
         sf = SpaceForm(n, 0.0, 1.0)
-        calls = _float_evaluations(monkeypatch)
+        floats = _float_evaluations(monkeypatch)
+        where, calls, evaluate = ["grid"], [], Program.evaluate
+
+        def counted(self, bindings):
+            calls.append((where[-1], bindings["t"].size))
+            return evaluate(self, bindings)
+
+        def marked(f, name):
+            def run(*args):
+                where.append(name)
+                try:
+                    return f(*args)
+                finally:
+                    where.pop()
+            return run
+
+        monkeypatch.setattr(Program, "evaluate", counted)
+        for name in ("_refine", "_richardson_limit"):
+            monkeypatch.setattr(pr, name, marked(getattr(pr, name), name))
         rep = pr.scan_positivity(pr.e1_terms(dual), sf, bindings=dual.bindings(sf))
         (t1, t2), = rep.sign_changes
         assert math.nextafter(t1, math.inf) == t2
-        ts = [b["t"] for b in calls]
-        assert len(ts) == len(set(ts)) == 58
+        assert floats == []
+        rounds = [size for name, size in calls if name == "_refine"]
+        assert 0 < len(rounds) <= 8 and max(rounds) == 2 * pr._SECTIONS - 1
+        assert [c for c in calls if c[0] == "_richardson_limit"] == [("_richardson_limit", 8)] * 2
+        assert calls[0] == ("grid", pr.DEFAULT_GRID)
 
     def test_ell_family_small_depth_nonnegative_near_boundary(self):
         # k = 1: E1 stays positive near R (limit 3/2 by the same oracle)
