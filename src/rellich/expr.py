@@ -3,7 +3,9 @@
 Expressions are immutable trees over the variable ``t`` and the named
 parameters ``n, kappa, lambda, r, R, c, k``.  Nodes are unique per
 structure (building a node equal to a live one returns that one), so trees
-share every common subtree as one DAG.  They support evaluation on numpy
+share every common subtree as one DAG, and fold (``_binary``): x*1, x/1,
+x^1, x+0 and x-0 are x, 0-x is -x, and a structural zero absorbs, so x*0
+and 0/x are 0 and x is not evaluated.  They support evaluation on numpy
 arrays (a float ``t`` runs as a one-point array and gives floats),
 closed-form differentiation in t (the one variable: each node keeps its
 derivative), printing back to the DSL, a finite-difference self check, and
@@ -93,8 +95,8 @@ class DomainError(EvaluationError):
 #
 # log and ct reject x <= 0, sqrt rejects x < 0, coth and / reject 0, and so
 # does a negative integer power (it is 1/x^k); x^y rejects x <= 0 where y is
-# not an integer and x = 0 where y < 0 (NaN passes).  Overflow saturates to
-# inf under the errstate of Program.evaluate.
+# not an integer (NaN is not) and x = 0 where y < 0 (a NaN x passes).
+# Overflow saturates to inf under the errstate of Program.evaluate.
 
 
 def _check(primitive: str, x, bad) -> None:
@@ -138,7 +140,11 @@ def _int_pow(x, k: int):
 
 
 def _pow(x, y):
-    _check("^", x, ((x <= 0) & (np.mod(y, 1.0) != 0)) | ((x == 0) & (y < 0)))
+    if np.ndim(y):
+        bad = ((x <= 0) & (np.mod(y, 1.0) != 0)) | ((x == 0) & (y < 0))
+    else:                                        # a scalar y: the mask reads x alone
+        bad = y < 0 and x == 0 if float(y).is_integer() else x <= 0
+    _check("^", x, bad)
     if isinstance(y, (int, float)) and float(y).is_integer():
         return _int_pow(x, int(float(y)))
     return np.power(x, y)
@@ -621,21 +627,25 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# the binary node constructor: constant folding only, per the design decision
+# the binary node constructor: constant folding and identity rules
 
 
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ONE, _ZERO = Const(1.0), Const(0.0)
 
 
 def _binary(op: str, a, b) -> Expr:
-    """The node a op b, or its value where both are constants and the value
-    is defined: x / 0 and 0^-k are left to evaluation, which rejects them,
-    and so is x^y for x <= 0 and y not an integer."""
+    """The node a op b, folded.  Two constants give their value where it is
+    defined (x / 0, 0^-k and x^y for x <= 0 and y not an integer are left to
+    evaluation, which rejects them).  x*1, 1*x, x/1, x^1, x+0, 0+x and x-0
+    are x, and 0-x is -x, bit for bit but for the sign of a zero sum; a
+    structural zero absorbs: x*0, 0*x and 0/x are +0.0, x not evaluated."""
     if not isinstance(a, Expr):
         a = Const(a)
     if not isinstance(b, Expr):
         b = Const(b)
-    if type(a) is Const and type(b) is Const:
+    left, right = type(a) is Const, type(b) is Const
+    if left and right:
         x, y = a.value, b.value
         if op in _FOLD:
             return Const(_FOLD[op](x, y))
@@ -649,38 +659,30 @@ def _binary(op: str, a, b) -> Expr:
                 return Const(1.0 / p)
         elif op == "^" and x > 0:
             return Const(x ** y)
+    # a -0.0 constant is a zero too
+    if right and (b.value == 1.0 and op in "*/^" or b.value == 0.0 and op in "+-"):
+        return a                                     # x*1, x/1, x^1, x+0, x-0
+    if left and (a.value == 1.0 and op == "*" or a.value == 0.0 and op == "+"):
+        return b                                     # 1*x, 0+x
+    if right and b.value == 0.0 and op == "*" or left and a.value == 0.0 and op in "*/":
+        return _ZERO                                 # x*0, 0*x, 0/x
+    if left and a.value == 0.0 and op == "-":
+        return -b                                    # 0-x
     return Binary(op, a, b)
 
 
 # ---------------------------------------------------------------------------
 # s-form: node = t^k g(s), s = log t
 
-_ONE, _ZERO = Const(1.0), Const(0.0)
-
 
 def _is_zero(g: Expr) -> bool:
     return type(g) is Const and g.value == 0.0
 
 
-def _times(a: Expr, b: Expr) -> Expr:
-    """a b, where a structural zero absorbs and a factor 1 drops out."""
-    if _is_zero(a) or _is_zero(b):
-        return _ZERO
-    return b if a is _ONE else a if b is _ONE else a * b
-
-
-def _over(a: Expr, b: Expr) -> Expr:
-    return a if b is _ONE or _is_zero(a) else a / b
-
-
-def _ks(k: float) -> Expr:
-    return Var() if k == 1 else k * Var()
-
-
 def s_flat(k: float, g: Expr) -> Expr:
     """t^k g(s) as one expression in s: g when k = 0, else g e^(k s), which
     underflows to 0 toward s -> -inf where k > 0 and overflows where k < 0."""
-    return g if k == 0 else _times(g, Unary("exp", _ks(k)))
+    return g if k == 0 else g * Unary("exp", k * Var())
 
 
 def summands(e: Expr) -> list:
@@ -721,16 +723,14 @@ def _sum_form(parts: list) -> tuple:
     scaled = []
     for k, g, n in terms:
         g = s_flat(k - k0, g)
-        scaled.append((n, g if abs(n) == 1 else _times(Const(abs(n)), g)))
+        scaled.append((n, abs(n) * g))
     return k0, _signed_sum(scaled)
 
 
 def _apply(op: str, k: float, g: Expr, kappa) -> tuple:
     """The form of op(t^k g) for a unary function op."""
-    if op == "log":
-        if k == 0:
-            return 0.0, Unary("log", g)
-        return 0.0, _ks(k) if g is _ONE else _ks(k) + Unary("log", g)
+    if op == "log":                                  # 0 s + log g is log g
+        return 0.0, k * Var() if g is _ONE else k * Var() + Unary("log", g)
     if op == "exp" and k == 0:                       # e^(c s + h) = t^c e^h
         c, rest = 0.0, []
         for sign, x in summands(g):
@@ -747,13 +747,13 @@ def _apply(op: str, k: float, g: Expr, kappa) -> tuple:
     if op == "sqrt":
         return k / 2, g if g is _ONE else Unary("sqrt", g)
     if k > 0 and op in ("sinh", "tanh"):             # sinh u = u sinhc(u)
-        return k, _times(g, Unary(op + "c", s_flat(k, g)))
+        return k, g * Unary(op + "c", s_flat(k, g))
     if k > 0 and op == "coth":                       # coth u = xcoth(u) / u
-        return -k, _over(Unary("xcoth", s_flat(k, g)), g)
+        return -k, Unary("xcoth", s_flat(k, g)) / g
     if op == "ct" and kappa == 0:                    # ct(t^k g) = 1/(t^k g)
         return -k, Unary("ct", g)
     if op == "ct" and kappa is not None and k > 0:   # kappa coth(kappa u) = xcoth(kappa u) / u
-        return -k, _over(Unary("xcoth", Param("kappa") * s_flat(k, g)), g)
+        return -k, Unary("xcoth", Param("kappa") * s_flat(k, g)) / g
     return 0.0, Unary(op, s_flat(k, g))
 
 
@@ -788,7 +788,7 @@ def _rule(e: Expr, parts: list, kappa) -> tuple:
         return _apply(e.op, *parts[0][1], kappa)
     (_, (ka, ga)), (_, (kb, gb)) = parts
     if e.op in "*/":
-        g = _times(ga, gb) if e.op == "*" else _over(ga, gb)
+        g = ga * gb if e.op == "*" else ga / gb
         return (0.0, g) if _is_zero(g) else (ka + kb if e.op == "*" else ka - kb, g)
     if type(e.right) is Const:                       # (t^k g)^p = t^(k p) g^p
         return ka * e.right.value, ga ** e.right

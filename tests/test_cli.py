@@ -451,15 +451,15 @@ class TestCatalogCommand:
         "catalog show classical-rellich":
             "f573124baa728b3056b2cc6be6f0889e8434e09c15f4408dcbe23425e58f0ec2",
         "catalog show hyp-interp":
-            "b98b4c23e33646b3afdc459dfec582c737ac4128a8de1ed7ff41b43399ea5908",
+            "227ae76d88db94664a67f5901d562c21c74f160d38136cd10e8f0888c189ae41",
         "catalog show hyp-lower-1":
-            "86535914ca7b1a4d9cde15acd8287cd5b71a92d6250d125ed580f1e1b2597f07",
+            "12e29f8126abd55f1498bbe57eb66d1b81af91701cda77336ba7862f19ce48bf",
         "catalog show hyp-lower-2":
-            "40ef6aad9267882b3e8912a5df105c48721d32b702b60c5da8a9735e7f3bc295",
+            "f8e91c7acf6f4141e9ae19c695987680789e655a6f2d0c9e99492d479e641a55",
         "catalog show hyp-lower-3":
-            "37b58c63b0193525252e53d46f562c25581edd5e44a1ab1a4eed8ce43b641e36",
+            "3350d3480044e19e9395c79a4b84c6c3d96574c181820d04d5edb5e2d43164f2",
         "catalog show hyp-final":
-            "51cf960fa3ecce8f2218d6359520e4f247d37da2142dcfe2275c7ae08d1c5557",
+            "45fc2d31fa040aa7c33a6b6e5c82cfbf2088e2f8611a9a4313f0e4745e583e6c",
         "catalog show iterlog --k 1":
             "9399f8aeb5359e7341f24ffb2b57ab5ad032098f800759d7ce5f732615b5226b",
         "catalog show iterlog --k 2":

@@ -2,7 +2,9 @@
 
 import gc
 import hashlib
+import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from rellich import catalog as cat
 from rellich import expr as ex
 from rellich import pairs as pr
+from rellich import verify as vf
 from rellich.expr import (Binary, Const, DomainError, Iter, Param, ParseError,
                           Unary, UnboundParameterError, Var, differentiate,
                           evaluate, fd_check, parse)
@@ -197,6 +200,21 @@ class TestEvaluate:
             with pytest.raises(DomainError, match=r"'\^'"):
                 evaluate(parse("(t-1)^(t-3)"), {"t": t})
 
+    @pytest.mark.parametrize("y", [0.5, -0.5, -2.0, 2.0, math.nan])
+    def test_scalar_exponent_mask_matches_array_mask(self, y):
+        # a scalar exponent's mask reads x alone; it names the same first bad
+        # argument, or gives the same values, as the mask of an array exponent
+        def outcome(x, exponent):
+            try:
+                return _bits(ex._pow(x, exponent))
+            except DomainError as exc:
+                return str(exc)
+
+        for xs in itertools.permutations([-1.0, -0.0, 0.0, 0.5, math.nan]):
+            x = np.array(xs)
+            want = outcome(x, np.full(x.shape, y))
+            assert outcome(x, y) == outcome(x, np.float64(y)) == want
+
     def test_integer_power_accuracy(self):
         # repeated multiplication: exact for small integer powers
         assert evaluate(parse("t^4"), {"t": 3.0}) == 81.0
@@ -361,7 +379,7 @@ class TestCompiledEvaluator:
         dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
                                         "iii", 5)
         summed = ex.Program((pr.e1_expr(dual),))
-        assert len(ex.Program(tuple(pr.e1_terms(dual))).code) <= len(summed.code) == 292
+        assert len(ex.Program(tuple(pr.e1_terms(dual))).code) <= len(summed.code) == 225
 
     def test_error_is_the_same_on_every_backend(self):
         # both operands are out of domain at t = 0; the right one needs more
@@ -636,18 +654,34 @@ class TestUniqueNodes:
         gc.collect()
         assert len(ex._NODES) == before
 
-    @pytest.mark.parametrize("name, steps", [("E1", 290), ("E2", 288), ("residual", 311)])
-    def test_ell_family_side_conditions_keep_their_steps(self, name, steps):
-        # one node per distinct subtree leaves the programs as they were
-        dual = pr.from_bessel_potential(cat.ell_potential(6, 1.0).specs["potential"],
-                                        "iii", 5)
-        assert len(ex.Program(tuple(pr.condition_terms(dual, name))).code) == steps
+    @pytest.mark.parametrize("entry_id, knobs, steps", [
+        ("ell-family", {"k": 4}, {"E1": (159, 16), "E2": (157, 16), "residual": (177, 17)}),
+        ("ell-family", {"k": 5}, {"E1": (191, 16), "E2": (189, 16), "residual": (212, 18)}),
+        ("ell-family", {"k": 6}, {"E1": (223, 16), "E2": (221, 16), "residual": (247, 19)}),
+        ("iterlog", {"k": 1}, {"E1": (50, 8), "E2": (47, 9), "residual": (60, 9)}),
+        ("iterlog", {"k": 2}, {"E1": (67, 11), "E2": (64, 11), "residual": (80, 11)}),
+        ("iterlog", {"k": 3}, {"E1": (84, 12), "E2": (81, 12), "residual": (100, 12)}),
+        ("classical-rellich", {"n": 6}, {"E1": (16, 5), "E2": (14, 5), "residual": (20, 5)}),
+        ("hyp-interp", {}, {"E1": (16, 5), "E2": (14, 5), "residual": (26, 6)}),
+        ("hyp-final", {}, {"E1": (24, 6), "E2": (21, 6), "residual": (35, 6)}),
+    ])
+    def test_side_condition_programs_keep_their_steps(self, entry_id, knobs, steps):
+        # compiled steps and registers of the dual's side-condition programs:
+        # a rewrite that brings identity nodes back shows here as a diff
+        entry = cat.build_entry(entry_id, **knobs)
+        sf = SpaceForm(knobs.get("n", 5), entry.space_form.kappa, entry.space_form.R)
+        dual = cat.entry_pair(entry, "dual", sf)
+        got = {}
+        for name in steps:
+            program = ex.Program(tuple(pr.condition_terms(dual, name)))
+            got[name] = (len(program.code), program.width)
+        assert got == steps
 
     @pytest.mark.parametrize("name, steps, width, digest", [
-        ("ell-family k=6 E1", 290, 18,
-         "fab2b8a30559742c221080e110a6791deec5d8e787b45c353c14ff44e9a874c5"),
-        ("iterlog k=3 residual", 89, 13,
-         "e9b04dce36f85dede0eacdfba578feefe57c84f2ad1313e53580da2cf7295d48"),
+        ("ell-family k=6 E1", 223, 16,
+         "aebd013e15374c52d59ebe598ff8f86a55f89ef2dfe00ce11b71f310b046e4b3"),
+        ("iterlog k=3 residual", 77, 11,
+         "e65652126184920bf6b9385c3656a08c79b77d20760b6939536244cc0a2cf230"),
     ])
     def test_largest_scan_programs_are_pinned(self, name, steps, width, digest):
         # the code of the two largest scan programs, step by step and
@@ -662,6 +696,129 @@ class TestUniqueNodes:
         program = ex.Program(tuple(terms))
         assert (len(program.code), program.width) == (steps, width)
         assert hashlib.sha256(repr(program.code).encode()).hexdigest() == digest
+
+
+_X, _ONE, _ZERO, _NZERO = Var(), Const(1.0), Const(0.0), Const(-0.0)
+# (op, left, right, folded, the points t = x where the folded value's bits
+# differ from those of the node built unfolded)
+_RULES = [
+    # exact: the folded value is the node's, bit for bit
+    ("*", _X, _ONE, _X, ()), ("*", _ONE, _X, _X, ()), ("/", _X, _ONE, _X, ()),
+    ("^", _X, _ONE, _X, ()), ("-", _X, _ZERO, _X, ()), ("+", _X, _NZERO, _X, ()),
+    ("+", _NZERO, _X, _X, ()), ("-", _NZERO, _X, -_X, ()),
+    # x+0, 0+x and x-(-0) keep x = -0.0, where the node gives +0.0
+    ("+", _X, _ZERO, _X, (-0.0,)), ("+", _ZERO, _X, _X, (-0.0,)), ("-", _X, _NZERO, _X, (-0.0,)),
+    # 0-x is -x, which is -0.0 at x = +0.0, where the node gives +0.0
+    ("-", _ZERO, _X, -_X, (0.0,)),
+    # a structural zero absorbs (see test_structural_zero_absorbs)
+    *[(op, a, b, _ZERO, None) for zero in (_ZERO, _NZERO)
+      for op, a, b in (("*", _X, zero), ("*", zero, _X), ("/", zero, _X))],
+]
+_POINTS = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, -2.2e-308,
+           1.5, -2.75, 1e300, -1e-300)
+
+
+def _outcome(e, t):
+    try:
+        return _bits(e.evaluate({"t": t}))
+    except DomainError:
+        return "DomainError"
+
+
+def _identity_nodes(roots) -> list:
+    """The Binary nodes of the roots' DAG that _binary would have folded: a
+    Const 1 under *, / (right) or ^ (right), a Const 0 under +, - or *, and
+    a / of a zero numerator."""
+    def zero(x):
+        return type(x) is Const and x.value == 0.0
+
+    def one(x):
+        return type(x) is Const and x.value == 1.0
+
+    found, seen, stack = [], set(), list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if type(e) is Binary:
+            a, b = e.left, e.right
+            if ((e.op == "*" and (one(a) or one(b) or zero(a) or zero(b)))
+                    or (e.op in "/^" and one(b)) or (e.op in "+-" and (zero(a) or zero(b)))
+                    or (e.op == "/" and zero(a))):
+                found.append(str(e))
+            stack += [a, b]
+        elif type(e) in (Unary, Iter):
+            stack.append(e.child)
+    return found
+
+
+class TestIdentityFolding:
+    @pytest.mark.parametrize("op, a, b, folded, differ", _RULES)
+    def test_rule_returns_the_operand_or_zero(self, op, a, b, folded, differ):
+        assert ex._binary(op, a, b) is folded
+        # on any subtree x, and through the operators
+        x = parse("log(t) + n")
+        sub = {id(_X): x}
+        want = -x if folded is -_X else sub.get(id(folded), folded)
+        build = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "/": operator.truediv, "^": operator.pow}[op]
+        assert build(sub.get(id(a), a), sub.get(id(b), b)) is want
+
+    @pytest.mark.parametrize("op, a, b, folded, differ",
+                             [rule for rule in _RULES if rule[-1] is not None])
+    def test_folded_value_against_the_unfolded_node(self, op, a, b, folded, differ):
+        unfolded = Binary(op, a, b)
+        got = [t.hex() for t in _POINTS if _outcome(folded, t) != _outcome(unfolded, t)]
+        assert got == [t.hex() for t in differ]
+
+    @pytest.mark.parametrize("op, a, b", [rule[:3] for rule in _RULES if rule[-1] is None])
+    def test_structural_zero_absorbs(self, op, a, b):
+        # +0.0 at every point: inf*0 and 0/0 give 0 where the node built
+        # unfolded raises, and elsewhere the node is a zero of either sign
+        unfolded = Binary(op, a, b)
+        assert {_outcome(_ZERO, t) for t in _POINTS} == {(0.0).hex()}
+        raised = [t.hex() for t in _POINTS if _outcome(unfolded, t) == "DomainError"]
+        assert raised == [t.hex() for t in ((0.0, -0.0) if op == "/" else (math.inf, -math.inf))]
+        assert all(unfolded.evaluate({"t": t}) == 0.0
+                   for t in _POINTS if t.hex() not in raised)
+
+    def test_parsed_input_folds(self):
+        assert str(parse("t*1+0")) == "t"
+        assert parse("0-t") is -Var()
+        assert parse("0*log(t)") is Const(0.0)
+        assert parse("0*log(t)").evaluate({"t": -1.0}) == 0.0
+
+    @pytest.mark.parametrize("entry_id, knobs", [
+        *[(entry_id, {}) for entry_id in cat.CATALOG_IDS],
+        ("iterlog", {"k": 3}), ("ell-family", {"k": 3})])
+    def test_no_identity_node_survives(self, entry_id, knobs):
+        # every gating row's terms and every disconjugacy s-form program of
+        # the entries the CLI builds
+        entry = cat.build_entry(entry_id, **knobs)
+        sf = entry.space_form
+        roots = []
+        for shape, row in vf.SHAPES.items():
+            try:
+                pair = cat.entry_pair(entry, row.kind, sf)
+            except ValueError:
+                continue
+            if shape == "chain":
+                rows = [(pair.dual, vf.SHAPES["delta-vs-gradrad"].gates)]
+                rows += [(link.spec, ("residual",)) for link in pair.links]
+            else:
+                rows = [(pair, row.gates)]
+            for spec, names in rows:
+                for name in names:
+                    roots += pr.condition_terms(spec, name)
+        for p in entry.specs.values():
+            if p.kind in ("bessel-potential", "bessel-pair"):
+                a, b = pr._sspace_coefficients(p, sf.n)
+                kappa = p.bindings(n=sf.n).get("kappa")          # as disconjugacy_check
+                (ka, ga), (kb, gb) = ex.s_form(a, kappa), ex.s_form(b, kappa)
+                roots += [ex.s_flat(ka, ga), ex.s_flat(kb, gb), *pr._summands(gb)]
+        assert roots
+        assert _identity_nodes(roots) == []
 
 
 class TestImmutability:
