@@ -108,7 +108,6 @@ def classical_euclidean(n: int) -> CatalogEntry:
         kind="dual",
         exprs={"H": Const(n / 2.0) / t, "v": Const(1.0),
                "V": Const(n * n / 4.0) / (t * t)},
-        params={"n": float(n), "kappa": 0.0},
         note="classical dual pair, equality",
     )
     primal = PairSpec(
@@ -116,7 +115,6 @@ def classical_euclidean(n: int) -> CatalogEntry:
         exprs={"G": Const((n - 4) / 2.0) / t,
                "w": Const(n * n / 4.0) / (t * t),
                "W": Const((n - 4) ** 2 / 4.0) / (t * t)},
-        params={"n": float(n), "kappa": 0.0},
         note="classical primal pair, equality",
     )
     chain = ChainDescriptor(
@@ -133,7 +131,6 @@ def classical_euclidean(n: int) -> CatalogEntry:
         kind="primal",
         exprs={"G": Const((n - 2) / 2.0) / t, "w": Const(1.0),
                "W": Const((n - 2) ** 2 / 4.0) / (t * t)},
-        params={"n": float(n), "kappa": 0.0},
         note="Hardy primal pair, equality",
     )
     return CatalogEntry(
@@ -177,7 +174,7 @@ def iterated_log_potential(k: int, R: float, c: float = 0.25) -> CatalogEntry:
         kind="bessel-potential",
         exprs={"z": z, "Z": z_sum},
         constant=c,
-        params={"r": r, "R": float(R), "k": float(k)},
+        params={"r": r, "R": float(R)},
         note=f"iterated-log potential, depth {k}",
     )
     return CatalogEntry(
@@ -234,7 +231,7 @@ def ell_potential(k: int, R: float, c: float = 0.25) -> CatalogEntry:
         kind="bessel-potential",
         exprs={"z": z, "Z": z_sum},
         constant=c,
-        params={"R": float(R), "k": float(k)},
+        params={"R": float(R)},
         note=f"ell-family potential, depth {k}",
     )
     return CatalogEntry(
@@ -278,7 +275,6 @@ def hyperbolic_interpolation(n: int, kappa: float, lam: float) -> CatalogEntry:
     dual = PairSpec(
         kind="dual",
         exprs={"H": H, "v": Const(1.0), "V": V},
-        params={"n": float(n), "kappa": float(kappa), "lambda": float(lam)},
         note=f"hyperbolic interpolation, lambda={lam:g}, equality",
     )
     return CatalogEntry(
@@ -343,7 +339,6 @@ def hyperbolic_lower(n: int, kappa: float, which: int) -> CatalogEntry:
     primal = PairSpec(
         kind="primal",
         exprs={"G": G, "w": w, "W": W},
-        params={"n": float(n), "kappa": float(kappa)},
         allow_signed_W=signed,
         note=note,
         logd=logd,

@@ -473,10 +473,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"rellich: inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
-    except RecursionError as exc:
-        # parsing, differentiating and printing walk a tree recursively
-        sys.stderr.write(f"rellich: inconclusive: expression nested too deeply: {exc}\n")
-        return EXIT_INCONCLUSIVE
     except (ValueError, ExprError) as exc:
         sys.stderr.write(f"rellich: {exc}\n")
         return EXIT_USAGE

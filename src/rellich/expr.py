@@ -10,9 +10,9 @@ arrays (a float ``t`` runs as a one-point array and gives floats),
 closed-form differentiation in t (the one variable: each node keeps its
 derivative), printing back to the DSL, a finite-difference self check, and
 the rewrite ``s_form`` of an expression into t^k g(s) with s = log t, which
-evaluates in float at any depth where the powers of t cancel.  Parsing,
-differentiation and printing recurse on the tree, so a tree deeper than
-the interpreter's recursion limit raises RecursionError there.
+evaluates in float at any depth where the powers of t cancel.  Every pass
+over a tree (parsing, differentiation, printing, compiling and the
+s-form) walks an explicit stack, so no depth meets the recursion limit.
 
 Evaluation is compiled once per root: the first ``evaluate`` lowers the
 DAG to a straight-line program with one step per distinct subtree,
@@ -237,15 +237,31 @@ class Expr:
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    # subclasses implement __str__, and _diff where the derivative is not 0
+    # subclasses implement _pieces, and _diff where the derivative is not 0:
+    # _diff takes the derivatives of the node's operands
 
     def _diff(self):
         return Const(0.0)
 
-    def _paren(self, child: "Expr", tight: bool = False) -> str:
+    def _paren(self, child: "Expr", tight: bool = False) -> tuple:
         if child.precedence < self.precedence or (tight and child.precedence == self.precedence):
-            return f"({child})"
-        return str(child)
+            return "(", child, ")"
+        return child,
+
+    def __str__(self):
+        """The DSL text, joined from the pieces (text, or a node to expand)
+        of a stack of the nodes being printed, so a shared subtree is
+        printed wherever it occurs and no string is kept per node."""
+        out, stack = [], [iter(self._pieces())]
+        while stack:
+            for piece in stack[-1]:
+                if type(piece) is not str:
+                    stack.append(iter(piece._pieces()))
+                    break
+                out.append(piece)
+            else:
+                stack.pop()
+        return "".join(out)
 
     def __add__(self, other):
         return _binary("+", self, other)
@@ -293,8 +309,8 @@ class Const(Expr):
     def __neg__(self):
         return Const(-self.value)
 
-    def __str__(self):
-        return repr(self.value)
+    def _pieces(self):
+        return repr(self.value),
 
 
 class Var(Expr):
@@ -308,8 +324,8 @@ class Var(Expr):
     def _diff(self):
         return Const(1.0)
 
-    def __str__(self):
-        return "t"
+    def _pieces(self):
+        return "t",
 
 
 class Param(Expr):
@@ -320,8 +336,8 @@ class Param(Expr):
             raise ValueError(f"unknown parameter {name!r}")
         return _intern(cls, (cls, name), name)
 
-    def __str__(self):
-        return self.name
+    def _pieces(self):
+        return self.name,
 
 
 class Unary(Expr):
@@ -334,9 +350,8 @@ class Unary(Expr):
             raise ValueError(f"unknown unary op {op!r}")
         return _intern(cls, (cls, op, id(child)), op, child)
 
-    def _diff(self):
+    def _diff(self, du):
         u = self.child
-        du = _diff(u)
         op = self.op
         if op == "neg":
             return -du
@@ -357,10 +372,10 @@ class Unary(Expr):
             return (Param("kappa") ** 2.0 - self ** 2.0) * du
         raise AssertionError(op)
 
-    def __str__(self):
+    def _pieces(self):
         if self.op == "neg":
-            return f"-{self._paren(self.child, tight=True)}"
-        return f"{self.op}({self.child})"
+            return "-", *self._paren(self.child, tight=True)
+        return f"{self.op}(", self.child, ")"
 
 
 class Binary(Expr):
@@ -377,9 +392,8 @@ class Binary(Expr):
     def precedence(self):
         return self._PRECEDENCE[self.op]
 
-    def _diff(self):
+    def _diff(self, da, db):
         a, b = self.left, self.right
-        da, db = _diff(a), _diff(b)
         op = self.op
         if op in "+-":
             return _binary(op, da, db)
@@ -392,10 +406,9 @@ class Binary(Expr):
             return b * a ** (b.value - 1.0) * da
         return self * (db * Unary("log", a) + b * da / a)
 
-    def __str__(self):
-        ls = self._paren(self.left, tight=(self.op == "^"))
-        rs = self._paren(self.right, tight=(self.op in ("-", "/")))
-        return f"{ls}{self.op}{rs}"
+    def _pieces(self):
+        return (*self._paren(self.left, tight=(self.op == "^")), self.op,
+                *self._paren(self.right, tight=(self.op in ("-", "/"))))
 
 
 class Iter(Expr):
@@ -410,8 +423,8 @@ class Iter(Expr):
             raise ValueError("iteration depth must be a nonnegative integer")
         return _intern(cls, (cls, func, depth, id(child)), func, depth, child)
 
-    def _diff(self):
-        acc = _diff(self.child)
+    def _diff(self, du):
+        acc = du
         if self.func == "logk":
             # d log_[i](u) = u' * prod_{j<i} 1/log_[j](u)
             for j in range(self.depth):
@@ -421,19 +434,26 @@ class Iter(Expr):
                 acc = acc * Iter("expk", j, self.child)
         return acc
 
-    def __str__(self):
-        return f"{self.func}({self.depth}, {self.child})"
+    def _pieces(self):
+        return f"{self.func}({self.depth}, ", self.child, ")"
 
 
 def _diff(e: Expr) -> Expr:
-    """de/dt: each node is differentiated once and keeps the result in its
-    ``_dt`` slot."""
-    try:
-        return e._dt
-    except AttributeError:
-        d = e._diff()
-        object.__setattr__(e, "_dt", d)
-        return d
+    """de/dt: each node is differentiated once, from its operands'
+    derivatives, and keeps the result in its ``_dt`` slot.  The DAG is
+    walked without recursion."""
+    stack = [(e, None)]              # a node, then again with its operands once they are done
+    while stack:
+        node, operands = stack.pop()
+        if operands is not None:
+            object.__setattr__(node, "_dt", node._diff(*[x._dt for x in operands]))
+        elif getattr(node, "_dt", None) is None:
+            cls = type(node)
+            operands = ((node.left, node.right) if cls is Binary else
+                        (node.child,) if cls is Unary or cls is Iter else ())
+            stack.append((node, operands))
+            stack += [(x, None) for x in reversed(operands)]
+    return e._dt
 
 
 # ---------------------------------------------------------------------------
@@ -832,115 +852,100 @@ def s_form(e: Expr, kappa=None) -> tuple:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<call>[A-Za-z_][A-Za-z_0-9]*)\s*\(|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
+_INFIX = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}    # binding strength
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+def _tokens(text: str) -> list:
+    """(kind, text, offset) of every token, a name and its '(' as one call
+    token, then an end token; an unexpected character anywhere raises."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 def parse(text: str) -> Expr:
     """Parse a DSL string into an Expression.
 
-    Raises ParseError (with byte offset) on syntax errors, unknown
-    identifiers, and arity mismatches.
+    + - * / are left-associative, ^ is right-associative and binds tighter,
+    and a prefix minus binds to the number, name, call or parenthesis after
+    it (-t^2 is (-t)^2).  One loop over the tokens keeps the operands and
+    the pending operators on two stacks, so any depth parses.  Raises
+    ParseError (with byte offset) on syntax errors, unknown identifiers,
+    and arity mismatches.
     """
-    tz = _Tokenizer(text)
-    e = _parse_expr(tz)
-    kind, val, off = tz.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {val!r}", off)
-    return e
+    values: list = []
+    pending: list = []      # (kind, op, offset, len(values), negs): infix ops, "(" and calls
+    negs = 0                # prefix minuses before the next base
+    operand = True          # an operand comes next
+    for kind, val, off in _tokens(text):
+        if operand:
+            if val == "-":
+                negs += 1
+                continue
+            if kind == "call" or val == "(":
+                pending.append((kind, val, off, len(values), negs))
+                negs = 0
+                continue
+            if kind == "num":
+                values.append(Const(float(val)))
+            elif kind == "name":
+                values.append(_name(val, off))
+            else:
+                raise ParseError(f"expected expression, got {val!r}" if val else
+                                 "unexpected end of input", off)
+        elif kind == "op" and val in _INFIX:
+            strength = _INFIX[val] + (val == "^")    # right-associative: ^ reduces no pending ^
+            while pending and _INFIX.get(pending[-1][1], 0) >= strength:
+                _reduce(values, pending.pop()[1])
+            pending.append((kind, val, off, len(values), 0))
+            operand = True
+            continue
+        else:                                        # close the innermost "(" or call
+            while pending and pending[-1][1] in _INFIX:
+                _reduce(values, pending.pop()[1])
+            if not pending:
+                if kind == "end":
+                    return values[0]
+                raise ParseError(f"unexpected trailing input {val!r}", off)
+            opener = pending[-1][0]
+            if opener == "call" and val == ",":
+                operand = True
+                continue
+            if val != ")":
+                raise ParseError("expected ',' or ')'" if opener == "call" else "expected ')'", off)
+            _, name, at, start, negs = pending.pop()
+            if opener == "call":
+                values[start:] = [_call(name, values[start:], at)]
+        for _ in range(negs):                        # a complete base takes its prefix minuses
+            values[-1] = -values[-1]
+        negs = 0
+        operand = False
 
 
-_INFIX = {"+": 1, "-": 1, "*": 2, "/": 2}    # binding strength; ^ is _parse_factor's
+def _reduce(values: list, op: str) -> None:
+    b = values.pop()
+    values[-1] = _binary(op, values[-1], b)
 
 
-def _parse_expr(tz: _Tokenizer, level: int = 1) -> Expr:
-    """Factors joined by the infix operators of at least this binding
-    strength, left-associative: each right operand takes the operators that
-    bind tighter than its own."""
-    e = _parse_factor(tz)
-    while True:
-        _, val, _ = tz.peek()
-        strength = _INFIX.get(val, 0)
-        if strength < level:
-            return e
-        tz.next()
-        e = _binary(val, e, _parse_expr(tz, strength + 1))
+def _name(name: str, off: int) -> Expr:
+    if name == "t":
+        return Var()
+    if name in _CONSTANT_NAMES:
+        return Const(_CONSTANT_NAMES[name])
+    if name in PARAMETER_NAMES:
+        return Param(name)
+    raise ParseError(f"unknown identifier {name!r}", off)
 
 
-def _parse_factor(tz: _Tokenizer) -> Expr:
-    base = _parse_base(tz)
-    kind, val, _ = tz.peek()
-    if kind == "op" and val == "^":
-        tz.next()
-        return base ** _parse_factor(tz)  # right-associative
-    return base
-
-
-def _parse_base(tz: _Tokenizer) -> Expr:
-    kind, val, off = tz.next()
-    if kind == "num":
-        return Const(float(val))
-    if kind == "op" and val == "-":
-        return -_parse_base(tz)
-    if kind == "op" and val == "(":
-        e = _parse_expr(tz)
-        kind, val, off = tz.next()
-        if val != ")":
-            raise ParseError("expected ')'", off)
-        return e
-    if kind == "ident":
-        nkind, nval, _ = tz.peek()
-        if nkind == "op" and nval == "(":
-            return _parse_call(tz, val, off)
-        if val == "t":
-            return Var()
-        if val in _CONSTANT_NAMES:
-            return Const(_CONSTANT_NAMES[val])
-        if val in PARAMETER_NAMES:
-            return Param(val)
-        raise ParseError(f"unknown identifier {val!r}", off)
-    raise ParseError(f"expected expression, got {val!r}" if val else "unexpected end of input", off)
-
-
-def _parse_call(tz: _Tokenizer, fname: str, off: int) -> Expr:
-    tz.next()  # consume "("
-    args = [_parse_expr(tz)]
-    while True:
-        kind, val, aoff = tz.next()
-        if val == ")":
-            break
-        if val != ",":
-            raise ParseError("expected ',' or ')'", aoff)
-        args.append(_parse_expr(tz))
+def _call(fname: str, args: list, off: int) -> Expr:
     if fname in _UNARY_FUNCTIONS:
         if len(args) != 1:
             raise ParseError(f"{fname}() takes exactly 1 argument, got {len(args)}", off)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -100,9 +100,6 @@ class PairSpec:
         if t is not None:
             b["t"] = t
         return b
-
-    def with_constant(self, value: float) -> "PairSpec":
-        return replace(self, constant=value)
 
 
 def _big_l_expr() -> Expr:

@@ -186,7 +186,7 @@ def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] 
     larger budget.  evaluations counts the re-integrations.
     """
     # built once here: a pair of the wrong kind is rejected, not skipped
-    sides = shape_sides(shape, pair, sf, claimed=claimed or 1.0)
+    sides = shape_sides(shape, pair, sf, claimed=claimed)
     lo, hi = _interval(sf)
     best, params, evals = math.inf, {"support_lo": lo, "support_hi": hi}, 0
     for cells in _levels(budget):

@@ -210,7 +210,7 @@ class TestCriterion4:
         ok = ok and rep42.max_abs_relative <= 1e-10
 
         t_ode = time.perf_counter()
-        osc = pr.disconjugacy_check(pot.with_constant(0.3))
+        osc = pr.disconjugacy_check(dataclasses.replace(pot, constant=0.3))
         pos = pr.disconjugacy_check(pot)
         ode_elapsed = time.perf_counter() - t_ode
         ok = ok and osc.first_zero is not None and not osc.positive_solution

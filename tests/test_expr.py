@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -93,12 +94,60 @@ class TestParse:
         ("t + $", "unexpected character '$'", 4),
         ("(t + 1", "expected ')'", 6),
         ("log(t t)", "expected ',' or ')'", 6),
+        ("log(t", "expected ',' or ')'", 5),
+        ("(1,2)", "expected ')'", 2),
+        ("2*x", "unknown identifier 'x'", 2),
+        ("foo(t)", "unknown identifier 'foo'", 0),
+        ("foo(x)", "unknown identifier 'x'", 4),        # an argument before its function
+        ("t (2)", "unknown identifier 't'", 0),         # a name before '(' is a call
+        ("log(t, t)", "log() takes exactly 1 argument, got 2", 0),
+        ("logk(t)", "logk() takes exactly 2 arguments, got 1", 0),
+        ("logk(1.5, t)", "logk() depth must be a nonnegative integer literal", 0),
+        ("logk(-1, t)", "logk() depth must be a nonnegative integer literal", 0),
+        ("1+2)", "unexpected trailing input ')'", 3),
+        ("1,2", "unexpected trailing input ','", 1),
+        ("2+ ", "unexpected end of input", 3),
+        ("", "unexpected end of input", 0),
+        ("2+*3", "expected expression, got '*'", 2),
+        ("log()", "expected expression, got ')'", 4),
+        ("2+* $", "unexpected character '$'", 4),       # before the syntax error at 2
     ])
     def test_error_names_its_offset(self, text, message, offset):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == f"{message} (at offset {offset})"
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text, grouped", [
+        ("-t^2", "(-t)^2"), ("2^-t", "2^(-t)"), ("-log(t)^2", "(-log(t))^2"),
+        ("n-r-c", "(n-r)-c"), ("2^3^2", "2^(3^2)"), ("t^n^c", "t^(n^c)"),
+        ("2--3", "2-(-3)"), ("log (t)", "log(t)"), ("-logk(1, -t)", "-(logk(1, (-t)))"),
+    ])
+    def test_grouping_is_tree_identity(self, text, grouped):
+        assert parse(text) is parse(grouped)
+
+    def test_grouping_is_not_the_other_one(self):
+        assert parse("-t^2") is not parse("-(t^2)")
+        assert parse("n-r-c") is not parse("n-(r-c)")
+        assert parse("t^n^c") is not parse("(t^n)^c")
+
+
+class TestDeepTrees:
+    # parsing, printing and differentiating walk explicit stacks, so a tree
+    # far deeper than the recursion limit runs
+    N = 5000
+
+    @pytest.mark.parametrize("text, value, slope", [
+        ("+".join(["log(t)"] * N), N * math.log(2.0), N / 2.0),
+        ("(t-" * N + "t" + ")" * N, 2.0, 1.0),          # t-(t-(...(t-t)))
+        ("-" * N + "t", 2.0, 1.0),
+    ], ids=["sum", "parentheses", "minus"])
+    def test_parse_print_differentiate(self, text, value, slope):
+        assert sys.getrecursionlimit() < self.N
+        e = parse(text)
+        assert parse(str(e)) is e
+        assert e.evaluate({"t": 2.0}) == pytest.approx(value, rel=1e-12)
+        assert e.diff().evaluate({"t": 2.0}) == slope
 
 
 def _backends(x):

@@ -1,5 +1,6 @@
 """Residuals, side conditions, transforms, Bessel machinery, scanning."""
 
+import dataclasses
 import math
 import operator
 import os
@@ -406,7 +407,7 @@ class TestDisconjugacy:
         assert rep.status == "ok"
 
     def test_supercritical_oscillates(self, potential):
-        rep = pr.disconjugacy_check(potential.with_constant(0.3))
+        rep = pr.disconjugacy_check(dataclasses.replace(potential, constant=0.3))
         assert rep.positive_solution is False
         assert rep.first_zero is not None
         # closed-form oracle: in u = log(r/t) the equation is exactly Euler,
@@ -427,7 +428,7 @@ class TestDisconjugacy:
         assert rep.positive_solution is True
 
     def test_explicit_interval(self, potential):
-        rep = pr.disconjugacy_check(potential.with_constant(0.3),
+        rep = pr.disconjugacy_check(dataclasses.replace(potential, constant=0.3),
                                     interval=(1e-6, 0.999))
         # inside float range the super-critical oscillation is not yet visible
         assert rep.positive_solution is True
@@ -489,7 +490,7 @@ class TestDisconjugacy:
         # with 800 steps the grid stops after its 512-step level, which
         # alone accepts nothing: no positive solution and no first zero
         monkeypatch.setattr(pr, "_MAX_STEPS", 800)
-        rep = pr.disconjugacy_check(potential.with_constant(c))
+        rep = pr.disconjugacy_check(dataclasses.replace(potential, constant=c))
         assert rep.status == "inconclusive" and rep.first_zero is None
         assert rep.positive_solution is False and rep.steps == 512
 
@@ -498,7 +499,7 @@ class TestDisconjugacy:
         # an infinite end gives an infinite end tolerance: the grid would
         # not run, and a positive solution would stand for no integration
         with pytest.raises(ValueError, match="interval"):
-            pr.disconjugacy_check(potential.with_constant(0.3), interval=(0.1, end))
+            pr.disconjugacy_check(dataclasses.replace(potential, constant=0.3), interval=(0.1, end))
 
     @pytest.mark.parametrize("which", ["potential", "pair", "explicit"])
     def test_one_coefficient_run_per_point(self, potential, monkeypatch, which):
@@ -544,7 +545,7 @@ class TestDisconjugacy:
                         "explicit": ((0.25, False), (1.0, True))}[which]:
             for record in (runs, levels, new, rounds, searching):
                 record.clear()
-            rep = pr.disconjugacy_check(p.with_constant(c), interval, n=6)
+            rep = pr.disconjugacy_check(dataclasses.replace(p, constant=c), interval, n=6)
             assert (rep.first_zero is not None) == zero and rep.status == "ok"
             assert len(levels) >= 3 and all(kinds == shape for kinds in levels)
             points = np.concatenate(new)          # no level recomputes a coarser one's
@@ -572,7 +573,7 @@ class TestDisconjugacy:
             "pair": (pr.bessel_pairs_from_potential(potential, 2.0, 6)[1], (1.0, 3.0), None),
             "explicit": (potential, (0.25, 1.0), (1e-200, 0.999))}[which]
         monkeypatch.setattr(Program, "evaluate", counted)
-        zeros = [pr.disconjugacy_check(p.with_constant(c), interval, n=6).first_zero
+        zeros = [pr.disconjugacy_check(dataclasses.replace(p, constant=c), interval, n=6).first_zero
                  for c in constants]
         assert zeros[0] is None and zeros[1] is not None
         assert kinds == {"ndarray"}
@@ -724,14 +725,14 @@ class TestDeepDisconjugacy:
         potential = _deep_potential(family, k, R)
         rep = pr.disconjugacy_check(potential)
         assert rep.positive_solution is True and rep.steps == steps
-        rep = pr.disconjugacy_check(potential.with_constant(0.3))
+        rep = pr.disconjugacy_check(dataclasses.replace(potential, constant=0.3))
         assert rep.positive_solution is False and rep.steps == steps_super
         assert abs(rep.log_t_first_zero - log_zero) <= 1e-9 * max(1.0, abs(log_zero))
 
     @pytest.mark.parametrize("family,k,R", sorted(_DEEP_RUNS))
     def test_first_zero_matches_a_reference_integrator(self, family, k, R):
         # the grid's zeros lie within 5.6e-11 to 1.8e-10 of the reference
-        p = _deep_potential(family, k, R).with_constant(0.3)
+        p = dataclasses.replace(_deep_potential(family, k, R), constant=0.3)
         rep = pr.disconjugacy_check(p)
         assert abs(rep.log_t_first_zero - _reference_deep_zero(p)) <= 1e-7
 
@@ -822,7 +823,8 @@ class TestDeepDisconjugacy:
         plain = PairSpec(kind="bessel-potential",
                          exprs={"z": Var(), "Z": parse("1/(t*log(e/t))^2")}, params={"R": 1.0})
         for c in (0.25, 2.0):
-            got, want = [pr.disconjugacy_check(q.with_constant(c), interval=(0.1, 0.9))
+            got, want = [pr.disconjugacy_check(dataclasses.replace(q, constant=c),
+                                               interval=(0.1, 0.9))
                          for q in (p, plain)]
             assert got.status == "ok" and got.steps == want.steps
             assert got.positive_solution is want.positive_solution
@@ -960,8 +962,6 @@ class TestEqualityChecks:
     def test_chain_composition_is_grid_passes_alone(self, monkeypatch):
         # neither the check nor its drop-one-link retries make a bisection
         # or boundary-limit evaluation
-        import dataclasses
-
         calls = _float_evaluations(monkeypatch)
         chain = cat.final_combined(5, 1.0).chain
         vf.check_chain_composition(chain, SpaceForm(5, 1.0))
@@ -987,7 +987,7 @@ class TestPairGrid:
         # the zero search's own tolerance is 1e-9 |log t| (1.1e-7).  At
         # c = 1.5 the levels of 512 and 1,024 steps are both 1.2e-6 off and
         # agree within 2.6e-7: a zero searched for from either misses by 1.2e-6
-        p = _link_pair("iterlog", k, 6).with_constant(c)
+        p = dataclasses.replace(_link_pair("iterlog", k, 6), constant=c)
         rep = pr.disconjugacy_check(p, n=6)
         assert rep.status == "ok"
         assert abs(rep.log_t_first_zero - _reference_first_zero(p, 6)) <= 1e-7
@@ -1007,7 +1007,7 @@ class TestPairGrid:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_deep_first_zero_matches_a_reference_integrator(self, k):
-        p = _link_pair("iterlog", k, 6).with_constant(1.5)
+        p = dataclasses.replace(_link_pair("iterlog", k, 6), constant=1.5)
         rep = pr.disconjugacy_check(p, interval=(1e-200, 0.999), n=6)
         want = _reference_first_zero(p, 6, math.log(1e-200))
         assert rep.status == "ok"
