@@ -774,6 +774,12 @@ _REPORT_DIGESTS = {
         "f509a7d888f2bd6cad5a3cb7ed19be15244b00db36ead33a09c9f10fa692e165",
     "estimate --catalog hyp-interp --n 5 --kappa 1 --budget 25":
         "1c0b4be4866c15c1683b1f251c5d772e9b611ccdad22d00012c37d540f43479a",
+    # a mixed failure: the 10-cell level's re-integration misses 1e-15 and is
+    # skipped, the other three count (estimate 1.0580427767708653, 4
+    # evaluations)
+    "estimate --catalog hyp-final --n 5 --kappa 1 --shape chain --budget 100 "
+    "--quad-tol 1e-15":
+        "a5ad47d5248a7ffcbcd7f994b1b4cd96e8d0228550d56d793aa0cfb06d6a5e5d",
     # the disconjugacy rows carry steps, first_zero and log_t_first_zero: the
     # deep start (the grid uniform in v, coefficients from their s-forms in
     # float) at the best and a super-critical constant, and an explicit
