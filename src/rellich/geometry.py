@@ -14,8 +14,8 @@ its nodes once.
 columns, so one jet call evaluates a 2-D t whose row i holds nodes of function
 i, each row bit-identical to that function's own jet; ``take`` picks the rows
 of one quadrature pass.  ``SplineProfile`` is a cubic B-spline in log t, the
-profile a best-constant estimate reports; ``bspline_basis`` gives the pieces
-of its basis on one cell.
+profile a best-constant estimate reports, and ``Splines`` a batch of them;
+``bspline_basis`` gives the pieces of its basis on one cell.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
     "SpaceForm", "RadialTestFunction", "ct", "big_l", "s_kappa",
     "volume_weight", "sphere_area", "angular_eigenvalue",
     "angular_term", "separated_laplacian", "make_bump", "Profiles",
-    "SplineProfile", "bspline_basis",
+    "SplineProfile", "Splines", "bspline_basis",
 ]
 
 
@@ -233,7 +233,8 @@ class Profiles:
     def take(self, rows) -> "Profiles":
         """The batch whose row k is function rows[k] of this one; rows is an
         index array and may repeat."""
-        out = object.__new__(Profiles)
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
         out.l = self.l[rows]
         out._knots = tuple(k[rows] for k in self._knots)
         return out
@@ -323,18 +324,54 @@ class SplineProfile:
     def jet(self, t):
         """(u, u', u'') at t, 0 outside the support; floats for a scalar t."""
         s_lo, width, pieces = self._pieces
-        t_arr = np.asarray(t, dtype=float)
-        x = (np.log(t_arr) - s_lo) / width
-        k = np.floor(x)
-        inside = (k >= 0) & (k < self.cells)
-        k = np.where(inside, k, 0).astype(int)
-        r = x - k
-        p0, p1, p2, p3 = pieces[:, k]
-        u = ((p3 * r + p2) * r + p1) * r + p0
-        u_s = ((3.0 * p3 * r + 2.0 * p2) * r + p1) / width
-        u_ss = (6.0 * p3 * r + 2.0 * p2) / (width * width)
-        out = (np.where(inside, u, 0.0), np.where(inside, u_s / t_arr, 0.0),
-               np.where(inside, (u_ss - u_s) / (t_arr * t_arr), 0.0))
+        out = _spline_jet(np.asarray(t, dtype=float), s_lo, width, self.cells, 0, pieces)
         if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
             return tuple(float(o) for o in out)
         return out
+
+
+def _spline_jet(t, s_lo, width, cells, start, pieces):
+    """SplineProfile.jet on the array t, the spline's cells being columns
+    start on of pieces; the others are numbers or (m, 1) columns."""
+    x = (np.log(t) - s_lo) / width
+    k = np.floor(x)
+    inside = (k >= 0) & (k < cells)
+    k = np.where(inside, k, 0).astype(int)
+    r = x - k
+    p0, p1, p2, p3 = pieces[:, start + k]
+    u = ((p3 * r + p2) * r + p1) * r + p0
+    u_s = ((3.0 * p3 * r + 2.0 * p2) * r + p1) / width
+    u_ss = (6.0 * p3 * r + 2.0 * p2) / (width * width)
+    return (np.where(inside, u, 0.0), np.where(inside, u_s / t, 0.0),
+            np.where(inside, (u_ss - u_s) / (t * t), 0.0))
+
+
+class Splines(Profiles):
+    """A batch of SplineProfiles as (m, 1) columns of log support_lo, cell
+    width, cells and first knot, the index of its knots in one edge array and
+    of its cells in one pieces table.  jet is _spline_jet, SplineProfile.jet's
+    own, so row i is bit for bit spline i's; edges lists each one's knots."""
+
+    def __init__(self, splines):
+        splines = tuple(splines)
+        cells = np.array([[u.cells] for u in splines], dtype=int).reshape(-1, 1)
+        s_lo, width = np.array([u._pieces[:2] for u in splines]).reshape(-1, 2).T[:, :, None]
+        self._knots = (s_lo, width, cells, (cells + 1).cumsum()[:, None] - cells - 1)
+        self.l = np.zeros_like(cells)
+        self._edges = np.concatenate([[], *(u.edges for u in splines)])
+        # each spline's pieces and a zero column for its last knot
+        self._pieces = np.concatenate([np.empty((4, 0)), *(p for u in splines for p in (
+            u._pieces[2], np.zeros((4, 1))))], axis=1)
+
+    @property
+    def support(self) -> tuple:
+        first, cells = self._knots[3][:, 0], self._knots[2][:, 0]
+        return self._edges[first], self._edges[first + cells]
+
+    @property
+    def edges(self) -> list:
+        first, cells = self._knots[3][:, 0], self._knots[2][:, 0]
+        return [self._edges[f:f + c + 1] for f, c in zip(first, cells)]
+
+    def jet(self, t):
+        return _spline_jet(np.asarray(t, dtype=float), *self._knots, self._pieces)

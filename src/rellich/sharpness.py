@@ -5,12 +5,12 @@ claimed constant factored out of its right-hand side).  Each level k solves
 the Ritz problem on a uniform cubic B-spline space in s = log t with
 10 * 2^k cells: the two sides become Gram matrices, assembled on
 Gauss-Legendre nodes, and the least eigenvalue of the pencil gives the
-level's minimizer.  That minimizer, a geometry.SplineProfile, is then
-re-integrated by rayleigh_quotient like any test function; the estimate is
-the least finite re-integrated quotient over the levels, never a Ritz
-eigenvalue, so a coarse assembly can cost sharpness but not soundness.  The
-spaces are nested, so a larger budget only adds levels.  It is an estimate,
-not a proof.
+level's minimizer, a geometry.SplineProfile.  Every level's spline is then
+re-integrated like any test function, all in one geometry.Splines batch; the
+estimate is the least finite re-integrated quotient over the levels, never
+a Ritz eigenvalue, so a coarse assembly can cost sharpness but not
+soundness.  The spaces are nested, so a larger budget only adds levels.  It
+is an estimate, not a proof.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .catalog import CatalogEntry, entry_pair
-from .geometry import (SpaceForm, SplineProfile, big_l, bspline_basis,
+from .geometry import (SpaceForm, SplineProfile, Splines, big_l, bspline_basis,
                        volume_weight)
-from .verify import (DEFAULT_QUAD_TOL, SHAPES, NonconvergenceError, Sides,
-                     batch_domain, shape_sides)
+from .verify import (DEFAULT_QUAD_TOL, SHAPES, NonconvergenceError, QuadratureResult,
+                     Sides, batch_domain, shape_sides)
 
 __all__ = [
     "SharpnessEstimate", "DegenerateTestFunctionError",
@@ -63,9 +63,12 @@ def rayleigh_quotient(sf: SpaceForm, sides: Sides, u,
                       tol: float = DEFAULT_QUAD_TOL) -> float:
     """LHS/RHS of u on the sides of an inequality (verify.shape_sides, with the
     claimed constant factored out of the RHS density)."""
-    lhs, rhs = sides.integrals(sf, u, tol)
-    floor = 1e-14 * (abs(lhs.value) + 1.0)
-    if rhs.value <= floor:
+    return _quotient(*sides.integrals(sf, u, tol))
+
+
+def _quotient(lhs: QuadratureResult, rhs: QuadratureResult) -> float:
+    """lhs/rhs, unless rhs is zero up to rounding."""
+    if rhs.value <= 1e-14 * (abs(lhs.value) + 1.0):
         raise DegenerateTestFunctionError("RHS integral is zero up to rounding")
     return lhs.value / rhs.value
 
@@ -181,25 +184,31 @@ def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] 
     functions (always the first level).
 
     A level whose forms are not finite, whose Ritz problem has no solution or
-    whose minimizer's re-integration fails or is degenerate is skipped; with
-    none left the estimate is inf.  Deterministic, and never larger for a
-    larger budget.  evaluations counts the re-integrations.
+    whose minimizer's re-integration (in one batch, or alone if the batch
+    fails) fails or is degenerate is skipped; with none left the estimate is
+    inf.  Deterministic, and never larger for a larger budget.  evaluations
+    counts the re-integrations.
     """
     # built once here: a pair of the wrong kind is rejected, not skipped
     sides = shape_sides(shape, pair, sf, claimed=claimed)
     lo, hi = _interval(sf)
-    best, params, evals = math.inf, {"support_lo": lo, "support_hi": hi}, 0
+    levels = []
     for cells in _levels(budget):
         try:
             ritz, c = _ritz(*_grams(sf, sides, lo, hi, cells))
         except (ValueError, OverflowError):
             continue
-        u = SplineProfile(lo, hi, tuple(c.tolist()))
-        evals += 1
+        levels.append((cells, ritz, SplineProfile(lo, hi, tuple(c.tolist()))))
+    try:
+        # every level in one batch; after a failure, each level alone
+        sums = list(zip(*sides.integrals(sf, Splines([u for *_, u in levels]), tol)))
+    except (NonconvergenceError, ValueError, OverflowError):
+        sums = [None] * len(levels)
+    best, params = math.inf, {"support_lo": lo, "support_hi": hi}
+    for (cells, ritz, u), s in zip(levels, sums):
         try:
-            q = rayleigh_quotient(sf, sides, u, tol=tol)
-        except (DegenerateTestFunctionError, NonconvergenceError, ValueError,
-                OverflowError):
+            q = _quotient(*s) if s else rayleigh_quotient(sf, sides, u, tol)
+        except (NonconvergenceError, ValueError, OverflowError):    # or degenerate
             continue
         if q < best:
             best = q
@@ -210,5 +219,5 @@ def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] 
         params=params,
         claimed=claimed,
         gap_ratio=(best / claimed) if claimed else None,
-        evaluations=evals,
+        evaluations=len(levels),
     )

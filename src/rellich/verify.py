@@ -27,7 +27,7 @@ import numpy as np
 from . import pairs as pr
 from .catalog import ChainDescriptor
 from .expr import Const, Expr
-from .geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
+from .geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile, Splines,
                        angular_eigenvalue, angular_term, make_bump, separated_laplacian,
                        volume_weight)
 from .pairs import PairSpec, Scan
@@ -214,34 +214,45 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
     the sides of Sides.integrals the sides in order.
 
     knots are points where the integrand's derivatives may jump (a
-    sequence; for a batch, one row per integral), so that no initial panel
-    straddles one; a row must have 0 <= a <= knots <= b <= R, a < b, or
-    ValueError names it.  Each band between a, the knots and b starts as
-    `panels` equal panels in s = log t when b/a > 32, which resolves power
-    behaviour toward t = 0, or else as panels // 2 (at least one) equal
-    panels in t.  Only integrable endpoint singularities are supported.
+    sequence; for a batch, an array of one row per integral or a sequence of
+    rows of any lengths), so that no initial panel straddles one; a row must
+    have 0 <= a <= knots <= b <= R, a < b, or ValueError names it.  Each band
+    between a, the knots and b starts as `panels` equal panels in s = log t
+    when b/a > 32, which resolves power behaviour toward t = 0, or else as
+    panels // 2 (at least one) equal panels in t.  Only integrable endpoint
+    singularities are supported.
     """
     batch = np.ndim(a) > 0
     lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
-    inner = (np.empty((len(lo), 0)) if knots is None else
-             np.asarray(knots if batch else [knots], dtype=float))
-    x = np.column_stack([lo, inner, hi])
-    bad = ~((0 <= lo) & (lo < hi) & (hi <= sf.R) & (x[:, 1:] >= x[:, :-1]).all(axis=1))
+    rows = np.empty((len(lo), 0)) if knots is None else knots if batch else [knots]
+    if isinstance(rows, np.ndarray):        # rows of one length, whole-array
+        x = np.column_stack([lo, rows, hi])
+        bands, x = np.full(len(lo), x.shape[1] - 1), x.ravel()
+    else:
+        x = np.concatenate([[], *(p for s, k, e in zip(lo, rows, hi)
+                                  for p in ([s], np.ravel(k), [e]))])
+        bands = np.array([np.size(k) + 1 for k in rows], dtype=int)
+    # x: each row's a, knots and b, row i ending at x[last[i]]; band j is x[j:j + 2]
+    last = (bands + 1).cumsum() - 1
+    j = np.arange(bands.sum()) + np.arange(len(lo)).repeat(bands)
+    bad = ~((0 <= lo) & (lo < hi) & (hi <= sf.R)
+            & np.logical_and.reduceat(x[j + 1] >= x[j], bands.cumsum() - bands))
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"integration row {i}: [{lo[i]}, {hi[i]}] with knots "
-                         f"{inner[i].tolist()} is not 0 <= a <= knots <= b <= R={sf.R}, a < b")
+                         f"{x[last[i] - bands[i] + 1:last[i]].tolist()} is not "
+                         f"0 <= a <= knots <= b <= R={sf.R}, a < b")
     log = lo > 0
     log[log] = hi[log] / lo[log] > 32.0
-    x[log] = np.log(x[log])
+    np.log(x, out=x, where=log.repeat(bands + 1))
     # the flat panel table: integral by integral and band by band, the n
     # equal panels of a band from x to x', panel k from x + k (x' - x) / n
     n = np.where(log, panels, max(1, panels // 2))
-    counts, n = n * (x.shape[1] - 1), n.repeat(x.shape[1] - 1)
+    counts, n = n * bands, n.repeat(bands)
     k = np.arange(n.sum()) - (n.cumsum() - n).repeat(n)
-    left = k * ((x[:, 1:] - x[:, :-1]).ravel() / n).repeat(n) + x[:, :-1].ravel().repeat(n)
-    right = np.concatenate([left[1:], x[-1:, -1]])
-    right[counts.cumsum() - 1] = x[:, -1]
+    left = k * ((x[j + 1] - x[j]) / n).repeat(n) + x[j].repeat(n)
+    right = np.concatenate([left[1:], x[-1:]])
+    right[counts.cumsum() - 1] = x[last]
 
     def integrand(x, rows):
         # rows of log integrals hold nodes s = ln t, and their values carry
@@ -296,8 +307,9 @@ def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = N
     |Delta u|^2 (delta), |grad_rad u|^2 (gradrad), |grad u|^2 (grad: radial
     plus angular part) or u^2 (usq); bindings holds the weight's parameters,
     n and kappa (PairSpec.bindings(sf)).  u is one test function, or a
-    Profiles batch whose integrals run as one batched integrate call and come
-    back as Quadratures.  The inner edges of u are integrate's knots."""
+    Profiles batch (Splines is one) whose integrals run as one batched
+    integrate call and come back as Quadratures.  Its inner edges are
+    integrate's knots."""
     if form not in ("delta", "gradrad", "grad", "usq"):
         raise ValueError(f"unknown side {form!r}")
     bindings = bindings or {}
@@ -324,10 +336,10 @@ def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = N
             q = q + angular
         return w * q
 
-    edges = np.asarray(u.edges)
-    return integrate(sf, density, edges[..., 0], edges[..., -1], tol,
-                     select if isinstance(u, Profiles) else None, edges[..., 1:-1],
-                     1 if isinstance(u, SplineProfile) else _BUMP_PANELS)
+    knots = ([e[1:-1] for e in u.edges] if isinstance(u, Splines)
+             else np.asarray(u.edges)[..., 1:-1])
+    return integrate(sf, density, *u.support, tol, select if isinstance(u, Profiles) else None,
+                     knots, 1 if isinstance(u, (SplineProfile, Splines)) else _BUMP_PANELS)
 
 
 @dataclass(frozen=True)
@@ -370,8 +382,10 @@ def _check_pair(shape: str, pair) -> None:
 def shape_sides(shape: str, pair, sf: SpaceForm,
                 claimed: Optional[float] = None) -> Sides:
     """The sides of shape for pair, a PairSpec of the shape's kind or a chain
-    descriptor; with claimed, the right side is divided by it."""
+    descriptor; the right side is divided by claimed, if given (finite, > 0)."""
     _check_pair(shape, pair)
+    if claimed is not None and not (math.isfinite(claimed) and claimed > 0):
+        raise ValueError(f"claimed constant must be finite and > 0, got {claimed}")
     row = SHAPES[shape]
     if row.kind == "chain":
         spec, factors = pair.dual, (pair.rhs_density_expr(),)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rellich.expr import Const, fd_check, parse
-from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
+from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile, Splines,
                               angular_eigenvalue, big_l, bspline_basis, ct, make_bump, s_kappa,
                               separated_laplacian, sphere_area, volume_weight)
 from rellich.verify import side
@@ -356,6 +356,54 @@ class TestProfiles:
         batch = np.array(Profiles(us).jet(t))
         for i, u in enumerate(us):
             assert batch[:, i].tobytes() == np.array(u.jet(t[i])).tobytes()
+
+
+def _splines(supports, cells=(13, 23, 43, 83)):
+    """Splines of the given cell counts on the given supports, with smooth
+    coefficients of both signs."""
+    return [SplineProfile(lo, hi, tuple(np.cos(np.linspace(0.0, 4.0, m - 3)) + 0.3))
+            for (lo, hi), m in zip(supports, cells)]
+
+
+class TestSplines:
+    """A Splines batch evaluates row i of a 2-D t with spline i, bit for bit
+    as that spline alone, though the splines have different cell counts."""
+
+    us = _splines([(0.01, 50.0), (0.5, 3.0), (1e-4, 0.02), (2.0, 900.0)])
+
+    def _rows(self):
+        # each row beyond both ends of its spline's support, its ends and
+        # its knots included
+        return np.array([np.concatenate([np.geomspace(0.3 * u.support_lo,
+                                                      3.0 * u.support_hi, 250 - u.cells),
+                                         u.edges]) for u in self.us])
+
+    def test_rows_are_each_splines_jet(self):
+        t = self._rows()
+        batch = np.array(Splines(self.us).jet(t))
+        for i, u in enumerate(self.us):
+            solo = np.array(u.jet(t[i]))
+            assert batch[:, i].tobytes() == solo.tobytes()
+            assert (solo[:, t[i] < u.support_lo] == 0.0).all()
+            assert (solo[:, t[i] > u.support_hi] == 0.0).all()
+            assert (solo[0] != 0.0).sum() > 100
+
+    def test_take_gives_each_row_its_spline(self):
+        t, rows = self._rows(), np.array([3, 0, 0, 2])
+        taken = Splines(self.us).take(rows)
+        assert taken.l.tolist() == [[0]] * 4
+        assert taken.support[0].tolist() == [self.us[i].support_lo for i in rows]
+        assert taken.support[1].tolist() == [self.us[i].support_hi for i in rows]
+        for got, i in zip(taken.edges, rows):
+            assert got.tobytes() == self.us[i].edges.tobytes()
+        batch = np.array(taken.jet(t[rows]))
+        for k, i in enumerate(rows):
+            assert batch[:, k].tobytes() == np.array(self.us[i].jet(t[i])).tobytes()
+
+    def test_empty(self):
+        empty = Splines([])
+        assert empty.edges == [] and empty.support[0].size == 0
+        assert all(d.shape == (0, 15) for d in empty.jet(np.empty((0, 15))))
 
 
 class TestSplineProfile:

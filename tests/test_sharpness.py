@@ -10,6 +10,7 @@ import pytest
 from rellich import catalog as cat
 from rellich import expr as ex
 from rellich import sharpness as sh
+from rellich import verify as vf
 from rellich.cli import main
 from rellich.geometry import SpaceForm, SplineProfile, make_bump
 from rellich.sharpness import (DegenerateTestFunctionError, estimate_constant,
@@ -162,6 +163,44 @@ class TestEstimateConstant:
                                 entry.specs["dual"], claimed=None, budget=120)
         assert est.claimed is None and est.gap_ratio is None
         assert est.estimate > 0
+
+    @pytest.mark.parametrize("claimed", [0.0, -9.0, math.inf, math.nan])
+    def test_claimed_must_be_finite_and_positive(self, claimed):
+        sf, pair = SpaceForm(6, 0.0), cat.classical_euclidean(6).specs["dual"]
+        with pytest.raises(ValueError, match="claimed constant must be finite and > 0"):
+            shape_sides("delta-vs-gradrad", pair, sf, claimed=claimed)
+        with pytest.raises(ValueError, match="claimed constant must be finite and > 0"):
+            estimate_constant(sf, "delta-vs-gradrad", pair, claimed=claimed, budget=25)
+
+    @pytest.mark.parametrize("budget", [100, 500])
+    def test_two_integrate_calls_per_estimate(self, monkeypatch, budget):
+        """Every level's spline is re-integrated in one batch per side: two
+        integrate calls, each making as many density calls as its slowest
+        level makes alone."""
+        sf = SpaceForm(6, 0.0)
+        pair, claimed = sharpness_problem(cat.classical_euclidean(6), "delta-vs-gradrad", sf)
+        calls, integrate = [], vf.integrate
+
+        def counted_integrate(sf, density, *args):
+            calls.append(0)
+
+            def counted(t):
+                calls[-1] += 1
+                return density(t)
+            return integrate(sf, counted, *args)
+
+        monkeypatch.setattr(vf, "integrate", counted_integrate)
+        est = estimate_constant(sf, "delta-vs-gradrad", pair, claimed=claimed, budget=budget)
+        assert est.evaluations == len(sh._levels(budget)) == (4 if budget == 100 else 6)
+        assert len(calls) == 2
+        batch = calls[:]
+        calls.clear()
+        sides = shape_sides("delta-vs-gradrad", pair, sf, claimed=claimed)
+        lo, hi = sh._interval(sf)
+        for cells in sh._levels(budget):
+            _, c = sh._ritz(*sh._grams(sf, sides, lo, hi, cells))
+            rayleigh_quotient(sf, sides, SplineProfile(lo, hi, tuple(c.tolist())))
+        assert batch == [max(calls[0::2]), max(calls[1::2])]
 
     @pytest.mark.parametrize("budget,levels", [(1, 1), (17, 2), (36, 2), (37, 3), (100, 4)])
     def test_budget_caps_the_basis(self, budget, levels):

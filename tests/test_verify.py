@@ -14,7 +14,7 @@ from rellich import sharpness as sh
 from rellich import verify as vf
 from rellich.cli import main
 from rellich.expr import Const, DomainError, parse
-from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile,
+from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile, Splines,
                               make_bump, sphere_area)
 from rellich.verify import (BatchSpec, ChainMismatchError, InequalityCase,
                             NonconvergenceError, Quadratures, generate_batch,
@@ -172,6 +172,22 @@ class TestLockstep:
         first_pass = [q.value for q, n in zip(solo, panels) if n == 8]
         assert len(set(first_pass)) == len(first_pass)
 
+    def test_ragged_knots_equal_solo(self):
+        """Knot rows of different lengths (none, repeated, at an end) run as
+        one flat panel table, each integral as it runs alone."""
+        rows = [(0.01, [0.1, 1.5, 3.0], 5.0), (1.0, [], 1.2), (0.3, [1.5], 12.0),
+                (1.4, [1.4, 1.45, 1.5, 1.5, 1.58], 1.6), (0.0, [0.2, 0.4], 1.46)]
+        lo, knots, hi = zip(*rows)
+        solo = [integrate(self.sf, _peak, a, b, tol=1e-8, knots=k) for a, k, b in rows]
+        assert list(integrate(self.sf, _peak, lo, hi, tol=1e-8, knots=knots)) == solo
+        assert list(integrate(self.sf, _peak, lo, hi, tol=1e-8,
+                              knots=[np.array(k) for k in knots])) == solo
+        assert len({q.subintervals for q in solo}) > 1
+        misordered = list(knots)
+        misordered[3] = [1.45, 1.5, 1.42]
+        with pytest.raises(ValueError, match=r"row 3: \[1.4, 1.6\] with knots \[1.45, 1.5, 1.42\]"):
+            integrate(self.sf, _peak, lo, hi, knots=misordered)
+
     def test_only_pending_panels_are_evaluated(self, monkeypatch):
         """Each row of t holds the 15 nodes of one panel of an unfinished
         integral, so the batch evaluates as many nodes as the solo runs, and
@@ -315,6 +331,13 @@ class TestGroupSums:
             self._check(x[:, rng.permutation(length * runs)], np.full(runs, length))
 
 
+def _splines(supports, cells=(13, 23, 43, 83)):
+    """Splines of the given cell counts on the given supports, with smooth
+    coefficients of both signs."""
+    return [SplineProfile(lo, hi, tuple(np.cos(np.linspace(0.0, 4.0, m - 3)) + 0.3))
+            for (lo, hi), m in zip(supports, cells)]
+
+
 class _Scaled:
     def __init__(self, u, s):
         self._u, self._s, self.l = u, s, u.l
@@ -392,6 +415,16 @@ class TestSides:
         for sf in (SpaceForm(7, 0.0), SpaceForm(5, 1.0), SpaceForm(7, 0.5, 40.0)):
             us = generate_batch(sf, BatchSpec(count=9, seed=15, modes=(0, 1, 2)))
             assert list(side(sf, w, Profiles(us), form)) == [side(sf, w, u, form) for u in us]
+
+    @pytest.mark.parametrize("form", ["delta", "gradrad", "grad", "usq"])
+    def test_spline_batch_side_equals_solo_sides(self, form):
+        # splines of 13, 23, 43 and 83 cells, log-substituted and linear
+        w = parse("1/t^2")
+        for sf in (SpaceForm(7, 0.0), SpaceForm(5, 1.0), SpaceForm(7, 0.5, 40.0)):
+            us = _splines([(0.01, 5.0), (0.5, 3.0), (1e-3, 20.0), (2.0, 9.0)])
+            batch = side(sf, w, Splines(us), form)
+            assert isinstance(batch, Quadratures)
+            assert list(batch) == [side(sf, w, u, form) for u in us]
 
     def test_one_density_call_per_pass_on_a_batch(self, monkeypatch):
         """A side of a 50-test batch makes one density call per pass, as many
