@@ -331,8 +331,8 @@ class SplineProfile:
 
 
 def _spline_jet(t, s_lo, width, cells, start, pieces):
-    """SplineProfile.jet on the array t, the spline's cells being columns
-    start on of pieces; the others are numbers or (m, 1) columns."""
+    """SplineProfile.jet on the array t, cell c of the spline being column
+    start + c of pieces; the others are numbers or (m, 1) columns."""
     x = (np.log(t) - s_lo) / width
     k = np.floor(x)
     inside = (k >= 0) & (k < cells)

@@ -208,7 +208,7 @@ def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] 
     for (cells, ritz, u), s in zip(levels, sums):
         try:
             q = _quotient(*s) if s else rayleigh_quotient(sf, sides, u, tol)
-        except (NonconvergenceError, ValueError, OverflowError):    # or degenerate
+        except (DegenerateTestFunctionError, NonconvergenceError, ValueError, OverflowError):
             continue
         if q < best:
             best = q

@@ -358,18 +358,13 @@ class TestProfiles:
             assert batch[:, i].tobytes() == np.array(u.jet(t[i])).tobytes()
 
 
-def _splines(supports, cells=(13, 23, 43, 83)):
-    """Splines of the given cell counts on the given supports, with smooth
-    coefficients of both signs."""
-    return [SplineProfile(lo, hi, tuple(np.cos(np.linspace(0.0, 4.0, m - 3)) + 0.3))
-            for (lo, hi), m in zip(supports, cells)]
-
-
 class TestSplines:
     """A Splines batch evaluates row i of a 2-D t with spline i, bit for bit
     as that spline alone, though the splines have different cell counts."""
 
-    us = _splines([(0.01, 50.0), (0.5, 3.0), (1e-4, 0.02), (2.0, 900.0)])
+    us = [SplineProfile(lo, hi, tuple(np.cos(np.linspace(0.0, 4.0, m - 3)) + 0.3))
+          for (lo, hi), m in zip([(0.01, 50.0), (0.5, 3.0), (1e-4, 0.02), (2.0, 900.0)],
+                                 (13, 23, 43, 83))]
 
     def _rows(self):
         # each row beyond both ends of its spline's support, its ends and

@@ -185,7 +185,8 @@ class TestLockstep:
         assert len({q.subintervals for q in solo}) > 1
         misordered = list(knots)
         misordered[3] = [1.45, 1.5, 1.42]
-        with pytest.raises(ValueError, match=r"row 3: \[1.4, 1.6\] with knots \[1.45, 1.5, 1.42\]"):
+        with pytest.raises(ValueError,
+                           match=r"row 3: \[1.4, 1.6\] with knots \[1.45, 1.5, 1.42\]"):
             integrate(self.sf, _peak, lo, hi, knots=misordered)
 
     def test_only_pending_panels_are_evaluated(self, monkeypatch):
