@@ -10,17 +10,19 @@ A test function is a C^2 bump: a taper that rises from 0 to 1, holds 1 and
 falls back to 0.  ``RadialTestFunction.jet`` returns the taper's (u, u', u'')
 together, so a density that needs all three (the separated Laplacian) masks
 its nodes once.
-``Profiles`` stacks the test functions of a batch into (m, 1) parameter
-columns, so one jet call evaluates a 2-D t whose row i holds nodes of function
-i, each row bit-identical to that function's own jet; ``take`` picks the rows
-of one quadrature pass.  ``SplineProfile`` is a cubic B-spline in log t, the
-profile a best-constant estimate reports, and ``Splines`` a batch of them;
-``bspline_basis`` gives the pieces of its basis on one cell.
+Every quadrature runs on a batch.  ``Profiles`` stacks the bumps of a batch
+into (m, 1) parameter columns, so one jet call evaluates a 2-D t whose row i
+holds nodes of function i, each row bit-identical to that function's own jet;
+``take`` picks the rows of one quadrature pass.  ``Splines`` is a batch of
+cubic B-splines in log t, the profiles a best-constant estimate reports;
+``bspline_basis`` gives the pieces of their basis on one cell.  A batch hands
+the quadrature its ``edges`` (each row's ends and inner knots, row after row,
+in one flat array), its ``bands`` (each row's count of bands between them) and
+its ``panels`` (initial panels per band).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +32,7 @@ __all__ = [
     "SpaceForm", "RadialTestFunction", "ct", "big_l", "s_kappa",
     "volume_weight", "sphere_area", "angular_eigenvalue",
     "angular_term", "separated_laplacian", "make_bump", "Profiles",
-    "SplineProfile", "Splines", "bspline_basis",
+    "Splines", "bspline_basis",
 ]
 
 
@@ -148,27 +150,15 @@ class RadialTestFunction:
     fall_lo: float       # start of the outer transition band
     l: int = 0
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.support_lo, self.support_hi)
-
-    @property
-    def edges(self) -> tuple:
-        """(support_lo, rise_hi, fall_lo, support_hi): the ends of the bands on
-        each of which the profile is one polynomial."""
-        return (self.support_lo, self.rise_hi, self.fall_lo, self.support_hi)
-
     def jet(self, t):
-        """(u, u', u'') of the taper at t; floats for a scalar t."""
-        out = _jet(np.asarray(t, dtype=float), *self.knots())
-        if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-            return tuple(float(o) for o in out)
-        return out
+        """(u, u', u'') of the taper at t, as arrays."""
+        return _jet(np.asarray(t, dtype=float), *self.knots())
 
     def knots(self) -> tuple:
         """(support_lo, rise_hi, fall_lo, support_hi, w_in, w_in^2, w_out,
         w_out^2) as floats, with w_in and w_out the widths of the rise and
-        fall bands."""
+        fall bands; the first four are the ends of the bands on each of which
+        the profile is one polynomial."""
         w_in = self.rise_hi - self.support_lo
         w_out = self.support_hi - self.fall_lo
         return (self.support_lo, self.rise_hi, self.fall_lo, self.support_hi,
@@ -209,32 +199,29 @@ def _at(mask, *knots):
 
 
 class Profiles:
-    """The test functions of a batch as (m, 1) parameter columns: jet(t)
-    evaluates row i of a 2-D t with function i, from the same float knots
+    """The bumps of a batch as (m, 1) parameter columns: jet(t) evaluates row
+    i of a 2-D t with function i, from the same float knots
     RadialTestFunction.jet uses, so every row is bit-identical to that
-    function's own jet.  support is the pair of arrays of support ends, edges
-    the (m, 4) array of band ends and l the (m, 1) column of angular modes."""
+    function's own jet.  l is the (m, 1) column of angular modes, edges the
+    four band ends of each function, function after function, and bands the
+    count of each function's bands, 3."""
+
+    # initial quadrature panels per band: 18 in log t or 9 in t over a bump
+    panels = 6
 
     def __init__(self, functions):
         functions = tuple(functions)
         knots = np.array([u.knots() for u in functions]).reshape(-1, 8)
         self._knots = tuple(knots[:, k:k + 1] for k in range(8))
         self.l = np.array([[u.l] for u in functions], dtype=int).reshape(-1, 1)
-
-    @property
-    def support(self) -> tuple:
-        return self._knots[0][:, 0], self._knots[3][:, 0]
-
-    @property
-    def edges(self) -> np.ndarray:
-        """The (m, 4) array of the functions' edges, row i function i's."""
-        return np.hstack(self._knots[:4])
+        self.edges = knots[:, :4].ravel()
+        self.bands = np.full(len(functions), 3)
 
     def take(self, rows) -> "Profiles":
-        """The batch whose row k is function rows[k] of this one; rows is an
-        index array and may repeat."""
+        """The batch whose row k is function rows[k] of this one, for jet:
+        rows is an index array and may repeat.  It has no edges or bands."""
         out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__)
+        out.__dict__.update((k, v) for k, v in vars(self).items() if k not in ("edges", "bands"))
         out.l = self.l[rows]
         out._knots = tuple(k[rows] for k in self._knots)
         return out
@@ -274,65 +261,9 @@ def bspline_basis(r):
     return tuple(p @ _BSPLINE.T for p in powers)
 
 
-@dataclass(frozen=True)
-class SplineProfile:
-    """Radial profile u(t) = sum_j c_j B_j(log t): a uniform cubic B-spline in
-    s = log t on len(coefficients) + 3 cells of [log support_lo, log
-    support_hi].  The three B-splines that reach past each end are left out,
-    so u, u' and u'' vanish at both ends and u is C^2 with compact support."""
-
-    support_lo: float
-    support_hi: float
-    coefficients: tuple
-
-    l = 0   # radial
-
-    def __post_init__(self):
-        if not (0 < self.support_lo < self.support_hi):
-            raise ValueError(f"spline support [{self.support_lo}, {self.support_hi}] "
-                             "must satisfy 0 < lo < hi")
-        if not self.coefficients:
-            raise ValueError("a spline profile needs at least one coefficient")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.support_lo, self.support_hi)
-
-    @property
-    def cells(self) -> int:
-        return len(self.coefficients) + 3
-
-    @property
-    def edges(self) -> np.ndarray:
-        """The cells + 1 knots in t, from support_lo to support_hi."""
-        s_lo, width, _ = self._pieces
-        out = np.exp(s_lo + width * np.arange(self.cells + 1))
-        out[[0, -1]] = self.support
-        return out
-
-    @functools.cached_property
-    def _pieces(self):
-        """(log support_lo, cell width, the (4, cells) table of each cell's
-        coefficients of 1, r, r^2, r^3)."""
-        s_lo = math.log(self.support_lo)
-        width = (math.log(self.support_hi) - s_lo) / self.cells
-        c = np.concatenate([np.zeros(3), np.asarray(self.coefficients, dtype=float),
-                            np.zeros(3)])
-        windows = np.lib.stride_tricks.sliding_window_view(c, 4)
-        return s_lo, width, (windows @ _BSPLINE).T.copy()
-
-    def jet(self, t):
-        """(u, u', u'') at t, 0 outside the support; floats for a scalar t."""
-        s_lo, width, pieces = self._pieces
-        out = _spline_jet(np.asarray(t, dtype=float), s_lo, width, self.cells, 0, pieces)
-        if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-            return tuple(float(o) for o in out)
-        return out
-
-
 def _spline_jet(t, s_lo, width, cells, start, pieces):
-    """SplineProfile.jet on the array t, cell c of the spline being column
-    start + c of pieces; the others are numbers or (m, 1) columns."""
+    """Splines.jet on the array t, for (m, 1) columns s_lo, width, cells and
+    start, cell c of row i being column start[i] + c of pieces."""
     x = (np.log(t) - s_lo) / width
     k = np.floor(x)
     inside = (k >= 0) & (k < cells)
@@ -347,31 +278,45 @@ def _spline_jet(t, s_lo, width, cells, start, pieces):
 
 
 class Splines(Profiles):
-    """A batch of SplineProfiles as (m, 1) columns of log support_lo, cell
-    width, cells and first knot, the index of its knots in one edge array and
-    of its cells in one pieces table.  jet is _spline_jet, SplineProfile.jet's
-    own, so row i is bit for bit spline i's; edges lists each one's knots."""
+    """A batch of radial profiles u(t) = sum_j c_j B_j(log t), one per row
+    (support_lo, support_hi, coefficients): a uniform cubic B-spline in
+    s = log t on len(coefficients) + 3 cells of [log support_lo, log
+    support_hi].  The three B-splines that reach past each end are left out,
+    so u, u' and u'' vanish at both ends and u is C^2 with compact support.
 
-    def __init__(self, splines):
-        splines = tuple(splines)
-        cells = np.array([[u.cells] for u in splines], dtype=int).reshape(-1, 1)
-        s_lo, width = np.array([u._pieces[:2] for u in splines]).reshape(-1, 2).T[:, :, None]
-        self._knots = (s_lo, width, cells, (cells + 1).cumsum()[:, None] - cells - 1)
-        self.l = np.zeros_like(cells)
-        self._edges = np.concatenate([[], *(u.edges for u in splines)])
-        # each spline's pieces and a zero column for its last knot
-        self._pieces = np.concatenate([np.empty((4, 0)), *(p for u in splines for p in (
-            u._pieces[2], np.zeros((4, 1))))], axis=1)
+    _knots holds (m, 1) columns of log support_lo, cell width, cell count and
+    first knot, the index of the row's knots in edges and of its cells in
+    _pieces, the (4, len(edges)) table of each cell's coefficients of 1, r,
+    r^2, r^3 with a zero column at each row's last knot; bands is the rows'
+    cell counts."""
 
-    @property
-    def support(self) -> tuple:
-        first, cells = self._knots[3][:, 0], self._knots[2][:, 0]
-        return self._edges[first], self._edges[first + cells]
+    # one quadrature panel per cell
+    panels = 1
 
-    @property
-    def edges(self) -> list:
-        first, cells = self._knots[3][:, 0], self._knots[2][:, 0]
-        return [self._edges[f:f + c + 1] for f, c in zip(first, cells)]
+    def __init__(self, rows):
+        rows = tuple(rows)
+        pieces = [np.empty((4, 0))]
+        for lo, hi, c in rows:
+            if not 0 < lo < hi:
+                raise ValueError(f"spline support [{lo}, {hi}] must satisfy 0 < lo < hi")
+            if not len(c):
+                raise ValueError("a spline profile needs at least one coefficient")
+            c = np.concatenate([np.zeros(3), np.asarray(c, dtype=float), np.zeros(3)])
+            windows = np.lib.stride_tricks.sliding_window_view(c, 4)
+            pieces += [(windows @ _BSPLINE).T, np.zeros((4, 1))]
+        self._pieces = np.concatenate(pieces, axis=1)
+        lo, hi = np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2).T
+        cells = np.array([len(c) + 3 for *_, c in rows], dtype=int)
+        s_lo = np.array([math.log(x) for x in lo])
+        width = (np.array([math.log(x) for x in hi]) - s_lo) / cells
+        first = (cells + 1).cumsum() - cells - 1
+        # knot k of a row at exp(s_lo + width k), its ends exactly lo and hi
+        knot = np.arange((cells + 1).sum()) - first.repeat(cells + 1)
+        self.edges = np.exp(s_lo.repeat(cells + 1) + width.repeat(cells + 1) * knot)
+        self.edges[first], self.edges[first + cells] = lo, hi
+        self.bands = cells
+        self._knots = tuple(x[:, None] for x in (s_lo, width, cells, first))
+        self.l = np.zeros_like(cells)[:, None]
 
     def jet(self, t):
         return _spline_jet(np.asarray(t, dtype=float), *self._knots, self._pieces)

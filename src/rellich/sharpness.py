@@ -5,12 +5,12 @@ claimed constant factored out of its right-hand side).  Each level k solves
 the Ritz problem on a uniform cubic B-spline space in s = log t with
 10 * 2^k cells: the two sides become Gram matrices, assembled on
 Gauss-Legendre nodes, and the least eigenvalue of the pencil gives the
-level's minimizer, a geometry.SplineProfile.  Every level's spline is then
-re-integrated like any test function, all in one geometry.Splines batch; the
-estimate is the least finite re-integrated quotient over the levels, never
-a Ritz eigenvalue, so a coarse assembly can cost sharpness but not
-soundness.  The spaces are nested, so a larger budget only adds levels.  It
-is an estimate, not a proof.
+level's minimizer, a row of B-spline coefficients.  Every level's spline is
+then re-integrated like any test function, all levels as the rows of one
+geometry.Splines batch; the estimate is the least finite re-integrated
+quotient over the levels, never a Ritz eigenvalue, so a coarse assembly can
+cost sharpness but not soundness.  The spaces are nested, so a larger budget
+only adds levels.  It is an estimate, not a proof.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import CatalogEntry, entry_pair
-from .geometry import (SpaceForm, SplineProfile, Splines, big_l, bspline_basis,
-                       volume_weight)
+from .geometry import SpaceForm, Splines, big_l, bspline_basis, volume_weight
 from .verify import (DEFAULT_QUAD_TOL, SHAPES, NonconvergenceError, QuadratureResult,
                      Sides, batch_domain, shape_sides)
 
@@ -61,9 +60,11 @@ class SharpnessEstimate:
 
 def rayleigh_quotient(sf: SpaceForm, sides: Sides, u,
                       tol: float = DEFAULT_QUAD_TOL) -> float:
-    """LHS/RHS of u on the sides of an inequality (verify.shape_sides, with the
-    claimed constant factored out of the RHS density)."""
-    return _quotient(*sides.integrals(sf, u, tol))
+    """LHS/RHS of the one-function batch u (a geometry.Profiles or Splines)
+    on the sides of an inequality (verify.shape_sides, with the claimed
+    constant factored out of the RHS density)."""
+    (lhs,), (rhs,) = sides.integrals(sf, u, tol)
+    return _quotient(lhs, rhs)
 
 
 def _quotient(lhs: QuadratureResult, rhs: QuadratureResult) -> float:
@@ -140,6 +141,8 @@ def _grams(sf: SpaceForm, sides: Sides, lo: float, hi: float, cells: int) -> tup
     # the nodes' weights: dx = volume_weight dt, dt = t ds
     measure = (0.5 * width * w * share[:, None]).ravel() * volume_weight(sf, t) * t
     values = {**sides.bindings, "t": t}
+    # the rows and columns of the band of B-splines i and j: index[i], index[j]
+    index = np.arange(cells) + np.arange(4)[:, None]
     out = []
     for weight, form in ((sides.weight, sides.lhs), (sides.density, sides.rhs)):
         f = features(form)
@@ -151,9 +154,9 @@ def _grams(sf: SpaceForm, sides: Sides, lo: float, hi: float, cells: int) -> tup
             for i in range(4):
                 for j in range(i, 4):
                     band = np.bincount(cell, q * f[:, i] * f[:, j], minlength=cells)
-                    gram[np.arange(i, cells + i), np.arange(j, cells + j)] += band
+                    gram[index[i], index[j]] += band
                     if j > i:
-                        gram[np.arange(j, cells + j), np.arange(i, cells + i)] += band
+                        gram[index[j], index[i]] += band
         out.append(gram[3:cells, 3:cells])
     return tuple(out)
 
@@ -198,22 +201,22 @@ def estimate_constant(sf: SpaceForm, shape: str, pair, claimed: Optional[float] 
             ritz, c = _ritz(*_grams(sf, sides, lo, hi, cells))
         except (ValueError, OverflowError):
             continue
-        levels.append((cells, ritz, SplineProfile(lo, hi, tuple(c.tolist()))))
+        levels.append((cells, ritz, c.tolist()))
     try:
         # every level in one batch; after a failure, each level alone
-        sums = list(zip(*sides.integrals(sf, Splines([u for *_, u in levels]), tol)))
+        sums = list(zip(*sides.integrals(sf, Splines([(lo, hi, c) for *_, c in levels]), tol)))
     except (NonconvergenceError, ValueError, OverflowError):
         sums = [None] * len(levels)
     best, params = math.inf, {"support_lo": lo, "support_hi": hi}
-    for (cells, ritz, u), s in zip(levels, sums):
+    for (cells, ritz, c), s in zip(levels, sums):
         try:
-            q = _quotient(*s) if s else rayleigh_quotient(sf, sides, u, tol)
+            q = _quotient(*s) if s else rayleigh_quotient(sf, sides, Splines([(lo, hi, c)]), tol)
         except (DegenerateTestFunctionError, NonconvergenceError, ValueError, OverflowError):
             continue
         if q < best:
             best = q
             params = {"support_lo": lo, "support_hi": hi, "cells": cells,
-                      "ritz_value": ritz, "coefficients": list(u.coefficients)}
+                      "ritz_value": ritz, "coefficients": c}
     return SharpnessEstimate(
         estimate=best,
         params=params,

@@ -27,9 +27,8 @@ import numpy as np
 from . import pairs as pr
 from .catalog import ChainDescriptor
 from .expr import Const, Expr
-from .geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile, Splines,
-                       angular_eigenvalue, angular_term, make_bump, separated_laplacian,
-                       volume_weight)
+from .geometry import (Profiles, RadialTestFunction, SpaceForm, angular_eigenvalue,
+                       angular_term, make_bump, separated_laplacian, volume_weight)
 from .pairs import PairSpec, Scan
 
 __all__ = [
@@ -192,19 +191,29 @@ def _adaptive_gk(f: Callable, rtol: float, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_TOL,
-              select: Optional[Callable] = None, knots=None, panels: int = 16):
-    """integral over {a < rho < b} of density(rho) dx_kappa, i.e. the 1-D
-    integral of density(t) * volume_weight(t), as a QuadratureResult.  Its
-    error_estimate, the budget, is the sum of |K15 - G7| over its panels
-    plus their rounding floors; only the first sum must meet tol |value|.
+def integrate(sf: SpaceForm, density: Callable, edges, bands, tol: float = DEFAULT_QUAD_TOL,
+              select: Optional[Callable] = None, panels: int = 16) -> Quadratures:
+    """The integrals over {a < rho < b} of density(rho) dx_kappa, i.e. the
+    1-D integrals of density(t) * volume_weight(t), one per row, as
+    Quadratures.  Each error_estimate, the budget, is the sum of |K15 - G7|
+    over the integral's panels plus their rounding floors; only the first
+    sum must meet tol |value|.
 
-    density is called with a 2-D t whose row k holds the 15 nodes of one
-    panel.  With sequences a and b it is a batch: the m integrals run in
-    lockstep on one flat panel table (_adaptive_gk), each bit-identical to
-    integral i alone, and come back as Quadratures.  Before each density
-    call on a batch, select(rows) is called with the integral of each row of
-    t, so a density over a batch of test functions can give each row its own.
+    edges holds each row's a, knots and b, row after row, in one flat
+    sequence, and bands[i] is the number of bands between row i's (its knots
+    + 1), so `integrate(sf, f, [a, b], [1])[0]` is one integral.  Knots are
+    points where the integrand's derivatives may jump, so that no initial
+    panel straddles one; a row must have 0 <= a <= knots <= b <= R, a < b,
+    or ValueError names it.  Each band starts as `panels` equal panels in
+    s = log t when b/a > 32, which resolves power behaviour toward t = 0, or
+    else as panels // 2 (at least one) equal panels in t.  Only integrable
+    endpoint singularities are supported.
+
+    The integrals run in lockstep on one flat panel table (_adaptive_gk),
+    each bit-identical to the same row integrated alone.  density is called
+    with a 2-D t whose row k holds the 15 nodes of one panel; before each
+    density call, select(rows) is called with the integral of each row of t,
+    so a density over a batch of test functions can give each row its own.
 
     A failure (NonconvergenceError, or an EvaluationError of the expressions
     density evaluates) raises where the run meets it, and nothing runs
@@ -212,29 +221,13 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
     integral order and then the convergence checks in integral order, within
     an expression its steps in scheduled (Sethi-Ullman) order, and across
     the sides of Sides.integrals the sides in order.
-
-    knots are points where the integrand's derivatives may jump (a
-    sequence; for a batch, an array of one row per integral or a sequence of
-    rows of any lengths), so that no initial panel straddles one; a row must
-    have 0 <= a <= knots <= b <= R, a < b, or ValueError names it.  Each band
-    between a, the knots and b starts as `panels` equal panels in s = log t
-    when b/a > 32, which resolves power behaviour toward t = 0, or else as
-    panels // 2 (at least one) equal panels in t.  Only integrable endpoint
-    singularities are supported.
     """
-    batch = np.ndim(a) > 0
-    lo, hi = (np.atleast_1d(np.asarray(end, dtype=float)) for end in (a, b))
-    rows = np.empty((len(lo), 0)) if knots is None else knots if batch else [knots]
-    if isinstance(rows, np.ndarray):        # rows of one length, whole-array
-        x = np.column_stack([lo, rows, hi])
-        bands, x = np.full(len(lo), x.shape[1] - 1), x.ravel()
-    else:
-        x = np.concatenate([[], *(p for s, k, e in zip(lo, rows, hi)
-                                  for p in ([s], np.ravel(k), [e]))])
-        bands = np.array([np.size(k) + 1 for k in rows], dtype=int)
-    # x: each row's a, knots and b, row i ending at x[last[i]]; band j is x[j:j + 2]
+    # x: each row's a, knots and b, row i from x[last[i] - bands[i]] to
+    # x[last[i]]; band j is x[j:j + 2]
+    x, bands = np.array(edges, dtype=float), np.asarray(bands, dtype=int)
     last = (bands + 1).cumsum() - 1
-    j = np.arange(bands.sum()) + np.arange(len(lo)).repeat(bands)
+    lo, hi = x[last - bands], x[last]
+    j = np.arange(bands.sum()) + np.arange(len(bands)).repeat(bands)
     bad = ~((0 <= lo) & (lo < hi) & (hi <= sf.R)
             & np.logical_and.reduceat(x[j + 1] >= x[j], bands.cumsum() - bands))
     if bad.any():
@@ -264,8 +257,7 @@ def integrate(sf: SpaceForm, density: Callable, a, b, tol: float = DEFAULT_QUAD_
         vals = np.asarray(density(t), dtype=float) * volume_weight(sf, t)
         return np.multiply(vals, t, out=vals, where=on_log)
 
-    results = _adaptive_gk(integrand, tol, left, right, counts)
-    return Quadratures(results) if batch else results[0]
+    return Quadratures(_adaptive_gk(integrand, tol, left, right, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +288,19 @@ SHAPES = {
 }
 
 
-# initial panels per band between a bump's edges (integrate's panels): 18 in
-# log t or 9 in t over its three bands; a spline's cells start as one each
-_BUMP_PANELS = 6
-
-
 def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = None,
-         tol: float = DEFAULT_QUAD_TOL):
+         tol: float = DEFAULT_QUAD_TOL) -> Quadratures:
     """integral of weight(rho) * q(u) dx over the support of u, with q =
     |Delta u|^2 (delta), |grad_rad u|^2 (gradrad), |grad u|^2 (grad: radial
     plus angular part) or u^2 (usq); bindings holds the weight's parameters,
-    n and kappa (PairSpec.bindings(sf)).  u is one test function, or a
-    Profiles batch (Splines is one) whose integrals run as one batched
-    integrate call and come back as Quadratures.  Its inner edges are
-    integrate's knots."""
+    n and kappa (PairSpec.bindings(sf)).  u is a batch of test functions
+    (geometry.Profiles or Splines), whose integrals run as one integrate call
+    on its edges, bands and panels and come back as Quadratures."""
     if form not in ("delta", "gradrad", "grad", "usq"):
         raise ValueError(f"unknown side {form!r}")
     bindings = bindings or {}
-    # the functions of the rows of the next density call: u itself, or for a
-    # batch the rows integrate selects
-    rows_u = [u]
+    # the functions of the rows of the next density call, as integrate selects
+    rows_u = [None]
 
     def select(rows):
         rows_u[0] = u.take(rows)
@@ -336,10 +321,7 @@ def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = N
             q = q + angular
         return w * q
 
-    knots = ([e[1:-1] for e in u.edges] if isinstance(u, Splines)
-             else np.asarray(u.edges)[..., 1:-1])
-    return integrate(sf, density, *u.support, tol, select if isinstance(u, Profiles) else None,
-                     knots, 1 if isinstance(u, (SplineProfile, Splines)) else _BUMP_PANELS)
+    return integrate(sf, density, u.edges, u.bands, tol, select, u.panels)
 
 
 @dataclass(frozen=True)
@@ -355,16 +337,10 @@ class Sides:
     bindings: dict
 
     def integrals(self, sf: SpaceForm, u, tol: float = DEFAULT_QUAD_TOL) -> tuple:
-        """(lhs, rhs) of u: two QuadratureResults, or for a Profiles batch two
-        Quadratures."""
-        return _integrals(sf, [self], u, tol)[0]
-
-
-def _integrals(sf: SpaceForm, sides: Sequence[Sides], u, tol: float) -> list:
-    """(lhs, rhs) of u on each of sides, one integrate call per side, in
-    order; the first failing call raises."""
-    return [(side(sf, s.weight, u, s.lhs, s.bindings, tol),
-             side(sf, s.density, u, s.rhs, s.bindings, tol)) for s in sides]
+        """(lhs, rhs) of the batch u: two Quadratures, one integrate call per
+        side, lhs first; the first failing call raises."""
+        return (side(sf, self.weight, u, self.lhs, self.bindings, tol),
+                side(sf, self.density, u, self.rhs, self.bindings, tol))
 
 
 def _check_pair(shape: str, pair) -> None:
@@ -542,7 +518,8 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
     sides = [shape_sides(shape, spec, sf)] + [
         shape_sides("gradrad-vs-usq", link.spec, sf) for link in links]
     us = generate_batch(sf, batch)
-    (lhs, rhs), *link_sums = _integrals(sf, sides, Profiles(us), quad_tol)
+    profiles = Profiles(us)
+    (lhs, rhs), *link_sums = [s.integrals(sf, profiles, quad_tol) for s in sides]
     tests: list[TestRecord] = []
     for i, u in enumerate(us):
         test_id = f"t{i:03d}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rellich.expr import Const, fd_check, parse
-from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile, Splines,
+from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, Splines,
                               angular_eigenvalue, big_l, bspline_basis, ct, make_bump, s_kappa,
                               separated_laplacian, sphere_area, volume_weight)
 from rellich.verify import side
@@ -270,7 +270,7 @@ class TestUnequalBands:
     u = _UNEQUAL_BANDS
 
     def test_c2_and_support(self):
-        assert self.u.support == (1.0, 11.0)
+        assert self.u.knots()[:4] == (1.0, 2.0, 8.0, 11.0)
         for knot in (1.0, 2.0, 8.0, 11.0):
             assert abs(self.u.d2value(knot - 1e-12) - self.u.d2value(knot + 1e-12)) <= 1e-9
         assert self.u.value(0.99) == 0.0 and self.u.value(11.01) == 0.0
@@ -337,14 +337,18 @@ class TestProfiles:
         t, rows = self._rows(), np.array([2, 0, 0, 1])
         taken = Profiles(self.us).take(rows)
         assert taken.l.tolist() == [[2], [0], [0], [1]]
-        assert taken.support[1].tolist() == [1.3, 1.0, 1.0, 90.0]
+        # the whole batch's edges and bands are not the taken rows'
+        assert not hasattr(taken, "edges") and not hasattr(taken, "bands")
         batch = np.array(taken.jet(t[rows]))
         for k, i in enumerate(rows):
             assert batch[:, k].tobytes() == np.array(self.us[i].jet(t[i])).tobytes()
 
     def test_columns(self):
         p = Profiles(self.us)
-        assert p.support[0].tolist() == [0.5, 2.0, 1.0]
+        assert p.edges.tolist() == [x for u in self.us for x in u.knots()[:4]]
+        assert p.edges.reshape(-1, 4)[:, [0, 3]].tolist() == [[0.5, 1.0], [2.0, 90.0],
+                                                              [1.0, 1.3]]
+        assert p.bands.tolist() == [3, 3, 3] and p.panels == 6
         assert p.l.tolist() == [[0], [1], [2]]
         assert angular_eigenvalue(5, p.l).tolist() == [[0.0], [4.0], [10.0]]
         with pytest.raises(ValueError):
@@ -358,56 +362,73 @@ class TestProfiles:
             assert batch[:, i].tobytes() == np.array(u.jet(t[i])).tobytes()
 
 
+def _rows(supports, cells):
+    """Spline rows of the given cell counts on the given supports, with
+    smooth coefficients of both signs."""
+    return [(lo, hi, np.cos(np.linspace(0.0, 4.0, m - 3)) + 0.3)
+            for (lo, hi), m in zip(supports, cells)]
+
+
 class TestSplines:
     """A Splines batch evaluates row i of a 2-D t with spline i, bit for bit
     as that spline alone, though the splines have different cell counts."""
 
-    us = [SplineProfile(lo, hi, tuple(np.cos(np.linspace(0.0, 4.0, m - 3)) + 0.3))
-          for (lo, hi), m in zip([(0.01, 50.0), (0.5, 3.0), (1e-4, 0.02), (2.0, 900.0)],
-                                 (13, 23, 43, 83))]
+    rows = _rows([(0.01, 50.0), (0.5, 3.0), (1e-4, 0.02), (2.0, 900.0)], (13, 23, 43, 83))
 
-    def _rows(self):
+    def _t(self):
         # each row beyond both ends of its spline's support, its ends and
         # its knots included
-        return np.array([np.concatenate([np.geomspace(0.3 * u.support_lo,
-                                                      3.0 * u.support_hi, 250 - u.cells),
-                                         u.edges]) for u in self.us])
+        return np.array([np.concatenate([np.geomspace(0.3 * lo, 3.0 * hi, 250 - len(c) - 3),
+                                         Splines([(lo, hi, c)]).edges])
+                         for lo, hi, c in self.rows])
 
     def test_rows_are_each_splines_jet(self):
-        t = self._rows()
-        batch = np.array(Splines(self.us).jet(t))
-        for i, u in enumerate(self.us):
-            solo = np.array(u.jet(t[i]))
+        t = self._t()
+        batch = np.array(Splines(self.rows).jet(t))
+        for i, (lo, hi, c) in enumerate(self.rows):
+            solo = np.array(Splines([(lo, hi, c)]).jet(t[i]))[:, 0]
             assert batch[:, i].tobytes() == solo.tobytes()
-            assert (solo[:, t[i] < u.support_lo] == 0.0).all()
-            assert (solo[:, t[i] > u.support_hi] == 0.0).all()
+            assert (solo[:, t[i] < lo] == 0.0).all()
+            assert (solo[:, t[i] > hi] == 0.0).all()
             assert (solo[0] != 0.0).sum() > 100
 
+    def test_edges_and_bands(self):
+        batch = Splines(self.rows)
+        assert batch.bands.tolist() == [13, 23, 43, 83] and batch.panels == 1
+        assert batch.edges.size == sum(batch.bands + 1)
+        # each row's knots, geometric in t, from its support_lo to its support_hi
+        bounds = np.concatenate([[0], (batch.bands + 1).cumsum()])
+        for (lo, hi, c), s, e in zip(self.rows, bounds[:-1], bounds[1:]):
+            knots = batch.edges[s:e]
+            assert knots[0] == lo and knots[-1] == hi
+            assert np.allclose(knots, np.geomspace(lo, hi, e - s), rtol=1e-13)
+            assert knots.tobytes() == Splines([(lo, hi, c)]).edges.tobytes()
+
     def test_take_gives_each_row_its_spline(self):
-        t, rows = self._rows(), np.array([3, 0, 0, 2])
-        taken = Splines(self.us).take(rows)
+        t, rows = self._t(), np.array([3, 0, 0, 2])
+        taken = Splines(self.rows).take(rows)
         assert taken.l.tolist() == [[0]] * 4
-        assert taken.support[0].tolist() == [self.us[i].support_lo for i in rows]
-        assert taken.support[1].tolist() == [self.us[i].support_hi for i in rows]
-        for got, i in zip(taken.edges, rows):
-            assert got.tobytes() == self.us[i].edges.tobytes()
+        assert not hasattr(taken, "edges") and not hasattr(taken, "bands")
         batch = np.array(taken.jet(t[rows]))
         for k, i in enumerate(rows):
-            assert batch[:, k].tobytes() == np.array(self.us[i].jet(t[i])).tobytes()
+            solo = np.array(Splines([self.rows[i]]).jet(t[i]))[:, 0]
+            assert batch[:, k].tobytes() == solo.tobytes()
 
     def test_empty(self):
         empty = Splines([])
-        assert empty.edges == [] and empty.support[0].size == 0
+        assert empty.edges.size == 0 and empty.bands.size == 0
         assert all(d.shape == (0, 15) for d in empty.jet(np.empty((0, 15))))
 
 
-class TestSplineProfile:
-    """A cubic B-spline in log t with three functions dropped at each end."""
+class TestSpline:
+    """A cubic B-spline in log t with three functions dropped at each end: a
+    Splines batch of one, whose (1, 1) columns broadcast over any t."""
 
-    u = SplineProfile(0.01, 50.0, (0.3, -1.0, 0.7, 0.2, 0.9, -0.4, 0.5))
+    u = Splines([(0.01, 50.0, (0.3, -1.0, 0.7, 0.2, 0.9, -0.4, 0.5))])
 
     def _knots(self):
-        return np.geomspace(0.01, 50.0, self.u.cells + 1)
+        # 7 coefficients: 10 cells
+        return np.geomspace(0.01, 50.0, 11)
 
     def test_basis_is_a_partition_of_unity(self):
         r = np.linspace(0.0, 1.0, 11)
@@ -422,37 +443,30 @@ class TestSplineProfile:
         # three points inside every cell, away from the knots
         ts = (knots[:-1, None] * (knots[1:, None] / knots[:-1, None])
               ** np.array([0.2, 0.5, 0.8])).ravel()
-        u, d1, d2 = self.u.jet(ts)
+        u, d1, d2 = (d[0] for d in self.u.jet(ts))
         h = 1e-6 * ts
-        up, d1p, _ = self.u.jet(ts + h)
-        um, d1m, _ = self.u.jet(ts - h)
+        up, d1p, _ = (d[0] for d in self.u.jet(ts + h))
+        um, d1m, _ = (d[0] for d in self.u.jet(ts - h))
         assert np.allclose((up - um) / (2 * h), d1, rtol=1e-6, atol=1e-6 * np.abs(d1).max())
         assert np.allclose((d1p - d1m) / (2 * h), d2, rtol=1e-6, atol=1e-6 * np.abs(d2).max())
 
     def test_c2_at_every_knot_and_zero_at_the_ends(self):
         knots = self._knots()
         scale = [np.abs(d).max() for d in self.u.jet(np.geomspace(0.01, 50.0, 2001))]
-        for t in knots:
-            left = self.u.jet(t * (1 - 1e-12))
-            right = self.u.jet(t * (1 + 1e-12))
-            for k in range(3):
-                assert abs(left[k] - right[k]) <= 1e-9 * scale[k]
-        for t in (0.01, 50.0):
-            assert all(abs(d) <= 1e-12 * s for d, s in zip(self.u.jet(t), scale))
-        for t in (0.005, 0.00999, 50.01, 900.0):
-            assert self.u.jet(t) == (0.0, 0.0, 0.0)
-
-    def test_scalar_t_gives_floats(self):
-        for t in (0.5, np.float64(0.5), 0.001):
-            assert all(type(d) is float for d in self.u.jet(t))
-        assert self.u.jet(0.5) == tuple(float(d[0]) for d in self.u.jet(np.array([0.5])))
+        left, right = self.u.jet(knots * (1 - 1e-12)), self.u.jet(knots * (1 + 1e-12))
+        for k in range(3):
+            assert (np.abs(left[k] - right[k]) <= 1e-9 * scale[k]).all()
+        for d, s in zip(self.u.jet(np.array([0.01, 50.0])), scale):
+            assert (np.abs(d) <= 1e-12 * s).all()
+        outside = np.array([0.005, 0.00999, 50.01, 900.0])
+        assert all((d == 0.0).all() for d in self.u.jet(outside))
 
     @pytest.mark.parametrize("form", ["usq", "gradrad", "delta"])
     def test_side_integrates_one_profile(self, form):
         # a batch of one through verify.side against Gauss-Legendre on each
         # cell in s = log t, where u is a polynomial
         sf = SpaceForm(5, 0.0)
-        got = side(sf, Const(1.0), self.u, form)
+        (got,) = side(sf, Const(1.0), self.u, form)
         x, w = np.polynomial.legendre.leggauss(20)
         s = np.log(self._knots())
         nodes = (0.5 * (s[:-1, None] + s[1:, None]) + 0.5 * (s[1:, None] - s[:-1, None]) * x)
@@ -464,9 +478,9 @@ class TestSplineProfile:
         assert got.value == pytest.approx(want, rel=1e-9)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            SplineProfile(0.0, 1.0, (1.0,))
-        with pytest.raises(ValueError):
-            SplineProfile(2.0, 1.0, (1.0,))
-        with pytest.raises(ValueError):
-            SplineProfile(1.0, 2.0, ())
+        for lo, hi in ((0.0, 1.0), (2.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match=rf"spline support \[{lo}, {hi}\] must "
+                                                 "satisfy 0 < lo < hi"):
+                Splines([(1.0, 2.0, (1.0,)), (lo, hi, (1.0,))])
+        with pytest.raises(ValueError, match="a spline profile needs at least one coefficient"):
+            Splines([(1.0, 2.0, ())])

@@ -12,19 +12,21 @@ from rellich import expr as ex
 from rellich import sharpness as sh
 from rellich import verify as vf
 from rellich.cli import main
-from rellich.geometry import SpaceForm, SplineProfile, make_bump
+from rellich.geometry import Profiles, SpaceForm, Splines, make_bump
 from rellich.sharpness import (DegenerateTestFunctionError, estimate_constant,
                                rayleigh_quotient, sharpness_problem)
 from rellich.verify import shape_sides
 
 
-class _Scaled:
-    def __init__(self, u, s):
-        self._u, self._s, self.l = u, s, u.l
-        self.support, self.edges = u.support, u.edges
+class _Scaled(Profiles):
+    """A batch of bumps whose jets are scaled by s."""
+
+    def __init__(self, us, s):
+        super().__init__(us)
+        self._s = s
 
     def jet(self, t):
-        return tuple(self._s * d for d in self._u.jet(t))
+        return tuple(self._s * d for d in super().jet(t))
 
 
 class TestRayleighQuotient:
@@ -39,13 +41,13 @@ class TestRayleighQuotient:
         u = make_bump(1.0, 2.0, self.sf)
         with pytest.raises(DegenerateTestFunctionError):
             rayleigh_quotient(self.sf, self._sides("delta-vs-gradrad", "dual", 9.0),
-                              _Scaled(u, 0.0))
+                              _Scaled([u], 0.0))
 
     def test_scaling_invariance(self):
         u = make_bump(1.0, 5.0, self.sf)
         sides = self._sides("delta-vs-gradrad", "dual", 9.0)
-        q1 = rayleigh_quotient(self.sf, sides, u)
-        q2 = rayleigh_quotient(self.sf, sides, _Scaled(u, 2.0))
+        q1 = rayleigh_quotient(self.sf, sides, Profiles([u]))
+        q2 = rayleigh_quotient(self.sf, sides, _Scaled([u], 2.0))
         assert q2 == pytest.approx(q1, rel=1e-10)
 
     def test_hardy_style_quotient_above_one(self):
@@ -54,13 +56,12 @@ class TestRayleighQuotient:
         # support wide enough (b/a > 32) for the log-substituted quadrature
         lo, hi, m = 0.1, 500.0, 20
         width = math.log(hi / lo) / (m + 3)
-        u = SplineProfile(lo, hi, tuple(1.0 / (lo * math.exp((j + 2) * width))
-                                        for j in range(m)))
+        u = Splines([(lo, hi, [1.0 / (lo * math.exp((j + 2) * width)) for j in range(m)])])
         q = rayleigh_quotient(self.sf, self._sides("gradrad-vs-usq", "primal", 1.0), u)
         assert q >= 1.0 - 1e-9
 
     def test_unknown_shape(self):
-        u = make_bump(1.0, 2.0, self.sf)
+        u = Profiles([make_bump(1.0, 2.0, self.sf)])
         with pytest.raises(ValueError):
             rayleigh_quotient(self.sf, self._sides("nope", "dual", 1.0), u)
 
@@ -199,7 +200,7 @@ class TestEstimateConstant:
         lo, hi = sh._interval(sf)
         for cells in sh._levels(budget):
             _, c = sh._ritz(*sh._grams(sf, sides, lo, hi, cells))
-            rayleigh_quotient(sf, sides, SplineProfile(lo, hi, tuple(c.tolist())))
+            rayleigh_quotient(sf, sides, Splines([(lo, hi, c.tolist())]))
         assert batch == [max(calls[0::2]), max(calls[1::2])]
 
     @pytest.mark.parametrize("budget,levels", [(1, 1), (17, 2), (36, 2), (37, 3), (100, 4)])
@@ -254,8 +255,8 @@ def test_estimate_is_the_reintegrated_quotient(entry, shape):
     pair, claimed = sharpness_problem(entry, shape, sf)
     est = estimate_constant(sf, shape, pair, claimed=claimed, budget=100)
     p = est.params
-    u = SplineProfile(p["support_lo"], p["support_hi"], tuple(p["coefficients"]))
-    assert u.cells == p["cells"]
+    u = Splines([(p["support_lo"], p["support_hi"], p["coefficients"])])
+    assert u.bands.tolist() == [p["cells"]]
     sides = shape_sides(shape, pair, sf, claimed=claimed or 1.0)
     assert rayleigh_quotient(sf, sides, u) == est.estimate
 

@@ -11,7 +11,9 @@ import pytest
 from rellich import cli, expr, geometry
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-ARGV = "verify --catalog classical-rellich --n 5 --tests 2 --grid 500".split()
+# a bump batch and a spline batch (every Ritz level of an estimate)
+ARGVS = ["verify --catalog classical-rellich --n 5 --tests 2 --grid 500",
+         "estimate --catalog classical-rellich --n 5 --budget 13"]
 
 
 @pytest.fixture
@@ -31,16 +33,17 @@ def _attributes():
             for owner in owners for attr, value in list(vars(owner).items())}
 
 
-def _report(tmp_path, name):
+def _report(tmp_path, argv, name):
     out = tmp_path / name
-    code = cli.main(ARGV + ["-o", str(out)])
+    code = cli.main(argv.split() + ["-o", str(out)])
     report = json.loads(out.read_text())
     report.pop("timestamp")
     return code, report
 
 
-def test_traced_verify_matches_untraced_and_restores(tmp_path, tracing):
-    plain = _report(tmp_path, "plain.json")
+@pytest.mark.parametrize("argv", ARGVS, ids=["verify", "estimate"])
+def test_traced_verify_matches_untraced_and_restores(tmp_path, tracing, argv):
+    plain = _report(tmp_path, argv, "plain.json")
     before = _attributes()
     rec = tracing.Recorder()
     tracer = tracing.Tracer(rec)
@@ -50,7 +53,7 @@ def test_traced_verify_matches_untraced_and_restores(tmp_path, tracing):
         for meth in ("value", "dvalue", "d2value"):
             assert rtf.__dict__[meth] is not before[("RadialTestFunction", meth)]
         assert cli.main is not before[("rellich.cli", "main")]
-        traced = _report(tmp_path, "traced.json")
+        traced = _report(tmp_path, argv, "traced.json")
     finally:
         tracer.uninstall()
     assert traced == plain

@@ -14,8 +14,7 @@ from rellich import sharpness as sh
 from rellich import verify as vf
 from rellich.cli import main
 from rellich.expr import Const, DomainError, parse
-from rellich.geometry import (Profiles, RadialTestFunction, SpaceForm, SplineProfile, Splines,
-                              make_bump, sphere_area)
+from rellich.geometry import Profiles, SpaceForm, Splines, make_bump, sphere_area
 from rellich.verify import (BatchSpec, ChainMismatchError, InequalityCase,
                             NonconvergenceError, Quadratures, generate_batch,
                             integrate, shape_sides, side, verify_case)
@@ -34,25 +33,37 @@ def _bump_mass_closed_form(a: float, b: float, n: int) -> float:
     return sphere_area(n) * (mid + rise + fall)
 
 
+def _integral(sf, density, a, b, knots=(), **kwargs):
+    """The integral over (a, b), its bands starting at knots: a one-row
+    integrate batch."""
+    return integrate(sf, density, [a, *knots, b], [len(knots) + 1], **kwargs)[0]
+
+
+def _batch(rows):
+    """integrate's edges and bands of rows (a, b) or (a, knots, b)."""
+    rows = [(r[0], *(r[1] if len(r) == 3 else ()), r[-1]) for r in rows]
+    return [x for r in rows for x in r], [len(r) - 1 for r in rows]
+
+
 class TestIntegrate:
     def test_bump_mass_against_polynomial_oracle(self):
         sf = SpaceForm(5, 0.0, 100.0)
         u = make_bump(0.5, 1.0, sf)
-        got = integrate(sf, lambda t: u.value(t) ** 2, 0.5, 1.0, tol=1e-12)
+        got = _integral(sf, lambda t: u.value(t) ** 2, 0.5, 1.0, tol=1e-12)
         want = _bump_mass_closed_form(0.5, 1.0, 5)
         assert got.value == pytest.approx(want, rel=1e-10)
         assert abs(got.value - want) <= max(1e-12, 10 * got.error_estimate)
 
     def test_ball_volume(self):
         sf = SpaceForm(3, 0.0, 2.0)
-        got = integrate(sf, lambda t: np.ones_like(t), 0.0, 1.0)
+        got = _integral(sf, lambda t: np.ones_like(t), 0.0, 1.0)
         assert got.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
     def test_singular_weight_two_tolerances_agree(self):
         sf = SpaceForm(5, 1.0)
         f = lambda t: 1.0 / np.sinh(t) ** 2  # integrand ~ t^2 near 0
-        a = integrate(sf, f, 0.0, 1.0, tol=1e-8)
-        b = integrate(sf, f, 0.0, 1.0, tol=1e-12)
+        a = _integral(sf, f, 0.0, 1.0, tol=1e-8)
+        b = _integral(sf, f, 0.0, 1.0, tol=1e-12)
         assert abs(a.value - b.value) / abs(b.value) <= 1e-8
         assert math.isfinite(a.value)
 
@@ -65,7 +76,7 @@ class TestIntegrate:
         def density(t):
             return u.value(t) ** 2 / t ** 2
 
-        got = integrate(sf, density, 1.0, 6.0, tol=1e-11)
+        got = _integral(sf, density, 1.0, 6.0, tol=1e-11)
         from rellich.geometry import volume_weight
 
         want, err = quad(lambda t: float(density(t) * volume_weight(sf, t)),
@@ -76,37 +87,41 @@ class TestIntegrate:
         # t^-1 over five decades: exactly omega * ln(b/a) for n = 1 weight...
         # use n = 2, density t^-2: integral = 2 pi ln(b/a)
         sf = SpaceForm(2, 0.0)
-        got = integrate(sf, lambda t: 1.0 / t ** 2, 1e-4, 10.0, tol=1e-12)
+        got = _integral(sf, lambda t: 1.0 / t ** 2, 1e-4, 10.0, tol=1e-12)
         want = 2.0 * math.pi * math.log(10.0 / 1e-4)
         assert got.value == pytest.approx(want, rel=1e-10)
 
     def test_error_estimate_shrinks_with_tolerance(self):
         sf = SpaceForm(5, 0.0)
         f = lambda t: np.exp(-t) / t ** 2
-        loose = integrate(sf, f, 0.01, 5.0, tol=1e-4)
-        tight = integrate(sf, f, 0.01, 5.0, tol=1e-12)
+        loose = _integral(sf, f, 0.01, 5.0, tol=1e-4)
+        tight = _integral(sf, f, 0.01, 5.0, tol=1e-12)
         assert tight.error_estimate <= loose.error_estimate
         assert tight.subintervals >= loose.subintervals
 
     def test_range_validation(self):
         sf = SpaceForm(3, 0.0, 1.0)
         with pytest.raises(ValueError):
-            integrate(sf, lambda t: t, 0.5, 2.0)
+            _integral(sf, lambda t: t, 0.5, 2.0)
         with pytest.raises(ValueError):
-            integrate(sf, lambda t: t, -0.5, 0.7)
+            _integral(sf, lambda t: t, -0.5, 0.7)
 
     def test_knots_must_be_ordered_inside_the_range(self):
         sf = SpaceForm(3, 0.0, 5.0)
         f = lambda t: np.exp(-t)
-        with pytest.raises(ValueError, match="row 0"):
-            integrate(sf, f, 0.1, 1.0, knots=[2.0])
-        with pytest.raises(ValueError, match="row 0"):
-            integrate(sf, f, 0.1, 1.0, knots=[0.6, 0.4])
-        with pytest.raises(ValueError, match="row 1"):
-            integrate(sf, f, [0.1, 0.1, 0.1], [1.0, 1.0, 1.0], knots=[[0.5], [0.05], [0.5]])
+        with pytest.raises(ValueError, match=r"row 0: \[0.1, 1.0\] with knots \[2.0\]"):
+            _integral(sf, f, 0.1, 1.0, knots=[2.0])
+        with pytest.raises(ValueError, match=r"row 0: \[0.1, 1.0\] with knots \[0.6, 0.4\]"):
+            _integral(sf, f, 0.1, 1.0, knots=[0.6, 0.4])
+        with pytest.raises(ValueError, match=r"row 1: \[0.1, 1.0\] with knots \[0.05\]"):
+            integrate(sf, f, *_batch([(0.1, [0.5], 1.0), (0.1, [0.05], 1.0), (0.1, [0.5], 1.0)]))
+        # a row outside [0, R] is named, with its knots, after rows that are not
+        with pytest.raises(ValueError, match=r"row 2: \[0.5, 6.0\] with knots \[1.0, 2.0\]"):
+            integrate(sf, f, *_batch([(0.1, 1.0), (0.0, [], 5.0), (0.5, [1.0, 2.0], 6.0),
+                                     (-0.1, 1.0)]))
         # knots at the ends and repeated knots are bands of zero width
-        plain = integrate(sf, f, 0.1, 1.0, knots=[0.5])
-        edged = integrate(sf, f, 0.1, 1.0, knots=[0.1, 0.5, 0.5, 1.0])
+        plain = _integral(sf, f, 0.1, 1.0, knots=[0.5])
+        edged = _integral(sf, f, 0.1, 1.0, knots=[0.1, 0.5, 0.5, 1.0])
         assert edged.value == pytest.approx(plain.value, rel=1e-14)
 
     def test_nonconvergence_raises(self, monkeypatch):
@@ -116,7 +131,7 @@ class TestIntegrate:
         wiggly = lambda t: np.sin(5e4 / t)
         monkeypatch.setattr(vf, "_MAX_PANELS", 8)
         with pytest.raises(NonconvergenceError):
-            integrate(sf, wiggly, 0.1, 1.0, tol=1e-12)
+            _integral(sf, wiggly, 0.1, 1.0, tol=1e-12)
 
 
 def _peak(t):
@@ -135,11 +150,11 @@ class TestLockstep:
                 (2.0, 2.5)]
 
     def test_lockstep_equals_solo(self, monkeypatch):
-        uncapped = integrate(self.sf, _peak, 0.01, 5.0, tol=1e-8)
+        uncapped = _integral(self.sf, _peak, 0.01, 5.0, tol=1e-8)
         monkeypatch.setattr(vf, "_MAX_PANELS", 25)
-        lo, hi = zip(*self.supports)
-        batch = integrate(self.sf, _peak, lo, hi, tol=1e-8)
-        solo = [integrate(self.sf, _peak, a, b, tol=1e-8) for a, b in self.supports]
+        edges, bands = _batch(self.supports)
+        batch = integrate(self.sf, _peak, edges, bands, tol=1e-8)
+        solo = [_integral(self.sf, _peak, a, b, tol=1e-8) for a, b in self.supports]
         assert isinstance(batch, Quadratures)
         assert list(batch) == solo
         assert batch.subintervals == sum(q.subintervals for q in solo)
@@ -161,11 +176,11 @@ class TestLockstep:
                     + [(2.0 + 0.2 * j, 2.5 + 0.2 * j) for j in range(10)]
                     + [(0.0, 1.0 + 0.1 * j) for j in range(5)] + [(0.0, 1.46), (1.4, 1.6)])
         monkeypatch.setattr(vf, "_MAX_PANELS", 25)
-        solo = [integrate(self.sf, _peak, a, b, tol=1e-8) for a, b in supports]
-        lo, hi = zip(*supports)
-        assert list(integrate(self.sf, _peak, lo, hi, tol=1e-8)) == solo
+        solo = [_integral(self.sf, _peak, a, b, tol=1e-8) for a, b in supports]
+        edges, bands = _batch(supports)
+        assert list(integrate(self.sf, _peak, edges, bands, tol=1e-8)) == solo
         monkeypatch.setattr(vf, "_MAX_NODES", 15 * 4)
-        assert list(integrate(self.sf, _peak, lo, hi, tol=1e-8)) == solo
+        assert list(integrate(self.sf, _peak, edges, bands, tol=1e-8)) == solo
         panels = [q.subintervals for q in solo]
         assert panels[0] == 25 and max(panels) > 25           # capped
         assert panels[10] == 16 and panels.count(8) >= 10     # first pass, log and linear
@@ -177,17 +192,15 @@ class TestLockstep:
         one flat panel table, each integral as it runs alone."""
         rows = [(0.01, [0.1, 1.5, 3.0], 5.0), (1.0, [], 1.2), (0.3, [1.5], 12.0),
                 (1.4, [1.4, 1.45, 1.5, 1.5, 1.58], 1.6), (0.0, [0.2, 0.4], 1.46)]
-        lo, knots, hi = zip(*rows)
-        solo = [integrate(self.sf, _peak, a, b, tol=1e-8, knots=k) for a, k, b in rows]
-        assert list(integrate(self.sf, _peak, lo, hi, tol=1e-8, knots=knots)) == solo
-        assert list(integrate(self.sf, _peak, lo, hi, tol=1e-8,
-                              knots=[np.array(k) for k in knots])) == solo
+        solo = [_integral(self.sf, _peak, a, b, tol=1e-8, knots=k) for a, k, b in rows]
+        batch = integrate(self.sf, _peak, *_batch(rows), tol=1e-8)
+        assert list(batch) == solo
+        assert batch.subintervals == sum(q.subintervals for q in solo)
         assert len({q.subintervals for q in solo}) > 1
-        misordered = list(knots)
-        misordered[3] = [1.45, 1.5, 1.42]
+        rows[3] = (1.4, [1.45, 1.5, 1.42], 1.6)
         with pytest.raises(ValueError,
                            match=r"row 3: \[1.4, 1.6\] with knots \[1.45, 1.5, 1.42\]"):
-            integrate(self.sf, _peak, lo, hi, knots=misordered)
+            integrate(self.sf, _peak, *_batch(rows))
 
     def test_only_pending_panels_are_evaluated(self, monkeypatch):
         """Each row of t holds the 15 nodes of one panel of an unfinished
@@ -200,12 +213,12 @@ class TestLockstep:
             return _peak(t)
 
         monkeypatch.setattr(vf, "_MAX_PANELS", 25)
-        lo, hi = zip(*self.supports)
-        integrate(self.sf, density, lo, hi, tol=1e-8, select=selected.append)
+        edges, bands = _batch(self.supports)
+        integrate(self.sf, density, edges, bands, tol=1e-8, select=selected.append)
         batch, shapes[:] = list(shapes), []
         passes = []
         for a, b in self.supports:
-            integrate(self.sf, density, a, b, tol=1e-8)
+            _integral(self.sf, density, a, b, tol=1e-8)
             passes.append(len(shapes) - sum(passes))
         assert all(shape[1] == 15 for shape in batch + shapes)
         assert sum(n for n, _ in batch) == sum(n for n, _ in shapes)
@@ -217,17 +230,17 @@ class TestLockstep:
 
     def test_deep_pass_is_split_under_the_node_cap(self, monkeypatch):
         monkeypatch.setattr(vf, "_MAX_PANELS", 25)
-        lo, hi = zip(*self.supports)
+        edges, bands = _batch(self.supports)
         sizes = []
 
         def density(t):
             sizes.append(t.size)
             return _peak(t)
 
-        whole = integrate(self.sf, density, lo, hi, tol=1e-8)
+        whole = integrate(self.sf, density, edges, bands, tol=1e-8)
         passes, sizes[:] = len(sizes), []
         monkeypatch.setattr(vf, "_MAX_NODES", 15 * 4)     # four panels a call
-        assert integrate(self.sf, density, lo, hi, tol=1e-8) == whole
+        assert integrate(self.sf, density, edges, bands, tol=1e-8) == whole
         assert max(sizes) == 15 * 4 and len(sizes) > passes
 
     def test_integrals_after_a_failure_stop(self):
@@ -238,11 +251,12 @@ class TestLockstep:
             return np.where(t > 3.0, np.inf, _peak(t))
 
         with pytest.raises(NonconvergenceError, match="non-finite"):
-            integrate(self.sf, density, [3.5, 0.01], [4.0, 5.0], tol=1e-8)
+            integrate(self.sf, density, *_batch([(3.5, 4.0), (0.01, 5.0)]), tol=1e-8)
         assert len(calls) == 1
 
     def test_empty_batch(self):
         assert integrate(self.sf, _peak, [], []) == ()
+        assert side(self.sf, Const(1.0), Splines([]), "usq") == ()
 
     @pytest.mark.parametrize("density,failing", [
         (lambda t: np.where(t < 1.0, np.sin(5e4 / t), 1.0), (0.1, 1.0)),
@@ -252,10 +266,10 @@ class TestLockstep:
         monkeypatch.setattr(vf, "_MAX_PANELS", 8)
         supports = [(1.0, 1.2), failing, (2.0, 2.5)]
         with pytest.raises(NonconvergenceError) as solo:
-            integrate(self.sf, density, *failing, tol=1e-12)
-        lo, hi = zip(*supports)
+            _integral(self.sf, density, *failing, tol=1e-12)
+        edges, bands = _batch(supports)
         with pytest.raises(NonconvergenceError) as batch:
-            integrate(self.sf, density, lo, hi, tol=1e-12)
+            integrate(self.sf, density, edges, bands, tol=1e-12)
         assert str(batch.value) == str(solo.value)
 
     def test_domain_error_on_pass_one_beats_an_earlier_nonconvergence(self, monkeypatch):
@@ -269,9 +283,9 @@ class TestLockstep:
             return np.where(t < 1.0, np.sin(5e4 / t), 1.0) * w.evaluate({"t": t})
 
         def failure(supports):
-            lo, hi = zip(*supports)
+            edges, bands = _batch(supports)
             with pytest.raises((NonconvergenceError, DomainError)) as exc:
-                integrate(self.sf, density, lo, hi, tol=1e-12)
+                integrate(self.sf, density, edges, bands, tol=1e-12)
             return exc.value
 
         monkeypatch.setattr(vf, "_MAX_PANELS", 8)
@@ -292,7 +306,7 @@ class TestLockstep:
 
         monkeypatch.setattr(vf, "_MAX_NODES", 15 * 4)
         with pytest.raises(NonconvergenceError, match="non-finite"):
-            integrate(self.sf, density, [1.0, 3.5, 2.0], [1.2, 4.0, 2.5], tol=1e-8,
+            integrate(self.sf, density, *_batch([(1.0, 1.2), (3.5, 4.0), (2.0, 2.5)]), tol=1e-8,
                       panels=8)
         assert calls == [(4, 15), (4, 15)]
 
@@ -333,19 +347,26 @@ class TestGroupSums:
 
 
 def _splines(supports, cells=(13, 23, 43, 83)):
-    """Splines of the given cell counts on the given supports, with smooth
-    coefficients of both signs."""
-    return [SplineProfile(lo, hi, tuple(np.cos(np.linspace(0.0, 4.0, m - 3)) + 0.3))
+    """Spline rows of the given cell counts on the given supports, with
+    smooth coefficients of both signs."""
+    return [(lo, hi, np.cos(np.linspace(0.0, 4.0, m - 3)) + 0.3)
             for (lo, hi), m in zip(supports, cells)]
 
 
-class _Scaled:
-    def __init__(self, u, s):
-        self._u, self._s, self.l = u, s, u.l
-        self.support, self.edges = u.support, u.edges
+class _Scaled(Profiles):
+    """A batch of bumps whose jets are scaled by s."""
+
+    def __init__(self, us, s):
+        super().__init__(us)
+        self._s = s
 
     def jet(self, t):
-        return tuple(self._s * d for d in self._u.jet(t))
+        return tuple(self._s * d for d in super().jet(t))
+
+
+def _side(sf, weight, u, form, tol=vf.DEFAULT_QUAD_TOL):
+    """side of the one bump u, as a batch of one."""
+    return side(sf, weight, Profiles([u]), form, tol=tol)[0]
 
 
 class TestSides:
@@ -356,43 +377,43 @@ class TestSides:
         self.u = make_bump(0.5, 1.0, self.sf)
 
     def test_zero_function(self):
-        z = _Scaled(self.u, 0.0)
-        assert side(self.sf, Const(1.0), z, "delta").value == 0.0
-        assert side(self.sf, Const(1.0), z, "usq").value == 0.0
+        z = _Scaled([self.u], 0.0)
+        assert side(self.sf, Const(1.0), z, "delta")[0].value == 0.0
+        assert side(self.sf, Const(1.0), z, "usq")[0].value == 0.0
 
     def test_quadratic_scaling(self):
-        base = side(self.sf, Const(1.0), self.u, "delta")
-        scaled = side(self.sf, Const(1.0), _Scaled(self.u, 2.0), "delta")
+        base = _side(self.sf, Const(1.0), self.u, "delta")
+        (scaled,) = side(self.sf, Const(1.0), _Scaled([self.u], 2.0), "delta")
         assert scaled.value == pytest.approx(4.0 * base.value, rel=1e-12)
 
     def test_stability_under_refinement(self):
-        a = side(self.sf, Const(1.0), self.u, "delta", tol=1e-8)
-        b = side(self.sf, Const(1.0), self.u, "delta", tol=1e-12)
+        a = _side(self.sf, Const(1.0), self.u, "delta", tol=1e-8)
+        b = _side(self.sf, Const(1.0), self.u, "delta", tol=1e-12)
         assert a.value == pytest.approx(b.value, rel=1e-8)
         assert a.value > 0
 
     def test_grad_equals_gradrad_for_radial(self):
         wp = parse("1/t^2")
-        a = side(self.sf, wp, self.u, "gradrad")
-        b = side(self.sf, wp, self.u, "grad")
+        a = _side(self.sf, wp, self.u, "gradrad")
+        b = _side(self.sf, wp, self.u, "grad")
         assert b.value == pytest.approx(a.value, rel=1e-12)
 
     def test_grad_exceeds_gradrad_for_modes(self):
         u1 = make_bump(0.5, 1.0, self.sf, l=1)
         wp = parse("1/t^2")
-        a = side(self.sf, wp, u1, "gradrad")
-        b = side(self.sf, wp, u1, "grad")
+        a = _side(self.sf, wp, u1, "gradrad")
+        b = _side(self.sf, wp, u1, "grad")
         assert b.value > a.value > 0
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            side(self.sf, Const(1.0), self.u, "curl")
+            _side(self.sf, Const(1.0), self.u, "curl")
 
     @pytest.mark.parametrize("form,l", [("delta", 0), ("delta", 1), ("gradrad", 0),
                                         ("grad", 1), ("usq", 0)])
     def test_one_jet_per_density_evaluation(self, monkeypatch, form, l):
         jets, densities = [], []
-        jet, integrate = RadialTestFunction.jet, vf.integrate
+        jet, integrate = Profiles.jet, vf.integrate
 
         def counted_jet(u, t):
             jets.append(np.size(t))
@@ -404,10 +425,10 @@ class TestSides:
                 return density(t)
             return integrate(sf, counted, *args)
 
-        monkeypatch.setattr(RadialTestFunction, "jet", counted_jet)
+        monkeypatch.setattr(Profiles, "jet", counted_jet)
         monkeypatch.setattr(vf, "integrate", counted_integrate)
         u = make_bump(0.5, 1.0, self.sf, l=l)
-        assert side(self.sf, parse("1/t^2"), u, form).value > 0
+        assert _side(self.sf, parse("1/t^2"), u, form).value > 0
         assert densities and jets == densities
 
     @pytest.mark.parametrize("form", ["delta", "gradrad", "grad", "usq"])
@@ -415,7 +436,7 @@ class TestSides:
         w = parse("1/t^2")
         for sf in (SpaceForm(7, 0.0), SpaceForm(5, 1.0), SpaceForm(7, 0.5, 40.0)):
             us = generate_batch(sf, BatchSpec(count=9, seed=15, modes=(0, 1, 2)))
-            assert list(side(sf, w, Profiles(us), form)) == [side(sf, w, u, form) for u in us]
+            assert list(side(sf, w, Profiles(us), form)) == [_side(sf, w, u, form) for u in us]
 
     @pytest.mark.parametrize("form", ["delta", "gradrad", "grad", "usq"])
     def test_spline_batch_side_equals_solo_sides(self, form):
@@ -425,7 +446,7 @@ class TestSides:
             us = _splines([(0.01, 5.0), (0.5, 3.0), (1e-3, 20.0), (2.0, 9.0)])
             batch = side(sf, w, Splines(us), form)
             assert isinstance(batch, Quadratures)
-            assert list(batch) == [side(sf, w, u, form) for u in us]
+            assert list(batch) == [side(sf, w, Splines([u]), form)[0] for u in us]
 
     def test_one_density_call_per_pass_on_a_batch(self, monkeypatch):
         """A side of a 50-test batch makes one density call per pass, as many
@@ -452,9 +473,10 @@ class TestSides:
         monkeypatch.setattr(vf, "integrate", counted_integrate)
         monkeypatch.setattr(Profiles, "jet", counted_jet)
         for u in us:
-            sides.integrals(sf, u)
+            sides.integrals(sf, Profiles([u]))
         solo = [max(calls[0::2]), max(calls[1::2])]
         calls.clear()
+        jets.clear()
         sides.integrals(sf, Profiles(us))
         assert calls == solo
         assert all(c <= 61 for c in calls)
@@ -467,9 +489,9 @@ class TestBatch:
         sf = SpaceForm(5, 0.0)
         a = generate_batch(sf, BatchSpec(count=10, seed=42))
         b = generate_batch(sf, BatchSpec(count=10, seed=42))
-        assert [u.support for u in a] == [u.support for u in b]
+        assert a == b
         c = generate_batch(sf, BatchSpec(count=10, seed=43))
-        assert [u.support for u in a] != [u.support for u in c]
+        assert [u.support_lo for u in a] != [u.support_lo for u in c]
 
     def test_bounds_and_ordering(self):
         sf = SpaceForm(5, 1.0)
@@ -539,10 +561,10 @@ class TestVerifyCase:
         sides = shape_sides("delta-vs-gradrad", e.specs["dual"], sf)
         u = make_bump(2.0, 7.0, sf)
         for s in (0.5, 2.0):
-            us = _Scaled(u, s)
-            lhs1, rhs1 = (q.value for q in sides.integrals(sf, u))
-            lhs2, rhs2 = (q.value for q in sides.integrals(sf, us))
-            assert lhs2 - rhs2 == pytest.approx(s ** 2 * (lhs1 - rhs1), rel=1e-10)
+            (lhs1,), (rhs1,) = sides.integrals(sf, Profiles([u]))
+            (lhs2,), (rhs2,) = sides.integrals(sf, _Scaled([u], s))
+            assert lhs2.value - rhs2.value == pytest.approx(
+                s ** 2 * (lhs1.value - rhs1.value), rel=1e-10)
 
     def test_monotone_refinement_keeps_verdict(self):
         e = cat.classical_euclidean(6)
@@ -595,7 +617,7 @@ class TestVerifyChain:
         # the end RHS really is 9 * integral u^2/t^4 dx
         sf = SpaceForm(6, 0.0)
         u = generate_batch(sf, BatchSpec(count=1, seed=5))[0]
-        direct = side(sf, parse("9/t^4"), u, "usq").value
+        direct = _side(sf, parse("9/t^4"), u, "usq").value
         assert ends[0].rhs == pytest.approx(direct, rel=1e-9)
 
     def test_potential_chain(self):
@@ -710,8 +732,9 @@ class TestBudgetBoundsTheError:
         over = []
         for cells in sh._levels(100):
             _, c = sh._ritz(*sh._grams(sf, sides, lo, hi, cells))
-            u = SplineProfile(lo, hi, tuple(c.tolist()))
-            for side_got, side_ref in zip(sides.integrals(sf, u), sides.integrals(sf, u, 1e-14)):
+            u = Splines([(lo, hi, c.tolist())])
+            for (side_got,), (side_ref,) in zip(sides.integrals(sf, u),
+                                                sides.integrals(sf, u, 1e-14)):
                 if abs(side_got.value - side_ref.value) > side_got.error_estimate:
                     over.append((cells, side_got, side_ref))
         assert over == []
