@@ -31,7 +31,7 @@ import numpy as np
 __all__ = [
     "SpaceForm", "RadialTestFunction", "ct", "big_l", "s_kappa",
     "volume_weight", "sphere_area", "angular_eigenvalue",
-    "angular_term", "separated_laplacian", "make_bump", "Profiles",
+    "angular_term", "separated_laplacian", "jet_laplacian", "make_bump", "Profiles",
     "Splines", "bspline_basis",
 ]
 
@@ -114,9 +114,15 @@ def separated_laplacian(sf: SpaceForm, u, t):
     """phi'' + L_kappa phi' - mu_l phi / s_kappa^2 for u = phi(rho) Y_l(theta)
     (l = 0: the radial Laplacian), from one u.jet(t); u is one test function
     or a Profiles batch evaluated on a 2-D t."""
-    phi, d1, d2 = u.jet(t)
+    return jet_laplacian(sf, t, u.jet(t), angular_eigenvalue(sf.n, u.l))
+
+
+def jet_laplacian(sf: SpaceForm, t, jet, mu):
+    """separated_laplacian from the jet (phi, phi', phi'') at t and the
+    angular eigenvalue mu (a float, or a batch's (m, 1) column)."""
+    phi, d1, d2 = jet
     out = d2 + big_l(sf, t) * d1
-    angular = angular_term(sf, angular_eigenvalue(sf.n, u.l), phi, t)
+    angular = angular_term(sf, mu, phi, t)
     if angular is not None:
         out = out - angular
     return out

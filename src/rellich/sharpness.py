@@ -42,6 +42,12 @@ _GAUSS = (np.concatenate([-_GL_X[::-1], _GL_X]), np.concatenate([_GL_W[::-1], _G
 # the most the volume weight's exponent grows over one part of a cell: the
 # level Ritz values of the hyperbolic entries agree with those at 1 to 2e-11
 _GROWTH = 4.0
+# the pairs i <= j of the 4 B-splines of a cell, and the Gram entries each
+# adds to: pair p at (c + i, c + j) for every cell c, then at the mirror
+# (c + j, c + i) when j > i, as (p, row offset, column offset) columns
+_PAIRS = np.triu_indices(4)
+_ENTRIES = np.array([(p, a, b) for p, (i, j) in enumerate(zip(*_PAIRS))
+                     for a, b in dict.fromkeys(((i, j), (j, i)))]).T
 
 
 class DegenerateTestFunctionError(ValueError):
@@ -141,23 +147,27 @@ def _grams(sf: SpaceForm, sides: Sides, lo: float, hi: float, cells: int) -> tup
     # the nodes' weights: dx = volume_weight dt, dt = t ds
     measure = (0.5 * width * w * share[:, None]).ravel() * volume_weight(sf, t) * t
     values = {**sides.bindings, "t": t}
-    # the rows and columns of the band of B-splines i and j: index[i], index[j]
-    index = np.arange(cells) + np.arange(4)[:, None]
+    # each node touches the 4 functions of its cell: a band of width 3.  Bin
+    # p cells + c sums pair p's products over cell c, and the matrix adds
+    # them at _ENTRIES' flat (row, column) indices, in that order
+    size, c = cells + 3, np.arange(cells)
+    pair, row, col = _ENTRIES
+    bins = (np.arange(len(_PAIRS[0]))[:, None] * cells + cell).ravel()
+    flat = ((row[:, None] + c) * size + col[:, None] + c).ravel()
+    source = (pair[:, None] * cells + c).ravel()
     out = []
     for weight, form in ((sides.weight, sides.lhs), (sides.density, sides.rhs)):
-        f = features(form)
-        # each node touches the 4 functions of its cell: a band of width 3;
+        f = np.ascontiguousarray(features(form).T)
         # an overflow is left to _ritz's finiteness check
-        gram = np.zeros((cells + 3, cells + 3))
         with np.errstate(over="ignore", invalid="ignore"):
             q = measure * np.asarray(weight.evaluate(values), dtype=float)
-            for i in range(4):
-                for j in range(i, 4):
-                    band = np.bincount(cell, q * f[:, i] * f[:, j], minlength=cells)
-                    gram[index[i], index[j]] += band
-                    if j > i:
-                        gram[index[j], index[i]] += band
-        out.append(gram[3:cells, 3:cells])
+            # (q f_i) f_j, pair-major, in place: f_i q is q f_i bit for bit
+            products = f[_PAIRS[0]]
+            products *= q
+            products *= f[_PAIRS[1]]
+            bands = np.bincount(bins, products.ravel(), minlength=len(_PAIRS[0]) * cells)
+            gram = np.bincount(flat, bands[source], minlength=size * size)
+        out.append(gram.reshape(size, size)[3:cells, 3:cells])
     return tuple(out)
 
 

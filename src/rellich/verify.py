@@ -5,7 +5,9 @@ integral over Omega of f(rho) dx = integral of f(t) * volume_weight(t) dt.
 The quadrature (integrate) is an adaptive Gauss-Kronrod (G7, K15) scheme
 run in lockstep over a batch of integrals on one flat panel table, each
 integral refining, stopping and rounding as it would alone, from panels
-between its test function's knots; wide supports use t = exp(s).
+between its test function's knots; wide supports use t = exp(s).  Every
+side of a case, on every test function, is an integral of one such call
+(integrate_sides).
 
 A verification run certifies the *sampled* necessary condition (margins
 over a seeded batch of test functions) plus the sufficient side
@@ -28,13 +30,14 @@ from . import pairs as pr
 from .catalog import ChainDescriptor
 from .expr import Const, Expr
 from .geometry import (Profiles, RadialTestFunction, SpaceForm, angular_eigenvalue,
-                       angular_term, make_bump, separated_laplacian, volume_weight)
+                       angular_term, jet_laplacian, make_bump, volume_weight)
 from .pairs import PairSpec, Scan
 
 __all__ = [
     "QuadratureResult", "InequalityCase", "BatchSpec",
     "TestRecord", "VerificationReport", "ChainMismatchError", "NonconvergenceError",
-    "Quadratures", "Shape", "Sides", "integrate", "side", "shape_sides", "verify_case",
+    "Quadratures", "Shape", "Sides", "integrate", "integrate_sides", "side", "shape_sides",
+    "verify_case",
     "check_chain_composition", "generate_batch", "batch_domain",
     "SHAPES", "DEFAULT_QUAD_TOL",
 ]
@@ -88,10 +91,11 @@ class Quadratures(tuple):
 # QUADPACK's rounding floor of a panel, per unit of its K15 rule on |f|
 _ROUNDING = 50.0 * np.finfo(float).eps
 
-# nodes per density call: 15 nodes on each of up to 8738 panels, so a batch
-# that refines deep is split into several calls per pass instead of being
-# held in memory at once
-_MAX_NODES = 1 << 17
+# nodes per density call: 15 nodes on each of up to 546 panels, so a pass
+# over many integrals (the first pass over every side of a case, or a batch
+# that refines deep) is split into several calls instead of being held in
+# memory at once
+_MAX_NODES = 1 << 13
 
 # panels at which an integral stops refining
 _MAX_PANELS = 4096
@@ -219,8 +223,9 @@ def integrate(sf: SpaceForm, density: Callable, edges, bands, tol: float = DEFAU
     density evaluates) raises where the run meets it, and nothing runs
     after it: the earliest failing pass, within it the density calls in
     integral order and then the convergence checks in integral order, within
-    an expression its steps in scheduled (Sethi-Ullman) order, and across
-    the sides of Sides.integrals the sides in order.
+    an expression its steps in scheduled (Sethi-Ullman) order.  Every side
+    of a case is a run of the integrals of one call (integrate_sides), so of
+    two failing sides the one that fails on the earlier pass is named.
     """
     # x: each row's a, knots and b, row i from x[last[i] - bands[i]] to
     # x[last[i]]; band j is x[j:j + 2]
@@ -288,40 +293,67 @@ SHAPES = {
 }
 
 
-def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = None,
-         tol: float = DEFAULT_QUAD_TOL) -> Quadratures:
-    """integral of weight(rho) * q(u) dx over the support of u, with q =
-    |Delta u|^2 (delta), |grad_rad u|^2 (gradrad), |grad u|^2 (grad: radial
-    plus angular part) or u^2 (usq); bindings holds the weight's parameters,
-    n and kappa (PairSpec.bindings(sf)).  u is a batch of test functions
-    (geometry.Profiles or Splines), whose integrals run as one integrate call
-    on its edges, bands and panels and come back as Quadratures."""
-    if form not in ("delta", "gradrad", "grad", "usq"):
-        raise ValueError(f"unknown side {form!r}")
-    bindings = bindings or {}
-    # the functions of the rows of the next density call, as integrate selects
-    rows_u = [None]
+_FORMS = ("delta", "gradrad", "grad", "usq")
+
+
+def _form(sf: SpaceForm, form: str, w, t, jet, mu):
+    """w * q(u) on the nodes t, from the jet of u at t and the angular
+    eigenvalues mu of its rows."""
+    phi, d1, _ = jet
+    if form == "delta":
+        lap = jet_laplacian(sf, t, jet, mu)
+        return w * lap * lap
+    if form == "usq":
+        return w * phi ** 2
+    q = d1 ** 2
+    angular = angular_term(sf, mu, phi ** 2, t) if form == "grad" else None
+    return w * (q if angular is None else q + angular)
+
+
+def integrate_sides(sf: SpaceForm, entries: Sequence[tuple], u,
+                    tol: float = DEFAULT_QUAD_TOL) -> list:
+    """The Quadratures on the batch u (geometry.Profiles or Splines, m rows)
+    of each entry (weight, form, bindings): integral of weight(rho) * q(u) dx
+    over the support of u, with q = |Delta u|^2 (delta), |grad_rad u|^2
+    (gradrad), |grad u|^2 (grad: radial plus angular part) or u^2 (usq);
+    bindings holds the weight's parameters, n and kappa (PairSpec.bindings).
+
+    All run as one integrate call, integral r being row r % m under entry
+    r // m, each bit-identical to the same integral run alone.  A density
+    call makes one jet call, then evaluates each entry on its run of rows,
+    which is contiguous, as integrate keeps the panels in integral order."""
+    for _, form, _ in entries:
+        if form not in _FORMS:
+            raise ValueError(f"unknown side {form!r}")
+    m, n = len(u.bands), len(entries)
+    # the integrals of the rows of the next density call, as integrate selects
+    selected = [None]
 
     def select(rows):
-        rows_u[0] = u.take(rows)
+        selected[0] = rows
 
     def density(t):
-        g = rows_u[0]
-        w = np.asarray(weight.evaluate({**bindings, "t": t}), dtype=float)
-        if form == "delta":
-            lap = separated_laplacian(sf, g, t)
-            return w * lap * lap
-        phi, d1, _ = g.jet(t)
-        if form == "usq":
-            return w * phi ** 2
-        q = d1 ** 2
-        angular = (angular_term(sf, angular_eigenvalue(sf.n, g.l), phi ** 2, t)
-                   if form == "grad" else None)
-        if angular is not None:
-            q = q + angular
-        return w * q
+        rows = selected[0]
+        g, entry = u.take(rows % m), rows // m
+        jet, mu = g.jet(t), angular_eigenvalue(sf.n, g.l)
+        ends = [*(np.diff(entry).nonzero()[0] + 1), len(rows)]
+        out = np.empty_like(t)
+        for a, b in zip([0, *ends], ends):
+            weight, form, bindings = entries[entry[a]]
+            w = np.asarray(weight.evaluate({**bindings, "t": t[a:b]}), dtype=float)
+            out[a:b] = _form(sf, form, w, t[a:b], [d[a:b] for d in jet], mu[a:b])
+        return out
 
-    return integrate(sf, density, u.edges, u.bands, tol, select, u.panels)
+    sums = integrate(sf, density, np.tile(u.edges, n), np.tile(u.bands, n), tol, select,
+                     u.panels)
+    return [Quadratures(sums[e * m:(e + 1) * m]) for e in range(n)]
+
+
+def side(sf: SpaceForm, weight: Expr, u, form: str, bindings: Optional[dict] = None,
+         tol: float = DEFAULT_QUAD_TOL) -> Quadratures:
+    """integrate_sides of the one entry (weight, form, bindings) on the
+    batch u."""
+    return integrate_sides(sf, [(weight, form, bindings or {})], u, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -336,11 +368,15 @@ class Sides:
     rhs: str
     bindings: dict
 
+    @property
+    def entries(self) -> tuple:
+        """The integrate_sides entries of lhs and rhs."""
+        return (self.weight, self.lhs, self.bindings), (self.density, self.rhs, self.bindings)
+
     def integrals(self, sf: SpaceForm, u, tol: float = DEFAULT_QUAD_TOL) -> tuple:
-        """(lhs, rhs) of the batch u: two Quadratures, one integrate call per
-        side, lhs first; the first failing call raises."""
-        return (side(sf, self.weight, u, self.lhs, self.bindings, tol),
-                side(sf, self.density, u, self.rhs, self.bindings, tol))
+        """(lhs, rhs) of the batch u: two Quadratures from one
+        integrate_sides call."""
+        return tuple(integrate_sides(sf, self.entries, u, tol))
 
 
 def _check_pair(shape: str, pair) -> None:
@@ -518,8 +554,8 @@ def verify_case(case: InequalityCase, quad_tol: float = DEFAULT_QUAD_TOL,
     sides = [shape_sides(shape, spec, sf)] + [
         shape_sides("gradrad-vs-usq", link.spec, sf) for link in links]
     us = generate_batch(sf, batch)
-    profiles = Profiles(us)
-    (lhs, rhs), *link_sums = [s.integrals(sf, profiles, quad_tol) for s in sides]
+    sums = integrate_sides(sf, [e for s in sides for e in s.entries], Profiles(us), quad_tol)
+    (lhs, rhs), *link_sums = zip(sums[0::2], sums[1::2])
     tests: list[TestRecord] = []
     for i, u in enumerate(us):
         test_id = f"t{i:03d}"

@@ -5,6 +5,7 @@ import json
 import math
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from rellich import catalog as cat
@@ -12,7 +13,8 @@ from rellich import expr as ex
 from rellich import sharpness as sh
 from rellich import verify as vf
 from rellich.cli import main
-from rellich.geometry import Profiles, SpaceForm, Splines, make_bump
+from rellich.geometry import (Profiles, SpaceForm, Splines, big_l, bspline_basis, make_bump,
+                              volume_weight)
 from rellich.sharpness import (DegenerateTestFunctionError, estimate_constant,
                                rayleigh_quotient, sharpness_problem)
 from rellich.verify import shape_sides
@@ -174,34 +176,37 @@ class TestEstimateConstant:
             estimate_constant(sf, "delta-vs-gradrad", pair, claimed=claimed, budget=25)
 
     @pytest.mark.parametrize("budget", [100, 500])
-    def test_two_integrate_calls_per_estimate(self, monkeypatch, budget):
-        """Every level's spline is re-integrated in one batch per side: two
-        integrate calls, each making as many density calls as its slowest
-        level makes alone."""
+    def test_one_integrate_call_per_estimate(self, monkeypatch, budget):
+        """Both sides of every level's spline are re-integrated in one
+        integrate call, which makes as many passes as the slowest of them
+        makes alone."""
         sf = SpaceForm(6, 0.0)
         pair, claimed = sharpness_problem(cat.classical_euclidean(6), "delta-vs-gradrad", sf)
-        calls, integrate = [], vf.integrate
+        passes, integrate, kronrod = [], vf.integrate, vf._kronrod
 
-        def counted_integrate(sf, density, *args):
-            calls.append(0)
+        def counted_integrate(*args):
+            passes.append(0)
+            return integrate(*args)
 
-            def counted(t):
-                calls[-1] += 1
-                return density(t)
-            return integrate(sf, counted, *args)
+        def counted_kronrod(*args):
+            passes[-1] += 1
+            return kronrod(*args)
 
         monkeypatch.setattr(vf, "integrate", counted_integrate)
+        monkeypatch.setattr(vf, "_kronrod", counted_kronrod)
         est = estimate_constant(sf, "delta-vs-gradrad", pair, claimed=claimed, budget=budget)
         assert est.evaluations == len(sh._levels(budget)) == (4 if budget == 100 else 6)
-        assert len(calls) == 2
-        batch = calls[:]
-        calls.clear()
+        assert len(passes) == 1
+        batch = passes[:]
+        passes.clear()
         sides = shape_sides("delta-vs-gradrad", pair, sf, claimed=claimed)
         lo, hi = sh._interval(sf)
         for cells in sh._levels(budget):
             _, c = sh._ritz(*sh._grams(sf, sides, lo, hi, cells))
-            rayleigh_quotient(sf, sides, Splines([(lo, hi, c.tolist())]))
-        assert batch == [max(calls[0::2]), max(calls[1::2])]
+            for weight, form, bindings in sides.entries:
+                vf.side(sf, weight, Splines([(lo, hi, c.tolist())]), form, bindings)
+        assert len(passes) == 2 * est.evaluations
+        assert batch == [max(passes)]
 
     @pytest.mark.parametrize("budget,levels", [(1, 1), (17, 2), (36, 2), (37, 3), (100, 4)])
     def test_budget_caps_the_basis(self, budget, levels):
@@ -259,6 +264,64 @@ def test_estimate_is_the_reintegrated_quotient(entry, shape):
     assert u.bands.tolist() == [p["cells"]]
     sides = shape_sides(shape, pair, sf, claimed=claimed or 1.0)
     assert rayleigh_quotient(sf, sides, u) == est.estimate
+
+
+def _loop_grams(sf, sides, lo, hi, cells):
+    """sharpness._grams with its bands assembled one B-spline pair at a
+    time, a bincount and two scatters each: the reference the two-bincount
+    assembly must match bit for bit."""
+    s_lo = math.log(lo)
+    width = (math.log(hi) - s_lo) / cells
+    knots = np.exp(s_lo + width * np.arange(cells + 1))
+    parts = np.maximum(1, np.ceil((sf.n - 1) * sf.kappa * np.diff(knots) / sh._GROWTH))
+    parts = parts.astype(int)
+    part_cell = np.repeat(np.arange(cells), parts)
+    part = np.arange(len(part_cell)) - np.repeat(np.cumsum(parts) - parts, parts)
+    share = 1.0 / parts[part_cell]
+    x, w = sh._GAUSS
+    cell = np.repeat(part_cell, len(x))
+    r = ((part[:, None] + 0.5 * (x + 1.0)) * share[:, None]).ravel()
+    t = np.exp(s_lo + (cell + r) * width)
+    b, b_r, b_rr = bspline_basis(r)
+    d1 = b_r / (width * t[:, None])
+    features = {"usq": b, "gradrad": d1, "grad": d1,
+                "delta": (b_rr / width - b_r) / (width * (t * t)[:, None])
+                + big_l(sf, t)[:, None] * d1}
+    measure = (0.5 * width * w * share[:, None]).ravel() * volume_weight(sf, t) * t
+    index = np.arange(cells) + np.arange(4)[:, None]
+    out = []
+    for weight, form in ((sides.weight, sides.lhs), (sides.density, sides.rhs)):
+        f, gram = features[form], np.zeros((cells + 3, cells + 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = measure * np.asarray(weight.evaluate({**sides.bindings, "t": t}), dtype=float)
+            for i in range(4):
+                for j in range(i, 4):
+                    band = np.bincount(cell, q * f[:, i] * f[:, j], minlength=cells)
+                    gram[index[i], index[j]] += band
+                    if j > i:
+                        gram[index[j], index[i]] += band
+        out.append(gram[3:cells, 3:cells])
+    return out
+
+
+@pytest.mark.parametrize("entry_id,knobs,shape", [
+    ("classical-rellich", {"n": 6}, "delta-vs-gradrad"),
+    ("classical-rellich", {"n": 8}, "delta-vs-grad"),
+    ("hyp-lower-2", {}, "gradrad-vs-usq"),
+    ("hyp-final", {}, "chain"),
+    ("ell-family", {"k": 2}, "chain"),
+])
+def test_grams_equal_the_pairwise_assembly(entry_id, knobs, shape):
+    # the entry is built here, not at collection, so no node of its trees
+    # outlives the test
+    entry = cat.build_entry(entry_id, **knobs)
+    sf = entry.space_form
+    pair, claimed = sharpness_problem(entry, shape, sf)
+    sides = shape_sides(shape, pair, sf, claimed=claimed)
+    lo, hi = sh._interval(sf)
+    for cells in sh._levels(160):
+        got, want = sh._grams(sf, sides, lo, hi, cells), _loop_grams(sf, sides, lo, hi, cells)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
 
 def test_default_tolerance_matches_a_tight_one():

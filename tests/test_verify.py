@@ -448,40 +448,139 @@ class TestSides:
             assert isinstance(batch, Quadratures)
             assert list(batch) == [side(sf, w, Splines([u]), form)[0] for u in us]
 
-    def test_one_density_call_per_pass_on_a_batch(self, monkeypatch):
-        """A side of a 50-test batch makes one density call per pass, as many
-        as its slowest integral makes alone, and one jet call per density
-        call."""
+    def test_one_integrate_call_per_sides_on_a_batch(self, monkeypatch):
+        """Both sides of a 50-test batch run in one integrate call, which
+        makes as many passes as the slowest of its integrals makes alone, and
+        one jet call per density call."""
         sf = SpaceForm(7, 0.0)
         sides = shape_sides("delta-vs-grad", cat.classical_euclidean(7).specs["dual"], sf)
         us = generate_batch(sf, BatchSpec(count=50, seed=3, modes=(0, 1, 2)))
-        calls, jets = [], []
-        integrate, jet = vf.integrate, Profiles.jet
-
-        def counted_integrate(sf, density, *args):
-            calls.append(0)
-
-            def counted(t):
-                calls[-1] += 1
-                return density(t)
-            return integrate(sf, counted, *args)
-
-        def counted_jet(u, t):
-            jets.append(np.shape(t))
-            return jet(u, t)
-
-        monkeypatch.setattr(vf, "integrate", counted_integrate)
-        monkeypatch.setattr(Profiles, "jet", counted_jet)
+        calls, jets = _counted(monkeypatch)
         for u in us:
-            sides.integrals(sf, Profiles([u]))
-        solo = [max(calls[0::2]), max(calls[1::2])]
+            for weight, form, bindings in sides.entries:
+                side(sf, weight, Profiles([u]), form, bindings)
+        solo = max(passes for passes, _ in calls)
         calls.clear()
         jets.clear()
         sides.integrals(sf, Profiles(us))
-        assert calls == solo
-        assert all(c <= 61 for c in calls)
-        assert len(jets) == sum(calls)
+        assert [passes for passes, _ in calls] == [solo]
+        assert solo <= 61
+        assert len(jets) == calls[0][1]
         assert all(shape[1] == 15 for shape in jets)
+
+
+def _counted(monkeypatch):
+    """A list that gets one [passes, density calls] entry per integrate call
+    made while monkeypatch holds, and a list of the shapes of t of the jet
+    calls on bumps."""
+    calls, jets = [], []
+    integrate, kronrod, jet = vf.integrate, vf._kronrod, Profiles.jet
+
+    def counted_integrate(sf, density, *args):
+        calls.append([0, 0])
+
+        def counted(t):
+            calls[-1][1] += 1
+            return density(t)
+        return integrate(sf, counted, *args)
+
+    def counted_kronrod(*args):
+        calls[-1][0] += 1
+        return kronrod(*args)
+
+    def counted_jet(u, t):
+        jets.append(np.shape(t))
+        return jet(u, t)
+
+    monkeypatch.setattr(vf, "integrate", counted_integrate)
+    monkeypatch.setattr(vf, "_kronrod", counted_kronrod)
+    monkeypatch.setattr(Profiles, "jet", counted_jet)
+    return calls, jets
+
+
+class TestJointSides:
+    """Every side of a case runs as integrals of one integrate call, each
+    bit-identical to its side run alone."""
+
+    @pytest.mark.parametrize("entry_id,n,kappa", [("classical-rellich", 6, 0.0),
+                                                  ("hyp-final", 5, 1.0)])
+    def test_chain_run_equals_each_side_alone(self, monkeypatch, entry_id, n, kappa):
+        entry, sf = cat.build_entry(entry_id, n=n, kappa=kappa), SpaceForm(n, kappa)
+        batch = BatchSpec(modes=(0, 1, 2))
+        runs, integrate = [], vf.integrate
+
+        def recorded(*args):
+            runs.append(integrate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(vf, "integrate", recorded)
+        rep = verify_case(InequalityCase("chain", sf, batch, entry.chain))
+        monkeypatch.undo()
+        assert len(runs) == 1 and rep.verdict == "pass"
+        chain, profiles = entry.chain, Profiles(generate_batch(sf, batch))
+        sides = [shape_sides("delta-vs-gradrad", chain.dual, sf)] + [
+            shape_sides("gradrad-vs-usq", link.spec, sf) for link in chain.links]
+        alone = [side(sf, weight, profiles, form, bindings)
+                 for s in sides for weight, form, bindings in s.entries]
+        assert len(alone) == 2 + 2 * len(chain.links)
+        assert list(runs[0]) == [q for quads in alone for q in quads]
+        assert [t.lhs for t in rep.tests[::len(chain.links) + 2]] == [q.value for q in alone[0]]
+
+    def test_spline_and_empty_batches(self, monkeypatch):
+        sf, w = SpaceForm(7, 0.5, 40.0), parse("1/t^2")
+        entries = [(w, "delta", {}), (Const(2.0), "grad", {}), (w, "usq", {})]
+        us = Splines(_splines([(0.01, 5.0), (0.5, 3.0), (1e-3, 20.0), (2.0, 9.0)]))
+        calls, _ = _counted(monkeypatch)
+        joint = vf.integrate_sides(sf, entries, us)
+        assert len(calls) == 1
+        assert joint == [side(sf, weight, us, form, b) for weight, form, b in entries]
+        assert all(isinstance(q, Quadratures) and len(q) == 4 for q in joint)
+        calls.clear()
+        assert vf.integrate_sides(sf, entries, Splines([])) == [(), (), ()]
+        rep = verify_case(InequalityCase("chain", SpaceForm(6, 0.0), BatchSpec(count=0),
+                                         cat.classical_euclidean(6).chain))
+        assert rep.tests == () and len(calls) == 2
+
+
+class TestFailureOrder:
+    """Of the sides of one run, the one that fails on the earliest pass is
+    named, whatever their order."""
+
+    sf = SpaceForm(5, 0.0, 100.0)
+    u = Profiles([make_bump(1.0, 1.2, sf), make_bump(1.3, 2.0, sf), make_bump(2.0, 2.6, sf)])
+
+    def setup_method(self):
+        self.fine = (parse("1/((t-1.5)^2+1e-2)"), "delta", {})
+        self.late = (parse("1/((t-1.5)^2+1e-6)"), "usq", {})      # fails on pass 10
+        self.early = (parse("1/((t-2.3)^2+1e-5)"), "usq", {})     # fails on pass 7
+
+    def _failure(self, monkeypatch, entries):
+        """The message and passes of the failing run of entries."""
+        passes, kronrod = [], vf._kronrod
+
+        def counted(*args):
+            passes.append(0)
+            return kronrod(*args)
+
+        monkeypatch.setattr(vf, "_kronrod", counted)
+        with pytest.raises(NonconvergenceError) as exc:
+            vf.integrate_sides(self.sf, entries, self.u, tol=1e-12)
+        monkeypatch.setattr(vf, "_kronrod", kronrod)
+        return str(exc.value), len(passes)
+
+    def test_one_failing_side_names_its_own_failure(self, monkeypatch):
+        monkeypatch.setattr(vf, "_MAX_PANELS", 20)
+        assert vf.integrate_sides(self.sf, [self.fine], self.u, tol=1e-12)
+        alone = self._failure(monkeypatch, [self.late])
+        assert self._failure(monkeypatch, [self.fine, self.late]) == alone
+        assert self._failure(monkeypatch, [self.late, self.fine]) == alone
+
+    def test_the_earlier_pass_is_named(self, monkeypatch):
+        monkeypatch.setattr(vf, "_MAX_PANELS", 20)
+        late, early = (self._failure(monkeypatch, [e]) for e in (self.late, self.early))
+        assert late[1] > early[1] and late[0] != early[0]
+        assert self._failure(monkeypatch, [self.late, self.early]) == early
+        assert self._failure(monkeypatch, [self.early, self.late, self.fine]) == early
 
 
 class TestBatch:
